@@ -47,7 +47,7 @@ from ..sim.oracle import CommittedStateOracle, RecordMismatch
 from .clock import WallClock
 from .scheduler import LiveScheduler
 from .store import ImageStore
-from .wal import DurableLog, read_wal
+from .wal import DurableLog, gc_paused
 
 __all__ = ["LiveConfig", "LiveCheckpointer", "LiveHost", "RecoveryInfo"]
 
@@ -269,6 +269,10 @@ class LiveHost:
         self.commits = 0
         self._stopping = False
         self._started = False
+        #: where restart spent its time (set by :meth:`recover`); kept
+        #: out of :class:`RecoveryInfo`, which must be identical for
+        #: every restart from the same disk state
+        self.recovery_timing: dict = {}
 
     @property
     def wal_path(self) -> Path:
@@ -304,46 +308,67 @@ class LiveHost:
     def recover(self) -> RecoveryInfo:
         """Rebuild state from the image + durable WAL (restart + REDO).
 
-        Runs before the dispatcher starts, so it owns all state.  The
-        oracle is seeded from the same disk artifacts and replays the
-        same records through its *own* applier, which keeps the
-        verification independent of this method's bookkeeping.
+        Runs before the dispatcher starts, so it owns all state (and
+        pauses the cyclic GC: see :func:`~repro.live.wal.gc_paused`).
+        The WAL is not read here: opening the :class:`DurableLog`
+        already decoded it once to repair a torn tail, and its
+        ``recovered_records`` are consumed as they are.  The oracle is
+        seeded from the same disk artifacts and replays the same records
+        through its *own* applier, which keeps the verification
+        independent of this method's bookkeeping.
         """
-        records, torn = read_wal(self.wal_path)
-        # DurableLog truncated any torn tail when it opened the file,
-        # so read_wal sees a clean prefix; the repair is still a tear.
-        torn = torn or self.log.repaired_bytes > 0
-        image = self.store.load()
-        checkpoint_id: Optional[int] = None
-        base_lsn = 0
-        base = np.zeros(self.params.n_records, dtype=np.int64)
-        if image is not None:
-            checkpoint_id = image.checkpoint_id
-            base_lsn = image.base_lsn
-            base = image.values.astype(np.int64, copy=True)
-            self.checkpointer.checkpoints_started = checkpoint_id
-        # Records at or below the image's horizon are already reflected
-        # in it; value REDO is idempotent, so replaying them anyway
-        # would also be correct -- skipping is just less work.
-        replay = [r for r in records if r.lsn > base_lsn]
-        self.oracle.seed_values(base)
-        self.oracle.feed(replay)
-        values = base.copy()
-        applier = RedoApplier(
-            lambda record_id, value: values.__setitem__(record_id, value))
-        applier.feed(replay)
-        counts = applier.finish()
-        self.database.load_values(values)
-        self.log.hydrate(records)
-        for record in records:
-            txn_id = getattr(record, "txn_id", 0)
-            if txn_id >= self._next_txn_id:
-                self._next_txn_id = txn_id + 1
-        return RecoveryInfo(
-            checkpoint_id=checkpoint_id, base_lsn=base_lsn,
-            records_scanned=len(records),
-            transactions_replayed=counts.transactions_committed,
-            updates_dropped=counts.updates_dropped, torn_tail=torn)
+        with gc_paused():
+            began = time.perf_counter()
+            log = self.log
+            records = log.recovered_records
+            image = self.store.load()
+            image_loaded = time.perf_counter()
+            checkpoint_id: Optional[int] = None
+            base_lsn = 0
+            base = np.zeros(self.params.n_records, dtype=np.int64)
+            if image is not None:
+                checkpoint_id = image.checkpoint_id
+                base_lsn = image.base_lsn
+                base = image.values.astype(np.int64, copy=True)
+                self.checkpointer.checkpoints_started = checkpoint_id
+            # Records at or below the image's horizon are already reflected
+            # in it; value REDO is idempotent, so replaying them anyway
+            # would also be correct -- skipping is just less work.
+            replay = [r for r in records if r.lsn > base_lsn]
+            redo_began = time.perf_counter()
+            self.oracle.seed_values(base)
+            self.oracle.feed(replay)
+            values = base.copy()
+            applier = RedoApplier(
+                lambda record_id, value: values.__setitem__(record_id, value))
+            applier.feed(replay)
+            counts = applier.finish()
+            redo_ended = time.perf_counter()
+            self.database.load_values(values)
+            for record in records:
+                txn_id = getattr(record, "txn_id", 0)
+                if txn_id >= self._next_txn_id:
+                    self._next_txn_id = txn_id + 1
+            n_records = len(records)
+            log.hydrate(records)
+            total = log.scan_seconds + (time.perf_counter() - began)
+            self.recovery_timing = {
+                "wal_bytes": log.scanned_bytes,
+                "records": n_records,
+                "repaired_bytes": log.repaired_bytes,
+                "scan_s": log.scan_seconds,
+                "image_load_s": image_loaded - began,
+                "redo_s": redo_ended - redo_began,
+                "total_s": total,
+                "records_per_s": n_records / total,
+            }
+            return RecoveryInfo(
+                checkpoint_id=checkpoint_id, base_lsn=base_lsn,
+                records_scanned=n_records,
+                transactions_replayed=counts.transactions_committed,
+                updates_dropped=counts.updates_dropped,
+                # the open-time repair already cut the tear off the file
+                torn_tail=log.repaired_bytes > 0)
 
     # -- transaction path ----------------------------------------------------
     def submit(self, updates: Sequence[Tuple[int, int]],
@@ -453,4 +478,5 @@ class LiveHost:
             "wal_fsyncs": self.log.fsync_count,
             "now": self.clock.now,
             "n_records": self.params.n_records,
+            "recovery_timing": self.recovery_timing,
         }

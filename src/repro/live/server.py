@@ -22,10 +22,11 @@ Requests (``op`` selects):
 ``shutdown``                     graceful stop
 
 On startup the server prints a single JSON "ready" line (port, pid,
-recovery summary) to stdout, which is how the bench client finds the
-ephemeral port and how tests learn the pid to kill.  ``check(data_dir)``
-is the restart-verdict entry point (``repro serve --check``): recover,
-verify against the oracle, report, exit -- no socket.
+recovery summary, recovery timing) to stdout, which is how the bench
+client finds the ephemeral port and how tests learn the pid to kill.
+``check(data_dir)`` is the restart-verdict entry point (``repro serve
+--check``): recover, verify against the oracle, report, exit -- no
+socket.
 """
 
 from __future__ import annotations
@@ -134,6 +135,7 @@ def serve(data_dir: str, port: int = 0, *,
         "data_dir": data_dir,
         "n_records": host.params.n_records,
         "recovery": recovery.as_dict(),
+        "recovery_timing": host.recovery_timing,
     }), file=stream, flush=True)
     thread = threading.Thread(target=server.serve_forever,
                               kwargs={"poll_interval": 0.05}, daemon=True)
@@ -166,6 +168,7 @@ def check(data_dir: str, *, scale: int = 2048, limit: int = 10) -> dict:
         "event": "check",
         "data_dir": data_dir,
         "recovery": recovery.as_dict(),
+        "recovery_timing": host.recovery_timing,
         "durable_commits": host.oracle.durable_commits,
         "mismatches": [m._asdict() for m in mismatches],
         "consistent": not mismatches,

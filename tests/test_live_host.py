@@ -7,12 +7,15 @@ logic under test is identical either way; the subprocess SIGKILL tests
 in ``test_live_smoke.py`` run with fsync on).
 """
 
+import gc
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, WALCorruptionError
+from repro.live import wal as live_wal
 from repro.live.host import LiveConfig, LiveHost
 from repro.live.store import ImageStore
 from repro.live.wal import DurableLog, decode_record, encode_record, read_wal
@@ -117,6 +120,38 @@ def test_wal_reopen_truncates_a_torn_tail_before_appending(
     clean.close()
 
 
+def test_wal_unterminated_final_line_is_torn_even_if_it_decodes(
+        live_params, wal_path):
+    log = _fresh_log(live_params, wal_path)
+    log.append_update(1, 3, 42)
+    first = log.append_commit(1)
+    log.flush()
+    log.close()
+    # a tear that takes only the final newline leaves a whole, decodable
+    # line -- but its flush never finished, so it was never acknowledged
+    chopped = encode_record(first)[:-1]
+    whole = wal_path.read_bytes()
+    wal_path.write_bytes(whole[:-1])
+    records, torn = read_wal(wal_path)
+    assert torn
+    assert [r.lsn for r in records] == [first.lsn - 1]
+    reborn = _fresh_log(live_params, wal_path)
+    assert reborn.repaired_bytes == len(chopped)
+    assert wal_path.read_bytes() == whole[:-len(chopped) - 1]
+    reborn.hydrate(reborn.recovered_records)
+    reborn.append_update(2, 4, 43)
+    second = reborn.append_commit(2)
+    reborn.flush()
+    reborn.close()
+    # the next append did not fuse onto the chopped line, so the restart
+    # after it reads the new commit instead of raising over it
+    again = _fresh_log(live_params, wal_path)
+    assert again.repaired_bytes == 0
+    assert [r.lsn for r in again.recovered_records] == [
+        first.lsn - 1, second.lsn - 1, second.lsn]
+    again.close()
+
+
 def test_wal_interior_corruption_fails_loudly(live_params, wal_path):
     log = _fresh_log(live_params, wal_path)
     log.append_update(1, 3, 42)
@@ -169,6 +204,26 @@ def test_wal_hydrate_resumes_lsns_where_the_crash_left_them(
     assert fresh.lsn == last.lsn + 1  # no LSN reuse across restart
     with pytest.raises(ConfigurationError):
         reborn.hydrate(records)  # only a fresh log may adopt a history
+    reborn.close()
+
+
+def test_wal_open_keeps_the_scanned_records_for_a_single_adoption(
+        live_params, wal_path):
+    log = _fresh_log(live_params, wal_path)
+    assert log.recovered_records == []  # a new file has no history
+    log.append_update(1, 3, 42)
+    log.append_commit(1)
+    originals = list(log._tail)
+    log.flush()
+    log.close()
+    reborn = _fresh_log(live_params, wal_path)
+    scanned = reborn.recovered_records
+    assert scanned == originals
+    reborn.hydrate(scanned)
+    assert reborn._stable is scanned  # adopted, not copied
+    assert reborn.recovered_records == []  # handed over, not kept twice
+    with pytest.raises(ConfigurationError):
+        reborn.hydrate(scanned)
     reborn.close()
 
 
@@ -368,6 +423,109 @@ def test_live_host_commits_after_a_torn_tail_survive_a_second_crash(tmp_path):
         assert third.verify() == []
     finally:
         third.stop()
+
+
+def test_live_host_restart_reads_and_scans_the_wal_once(tmp_path,
+                                                        monkeypatch):
+    host = _host(tmp_path)
+    host.start()
+    try:
+        for i in range(5):
+            host.submit([(i, 3000 + i)])
+    finally:
+        host.stop()
+    scans, reads = [], []
+    real_scan, real_read = live_wal.scan_wal, Path.read_bytes
+
+    def counting_scan(data):
+        scans.append(len(data))
+        return real_scan(data)
+
+    def counting_read(path):
+        reads.append(path.name)
+        return real_read(path)
+
+    monkeypatch.setattr(live_wal, "scan_wal", counting_scan)
+    monkeypatch.setattr(Path, "read_bytes", counting_read)
+    reborn = _host(tmp_path)
+    recovery = reborn.recover()
+    reborn.log.close()
+    assert recovery.records_scanned == 10
+    assert scans == [(tmp_path / "wal.jsonl").stat().st_size]
+    assert reads.count("wal.jsonl") == 1
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_live_host_recover_restores_the_gc_state(tmp_path, monkeypatch,
+                                                 collecting):
+    host = _host(tmp_path)
+    host.start()
+    try:
+        host.submit([(1, 11)])
+    finally:
+        host.stop()
+    was_enabled = gc.isenabled()
+    seen = []
+
+    def load(store):
+        seen.append(gc.isenabled())
+        raise OSError("image unreadable")
+
+    try:
+        (gc.enable if collecting else gc.disable)()
+        reborn = _host(tmp_path)
+        reborn.recover()
+        reborn.log.close()
+        assert gc.isenabled() is collecting
+        # a failure inside recover() ...
+        failing = _host(tmp_path)
+        monkeypatch.setattr(ImageStore, "load", load)
+        with pytest.raises(OSError):
+            failing.recover()
+        failing.log.close()
+        assert seen == [False]  # paused while it ran
+        assert gc.isenabled() is collecting
+        # ... and one inside the open-time scan
+        (tmp_path / "wal.jsonl").write_bytes(b'["C",99,bogus\n')
+        with pytest.raises(WALCorruptionError):
+            _host(tmp_path)
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_live_host_reports_recovery_timing_outside_recovery_info(tmp_path):
+    host = _host(tmp_path)
+    assert host.recovery_timing == {}
+    host.start()
+    try:
+        for i in range(5):
+            host.submit([(i, 3000 + i)])
+    finally:
+        host.stop()
+    wal_path = tmp_path / "wal.jsonl"
+    garbage = b'["U",999,99'
+    with open(wal_path, "ab") as file:
+        file.write(garbage)
+    size = wal_path.stat().st_size
+
+    reborn = _host(tmp_path)
+    recovery = reborn.recover()
+    reborn.log.close()
+    timing = reborn.recovery_timing
+    assert set(timing) == {"wal_bytes", "records", "repaired_bytes",
+                           "scan_s", "image_load_s", "redo_s", "total_s",
+                           "records_per_s"}
+    assert timing["wal_bytes"] == size
+    assert timing["records"] == recovery.records_scanned == 10
+    assert timing["repaired_bytes"] == len(garbage)
+    assert (timing["total_s"] >= timing["scan_s"] + timing["image_load_s"]
+            + timing["redo_s"] > 0.0)
+    assert reborn.stats()["recovery_timing"] == timing
+    # the summary stays a pure function of the disk state: no timing in
+    # it, and the repaired tear is still reported
+    assert recovery.torn_tail
+    assert not set(recovery.as_dict()) & set(timing)
 
 
 def test_live_host_uncommitted_updates_are_dropped_at_recovery(tmp_path):
