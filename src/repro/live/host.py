@@ -44,6 +44,7 @@ from ..obs.spans import NULL_SPANS, SpanRecorder
 from ..params import SystemParameters
 from ..recovery.replay import RedoApplier
 from ..sim.oracle import CommittedStateOracle, RecordMismatch
+from ..wal.records import CommitRecord
 from .clock import WallClock
 from .scheduler import LiveScheduler
 from .store import ImageStore
@@ -381,18 +382,16 @@ class LiveHost:
             raise InvalidStateError("a transaction must write something")
         submitted_at = self.clock.now
         done = threading.Event()
-        box: List = [None]
+        box: List = [None, None]
 
         def execute() -> None:
             started_at = self.clock.now
-            txn_id = self._next_txn_id
-            self._next_txn_id = txn_id + 1
-            for record_id, value in updates:
-                record = self.log.append_update(txn_id, record_id, value)
-                self.database.install_record(record_id, value,
-                                             timestamp=started_at,
-                                             lsn=record.lsn)
-            commit = self.log.append_commit(txn_id)
+            try:
+                txn_id, commit = self._log_and_install(updates, started_at)
+            except BaseException as exc:  # noqa: BLE001 - relayed to caller
+                box[1] = exc
+                done.set()
+                return
             executed_at = self.clock.now
 
             def acknowledged() -> None:
@@ -422,7 +421,35 @@ class LiveHost:
         if not done.wait(timeout):
             raise TimeoutError(
                 f"commit not acknowledged within {timeout}s")
+        if box[1] is not None:
+            raise box[1]
         return box[0]
+
+    def _log_and_install(self, updates: Sequence[Tuple[int, int]],
+                         timestamp: float) -> Tuple[int, CommitRecord]:
+        """Validate, log, install and commit-mark one transaction
+        (dispatcher thread only); a constant number of calls whatever
+        its size.
+
+        The whole transaction is validated before its first record is
+        logged -- every id a record's, every value an int64 -- so a
+        rejected one raises with nothing logged, nothing installed and
+        no transaction id spent.
+        """
+        record_ids = np.array([record_id for record_id, _ in updates],
+                              dtype=np.int64)
+        values = np.array([value for _, value in updates], dtype=np.int64)
+        self.database.check_record_ids(record_ids)
+        txn_id = self._next_txn_id
+        self._next_txn_id = txn_id + 1
+        log = self.log
+        first_lsn = log.last_lsn + 1
+        # logged from the arrays, so the log holds what is installed
+        log.append_updates(txn_id, zip(record_ids.tolist(), values.tolist()))
+        self.database.install_records(record_ids, values,
+                                      timestamp=timestamp,
+                                      first_lsn=first_lsn)
+        return txn_id, log.append_commit(txn_id)
 
     def read(self, record_id: int) -> int:
         """Read one record's current value (dispatcher-serialised)."""

@@ -33,6 +33,13 @@ reference the bulk path is tested against and the only place corruption
 is diagnosed.  The cyclic GC is paused meanwhile: the scan allocates
 only acyclic tuples.
 
+A group flush encodes its tail the same way in the other direction.
+:func:`encode_records` serialises the whole batch with a single
+``json.dumps`` and frames the lines afterwards, when every ``],[`` in
+the result is provably a record boundary; any other batch goes record by
+record through :func:`encode_record`, which remains the reference the
+bulk path is tested against.  Both produce the same bytes.
+
 Opening a :class:`DurableLog` over an existing file runs that scan and
 *repairs* a torn tail first: the file is truncated to the durable prefix
 before it is reopened for append, so new records can never be written
@@ -75,8 +82,8 @@ from ..wal.records import (
     UpdateRecord,
 )
 
-__all__ = ["DurableLog", "encode_record", "decode_record", "gc_paused",
-           "read_wal", "scan_wal"]
+__all__ = ["DurableLog", "encode_record", "encode_records", "decode_record",
+           "gc_paused", "read_wal", "scan_wal"]
 
 #: type tag -> record class, and the reverse, for the line format
 _TAG_TO_CLASS = {
@@ -101,6 +108,26 @@ def encode_record(record: LogRecord) -> bytes:
         fields[3] = list(fields[3])
     payload = json.dumps([tag] + fields, separators=(",", ":"))
     return payload.encode("ascii") + b"\n"
+
+
+def encode_records(records: Sequence[LogRecord]) -> bytes:
+    """``records`` as WAL lines: what :func:`encode_record` writes for
+    each, joined, from a single ``json.dumps`` over the batch.
+
+    The mirror of :func:`_decode_canonical`, under the mirrored guard.
+    Serialised compactly as one array of arrays, consecutive records
+    meet in ``],[``; putting a newline in place of that comma frames the
+    lines -- provided every ``],[`` *is* a record boundary.  N records
+    have N - 1 boundaries, so a further occurrence sits inside a string
+    field (an abort reason), and the batch goes record by record instead
+    (as does the empty batch, which has no line to frame).
+    """
+    tags = _CLASS_TO_TAG
+    text = json.dumps([[tags[type(record)], *record] for record in records],
+                      separators=(",", ":"))
+    if text.count("],[") != len(records) - 1:
+        return b"".join(encode_record(record) for record in records)
+    return (text[1:-1].replace("],[", "]\n[") + "\n").encode("ascii")
 
 
 def decode_record(line: str) -> LogRecord:
@@ -337,7 +364,7 @@ class DurableLog(LogManager):
         fsync.
         """
         if self._tail:
-            self._file.write(b"".join(encode_record(r) for r in self._tail))
+            self._file.write(encode_records(self._tail))
             self._sync_file(self._file)
         return super().flush()
 
@@ -347,7 +374,7 @@ class DurableLog(LogManager):
         if reclaimed:
             tmp = self.path.with_name(self.path.name + ".tmp")
             with open(tmp, "wb") as file:
-                file.write(b"".join(encode_record(r) for r in self._stable))
+                file.write(encode_records(self._stable))
                 self._sync_file(file)
             self._file.close()
             os.replace(tmp, self.path)

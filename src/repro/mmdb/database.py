@@ -97,6 +97,36 @@ class Database:
             table.lsn[index] = lsn
         return self.segments[index]
 
+    def check_record_ids(self, record_ids: np.ndarray) -> None:
+        """Raise :class:`AddressError` unless every id is a record's."""
+        bad = (record_ids < 0) | (record_ids >= self.n_records)
+        if bad.any():
+            raise AddressError(
+                f"record {record_ids[bad][0]} out of range "
+                f"[0, {self.n_records})"
+            )
+
+    def install_records(self, record_ids: np.ndarray, values: np.ndarray, *,
+                        timestamp: float, first_lsn: int) -> None:
+        """Install one transaction's updates at once.
+
+        Exactly the effect of :meth:`install_record` called in order on
+        each ``(record_ids[i], values[i])`` with LSN ``first_lsn + i``,
+        except that a bad id raises before anything is written.
+        """
+        self.check_record_ids(record_ids)
+        # numpy leaves the winner of a repeated-index assignment
+        # unspecified; the loop's winner is the last write.  np.unique
+        # indexes the first occurrence, so look from the back.
+        targets, latest = np.unique(record_ids[::-1], return_index=True)
+        self._values[targets] = values[::-1][latest]
+        segments = record_ids // self.records_per_segment
+        table = self.table
+        table.dirty[segments] = True
+        np.maximum.at(table.timestamp, segments, timestamp)
+        np.maximum.at(table.lsn, segments,
+                      np.arange(first_lsn, first_lsn + record_ids.size))
+
     # -- bulk access for checkpointing / recovery -----------------------------
     def dirty_segments(self) -> Iterator[Segment]:
         """Segments whose dirty bit is set, in segment order.

@@ -8,18 +8,27 @@ in ``test_live_smoke.py`` run with fsync on).
 """
 
 import gc
+import io
+import json
+import random
+import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, WALCorruptionError
+from repro.errors import AddressError, ConfigurationError, WALCorruptionError
 from repro.live import wal as live_wal
 from repro.live.host import LiveConfig, LiveHost
+from repro.live.server import _Handler
 from repro.live.store import ImageStore
 from repro.live.wal import DurableLog, decode_record, encode_record, read_wal
+from repro.mmdb.database import Database
 from repro.params import SystemParameters
+from repro.wal.log import LogManager
+from repro.wal.records import CommitRecord, UpdateRecord
 
 
 @pytest.fixture()
@@ -570,3 +579,162 @@ def test_live_host_emits_txn_and_ckpt_spans(tmp_path):
             "ckpt.truncate"} <= names
     roots = [s for s in spans if s["name"] == "txn"]
     assert roots and all(s["fields"]["outcome"] == "commit" for s in roots)
+
+
+# ---------------------------------------------------------------------------
+# the bulk commit path: validate -> log -> install -> commit
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("bad, error", [
+    ((10**9, 1), AddressError),
+    ((-1, 1), AddressError),
+    ((1, 2**63), OverflowError),
+], ids=["id-past-the-end", "negative-id", "value-past-int64"])
+def test_live_host_rejected_transaction_leaves_nothing_behind(
+        tmp_path, bad, error):
+    host = _host(tmp_path)
+    host.start()
+    try:
+        first = host.submit([(0, 1)])
+        # valid pairs ahead of the bad one: none of them may be logged
+        # or installed, and the caller must hear why at once
+        began = time.monotonic()
+        with pytest.raises(error):
+            host.submit([(0, 5), bad, (2, 7)], timeout=5.0)
+        assert time.monotonic() - began < 1.0
+        assert host.read(0) == 1
+        assert host.read(2) == 0
+        assert host.verify() == []
+        # it cost neither a transaction id nor an LSN
+        after = host.submit([(3, 4)])
+        assert after.txn_id == first.txn_id + 1
+        assert after.commit_lsn == first.commit_lsn + 2
+        host.scheduler.call(host.checkpointer.start_checkpoint)
+        assert _wait_until(lambda: host.checkpointer.history)
+        assert host.scheduler.errors == []
+    finally:
+        host.stop()
+    # the checkpoint did not carry the uncommitted 5 into the image ...
+    image = ImageStore(tmp_path, fsync=False).load()
+    assert image.values[0] == 1 and image.values[2] == 0
+
+    reborn = _host(tmp_path)
+    reborn.start()
+    try:
+        # ... so database and oracle agree on the committed value, not
+        # on one nobody committed
+        assert reborn.read(0) == 1
+        assert reborn.read(3) == 4
+        assert reborn.verify() == []
+        assert reborn.oracle.mismatch_report(image.values) == []
+    finally:
+        reborn.stop()
+
+
+def test_server_answers_a_rejected_transaction_and_keeps_the_connection(
+        tmp_path):
+    host = _host(tmp_path)
+    host.start()
+    try:
+        # one connection, as the socket handler sees it
+        handler = _Handler.__new__(_Handler)
+        handler.server = SimpleNamespace(live_host=host,
+                                         stop_event=threading.Event())
+        requests = [
+            {"op": "put", "record": 0, "value": 1},
+            {"op": "txn", "updates": [[0, 5], [10**9, 1]]},
+            {"op": "txn", "updates": [[0, 6], [1, 2**70]]},
+            {"op": "txn", "updates": [[0, 7], [1, 8]]},
+            {"op": "get", "record": 0},
+            {"op": "verify"},
+        ]
+        handler.rfile = io.BytesIO(
+            b"".join(json.dumps(r).encode() + b"\n" for r in requests))
+        handler.wfile = io.BytesIO()
+        began = time.monotonic()
+        handler.handle()
+        assert time.monotonic() - began < 1.0  # no 30 s commit timeout
+        replies = [json.loads(line)
+                   for line in handler.wfile.getvalue().splitlines()]
+        assert [r["ok"] for r in replies] == [True, False, False, True,
+                                              True, True]
+        assert replies[1]["error"].startswith(
+            "AddressError: record 1000000000")
+        assert replies[2]["error"].startswith("OverflowError: ")
+        assert replies[3]["txn_id"] == replies[0]["txn_id"] + 1
+        assert replies[4]["value"] == 7
+        assert replies[5]["mismatches"] == []
+        assert host.scheduler.errors == []
+    finally:
+        host.stop()
+
+
+def _counted(monkeypatch, owner, attr):
+    calls = []
+    original = getattr(owner, attr)
+
+    def counting(*args, **kwargs):
+        calls.append(attr)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counting)
+    return calls
+
+
+def test_live_host_bulk_commit_makes_no_per_record_call(tmp_path,
+                                                        monkeypatch):
+    host = _host(tmp_path)
+    host.start()
+    try:
+        host.submit([(0, 1)])  # warm: nothing below is first-use work
+        per_record = [_counted(monkeypatch, live_wal, "encode_record"),
+                      _counted(monkeypatch, Database, "install_record"),
+                      _counted(monkeypatch, LogManager, "append_update")]
+        flushes = host.log.flush_count
+        rng = random.Random(14)
+        updates = [(rng.randrange(host.params.n_records),
+                    rng.randrange(1 << 40)) for _ in range(1024)]
+        result = host.submit(updates)  # returns once its flush is done
+        assert host.log.flush_count > flushes
+        assert result.commit_lsn == 2 + 1024 + 1
+        assert per_record == [[], [], []]
+        assert host.verify() == []
+    finally:
+        host.stop()
+
+
+def test_live_host_wal_bytes_are_the_per_record_encoding(tmp_path):
+    host = _host(tmp_path)
+    host.start()
+    rng = random.Random(1989)
+    sizes = [rng.choice([1, 5, 1024]) for _ in range(24)] + [1, 5, 1024]
+    expected = {}
+    try:
+        for size in sizes:
+            updates = [(rng.randrange(host.params.n_records),
+                        rng.randrange(-(1 << 62), 1 << 62))
+                       for _ in range(size)]
+            result = host.submit(updates)
+            expected[result.txn_id] = (updates, result.commit_lsn)
+        assert host.verify() == []
+    finally:
+        host.stop()
+    wal_path = tmp_path / "wal.jsonl"
+    records, torn = read_wal(wal_path)
+    assert not torn
+    assert wal_path.read_bytes() == b"".join(map(encode_record, records))
+    # LSNs are dense, and each transaction is its updates, in the order
+    # submitted, then its commit record, with nothing in between
+    assert [r.lsn for r in records] == list(range(1, len(records) + 1))
+    at = 0
+    for txn_id in sorted(expected):
+        updates, commit_lsn = expected[txn_id]
+        logged = records[at:at + len(updates)]
+        assert logged == [
+            UpdateRecord(at + 1 + i, txn_id, record_id, value)
+            for i, (record_id, value) in enumerate(updates)]
+        at += len(updates)
+        assert records[at] == CommitRecord(commit_lsn, txn_id)
+        assert commit_lsn == at + 1
+        at += 1
+    assert at == len(records)

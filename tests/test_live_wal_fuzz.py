@@ -8,6 +8,11 @@ identical ``(records, durable_bytes)`` or raise the same
 ``WALCorruptionError``.  Seeded ``random.Random``, so a failure
 reproduces from its case number.  (The first piece of the byte-level
 recovery fuzzer of ROADMAP item 4.)
+
+The write side has the same shape: ``encode_records`` serialises a whole
+batch with one ``json.dumps`` and must produce, byte for byte, what the
+per-record ``encode_record`` produces -- falling back to it whenever a
+string field could pass for a record boundary.
 """
 
 import random
@@ -16,7 +21,7 @@ import pytest
 
 from repro.errors import WALCorruptionError
 from repro.live import wal
-from repro.live.wal import encode_record, scan_wal
+from repro.live.wal import encode_record, encode_records, scan_wal
 from repro.wal.records import (
     AbortRecord,
     BeginCheckpointRecord,
@@ -225,3 +230,77 @@ def test_nesting_deeper_than_the_parser_goes_fails_the_same_way(slice_bytes):
     for scan in (scan_wal, wal._scan_lines):
         with pytest.raises(RecursionError):
             scan(data)
+
+
+# ---------------------------------------------------------------------------
+# the write side: bulk encode vs the per-record reference
+# ---------------------------------------------------------------------------
+
+#: reasons the bulk encoder must survive: its own separator before and
+#: after framing, and everything JSON escapes
+_HOSTILE_REASONS = ["a],[b", "],[", "x]\n[y", 'quo"te', "back\\slash\\",
+                    "caf\u00e9 \u2603", "tab\tnewline\n"]
+
+
+def _reference(batch):
+    return b"".join(map(encode_record, batch))
+
+
+def _counting_encode_record(monkeypatch):
+    calls = []
+
+    def counted(record):
+        calls.append(record)
+        return encode_record(record)
+
+    monkeypatch.setattr(wal, "encode_record", counted)
+    return calls
+
+
+def test_bulk_encode_matches_the_per_record_reference():
+    rng = random.Random(14)
+    kinds, active_lists = set(), 0
+    for case in range(300):
+        reasons = _CANONICAL_REASONS + (_HOSTILE_REASONS if case % 2 else [])
+        batch = _history(rng, rng.randint(1, 40), reasons)
+        if case % 7 == 0:  # a batch need not start at a transaction
+            batch = batch[rng.randrange(len(batch)):]
+        kinds |= {type(record) for record in batch}
+        active_lists += sum(1 for record in batch
+                            if isinstance(record, BeginCheckpointRecord)
+                            and record.active_txns)
+        data = encode_records(batch)
+        assert data == _reference(batch), f"case {case}"
+        assert scan_wal(data) == (batch, len(data)), f"case {case}"
+    # every record type, and the one nested list, went through
+    assert len(kinds) == 8 and active_lists > 50
+
+
+@pytest.mark.parametrize("reason", _HOSTILE_REASONS)
+def test_bulk_encode_round_trips_every_hostile_reason(reason):
+    batch = [UpdateRecord(1, 1, 5, 6), AbortRecord(2, 1, reason),
+             BeginCheckpointRecord(3, 1, 0.25, (4, 9), 0),
+             CommitRecord(4, 2)]
+    data = encode_records(batch)
+    assert data == _reference(batch)
+    assert scan_wal(data) == (batch, len(data))
+
+
+def test_bulk_encode_of_the_empty_and_the_single_batch():
+    assert encode_records([]) == b""
+    for record in _history(random.Random(5), 30):
+        assert encode_records([record]) == encode_record(record)
+
+
+def test_clean_batch_is_encoded_in_bulk_and_a_hostile_one_per_record(
+        monkeypatch):
+    calls = _counting_encode_record(monkeypatch)
+    clean = _history(random.Random(7), 60, _CANONICAL_REASONS)
+    assert any(isinstance(r, BeginCheckpointRecord) and r.active_txns
+               for r in clean)
+    assert encode_records(clean) == _reference(clean)
+    assert calls == []  # otherwise the comparison is reference vs itself
+    # one boundary look-alike in one string field sends the batch back
+    hostile = clean + [AbortRecord(len(clean) + 1, 99, "a],[b")]
+    assert encode_records(hostile) == _reference(hostile)
+    assert calls == hostile

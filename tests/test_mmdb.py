@@ -279,6 +279,74 @@ class TestSegmentTableEquivalence:
         assert db.table.dirty_indices() == []
 
 
+class TestInstallRecordsEquivalence:
+    """``install_records`` is the ``install_record`` loop, vectorised:
+    after every batch a database driven by one must equal a database
+    driven by the other in values and in all segment metadata -- with
+    record ids repeated inside a batch, where numpy's own repeated-index
+    assignment would be free to keep any of the writes.
+    """
+
+    @staticmethod
+    def _state(database):
+        table = database.table
+        return [database.values_snapshot(), table.dirty.copy(),
+                table.timestamp.copy(), table.lsn.copy()]
+
+    @staticmethod
+    def _assert_same(state, expected_state, case=""):
+        for got, expected in zip(state, expected_state):
+            np.testing.assert_array_equal(got, expected, err_msg=case)
+
+    @pytest.mark.parametrize("seed", [3, 17, 91])
+    def test_batches_with_repeats_match_the_per_record_loop(
+            self, tiny_params, seed):
+        import random
+        rng = random.Random(seed)
+        bulk, loop = Database(tiny_params), Database(tiny_params)
+        lsn, repeats = 0, 0
+        for step in range(60):
+            size = rng.choice([1, 2, 5, 1024])
+            # a narrow id range makes most batches write a record twice
+            span = rng.choice([3, 64, bulk.n_records])
+            base = rng.randrange(bulk.n_records - span + 1)
+            ids = [base + rng.randrange(span) for _ in range(size)]
+            values = [rng.randrange(-(1 << 62), 1 << 62) for _ in ids]
+            repeats += len(ids) - len(set(ids))
+            # timestamps sometimes run backwards: tau(S) must not follow
+            timestamp = rng.random() * 10.0
+            bulk.install_records(np.array(ids, dtype=np.int64),
+                                 np.array(values, dtype=np.int64),
+                                 timestamp=timestamp, first_lsn=lsn + 1)
+            for record_id, value in zip(ids, values):
+                lsn += 1
+                loop.install_record(record_id, value, timestamp=timestamp,
+                                    lsn=lsn)
+            self._assert_same(self._state(bulk), self._state(loop),
+                              f"seed {seed}, step {step}")
+        assert repeats > 100
+
+    def test_segment_lsn_is_not_lowered_by_an_older_batch(self, db):
+        db.install_record(0, 1, timestamp=5.0, lsn=900)
+        db.install_records(np.array([0, 1]), np.array([7, 8]),
+                           timestamp=1.0, first_lsn=10)
+        assert db.read_record(0) == 7
+        assert db.segment(0).lsn == 900
+        assert db.segment(0).timestamp == 5.0
+
+    @pytest.mark.parametrize("bad", [-1, 4096, 10**9])
+    def test_out_of_range_id_raises_before_anything_is_written(
+            self, db, bad):
+        db.install_records(np.array([5, 300]), np.array([50, 60]),
+                           timestamp=1.0, first_lsn=1)
+        before = self._state(db)
+        with pytest.raises(AddressError):
+            db.install_records(np.array([5, 700, bad, 9]),
+                               np.array([1, 2, 3, 4]),
+                               timestamp=2.0, first_lsn=3)
+        self._assert_same(self._state(db), before)
+
+
 class TestShadowBuffer:
     def test_stage_and_read_own_writes(self):
         shadow = ShadowBuffer()
