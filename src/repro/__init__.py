@@ -26,12 +26,11 @@ Both are driven through the :mod:`repro.api` facade::
                          grid={"algorithm": ["COUCOPY", "2CCOPY"]},
                          workers=4)
 
-See ``examples/`` for complete walkthroughs, ``benchmarks/`` for the
-figure-by-figure reproduction harness, and ``docs/SWEEPS.md`` for the
-sweep subsystem.
+See ``examples/`` for complete walkthroughs, ``python -m repro figures``
+for the figure-by-figure reproduction, ``benchmarks/ckptbench`` for the
+performance benchmark, and ``docs/SWEEPS.md`` for the sweep subsystem.
 """
 
-import warnings as _warnings
 from types import ModuleType as _ModuleType
 
 from .checkpoint import (
@@ -57,27 +56,23 @@ from .workload import (
 )
 
 from . import api
-from . import simulate, sweep  # noqa: F811 - made callable facades below
-from .api import SimulationOutcome, evaluate
+from . import sweep  # noqa: F811 - made a callable facade below
+from .api import SimulationOutcome, evaluate, simulate
 
 
 class _FacadeModule(_ModuleType):
     """A submodule that is also callable as its same-named api function.
 
-    ``repro.simulate`` stays the real subpackage (so every
-    ``repro.simulate.*`` import path keeps working) while
-    ``repro.simulate(...)`` invokes :func:`repro.api.simulate`; likewise
-    for ``repro.sweep`` / :func:`repro.api.sweep`.
+    ``repro.sweep`` stays the real subpackage (so every ``repro.sweep.*``
+    import path keeps working) while ``repro.sweep(...)`` invokes
+    :func:`repro.api.sweep`.
     """
 
     def __call__(self, *args, **kwargs):
-        return self.__dict__["__facade__"](*args, **kwargs)
+        return api.sweep(*args, **kwargs)
 
 
-for _module, _facade in ((simulate, api.simulate), (sweep, api.sweep)):
-    _module.__class__ = _FacadeModule
-    _module.__facade__ = _facade
-del _module, _facade
+sweep.__class__ = _FacadeModule
 
 __version__ = "1.1.0"
 
@@ -112,21 +107,3 @@ __all__ = [
     "sweep",
     "__version__",
 ]
-
-#: Pre-facade call paths kept importable with a deprecation pointer to
-#: their :mod:`repro.api` replacement.
-_DEPRECATED_ALIASES = {
-    "evaluate_all": ("repro.model.evaluate.evaluate_all",
-                     "repro.sweep / repro.api.sweep"),
-}
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_ALIASES:
-        dotted, replacement = _DEPRECATED_ALIASES[name]
-        _warnings.warn(
-            f"repro.{name} ({dotted}) is deprecated; use {replacement}",
-            DeprecationWarning, stacklevel=2)
-        from .model.evaluate import evaluate_all
-        return evaluate_all
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

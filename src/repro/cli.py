@@ -20,9 +20,6 @@ Commands:
   checkpoint-stall decomposition of tail latency (span-recorded run),
   ``--chrome-out`` exports the spans as Chrome-trace JSON for
   Perfetto / ``chrome://tracing``;
-* ``bench``       -- the canonical perf harness: engine events/sec,
-  simulated txns/sec, recovery replay rate, sweep wall-clock, written
-  as the schema-validated ``BENCH_<n>.json`` trajectory point;
 * ``faults``      -- deterministic fault injection: run one fault plan
   (crash / torn writes / transient I/O) with verified recovery, or a
   seeded crash matrix over every algorithm (``--matrix N``);
@@ -44,7 +41,6 @@ import os
 import sys
 import time
 from dataclasses import asdict
-from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from .checkpoint.registry import ALGORITHM_NAMES, ALL_ALGORITHM_NAMES
@@ -284,41 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write the span trace as Chrome-trace JSON "
                           "(loads in Perfetto / chrome://tracing)")
 
-    bench = sub.add_parser(
-        "bench",
-        help="canonical perf harness; writes the BENCH_<n>.json "
-             "trajectory point")
-    bench.add_argument("--quick", action="store_true",
-                       help="CI smoke sizes (~10x cheaper, 1 repeat)")
-    bench.add_argument("--out", default=None, metavar="PATH",
-                       help="output path (default: BENCH_<pr>.json in the "
-                            "current directory)")
-    bench.add_argument("--pr", type=int, default=None, metavar="N",
-                       help="PR ordinal stamped into the payload and the "
-                            "default filename")
-    bench.add_argument("--repeats", type=int, default=None, metavar="R",
-                       help="override the repeat count (best wall time "
-                            "is kept)")
-    bench.add_argument("--json", action="store_true",
-                       help="print the payload instead of the summary "
-                            "(the file is written either way)")
-    bench.add_argument("--workers", type=int, default=1, metavar="N",
-                       help="sweep-stage process-pool size (committed "
-                            "trajectory points stay serial; >1 measures "
-                            "SweepRunner's pool scaling)")
-    bench.add_argument("--profile", default=None, metavar="PATH",
-                       help="also run the harness under cProfile and dump "
-                            "binary pstats to PATH (profiled walls are not "
-                            "trajectory-comparable)")
-    bench.add_argument("--compare", default=None, metavar="BASELINE.json",
-                       help="diff every rate against a prior BENCH_<n>.json "
-                            "and exit nonzero if any fell more than the "
-                            "tolerance below it")
-    bench.add_argument("--tolerance", type=float, default=None,
-                       metavar="FRAC",
-                       help="allowed fractional rate drop for --compare "
-                            "(default 0.30; CI-noise headroom)")
-
     srv = sub.add_parser(
         "serve",
         help="run the live wall-clock service (get/put socket server "
@@ -345,34 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="no server: recover from --data-dir, verify "
                           "against the committed-state oracle, print the "
                           "JSON verdict, exit (nonzero on mismatches)")
-
-    lbench = sub.add_parser(
-        "live-bench",
-        help="timed open-system workload against a live server: latency "
-             "percentiles, checkpoint-stall attribution, then SIGKILL "
-             "mid-checkpoint + recovery verification")
-    lbench.add_argument("--duration", type=float, default=3.0,
-                        help="load phase length in wall-clock seconds")
-    lbench.add_argument("--rate", type=float, default=200.0,
-                        help="offered arrival rate, transactions/second")
-    lbench.add_argument("--seed", type=int, default=0,
-                        help="workload seed (same stream as the simulator)")
-    lbench.add_argument("--scale", type=int, default=2048,
-                        help="database scale-down factor vs the paper")
-    lbench.add_argument("--workers", type=int, default=4,
-                        help="client connections submitting arrivals")
-    lbench.add_argument("--checkpoint-interval", type=float, default=1.0,
-                        help="server checkpoint pacing during the load")
-    lbench.add_argument("--no-kill", action="store_true",
-                        help="skip the SIGKILL-mid-checkpoint phase")
-    lbench.add_argument("--hold-phase", default="pre-install",
-                        choices=("pre-install", "post-install"),
-                        help="checkpoint phase boundary to crash inside")
-    lbench.add_argument("--data-dir", default=None, metavar="DIR",
-                        help="server state directory (default: a fresh "
-                             "temp directory, removed afterwards)")
-    lbench.add_argument("--out", default=None, metavar="PATH",
-                        help="also write the JSON report to PATH")
 
     flt = sub.add_parser(
         "faults",
@@ -894,32 +827,6 @@ def _cmd_trace(args: argparse.Namespace) -> str:
     return "\n".join(out)
 
 
-def _cmd_bench(args: argparse.Namespace) -> str:
-    from .bench import (DEFAULT_COMPARE_TOLERANCE, compare_bench,
-                        render_bench, write_bench)
-    path, payload = write_bench(args.out, quick=args.quick, pr=args.pr,
-                                repeats=args.repeats, workers=args.workers,
-                                profile=args.profile)
-    print(f"bench written to {path}", file=sys.stderr)
-    if args.profile:
-        print(f"profile written to {args.profile}", file=sys.stderr)
-    out = (json.dumps(payload, sort_keys=True, indent=2) if args.json
-           else render_bench(payload))
-    if args.compare:
-        with open(args.compare, encoding="utf-8") as fp:
-            baseline = json.load(fp)
-        tolerance = (DEFAULT_COMPARE_TOLERANCE if args.tolerance is None
-                     else args.tolerance)
-        report, regressions = compare_bench(baseline, payload,
-                                            tolerance=tolerance)
-        out = out + "\n" + report
-        if regressions:
-            # the regression gate: print everything, then fail the process
-            print(out)
-            raise SystemExit(1)
-    return out
-
-
 def _faults_plan(args: argparse.Namespace) -> "FaultPlan":
     """Build the fault plan from --plan JSON or the individual flags."""
     from .faults.plan import CrashSpec, FaultPlan, IOFaultSpec
@@ -1184,24 +1091,6 @@ def _cmd_serve(args: argparse.Namespace) -> str:
     return "server stopped"
 
 
-def _cmd_live_bench(args: argparse.Namespace) -> str:
-    from .live.client import LiveBenchConfig, run_live_bench
-    config = LiveBenchConfig(
-        duration=args.duration, rate=args.rate, seed=args.seed,
-        scale=args.scale, workers=args.workers,
-        checkpoint_interval=args.checkpoint_interval,
-        kill=not args.no_kill, hold_phase=args.hold_phase,
-        data_dir=args.data_dir)
-    report = run_live_bench(config)
-    payload = json.dumps(report, sort_keys=True, indent=2)
-    if args.out:
-        Path(args.out).write_text(payload + "\n")
-    if report["crash"].get("killed") and not report["crash"]["consistent"]:
-        print(payload)
-        raise SystemExit(1)
-    return payload
-
-
 _COMMANDS = {
     "tables": _cmd_tables,
     "figures": _cmd_figures,
@@ -1214,9 +1103,7 @@ _COMMANDS = {
     "report": _cmd_report,
     "metrics": _cmd_metrics,
     "trace": _cmd_trace,
-    "bench": _cmd_bench,
     "serve": _cmd_serve,
-    "live-bench": _cmd_live_bench,
     "faults": _cmd_faults,
     "workload": _cmd_workload,
 }

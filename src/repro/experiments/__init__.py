@@ -2,9 +2,9 @@
 
 Each module exposes a ``figure4x()`` function returning structured data
 and a ``render()`` function producing the text table that EXPERIMENTS.md
-records.  The benchmark harness (``benchmarks/``) wraps these same
-functions, so "regenerating a figure" and "benchmarking it" are the same
-code path.  Every module is runnable directly::
+records; ``python -m repro figures`` / ``report`` and
+``tests/test_paper_claims.py`` call these same functions.  Every module
+is runnable directly::
 
     python -m repro.experiments.fig4a
 """

@@ -1,6 +1,6 @@
 """CSV export of every figure's data series.
 
-The text tables in ``benchmarks/reports/`` are for humans; these CSV
+The text tables ``repro figures`` prints are for humans; these CSV
 files are for whoever wants to re-plot the figures with their own tools.
 ``export_all(directory)`` writes one file per figure, with one row per
 plotted point and explicit series columns -- no parsing of rendered
@@ -101,5 +101,5 @@ def export_all(directory: PathLike,
 
 
 if __name__ == "__main__":
-    for written in export_all(Path("benchmarks") / "reports" / "csv"):
+    for written in export_all(Path("reports") / "csv"):
         print(written)

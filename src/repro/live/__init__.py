@@ -17,11 +17,12 @@ declared in :mod:`repro.sim.ports`:
 * :class:`~repro.live.host.LiveHost` -- the assembled service: database,
   durable WAL, checkpoint scheduler, committed-state oracle, spans;
 * :class:`~repro.live.server.serve` -- a get/put socket server over the
-  host (``repro serve``);
-* :class:`~repro.live.client.run_live_bench` -- the closed loop:
-  real-rate open-system load, latency/stall report, SIGKILL
-  mid-checkpoint, restart, and the crash-consistency oracle verdict
-  (``repro live-bench``).
+  host (``repro serve``), and :func:`~repro.live.server.check`, the
+  restart + crash-consistency oracle verdict (``repro serve --check``).
+
+Load, latency and restart time are measured from outside the package by
+``benchmarks/ckptbench``; the SIGKILL-mid-checkpoint loop is
+``pytest -m livesmoke``.
 
 The layering rule runs the other way from the usual one: ``repro.live``
 may import the kernel, but no ``repro.sim`` engine module may import

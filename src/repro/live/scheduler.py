@@ -5,8 +5,8 @@ callbacks run one at a time, in timestamp order, on one logical thread.
 The transaction manager, WAL, and checkpointers are written against that
 property -- they share mutable state with no locks.  ``LiveScheduler``
 preserves it on the wall clock: a single dispatcher thread owns a heap
-of ``(time, seq, callback)`` entries (the engine's representation,
-verbatim) and sleeps on a condition variable until the earliest entry is
+of ``(time, seq, callback)`` entries (the engine's representation)
+and sleeps on a condition variable until the earliest entry is
 due.  Everything the kernel does -- transaction execution, WAL appends,
 group flushes, checkpoint phase transitions -- happens on that thread;
 other threads (socket workers, the checkpoint image writer) interact
@@ -14,18 +14,19 @@ only by submitting callbacks.
 
 ``schedule_at``/``schedule_after`` are thread-safe and may be called
 from any thread, including from inside a dispatched callback.
-Cancellation is lazy with the engine's compaction rule, so handle
-semantics match the simulated host exactly.
+Cancellation is lazy and compacts through the engine's own
+:func:`~repro.sim.engine.compact_cancelled`, so handle semantics match
+the simulated host exactly.
 """
 
 from __future__ import annotations
 
 import threading
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Callable, List, Optional, Set, Tuple, TypeVar
 
 from ..errors import InvalidStateError
-from ..sim.engine import COMPACT_MIN_BACKLOG
+from ..sim.engine import compact_cancelled
 from .clock import WallClock
 
 __all__ = ["LiveScheduler"]
@@ -88,15 +89,7 @@ class LiveScheduler:
             if handle in cancelled:
                 return
             cancelled.add(handle)
-            if (len(cancelled) >= COMPACT_MIN_BACKLOG
-                    and len(cancelled) * 2 >= len(self._heap)):
-                # In place: _run() holds an alias to this list for the
-                # life of the dispatcher thread, so rebinding self._heap
-                # would strand the dispatcher on a stale heap.
-                self._heap[:] = [entry for entry in self._heap
-                                 if entry[1] not in cancelled]
-                heapify(self._heap)
-                cancelled.clear()
+            compact_cancelled(self._heap, cancelled)
 
     # -- cross-thread helpers ------------------------------------------------
     def call(self, fn: Callable[[], T], timeout: float = 30.0) -> T:

@@ -64,13 +64,23 @@ def _handle(host: LiveHost, request: dict) -> dict:
         return {"ok": True, "spans": host.spans_snapshot()}
     if op == "checkpoint":
         phase = request.get("hold_phase")
-        if phase:
-            host.checkpointer.arm_hold(
-                phase, float(request.get("hold_seconds", 1.0)))
-        if host.checkpointer.active:
-            return {"ok": True, "started": False, "already_active": True}
-        host.scheduler.call(host.checkpointer.start_checkpoint)
-        return {"ok": True, "started": True}
+        hold_seconds = float(request.get("hold_seconds", 1.0))
+        checkpointer = host.checkpointer
+
+        def start() -> bool:
+            # One dispatcher callback: the paced scheduler (or another
+            # client) cannot start a checkpoint between the test and
+            # the start.
+            if phase:
+                checkpointer.arm_hold(phase, hold_seconds)
+            if checkpointer.active:
+                return False
+            checkpointer.start_checkpoint()
+            return True
+
+        if host.scheduler.call(start):
+            return {"ok": True, "started": True}
+        return {"ok": True, "started": False, "already_active": True}
     if op == "verify":
         mismatches = host.verify(limit=int(request.get("limit", 10)))
         return {"ok": True, "mismatches": [m._asdict() for m in mismatches]}

@@ -32,7 +32,7 @@ class ModelOptions:
     Attributes:
         dirty_window_intervals: how many checkpoint intervals of updates
             make a segment stale for the image being written.  Ping-pong
-            alternation implies 2; the ablation benches try 1.
+            alternation implies 2; ``repro ablations`` tries 1.
         log_span_intervals: how many intervals of log the average crash
             replays (1.5 = average, 2.0 = worst case).
         restart_model: two-color rerun estimator -- ``"geometric"`` (the

@@ -25,8 +25,7 @@ rate, segment I/O time, aggregate bandwidth, ...).
 A few *extension* parameters have no counterpart in the paper's tables but
 are needed to make the model fully explicit; each is documented where it
 is declared and its default is chosen so the paper's qualitative results
-are insensitive to it (the ablation benchmarks in
-``benchmarks/bench_ablations.py`` vary them).
+are insensitive to it (``python -m repro ablations`` varies them).
 """
 
 from __future__ import annotations

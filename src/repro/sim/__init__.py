@@ -25,8 +25,7 @@ cycle.  ``from repro.sim import SimulatedSystem`` works regardless.
 currently implementing a testbed with which we will be able to
 experimentally evaluate the algorithms presented here"; here it serves
 to validate the analytic model and to prove each algorithm's recovery
-correctness.  ``repro.simulate`` is the deprecated alias of this
-package.)
+correctness.)
 """
 
 from . import ports

@@ -38,6 +38,32 @@ EventHandle = int
 COMPACT_MIN_BACKLOG = 64
 
 
+def compact_cancelled(heap: list, cancelled: set, force: bool = False) -> bool:
+    """Drop the cancelled entries from a ``(time, seq, callback)`` heap.
+
+    The one lazy-cancellation rule of both hosts.  Lazy deletion keeps
+    cancel O(1), but a workload that cancels far more than it dispatches
+    (backoff churn) would otherwise grow the heap without bound: rebuild
+    once the dead entries pass ``COMPACT_MIN_BACKLOG`` *and* outnumber
+    the live ones (``force`` skips the test).  Returns whether it
+    compacted.
+
+    In place: a dispatch loop holds a local alias to ``heap`` while it
+    runs, and a callback may cancel its way into a compaction --
+    rebinding the list would leave that loop draining a stale one.  The
+    caller serialises access (:class:`~repro.live.scheduler.LiveScheduler`
+    holds its lock).
+    """
+    if not force and (len(cancelled) < COMPACT_MIN_BACKLOG
+                      or len(cancelled) * 2 < len(heap)):
+        return False
+    if cancelled:
+        heap[:] = [entry for entry in heap if entry[1] not in cancelled]
+        heapify(heap)
+        cancelled.clear()
+    return True
+
+
 class EventEngine:
     """A discrete-event loop over a shared :class:`Clock`.
 
@@ -105,28 +131,12 @@ class EventEngine:
         if handle in cancelled:
             return
         cancelled.add(handle)
-        # Lazy deletion keeps cancel O(1), but a workload that cancels
-        # far more than it dispatches (backoff churn) would otherwise
-        # grow the heap without bound: rebuild once the dead entries
-        # outnumber the live ones.
-        if (len(cancelled) >= COMPACT_MIN_BACKLOG
-                and len(cancelled) * 2 >= len(self._heap)):
-            self.compact()
+        if compact_cancelled(self._heap, cancelled):
+            self.compactions += 1
 
     def compact(self) -> None:
-        """Drop every cancelled entry from the heap in one pass.
-
-        In place: :meth:`run` and :meth:`step` hold a local alias to the
-        heap while dispatching, and a callback may cancel its way into a
-        compaction -- rebinding ``self._heap`` would leave the running
-        loop draining a stale list.
-        """
-        cancelled = self._cancelled
-        if cancelled:
-            self._heap[:] = [entry for entry in self._heap
-                             if entry[1] not in cancelled]
-            heapify(self._heap)
-            cancelled.clear()
+        """Drop every cancelled entry from the heap in one pass."""
+        compact_cancelled(self._heap, self._cancelled, force=True)
         self.compactions += 1
 
     # -- introspection ------------------------------------------------------

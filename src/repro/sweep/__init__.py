@@ -1,8 +1,8 @@
 """Parallel parameter sweeps with deterministic seeding and caching.
 
-The experiment drivers (``repro.experiments``), the benchmarks, and the
-CLI all describe their ``(algorithm x interval x lambda x seed)`` grids
-as a :class:`SweepSpec` and execute them through a :class:`SweepRunner`:
+The experiment drivers (``repro.experiments``) and the CLI describe
+their ``(algorithm x interval x lambda x seed)`` grids as a
+:class:`SweepSpec` and execute them through a :class:`SweepRunner`:
 
     from repro.sweep import SweepRunner, SweepSpec
 

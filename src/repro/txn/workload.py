@@ -6,7 +6,7 @@ update probability "distributed uniformly across all of the database
 records".  The analytic model depends on that uniformity; the simulator
 additionally offers **zipf** and **hotspot** record selection so the
 sensitivity of the paper's conclusions to skew can be explored (these feed
-the ablation benchmarks -- skew concentrates dirtying into fewer segments,
+the skew ablations -- skew concentrates dirtying into fewer segments,
 which shrinks partial checkpoints but raises copy-on-update contention).
 """
 

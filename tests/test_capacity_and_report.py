@@ -10,6 +10,7 @@ from repro.experiments.capacity import capacity_table
 from repro.experiments.report import generate_report
 from repro.model.utilization import cpu_utilization, throughput_capacity
 from repro.params import PAPER_DEFAULTS
+from repro.sweep import SweepRunner
 
 
 class TestCpuUtilization:
@@ -97,6 +98,18 @@ class TestCapacityTable:
     def test_checkpoint_share_dominates_for_two_color(self, points):
         assert points["2CCOPY"].checkpoint_share_at_capacity > 0.5
         assert points["FASTFUZZY"].checkpoint_share_at_capacity < 0.05
+
+    def test_instruction_gap_becomes_a_capacity_gap(self, points):
+        """The paper's 15x instruction gap is a ~3x capacity gap."""
+        ideal = 50e6 / PAPER_DEFAULTS.c_trans
+        assert points["FASTFUZZY"].max_throughput > 0.97 * ideal
+        assert points["COUCOPY"].max_throughput > 0.90 * ideal
+        assert points["2CCOPY"].max_throughput < 0.40 * ideal
+
+    def test_process_pool_table_identical_to_serial(self, points):
+        parallel = capacity_table(PAPER_DEFAULTS,
+                                  runner=SweepRunner(workers=2))
+        assert {p.algorithm: p for p in parallel} == points
 
 
 class TestReportGenerator:

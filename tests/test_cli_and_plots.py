@@ -165,10 +165,47 @@ class TestExperimentRenderers:
         out = ablations.render()
         assert "restart_log_bulk" in out
 
+    def test_ablation_shapes(self):
+        by_key = {(row.ablation, row.setting, row.algorithm): row
+                  for row in ablations.all_ablations()}
+        # Restart log bulk only affects recovery time (via log volume).
+        none = by_key[("restart_log_bulk", "fraction=0.0", "2CCOPY")]
+        full = by_key[("restart_log_bulk", "fraction=1.0", "2CCOPY")]
+        assert full.recovery_time > none.recovery_time
+        assert full.overhead_per_txn == none.overhead_per_txn
+        # Full checkpoints never cost less than partial ones.
+        for algorithm in ("FUZZYCOPY", "2CFLUSH", "COUCOPY"):
+            partial = by_key[("scope", "partial", algorithm)]
+            fully = by_key[("scope", "full", algorithm)]
+            assert fully.overhead_per_txn >= 0.95 * partial.overhead_per_txn
+        # Longer seeks stretch the checkpoint, hence recovery time.
+        assert (by_key[("t_seek", "50 ms", "COUCOPY")].recovery_time
+                > by_key[("t_seek", "10 ms", "COUCOPY")].recovery_time)
+        # Ping-pong (2-interval) vs single-interval staleness barely
+        # matters at the default load: everything is dirty either way.
+        for algorithm in ("FUZZYCOPY", "COUCOPY"):
+            one = by_key[("dirty_window", "1 interval(s)", algorithm)]
+            two = by_key[("dirty_window", "2 interval(s)", algorithm)]
+            assert (abs(one.overhead_per_txn - two.overhead_per_txn)
+                    < 0.1 * two.overhead_per_txn)
+
     def test_extensions_spectrum(self):
         points = extensions.consistency_spectrum()
         by_name = {p.algorithm: p for p in points}
         assert (by_name["ACFLUSH"].overhead_per_txn
                 < by_name["FUZZYCOPY"].overhead_per_txn)
+        # AC is within a lock pair of fuzzy, far below the two-color family.
         assert (by_name["ACCOPY"].overhead_per_txn
-                < 0.2 * by_name["2CCOPY"].overhead_per_txn)
+                < 1.05 * by_name["FUZZYCOPY"].overhead_per_txn)
+        assert (by_name["ACCOPY"].overhead_per_txn
+                < 0.1 * by_name["2CCOPY"].overhead_per_txn)
+
+    def test_extensions_latency_profile(self):
+        by_name = {row.algorithm: row for row in extensions.latency_profile()}
+        naive = by_name["NAIVELOCK"]
+        polite = by_name["COUCOPY"]
+        # "Unacceptably frequent and long lock delays", quantified:
+        assert naive.lock_waits > 100
+        assert naive.mean_response_ms > 100 * max(0.01,
+                                                  polite.mean_response_ms)
+        assert naive.aborts == 0

@@ -102,6 +102,8 @@ class TestContendedSystem:
         greedy_metrics = greedy.run(10.0)
         assert polite_metrics.cpu_utilisation < 0.6
         assert greedy_metrics.cpu_utilisation > 0.85
+        assert (greedy_metrics.cpu_utilisation
+                > 2 * polite_metrics.cpu_utilisation)
         assert (greedy_metrics.mean_response_time
                 > 10 * polite_metrics.mean_response_time)
 

@@ -154,10 +154,17 @@ class TestInjector:
     def test_empty_plan_arms_but_injects_nothing(self, tiny_params):
         system = fault_system(tiny_params, "FUZZYCOPY", FaultPlan(seed=0))
         system.run(1.0)  # must not raise
+        assert system.faults.armed and not system.faults.crash_fired
         counters = system.faults.counters()
         assert counters["disk_writes"] > 0
         assert counters["crash_trigger"] is None
         assert counters["io_errors"] == 0
+        assert counters["torn_segments"] == 0
+        # counting only: the run is the unarmed run
+        unarmed = fault_system(tiny_params, "FUZZYCOPY", None)
+        unarmed.run(1.0)
+        assert (system.txn_manager.stats.committed
+                == unarmed.txn_manager.stats.committed > 0)
 
     def test_crash_fires_at_most_once(self):
         injector = FaultInjector(FaultPlan(crash=CrashSpec(at_time=1.0)))

@@ -22,10 +22,12 @@ import pytest
 from repro.errors import AddressError, ConfigurationError, WALCorruptionError
 from repro.live import wal as live_wal
 from repro.live.host import LiveConfig, LiveHost
-from repro.live.server import _Handler
+from repro.live.server import _Handler, _handle
 from repro.live.store import ImageStore
 from repro.live.wal import DurableLog, decode_record, encode_record, read_wal
 from repro.mmdb.database import Database
+from repro.obs.attribution import (attribute_stalls, checkpoint_intervals,
+                                   decompose_quantiles)
 from repro.params import SystemParameters
 from repro.wal.log import LogManager
 from repro.wal.records import CommitRecord, UpdateRecord
@@ -567,8 +569,9 @@ def test_live_host_emits_txn_and_ckpt_spans(tmp_path):
     host = _host(tmp_path, spans=True)
     host.start()
     try:
-        host.submit([(1, 5)])
+        committed = [host.submit([(1, 5)]).txn_id]
         host.scheduler.call(host.checkpointer.start_checkpoint)
+        committed += [host.submit([(i, i)]).txn_id for i in range(2, 6)]
         assert _wait_until(lambda: host.checkpointer.history)
         spans = host.spans_snapshot()
     finally:
@@ -579,6 +582,17 @@ def test_live_host_emits_txn_and_ckpt_spans(tmp_path):
             "ckpt.truncate"} <= names
     roots = [s for s in spans if s["name"] == "txn"]
     assert roots and all(s["fields"]["outcome"] == "commit" for s in roots)
+    # the simulator's stall attribution runs verbatim on live spans
+    attributions = attribute_stalls(spans)
+    assert [a.txn_id for a in attributions] == committed
+    for attribution in attributions:
+        assert sum(attribution.causes.values()) == pytest.approx(
+            attribution.latency, abs=1e-9)
+        assert 0.0 <= attribution.ckpt_share <= 1.0
+    assert len(checkpoint_intervals(spans)) == 1
+    quantiles = decompose_quantiles(attributions)
+    assert set(quantiles) == {"p50", "p95", "p99"}
+    assert quantiles["p99"]["latency"] > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -664,6 +678,31 @@ def test_server_answers_a_rejected_transaction_and_keeps_the_connection(
         assert replies[3]["txn_id"] == replies[0]["txn_id"] + 1
         assert replies[4]["value"] == 7
         assert replies[5]["mismatches"] == []
+        assert host.scheduler.errors == []
+    finally:
+        host.stop()
+
+
+def test_server_checkpoint_op_tests_and_starts_in_one_dispatcher_step(
+        tmp_path):
+    host = _host(tmp_path)
+    host.start()
+    try:
+        def paced_checkpoint() -> None:
+            # what CheckpointScheduler does, landing while a socket
+            # thread is between reading `active` and queueing its start
+            time.sleep(0.1)
+            host.checkpointer.arm_hold("pre-install", 0.2)
+            host.checkpointer.start_checkpoint()
+
+        host.scheduler.submit(paced_checkpoint)
+        reply = _handle(host, {"op": "checkpoint"})
+        assert reply == {"ok": True, "started": False,
+                         "already_active": True}
+        assert _wait_until(lambda: host.checkpointer.history)
+        assert _handle(host, {"op": "checkpoint"}) == {"ok": True,
+                                                       "started": True}
+        assert _wait_until(lambda: len(host.checkpointer.history) == 2)
         assert host.scheduler.errors == []
     finally:
         host.stop()

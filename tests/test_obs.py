@@ -210,6 +210,8 @@ def test_fixed_seed_metrics_identical_with_telemetry_on_and_off():
     assert instrumented.telemetry is not None
     assert instrumented.telemetry["counters"]["txn.commits"] == \
         instrumented.metrics.transactions_committed
+    assert instrumented.telemetry["histograms"]["wal.flush.latency"][
+        "count"] > 0
     # Spans obey the same invariant: recording them (alone or alongside
     # telemetry) must not perturb the fixed-seed run.
     spanned = repro.simulate(**kwargs, spans=True)

@@ -51,15 +51,11 @@ class TestFacade:
                                  lam=100.0)
         assert outcome.clean and not outcome.crashed
         assert outcome.metrics.transactions_committed > 0
-        # the facade call must not shadow the real subpackage (now a
-        # deprecation shim over repro.sim -- hence the expected warning
-        # on first import; see test_simulate_shim.py)
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro.simulate.system import SimulatedSystem  # noqa: F401
-            import repro.simulate.system as system_module
-        assert hasattr(system_module, "SimulatedSystem")
+        # repro.simulate is the api function itself; the testbed's one
+        # package is repro.sim
+        assert repro.simulate is repro.api.simulate
+        from repro.sim.system import SimulatedSystem
+        assert repro.SimulatedSystem is SimulatedSystem
 
     def test_simulate_crash_verifies_recovery(self):
         outcome = repro.simulate("COUCOPY", scale=1024, duration=0.5,
@@ -82,11 +78,6 @@ class TestFacade:
         for name in ("SweepSpec", "SweepRunner", "SweepResult",
                      "SweepError", "SimulationOutcome"):
             assert hasattr(repro, name), name
-
-    def test_deprecated_alias_warns(self):
-        with pytest.warns(DeprecationWarning):
-            fn = repro.evaluate_all
-        assert callable(fn)
 
 
 class TestErrorHierarchy:

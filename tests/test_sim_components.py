@@ -148,6 +148,12 @@ class TestSystemBuilder:
         assert m1 == m2
         assert mis1 == mis2 == []
 
+    def test_sim_package_exports_kernel_lazily(self):
+        import repro.sim as sim
+        assert sim.SimulatedSystem is SimulatedSystem
+        assert sim.SystemBuilder is SystemBuilder
+        assert "SimulationConfig" in dir(sim)
+
     def test_component_record_covers_every_attribute(self, small_params):
         system = build_system(small_params, seed=1)
         for name in SystemComponents.slot_names():

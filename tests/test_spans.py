@@ -1,4 +1,4 @@
-"""The span layer's contracts: recording, attribution, bench, CLI.
+"""The span layer's contracts: recording, attribution, CLI.
 
 What these tests pin down:
 
@@ -18,16 +18,12 @@ What these tests pin down:
 * the bounded response-time reservoir is exact under the cap and
   bounded beyond it;
 * the ``repro metrics`` latency section and the PR 6 offered-vs-served
-  section render;
-* ``repro bench --quick`` writes a payload satisfying
-  ``schemas/bench.schema.json``.
+  section render.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import json
-import pathlib
 from dataclasses import asdict
 
 import pytest
@@ -48,8 +44,6 @@ from repro.params import SystemParameters
 from repro.txn.manager import TransactionStats
 
 from tests.helpers import build_system
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 class _FakeClock:
@@ -416,84 +410,3 @@ def test_metrics_report_renders_offered_vs_served_section():
     # Without rate telemetry the section degrades, not crashes.
     assert "(no workload rate telemetry)" in \
         render_offered_vs_served({}, {})
-
-
-# ----------------------------------------------------------------------
-# bench harness + schema (tentpole part 3)
-# ----------------------------------------------------------------------
-
-def _load_validator():
-    spec = importlib.util.spec_from_file_location(
-        "check_bench_schema", REPO_ROOT / "scripts" / "check_bench_schema.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_bench_quick_payload_satisfies_schema(tmp_path):
-    from repro.bench import run_harness, write_bench
-    payload = run_harness(quick=True)
-    validator = _load_validator()
-    schema = json.loads(
-        (REPO_ROOT / "schemas" / "bench.schema.json").read_text())
-    assert validator.validate(payload, schema) == []
-    assert validator.check_rates(payload) == []
-    results = payload["results"]
-    assert results["engine_events"]["events_per_second"] > 0
-    assert results["simulated_txns"]["txns_per_second"] > 0
-    assert results["recovery_replay"]["verified"] is True
-    assert results["sweep_wall_clock"]["cells"] == 4
-
-    # write_bench round-trips the same payload shape through disk.
-    path, written = write_bench(str(tmp_path / "BENCH_test.json"),
-                                quick=True, pr=99)
-    on_disk = json.loads(pathlib.Path(path).read_text())
-    assert on_disk["pr"] == 99
-    assert validator.validate(on_disk, schema) == []
-
-
-def test_bench_validator_rejects_broken_payloads():
-    validator = _load_validator()
-    schema = json.loads(
-        (REPO_ROOT / "schemas" / "bench.schema.json").read_text())
-    assert validator.validate({"pr": 7}, schema) != []
-    broken = {
-        "schema_version": 1, "pr": 7, "created_unix": 0.0,
-        "python": "3.12", "platform": "test", "quick": True, "repeats": 1,
-        "results": {
-            "engine_events": {"events": 1, "wall_seconds": 1.0,
-                              "events_per_second": 0.0},
-            "simulated_txns": {"algorithm": "X", "simulated_seconds": 1.0,
-                               "committed": 1, "engine_events": 1,
-                               "wall_seconds": 1.0, "txns_per_second": 1.0,
-                               "events_per_second": 1.0},
-            "recovery_replay": {"algorithm": "X",
-                                "transactions_replayed": 1,
-                                "wall_seconds": 1.0,
-                                "replayed_per_second": 1.0,
-                                "verified": False},
-            "sweep_wall_clock": {"cells": 4,
-                                 "simulated_seconds_per_cell": 1.0,
-                                 "wall_seconds": 1.0,
-                                 "cells_per_second": 1.0},
-        },
-    }
-    assert validator.validate(broken, schema) == []  # structurally fine
-    rate_errors = validator.check_rates(broken)
-    assert any("events_per_second" in error for error in rate_errors)
-    assert any("verified" in error for error in rate_errors)
-
-
-def test_cli_bench_quick_writes_valid_file(tmp_path, capsys):
-    from repro.cli import main
-    out = tmp_path / "BENCH_7.json"
-    assert main(["bench", "--quick", "--repeats", "1",
-                 "--out", str(out)]) == 0
-    text = capsys.readouterr().out
-    assert "engine dispatch" in text and "recovery replay" in text
-    validator = _load_validator()
-    schema = json.loads(
-        (REPO_ROOT / "schemas" / "bench.schema.json").read_text())
-    payload = json.loads(out.read_text())
-    assert validator.validate(payload, schema) == []
-    assert validator.check_rates(payload) == []

@@ -8,10 +8,10 @@ bit-for-bit on every arrival time, transaction id, and record selection:
 3. a traced :class:`~repro.sim.host.SimHost` run consuming the stream
    event by event through the discrete-event engine.
 
-``repro live-bench`` builds its wall-clock arrival plan from the same
-replay loop, so pinning (2) to (1) and (3) pins the live host's offered
-load too.  Times are compared via ``repr`` -- float-exact, the same
-discipline as ``workload_golden.json``.
+The replay loop is the engine-free reference: pinning (2) to (1) and
+(3) shows the host adds nothing to and takes nothing from the stream.
+Times are compared via ``repr`` -- float-exact, the same discipline as
+``workload_golden.json``.
 """
 
 import json
