@@ -52,22 +52,21 @@ ENGINE_ALLOWED = {"errors"}
 ENGINE_SIBLINGS = {Path(name).stem for name in ENGINE_MODULES}
 
 
-def _imported_repro_targets(path: Path):
-    """Yield (lineno, dotted-target) for every repro-internal import."""
+def _imported_module_names(path: Path):
+    """Yield (lineno, dotted-target) for every import in a ``repro/sim/``
+    module, relative ones resolved to their absolute name."""
     tree = ast.parse(path.read_text(), filename=str(path))
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                if alias.name == "repro" or alias.name.startswith("repro."):
-                    yield node.lineno, alias.name
+                yield node.lineno, alias.name
         elif isinstance(node, ast.ImportFrom):
-            if node.level:  # relative: resolve against repro.sim.<module>
+            if node.level:
                 # level 1 = repro.sim, level 2 = repro, level 3+ = outside
                 base = ("repro.sim", "repro")[min(node.level, 2) - 1]
                 module = f"{base}.{node.module}" if node.module else base
                 yield node.lineno, module
-            elif node.module and (node.module == "repro"
-                                  or node.module.startswith("repro.")):
+            elif node.module:
                 yield node.lineno, node.module
 
 
@@ -78,8 +77,10 @@ def check_engine_isolation() -> list[str]:
         if not path.exists():
             violations.append(f"{path}: engine module is missing")
             continue
-        for lineno, target in _imported_repro_targets(path):
+        for lineno, target in _imported_module_names(path):
             parts = target.split(".")
+            if parts[0] != "repro":
+                continue
             ok = (
                 # repro.sim.<engine sibling>
                 parts[:2] == ["repro", "sim"]
@@ -100,22 +101,6 @@ def check_engine_isolation() -> list[str]:
 #: threads, and the wall-clock host package itself
 SIM_FORBIDDEN_MODULES = {"time", "threading"}
 SIM_FORBIDDEN_PACKAGE = "repro.live"
-
-
-def _imported_module_names(path: Path):
-    """Yield (lineno, top-level-module-or-dotted-target) for all imports."""
-    tree = ast.parse(path.read_text(), filename=str(path))
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                yield node.lineno, alias.name
-        elif isinstance(node, ast.ImportFrom):
-            if node.level:
-                base = ("repro.sim", "repro")[min(node.level, 2) - 1]
-                module = f"{base}.{node.module}" if node.module else base
-                yield node.lineno, module
-            elif node.module:
-                yield node.lineno, node.module
 
 
 def check_host_purity() -> list[str]:

@@ -3,11 +3,19 @@
 
 Usage::
 
-    python scripts/check_metrics_schema.py SCHEMA.json DOCUMENT.json
+    python scripts/check_schema.py SCHEMA.json DOCUMENT.json
+    python scripts/check_schema.py SCHEMA.json --scenarios
 
-CI uses this to check ``repro metrics --json`` output against
-``schemas/metrics.schema.json`` without adding a jsonschema dependency.
-The supported subset is exactly what that schema uses:
+CI uses the first form to check ``repro metrics --json`` output against
+``schemas/metrics.schema.json`` (and any ``WorkloadSpec.to_dict``
+document against ``schemas/workload.schema.json``) without adding a
+jsonschema dependency.  The second form validates **every registered
+workload scenario** (needs ``repro`` importable, i.e. ``PYTHONPATH=src``):
+each preset's ``spec.to_dict()`` must satisfy the schema and survive a
+strict ``from_dict`` round-trip unchanged, which keeps the schema, the
+presets and the serde honest with each other.
+
+The supported subset is exactly what the checked-in schemas use:
 
 * ``type`` (a name or a list of names; ``number`` accepts integers);
 * ``required`` and ``properties`` on objects;
@@ -79,25 +87,53 @@ def validate(value: Any, schema: Any, path: str = "$",
     return errors
 
 
+def validate_scenarios(schema: Any) -> List[str]:
+    """Violations across every registered workload scenario's spec."""
+    from repro.workload import WorkloadSpec, get_scenario, scenario_names
+
+    names = scenario_names()
+    if not names:
+        return ["no workload scenarios are registered"]
+    errors: List[str] = []
+    for name in names:
+        spec = get_scenario(name).spec
+        rendered = spec.to_dict()
+        errors.extend(validate(rendered, schema, path=name))
+        # The JSON hop must be lossless: encode, decode, rebuild, compare.
+        rebuilt = WorkloadSpec.from_dict(json.loads(json.dumps(rendered)))
+        if rebuilt != spec:
+            errors.append(f"{name}: from_dict(to_dict()) is not the "
+                          f"identity ({rebuilt!r} != {spec!r})")
+    return errors
+
+
+def _load(path: str) -> Any:
+    with open(path, "r", encoding="utf-8") as fp:
+        return json.load(fp)
+
+
 def main(argv: List[str]) -> int:
     if len(argv) != 3:
-        print(f"usage: {argv[0]} SCHEMA.json DOCUMENT.json", file=sys.stderr)
+        print(f"usage: {argv[0]} SCHEMA.json (DOCUMENT.json | --scenarios)",
+              file=sys.stderr)
         return 2
     try:
-        with open(argv[1], "r", encoding="utf-8") as fp:
-            schema = json.load(fp)
-        with open(argv[2], "r", encoding="utf-8") as fp:
-            document = json.load(fp)
+        schema = _load(argv[1])
+        if argv[2] == "--scenarios":
+            checked = "every registered workload scenario"
+            errors = validate_scenarios(schema)
+        else:
+            checked = argv[2]
+            errors = validate(_load(argv[2]), schema)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error reading inputs: {exc}", file=sys.stderr)
         return 2
-    errors = validate(document, schema)
     if errors:
-        print(f"{argv[2]} does NOT satisfy {argv[1]}:", file=sys.stderr)
+        print(f"{checked} does NOT satisfy {argv[1]}:", file=sys.stderr)
         for error in errors:
             print(f"  {error}", file=sys.stderr)
         return 1
-    print(f"{argv[2]} satisfies {argv[1]}")
+    print(f"{checked} satisfies {argv[1]}")
     return 0
 
 

@@ -20,12 +20,16 @@ through three calls, all re-exported at the package top level::
                                "lam": [100.0, 200.0]},
                          workers=4)
 
-The historical call paths -- constructing
-:class:`~repro.sim.system.SimulatedSystem` by hand, calling the
-per-driver functions in :mod:`repro.experiments` -- keep working; this
-module is the supported surface going forward, and the drivers
-themselves now execute through the same :class:`~repro.sweep.SweepRunner`
-that :func:`sweep` uses.
+**This module is the only assembler outside** :mod:`repro.sim`: the
+CLI, the experiment drivers, the fault checker and the observability
+presets all obtain their system from :func:`build_system` (when they
+need the live object: trace export, fault counters, per-shard history)
+or from :func:`simulate` (when the outcome is enough).  The recipe --
+scaled-down Tables 2a-2d parameters, the checkpoint interval, preloaded
+backups, single engine vs. partitioned -- therefore exists once, and an
+algorithm that is only safe with a stable log tail (FASTFUZZY) is
+granted one by the builder, so every entry point accepts every
+registered algorithm.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from .checkpoint.base import CheckpointScope
+from .checkpoint.registry import resolve_algorithm
 from .checkpoint.scheduler import CheckpointPolicy
 from .errors import ConfigurationError, CrashError
 from .faults.plan import FaultPlan
@@ -103,30 +108,22 @@ class SimulationOutcome:
         return not self.mismatches
 
 
-def simulate(
+def build_system(
     algorithm: str = "COUCOPY",
     *,
     params: Optional[SystemParameters] = None,
     scale: int = 256,
     lam: Optional[float] = None,
     seed: int = 0,
-    duration: float = 10.0,
-    warmup: float = 0.0,
     interval: Optional[float] = None,
-    crash: bool = False,
     stable_tail: bool = False,
     fault_plan: Optional[FaultPlan] = None,
     workload: Optional[Any] = None,
-    config: Optional[SimulationConfig] = None,
-    **config_overrides: Any,
-) -> SimulationOutcome:
-    """One complete testbed run, from configuration to verified recovery.
-
-    Builds a :class:`SimulationConfig` (scaled-down parameters, the
-    given algorithm and checkpoint interval, preloaded backups), runs
-    ``warmup`` seconds that are excluded from the metrics, measures
-    ``duration`` seconds, and -- with ``crash=True`` -- injects a crash,
-    recovers, and checks the result against the committed-state oracle.
+    preload_backup: bool = True,
+    fault_partitions: Optional[Sequence[int]] = None,
+    **config_fields: Any,
+) -> Any:
+    """Turn run arguments into a ready, not-yet-run system.
 
     Args:
         algorithm: checkpointer name (``repro.ALGORITHM_NAMES`` plus the
@@ -137,64 +134,82 @@ def simulate(
             ``params`` is given).
         lam: arrival rate override, transactions/second.
         seed: RNG seed (one seed = one deterministic run).
-        duration: measured simulation seconds.
-        warmup: seconds simulated then discarded before measuring.
         interval: checkpoint interval; ``None`` = minimum-duration policy.
-        crash: inject a crash at the end and verify recovery.
-        stable_tail: stable RAM holds the log tail (required for
-            FASTFUZZY).
+        stable_tail: stable RAM holds the log tail.  Granted regardless
+            to an algorithm whose class sets ``requires_stable_tail``
+            (FASTFUZZY), which is unsafe without one.
         fault_plan: a :class:`~repro.faults.plan.FaultPlan` arming the
             deterministic fault injector (mid-run crash triggers, torn
-            writes, transient I/O errors).  A crash the plan injects is
-            completed, recovered, and oracle-verified exactly like
-            ``crash=True`` -- the metrics then cover the truncated run.
+            writes, transient I/O errors).
         workload: the run's workload -- a
             :class:`~repro.workload.WorkloadSpec`, a registered scenario
             name (``"write-storm"``; see
             :func:`repro.workload.scenario_names`), or a spec dict.
             ``None`` keeps the paper's default fixed-rate uniform load.
-        config: a fully-built :class:`SimulationConfig`; overrides every
-            other configuration argument.
-        **config_overrides: extra :class:`SimulationConfig` fields
+        preload_backup: both backup images start out holding the initial
+            database, so the first checkpoints are partial sweeps.
+        fault_partitions: the shards that arm ``fault_plan`` in a
+            partitioned run (default: all of them).
+        **config_fields: extra :class:`SimulationConfig` fields
             (``trace=True``, ``telemetry=True``, ``spans=True``,
-            ``cpu_mips=50.0``, ``logical_updates=True``, ...).
+            ``cpu_mips=50.0``, ``partitions=4``, ...).
+
+    Returns:
+        A :class:`SimulatedSystem`, or for ``partitions > 1`` a
+        :class:`PartitionedSystem` (the same run / crash / recover /
+        verify surface); ``system.config`` is the configuration built.
+    """
+    if params is None:
+        params = SystemParameters.scaled_down(scale, lam=lam)
+    elif lam is not None:
+        params = params.replace(lam=lam)
+    if ((stable_tail or resolve_algorithm(algorithm).requires_stable_tail)
+            and not params.stable_log_tail):
+        params = params.replace(stable_log_tail=True)
+    if workload is not None:
+        config_fields["workload"] = workload
+    config = SimulationConfig(
+        params=params,
+        algorithm=algorithm,
+        seed=seed,
+        policy=CheckpointPolicy(interval=interval),
+        preload_backup=preload_backup,
+        fault_plan=fault_plan,
+        **config_fields,
+    )
+    # N=1 takes the original single-engine path -- not a one-shard
+    # PartitionedSystem -- so fixed-seed runs stay bit-identical to the
+    # pre-partitioning engine.
+    if config.partitions > 1:
+        return PartitionedSystem(config, fault_partitions=fault_partitions)
+    return SimulatedSystem(config)
+
+
+def simulate(
+    algorithm: str = "COUCOPY",
+    *,
+    duration: float = 10.0,
+    warmup: float = 0.0,
+    crash: bool = False,
+    **system_args: Any,
+) -> SimulationOutcome:
+    """One complete testbed run, from configuration to verified recovery.
+
+    Builds the system with :func:`build_system` (every keyword it takes
+    is accepted here: ``scale``, ``lam``, ``seed``, ``interval``,
+    ``workload``, ``fault_plan``, ``telemetry=True``, ...), runs
+    ``warmup`` seconds that are excluded from the metrics, measures
+    ``duration`` seconds, and -- with ``crash=True`` -- injects a crash,
+    recovers, and checks the result against the committed-state oracle.
+    A crash that an armed ``fault_plan`` injects mid-run is completed,
+    recovered and oracle-verified exactly like ``crash=True``; the
+    metrics then cover the truncated run.
 
     Returns:
         A :class:`SimulationOutcome`; ``outcome.clean`` asserts the
         oracle found no discrepancies (``mismatches == []``).
     """
-    if workload is not None:
-        config_overrides["workload"] = workload
-    if config is None:
-        if params is None:
-            params = SystemParameters.scaled_down(
-                scale, lam=lam, stable_log_tail=stable_tail)
-        else:
-            if lam is not None:
-                params = params.replace(lam=lam)
-            if stable_tail and not params.stable_log_tail:
-                params = params.replace(stable_log_tail=True)
-        config = SimulationConfig(
-            params=params,
-            algorithm=algorithm,
-            seed=seed,
-            policy=CheckpointPolicy(interval=interval),
-            preload_backup=True,
-            fault_plan=fault_plan,
-            **config_overrides,
-        )
-    elif config_overrides:
-        raise ConfigurationError(
-            "pass configuration either as config= or as keyword overrides, "
-            f"not both (got {sorted(config_overrides)!r})")
-
-    # N=1 takes the original single-engine path -- not a one-shard
-    # PartitionedSystem -- so fixed-seed runs stay bit-identical to the
-    # pre-partitioning engine.
-    if config.partitions > 1:
-        system: Any = PartitionedSystem(config)
-    else:
-        system = SimulatedSystem(config)
+    system = build_system(algorithm, **system_args)
     crashed_by_fault = False
     try:
         if warmup > 0:
@@ -212,7 +227,7 @@ def simulate(
         system.crash()
         recovery = system.recover()
         mismatches = system.verify_recovery()
-    return SimulationOutcome(config=config, metrics=metrics,
+    return SimulationOutcome(config=system.config, metrics=metrics,
                              recovery=recovery, mismatches=mismatches,
                              telemetry=system.telemetry_snapshot(),
                              spans=system.spans_snapshot())
@@ -268,6 +283,7 @@ __all__ = [
     "SweepResult",
     "SweepRunner",
     "SweepSpec",
+    "build_system",
     "evaluate",
     "simulate",
     "sweep",

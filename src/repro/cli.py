@@ -40,17 +40,18 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict
-from typing import Any, Dict, List, Optional
+from functools import partial
+from typing import Any, Dict, Iterator, List, Optional, Union
 
+from .api import SimulationOutcome, build_system, simulate
 from .checkpoint.registry import ALGORITHM_NAMES, ALL_ALGORITHM_NAMES
-from .checkpoint.scheduler import CheckpointPolicy
 from .faults.plan import CRASH_PHASES
 from .model.evaluate import evaluate
 from .obs.presets import PRESET_NAMES, get_preset
 from .params import SystemParameters
 from .sim.trace import Tracer
-from .sim.system import SimulatedSystem, SimulationConfig
 from .storage.backends import storage_backend_names
 from .sweep import SweepRunner, default_cache_dir
 
@@ -114,45 +115,34 @@ class _CommandTrace:
         print(f"trace written to {path}", file=sys.stderr)
 
 
-def _command_trace(args: argparse.Namespace,
-                   command: str) -> Optional[_CommandTrace]:
-    if getattr(args, "trace_out", None):
-        return _CommandTrace(command)
-    return None
-
-
-def _sweep_runner(args: argparse.Namespace,
-                  trace: Optional[_CommandTrace] = None) -> SweepRunner:
-    """Build the shared runner for one CLI invocation."""
-    workers = args.workers if args.workers is not None else os.cpu_count()
-    printer = _progress_printer() if sys.stderr.isatty() else None
-    if trace is not None:
-        progress = _compose_progress(trace.on_cell, printer)
-    else:
-        progress = printer
-    return SweepRunner(
-        workers=workers or 1,
-        cache_dir=None if args.no_cache else default_cache_dir(),
-        progress=progress,
-        verbose=getattr(args, "verbose", False))
-
-
-def _compose_progress(first, second):
-    if second is None:
-        return first
+@contextmanager
+def _sweep(args: argparse.Namespace, command: str,
+           **meta: Any) -> Iterator[SweepRunner]:
+    """The one SweepRunner of a CLI invocation, built from the sweep
+    flags; with ``--trace-out`` the command trace is exported on exit."""
+    trace = _CommandTrace(command) if args.trace_out else None
+    reporters = [trace.on_cell] if trace is not None else []
+    if sys.stderr.isatty():
+        reporters.append(_print_progress)
 
     def progress(done: int, total: int, cell) -> None:
-        first(done, total, cell)
-        second(done, total, cell)
-    return progress
+        for report in reporters:
+            report(done, total, cell)
+
+    workers = args.workers if args.workers is not None else os.cpu_count()
+    yield SweepRunner(
+        workers=workers or 1,
+        cache_dir=None if args.no_cache else default_cache_dir(),
+        progress=progress if reporters else None,
+        verbose=args.verbose)
+    if trace is not None:
+        trace.export(args.trace_out, **meta)
 
 
-def _progress_printer():
-    def progress(done: int, total: int, _cell) -> None:
-        end = "\n" if done == total else ""
-        print(f"\rsweep: {done}/{total} points", end=end,
-              file=sys.stderr, flush=True)
-    return progress
+def _print_progress(done: int, total: int, _cell) -> None:
+    end = "\n" if done == total else ""
+    print(f"\rsweep: {done}/{total} points", end=end,
+          file=sys.stderr, flush=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -187,17 +177,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="stable RAM holds the log tail")
 
     sim = sub.add_parser("simulate", help="run the discrete-event testbed")
-    sim.add_argument("--algorithm", default="COUCOPY",
-                     choices=list(ALL_ALGORITHM_NAMES))
-    sim.add_argument("--duration", type=float, default=10.0)
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--scale", type=int, default=256,
-                     help="database scale-down factor vs the paper")
-    sim.add_argument("--lam", type=float, default=200.0)
-    sim.add_argument("--interval", type=float, default=None)
+    _add_system_flags(sim, algorithm="COUCOPY", scale=256, duration=10.0,
+                      lam=True, stable_tail=True)
     sim.add_argument("--crash", action="store_true",
                      help="inject a crash at the end and verify recovery")
-    sim.add_argument("--stable-tail", action="store_true")
     sim.add_argument("--storage-backend", default="memory",
                      choices=list(storage_backend_names()),
                      help="backup-image storage backend (default: memory)")
@@ -310,18 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     flt = sub.add_parser(
         "faults",
         help="fault injection with verified crash recovery")
-    flt.add_argument("--algorithm", default="FUZZYCOPY",
-                     choices=list(ALL_ALGORITHM_NAMES))
-    flt.add_argument("--duration", type=float, default=10.0,
-                     help="simulated seconds before the end-of-run crash")
-    flt.add_argument("--seed", type=int, default=0,
-                     help="system (workload) seed")
-    flt.add_argument("--scale", type=int, default=256,
-                     help="database scale-down factor vs the paper")
-    flt.add_argument("--lam", type=float, default=200.0,
-                     help="arrival rate, transactions/second")
-    flt.add_argument("--interval", type=float, default=1.0,
-                     help="checkpoint interval in seconds")
+    _add_system_flags(flt, algorithm="FUZZYCOPY", scale=256, duration=10.0,
+                      interval=1.0, lam=True)
     flt.add_argument("--plan", default=None, metavar="FILE",
                      help="JSON fault plan (FaultPlan.to_dict format; "
                           "'-' reads stdin); overrides the plan flags")
@@ -388,16 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON workload spec (WorkloadSpec.to_dict "
                              "format; '-' reads stdin); alternative to "
                              "--scenario")
-    wl_run.add_argument("--algorithm", default="COUCOPY",
-                        choices=list(ALL_ALGORITHM_NAMES))
-    wl_run.add_argument("--duration", type=float, default=None,
-                        help="simulated seconds (default: the scenario's "
-                             "suggested duration, else 10)")
-    wl_run.add_argument("--scale", type=int, default=1024,
-                        help="database scale-down factor vs the paper")
-    wl_run.add_argument("--seed", type=int, default=0)
-    wl_run.add_argument("--interval", type=float, default=None,
-                        help="checkpoint interval (default: minimum policy)")
+    _add_system_flags(wl_run, algorithm="COUCOPY", scale=1024,
+                      duration="the scenario's suggested duration, else 10")
     wl_run.add_argument("--crash", action="store_true",
                         help="inject a crash at the end and verify recovery")
     wl_run.add_argument("--json", action="store_true",
@@ -410,13 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "(default: every registered scenario)")
     wl_sweep.add_argument("--algorithms", default="FUZZYCOPY,COUCOPY",
                           help="comma-separated algorithm list")
-    wl_sweep.add_argument("--duration", type=float, default=None,
-                          help="simulated seconds per cell (default: each "
-                               "scenario's suggested duration)")
-    wl_sweep.add_argument("--scale", type=int, default=1024,
-                          help="database scale-down factor vs the paper")
-    wl_sweep.add_argument("--seed", type=int, default=0)
-    wl_sweep.add_argument("--interval", type=float, default=None)
+    _add_system_flags(wl_sweep, algorithm=None, scale=1024,
+                      duration="each scenario's suggested duration")
     wl_sweep.add_argument("--json", action="store_true",
                           help="machine-readable cell table")
     _add_sweep_flags(wl_sweep)
@@ -429,9 +389,6 @@ def _add_workload_flags(parser: argparse.ArgumentParser) -> None:
                         help="workload: a registered scenario name or a "
                              "JSON spec file (WorkloadSpec.to_dict format; "
                              "'-' reads stdin)")
-    parser.add_argument("--scenario", default=None, metavar="NAME",
-                        help="registered workload scenario (alias for "
-                             "--workload NAME)")
     parser.add_argument("--zipf-theta", type=float, default=None,
                         metavar="THETA",
                         help="Zipf record selection with this exponent "
@@ -449,25 +406,45 @@ def _add_workload_flags(parser: argparse.ArgumentParser) -> None:
                              "Poisson sampling")
 
 
+def _add_system_flags(parser: argparse.ArgumentParser, *,
+                      algorithm: Optional[str], scale: int,
+                      duration: Union[float, str], seed: int = 0,
+                      interval: Optional[float] = None, lam: bool = False,
+                      stable_tail: bool = False) -> None:
+    """The testbed flags every run command shares; defaults per command.
+
+    ``duration`` given as text leaves the flag unset by default and
+    names, in the help line, what the command falls back to.
+    """
+    if algorithm is not None:
+        parser.add_argument("--algorithm", default=algorithm,
+                            choices=list(ALL_ALGORITHM_NAMES))
+    parser.add_argument("--scale", type=int, default=scale,
+                        help="database scale-down factor vs the paper")
+    if lam:
+        parser.add_argument("--lam", type=float, default=200.0,
+                            help="arrival rate, transactions/second")
+    parser.add_argument(
+        "--duration", type=float,
+        default=None if isinstance(duration, str) else duration,
+        help=f"simulated seconds (default: {duration})")
+    parser.add_argument("--seed", type=int, default=seed)
+    parser.add_argument("--interval", type=float, default=interval,
+                        help="checkpoint interval in seconds (default: "
+                             "%(default)s; None = back-to-back checkpoints)")
+    if stable_tail:
+        parser.add_argument("--stable-tail", action="store_true",
+                            help="stable RAM holds the log tail")
+
+
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     """One-run scenario flags shared by ``metrics`` and ``trace``."""
     parser.add_argument("--preset", default=None, choices=list(PRESET_NAMES),
                         help="named scenario (overrides the individual "
                              "run flags below, except --duration)")
-    parser.add_argument("--algorithm", default="2CCOPY",
-                        choices=list(ALL_ALGORITHM_NAMES))
-    parser.add_argument("--scale", type=int, default=256,
-                        help="database scale-down factor vs the paper")
-    parser.add_argument("--lam", type=float, default=200.0,
-                        help="arrival rate, transactions/second")
-    parser.add_argument("--duration", type=float, default=None,
-                        help="simulated seconds (default: the preset's, "
-                             "else 6)")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--interval", type=float, default=None,
-                        help="checkpoint interval (default: back-to-back)")
-    parser.add_argument("--stable-tail", action="store_true",
-                        help="stable RAM holds the log tail")
+    _add_system_flags(parser, algorithm="2CCOPY", scale=256, seed=42,
+                      duration="the preset's, else 6", lam=True,
+                      stable_tail=True)
 
 
 # ----------------------------------------------------------------------
@@ -481,27 +458,19 @@ def _cmd_tables(_args: argparse.Namespace) -> str:
 
 def _cmd_figures(args: argparse.Namespace) -> str:
     from .experiments import fig4a, fig4b, fig4c, fig4d, fig4e, recovery_scaling
-    trace = _command_trace(args, "figures")
-    runner = _sweep_runner(args, trace=trace)
     # "all" means the paper's figures; the partitioned recovery-scaling
     # extension runs only when asked for by name.
     chosen = (["4a", "4b", "4c", "4d", "4e"] if args.which == "all"
               else [args.which])
-    blocks = []
-    for name in chosen:
-        if name == "4b":
-            blocks.append(fig4b.render(runner=runner))
-        elif name == "4c":
-            blocks.append(fig4c.render(runner=runner))
-        elif name == "recovery-scaling":
-            blocks.append(recovery_scaling.render())
-        else:
-            module = {"4a": fig4a, "4d": fig4d, "4e": fig4e}[name]
-            blocks.append(module.render())
-    if args.plot:
-        blocks.extend(_figure_plots(chosen, runner))
-    if trace is not None:
-        trace.export(args.trace_out, which=args.which)
+    with _sweep(args, "figures", which=args.which) as runner:
+        renderers = {
+            "4a": fig4a.render, "4b": partial(fig4b.render, runner=runner),
+            "4c": partial(fig4c.render, runner=runner), "4d": fig4d.render,
+            "4e": fig4e.render, "recovery-scaling": recovery_scaling.render,
+        }
+        blocks = [renderers[name]() for name in chosen]
+        if args.plot:
+            blocks.extend(_figure_plots(chosen, runner))
     return "\n\n".join(blocks)
 
 
@@ -559,7 +528,7 @@ def _spec_from_file_or_name(value: str):
     from .workload import WorkloadSpec, resolve_workload
     if value == "-":
         return WorkloadSpec.from_dict(json.loads(sys.stdin.read()))
-    if os.path.exists(value):
+    if os.path.isfile(value):
         with open(value, encoding="utf-8") as handle:
             return WorkloadSpec.from_dict(json.load(handle))
     return resolve_workload(value)
@@ -571,11 +540,8 @@ def _workload_from_flags(args: argparse.Namespace):
 
     from .errors import ConfigurationError
     from .workload import AccessDistribution, WorkloadSpec
-    if args.workload and args.scenario:
-        raise ConfigurationError(
-            "pass either --workload or --scenario, not both")
-    designator = args.workload or args.scenario
-    spec = (_spec_from_file_or_name(designator) if designator else None)
+    spec = (_spec_from_file_or_name(args.workload) if args.workload
+            else None)
     zipf = args.zipf_theta is not None
     hotspot = (args.hot_fraction is not None
                or args.hot_probability is not None)
@@ -600,43 +566,16 @@ def _workload_from_flags(args: argparse.Namespace):
     return replace(spec if spec is not None else WorkloadSpec(), **overrides)
 
 
-def _cmd_simulate(args: argparse.Namespace) -> str:
-    params = SystemParameters.scaled_down(
-        args.scale, lam=args.lam, stable_log_tail=args.stable_tail)
-    workload = _workload_from_flags(args)
-    config_kwargs: Dict[str, Any] = {}
-    if workload is not None:
-        config_kwargs["workload"] = workload
-    config = SimulationConfig(
-        params=params, algorithm=args.algorithm, seed=args.seed,
-        policy=CheckpointPolicy(interval=args.interval),
-        preload_backup=True,
-        storage_backend=args.storage_backend,
-        storage_dir=args.storage_dir,
-        partitions=args.partitions,
-        partition_policy=args.partition_policy,
-        recovery_workers=args.recovery_workers,
-        **config_kwargs)
-    if config.partitions > 1:
-        from .sim.partition import PartitionedSystem
-        system: Any = PartitionedSystem(config)
-    else:
-        # N=1 keeps the exact single-engine code path (bit-identical
-        # to a run without any partition flags).
-        system = SimulatedSystem(config)
-    metrics = system.run(args.duration)
-    lines = [
-        f"{args.algorithm} on a {params.n_segments}-segment database "
-        f"({args.duration:.1f}s simulated, seed {args.seed})",
-    ]
+def _render_outcome(header: str, outcome: SimulationOutcome,
+                    load_lines: List[str]) -> str:
+    """The run report ``simulate`` and ``workload run`` both print."""
+    config, metrics = outcome.config, outcome.metrics
+    lines = [header]
     if config.partitions > 1:
         lines.append(
             f"  partitions           {config.partitions} "
             f"({config.partition_policy} checkpoints)")
-    if workload is not None:
-        lines.append(f"  workload             {workload.describe()}")
-        lines.append(f"  offered/served       {metrics.offered_rate:.1f} / "
-                     f"{metrics.served_rate:.1f} txns/s")
+    lines += load_lines
     lines += [
         f"  committed            {metrics.transactions_committed}",
         f"  checkpoints          {metrics.checkpoints_completed}",
@@ -647,10 +586,8 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
         f"  mean response        {metrics.mean_response_time * 1e3:.2f} ms",
         f"  disk utilisation     {metrics.disk_utilisation:.0%}",
     ]
-    if args.crash:
-        system.crash()
-        result = system.recover()
-        mismatches = system.verify_recovery()
+    result = outcome.recovery
+    if result is not None:
         if config.partitions > 1:
             lines.append(
                 f"  crash+recover        {result.partitions} partitions on "
@@ -666,18 +603,38 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
                 f"{result.total_time:.2f}s modelled")
         lines.append(
             "  oracle               "
-            + ("PASS" if not mismatches else f"FAIL {mismatches}"))
+            + ("PASS" if outcome.clean else f"FAIL {outcome.mismatches}"))
     return "\n".join(lines)
+
+
+def _cmd_simulate(args: argparse.Namespace) -> str:
+    workload = _workload_from_flags(args)
+    outcome = simulate(
+        args.algorithm, scale=args.scale, lam=args.lam, seed=args.seed,
+        duration=args.duration, interval=args.interval, crash=args.crash,
+        stable_tail=args.stable_tail, workload=workload,
+        storage_backend=args.storage_backend, storage_dir=args.storage_dir,
+        partitions=args.partitions, partition_policy=args.partition_policy,
+        recovery_workers=args.recovery_workers)
+    metrics = outcome.metrics
+    load_lines = [] if workload is None else [
+        f"  workload             {workload.describe()}",
+        f"  offered/served       {metrics.offered_rate:.1f} / "
+        f"{metrics.served_rate:.1f} txns/s",
+    ]
+    return _render_outcome(
+        f"{args.algorithm} on a {outcome.config.params.n_segments}-segment "
+        f"database ({args.duration:.1f}s simulated, seed {args.seed})",
+        outcome, load_lines)
 
 
 def _cmd_validate(args: argparse.Namespace) -> str:
     from .experiments import validation
-    trace = _command_trace(args, "validate")
-    rows = validation.run_validation_suite(
-        duration=args.duration, seed=args.seed,
-        replicates=args.replicates, runner=_sweep_runner(args, trace=trace))
-    if trace is not None:
-        trace.export(args.trace_out, duration=args.duration, seed=args.seed)
+    with _sweep(args, "validate", duration=args.duration,
+                seed=args.seed) as runner:
+        rows = validation.run_validation_suite(
+            duration=args.duration, seed=args.seed,
+            replicates=args.replicates, runner=runner)
     return validation.render(rows)
 
 
@@ -688,58 +645,43 @@ def _cmd_ablations(_args: argparse.Namespace) -> str:
 
 def _cmd_extensions(args: argparse.Namespace) -> str:
     from .experiments import extensions
-    trace = _command_trace(args, "extensions")
-    out = extensions.render(replicates=args.replicates,
-                            runner=_sweep_runner(args, trace=trace))
-    if trace is not None:
-        trace.export(args.trace_out)
-    return out
+    with _sweep(args, "extensions") as runner:
+        return extensions.render(replicates=args.replicates, runner=runner)
 
 
 def _cmd_capacity(args: argparse.Namespace) -> str:
     from .experiments import capacity
-    trace = _command_trace(args, "capacity")
-    out = capacity.render(mips=args.mips,
-                          runner=_sweep_runner(args, trace=trace))
-    if trace is not None:
-        trace.export(args.trace_out, mips=args.mips)
-    return out
+    with _sweep(args, "capacity", mips=args.mips) as runner:
+        return capacity.render(mips=args.mips, runner=runner)
 
 
 def _cmd_report(args: argparse.Namespace) -> str:
     from .experiments.report import generate_report
-    trace = _command_trace(args, "report")
-    path = generate_report(args.out, include_simulations=not args.fast,
-                           replicates=args.replicates,
-                           runner=_sweep_runner(args, trace=trace))
-    if trace is not None:
-        trace.export(args.trace_out, fast=args.fast)
+    with _sweep(args, "report", fast=args.fast) as runner:
+        path = generate_report(args.out, include_simulations=not args.fast,
+                               replicates=args.replicates, runner=runner)
     return f"report written to {path}"
 
 
 def _build_run(args: argparse.Namespace, *, trace: bool,
-               spans: bool = False,
-               ) -> "tuple[SimulatedSystem, float, Dict[str, Any]]":
+               spans: bool = False) -> "tuple[Any, float, Dict[str, Any]]":
     """One telemetry-instrumented system from a preset or run flags."""
+    observe = {"telemetry": True, "trace": trace, "spans": spans}
     if args.preset:
         preset = get_preset(args.preset)
-        config = preset.build_config(telemetry=True, trace=trace,
-                                     spans=spans)
+        system = preset.build_system(**observe)
         duration = (args.duration if args.duration is not None
                     else preset.duration)
         meta = preset.meta()
         meta["duration"] = duration
     else:
-        params = SystemParameters.scaled_down(
-            args.scale, lam=args.lam, stable_log_tail=args.stable_tail)
-        config = SimulationConfig(
-            params=params, algorithm=args.algorithm, seed=args.seed,
-            policy=CheckpointPolicy(interval=args.interval),
-            preload_backup=True, telemetry=True, trace=trace, spans=spans)
+        system = build_system(
+            args.algorithm, scale=args.scale, lam=args.lam, seed=args.seed,
+            interval=args.interval, stable_tail=args.stable_tail, **observe)
         duration = args.duration if args.duration is not None else 6.0
         meta = {"algorithm": args.algorithm, "scale": args.scale,
                 "lam": args.lam, "duration": duration, "seed": args.seed}
-    return SimulatedSystem(config), duration, meta
+    return system, duration, meta
 
 
 def _cmd_metrics(args: argparse.Namespace) -> str:
@@ -830,10 +772,11 @@ def _cmd_trace(args: argparse.Namespace) -> str:
 def _faults_plan(args: argparse.Namespace) -> "FaultPlan":
     """Build the fault plan from --plan JSON or the individual flags."""
     from .faults.plan import CrashSpec, FaultPlan, IOFaultSpec
+    if args.plan == "-":
+        return FaultPlan.from_dict(json.loads(sys.stdin.read()))
     if args.plan:
-        raw = (sys.stdin.read() if args.plan == "-"
-               else open(args.plan, encoding="utf-8").read())
-        return FaultPlan.from_dict(json.loads(raw))
+        with open(args.plan, encoding="utf-8") as handle:
+            return FaultPlan.from_dict(json.load(handle))
     crash = CrashSpec(
         at_time=args.crash_at,
         after_writes=args.crash_after_writes,
@@ -864,15 +807,12 @@ def _cmd_faults(args: argparse.Namespace) -> str:
                              duration=args.duration,
                              torn_writes=args.torn_writes or None,
                              io_faults=args.io_error_rate > 0)
-        trace = _command_trace(args, "faults")
-        runner = _sweep_runner(args, trace=trace)
-        result = runner.map(
-            run_fault_cell, crash_matrix_points(algorithms, plans),
-            fixed={"scale": args.scale, "duration": args.duration,
-                   "checkpoint_interval": args.interval},
-            base_seed=args.seed, seed_arg="seed")
-        if trace is not None:
-            trace.export(args.trace_out, matrix=args.matrix)
+        with _sweep(args, "faults", matrix=args.matrix) as runner:
+            result = runner.map(
+                run_fault_cell, crash_matrix_points(algorithms, plans),
+                fixed={"scale": args.scale, "duration": args.duration,
+                       "checkpoint_interval": args.interval},
+                base_seed=args.seed, seed_arg="seed")
         reports = [cell.value for cell in result if cell.ok]
         if args.json:
             return json.dumps(
@@ -897,9 +837,9 @@ def _cmd_faults(args: argparse.Namespace) -> str:
         lines.append(f"survived: {survived}/{len(result)}")
         return "\n".join(lines)
     plan = _faults_plan(args)
-    params = SystemParameters.scaled_down(args.scale, lam=args.lam)
     checker = CrashConsistencyChecker(
-        params, duration=args.duration, checkpoint_interval=args.interval)
+        scale=args.scale, lam=args.lam, duration=args.duration,
+        checkpoint_interval=args.interval)
     report = checker.run(args.algorithm, plan, seed=args.seed)
     if args.json:
         return json.dumps(report.to_dict(), sort_keys=True, indent=2)
@@ -967,7 +907,6 @@ def _cmd_workload(args: argparse.Namespace) -> str:
 
 
 def _workload_run(args: argparse.Namespace) -> str:
-    from .api import simulate
     from .errors import ConfigurationError
     from .workload import get_scenario
     if bool(args.scenario) == bool(args.spec):
@@ -1008,31 +947,16 @@ def _workload_run(args: argparse.Namespace) -> str:
                 "replayed": outcome.recovery.transactions_replayed,
             }
         return json.dumps(payload, sort_keys=True, indent=2)
-    lines = [
+    return _render_outcome(
         f"{spec.name or 'workload'} under {args.algorithm} "
         f"({duration:g}s simulated, seed {args.seed})",
-        f"  spec                 {spec.describe()}",
-        f"  offered              {offered:.0f} expected arrivals "
-        f"({metrics.offered_rate:.1f}/s)",
-        f"  submitted            {metrics.transactions_submitted} arrivals "
-        f"(telemetry: {arrivals})",
-        f"  served               {metrics.transactions_committed} commits "
-        f"({metrics.served_rate:.1f}/s)",
-        f"  checkpoints          {metrics.checkpoints_completed}",
-        f"  overhead/txn         {metrics.overhead_per_transaction:.0f} "
-        f"instructions",
-        f"  mean response        {metrics.mean_response_time * 1e3:.2f} ms",
-        f"  disk utilisation     {metrics.disk_utilisation:.0%}",
-    ]
-    if outcome.recovery is not None:
-        lines.append(
-            f"  crash+recover        checkpoint "
-            f"{outcome.recovery.used_checkpoint_id}, "
-            f"{outcome.recovery.transactions_replayed} txns replayed")
-        lines.append("  oracle               "
-                     + ("PASS" if outcome.clean
-                        else f"FAIL {outcome.mismatches}"))
-    return "\n".join(lines)
+        outcome,
+        [f"  spec                 {spec.describe()}",
+         f"  offered              {offered:.0f} expected arrivals "
+         f"({metrics.offered_rate:.1f}/s)",
+         f"  submitted            {metrics.transactions_submitted} arrivals "
+         f"(telemetry: {arrivals})",
+         f"  served               {metrics.served_rate:.1f} commits/s"])
 
 
 def _workload_sweep(args: argparse.Namespace) -> str:
@@ -1041,17 +965,14 @@ def _workload_sweep(args: argparse.Namespace) -> str:
     scenarios = (args.scenarios.split(",") if args.scenarios
                  else list(scenario_names()))
     algorithms = args.algorithms.split(",")
-    trace = _command_trace(args, "workload")
-    runner = _sweep_runner(args, trace=trace)
     fixed: Dict[str, Any] = {"scale": args.scale, "seed": args.seed,
                              "interval": args.interval}
     if args.duration is not None:
         fixed["duration"] = args.duration
-    result = runner.map(run_scenario_cell,
-                        scenario_points(scenarios, algorithms),
-                        fixed=fixed)
-    if trace is not None:
-        trace.export(args.trace_out, scenarios=",".join(scenarios))
+    with _sweep(args, "workload", scenarios=",".join(scenarios)) as runner:
+        result = runner.map(run_scenario_cell,
+                            scenario_points(scenarios, algorithms),
+                            fixed=fixed)
     if args.json:
         return json.dumps(
             {"cells": [cell.value for cell in result if cell.ok],

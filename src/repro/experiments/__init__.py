@@ -3,10 +3,7 @@
 Each module exposes a ``figure4x()`` function returning structured data
 and a ``render()`` function producing the text table that EXPERIMENTS.md
 records; ``python -m repro figures`` / ``report`` and
-``tests/test_paper_claims.py`` call these same functions.  Every module
-is runnable directly::
-
-    python -m repro.experiments.fig4a
+``tests/test_paper_claims.py`` call these same functions.
 """
 
 from . import (

@@ -26,7 +26,7 @@ from typing import List
 from ..checkpoint.base import CheckpointScope
 from ..model.evaluate import ModelOptions, evaluate
 from ..params import PAPER_DEFAULTS, SystemParameters
-from .common import fmt_overhead, fmt_time, text_table
+from ..units import fmt_instructions, fmt_seconds, text_table
 
 
 @dataclass(frozen=True)
@@ -118,13 +118,10 @@ def render(params: SystemParameters = PAPER_DEFAULTS) -> str:
     rows = all_ablations(params)
     table_rows = [
         (r.ablation, r.setting, r.algorithm,
-         fmt_overhead(r.overhead_per_txn), fmt_time(r.recovery_time))
+         fmt_instructions(r.overhead_per_txn), fmt_seconds(r.recovery_time))
         for r in rows
     ]
     return text_table(
         ["ablation", "setting", "algorithm", "overhead/txn", "recovery"],
         table_rows, title="Modelling-choice ablations (paper defaults)")
 
-
-if __name__ == "__main__":
-    print(render())

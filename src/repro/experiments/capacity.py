@@ -19,7 +19,7 @@ from ..model.evaluate import ModelOptions
 from ..model.utilization import cpu_utilization, throughput_capacity
 from ..params import PAPER_DEFAULTS, SystemParameters
 from ..sweep import SweepRunner, SweepSpec, resolve_runner
-from .common import text_table
+from ..units import text_table
 
 DEFAULT_MIPS = 50.0
 ALGORITHMS = ("FASTFUZZY", "FUZZYCOPY", "ACFLUSH", "COUFLUSH", "COUCOPY",
@@ -96,6 +96,3 @@ def render(params: SystemParameters = PAPER_DEFAULTS,
         title=(f"Extension - throughput capacity on a {mips:.0f}-MIPS "
                f"machine (ideal, no checkpointing: {ideal:.0f} txns/s)"))
 
-
-if __name__ == "__main__":
-    print(render())

@@ -1,38 +1,8 @@
-"""Shared helpers for the experiment drivers: text tables and sweeps."""
+"""Shared helpers for the experiment drivers: sweeps."""
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
-
-from ..units import fmt_instructions, fmt_seconds
-
-
-def text_table(headers: Sequence[str], rows: Iterable[Sequence[object]],
-               title: str = "") -> str:
-    """Render an aligned plain-text table (the report format)."""
-    str_rows: List[List[str]] = [[str(cell) for cell in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in str_rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-    header = "  ".join(h.ljust(w) for h, w in zip(headers, widths))
-    lines.append(header)
-    lines.append("  ".join("-" * w for w in widths))
-    for row in str_rows:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
-    return "\n".join(lines)
-
-
-def fmt_overhead(value: float) -> str:
-    """Instructions/transaction with thousands shorthand."""
-    return fmt_instructions(value)
-
-
-def fmt_time(value: float) -> str:
-    return fmt_seconds(value)
+from typing import List
 
 
 def geometric_sweep(low: float, high: float, points: int) -> List[float]:

@@ -98,8 +98,3 @@ def export_all(directory: PathLike,
         export_fig4d(target, params),
         export_fig4e(target, params),
     ]
-
-
-if __name__ == "__main__":
-    for written in export_all(Path("reports") / "csv"):
-        print(written)

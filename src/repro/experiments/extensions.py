@@ -19,12 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..checkpoint.scheduler import CheckpointPolicy
+from ..api import simulate
 from ..model.evaluate import evaluate
 from ..params import PAPER_DEFAULTS, SystemParameters
-from ..sim.system import SimulatedSystem, SimulationConfig
 from ..sweep import SweepRunner, SweepSpec, resolve_runner
-from .common import fmt_overhead, text_table
+from ..units import fmt_instructions, text_table
 from .validation import validation_params
 
 CONSISTENCY_SPECTRUM = (
@@ -89,10 +88,8 @@ class LatencyRow:
 def _latency_point(algorithm: str, lam: float, duration: float,
                    seed: int) -> LatencyRow:
     """One sweep point: the testbed latency profile of one algorithm."""
-    system = SimulatedSystem(SimulationConfig(
-        params=validation_params(lam), algorithm=algorithm, seed=seed,
-        policy=CheckpointPolicy(), preload_backup=True))
-    metrics = system.run(duration)
+    metrics = simulate(algorithm, params=validation_params(lam), seed=seed,
+                       duration=duration).metrics
     return LatencyRow(
         algorithm=algorithm,
         lock_waits=metrics.lock_waits,
@@ -153,7 +150,7 @@ def render(params: SystemParameters = PAPER_DEFAULTS,
            runner: Optional[SweepRunner] = None,
            workers: Optional[int] = None) -> str:
     spectrum_rows = [
-        (p.algorithm, p.consistency, fmt_overhead(p.overhead_per_txn),
+        (p.algorithm, p.consistency, fmt_instructions(p.overhead_per_txn),
          f"{p.recovery_time:.1f}s")
         for p in consistency_spectrum(params, runner=runner, workers=workers)
     ]
@@ -173,6 +170,3 @@ def render(params: SystemParameters = PAPER_DEFAULTS,
         title="Extension - latency profile (testbed, scaled config)")
     return spectrum + "\n\n" + latency
 
-
-if __name__ == "__main__":
-    print(render())

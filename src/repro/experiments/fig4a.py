@@ -22,7 +22,7 @@ from typing import List, Optional
 
 from ..model.evaluate import ModelOptions, evaluate_all
 from ..params import PAPER_DEFAULTS, SystemParameters
-from .common import fmt_overhead, fmt_time, text_table
+from ..units import fmt_instructions, fmt_seconds, text_table
 
 
 @dataclass(frozen=True)
@@ -53,14 +53,11 @@ def figure4a(params: SystemParameters = PAPER_DEFAULTS,
 def render(params: SystemParameters = PAPER_DEFAULTS) -> str:
     points = figure4a(params)
     rows = [
-        (p.algorithm, fmt_overhead(p.overhead_per_txn),
-         fmt_time(p.recovery_time), f"{p.reruns_per_txn:.2f}")
+        (p.algorithm, fmt_instructions(p.overhead_per_txn),
+         fmt_seconds(p.recovery_time), f"{p.reruns_per_txn:.2f}")
         for p in points
     ]
     return text_table(
         ["algorithm", "overhead/txn", "recovery", "reruns/txn"], rows,
         title="Figure 4a - overhead and recovery time (min duration)")
 
-
-if __name__ == "__main__":
-    print(render())

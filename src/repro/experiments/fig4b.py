@@ -25,7 +25,8 @@ from ..model.duration import minimum_duration
 from ..model.evaluate import ModelOptions, evaluate
 from ..params import PAPER_DEFAULTS, SystemParameters
 from ..sweep import SweepRunner, SweepSpec, resolve_runner
-from .common import fmt_overhead, fmt_time, geometric_sweep, text_table
+from ..units import fmt_instructions, fmt_seconds, text_table
+from .common import geometric_sweep
 
 ALGORITHMS = ("2CCOPY", "COUCOPY")
 DISK_COUNTS = (20, 40)
@@ -100,13 +101,11 @@ def render(params: SystemParameters = PAPER_DEFAULTS,
                       workers=workers)
     blocks = []
     for (algorithm, disks), curve in sorted(curves.items()):
-        rows = [(fmt_time(pt.interval), fmt_overhead(pt.overhead_per_txn),
-                 fmt_time(pt.recovery_time)) for pt in curve]
+        rows = [(fmt_seconds(pt.interval),
+                 fmt_instructions(pt.overhead_per_txn),
+                 fmt_seconds(pt.recovery_time)) for pt in curve]
         blocks.append(text_table(
             ["interval", "overhead/txn", "recovery"], rows,
             title=f"Figure 4b - {algorithm} with {disks} disks"))
     return "\n\n".join(blocks)
 
-
-if __name__ == "__main__":
-    print(render())

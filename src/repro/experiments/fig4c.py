@@ -27,7 +27,7 @@ from ..model.duration import minimum_duration
 from ..model.evaluate import ModelOptions, evaluate
 from ..params import PAPER_DEFAULTS, SystemParameters
 from ..sweep import SweepRunner, SweepSpec, resolve_runner
-from .common import fmt_overhead, text_table
+from ..units import fmt_instructions, text_table
 
 ALGORITHMS = ("FUZZYCOPY", "2CFLUSH", "2CCOPY", "COUFLUSH", "COUCOPY")
 DEFAULT_LOADS = (10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0,
@@ -108,13 +108,10 @@ def render(params: SystemParameters = PAPER_DEFAULTS,
         row = [f"{lam:.0f}"]
         for name in ALGORITHMS:
             point = next(p for p in curves[name] if p.lam == lam)
-            row.append(fmt_overhead(point.overhead_per_txn))
+            row.append(fmt_instructions(point.overhead_per_txn))
         rows.append(row)
     return text_table(
         ["lam (tps)"] + list(ALGORITHMS), rows,
         title="Figure 4c - overhead vs load (interval fixed at "
               "default-load minimum)")
 
-
-if __name__ == "__main__":
-    print(render())

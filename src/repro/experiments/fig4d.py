@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..model.evaluate import ModelOptions, evaluate
 from ..params import PAPER_DEFAULTS, SystemParameters
-from .common import fmt_overhead, text_table
+from ..units import fmt_instructions, text_table
 
 ALGORITHMS = ("2CCOPY", "2CFLUSH", "COUCOPY")
 DEFAULT_SEGMENT_SIZES = (1024, 2048, 4096, 8192, 16384, 32768, 65536)
@@ -83,13 +83,10 @@ def render(params: SystemParameters = PAPER_DEFAULTS) -> str:
             for name in ALGORITHMS:
                 point = next(p for p in curves[(name, fixed)]
                              if p.s_seg == s_seg)
-                row.append(fmt_overhead(point.overhead_per_txn))
+                row.append(fmt_instructions(point.overhead_per_txn))
             rows.append(row)
         blocks.append(text_table(
             ["s_seg (words)"] + list(ALGORITHMS), rows,
             title=f"Figure 4d - overhead vs segment size, {label}"))
     return "\n\n".join(blocks)
 
-
-if __name__ == "__main__":
-    print(render())

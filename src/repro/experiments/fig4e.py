@@ -23,7 +23,7 @@ from typing import List, Optional
 
 from ..model.evaluate import ModelOptions, evaluate_all
 from ..params import PAPER_DEFAULTS, SystemParameters
-from .common import fmt_overhead, text_table
+from ..units import fmt_instructions, text_table
 
 
 @dataclass(frozen=True)
@@ -46,11 +46,9 @@ def figure4e(params: SystemParameters = PAPER_DEFAULTS,
 
 def render(params: SystemParameters = PAPER_DEFAULTS) -> str:
     points = figure4e(params)
-    rows = [(p.algorithm, fmt_overhead(p.overhead_per_txn)) for p in points]
+    rows = [(p.algorithm, fmt_instructions(p.overhead_per_txn))
+            for p in points]
     return text_table(
         ["algorithm", "overhead/txn"], rows,
         title="Figure 4e - overhead with a stable log tail (min duration)")
 
-
-if __name__ == "__main__":
-    print(render())

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from ..api import simulate
-from .common import fmt_time, text_table
+from ..units import fmt_seconds, text_table
 
 #: Algorithms the sweep covers: one fuzzy baseline, one transaction-
 #: consistent paper algorithm, and both modern snapshot plugins.
@@ -115,13 +115,10 @@ def render(
     for point in points:
         rows.append(tuple(
             [point.algorithm]
-            + [fmt_time(point.recovery_times[w]) for w in workers]
+            + [fmt_seconds(point.recovery_times[w]) for w in workers]
             + [f"{point.speedup(max(workers)):.2f}x"]))
     return text_table(
         headers, rows,
         title=(f"Recovery scaling - {partitions} partitions, "
                "recovery time vs recovery workers (LPT schedule)"))
 
-
-if __name__ == "__main__":
-    print(render())

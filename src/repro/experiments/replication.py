@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from ..checkpoint.scheduler import CheckpointPolicy
+from ..api import simulate
 from ..params import SystemParameters
-from ..sim.system import SimulatedSystem, SimulationConfig
 from ..sweep import SweepRunner, SweepSpec, resolve_runner
-from .common import text_table
+from ..units import text_table
 from .stats import SampleSummary, summarize
 from .validation import validation_params
 
@@ -41,25 +40,10 @@ def _replicate_point(
     warmup: float,
 ) -> Tuple[float, float, float, int]:
     """One seeded run: (overhead, p(abort), mean response, committed)."""
-    system = SimulatedSystem(SimulationConfig(
-        params=params, algorithm=algorithm, seed=seed,
-        policy=CheckpointPolicy(), preload_backup=True))
-    if warmup > 0:
-        system.run(warmup)
-        system.reset_measurements()
-    metrics = system.run(duration)
+    metrics = simulate(algorithm, params=params, seed=seed,
+                       duration=duration, warmup=warmup).metrics
     return (metrics.overhead_per_transaction, metrics.abort_probability,
             metrics.mean_response_time, metrics.transactions_committed)
-
-
-def _resolve_params(algorithm: str,
-                    params: Optional[SystemParameters]) -> SystemParameters:
-    if params is not None:
-        return params
-    params = validation_params(200.0)
-    if algorithm.upper() == "FASTFUZZY":
-        params = params.replace(stable_log_tail=True)
-    return params
 
 
 def replicate(
@@ -74,22 +58,9 @@ def replicate(
     workers: Optional[int] = None,
 ) -> ReplicatedResult:
     """Run ``algorithm`` across ``seeds`` and summarise the metrics."""
-    params = _resolve_params(algorithm, params)
-    spec = SweepSpec.from_points(
-        _replicate_point,
-        [{"seed": seed} for seed in seeds],
-        fixed={"algorithm": algorithm, "params": params,
-               "duration": duration, "warmup": warmup})
-    result = resolve_runner(runner, workers).run(spec)
-    result.raise_failures()
-    samples = result.values()
-    return ReplicatedResult(
-        algorithm=algorithm.upper(),
-        overhead=summarize([s[0] for s in samples], confidence),
-        abort_probability=summarize([s[1] for s in samples], confidence),
-        mean_response_time=summarize([s[2] for s in samples], confidence),
-        committed_total=sum(s[3] for s in samples),
-    )
+    return compare([algorithm], params=params, seeds=seeds,
+                   duration=duration, warmup=warmup, confidence=confidence,
+                   runner=runner, workers=workers)[algorithm.upper()]
 
 
 def compare(
@@ -98,6 +69,8 @@ def compare(
     params: Optional[SystemParameters] = None,
     seeds: Sequence[int] = (1, 2, 3, 4, 5),
     duration: float = 8.0,
+    warmup: float = 4.0,
+    confidence: float = 0.95,
     runner: Optional[SweepRunner] = None,
     workers: Optional[int] = None,
 ) -> Dict[str, ReplicatedResult]:
@@ -107,20 +80,22 @@ def compare(
     sweep, so with ``workers > 1`` every seeded run of every algorithm
     executes concurrently.
     """
-    grid = [{"algorithm": name, "params": _resolve_params(name, params),
-             "seed": seed}
+    if params is None:
+        params = validation_params(200.0)
+    grid = [{"algorithm": name, "seed": seed}
             for name in algorithms for seed in seeds]
     result = resolve_runner(runner, workers).run(SweepSpec.from_points(
-        _replicate_point, grid, fixed={"duration": duration, "warmup": 4.0}))
+        _replicate_point, grid,
+        fixed={"params": params, "duration": duration, "warmup": warmup}))
     result.raise_failures()
     out: Dict[str, ReplicatedResult] = {}
     for name in algorithms:
         samples = [cell.value for cell in result.select(algorithm=name)]
         out[name.upper()] = ReplicatedResult(
             algorithm=name.upper(),
-            overhead=summarize([s[0] for s in samples]),
-            abort_probability=summarize([s[1] for s in samples]),
-            mean_response_time=summarize([s[2] for s in samples]),
+            overhead=summarize([s[0] for s in samples], confidence),
+            abort_probability=summarize([s[1] for s in samples], confidence),
+            mean_response_time=summarize([s[2] for s in samples], confidence),
             committed_total=sum(s[3] for s in samples),
         )
     return out
@@ -148,6 +123,3 @@ def render(results: Optional[Dict[str, ReplicatedResult]] = None,
          "txns"],
         rows, title="Replicated testbed measurements (5 seeds)")
 
-
-if __name__ == "__main__":
-    print(render())

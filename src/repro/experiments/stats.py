@@ -63,21 +63,3 @@ def summarize(values: Sequence[float],
     return SampleSummary(n=n, mean=mean, stddev=stddev,
                          ci_low=mean - half, ci_high=mean + half,
                          confidence=confidence)
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """The ``q``-th percentile (0..100) by linear interpolation."""
-    if not values:
-        raise ConfigurationError("cannot take a percentile of no values")
-    if not 0 <= q <= 100:
-        raise ConfigurationError(f"q must be in [0, 100], got {q!r}")
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    position = (len(ordered) - 1) * q / 100
-    low = int(math.floor(position))
-    high = int(math.ceil(position))
-    if low == high:
-        return ordered[low]
-    weight = position - low
-    return ordered[low] * (1 - weight) + ordered[high] * weight

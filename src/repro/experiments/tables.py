@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 from ..params import PAPER_DEFAULTS, SystemParameters
-from ..units import MEGAWORD
-from .common import text_table
+from ..units import MEGAWORD, text_table
 
 
 def render_table_2a(params: SystemParameters = PAPER_DEFAULTS) -> str:
@@ -61,6 +60,3 @@ def render(params: SystemParameters = PAPER_DEFAULTS) -> str:
         render_table_2d(params),
     ])
 
-
-if __name__ == "__main__":
-    print(render())

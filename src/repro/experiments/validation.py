@@ -29,12 +29,11 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from ..checkpoint.scheduler import CheckpointPolicy
+from ..api import simulate
 from ..model.evaluate import ModelResult, evaluate
 from ..params import SystemParameters
-from ..sim.system import SimulatedSystem, SimulationConfig, SimulationMetrics
 from ..sweep import SweepRunner, SweepSpec, resolve_runner
-from .common import fmt_overhead, text_table
+from ..units import fmt_instructions, text_table
 
 #: Scaled configuration: 512 segments keeps the per-segment update rate
 #: in the paper's regime while a run stays below a second of CPU time.
@@ -86,18 +85,8 @@ def run_validation(
     intervals are still converging to the fixed point.
     """
     params = validation_params(lam, stable_log_tail=stable_log_tail)
-    config = SimulationConfig(
-        params=params,
-        algorithm=algorithm,
-        policy=CheckpointPolicy(),
-        seed=seed,
-        preload_backup=True,
-    )
-    system = SimulatedSystem(config)
-    if warmup > 0:
-        system.run(warmup)
-        system.reset_measurements()
-    metrics: SimulationMetrics = system.run(duration)
+    metrics = simulate(algorithm, params=params, seed=seed,
+                       duration=duration, warmup=warmup).metrics
     model: ModelResult = evaluate(algorithm, params, interval=None)
     return ValidationRow(
         algorithm=algorithm,
@@ -191,8 +180,8 @@ def render(rows: Optional[List[ValidationRow]] = None,
         rows = run_validation_suite(replicates=replicates, runner=runner,
                                     workers=workers)
     table_rows = [
-        (r.algorithm, fmt_overhead(r.model_overhead),
-         fmt_overhead(r.measured_overhead), f"{r.overhead_ratio:.2f}",
+        (r.algorithm, fmt_instructions(r.model_overhead),
+         fmt_instructions(r.measured_overhead), f"{r.overhead_ratio:.2f}",
          f"{r.model_abort_probability:.3f}",
          f"{r.measured_abort_probability:.3f}", r.transactions)
         for r in rows
@@ -203,6 +192,3 @@ def render(rows: Optional[List[ValidationRow]] = None,
         table_rows,
         title="Model vs testbed (scaled configuration, min duration)")
 
-
-if __name__ == "__main__":
-    print(render())

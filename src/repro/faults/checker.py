@@ -24,14 +24,13 @@ have fallen back to a checkpoint whose backup image was complete.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
-from ..checkpoint.registry import resolve_algorithm
-from ..checkpoint.scheduler import CheckpointPolicy
+from ..api import build_system
 from ..errors import CrashError, MediaError
 from ..params import SystemParameters
-from ..sim.system import SimulationConfig, SimulatedSystem
+from ..sim.system import SimulatedSystem
 from .plan import FaultPlan
 
 
@@ -80,28 +79,7 @@ class FaultRunReport:
 
     def to_dict(self) -> Dict[str, Any]:
         """Plain-JSON rendering; deterministic for a fixed (plan, seed)."""
-        return {
-            "algorithm": self.algorithm,
-            "plan": self.plan,
-            "system_seed": self.system_seed,
-            "duration": self.duration,
-            "crashed_by_fault": self.crashed_by_fault,
-            "crash_trigger": self.crash_trigger,
-            "crash_time": self.crash_time,
-            "media_error": self.media_error,
-            "media_disk": self.media_disk,
-            "media_attempts": self.media_attempts,
-            "used_checkpoint_id": self.used_checkpoint_id,
-            "used_image": self.used_image,
-            "transactions_replayed": self.transactions_replayed,
-            "updates_applied": self.updates_applied,
-            "modelled_recovery_time": self.modelled_recovery_time,
-            "durable_commits": self.durable_commits,
-            "checkpoints_completed": self.checkpoints_completed,
-            "mismatches": self.mismatches,
-            "counters": self.counters,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
     def summary(self) -> str:
         """One human line per checked run (CLI report rows)."""
@@ -119,55 +97,46 @@ class CrashConsistencyChecker:
 
     def __init__(
         self,
-        params: SystemParameters,
+        params: Optional[SystemParameters] = None,
         *,
         duration: float = 10.0,
         checkpoint_interval: Optional[float] = 1.0,
         telemetry: bool = False,
         mismatch_limit: int = 10,
-        **config_overrides: Any,
+        **system_args: Any,
     ) -> None:
         """
         Args:
-            params: the system under test.
+            params: the system under test; ``None`` sizes it from
+                ``scale=`` / ``lam=`` in ``system_args``.
             duration: simulated seconds to run before the checker pulls
                 the plug itself (plans may crash earlier).
             checkpoint_interval: periodic checkpoint spacing; ``None``
-                keeps the ``SimulationConfig`` default policy.
+                checkpoints back to back.
             telemetry: collect the run's telemetry into the report's
                 system (fault counters are always reported regardless).
             mismatch_limit: at most this many record divergences are
                 carried in a report.
-            **config_overrides: any further :class:`SimulationConfig`
-                fields (``algorithm``/``seed``/``fault_plan`` are owned
-                by :meth:`run` and must not appear here).
+            **system_args: any further :func:`repro.api.build_system`
+                argument or :class:`SimulationConfig` field
+                (``algorithm``/``seed``/``fault_plan`` are owned by
+                :meth:`run` and must not appear here).
         """
-        reserved = {"algorithm", "seed", "fault_plan", "params"}
-        clash = reserved & set(config_overrides)
+        clash = {"algorithm", "seed", "fault_plan"} & set(system_args)
         if clash:
             raise TypeError(f"reserved config fields: {sorted(clash)!r}")
-        self.params = params
         self.duration = duration
-        self.telemetry = telemetry
         self.mismatch_limit = mismatch_limit
-        self.config_overrides = dict(config_overrides)
-        if checkpoint_interval is not None:
-            self.config_overrides.setdefault(
-                "policy", CheckpointPolicy(interval=checkpoint_interval))
+        # Backups start cold: a plan may crash the run before the first
+        # complete image exists, and recovery has to win that cell too.
+        self.system_args = {
+            "params": params, "interval": checkpoint_interval,
+            "telemetry": telemetry, "preload_backup": False, **system_args}
 
     def build_system(self, algorithm: str, plan: FaultPlan,
                      seed: int = 0) -> SimulatedSystem:
-        params = self.params
-        # FASTFUZZY is only safe with a stable log tail; grant it one so
-        # every algorithm family fits in the same crash matrix.
-        if (resolve_algorithm(algorithm).requires_stable_tail
-                and not params.stable_log_tail):
-            params = params.replace(stable_log_tail=True)
-        config = SimulationConfig(
-            params=params, algorithm=algorithm, seed=seed,
-            fault_plan=plan, telemetry=self.telemetry,
-            **self.config_overrides)
-        return SimulatedSystem(config)
+        return build_system(algorithm, seed=seed, fault_plan=plan,
+                            **self.system_args)
 
     def run(self, algorithm: str, plan: FaultPlan,
             seed: int = 0) -> FaultRunReport:
@@ -198,10 +167,8 @@ class CrashConsistencyChecker:
         report.durable_commits = system.oracle.durable_commits
         report.checkpoints_completed = len(system.checkpointer.history)
         report.mismatches = [
-            {"record_id": mm.record_id, "expected": mm.expected,
-             "actual": mm.actual}
-            for mm in system.verify_recovery(limit=self.mismatch_limit)
-        ]
+            mm._asdict()
+            for mm in system.verify_recovery(limit=self.mismatch_limit)]
         report.counters = system.faults.counters()
         return report
 

@@ -28,7 +28,8 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..params import SystemParameters
+from ..api import build_system
+from ..errors import CrashError
 from .checker import CrashConsistencyChecker
 from .plan import CrashSpec, FaultPlan, IOFaultSpec
 
@@ -168,29 +169,21 @@ def run_partitioned_fault_cell(
     report's headline ``ok`` still means the recovered state matches
     every shard's oracle exactly.
     """
-    from ..checkpoint.registry import resolve_algorithm
-    from ..checkpoint.scheduler import CheckpointPolicy
-    from ..errors import CrashError
-    from ..sim.partition import PartitionedSystem
-    from ..sim.system import SimulationConfig
-
     if fault_mode not in PARTITION_FAULT_MODES:
         raise ValueError(
             f"fault mode must be one of {PARTITION_FAULT_MODES}, "
             f"got {fault_mode!r}")
-    params = SystemParameters.scaled_down(scale)
-    if (resolve_algorithm(algorithm).requires_stable_tail
-            and not params.stable_log_tail):
-        params = params.replace(stable_log_tail=True)
-    config = SimulationConfig(
-        params=params, algorithm=algorithm, seed=seed,
-        fault_plan=FaultPlan.from_dict(plan),
-        policy=CheckpointPolicy(interval=checkpoint_interval),
+    if partitions < 2:
+        raise ValueError(
+            f"a partitioned fault cell needs partitions >= 2, "
+            f"got {partitions!r} (single engine: run_fault_cell)")
+    system = build_system(
+        algorithm, scale=scale, seed=seed,
+        fault_plan=FaultPlan.from_dict(plan), interval=checkpoint_interval,
+        preload_backup=False,  # cold backups, as in the single-engine cells
         partitions=partitions, recovery_workers=recovery_workers,
+        fault_partitions=[0] if fault_mode == "one" else None,
         **config_overrides)
-    system = PartitionedSystem(
-        config,
-        fault_partitions=[0] if fault_mode == "one" else None)
     crashed_by_fault = False
     crash_trigger: Optional[str] = None
     try:
@@ -201,11 +194,8 @@ def run_partitioned_fault_cell(
     # Injected or not, the machine dies now and recovery must win.
     system.crash()
     result = system.recover()
-    mismatches = [
-        {"record_id": mm.record_id, "expected": mm.expected,
-         "actual": mm.actual}
-        for mm in system.verify_recovery(limit=mismatch_limit)
-    ]
+    mismatches = [mm._asdict()
+                  for mm in system.verify_recovery(limit=mismatch_limit)]
     return {
         "algorithm": algorithm,
         "plan": dict(plan),
@@ -245,9 +235,9 @@ def run_fault_cell(
     rendering -- a pure function of its arguments, so sweep caching and
     the byte-identical determinism tests both apply to it directly.
     """
-    params = SystemParameters.scaled_down(scale)
     checker = CrashConsistencyChecker(
-        params, duration=duration, checkpoint_interval=checkpoint_interval,
-        telemetry=telemetry, **config_overrides)
+        scale=scale, duration=duration,
+        checkpoint_interval=checkpoint_interval, telemetry=telemetry,
+        **config_overrides)
     report = checker.run(algorithm, FaultPlan.from_dict(plan), seed=seed)
     return report.to_dict()

@@ -31,6 +31,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -128,7 +129,11 @@ class LiveCheckpointer:
     A SIGKILL anywhere leaves a recoverable disk state: before the
     rename the old image plus the untruncated log recover; after it the
     new image plus the (possibly still untruncated) log recover, because
-    value REDO records are idempotent.
+    value REDO records are idempotent.  A *failed* image write (ENOSPC,
+    EIO) is the same state reached without dying: steps 3 and 4 are
+    skipped, the failure is counted in ``checkpoints_failed`` and kept
+    in ``host.scheduler.errors``, and the checkpointer is idle again for
+    the next attempt.
     """
 
     name = "LIVECOPY"
@@ -139,6 +144,7 @@ class LiveCheckpointer:
         self.history: List[CheckpointStats] = []
         self.on_complete: Optional[Callable[[CheckpointStats], None]] = None
         self.checkpoints_started = 0
+        self.checkpoints_failed = 0
         self._active = False
         #: (phase, seconds) the writer parks at, for crash tests
         self._hold: Optional[Tuple[str, float]] = None
@@ -191,10 +197,29 @@ class LiveCheckpointer:
         hold = self._hold
         self._hold = None
 
+        def failed(exc: Exception) -> None:
+            # (dispatcher) Nothing to undo: the image on disk plus the
+            # untruncated log still recover every acked commit.
+            spans.end(root, error=repr(exc))
+            self._active = False
+            self.checkpoints_failed += 1
+            host.scheduler.errors.append(exc)
+            if self.on_complete is not None:
+                # Not in ``history``; the pacing only needs ``began_at``.
+                self.on_complete(CheckpointStats(
+                    checkpoint_id=checkpoint_id, image=0,
+                    began_at=began_at, ended_at=host.clock.now,
+                    segments_flushed=0, segments_skipped=0,
+                    buffer_copies=0, cou_copies=0, words_written=0))
+
         def writer() -> None:
             write_began = host.clock.now
-            host.store.install(checkpoint_id, base_lsn, snapshot,
-                               hold=self._maybe_hold_for(hold))
+            try:
+                host.store.install(checkpoint_id, base_lsn, snapshot,
+                                   hold=self._maybe_hold_for(hold))
+            except Exception as exc:  # thread boundary: report, don't die
+                host.scheduler.submit(partial(failed, exc))
+                return
             write_ended = host.clock.now
 
             def finish() -> None:
@@ -499,6 +524,7 @@ class LiveHost:
         return {
             "commits": self.commits,
             "checkpoints_completed": len(self.checkpointer.history),
+            "checkpoints_failed": self.checkpointer.checkpoints_failed,
             "checkpoint_active": self.checkpointer.active,
             "stable_lsn": self.log.stable_lsn,
             "wal_flushes": self.log.flush_count,

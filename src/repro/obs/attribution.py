@@ -37,6 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..units import fmt_compact, text_table
+
 #: decomposition bucket names, report order (checkpoint causes first)
 CAUSES: Tuple[str, ...] = (
     "ckpt.quiesce", "ckpt.lock", "ckpt.backoff",
@@ -241,21 +243,10 @@ def latency_timeline(
 _SPARK = " .:-=+*#%@"
 
 
-def _fmt(value: float) -> str:
-    if value == 0:
-        return "0"
-    magnitude = abs(value)
-    if magnitude >= 1000 or magnitude < 0.001:
-        return f"{value:.3g}"
-    return f"{value:.4g}"
-
-
 def render_attribution(spans: Sequence[Dict[str, Any]],
                        algorithm: Optional[str] = None,
                        quantiles: Sequence[float] = STALL_QUANTILES) -> str:
     """The full stall-attribution report over one span snapshot."""
-    from .report import text_table
-
     attributions = attribute_stalls(spans)
     ckpts = checkpoint_intervals(spans)
     if algorithm is None:
@@ -273,8 +264,8 @@ def render_attribution(spans: Sequence[Dict[str, Any]],
     rows: List[Sequence[object]] = []
     for label, entry in decomposition.items():
         rows.append(
-            [label, _fmt(entry["latency"]), entry["count"]]
-            + [_fmt(entry["causes"][name]) for name in CAUSES]
+            [label, fmt_compact(entry["latency"]), entry["count"]]
+            + [fmt_compact(entry["causes"][name]) for name in CAUSES]
             + [f"{entry['ckpt_share']:.1%}"])
     table = text_table(
         ["tail", "latency", "txns"] + list(CAUSES) + ["ckpt-share"],
@@ -299,6 +290,6 @@ def render_attribution(spans: Sequence[Dict[str, Any]],
         blocks.append(
             "latency timeline (mean commit latency per window; "
             "^ = checkpoint active)\n"
-            f"  |{glyphs}|  peak={_fmt(peak)}s\n"
+            f"  |{glyphs}|  peak={fmt_compact(peak)}s\n"
             f"  |{marks}|")
     return "\n\n".join(blocks)

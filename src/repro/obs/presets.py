@@ -12,10 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
-from ..checkpoint.scheduler import CheckpointPolicy
+from ..api import build_system
 from ..errors import ConfigurationError
-from ..params import SystemParameters
-from ..sim.system import SimulationConfig
 
 
 @dataclass(frozen=True)
@@ -31,30 +29,16 @@ class ScenarioPreset:
     seed: int = 42
     interval: Optional[float] = None
     stable_tail: bool = False
-    cpu_mips: Optional[float] = None
-    cou_quiesce_latency: bool = False
+    #: further :class:`SimulationConfig` fields, as (name, value) pairs
     extra_config: Tuple[Tuple[str, Any], ...] = field(default_factory=tuple)
 
-    def build_params(self) -> SystemParameters:
-        return SystemParameters.scaled_down(
-            self.scale, lam=self.lam, stable_log_tail=self.stable_tail)
-
-    def build_config(self, *, telemetry: bool = True,
-                     trace: bool = False,
-                     spans: bool = False) -> SimulationConfig:
-        return SimulationConfig(
-            params=self.build_params(),
-            algorithm=self.algorithm,
-            seed=self.seed,
-            policy=CheckpointPolicy(interval=self.interval),
-            preload_backup=True,
-            telemetry=telemetry,
-            trace=trace,
-            spans=spans,
-            cpu_mips=self.cpu_mips,
-            cou_quiesce_latency=self.cou_quiesce_latency,
-            **dict(self.extra_config),
-        )
+    def build_system(self, **config_fields: Any) -> Any:
+        """The preset's system, not yet run; ``config_fields`` add the
+        per-invocation switches (``telemetry``, ``trace``, ``spans``)."""
+        return build_system(
+            self.algorithm, scale=self.scale, lam=self.lam, seed=self.seed,
+            interval=self.interval, stable_tail=self.stable_tail,
+            **dict(self.extra_config), **config_fields)
 
     def meta(self) -> Dict[str, Any]:
         return {"preset": self.name, "algorithm": self.algorithm,
@@ -87,13 +71,15 @@ _PRESET_LIST = (
         name="cou-quiesce",
         description="COUCOPY with quiesce latency modelled, so the "
                     "checkpoint quiesce phase is visible",
-        algorithm="COUCOPY", cou_quiesce_latency=True,
-        extra_config=(("log_flush_interval", 0.05),)),
+        algorithm="COUCOPY",
+        extra_config=(("cou_quiesce_latency", True),
+                      ("log_flush_interval", 0.05))),
     ScenarioPreset(
         name="cpu-bound",
         description="FUZZYCOPY on a finite 5-MIPS processor: CPU queueing "
                     "and the utilisation timeline",
-        algorithm="FUZZYCOPY", cpu_mips=5.0, duration=4.0),
+        algorithm="FUZZYCOPY", duration=4.0,
+        extra_config=(("cpu_mips", 5.0),)),
 )
 
 PRESETS: Dict[str, ScenarioPreset] = {p.name: p for p in _PRESET_LIST}

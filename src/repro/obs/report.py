@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..units import fmt_compact, text_table
 from .metrics import Histogram, MetricsRegistry, Timeline
 
 QUANTILES: Tuple[float, ...] = (50.0, 90.0, 99.0)
@@ -24,25 +25,6 @@ _LATENCY_EXTRAS: Tuple[str, ...] = ("txn.lock_wait.time", "ckpt.wal_wait")
 _SPARK = " .:-=+*#%@"
 
 
-def text_table(headers: Sequence[str], rows: Iterable[Sequence[object]],
-               title: str = "") -> str:
-    # Imported lazily: repro.experiments.__init__ pulls in driver modules
-    # that import repro.sim.system, which imports repro.obs -- an
-    # eager import here would close that cycle at module-load time.
-    from ..experiments.common import text_table as _text_table
-    return _text_table(headers, rows, title=title)
-
-
-def _fmt(value: float) -> str:
-    """Compact numeric formatting across the ns-to-minutes range."""
-    if value == 0:
-        return "0"
-    magnitude = abs(value)
-    if magnitude >= 1000 or magnitude < 0.001:
-        return f"{value:.3g}"
-    return f"{value:.4g}"
-
-
 def render_quantile_table(histograms: Dict[str, Any],
                           title: str = "latency / size distributions") -> str:
     """One row per histogram: count, mean, p50/p90/p99, max."""
@@ -52,9 +34,9 @@ def render_quantile_table(histograms: Dict[str, Any],
         if hist.count == 0:
             continue
         quantiles = hist.quantiles(QUANTILES)
-        rows.append([name, hist.count, _fmt(hist.mean)]
-                    + [_fmt(q) for q in quantiles]
-                    + [_fmt(hist.max)])
+        rows.append([name, hist.count, fmt_compact(hist.mean)]
+                    + [fmt_compact(q) for q in quantiles]
+                    + [fmt_compact(hist.max)])
     if not rows:
         return f"{title}\n  (no samples)"
     headers = ["metric", "count", "mean"] + [f"p{int(q)}" for q in QUANTILES] \
@@ -80,8 +62,9 @@ def render_latency_section(histograms: Dict[str, Any],
         if hist.count == 0:
             continue
         quantiles = hist.quantiles(LATENCY_QUANTILES)
-        rows.append([name, hist.count, _fmt(hist.mean)]
-                    + [_fmt(q) for q in quantiles] + [_fmt(hist.max)])
+        rows.append([name, hist.count, fmt_compact(hist.mean)]
+                    + [fmt_compact(q) for q in quantiles]
+                    + [fmt_compact(hist.max)])
     if not rows:
         return f"{title}\n  (no latency samples)"
     headers = (["metric", "count", "mean"]
@@ -90,7 +73,8 @@ def render_latency_section(histograms: Dict[str, Any],
 
 
 def render_counters(counters: Dict[str, Any], title: str = "counters") -> str:
-    rows = [[name, _fmt(float(counters[name]))] for name in sorted(counters)]
+    rows = [[name, fmt_compact(float(counters[name]))]
+            for name in sorted(counters)]
     if not rows:
         return f"{title}\n  (none)"
     return text_table(["counter", "value"], rows, title=title)
@@ -131,10 +115,10 @@ def render_checkpoint_phases(checkpoints: List[Dict[str, Any]]) -> str:
         duration = stats["ended_at"] - stats["began_at"]
         rows.append([
             stats["checkpoint_id"], stats["image"],
-            _fmt(duration),
-            _fmt(stats.get("quiesce_time", 0.0)),
-            _fmt(stats.get("wal_wait_time", 0.0)),
-            _fmt(stats.get("io_time", 0.0)),
+            fmt_compact(duration),
+            fmt_compact(stats.get("quiesce_time", 0.0)),
+            fmt_compact(stats.get("wal_wait_time", 0.0)),
+            fmt_compact(stats.get("io_time", 0.0)),
             stats["segments_flushed"], stats["segments_skipped"],
             stats["buffer_copies"], stats["cou_copies"],
             stats["words_written"],
@@ -182,11 +166,11 @@ def render_offered_vs_served(summary: Dict[str, Any],
         return f"{title}\n  (no workload rate telemetry)"
     elapsed = summary.get("elapsed") or 0.0
     rows: List[Sequence[object]] = [
-        ["offered (expected arrivals/s)", _fmt(offered or 0.0)],
+        ["offered (expected arrivals/s)", fmt_compact(offered or 0.0)],
         ["submitted (sampled arrivals/s)",
-         _fmt((summary.get("transactions_submitted") or 0) / elapsed
+         fmt_compact((summary.get("transactions_submitted") or 0) / elapsed
               if elapsed else 0.0)],
-        ["served (commits/s)", _fmt(served or 0.0)],
+        ["served (commits/s)", fmt_compact(served or 0.0)],
     ]
     arrivals = counters.get("workload.arrivals")
     if arrivals is not None:
@@ -204,7 +188,7 @@ def render_summary(summary: Dict[str, Any],
         if isinstance(value, dict):
             value = value or "{}"
         elif isinstance(value, float):
-            value = _fmt(value)
+            value = fmt_compact(value)
         rows.append([key, value])
     return text_table(["metric", "value"], rows, title=title)
 

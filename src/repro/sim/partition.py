@@ -50,6 +50,7 @@ from ..obs.partition import (
     record_replay_rates,
 )
 from ..recovery.parallel import ParallelRecoveryResult, schedule_recovery
+from ..units import percentile
 from .oracle import RecordMismatch
 from .system import SimulatedSystem, SimulationConfig, SimulationMetrics
 
@@ -328,21 +329,9 @@ class PartitionedSystem:
             lock_waits=sum(m.lock_waits for m in per_shard),
             mean_response_time=(
                 response_mass / committed if committed else 0.0),
-            response_time_p95=_percentile(pooled, 95),
+            response_time_p95=percentile(pooled, 95) if pooled else 0.0,
             cpu_utilisation=(
                 sum(cpu_loads) / len(cpu_loads) if cpu_loads else None),
             offered_rate=sum(m.offered_rate for m in per_shard),
             served_rate=sum(m.served_rate for m in per_shard),
         )
-
-
-def _percentile(samples: List[float], q: float) -> float:
-    """Linear-interpolated percentile over a pooled sample (0 if empty)."""
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    position = (len(ordered) - 1) * q / 100
-    low = int(position)
-    high = min(low + 1, len(ordered) - 1)
-    weight = position - low
-    return ordered[low] * (1 - weight) + ordered[high] * weight

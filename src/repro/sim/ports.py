@@ -88,7 +88,7 @@ class SchedulerPort(Protocol):
 
     * :class:`repro.sim.engine.EventEngine` -- the discrete-event loop;
       ``schedule_after`` pushes a heap entry and time jumps event to
-      event (``SimHost``);
+      event (``SimulatedSystem.engine``);
     * :class:`repro.live.scheduler.LiveScheduler` -- a single dispatcher
       thread over a monotonic clock; ``schedule_after`` arms a real
       timer and callbacks execute serially on the dispatcher thread,

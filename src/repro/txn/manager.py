@@ -48,6 +48,7 @@ from ..mmdb.segment import Segment
 from ..sim.cpu_server import CpuServer
 from ..sim.ports import SchedulerPort
 from ..sim.timestamps import TimestampAuthority
+from ..units import percentile
 from ..wal.log import LogManager
 from .transaction import Transaction, TransactionState
 
@@ -146,12 +147,7 @@ class TransactionStats:
         """
         if not self.response_times:
             return 0.0
-        ordered = sorted(self.response_times)
-        position = (len(ordered) - 1) * q / 100
-        low = int(position)
-        high = min(low + 1, len(ordered) - 1)
-        weight = position - low
-        return ordered[low] * (1 - weight) + ordered[high] * weight
+        return percentile(self.response_times, q)
 
 
 class TransactionManager:

@@ -12,10 +12,17 @@ verbatim to make formulas easy to compare against the text:
   ``T_seek + T_trans * d``.
 
 This module centralises the handful of conversions (mostly for display)
-so that magic constants do not spread through the code base.
+so that magic constants do not spread through the code base.  It is
+layer-neutral (it imports only :mod:`repro.errors`), so the report
+helpers every layer shares -- the text table, the compact number
+format, the interpolating percentile -- live here too.
 """
 
 from __future__ import annotations
+
+from typing import Iterable, List, Sequence
+
+from .errors import ConfigurationError
 
 BYTES_PER_WORD = 4
 """Bytes per machine word, following the paper's estimates (Section 2.3)."""
@@ -65,3 +72,46 @@ def fmt_seconds(value: float) -> str:
     if value >= 1.0:
         return f"{value:.2f}s"
     return f"{value * 1e3:.2f}ms"
+
+
+def fmt_compact(value: float) -> str:
+    """Compact numeric formatting across the ns-to-minutes range."""
+    if value == 0:
+        return "0"
+    magnitude = abs(value)
+    if magnitude >= 1000 or magnitude < 0.001:
+        return f"{value:.3g}"
+    return f"{value:.4g}"
+
+
+def text_table(headers: Sequence[str], rows: Iterable[Sequence[object]],
+               title: str = "") -> str:
+    """Render an aligned plain-text table (the report format)."""
+    str_rows: List[List[str]] = [[str(cell) for cell in row] for row in rows]
+    widths = [len(h) for h in headers]
+    for row in str_rows:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+    lines: List[str] = []
+    if title:
+        lines.append(title)
+    header = "  ".join(h.ljust(w) for h, w in zip(headers, widths))
+    lines.append(header)
+    lines.append("  ".join("-" * w for w in widths))
+    for row in str_rows:
+        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
+    return "\n".join(lines)
+
+
+def percentile(values: Sequence[float], q: float) -> float:
+    """The ``q``-th percentile (0..100) by linear interpolation."""
+    if not values:
+        raise ConfigurationError("cannot take a percentile of no values")
+    if not 0 <= q <= 100:
+        raise ConfigurationError(f"q must be in [0, 100], got {q!r}")
+    ordered = sorted(values)
+    position = (len(ordered) - 1) * q / 100
+    low = int(position)
+    high = min(low + 1, len(ordered) - 1)
+    weight = position - low
+    return ordered[low] * (1 - weight) + ordered[high] * weight

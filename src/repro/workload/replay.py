@@ -5,10 +5,10 @@ The host-adapter refactor's workload contract: a
 -- the arrival times and record selections it produces must not depend
 on which host consumes them.  :func:`replay_arrivals` materialises the
 stream with no engine at all: the same ``(params, spec, seed)`` triple
-that a :class:`~repro.sim.host.SimHost` run consumes event by event is
-walked here in a plain loop.  The golden test pins both views of the
-stream to one committed fixture, so a host can never silently perturb
-the workload it claims to be serving.
+that a :class:`~repro.sim.system.SimulatedSystem` run consumes event by
+event is walked here in a plain loop.  The golden test pins both views
+of the stream to one committed fixture, so a host can never silently
+perturb the workload it claims to be serving.
 """
 
 from __future__ import annotations

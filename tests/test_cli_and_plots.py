@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.checkpoint.registry import ALL_ALGORITHM_NAMES
 from repro.cli import build_parser, main
 from repro.errors import ConfigurationError
 from repro.experiments import (
@@ -87,6 +88,28 @@ class TestCliCommands:
     def test_parser_rejects_unknown_figure(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figures", "4z"])
+
+
+#: every command that builds and runs one testbed system
+RUN_COMMANDS = {
+    "simulate": ("simulate", "--crash"),
+    "workload-run": ("workload", "run", "--scenario", "kv", "--crash"),
+    "metrics": ("metrics", "--json"),
+    "trace": ("trace", "--attribution"),
+    "faults": ("faults", "--crash-at", "0.3", "--torn-writes"),
+}
+
+
+@pytest.mark.parametrize("algorithm", ALL_ALGORITHM_NAMES)
+@pytest.mark.parametrize("command", RUN_COMMANDS)
+def test_every_run_command_accepts_every_algorithm(capsys, command,
+                                                   algorithm):
+    """One assembler, so no command is missing an algorithm's recipe
+    (FASTFUZZY's stable log tail used to reach only some of them)."""
+    out = run_cli(capsys, *RUN_COMMANDS[command], "--algorithm", algorithm,
+                  "--scale", "2048", "--duration", "0.5")
+    assert algorithm in out
+    assert "FAIL" not in out
 
 
 class TestAsciiPlot:

@@ -379,6 +379,84 @@ def test_live_host_checkpoint_truncates_and_recovery_uses_the_image(tmp_path):
         reborn.stop()
 
 
+def _fail_next_install(monkeypatch, error):
+    """Make the next ``ImageStore.install`` raise ``error``, once."""
+    real_install = ImageStore.install
+    pending = [error]
+
+    def install(store, *args, **kwargs):
+        if pending:
+            raise pending.pop()
+        return real_install(store, *args, **kwargs)
+
+    monkeypatch.setattr(ImageStore, "install", install)
+
+
+def test_live_host_survives_a_failed_checkpoint_image_write(tmp_path,
+                                                            monkeypatch):
+    """ENOSPC on the writer thread must not wedge checkpointing forever."""
+    _fail_next_install(monkeypatch, OSError(28, "No space left on device"))
+    host = _host(tmp_path, spans=True)
+    host.start()
+    acked = {}
+    try:
+        for i in range(10):
+            host.submit([(i, 3000 + i)])
+            acked[i] = 3000 + i
+        host.scheduler.call(host.checkpointer.start_checkpoint)
+        assert _wait_until(lambda: host.checkpointer.checkpoints_failed)
+        # the failure is surfaced, the checkpointer is idle again, and
+        # the old image (none) + the untruncated log are left alone
+        assert not host.checkpointer.active
+        assert host.checkpointer.history == []
+        assert host.stats()["checkpoints_failed"] == 1
+        [error] = host.scheduler.errors
+        assert isinstance(error, OSError) and error.errno == 28
+        assert ImageStore(tmp_path, fsync=False).load() is None
+        assert len(read_wal(tmp_path / "wal.jsonl")[0]) >= 20
+
+        host.submit([(3, 8888)])
+        acked[3] = 8888
+        host.scheduler.call(host.checkpointer.start_checkpoint)
+        assert _wait_until(lambda: host.checkpointer.history)
+        [stats] = host.checkpointer.history
+        assert stats.checkpoint_id == 2
+        assert host.stats()["checkpoints_completed"] == 1
+        assert host.verify() == []
+        ckpts = [span for span in host.spans_snapshot()
+                 if span["name"] == "ckpt"]
+        assert ["error" in span["fields"] for span in ckpts] == [True, False]
+        host.submit([(4, 9999)])
+        acked[4] = 9999
+    finally:
+        host.stop()
+
+    reborn = _host(tmp_path)
+    recovery = reborn.start()
+    try:
+        assert recovery.checkpoint_id == 2
+        assert {i: reborn.read(i) for i in acked} == acked
+        assert reborn.verify() == []
+    finally:
+        reborn.stop()
+
+
+def test_a_failed_checkpoint_does_not_stop_the_paced_ones(tmp_path,
+                                                          monkeypatch):
+    _fail_next_install(monkeypatch, OSError(5, "Input/output error"))
+    host = LiveHost(LiveConfig(data_dir=str(tmp_path), scale=2048,
+                               checkpoint_interval=0.05,
+                               flush_interval=0.002, fsync=False))
+    host.start()
+    try:
+        host.submit([(1, 11)])
+        assert _wait_until(lambda: host.checkpointer.history)
+        assert host.checkpointer.checkpoints_failed == 1
+        assert host.checkpointer.history[0].checkpoint_id == 2
+    finally:
+        host.stop()
+
+
 def test_live_host_recovery_drops_a_torn_tail(tmp_path):
     host = _host(tmp_path)
     host.start()

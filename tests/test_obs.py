@@ -327,7 +327,7 @@ def test_sweep_verbose_logs_each_cell(capsys):
 def test_presets_build_valid_configs():
     assert "fig4b-small" in PRESETS
     for preset in PRESETS.values():
-        config = preset.build_config(telemetry=True)
+        config = preset.build_system(telemetry=True).config
         assert config.telemetry
         assert config.algorithm == preset.algorithm
     with pytest.raises(ConfigurationError):
@@ -358,8 +358,7 @@ def test_cli_metrics_json_satisfies_checked_in_schema(capsys):
     import pathlib
     root = pathlib.Path(__file__).resolve().parents[1]
     spec = importlib.util.spec_from_file_location(
-        "check_metrics_schema",
-        root / "scripts" / "check_metrics_schema.py")
+        "check_schema", root / "scripts" / "check_schema.py")
     validator = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(validator)
     schema = json.loads(

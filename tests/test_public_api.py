@@ -110,7 +110,7 @@ class TestErrorHierarchy:
 
 class TestExperimentHelpers:
     def test_text_table_alignment(self):
-        from repro.experiments.common import text_table
+        from repro.units import text_table
         out = text_table(["a", "long_header"], [("x", 1), ("yy", 22)],
                          title="t")
         lines = out.splitlines()
@@ -159,3 +159,76 @@ class TestBaseCheckpointerGuards:
         run = CheckpointRun(checkpoint_id=1, image=None, began_at=0.0)
         with pytest.raises(CheckpointError):
             run.release_slot()
+
+
+class TestOneAssembler:
+    """``repro.api`` holds the only build recipe outside ``repro.sim``:
+    the experiment drivers that used to hand-build their system must
+    get bit-identical metrics through it."""
+
+    @staticmethod
+    def _hand_built(algorithm, params, seed, duration, warmup=0.0):
+        from repro.checkpoint.scheduler import CheckpointPolicy
+        system = repro.SimulatedSystem(repro.SimulationConfig(
+            params=params, algorithm=algorithm, seed=seed,
+            policy=CheckpointPolicy(), preload_backup=True))
+        if warmup > 0:
+            system.run(warmup)
+            system.reset_measurements()
+        return system.run(duration)
+
+    @staticmethod
+    def _canon(metrics):
+        import json
+        from dataclasses import asdict
+        return json.dumps(asdict(metrics), sort_keys=True)
+
+    def test_validation_point(self):
+        from repro.experiments.validation import (run_validation,
+                                                  validation_params)
+        params = validation_params(200.0, stable_log_tail=True)
+        want = self._hand_built("FASTFUZZY", params, 42, 2.0, warmup=1.0)
+        got = repro.simulate("FASTFUZZY", params=params, seed=42,
+                             duration=2.0, warmup=1.0).metrics
+        assert self._canon(got) == self._canon(want)
+        row = run_validation("FASTFUZZY", duration=2.0, warmup=1.0, seed=42,
+                             stable_log_tail=True)
+        assert (row.measured_overhead, row.measured_abort_probability,
+                row.transactions, row.checkpoints) == (
+            want.overhead_per_transaction, want.abort_probability,
+            want.transactions_committed, want.checkpoints_completed)
+
+    def test_latency_profile_point(self):
+        from repro.experiments.extensions import _latency_point
+        from repro.experiments.validation import validation_params
+        params = validation_params(200.0)
+        want = self._hand_built("NAIVELOCK", params, 5, 2.0)
+        got = repro.simulate("NAIVELOCK", params=params, seed=5,
+                             duration=2.0).metrics
+        assert self._canon(got) == self._canon(want)
+        row = _latency_point("NAIVELOCK", lam=200.0, duration=2.0, seed=5)
+        assert (row.lock_waits, row.mean_response_ms, row.committed) == (
+            want.lock_waits, want.mean_response_time * 1e3,
+            want.transactions_committed)
+
+    def test_replication_point(self):
+        from repro.experiments.replication import _replicate_point
+        from repro.experiments.validation import validation_params
+        params = validation_params(200.0)
+        want = self._hand_built("2CCOPY", params, 3, 2.0, warmup=1.0)
+        got = repro.simulate("2CCOPY", params=params, seed=3, duration=2.0,
+                             warmup=1.0).metrics
+        assert self._canon(got) == self._canon(want)
+        assert _replicate_point("2CCOPY", params, 3, 2.0, 1.0) == (
+            want.overhead_per_transaction, want.abort_probability,
+            want.mean_response_time, want.transactions_committed)
+
+    def test_builder_grants_the_stable_tail_only_where_required(self):
+        from repro.api import build_system
+        assert build_system("FASTFUZZY",
+                            scale=2048).config.params.stable_log_tail
+        assert not build_system("FUZZYCOPY",
+                                scale=2048).config.params.stable_log_tail
+        sharded = build_system("FASTFUZZY", scale=2048, partitions=2)
+        assert sharded.config.params.stable_log_tail
+        assert len(sharded.shards) == 2

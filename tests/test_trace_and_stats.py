@@ -7,8 +7,9 @@ import pytest
 from tests.helpers import build_system
 from repro.errors import ConfigurationError
 from repro.experiments.replication import replicate, separated
-from repro.experiments.stats import SampleSummary, percentile, summarize
+from repro.experiments.stats import SampleSummary, summarize
 from repro.sim.trace import Tracer
+from repro.units import percentile
 
 
 class TestTracer:

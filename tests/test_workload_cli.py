@@ -1,7 +1,7 @@
 """CLI surface of the workload engine.
 
 ``repro workload list/describe/run/sweep`` plus the new ``simulate``
-workload flags (``--workload``/``--scenario``, the skew shorthands,
+workload flags (``--workload``, the skew shorthands,
 ``--uniform-arrivals``).  Runs are kept short -- these tests pin the
 command wiring and report shape, not simulation statistics (that is
 ``test_workload_engine.py``'s job).
@@ -130,8 +130,8 @@ class TestWorkloadSweep:
 class TestSimulateWorkloadFlags:
     ARGS = ("simulate", "--scale", "1024", "--duration", "1", "--seed", "4")
 
-    def test_scenario_flag(self, capsys):
-        out = run_cli(capsys, *self.ARGS, "--scenario", "kv")
+    def test_workload_flag_accepts_scenario_name(self, capsys):
+        out = run_cli(capsys, *self.ARGS, "--workload", "kv")
         assert "workload" in out
         assert "offered/served" in out
         assert "zipf(theta=1.3)" in out
@@ -151,13 +151,20 @@ class TestSimulateWorkloadFlags:
         assert "hotspot(0.05@0.9)" in out
 
     def test_uniform_arrivals_overrides_scenario(self, capsys):
-        out = run_cli(capsys, *self.ARGS, "--scenario", "kv",
+        out = run_cli(capsys, *self.ARGS, "--workload", "kv",
                       "--uniform-arrivals")
         assert "paced" in out
 
+    def test_scenario_name_wins_over_a_same_named_directory(
+            self, capsys, tmp_path, monkeypatch):
+        # `mkdir kv` in the working directory must not turn the
+        # registered scenario into an unreadable "spec file".
+        (tmp_path / "kv").mkdir()
+        monkeypatch.chdir(tmp_path)
+        out = run_cli(capsys, *self.ARGS, "--workload", "kv")
+        assert "zipf(theta=1.3)" in out
+
     def test_conflicting_flags_fail(self, capsys):
-        with pytest.raises(ConfigurationError, match="not both"):
-            main([*self.ARGS, "--workload", "kv", "--scenario", "bank"])
         with pytest.raises(ConfigurationError, match="conflicts"):
             main([*self.ARGS, "--zipf-theta", "1.5", "--hot-fraction", "0.1"])
 

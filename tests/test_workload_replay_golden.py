@@ -5,8 +5,8 @@ bit-for-bit on every arrival time, transaction id, and record selection:
 
 1. the committed golden fixture (``tests/data/arrivals_golden.json``),
 2. the offline replay loop (:func:`repro.workload.replay.replay_arrivals`),
-3. a traced :class:`~repro.sim.host.SimHost` run consuming the stream
-   event by event through the discrete-event engine.
+3. a traced :class:`~repro.sim.system.SimulatedSystem` run consuming the
+   stream event by event through the discrete-event engine.
 
 The replay loop is the engine-free reference: pinning (2) to (1) and
 (3) shows the host adds nothing to and takes nothing from the stream.
@@ -18,8 +18,7 @@ import json
 from pathlib import Path
 
 from repro.params import SystemParameters
-from repro.sim.host import SimHost
-from repro.sim.system import SimulationConfig
+from repro.sim.system import SimulatedSystem, SimulationConfig
 from repro.txn.workload import WorkloadSpec
 from repro.workload.replay import build_source, replay_arrivals
 
@@ -47,13 +46,13 @@ def test_replay_matches_committed_golden_stream():
         assert got["records"] == want["records"]
 
 
-def test_sim_host_consumes_the_identical_stream():
+def test_simulated_system_consumes_the_identical_stream():
     golden = _golden()
-    config = SimulationConfig(params=_params(golden), seed=golden["seed"],
-                              trace=True)
-    host = SimHost(config)
-    host.run(golden["horizon"])
-    traced = host.arrival_log()
+    system = SimulatedSystem(SimulationConfig(
+        params=_params(golden), seed=golden["seed"], trace=True))
+    system.run(golden["horizon"])
+    traced = [{"time": event.time, "txn_id": event.fields["txn_id"]}
+              for event in system.tracer if event.kind == "arrival"]
     assert len(traced) == len(golden["arrivals"])
     for got, want in zip(traced, golden["arrivals"]):
         assert repr(got["time"]) == want["time"]  # bit-exact
