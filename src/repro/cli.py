@@ -280,8 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="disable scheduled checkpoints (explicit "
                           "'checkpoint' ops still work)")
     srv.add_argument("--flush-interval", type=float, default=0.005,
-                     help="group-commit period in seconds (commits are "
-                          "acknowledged after the flush+fsync)")
+                     help="seconds between periodic WAL flushes, > 0: the "
+                          "longest a record nobody waits on stays "
+                          "volatile (a commit asks for its own group "
+                          "flush and is acknowledged after that "
+                          "flush+fsync, whatever this is)")
     srv.add_argument("--no-fsync", action="store_true",
                      help="skip fsync on WAL flushes (testing only; "
                           "forfeits the durability guarantee)")

@@ -85,6 +85,19 @@ class WALCorruptionError(ReproError):
     """
 
 
+class WALFailedError(ReproError):
+    """The durable WAL refused a flush because an earlier one failed.
+
+    After a failed ``write``/``flush``/``fsync`` nobody knows what the
+    file holds past its last completed flush: part of a line, whole
+    unacknowledged lines, or pages the kernel has already dropped.
+    Encoding the tail again behind that would fuse or duplicate lines in
+    a log that holds acknowledged commits, so the log fails stop: the
+    first failure propagates as it is, and every later flush raises this
+    error, chained to the original, without touching the file.
+    """
+
+
 class CheckpointError(ReproError):
     """A checkpointer reached an inconsistent internal state."""
 

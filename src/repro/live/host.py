@@ -23,7 +23,9 @@ only its private snapshot copy and the image store, re-entering the
 dispatcher to finish.  The durability contract is the simulator's WAL
 rule made physical: a transaction is acknowledged only after the group
 flush that fsynced its commit record, and a checkpoint truncates the log
-only after its image rename is durable.
+only after its image rename is durable.  A commit asks for that flush
+itself (:meth:`LiveHost._request_flush`); the periodic tick only bounds
+how long a record nobody waits on stays volatile.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 
 from ..checkpoint.base import CheckpointStats
 from ..checkpoint.scheduler import CheckpointPolicy, CheckpointScheduler
-from ..errors import InvalidStateError
+from ..errors import ConfigurationError, InvalidStateError
 from ..mmdb.database import Database
 from ..obs.spans import NULL_SPANS, SpanRecorder
 from ..params import SystemParameters
@@ -64,12 +66,19 @@ class LiveConfig:
     scale: int = 2048
     #: seconds between checkpoint starts; None disables checkpointing
     checkpoint_interval: Optional[float] = 2.0
-    #: group-commit period: commits are acknowledged at the next flush
+    #: seconds between periodic WAL flushes: the longest a record nobody
+    #: waits on (a checkpoint's begin marker) stays volatile.  A commit
+    #: does not wait for it -- it asks for its own group flush
     flush_interval: float = 0.005
     #: fsync the WAL file on every group flush (off only in tests)
     fsync: bool = True
     #: record txn/ckpt spans for the stall-attribution report
     spans: bool = True
+
+    def __post_init__(self) -> None:
+        if self.flush_interval <= 0:
+            raise ConfigurationError("flush_interval must be positive, got "
+                                     f"{self.flush_interval!r}")
 
 
 class RecoveryInfo(NamedTuple):
@@ -293,6 +302,8 @@ class LiveHost:
                                  initial_delay=config.checkpoint_interval))
         self._next_txn_id = 1
         self.commits = 0
+        #: a commit-requested group flush is queued on the dispatcher
+        self._flush_requested = False
         self._stopping = False
         self._started = False
         #: where restart spent its time (set by :meth:`recover`); kept
@@ -325,10 +336,14 @@ class LiveHost:
         self._stopping = True
         if self.checkpoint_scheduler is not None:
             self.checkpoint_scheduler.stop()
-        self.scheduler.call(self.flush_log)
-        self.scheduler.stop()
-        self.log.close()
-        self._started = False
+        try:
+            self.scheduler.call(self.flush_log)
+        finally:
+            # a log that can no longer flush says so (WALFailedError),
+            # but the dispatcher and the file are released all the same
+            self.scheduler.stop()
+            self.log.close()
+            self._started = False
 
     # -- recovery ------------------------------------------------------------
     def recover(self) -> RecoveryInfo:
@@ -401,7 +416,11 @@ class LiveHost:
                timeout: float = 30.0) -> CommitResult:
         """Durably commit one transaction writing ``(record_id, value)``
         pairs.  Callable from any thread; blocks until the commit record
-        is fsynced (group commit), then returns the acknowledgement.
+        is fsynced, then returns the acknowledgement.  The transaction
+        asks for the group flush itself (:meth:`_request_flush`), so it
+        shares one write + fsync with whatever else was waiting, and
+        waits for no timer.  A log that has failed a flush rejects the
+        transaction at once with :class:`~repro.errors.WALFailedError`.
         """
         if not updates:
             raise InvalidStateError("a transaction must write something")
@@ -441,6 +460,7 @@ class LiveHost:
                 done.set()
 
             self.log.when_stable(commit.lsn, acknowledged)
+            self._request_flush()
 
         self.scheduler.submit(execute)
         if not done.wait(timeout):
@@ -459,8 +479,10 @@ class LiveHost:
         The whole transaction is validated before its first record is
         logged -- every id a record's, every value an int64 -- so a
         rejected one raises with nothing logged, nothing installed and
-        no transaction id spent.
+        no transaction id spent.  So does one that arrives after a
+        failed flush: it could never be acknowledged.
         """
+        self.log.raise_if_failed()
         record_ids = np.array([record_id for record_id, _ in updates],
                               dtype=np.int64)
         values = np.array([value for _, value in updates], dtype=np.int64)
@@ -487,7 +509,28 @@ class LiveHost:
         self.log.flush()
         self.oracle.feed(self.log.drain_newly_stable())
 
+    def _request_flush(self) -> None:
+        """Ask for a group flush on behalf of a waiting commit
+        (dispatcher thread only).
+
+        The first commit to ask queues one flush callback, which runs
+        behind every callback already ready -- so each transaction that
+        was waiting to execute joins the batch -- and whatever arrives
+        while that flush is fsyncing asks for the next one.  The batch
+        follows the load: no delay, no size threshold.
+        """
+        if not self._flush_requested:
+            self._flush_requested = True
+            self.scheduler.submit(self._requested_flush)
+
+    def _requested_flush(self) -> None:
+        # cleared first: a flush that raises must not wedge the trigger
+        self._flush_requested = False
+        self.flush_log()
+
     def _flush_tick(self) -> None:
+        """The periodic flush: the upper bound on how long a record
+        nobody is waiting on stays volatile."""
         self.flush_log()
         if not self._stopping:
             self.scheduler.schedule_after(self.config.flush_interval,

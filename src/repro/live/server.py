@@ -125,6 +125,12 @@ def serve(data_dir: str, port: int = 0, *,
     Binds ``127.0.0.1:port`` (0 = ephemeral), announces readiness as one
     JSON line on ``ready_stream`` (default stdout), then serves.
     Returns the exit code.
+
+    A ``put``/``txn`` is answered after the group flush it asked for has
+    fsynced its commit record; ``flush_interval`` (positive) only bounds
+    how long a record nobody waits on stays volatile.  Once a WAL flush
+    has failed, every later ``put``/``txn`` is answered ``{"ok": false,
+    "error": "WALFailedError: ..."}`` at once.
     """
     import sys
     stream = ready_stream if ready_stream is not None else sys.stdout

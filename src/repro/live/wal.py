@@ -50,6 +50,14 @@ records the scan decoded are kept as ``recovered_records`` for
 so a restart never reads the file twice; :func:`read_wal` is the
 standalone reader for tests and tools.
 
+A flush that *fails* (``write``, ``flush`` or ``fsync`` raises) is never
+retried onto the same file: nobody knows what the file holds past its
+last completed flush, and encoding the tail again behind that would fuse
+or duplicate lines.  The log keeps the first exception as ``failure``,
+marks nothing stable, fires no waiter, and from then on every
+``flush()`` raises :class:`~repro.errors.WALFailedError` without
+touching the file.
+
 Truncation (checkpoint log reclamation) rewrites the file through the
 same temp-file + fsync + :func:`os.replace` discipline the image store
 uses, so a crash during truncation leaves either the old or the new
@@ -66,7 +74,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from ..errors import ConfigurationError, WALCorruptionError
+from ..errors import ConfigurationError, WALCorruptionError, WALFailedError
 from ..params import SystemParameters
 from ..wal.log import FlushResult, LogManager
 from ..wal.lsn import LSNAllocator
@@ -311,6 +319,9 @@ class DurableLog(LogManager):
         #: decoding it (the recovery timing report's scan term)
         self.scanned_bytes = 0
         self.scan_seconds = 0.0
+        #: the exception that failed a flush; once set the log is
+        #: fail-stop (see :meth:`raise_if_failed`)
+        self.failure: Optional[BaseException] = None
         if self.path.exists():
             self._scan_and_repair()
         self._file = open(self.path, "ab")
@@ -355,6 +366,13 @@ class DurableLog(LogManager):
         finally:
             os.close(fd)
 
+    def raise_if_failed(self) -> None:
+        """Raise :class:`WALFailedError` if an earlier flush failed."""
+        if self.failure is not None:
+            raise WALFailedError(
+                f"the WAL stopped at a failed flush ({self.failure!r}); "
+                "nothing after it can be made durable") from self.failure
+
     def flush(self) -> FlushResult:
         """Write and fsync the tail, then let the base class mark it stable.
 
@@ -362,10 +380,21 @@ class DurableLog(LogManager):
         ``when_stable`` fire inside ``super().flush()``, and anything
         they trigger (commit acknowledgements) must be preceded by the
         fsync.
+
+        A failure is final.  The tail stays volatile and its waiters
+        unfired, and no later call writes again: the file (or the
+        buffer in front of it) may hold any part of this batch, so a
+        retry would append the whole tail behind a partial or duplicate
+        copy of itself, or re-fsync pages the kernel already dropped.
         """
+        self.raise_if_failed()
         if self._tail:
-            self._file.write(encode_records(self._tail))
-            self._sync_file(self._file)
+            try:
+                self._file.write(encode_records(self._tail))
+                self._sync_file(self._file)
+            except BaseException as exc:
+                self.failure = exc
+                raise
         return super().flush()
 
     def truncate_stable_before(self, lsn: int) -> int:

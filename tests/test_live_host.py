@@ -10,6 +10,7 @@ in ``test_live_smoke.py`` run with fsync on).
 import gc
 import io
 import json
+import os
 import random
 import threading
 import time
@@ -19,7 +20,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.errors import AddressError, ConfigurationError, WALCorruptionError
+from repro.errors import (AddressError, ConfigurationError,
+                          WALCorruptionError, WALFailedError)
 from repro.live import wal as live_wal
 from repro.live.host import LiveConfig, LiveHost
 from repro.live.server import _Handler, _handle
@@ -290,10 +292,11 @@ def test_image_store_hold_runs_at_both_phase_boundaries(tmp_path):
 # ---------------------------------------------------------------------------
 
 def _host(tmp_path, **overrides):
-    config = LiveConfig(data_dir=str(tmp_path), scale=2048,
-                        checkpoint_interval=None, flush_interval=0.002,
-                        fsync=False, **overrides)
-    return LiveHost(config)
+    settings = dict(data_dir=str(tmp_path), scale=2048,
+                    checkpoint_interval=None, flush_interval=0.002,
+                    fsync=False)
+    settings.update(overrides)
+    return LiveHost(LiveConfig(**settings))
 
 
 def _wait_until(predicate, timeout=5.0):
@@ -303,6 +306,34 @@ def _wait_until(predicate, timeout=5.0):
             return True
         time.sleep(0.005)
     return predicate()
+
+
+def _park_dispatcher(host):
+    """Hold the dispatcher inside a callback until the returned event is
+    set: whatever is submitted meanwhile queues up behind it."""
+    parked, release = threading.Event(), threading.Event()
+
+    def park() -> None:
+        parked.set()
+        release.wait(10.0)
+
+    host.scheduler.submit(park)
+    assert parked.wait(2.0)
+    return release
+
+
+def _server_replies(host, requests):
+    """Feed ``requests`` down one connection, as the socket handler sees
+    it; returns the decoded replies."""
+    handler = _Handler.__new__(_Handler)
+    handler.server = SimpleNamespace(live_host=host,
+                                     stop_event=threading.Event())
+    handler.rfile = io.BytesIO(
+        b"".join(json.dumps(r).encode() + b"\n" for r in requests))
+    handler.wfile = io.BytesIO()
+    handler.handle()
+    return [json.loads(line)
+            for line in handler.wfile.getvalue().splitlines()]
 
 
 def test_live_host_commit_read_verify_and_restart(tmp_path):
@@ -390,6 +421,19 @@ def _fail_next_install(monkeypatch, error):
         return real_install(store, *args, **kwargs)
 
     monkeypatch.setattr(ImageStore, "install", install)
+
+
+def _fail_next_fsync(monkeypatch, error):
+    """Make the next ``os.fsync`` raise ``error``, once."""
+    real_fsync = os.fsync
+    pending = [error]
+
+    def fsync(fd):
+        if pending:
+            raise pending.pop()
+        return real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
 
 
 def test_live_host_survives_a_failed_checkpoint_image_write(tmp_path,
@@ -728,10 +772,6 @@ def test_server_answers_a_rejected_transaction_and_keeps_the_connection(
     host = _host(tmp_path)
     host.start()
     try:
-        # one connection, as the socket handler sees it
-        handler = _Handler.__new__(_Handler)
-        handler.server = SimpleNamespace(live_host=host,
-                                         stop_event=threading.Event())
         requests = [
             {"op": "put", "record": 0, "value": 1},
             {"op": "txn", "updates": [[0, 5], [10**9, 1]]},
@@ -740,14 +780,9 @@ def test_server_answers_a_rejected_transaction_and_keeps_the_connection(
             {"op": "get", "record": 0},
             {"op": "verify"},
         ]
-        handler.rfile = io.BytesIO(
-            b"".join(json.dumps(r).encode() + b"\n" for r in requests))
-        handler.wfile = io.BytesIO()
         began = time.monotonic()
-        handler.handle()
+        replies = _server_replies(host, requests)
         assert time.monotonic() - began < 1.0  # no 30 s commit timeout
-        replies = [json.loads(line)
-                   for line in handler.wfile.getvalue().splitlines()]
         assert [r["ok"] for r in replies] == [True, False, False, True,
                                               True, True]
         assert replies[1]["error"].startswith(
@@ -855,3 +890,225 @@ def test_live_host_wal_bytes_are_the_per_record_encoding(tmp_path):
         assert commit_lsn == at + 1
         at += 1
     assert at == len(records)
+
+
+# ---------------------------------------------------------------------------
+# commit-driven group flush: a commit asks for its own flush
+# ---------------------------------------------------------------------------
+
+#: a tick that never comes due inside a test: whatever flushes, a
+#: commit (or a checkpoint / verify) asked for it
+NO_TICK = 30.0
+
+
+def test_live_host_commit_is_acknowledged_without_waiting_for_the_tick(
+        tmp_path):
+    host = _host(tmp_path, flush_interval=NO_TICK)
+    host.start()
+    try:
+        result = host.submit([(1, 11)], timeout=2.0)
+        assert result.commit_lsn == 2
+        assert host.log.stable_lsn == 2
+        assert host.log.flush_count == 1
+        assert host.read(1) == 11
+        assert host.scheduler.errors == []
+    finally:
+        host.stop()
+
+
+def test_live_host_commits_queued_together_share_one_flush(tmp_path):
+    host = _host(tmp_path, flush_interval=NO_TICK, fsync=True)
+    host.start()
+    workers = 8
+    try:
+        host.submit([(0, 1)], timeout=2.0)  # warm: file and trigger used
+        release = _park_dispatcher(host)
+        acks = {}
+
+        def commit(i: int) -> None:
+            acks[i] = host.submit([(i, 100 + i)], timeout=10.0)
+
+        threads = [threading.Thread(target=commit, args=(i,))
+                   for i in range(1, workers + 1)]
+        for thread in threads:
+            thread.start()
+        # every transaction is in the dispatcher's queue, behind the
+        # parked callback, before any of them runs
+        assert _wait_until(lambda: host.scheduler.pending >= workers + 1)
+        flushes, fsyncs = host.log.flush_count, host.log.fsync_count
+        release.set()
+        for thread in threads:
+            thread.join(10.0)
+            assert not thread.is_alive()
+        assert sorted(acks) == list(range(1, workers + 1))
+        # the first to execute asked for the flush; it queued behind the
+        # other seven, so one write + one fsync acknowledged all eight
+        assert host.log.flush_count == flushes + 1
+        assert host.log.fsync_count == fsyncs + 1
+        assert host.log.stable_lsn == max(a.commit_lsn for a in acks.values())
+        assert host.verify() == []
+        assert host.scheduler.errors == []
+    finally:
+        host.stop()
+
+
+@pytest.mark.parametrize("flusher", ["checkpoint", "verify"])
+def test_live_host_requested_flush_behind_another_flush_costs_no_fsync(
+        tmp_path, monkeypatch, flusher):
+    host = _host(tmp_path, flush_interval=NO_TICK, fsync=True)
+    host.start()
+    installing = threading.Event()
+    real_install = ImageStore.install
+
+    def install(store, *args, **kwargs):
+        installing.wait(10.0)  # keeps `finish` (a flush) out of the count
+        return real_install(store, *args, **kwargs)
+
+    monkeypatch.setattr(ImageStore, "install", install)
+    try:
+        host.submit([(0, 1)], timeout=2.0)
+        release = _park_dispatcher(host)
+        acks = []
+        thread = threading.Thread(
+            target=lambda: acks.append(host.submit([(1, 11)], timeout=10.0)))
+        thread.start()
+        assert _wait_until(lambda: host.scheduler.pending >= 2)
+        # queued behind the commit, so ahead of the flush it will ask for
+        if flusher == "checkpoint":
+            host.scheduler.submit(host.checkpointer.start_checkpoint)
+        else:
+            verifier = threading.Thread(target=host.verify)
+            verifier.start()
+            assert _wait_until(lambda: host.scheduler.pending >= 3)
+        flushes, fsyncs = host.log.flush_count, host.log.fsync_count
+        release.set()
+        thread.join(10.0)
+        assert not thread.is_alive() and len(acks) == 1
+        # a barrier behind the requested flush: once it has run, so has
+        # the request
+        host.scheduler.call(lambda: None)
+        records, _ = read_wal(tmp_path / "wal.jsonl")
+        if flusher == "verify":
+            verifier.join(10.0)
+            assert not verifier.is_alive()
+            # verify's flush acknowledged the commit; the flush the
+            # commit had asked for found an empty tail and wrote nothing
+            assert host.log.flush_count == flushes + 1
+            assert host.log.fsync_count == fsyncs + 1
+            assert records[-1] == CommitRecord(acks[0].commit_lsn, 2)
+        else:
+            # the checkpoint's own flush acknowledged the commit; the
+            # requested one carried the begin marker and nothing else,
+            # 30 s before the tick would have
+            assert host.log.flush_count == flushes + 2
+            assert host.log.fsync_count == fsyncs + 2
+            assert records[-2] == CommitRecord(acks[0].commit_lsn, 2)
+            assert records[-1].checkpoint_id == 1
+            installing.set()
+            assert _wait_until(lambda: host.checkpointer.history)
+        assert host.log.tail_records == 0
+        assert host.verify() == []
+        assert host.scheduler.errors == []
+    finally:
+        installing.set()
+        host.stop()
+
+
+def test_live_host_failed_flush_is_never_retried_onto_the_file(tmp_path,
+                                                               monkeypatch):
+    host = _host(tmp_path, flush_interval=NO_TICK, fsync=True)
+    host.start()
+    wal_path = tmp_path / "wal.jsonl"
+    acked = {}
+    try:
+        for i in range(5):
+            host.submit([(i, 4000 + i)], timeout=2.0)
+            acked[i] = 4000 + i
+        _fail_next_fsync(monkeypatch, OSError(5, "Input/output error"))
+        # the commit whose fsync fails is never acknowledged ...
+        with pytest.raises(TimeoutError):
+            host.submit([(7, 7007)], timeout=0.5)
+        assert host.commits == len(acked)
+        assert host.log.stable_lsn == 2 * len(acked)
+        [error] = host.scheduler.errors
+        assert isinstance(error, OSError) and error.errno == 5
+        assert host.log.failure is error
+        size = wal_path.stat().st_size
+        # ... and the next one is refused at once, with the reason,
+        # before a byte of it is logged: fsync works again, but nobody
+        # knows what the failed one left behind
+        last_lsn = host.log.last_lsn
+        for _ in range(3):
+            began = time.monotonic()
+            with pytest.raises(WALFailedError) as refused:
+                host.submit([(8, 8008)], timeout=5.0)
+            assert time.monotonic() - began < 1.0
+            assert refused.value.__cause__ is error
+        # the server says the same instead of timing out after 30 s
+        began = time.monotonic()
+        [reply] = _server_replies(host, [{"op": "put", "record": 8,
+                                          "value": 8008}])
+        assert time.monotonic() - began < 1.0
+        assert reply["ok"] is False
+        assert reply["error"].startswith("WALFailedError: ")
+        assert host.log.last_lsn == last_lsn
+        assert host.read(8) == 0
+        with pytest.raises(WALFailedError):
+            host.scheduler.call(host.flush_log)
+        assert wal_path.stat().st_size == size
+        assert host.scheduler.errors == [error]
+    finally:
+        # stopping cannot flush either and says so, but still lets go
+        # of the dispatcher thread and the file
+        with pytest.raises(WALFailedError):
+            host.stop()
+    assert host.scheduler._thread is None and host.log._file.closed
+
+    reborn = _host(tmp_path)
+    reborn.start()
+    try:
+        assert {i: reborn.read(i) for i in acked} == acked
+        assert reborn.verify() == []
+    finally:
+        reborn.stop()
+
+
+def test_wal_failed_flush_marks_nothing_stable_and_fires_no_waiter(
+        live_params, wal_path, monkeypatch):
+    log = DurableLog(live_params, wal_path, fsync=True)
+    log.append_update(1, 3, 42)
+    first = log.append_commit(1)
+    log.flush()
+    size = wal_path.stat().st_size
+    log.append_update(2, 4, 43)
+    second = log.append_commit(2)
+    fired = []
+    log.when_stable(second.lsn, lambda: fired.append(second.lsn))
+    boom = OSError(5, "Input/output error")
+
+    def write(data):
+        raise boom
+
+    monkeypatch.setattr(log, "_file", SimpleNamespace(
+        write=write, close=log._file.close))
+    with pytest.raises(OSError) as failed:
+        log.flush()
+    assert failed.value is boom and log.failure is boom
+    monkeypatch.undo()  # the file works again; the log must not use it
+    for _ in range(2):
+        with pytest.raises(WALFailedError) as refused:
+            log.flush()
+        assert refused.value.__cause__ is boom
+    assert fired == []
+    assert log.stable_lsn == first.lsn and log.tail_records == 2
+    assert log.drain_newly_stable() == list(log.stable_records())
+    log.close()
+    assert wal_path.stat().st_size == size
+
+
+@pytest.mark.parametrize("flush_interval", [0, 0.0, -1, -0.005])
+def test_live_config_rejects_a_non_positive_flush_interval(tmp_path,
+                                                           flush_interval):
+    with pytest.raises(ConfigurationError, match="flush_interval"):
+        LiveConfig(data_dir=str(tmp_path), flush_interval=flush_interval)
+    assert not (tmp_path / "wal.jsonl").exists()  # nothing was opened

@@ -1,4 +1,5 @@
-"""SIGKILL the live server mid-checkpoint; prove no acked write is lost.
+"""SIGKILL the live server mid-checkpoint (and right after an ack);
+prove no acked write is lost.
 
 The full crash-consistency loop, end to end and out of process: a real
 ``repro serve`` subprocess with fsync on, real acknowledged commits over
@@ -108,6 +109,44 @@ def test_sigkill_at_checkpoint_phase_boundary_loses_nothing(
             response = request(reborn_port, {"op": "get", "record": record})
             assert response["ok"] and response["value"] == value, (
                 record, value, response)
+        response = request(reborn_port, {"op": "verify"})
+        assert response["ok"] and response["mismatches"] == []
+        request(reborn_port, {"op": "shutdown"})
+        reborn.wait(timeout=10)
+    finally:
+        if reborn.poll() is None:
+            reborn.kill()
+            reborn.wait(timeout=10)
+
+
+def test_sigkill_right_after_an_ack_no_timer_flushed(tmp_path):
+    """Ack-after-fsync for a flush the commit itself asked for: with a
+    30 s tick, nothing but the commit-driven group flush can have put
+    the acknowledged record on disk before the kill."""
+    proc, ready = _spawn_server(tmp_path, "--no-checkpoints",
+                                "--flush-interval", "30")
+    try:
+        response = request(ready["port"], {"op": "put", "record": 9,
+                                           "value": 9009}, timeout=5.0)
+        assert response["ok"], response
+        proc.kill()  # SIGKILL, with the reply the only thing it got out
+        proc.wait(timeout=10)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+
+    code, report = _check_disk(tmp_path)
+    assert code == 0, report
+    assert report["consistent"] is True
+    assert report["durable_commits"] == 1
+
+    reborn, _ready = _spawn_server(tmp_path, "--no-checkpoints",
+                                   "--flush-interval", "30")
+    try:
+        reborn_port = _ready["port"]
+        response = request(reborn_port, {"op": "get", "record": 9})
+        assert response["ok"] and response["value"] == 9009, response
         response = request(reborn_port, {"op": "verify"})
         assert response["ok"] and response["mismatches"] == []
         request(reborn_port, {"op": "shutdown"})
