@@ -41,7 +41,6 @@ ENGINE_MODULES = (
     "ports.py",
     "rng.py",
     "timestamps.py",
-    "trace.py",
 )
 
 #: top-level repro subpackages/modules an engine module may import

@@ -23,13 +23,13 @@ through three calls, all re-exported at the package top level::
 **This module is the only assembler outside** :mod:`repro.sim`: the
 CLI, the experiment drivers, the fault checker and the observability
 presets all obtain their system from :func:`build_system` (when they
-need the live object: trace export, fault counters, per-shard history)
-or from :func:`simulate` (when the outcome is enough).  The recipe --
-scaled-down Tables 2a-2d parameters, the checkpoint interval, preloaded
-backups, single engine vs. partitioned -- therefore exists once, and an
-algorithm that is only safe with a stable log tail (FASTFUZZY) is
-granted one by the builder, so every entry point accepts every
-registered algorithm.
+need the live object: the run document, fault counters, per-shard
+history) or from :func:`simulate` (when the outcome is enough).  The
+recipe -- scaled-down Tables 2a-2d parameters, the checkpoint interval,
+preloaded backups, single engine vs. partitioned -- therefore exists
+once, and an algorithm that is only safe with a stable log tail
+(FASTFUZZY) is granted one by the builder, so every entry point accepts
+every registered algorithm.
 """
 
 from __future__ import annotations
@@ -151,8 +151,8 @@ def build_system(
         fault_partitions: the shards that arm ``fault_plan`` in a
             partitioned run (default: all of them).
         **config_fields: extra :class:`SimulationConfig` fields
-            (``trace=True``, ``telemetry=True``, ``spans=True``,
-            ``cpu_mips=50.0``, ``partitions=4``, ...).
+            (``telemetry=True``, ``spans=True``, ``cpu_mips=50.0``,
+            ``partitions=4``, ...).
 
     Returns:
         A :class:`SimulatedSystem`, or for ``partitions > 1`` a

@@ -15,9 +15,9 @@ Commands:
 * ``report``      -- regenerate the full report (tables + CSV + REPORT.md);
 * ``metrics``     -- telemetry report for one instrumented testbed run
   (quantile tables, checkpoint phase timings, abort taxonomy, or JSON);
-* ``trace``       -- event-trace export/summary for one run, or for a
-  previously exported JSONL file; ``--attribution`` adds the
-  checkpoint-stall decomposition of tail latency (span-recorded run),
+* ``trace``       -- span-trace summary for one run (``--out`` saves the
+  run document) or for a saved document (``--load``); ``--attribution``
+  adds the checkpoint-stall decomposition of tail latency,
   ``--chrome-out`` exports the spans as Chrome-trace JSON for
   Perfetto / ``chrome://tracing``;
 * ``faults``      -- deterministic fault injection: run one fault plan
@@ -28,9 +28,10 @@ Commands:
   offered-vs-served load reporting, or ``sweep`` a scenario axis
   against an algorithm list.
 
-Sweep-backed commands (``figures``, ``validate``, ...) also accept
-``--trace-out PATH`` (JSONL stream of per-cell completion events) and
-``--verbose`` (per-cell progress lines on stderr).
+Commands that run simulations through the sweep runner (``validate``,
+``extensions``, ``report``, ``faults --matrix``, ``workload sweep``) also
+accept ``--workers``, ``--replicates``, ``--no-cache`` and ``--verbose``
+(per-cell progress lines on stderr).
 """
 
 from __future__ import annotations
@@ -39,11 +40,9 @@ import argparse
 import json
 import os
 import sys
-import time
-from contextlib import contextmanager
+from collections import Counter
 from dataclasses import asdict
-from functools import partial
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from .api import SimulationOutcome, build_system, simulate
 from .checkpoint.registry import ALGORITHM_NAMES, ALL_ALGORITHM_NAMES
@@ -51,7 +50,6 @@ from .faults.plan import CRASH_PHASES
 from .model.evaluate import evaluate
 from .obs.presets import PRESET_NAMES, get_preset
 from .params import SystemParameters
-from .sim.trace import Tracer
 from .storage.backends import storage_backend_names
 from .sweep import SweepRunner, default_cache_dir
 
@@ -64,79 +62,24 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
                              "for any worker count)")
     parser.add_argument("--replicates", type=int, default=1, metavar="R",
                         help="seeded replicates per simulation point "
-                             "(model-only sweeps are deterministic and "
-                             "ignore this)")
+                             "('faults --matrix' and 'workload sweep' seed "
+                             "their own cells and ignore this)")
     parser.add_argument("--no-cache", action="store_true",
                         help="recompute every point instead of reusing "
                              "the on-disk sweep result cache")
     parser.add_argument("--verbose", action="store_true",
                         help="log one stderr line per completed sweep cell "
                              "(done/total, cache hits, retries, failures)")
-    parser.add_argument("--trace-out", default=None, metavar="PATH",
-                        help="write a JSONL trace of sweep-cell completion "
-                             "events (wall-clock times) to PATH")
 
 
-class _CommandTrace:
-    """Wall-clock tracer for a sweep-backed CLI command.
-
-    Sweep cells run in worker processes, so the simulator's own tracer
-    never sees them; this one records the parent-side lifecycle (command
-    begin/end, one event per completed cell) with wall-clock timestamps
-    relative to command start, in the same JSONL export format.
-    """
-
-    def __init__(self, command: str, **fields: Any) -> None:
-        self.command = command
-        self.tracer = Tracer(enabled=True)
-        self._t0 = time.time()
-        self.tracer.record(0.0, "command.begin", command=command, **fields)
-
-    def now(self) -> float:
-        return time.time() - self._t0
-
-    def on_cell(self, done: int, total: int, cell) -> None:
-        safe_kwargs = {
-            name: value if isinstance(value, (int, float, str, bool,
-                                              type(None))) else repr(value)
-            for name, value in cell.kwargs.items()
-        }
-        self.tracer.record(self.now(), "sweep.cell", done=done, total=total,
-                           replicate=cell.replicate, ok=cell.ok,
-                           cached=cell.cached, retried=cell.retried,
-                           kwargs=safe_kwargs)
-
-    def export(self, path: str, **meta: Any) -> None:
-        from .obs.export import export_run
-        self.tracer.record(self.now(), "command.end", command=self.command)
-        export_run(path, tracer=self.tracer,
-                   meta={"command": self.command, "wall_time": self.now(),
-                         **meta})
-        print(f"trace written to {path}", file=sys.stderr)
-
-
-@contextmanager
-def _sweep(args: argparse.Namespace, command: str,
-           **meta: Any) -> Iterator[SweepRunner]:
-    """The one SweepRunner of a CLI invocation, built from the sweep
-    flags; with ``--trace-out`` the command trace is exported on exit."""
-    trace = _CommandTrace(command) if args.trace_out else None
-    reporters = [trace.on_cell] if trace is not None else []
-    if sys.stderr.isatty():
-        reporters.append(_print_progress)
-
-    def progress(done: int, total: int, cell) -> None:
-        for report in reporters:
-            report(done, total, cell)
-
+def _sweep_runner(args: argparse.Namespace) -> SweepRunner:
+    """The one SweepRunner of a CLI invocation, built from the sweep flags."""
     workers = args.workers if args.workers is not None else os.cpu_count()
-    yield SweepRunner(
+    return SweepRunner(
         workers=workers or 1,
         cache_dir=None if args.no_cache else default_cache_dir(),
-        progress=progress if reporters else None,
+        progress=_print_progress if sys.stderr.isatty() else None,
         verbose=args.verbose)
-    if trace is not None:
-        trace.export(args.trace_out, **meta)
 
 
 def _print_progress(done: int, total: int, _cell) -> None:
@@ -161,7 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     figures.add_argument("--plot", action="store_true",
                          help="render ASCII plots where the figure is a "
                               "curve family")
-    _add_sweep_flags(figures)
 
     ev = sub.add_parser("evaluate", help="analytic model, one configuration")
     ev.add_argument("--algorithm", default="COUCOPY")
@@ -216,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="throughput capacity per algorithm")
     cap.add_argument("--mips", type=float, default=50.0,
                      help="processor budget in MIPS")
-    _add_sweep_flags(cap)
 
     rep = sub.add_parser("report", help="regenerate the full report")
     rep.add_argument("--out", default="reports",
@@ -229,31 +170,25 @@ def build_parser() -> argparse.ArgumentParser:
         "metrics", help="telemetry report for one instrumented testbed run")
     _add_run_flags(met)
     met.add_argument("--json", action="store_true",
-                     help="machine-readable output (meta + summary + "
-                          "telemetry snapshot + checkpoint history)")
-    met.add_argument("--trace-out", default=None, metavar="PATH",
-                     help="also export the full run (events + metrics) "
-                          "as JSONL to PATH")
+                     help="machine-readable output: the run document "
+                          "(meta + summary + telemetry snapshot + "
+                          "checkpoint history)")
     met.add_argument("--load", default=None, metavar="PATH",
-                     help="render a previously exported JSONL run "
-                          "instead of simulating")
+                     help="render a saved run document ('metrics --json' "
+                          "or 'trace --out' output) instead of simulating")
 
     trc = sub.add_parser(
-        "trace", help="event-trace export / summary for one run")
+        "trace", help="span-trace summary / run-document export for one "
+                      "run (txn lifecycle, checkpoint phases, WAL flushes)")
     _add_run_flags(trc)
     trc.add_argument("--out", default=None, metavar="PATH",
-                     help="write the full run export (events + metrics) "
-                          "as JSONL to PATH")
+                     help="save the run document (the 'metrics --json' "
+                          "payload plus the spans) as JSON to PATH")
     trc.add_argument("--load", default=None, metavar="PATH",
-                     help="summarise an existing JSONL trace instead of "
-                          "simulating")
+                     help="summarise a run document saved with --out "
+                          "instead of simulating")
     trc.add_argument("--tail", type=int, default=20, metavar="N",
-                     help="show the last N buffered events (default 20)")
-    trc.add_argument("--spans", action="store_true",
-                     help="record begin/end spans (txn lifecycle, "
-                          "checkpoint phases, WAL flushes) alongside the "
-                          "event trace; implied by --attribution and "
-                          "--chrome-out")
+                     help="show the last N recorded spans (default 20)")
     trc.add_argument("--attribution", action="store_true",
                      help="decompose p50/p95/p99 commit latency by cause "
                           "(quiesce / ckpt-held locks / rerun backoff / "
@@ -465,20 +400,18 @@ def _cmd_figures(args: argparse.Namespace) -> str:
     # extension runs only when asked for by name.
     chosen = (["4a", "4b", "4c", "4d", "4e"] if args.which == "all"
               else [args.which])
-    with _sweep(args, "figures", which=args.which) as runner:
-        renderers = {
-            "4a": fig4a.render, "4b": partial(fig4b.render, runner=runner),
-            "4c": partial(fig4c.render, runner=runner), "4d": fig4d.render,
-            "4e": fig4e.render, "recovery-scaling": recovery_scaling.render,
-        }
-        blocks = [renderers[name]() for name in chosen]
-        if args.plot:
-            blocks.extend(_figure_plots(chosen, runner))
+    renderers = {
+        "4a": fig4a.render, "4b": fig4b.render, "4c": fig4c.render,
+        "4d": fig4d.render, "4e": fig4e.render,
+        "recovery-scaling": recovery_scaling.render,
+    }
+    blocks = [renderers[name]() for name in chosen]
+    if args.plot:
+        blocks.extend(_figure_plots(chosen))
     return "\n\n".join(blocks)
 
 
-def _figure_plots(chosen: List[str],
-                  runner: Optional[SweepRunner] = None) -> List[str]:
+def _figure_plots(chosen: List[str]) -> List[str]:
     from .experiments import fig4b, fig4c
     from .experiments.ascii_plot import AsciiPlot
     plots: List[str] = []
@@ -487,7 +420,7 @@ def _figure_plots(chosen: List[str],
                          x_label="recovery time (s)",
                          y_label="overhead (instructions/txn)", log_y=True)
         for (alg, disks), curve in sorted(
-                fig4b.figure4b(runner=runner).items()):
+                fig4b.figure4b().items()):
             plot.add_series(f"{alg}/{disks}d",
                             [(p.recovery_time, p.overhead_per_txn)
                              for p in curve])
@@ -497,7 +430,7 @@ def _figure_plots(chosen: List[str],
                          x_label="arrival rate (txns/s)",
                          y_label="overhead (instructions/txn)",
                          log_x=True, log_y=True)
-        for name, points in fig4c.figure4c(runner=runner).items():
+        for name, points in fig4c.figure4c().items():
             plot.add_series(name, [(p.lam, p.overhead_per_txn)
                                    for p in points])
         plots.append(plot.render())
@@ -633,11 +566,9 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
 
 def _cmd_validate(args: argparse.Namespace) -> str:
     from .experiments import validation
-    with _sweep(args, "validate", duration=args.duration,
-                seed=args.seed) as runner:
-        rows = validation.run_validation_suite(
-            duration=args.duration, seed=args.seed,
-            replicates=args.replicates, runner=runner)
+    rows = validation.run_validation_suite(
+        duration=args.duration, seed=args.seed,
+        replicates=args.replicates, runner=_sweep_runner(args))
     return validation.render(rows)
 
 
@@ -648,28 +579,32 @@ def _cmd_ablations(_args: argparse.Namespace) -> str:
 
 def _cmd_extensions(args: argparse.Namespace) -> str:
     from .experiments import extensions
-    with _sweep(args, "extensions") as runner:
-        return extensions.render(replicates=args.replicates, runner=runner)
+    return extensions.render(replicates=args.replicates,
+                             runner=_sweep_runner(args))
 
 
 def _cmd_capacity(args: argparse.Namespace) -> str:
     from .experiments import capacity
-    with _sweep(args, "capacity", mips=args.mips) as runner:
-        return capacity.render(mips=args.mips, runner=runner)
+    return capacity.render(mips=args.mips)
 
 
 def _cmd_report(args: argparse.Namespace) -> str:
     from .experiments.report import generate_report
-    with _sweep(args, "report", fast=args.fast) as runner:
-        path = generate_report(args.out, include_simulations=not args.fast,
-                               replicates=args.replicates, runner=runner)
+    path = generate_report(args.out, include_simulations=not args.fast,
+                           replicates=args.replicates,
+                           runner=_sweep_runner(args))
     return f"report written to {path}"
 
 
-def _build_run(args: argparse.Namespace, *, trace: bool,
-               spans: bool = False) -> "tuple[Any, float, Dict[str, Any]]":
-    """One telemetry-instrumented system from a preset or run flags."""
-    observe = {"telemetry": True, "trace": trace, "spans": spans}
+def _run_document(args: argparse.Namespace, *,
+                  spans: bool) -> Dict[str, Any]:
+    """The run document ``metrics`` / ``trace`` render: reloaded from
+    ``--load``, else one telemetry-instrumented run of a preset or of
+    the run flags."""
+    from .obs.export import load_run, run_document
+    if args.load:
+        return load_run(args.load)
+    observe = {"telemetry": True, "spans": spans}
     if args.preset:
         preset = get_preset(args.preset)
         system = preset.build_system(**observe)
@@ -684,91 +619,62 @@ def _build_run(args: argparse.Namespace, *, trace: bool,
         duration = args.duration if args.duration is not None else 6.0
         meta = {"algorithm": args.algorithm, "scale": args.scale,
                 "lam": args.lam, "duration": duration, "seed": args.seed}
-    return system, duration, meta
+    system.run(duration)
+    return run_document(system, meta)
 
 
 def _cmd_metrics(args: argparse.Namespace) -> str:
-    from .obs.export import export_system_run, load_run
+    from .obs.export import METRICS_KEYS
     from .obs.report import render_metrics_report
-    if args.load:
-        record = load_run(args.load)
-        payload: Dict[str, Any] = {
-            "meta": record.meta, "summary": record.summary,
-            "telemetry": record.telemetry,
-            "checkpoints": record.checkpoints,
-        }
-    else:
-        system, duration, meta = _build_run(args, trace=bool(args.trace_out))
-        metrics = system.run(duration)
-        payload = {
-            "meta": meta,
-            "summary": asdict(metrics),
-            "telemetry": system.telemetry_snapshot(),
-            "checkpoints": [asdict(stats)
-                            for stats in system.checkpointer.history],
-        }
-        if args.trace_out:
-            export_system_run(args.trace_out, system, meta=meta)
-            print(f"trace written to {args.trace_out}", file=sys.stderr)
+    document = _run_document(args, spans=False)
+    # A document saved by ``trace --out`` also carries spans; this
+    # command renders what a direct run of it would.
+    payload = {key: document[key] for key in METRICS_KEYS}
     if args.json:
         return json.dumps(payload, sort_keys=True, indent=2)
-    return render_metrics_report(
-        summary=payload["summary"], telemetry=payload["telemetry"],
-        checkpoints=payload["checkpoints"], meta=payload["meta"])
+    return render_metrics_report(**payload)
 
 
 def _cmd_trace(args: argparse.Namespace) -> str:
     from .errors import ConfigurationError
-    from .obs.export import export_system_run, load_run
-    want_spans = args.spans or args.attribution or bool(args.chrome_out)
-    spans: Optional[List[Dict[str, Any]]] = None
-    if args.load:
-        record = load_run(args.load)
-        tracer = record.tracer
-        spans = record.spans
-        header = f"{args.load}: {len(tracer)} buffered events"
-        if want_spans and spans is None:
-            raise ConfigurationError(
-                f"{args.load} carries no span trace; re-export the run "
-                "with 'repro trace --spans --out PATH'")
-    else:
-        system, duration, meta = _build_run(args, trace=True,
-                                            spans=want_spans)
-        system.run(duration)
-        tracer = system.tracer
-        spans = system.spans_snapshot()
-        header = (f"{meta['algorithm']} seed={meta['seed']}: "
-                  f"{tracer.recorded} events recorded, "
-                  f"{tracer.dropped} dropped "
-                  f"(rate {tracer.drop_rate:.2%}), "
-                  f"{len(tracer)} buffered")
-        if spans is not None:
-            header += f"; {len(spans)} spans"
-        if args.out:
-            lines = export_system_run(args.out, system, meta=meta)
-            print(f"{lines} lines written to {args.out}", file=sys.stderr)
+    from .obs.spans import DEFAULT_SPAN_CAPACITY, chrome_trace
+    document = _run_document(args, spans=True)
+    if "spans" not in document:
+        raise ConfigurationError(
+            f"{args.load} carries no span trace; re-export the run "
+            "with 'repro trace --out PATH'")
+    spans, meta = document["spans"], document["meta"]
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fp:
+            json.dump(document, fp, sort_keys=True, indent=2)
+        print(f"run document written to {args.out}", file=sys.stderr)
     if args.chrome_out:
-        from .obs.spans import chrome_trace
         with open(args.chrome_out, "w", encoding="utf-8") as fp:
-            json.dump(chrome_trace(spans or []), fp)
+            json.dump(chrome_trace(spans), fp)
         print(f"chrome trace written to {args.chrome_out} "
               "(open in Perfetto or chrome://tracing)", file=sys.stderr)
-    out = [header, "", "events by kind:"]
-    kinds = tracer.kinds()
-    for kind in sorted(kinds):
-        out.append(f"  {kind:24s} {kinds[kind]}")
-    tail = list(tracer)[-args.tail:] if args.tail > 0 else []
+    out = [f"{meta['algorithm']} seed={meta['seed']}: "
+           f"{len(spans)} spans recorded, {document['spans_dropped']} "
+           f"dropped (cap {DEFAULT_SPAN_CAPACITY})",
+           "", "spans by name:"]
+    counts = Counter(span["name"] for span in spans)
+    for name in sorted(counts):
+        out.append(f"  {name:24s} {counts[name]}")
+    tail = spans[-args.tail:] if args.tail > 0 else []
     if tail:
         out.append("")
-        out.append(f"last {len(tail)} events:")
-        for event in tail:
+        out.append(f"last {len(tail)} spans (start, duration, name, fields):")
+        for span in tail:
             fields = " ".join(f"{name}={value}" for name, value
-                              in sorted(event.fields.items()))
-            out.append(f"  {event.time:10.6f}  {event.kind:20s} {fields}")
+                              in sorted(span["fields"].items()))
+            out.append(f"  {span['start']:10.6f}  "
+                       f"{span['end'] - span['start']:10.6f}  "
+                       f"{span['name']:20s} {fields}"
+                       + (" (open)" if span.get("open") else ""))
     if args.attribution:
         from .obs.attribution import render_attribution
         out.append("")
-        out.append(render_attribution(spans or []))
+        out.append(render_attribution(spans))
     return "\n".join(out)
 
 
@@ -810,12 +716,11 @@ def _cmd_faults(args: argparse.Namespace) -> str:
                              duration=args.duration,
                              torn_writes=args.torn_writes or None,
                              io_faults=args.io_error_rate > 0)
-        with _sweep(args, "faults", matrix=args.matrix) as runner:
-            result = runner.map(
-                run_fault_cell, crash_matrix_points(algorithms, plans),
-                fixed={"scale": args.scale, "duration": args.duration,
-                       "checkpoint_interval": args.interval},
-                base_seed=args.seed, seed_arg="seed")
+        result = _sweep_runner(args).map(
+            run_fault_cell, crash_matrix_points(algorithms, plans),
+            fixed={"scale": args.scale, "duration": args.duration,
+                   "checkpoint_interval": args.interval},
+            base_seed=args.seed, seed_arg="seed")
         reports = [cell.value for cell in result if cell.ok]
         if args.json:
             return json.dumps(
@@ -972,10 +877,9 @@ def _workload_sweep(args: argparse.Namespace) -> str:
                              "interval": args.interval}
     if args.duration is not None:
         fixed["duration"] = args.duration
-    with _sweep(args, "workload", scenarios=",".join(scenarios)) as runner:
-        result = runner.map(run_scenario_cell,
-                            scenario_points(scenarios, algorithms),
-                            fixed=fixed)
+    result = _sweep_runner(args).map(run_scenario_cell,
+                                     scenario_points(scenarios, algorithms),
+                                     fixed=fixed)
     if args.json:
         return json.dumps(
             {"cells": [cell.value for cell in result if cell.ok],

@@ -18,7 +18,6 @@ from typing import List, Optional, Sequence
 from ..model.evaluate import ModelOptions
 from ..model.utilization import cpu_utilization, throughput_capacity
 from ..params import PAPER_DEFAULTS, SystemParameters
-from ..sweep import SweepRunner, SweepSpec, resolve_runner
 from ..units import text_table
 
 DEFAULT_MIPS = 50.0
@@ -42,7 +41,7 @@ def _capacity_point(
     params: SystemParameters,
     options: Optional[ModelOptions] = None,
 ) -> CapacityPoint:
-    """One sweep point: saturate one algorithm on one machine."""
+    """Saturate one algorithm on one machine."""
     p = params
     if algorithm == "FASTFUZZY":
         p = p.replace(stable_log_tail=True)
@@ -63,26 +62,15 @@ def capacity_table(
     mips: float = DEFAULT_MIPS,
     algorithms: Sequence[str] = ALGORITHMS,
     options: Optional[ModelOptions] = None,
-    runner: Optional[SweepRunner] = None,
-    workers: Optional[int] = None,
 ) -> List[CapacityPoint]:
     """Maximum sustainable throughput for each algorithm."""
-    spec = SweepSpec.from_points(
-        _capacity_point,
-        [{"algorithm": name} for name in algorithms],
-        fixed={"mips": mips, "params": params, "options": options})
-    result = resolve_runner(runner, workers).run(spec)
-    result.raise_failures()
-    return result.values()
+    return [_capacity_point(name, mips, params, options)
+            for name in algorithms]
 
 
 def render(params: SystemParameters = PAPER_DEFAULTS,
-           mips: float = DEFAULT_MIPS,
-           *,
-           runner: Optional[SweepRunner] = None,
-           workers: Optional[int] = None) -> str:
-    points = capacity_table(params, mips=mips, runner=runner,
-                            workers=workers)
+           mips: float = DEFAULT_MIPS) -> str:
+    points = capacity_table(params, mips=mips)
     ideal = mips * 1e6 / params.c_trans
     rows = [
         (p.algorithm, f"{p.max_throughput:.0f}",

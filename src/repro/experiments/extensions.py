@@ -47,7 +47,7 @@ class SpectrumPoint:
 
 def _spectrum_point(algorithm: str, consistency: str,
                     params: SystemParameters) -> SpectrumPoint:
-    """One sweep point: the model at one consistency level."""
+    """The model at one consistency level."""
     result = evaluate(algorithm, params)
     return SpectrumPoint(
         algorithm=algorithm,
@@ -59,19 +59,10 @@ def _spectrum_point(algorithm: str, consistency: str,
 
 def consistency_spectrum(
     params: SystemParameters = PAPER_DEFAULTS,
-    *,
-    runner: Optional[SweepRunner] = None,
-    workers: Optional[int] = None,
 ) -> List[SpectrumPoint]:
     """Model overhead across the fuzzy -> AC -> TC spectrum."""
-    spec = SweepSpec.from_points(
-        _spectrum_point,
-        [{"algorithm": name, "consistency": level}
-         for name, level in CONSISTENCY_SPECTRUM],
-        fixed={"params": params})
-    result = resolve_runner(runner, workers).run(spec)
-    result.raise_failures()
-    return result.values()
+    return [_spectrum_point(name, level, params)
+            for name, level in CONSISTENCY_SPECTRUM]
 
 
 @dataclass(frozen=True)
@@ -152,7 +143,7 @@ def render(params: SystemParameters = PAPER_DEFAULTS,
     spectrum_rows = [
         (p.algorithm, p.consistency, fmt_instructions(p.overhead_per_txn),
          f"{p.recovery_time:.1f}s")
-        for p in consistency_spectrum(params, runner=runner, workers=workers)
+        for p in consistency_spectrum(params)
     ]
     spectrum = text_table(
         ["algorithm", "consistency", "overhead/txn", "recovery"],

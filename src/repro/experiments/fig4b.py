@@ -24,7 +24,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..model.duration import minimum_duration
 from ..model.evaluate import ModelOptions, evaluate
 from ..params import PAPER_DEFAULTS, SystemParameters
-from ..sweep import SweepRunner, SweepSpec, resolve_runner
 from ..units import fmt_instructions, fmt_seconds, text_table
 from .common import geometric_sweep
 
@@ -50,7 +49,7 @@ def _tradeoff_point(
     params: SystemParameters,
     options: Optional[ModelOptions] = None,
 ) -> TradeoffPoint:
-    """One sweep point: evaluate the model at one trajectory position."""
+    """Evaluate the model at one trajectory position."""
     result = evaluate(algorithm, params.replace(n_bdisks=n_bdisks),
                       interval=interval, options=options)
     return TradeoffPoint(
@@ -70,35 +69,23 @@ def figure4b(
     points_per_curve: int = 10,
     max_interval: float = 600.0,
     options: Optional[ModelOptions] = None,
-    runner: Optional[SweepRunner] = None,
-    workers: Optional[int] = None,
 ) -> Dict[Tuple[str, int], List[TradeoffPoint]]:
     """Trace each (algorithm, disk count) trajectory."""
-    grid: List[Dict[str, object]] = []
-    curve_keys: List[Tuple[str, int, int]] = []
+    curves: Dict[Tuple[str, int], List[TradeoffPoint]] = {}
     for n_disks in disk_counts:
         p = params.replace(n_bdisks=n_disks)
         low = minimum_duration(p)
         intervals = geometric_sweep(low, max(max_interval, low * 1.01),
                                     points_per_curve)
         for algorithm in algorithms:
-            curve_keys.append((algorithm, n_disks, len(intervals)))
-            grid.extend({"algorithm": algorithm, "n_bdisks": n_disks,
-                         "interval": interval} for interval in intervals)
-    result = resolve_runner(runner, workers).run(SweepSpec.from_points(
-        _tradeoff_point, grid, fixed={"params": params, "options": options}))
-    result.raise_failures()
-    values = iter(result.values())
-    return {(algorithm, n_disks): [next(values) for _ in range(count)]
-            for algorithm, n_disks, count in curve_keys}
+            curves[algorithm, n_disks] = [
+                _tradeoff_point(algorithm, n_disks, interval, params, options)
+                for interval in intervals]
+    return curves
 
 
-def render(params: SystemParameters = PAPER_DEFAULTS,
-           *,
-           runner: Optional[SweepRunner] = None,
-           workers: Optional[int] = None) -> str:
-    curves = figure4b(params, points_per_curve=6, runner=runner,
-                      workers=workers)
+def render(params: SystemParameters = PAPER_DEFAULTS) -> str:
+    curves = figure4b(params, points_per_curve=6)
     blocks = []
     for (algorithm, disks), curve in sorted(curves.items()):
         rows = [(fmt_seconds(pt.interval),

@@ -26,7 +26,6 @@ from typing import Dict, List, Optional, Sequence
 from ..model.duration import minimum_duration
 from ..model.evaluate import ModelOptions, evaluate
 from ..params import PAPER_DEFAULTS, SystemParameters
-from ..sweep import SweepRunner, SweepSpec, resolve_runner
 from ..units import fmt_instructions, text_table
 
 ALGORITHMS = ("FUZZYCOPY", "2CFLUSH", "2CCOPY", "COUFLUSH", "COUCOPY")
@@ -51,7 +50,7 @@ def _load_point(
     params: SystemParameters,
     options: Optional[ModelOptions] = None,
 ) -> LoadPoint:
-    """One sweep point: the model at one (algorithm, load) pair."""
+    """The model at one (algorithm, load) pair."""
     result = evaluate(algorithm, params.replace(lam=lam), interval=interval,
                       options=options)
     return LoadPoint(
@@ -68,22 +67,12 @@ def figure4c(
     loads: Sequence[float] = DEFAULT_LOADS,
     algorithms: Sequence[str] = ALGORITHMS,
     options: Optional[ModelOptions] = None,
-    runner: Optional[SweepRunner] = None,
-    workers: Optional[int] = None,
 ) -> Dict[str, List[LoadPoint]]:
     """Sweep the arrival rate at the default-load minimum interval."""
     interval = minimum_duration(params)
-    spec = SweepSpec.from_points(
-        _load_point,
-        [{"algorithm": algorithm, "lam": lam}
-         for lam in loads for algorithm in algorithms],
-        fixed={"interval": interval, "params": params, "options": options})
-    result = resolve_runner(runner, workers).run(spec)
-    result.raise_failures()
-    curves: Dict[str, List[LoadPoint]] = {name: [] for name in algorithms}
-    for point in result.values():
-        curves[point.algorithm].append(point)
-    return curves
+    return {algorithm: [_load_point(algorithm, lam, interval, params, options)
+                        for lam in loads]
+            for algorithm in algorithms}
 
 
 def cheapest_at(curves: Dict[str, List[LoadPoint]], lam: float) -> str:
@@ -97,11 +86,8 @@ def cheapest_at(curves: Dict[str, List[LoadPoint]], lam: float) -> str:
     return best_name
 
 
-def render(params: SystemParameters = PAPER_DEFAULTS,
-           *,
-           runner: Optional[SweepRunner] = None,
-           workers: Optional[int] = None) -> str:
-    curves = figure4c(params, runner=runner, workers=workers)
+def render(params: SystemParameters = PAPER_DEFAULTS) -> str:
+    curves = figure4c(params)
     loads = [point.lam for point in next(iter(curves.values()))]
     rows = []
     for lam in loads:

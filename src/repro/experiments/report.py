@@ -52,8 +52,9 @@ def generate_report(
     """Write the full report; returns the REPORT.md path.
 
     ``runner`` / ``workers`` thread a shared :class:`~repro.sweep.SweepRunner`
-    through every sweep-backed section, so one process pool (and one result
-    cache) serves the whole report.
+    through every simulation-backed section, so one process pool (and one
+    result cache) serves the whole report; the analytic sections are plain
+    loops over the model.
     """
     target = Path(directory)
     target.mkdir(parents=True, exist_ok=True)
@@ -62,16 +63,12 @@ def generate_report(
     sections: List[str] = [_HEADER]
     sections.append("## Model parameters (Tables 2a-2d)\n\n```\n"
                     + tables.render(params) + "\n```")
-    sections.append("## Figure 4a\n\n```\n" + fig4a.render(params) + "\n```")
-    for title, module in (("Figure 4b", fig4b), ("Figure 4c", fig4c)):
-        sections.append(f"## {title}\n\n```\n"
-                        + module.render(params, runner=runner,
-                                        workers=workers) + "\n```")
-    for title, module in (("Figure 4d", fig4d), ("Figure 4e", fig4e)):
+    for title, module in (("Figure 4a", fig4a), ("Figure 4b", fig4b),
+                          ("Figure 4c", fig4c), ("Figure 4d", fig4d),
+                          ("Figure 4e", fig4e)):
         sections.append(f"## {title}\n\n```\n{module.render(params)}\n```")
     sections.append("## Throughput capacity (extension)\n\n```\n"
-                    + capacity.render(params, runner=runner, workers=workers)
-                    + "\n```")
+                    + capacity.render(params) + "\n```")
     sections.append("## Modelling-choice ablations\n\n```\n"
                     + ablations.render(params) + "\n```")
     if include_simulations:

@@ -8,8 +8,9 @@ and transaction processing; this subsystem is the measuring equipment.
   namespace holding them;
 * :mod:`repro.obs.telemetry` -- the :class:`Telemetry` handle every
   instrumented component keys off (and its no-op default);
-* :mod:`repro.obs.export` -- JSONL run export/import: event stream plus
-  final metrics snapshot, round-tripping bit-identically;
+* :mod:`repro.obs.export` -- the run document: one JSON object per run
+  (summary, registry snapshot, checkpoint history, spans), written and
+  reloaded bit-identically;
 * :mod:`repro.obs.report` -- quantile tables, checkpoint phase timings,
   abort taxonomy, timeline sparklines (the ``repro metrics`` output);
 * :mod:`repro.obs.spans` -- begin/end spans with parent links: per-
@@ -22,7 +23,7 @@ and transaction processing; this subsystem is the measuring equipment.
   ``ckpt.partition``, per-shard telemetry merging, replay-rate gauges;
 * :mod:`repro.obs.presets` -- named scenarios for the CLI and CI.
 
-See ``docs/OBSERVABILITY.md`` for the metric catalog and event schema.
+See ``docs/OBSERVABILITY.md`` for the metric catalog and span names.
 """
 
 from .attribution import (
@@ -31,7 +32,7 @@ from .attribution import (
     latency_timeline,
     render_attribution,
 )
-from .export import RunRecord, export_run, export_system_run, load_run
+from .export import load_run, run_document
 from .metrics import (
     Counter,
     Gauge,
@@ -64,15 +65,12 @@ __all__ = [
     "NULL_SPANS",
     "NULL_TELEMETRY",
     "PARTITION_FIELD",
-    "RunRecord",
     "SpanRecorder",
     "Telemetry",
     "Timeline",
     "attribute_stalls",
     "chrome_trace",
     "decompose_quantiles",
-    "export_run",
-    "export_system_run",
     "latency_timeline",
     "load_run",
     "merge_partition_spans",
@@ -81,5 +79,6 @@ __all__ = [
     "render_attribution",
     "render_merged_sweep_telemetry",
     "render_metrics_report",
+    "run_document",
     "tag_spans_with_partition",
 ]

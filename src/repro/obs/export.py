@@ -1,128 +1,79 @@
-"""Run export/import: one JSONL file per run, events plus metrics.
+"""The run document: one run, one JSON object.
 
-The export format is line-oriented JSON with three line shapes:
+A saved run is exactly the ``repro metrics --json`` payload -- the keys
+in :data:`METRICS_KEYS`: ``meta`` (the scenario identity: algorithm,
+seed, duration, preset name, ...), ``summary`` (the final
+:class:`~repro.sim.system.SimulationMetrics` dict), ``telemetry`` (the
+:class:`~repro.obs.metrics.MetricsRegistry` snapshot) and
+``checkpoints`` (the per-checkpoint phase history) -- plus, for a
+span-recorded run, ``spans`` (the
+:meth:`~repro.obs.spans.SpanRecorder.snapshot` list) and
+``spans_dropped`` (spans refused at the recorder's cap).  The two span
+keys are absent, not null, when spans were off.
+``schemas/metrics.schema.json`` describes the document.
 
-* a **meta** header -- ``{"type": "meta", ...}`` with the scenario
-  identity (algorithm, seed, duration, preset name, ...);
-* zero or more **event** lines -- ``{"time": ..., "kind": ...,
-  "fields": {...}}``, exactly what :meth:`repro.sim.trace.Tracer.
-  write_jsonl` emits;
-* a **metrics** footer -- ``{"type": "metrics", "summary": {...},
-  "telemetry": {...}, "checkpoints": [...], "spans": [...]}`` holding
-  the final :class:`~repro.sim.system.SimulationMetrics` dict, the
-  :class:`~repro.obs.metrics.MetricsRegistry` snapshot, the
-  per-checkpoint phase history, and -- for a span-recorded run -- the
-  :meth:`~repro.obs.spans.SpanRecorder.snapshot` span list (``null``
-  when spans were off, so the absence is distinguishable from an
-  empty trace).
-
-Every value is a plain JSON scalar/dict/list, so a file written by
-:func:`export_run` reloads with :func:`load_run` into exactly the
-structures that produced it -- the round-trip determinism contract
+:func:`run_document` is the one writer (``repro metrics --json`` prints
+it, ``repro trace --out`` saves it); :func:`load_run` is the one reader
+(``repro metrics --load`` / ``repro trace --load``).  Every value is a
+plain JSON scalar/dict/list, so a document reloads into exactly the
+structures that produced it -- the round-trip contract
 ``tests/test_obs.py`` enforces.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, TYPE_CHECKING, Union
+from dataclasses import asdict
+from typing import Any, Dict, TYPE_CHECKING, Union
 
 from ..errors import ConfigurationError
-from ..sim.trace import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..sim.system import SimulatedSystem
 
 PathLike = Union[str, "os.PathLike[str]"]
 
-
-@dataclass
-class RunRecord:
-    """One exported run, reloaded."""
-
-    meta: Dict[str, Any] = field(default_factory=dict)
-    tracer: Tracer = field(default_factory=lambda: Tracer(enabled=True))
-    summary: Optional[Dict[str, Any]] = None
-    telemetry: Optional[Dict[str, Any]] = None
-    checkpoints: List[Dict[str, Any]] = field(default_factory=list)
-    spans: Optional[List[Dict[str, Any]]] = None
+#: the keys every run document carries (the ``metrics --json`` payload)
+METRICS_KEYS = ("meta", "summary", "telemetry", "checkpoints")
 
 
-def export_run(
-    path: PathLike,
-    *,
-    tracer: Optional[Tracer] = None,
-    summary: Optional[Dict[str, Any]] = None,
-    telemetry: Optional[Dict[str, Any]] = None,
-    checkpoints: Optional[List[Dict[str, Any]]] = None,
-    spans: Optional[List[Dict[str, Any]]] = None,
-    meta: Optional[Dict[str, Any]] = None,
-) -> int:
-    """Write one run to ``path``; returns the number of lines written."""
-    lines = 0
-    with open(path, "w", encoding="utf-8") as fp:
-        header = {"type": "meta", **(meta or {})}
-        fp.write(json.dumps(header, sort_keys=True) + "\n")
-        lines += 1
-        if tracer is not None:
-            lines += tracer.write_jsonl(fp)
-        footer = {
-            "type": "metrics",
-            "summary": summary,
-            "telemetry": telemetry,
-            "checkpoints": checkpoints or [],
-            "spans": spans,
-        }
-        fp.write(json.dumps(footer, sort_keys=True) + "\n")
-        lines += 1
-    return lines
+def run_document(system: "SimulatedSystem",
+                 meta: Dict[str, Any]) -> Dict[str, Any]:
+    """A simulated system's run as one JSON-ready document."""
+    document: Dict[str, Any] = {
+        "meta": meta,
+        "summary": asdict(system.metrics()),
+        "telemetry": system.telemetry_snapshot(),
+        "checkpoints": [asdict(stats)
+                        for stats in system.checkpointer.history],
+    }
+    if system.spans.enabled:
+        document["spans"] = system.spans.snapshot()
+        document["spans_dropped"] = system.spans.dropped
+    return document
 
 
-def export_system_run(path: PathLike, system: "SimulatedSystem",
-                      meta: Optional[Dict[str, Any]] = None) -> int:
-    """Export a simulated system's trace, metrics, and checkpoint history."""
-    return export_run(
-        path,
-        tracer=system.tracer,
-        summary=asdict(system.metrics()),
-        telemetry=system.telemetry_snapshot(),
-        checkpoints=[asdict(stats) for stats in system.checkpointer.history],
-        spans=system.spans_snapshot(),
-        meta={
-            "algorithm": system.config.algorithm,
-            "seed": system.config.seed,
-            "n_segments": system.params.n_segments,
-            "trace_dropped": system.tracer.dropped,
-            "trace_drop_rate": system.tracer.drop_rate,
-            **(meta or {}),
-        },
-    )
+def load_run(path: PathLike) -> Dict[str, Any]:
+    """Reload a run document written from :func:`run_document`.
 
-
-def load_run(path: PathLike, capacity: int = 1_000_000) -> RunRecord:
-    """Reload an exported run (tolerates bare Tracer JSONL files too)."""
-    record = RunRecord(tracer=Tracer(capacity=capacity, enabled=True))
-    saw_any = False
-    with open(path, "r", encoding="utf-8") as fp:
-        for line in fp:
-            line = line.strip()
-            if not line:
-                continue
-            data = json.loads(line)
-            saw_any = True
-            if "time" in data and "kind" in data:
-                record.tracer.append_dict(data)
-            elif data.get("type") == "meta":
-                record.meta = {k: v for k, v in data.items() if k != "type"}
-            elif data.get("type") == "metrics":
-                record.summary = data.get("summary")
-                record.telemetry = data.get("telemetry")
-                record.checkpoints = data.get("checkpoints") or []
-                record.spans = data.get("spans")
-            else:
-                raise ConfigurationError(
-                    f"{path}: unrecognised line in run export: {line[:80]!r}")
-    if not saw_any:
-        raise ConfigurationError(f"{path}: empty run export")
-    return record
+    Raises:
+        ConfigurationError: ``path`` cannot be read, or does not hold
+            one JSON object with the :data:`METRICS_KEYS` (the JSONL
+            exports of earlier versions are refused, not converted).
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fp:
+            document = json.load(fp)
+    except OSError as exc:
+        raise ConfigurationError(f"{path}: cannot read run document "
+                                 f"({exc.strerror})") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        document = None
+    if not isinstance(document, dict) or any(
+            key not in document for key in METRICS_KEYS):
+        raise ConfigurationError(
+            f"{path}: not a run document (one JSON object with keys "
+            f"{', '.join(METRICS_KEYS)}); save one with 'repro trace --out "
+            "PATH' or 'repro metrics --json' -- a JSONL export of an "
+            "earlier version has to be re-exported that way")
+    return document

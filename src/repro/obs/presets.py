@@ -34,7 +34,7 @@ class ScenarioPreset:
 
     def build_system(self, **config_fields: Any) -> Any:
         """The preset's system, not yet run; ``config_fields`` add the
-        per-invocation switches (``telemetry``, ``trace``, ``spans``)."""
+        per-invocation switches (``telemetry``, ``spans``)."""
         return build_system(
             self.algorithm, scale=self.scale, lam=self.lam, seed=self.seed,
             interval=self.interval, stable_tail=self.stable_tail,

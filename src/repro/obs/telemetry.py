@@ -5,7 +5,7 @@ behind an ``enabled`` flag.  Instrumentation sites hold one shared
 instance and guard each event with the flag::
 
     if self.telemetry.enabled:
-        self.telemetry.observe("disk.backup.service_time", service)
+        self.telemetry.registry.observe("disk.backup.service_time", service)
 
 so a disabled run pays exactly one attribute load + predicate per event
 -- no argument evaluation, no dict lookups, no allocation.  The
@@ -34,23 +34,6 @@ class Telemetry:
                  registry: Optional[MetricsRegistry] = None) -> None:
         self.enabled = enabled
         self.registry = registry if registry is not None else MetricsRegistry()
-
-    # -- update helpers (each guarded, for call sites without hot loops) -----
-    def count(self, name: str, n: float = 1) -> None:
-        if self.enabled:
-            self.registry.count(name, n)
-
-    def observe(self, name: str, value: float) -> None:
-        if self.enabled:
-            self.registry.observe(name, value)
-
-    def gauge(self, name: str, value: float) -> None:
-        if self.enabled:
-            self.registry.set_gauge(name, value)
-
-    def add_busy(self, name: str, start: float, duration: float) -> None:
-        if self.enabled:
-            self.registry.add_busy(name, start, duration)
 
     def snapshot(self) -> Optional[Dict[str, Any]]:
         """The registry snapshot, or ``None`` while disabled."""

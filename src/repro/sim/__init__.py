@@ -4,8 +4,8 @@ Three layers live here, bottom-up:
 
 * **engine** -- a small, dependency-free discrete-event substrate: a
   priority queue of timestamped events (:mod:`~repro.sim.engine`), a
-  monotonic clock, seeded random streams, timestamps, tracing, and the
-  typed component ports (:mod:`~repro.sim.ports`).  Engine modules
+  monotonic clock, seeded random streams, timestamps, and the typed
+  component ports (:mod:`~repro.sim.ports`).  Engine modules
   import nothing above themselves (``scripts/check_layering.py``
   enforces this).
 * **kernel** -- the assembled MMDBMS testbed:
@@ -34,7 +34,6 @@ from .cpu_server import CpuServer
 from .engine import EventEngine, EventHandle
 from .rng import RandomStreams
 from .timestamps import TimestampAuthority
-from .trace import TraceEvent, Tracer
 
 #: kernel/component names resolved lazily from their modules
 _LAZY = {
@@ -61,8 +60,6 @@ __all__ = [
     "SystemBuilder",
     "SystemComponents",
     "TimestampAuthority",
-    "TraceEvent",
-    "Tracer",
     "ports",
 ]
 

@@ -57,7 +57,6 @@ from .engine import EventEngine
 from .oracle import CommittedStateOracle
 from .rng import RandomStreams
 from .timestamps import TimestampAuthority
-from .trace import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .system import SimulatedSystem, SimulationConfig
@@ -89,7 +88,6 @@ class SystemComponents:
     checkpointer: Any
     scheduler: Any
     workload: Any
-    tracer: Any
 
     @classmethod
     def slot_names(cls) -> tuple:
@@ -249,9 +247,6 @@ class SystemBuilder:
             return ScheduledWorkloadSource(self.params, spec, self.streams)
         return WorkloadGenerator(self.params, spec, self.streams)
 
-    def build_tracer(self) -> Tracer:
-        return Tracer(enabled=self.config.trace)
-
     # ------------------------------------------------------------------
     # assembly
     # ------------------------------------------------------------------
@@ -291,7 +286,6 @@ class SystemBuilder:
             ("checkpointer", self.build_checkpointer),
             ("scheduler", self.build_scheduler),
             ("workload", self.build_workload),
-            ("tracer", self.build_tracer),
         ):
             self._slot(name, factory)
         self.checkpointer.attach_transaction_manager(self.txn_manager)
@@ -304,7 +298,7 @@ class SystemBuilder:
             array=self.array, backup=self.backup, oracle=self.oracle,
             cpu=self.cpu, txn_manager=self.txn_manager,
             checkpointer=self.checkpointer, scheduler=self.scheduler,
-            workload=self.workload, tracer=self.tracer,
+            workload=self.workload,
         )
 
     def build(self) -> "SimulatedSystem":

@@ -37,13 +37,11 @@ __all__ = [
     "BackupTarget",
     "CheckpointerPort",
     "ClockPort",
-    "DISABLED_SPANS",
     "DISABLED_TELEMETRY",
     "FaultHook",
     "LogDevice",
     "SchedulerHandle",
     "SchedulerPort",
-    "SpanSink",
     "StorageBackend",
     "TelemetrySink",
     "WorkloadSource",
@@ -313,51 +311,6 @@ class TelemetrySink(Protocol):
 
     def snapshot(self) -> Dict[str, Any]:
         ...
-
-
-@runtime_checkable
-class SpanSink(Protocol):
-    """The causal observability seam: begin/end spans with parent links.
-
-    Satisfied by :class:`repro.obs.spans.SpanRecorder` and its shared
-    disabled instance ``NULL_SPANS``.  ``enabled`` is the one-predicate
-    guard; handles are ints, with ``-1`` the universal no-op handle.
-    """
-
-    @property
-    def enabled(self) -> bool:
-        ...
-
-    def begin(self, name: str, parent: int = -1, **fields: Any) -> int:
-        ...
-
-    def end(self, handle: int, **fields: Any) -> None:
-        ...
-
-    def emit(self, name: str, start: float, duration: float,
-             parent: int = -1, **fields: Any) -> int:
-        ...
-
-
-class _DisabledSpans:
-    """The engine layer's inert :class:`SpanSink` (parallel to
-    :data:`DISABLED_TELEMETRY`); the builder injects the real recorder."""
-
-    enabled = False
-
-    def begin(self, name: str, parent: int = -1, **fields: Any) -> int:
-        return -1
-
-    def end(self, handle: int, **fields: Any) -> None:
-        return None
-
-    def emit(self, name: str, start: float, duration: float,
-             parent: int = -1, **fields: Any) -> int:
-        return -1
-
-
-#: shared inert span sink; safe to share because it never records
-DISABLED_SPANS = _DisabledSpans()
 
 
 class _DisabledTelemetry:

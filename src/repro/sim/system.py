@@ -70,9 +70,6 @@ class SimulationConfig:
     #: reclaim log space at checkpoint completion; disable to retain the
     #: full log (needed to recover from archived/tape checkpoints)
     truncate_log: bool = True
-    #: record lifecycle events (arrivals, commits, aborts, checkpoints,
-    #: crash/recovery) into ``system.tracer`` for inspection
-    trace: bool = False
     #: collect quantitative telemetry (counters, gauges, histograms,
     #: utilisation timelines) into ``system.telemetry`` -- the
     #: :mod:`repro.obs` substrate.  Off by default; disabled overhead is
@@ -200,8 +197,8 @@ class SimulatedSystem:
     ``SystemBuilder(config).with_component(...).build()`` substitutes
     individual subsystems (see :mod:`repro.sim.ports` for the component
     interfaces).  Either way the system adopts the components verbatim
-    and then performs only run-state wiring (tracer hooks, backup
-    preload, timed-crash scheduling).
+    and then performs only run-state wiring (backup preload, timed-crash
+    scheduling).
     """
 
     def __init__(self, config: SimulationConfig,
@@ -229,12 +226,9 @@ class SimulatedSystem:
         self.checkpointer: BaseCheckpointer = components.checkpointer
         self.scheduler = components.scheduler
         self.workload = components.workload
-        self.tracer = components.tracer
         self._started = False
         self._crashed = False
         self._run_started_at = 0.0
-        if self.tracer.enabled:
-            self._wire_tracer()
         if config.preload_backup:
             self._preload_backup()
         if (self.faults.armed and self.faults.plan.crash is not None
@@ -242,24 +236,6 @@ class SimulatedSystem:
             self.engine.schedule_at(self.faults.plan.crash.at_time,
                                     self.faults.trigger_timed_crash,
                                     label="fault: timed crash")
-
-    def _wire_tracer(self) -> None:
-        self.txn_manager.on_commit = lambda txn: self.tracer.record(
-            self.engine.now, "commit", txn_id=txn.txn_id,
-            attempts=txn.attempts)
-        self.txn_manager.on_abort = lambda txn, reason: self.tracer.record(
-            self.engine.now, "abort", txn_id=txn.txn_id, reason=reason)
-        scheduler_hook = self.checkpointer.on_complete
-
-        def checkpoint_complete(stats) -> None:
-            self.tracer.record(
-                self.engine.now, "checkpoint", checkpoint_id=stats.checkpoint_id,
-                image=stats.image, flushed=stats.segments_flushed,
-                duration=stats.duration)
-            if scheduler_hook is not None:
-                scheduler_hook(stats)
-
-        self.checkpointer.on_complete = checkpoint_complete
 
     # ------------------------------------------------------------------
     # setup helpers
@@ -315,8 +291,6 @@ class SimulatedSystem:
     def _arrival(self) -> None:
         now = self.engine.clock._now  # hot path: one read per arrival
         txn = self.workload.make_transaction(now)
-        if self.tracer.enabled:
-            self.tracer.record(now, "arrival", txn_id=txn.txn_id)
         if self.telemetry.enabled:
             self.telemetry.registry.count("workload.arrivals")
             self.telemetry.registry.observe(
@@ -370,7 +344,8 @@ class SimulatedSystem:
         # Let the oracle see everything that was stable before the lights
         # went out (stable-tail appends may not have been drained yet).
         self.oracle.feed(self.log.drain_newly_stable())
-        self.tracer.record(self.engine.now, "crash")
+        if self.spans.enabled:
+            self.spans.emit("sys.crash", self.engine.now, 0.0)
         if self.faults.armed:
             # Apply torn prefixes of in-flight segment writes to the
             # images before the write-completion events are discarded.
@@ -426,10 +401,10 @@ class SimulatedSystem:
             self.params, self.database, self.log, self.backup, self.array,
             authority=self.authority)
         result = manager.recover()
-        self.tracer.record(
-            self.engine.now, "recover",
-            checkpoint_id=result.used_checkpoint_id,
-            replayed=result.transactions_replayed)
+        if self.spans.enabled:
+            self.spans.emit("sys.recover", self.engine.now, 0.0,
+                            checkpoint_id=result.used_checkpoint_id,
+                            replayed=result.transactions_replayed)
         self._crashed = False
         self._started = False  # a fresh run() restarts arrivals/checkpoints
         return result

@@ -203,14 +203,15 @@ class TransactionManager:
         self._guard_access: Optional[Callable[[Transaction, Segment], None]] = None
         self._before_install: Optional[Callable[[Transaction, Segment], None]] = None
         self.stats = self.new_stats()
-        #: optional observers (the simulator wires these to its tracer)
+        #: the observation seam: called with each transaction right after
+        #: it commits.  The manager retains no committed transaction
+        #: (a long run would hold every shadow buffer), so an observer
+        #: that needs them collects here: ``on_commit = seen.append``.
         self.on_commit: Optional[Callable[[Transaction], None]] = None
-        self.on_abort: Optional[Callable[[Transaction, str], None]] = None
         self._quiesced = False
         self._quiesce_queue: List[Transaction] = []
         #: quiesced attempts that had already finished their CPU service
         self._quiesce_queue_served: List[Transaction] = []
-        self._committed_log: List[Transaction] = []
         #: transactions waiting on a lock (the "active" set for markers)
         self._waiting: Dict[int, Transaction] = {}
         #: open root span per in-flight transaction (spans enabled only)
@@ -261,15 +262,6 @@ class TransactionManager:
             self.submit_after_cpu(txn)  # CPU already consumed
         for txn in queued:
             self.submit(txn)
-
-    @property
-    def is_quiescent(self) -> bool:
-        """True when no transaction holds any update in flight.
-
-        Transactions execute atomically in simulated time, so the system
-        is quiescent whenever this manager is between submissions.
-        """
-        return True
 
     # -- main entry point ---------------------------------------------------------
     def submit(self, txn: Transaction) -> None:
@@ -498,7 +490,6 @@ class TransactionManager:
         if self.spans.enabled:
             self.spans.end(self._txn_spans.pop(txn.txn_id, -1),
                            outcome="commit", attempts=txn.attempts)
-        self._committed_log.append(txn)
         if self.flush_on_commit:
             result = self.log.flush()
             if result.records:
@@ -517,8 +508,6 @@ class TransactionManager:
             registry.count("txn.aborts." + abort.reason)
             registry.observe("txn.abort.latency",
                              self.engine.now - txn.arrival_time)
-        if self.on_abort is not None:
-            self.on_abort(txn, abort.reason)
         self._log_aborted_attempt(txn)
         if txn.attempts >= self.max_attempts:
             txn.state = TransactionState.FAILED
@@ -582,8 +571,3 @@ class TransactionManager:
         self._quiesce_spans.clear()
         if self.cpu_server is not None:
             self.cpu_server.crash()
-
-    # -- introspection -----------------------------------------------------------
-    @property
-    def committed_transactions(self) -> List[Transaction]:
-        return list(self._committed_log)

@@ -10,7 +10,6 @@ from repro.experiments.capacity import capacity_table
 from repro.experiments.report import generate_report
 from repro.model.utilization import cpu_utilization, throughput_capacity
 from repro.params import PAPER_DEFAULTS
-from repro.sweep import SweepRunner
 
 
 class TestCpuUtilization:
@@ -105,11 +104,6 @@ class TestCapacityTable:
         assert points["FASTFUZZY"].max_throughput > 0.97 * ideal
         assert points["COUCOPY"].max_throughput > 0.90 * ideal
         assert points["2CCOPY"].max_throughput < 0.40 * ideal
-
-    def test_process_pool_table_identical_to_serial(self, points):
-        parallel = capacity_table(PAPER_DEFAULTS,
-                                  runner=SweepRunner(workers=2))
-        assert {p.algorithm: p for p in parallel} == points
 
 
 class TestReportGenerator:

@@ -79,14 +79,14 @@ class TestTwoColorPrefixProperty:
         harness.submit([0, 900])
         harness.log.flush()
         base = harness.database.values_snapshot()
-        committed_before = len(harness.manager.committed_transactions)
+        during = []  # transactions that commit from the begin marker on
+        harness.manager.on_commit = during.append
         harness.checkpointer.start_checkpoint()
         for steps, records in ops:
             _advance(harness, steps)
             harness.submit(records)
         harness.log.flush()
         stats = harness.drive_checkpoint()
-        during = harness.manager.committed_transactions[committed_before:]
         expected = base.copy()
         for txn in during:
             if txn.colors_seen == {False}:  # ran entirely on white data

@@ -30,7 +30,7 @@ def _wait_idle(system: SimulatedSystem) -> None:
 class TestEverythingAtOnce:
     def test_skewed_mixed_contended_cou_survives_three_crashes(self):
         """Hotspot + mixed sizes + finite CPU + quiesce latency + COUCOPY,
-        crash/recover three times, trace on throughout."""
+        crash/recover three times, spans on throughout."""
         params = SystemParameters.scaled_down(256, lam=40.0, n_bdisks=8)
         system = SimulatedSystem(SimulationConfig(
             params=params,
@@ -45,7 +45,7 @@ class TestEverythingAtOnce:
             cpu_mips=3.0,
             cou_quiesce_latency=True,
             log_flush_interval=0.05,
-            trace=True,
+            spans=True,
         ))
         for cycle in range(3):
             metrics = system.run(3.0)
@@ -53,8 +53,8 @@ class TestEverythingAtOnce:
             system.crash()
             system.recover()
             assert system.verify_recovery() == [], cycle
-        kinds = system.tracer.kinds()
-        assert kinds["crash"] == 3 and kinds["recover"] == 3
+        counts = system.spans.counts()
+        assert counts["sys.crash"] == 3 and counts["sys.recover"] == 3
 
     def test_logical_cou_with_media_failure_and_tape(self):
         """Logical logging (COU-only soundness) composed with a media
@@ -117,7 +117,7 @@ class TestEverythingAtOnce:
             seed=80,
             preload_backup=True,
             cpu_mips=5.0,
-            trace=True,
+            spans=True,
         ))
         system.run(4.0)
         _wait_idle(system)

@@ -6,12 +6,17 @@ What these tests pin down:
   that makes per-cell sweep telemetry safely mergeable);
 * registry snapshots round-trip exactly (``from_snapshot . snapshot``
   is the identity on the serialised form);
-* the tracer's ring accounting counts each eviction exactly once, and
-  the JSONL event stream reloads bit-identically;
 * telemetry is observational only: a fixed-seed run produces the same
   ``SimulationMetrics`` with telemetry on and off;
-* a run exported to JSONL and reloaded reproduces the identical metrics
-  summary (the round-trip determinism acceptance criterion);
+* a run saved as a run document and reloaded reproduces the identical
+  metrics summary, telemetry and spans, byte for byte on a second save
+  (the round-trip determinism acceptance criterion), through
+  :mod:`repro.obs.export` and through the CLI (``trace --out`` /
+  ``metrics --json`` -> ``metrics --load`` / ``trace --load``), and the
+  document satisfies ``schemas/metrics.schema.json``;
+* ``--load`` of anything that is not a run document -- an old JSONL
+  export, an empty file, a directory -- is a ``ConfigurationError``
+  naming the path;
 * sweep cells carry telemetry snapshots and merge across the result.
 """
 
@@ -25,7 +30,7 @@ import pytest
 
 import repro
 from repro.errors import ConfigurationError
-from repro.obs.export import export_run, export_system_run, load_run
+from repro.obs.export import load_run, run_document
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -37,7 +42,6 @@ from repro.obs.presets import PRESETS, get_preset
 from repro.obs.report import render_metrics_report
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.params import SystemParameters
-from repro.sim.trace import Tracer
 from repro.sweep import SweepRunner, SweepSpec
 
 from tests.helpers import build_system
@@ -159,41 +163,10 @@ def test_timeline_splits_busy_across_windows():
 
 def test_null_telemetry_records_nothing():
     assert not NULL_TELEMETRY.enabled
-    NULL_TELEMETRY.count("x")
-    NULL_TELEMETRY.observe("y", 1.0)
     assert NULL_TELEMETRY.snapshot() is None
     live = Telemetry(enabled=True)
-    live.count("x")
+    live.registry.count("x")
     assert live.snapshot()["counters"]["x"] == 1
-
-
-# ----------------------------------------------------------------------
-# tracer ring + JSONL
-# ----------------------------------------------------------------------
-
-def test_tracer_counts_each_eviction_exactly_once():
-    tracer = Tracer(capacity=4, enabled=True)
-    for i in range(10):
-        tracer.record(float(i), "tick", index=i)
-    assert tracer.recorded == 10
-    assert tracer.dropped == 6
-    assert len(tracer) == 4
-    assert tracer.drop_rate == pytest.approx(0.6)
-    assert [event.index for event in tracer] == [6, 7, 8, 9]
-
-
-def test_tracer_drop_rate_is_zero_when_empty():
-    assert Tracer(enabled=True).drop_rate == 0.0
-
-
-def test_tracer_jsonl_round_trip(tmp_path):
-    tracer = Tracer(enabled=True)
-    tracer.record(0.25, "commit", txn_id=1)
-    tracer.record(0.50, "abort", txn_id=2, reason="two-color")
-    path = tmp_path / "events.jsonl"
-    assert tracer.to_jsonl(path) == 2
-    reloaded = Tracer.from_jsonl(path)
-    assert list(reloaded.event_dicts()) == list(tracer.event_dicts())
 
 
 # ----------------------------------------------------------------------
@@ -229,44 +202,64 @@ def test_fixed_seed_metrics_identical_with_telemetry_on_and_off():
 def _run_instrumented_system(duration: float = 2.0):
     params = SystemParameters.scaled_down(1024, lam=150.0)
     system = build_system(params, "COUCOPY", seed=5,
-                          telemetry=True, trace=True)
+                          telemetry=True, spans=True)
     metrics = system.run(duration)
     return system, metrics
 
 
 def test_exported_run_reloads_with_identical_metrics(tmp_path):
     system, metrics = _run_instrumented_system()
-    path = tmp_path / "run.jsonl"
-    export_system_run(path, system, meta={"note": "round-trip"})
+    path = tmp_path / "run.json"
+    meta = {"algorithm": "COUCOPY", "seed": 5, "duration": 2.0,
+            "note": "round-trip"}
+    path.write_text(json.dumps(run_document(system, meta), sort_keys=True))
 
-    record = load_run(path)
-    assert record.summary == asdict(metrics)
-    assert record.telemetry == system.telemetry_snapshot()
-    assert record.checkpoints == [asdict(stats)
-                                  for stats in system.checkpointer.history]
-    assert record.meta["algorithm"] == "COUCOPY"
-    assert record.meta["note"] == "round-trip"
-    assert list(record.tracer.event_dicts()) == \
-        list(system.tracer.event_dicts())
+    document = load_run(path)
+    assert document["summary"] == asdict(metrics)
+    assert document["telemetry"] == system.telemetry_snapshot()
+    assert document["checkpoints"] == [
+        asdict(stats) for stats in system.checkpointer.history]
+    assert document["meta"] == meta
+    assert document["spans"] == system.spans_snapshot()
+    assert document["spans_dropped"] == 0
 
-    # Exporting the reloaded record again produces byte-identical lines
-    # (modulo the meta fields export_system_run derives from the system).
-    second = tmp_path / "again.jsonl"
-    export_run(second, tracer=record.tracer, summary=record.summary,
-               telemetry=record.telemetry, checkpoints=record.checkpoints,
-               meta=record.meta)
-    assert second.read_text() == path.read_text()
+    # Saving the reloaded document again produces byte-identical text.
+    assert json.dumps(document, sort_keys=True) == path.read_text()
+
+
+#: the two-line shape ``export_run`` wrote before the run document
+_OLD_JSONL = ('{"algorithm": "COUCOPY", "seed": 5, "type": "meta"}\n'
+              '{"fields": {"txn_id": 1}, "kind": "arrival", "time": 0.1}\n'
+              '{"checkpoints": [], "spans": null, "summary": null, '
+              '"telemetry": null, "type": "metrics"}\n')
+
+
+def _not_run_documents(tmp_path):
+    old = tmp_path / "old-export.jsonl"
+    old.write_text(_OLD_JSONL)
+    empty = tmp_path / "empty.json"
+    empty.write_text("")
+    wrong_shape = tmp_path / "wrong-shape.json"
+    wrong_shape.write_text('{"what": "is this"}\n')
+    directory = tmp_path / "a-directory"
+    directory.mkdir()
+    return [old, empty, wrong_shape, directory, tmp_path / "missing.json"]
 
 
 def test_load_run_rejects_garbage_and_empty_files(tmp_path):
-    empty = tmp_path / "empty.jsonl"
-    empty.write_text("")
-    with pytest.raises(ConfigurationError):
-        load_run(empty)
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text('{"what": "is this"}\n')
-    with pytest.raises(ConfigurationError):
-        load_run(bad)
+    for path in _not_run_documents(tmp_path):
+        with pytest.raises(ConfigurationError, match=path.name):
+            load_run(path)
+    with pytest.raises(ConfigurationError, match="has to be re-exported"):
+        load_run(tmp_path / "old-export.jsonl")
+
+
+@pytest.mark.parametrize("command", ["metrics", "trace"])
+def test_cli_load_of_a_non_document_is_a_typed_error(tmp_path, command):
+    from repro.cli import main
+    for path in _not_run_documents(tmp_path):
+        with pytest.raises(ConfigurationError, match=path.name):
+            main([command, "--load", str(path)])
 
 
 def test_render_metrics_report_covers_every_section():
@@ -336,24 +329,30 @@ def test_presets_build_valid_configs():
 
 def test_cli_metrics_json_and_reload(tmp_path, capsys):
     from repro.cli import main
-    trace_path = tmp_path / "run.jsonl"
-    assert main(["metrics", "--preset", "fuzzy-small", "--duration", "1.0",
-                 "--json", "--trace-out", str(trace_path)]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    for key in ("meta", "summary", "telemetry", "checkpoints"):
-        assert key in payload
+    run = ["metrics", "--preset", "fuzzy-small", "--duration", "1.0"]
+    assert main(run + ["--json"]) == 0
+    saved = capsys.readouterr().out
+    payload = json.loads(saved)
+    assert sorted(payload) == ["checkpoints", "meta", "summary", "telemetry"]
     assert payload["summary"]["transactions_committed"] > 0
     assert payload["telemetry"]["counters"]["txn.commits"] == \
         payload["summary"]["transactions_committed"]
 
-    assert main(["metrics", "--load", str(trace_path)]) == 0
-    text = capsys.readouterr().out
-    assert "run summary" in text
-    assert "fuzzy-small" in text
+    # ``metrics --json > file`` is a run document: reloading it renders
+    # exactly what the direct run renders, as text and as JSON.
+    path = tmp_path / "metrics.json"
+    path.write_text(saved)
+    assert main(run) == 0
+    direct_text = capsys.readouterr().out
+    assert "run summary" in direct_text and "fuzzy-small" in direct_text
+    assert main(["metrics", "--load", str(path)]) == 0
+    assert capsys.readouterr().out == direct_text
+    assert main(["metrics", "--load", str(path), "--json"]) == 0
+    assert capsys.readouterr().out == saved
 
 
-def test_cli_metrics_json_satisfies_checked_in_schema(capsys):
-    """The CI smoke contract: payload validates against the repo schema."""
+def _schema_violations(document):
+    """``scripts/check_schema.py`` against ``schemas/metrics.schema.json``."""
     import importlib.util
     import pathlib
     root = pathlib.Path(__file__).resolve().parents[1]
@@ -363,25 +362,65 @@ def test_cli_metrics_json_satisfies_checked_in_schema(capsys):
     spec.loader.exec_module(validator)
     schema = json.loads(
         (root / "schemas" / "metrics.schema.json").read_text())
+    return validator.validate(document, schema)
 
+
+def test_cli_metrics_json_satisfies_checked_in_schema(capsys):
+    """The CI smoke contract: payload validates against the repo schema."""
     from repro.cli import main
     assert main(["metrics", "--preset", "fig4b-small", "--duration", "1.0",
                  "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert validator.validate(payload, schema) == []
+    assert _schema_violations(payload) == []
     # And the validator does reject a broken payload.
-    assert validator.validate({"meta": {}}, schema) != []
+    assert _schema_violations({"meta": {}}) != []
+    payload["spans"] = [{"name": "txn"}]
+    assert _schema_violations(payload) != []
 
 
 def test_cli_trace_summarises_run_and_file(tmp_path, capsys):
     from repro.cli import main
-    out_path = tmp_path / "trace.jsonl"
+    out_path = tmp_path / "run.json"
     assert main(["trace", "--algorithm", "FUZZYCOPY", "--scale", "1024",
                  "--duration", "1.0", "--out", str(out_path)]) == 0
     text = capsys.readouterr().out
-    assert "events by kind:" in text
-    assert "commit" in text
+    assert "spans recorded, 0 dropped" in text
+    assert "spans by name:" in text
+    assert "last 20 spans" in text
+    assert "\n  txn  " in text and "\n  ckpt.io  " in text
 
+    assert main(["trace", "--load", str(out_path)]) == 0
+    assert capsys.readouterr().out == text
     assert main(["trace", "--load", str(out_path), "--tail", "3"]) == 0
-    text = capsys.readouterr().out
-    assert "events by kind:" in text
+    assert "last 3 spans" in capsys.readouterr().out
+
+
+def test_cli_run_document_round_trip(tmp_path, capsys):
+    """One run file: ``trace --out`` writes what the schema describes,
+    and both ``--load`` readers reproduce the direct run from it."""
+    from repro.cli import main
+    run = ["--algorithm", "2CCOPY", "--scale", "1024", "--seed", "9",
+           "--duration", "1.0"]
+    out_path = tmp_path / "run.json"
+    chrome_direct = tmp_path / "direct.chrome.json"
+    assert main(["trace", *run, "--out", str(out_path), "--attribution",
+                 "--chrome-out", str(chrome_direct), "--tail", "4"]) == 0
+    direct_trace = capsys.readouterr().out
+    document = json.loads(out_path.read_text())
+    assert _schema_violations(document) == []
+    assert document["spans"] and document["spans_dropped"] == 0
+
+    for extra in ([], ["--json"]):
+        assert main(["metrics", *run, *extra]) == 0
+        direct = capsys.readouterr().out
+        assert main(["metrics", "--load", str(out_path), *extra]) == 0
+        assert capsys.readouterr().out == direct
+
+    chrome_loaded = tmp_path / "loaded.chrome.json"
+    assert main(["trace", "--load", str(out_path), "--attribution",
+                 "--chrome-out", str(chrome_loaded), "--tail", "4"]) == 0
+    assert capsys.readouterr().out == direct_trace
+    assert "checkpoint-stall attribution (2CCOPY)" in direct_trace
+    # (the saved document sorts its keys, so compare the parsed traces)
+    assert json.loads(chrome_loaded.read_text()) == \
+        json.loads(chrome_direct.read_text())

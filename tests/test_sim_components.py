@@ -105,18 +105,6 @@ class RecordingTelemetry:
     def events(self):
         return self.registry.events
 
-    def count(self, name, n=1):
-        self.registry.count(name, n)
-
-    def observe(self, name, value):
-        self.registry.observe(name, value)
-
-    def gauge(self, name, value):
-        self.registry.set_gauge(name, value)
-
-    def add_busy(self, name, start, duration):
-        self.registry.add_busy(name, start, duration)
-
     def snapshot(self):
         return self.registry.snapshot()
 

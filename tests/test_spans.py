@@ -13,8 +13,8 @@ What these tests pin down:
 * stall attribution decomposes tail latency by the right cause per
   algorithm family: COUCOPY's quiesce, 2CCOPY's paint-abort backoff,
   FUZZYCOPY's near-zero checkpoint share;
-* the run export carries spans through a JSONL round-trip and the
-  ``repro trace`` CLI surfaces attribution / chrome export / reload;
+* the run document carries spans through a save/reload round-trip and
+  the ``repro trace`` CLI surfaces attribution / chrome export / reload;
 * the bounded response-time reservoir is exact under the cap and
   bounded beyond it;
 * the ``repro metrics`` latency section and the PR 6 offered-vs-served
@@ -38,7 +38,7 @@ from repro.obs.attribution import (
     latency_timeline,
     render_attribution,
 )
-from repro.obs.export import export_system_run, load_run
+from repro.obs.export import load_run, run_document
 from repro.obs.spans import NULL_SPANS, SpanRecorder, chrome_trace
 from repro.params import SystemParameters
 from repro.txn.manager import TransactionStats
@@ -267,20 +267,20 @@ def test_fault_backoff_windows_become_spans():
 
 def test_run_export_round_trips_spans(tmp_path):
     params = SystemParameters.scaled_down(1024, lam=150.0)
+    meta = {"algorithm": "COUCOPY", "seed": 5, "duration": 1.5}
     system = build_system(params, "COUCOPY", seed=5, telemetry=True,
-                          trace=True, spans=True)
+                          spans=True)
     system.run(1.5)
-    path = tmp_path / "run.jsonl"
-    export_system_run(path, system, meta={"note": "spans"})
-    record = load_run(path)
-    assert record.spans == system.spans_snapshot()
-    # A spanless run exports spans as null, distinguishably absent.
-    plain = build_system(params, "COUCOPY", seed=5, telemetry=True,
-                         trace=True)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(run_document(system, meta)))
+    document = load_run(path)
+    assert document["spans"] == system.spans_snapshot()
+    assert document["spans_dropped"] == system.spans.dropped == 0
+    # A spanless run's document has no span keys: absent, not empty.
+    plain = build_system(params, "COUCOPY", seed=5, telemetry=True)
     plain.run(0.5)
-    plain_path = tmp_path / "plain.jsonl"
-    export_system_run(plain_path, plain)
-    assert load_run(plain_path).spans is None
+    assert "spans" not in run_document(plain, meta)
+    assert "spans_dropped" not in run_document(plain, meta)
 
 
 def test_cli_trace_attribution_and_chrome_export(tmp_path, capsys):
@@ -298,9 +298,9 @@ def test_cli_trace_attribution_and_chrome_export(tmp_path, capsys):
 
 def test_cli_trace_reload_preserves_events_and_spans(tmp_path, capsys):
     from repro.cli import main
-    out_path = tmp_path / "run.jsonl"
+    out_path = tmp_path / "run.json"
     assert main(["trace", "--algorithm", "2CCOPY", "--scale", "1024",
-                 "--duration", "1.0", "--spans", "--out", str(out_path),
+                 "--duration", "1.0", "--out", str(out_path),
                  "--tail", "0"]) == 0
     live = capsys.readouterr().out
 
@@ -308,21 +308,19 @@ def test_cli_trace_reload_preserves_events_and_spans(tmp_path, capsys):
                  "--tail", "0"]) == 0
     reloaded = capsys.readouterr().out
     assert "checkpoint-stall attribution (2CCOPY)" in reloaded
-    # The per-kind event summary is reproduced from the export.
-    live_kinds = [line for line in live.splitlines()
-                  if line.startswith("  ") and "attribution" not in line]
-    for line in live_kinds[:4]:
-        assert line in reloaded
+    # The whole span summary is reproduced from the saved document.
+    assert "spans by name:" in live
+    assert reloaded.startswith(live)
 
 
 def test_cli_trace_load_without_spans_rejects_attribution(tmp_path, capsys):
     from repro.cli import main
-    out_path = tmp_path / "plain.jsonl"
-    assert main(["trace", "--algorithm", "FUZZYCOPY", "--scale", "1024",
-                 "--duration", "0.5", "--out", str(out_path),
-                 "--tail", "0"]) == 0
-    capsys.readouterr()
-    with pytest.raises(ConfigurationError):
+    # ``metrics`` records no spans, so its document carries none.
+    out_path = tmp_path / "metrics.json"
+    assert main(["metrics", "--algorithm", "FUZZYCOPY", "--scale", "1024",
+                 "--duration", "0.5", "--json"]) == 0
+    out_path.write_text(capsys.readouterr().out)
+    with pytest.raises(ConfigurationError, match="carries no span trace"):
         main(["trace", "--load", str(out_path), "--attribution"])
 
 

@@ -1,6 +1,9 @@
-"""Tests for the tracer, the statistics helpers, and replication."""
+"""Tests for lifecycle tracing (the span recorder wired through the
+simulated system), the statistics helpers, and replication."""
 
 from __future__ import annotations
+
+from dataclasses import asdict
 
 import pytest
 
@@ -8,88 +11,105 @@ from tests.helpers import build_system
 from repro.errors import ConfigurationError
 from repro.experiments.replication import replicate, separated
 from repro.experiments.stats import SampleSummary, summarize
-from repro.sim.trace import Tracer
+from repro.obs.spans import NULL_SPANS
 from repro.units import percentile
 
 
-class TestTracer:
-    def test_record_and_query(self):
-        tracer = Tracer()
-        tracer.record(1.0, "commit", txn_id=7)
-        tracer.record(2.0, "abort", txn_id=8, reason="two-color")
-        tracer.record(3.0, "commit", txn_id=9)
-        assert len(tracer) == 3
-        commits = tracer.of_kind("commit")
-        assert [e.txn_id for e in commits] == [7, 9]
-        assert tracer.last("abort").reason == "two-color"
-        assert tracer.kinds() == {"commit": 2, "abort": 1}
-
-    def test_between(self):
-        tracer = Tracer()
-        for t in (0.5, 1.5, 2.5):
-            tracer.record(t, "tick")
-        assert len(tracer.between(1.0, 2.0)) == 1
-
-    def test_disabled_tracer_records_nothing(self):
-        tracer = Tracer(enabled=False)
-        tracer.record(1.0, "commit")
-        assert len(tracer) == 0
-        assert tracer.last() is None
-
-    def test_ring_buffer_drops_oldest(self):
-        tracer = Tracer(capacity=3)
-        for i in range(5):
-            tracer.record(float(i), "tick", seq=i)
-        assert len(tracer) == 3
-        assert tracer.dropped == 2
-        assert [e.seq for e in tracer] == [2, 3, 4]
-
-    def test_unknown_field_raises(self):
-        tracer = Tracer()
-        tracer.record(1.0, "tick")
-        with pytest.raises(AttributeError):
-            _ = tracer.last().missing_field
-
-    def test_clear(self):
-        tracer = Tracer()
-        tracer.record(1.0, "tick")
-        tracer.clear()
-        assert len(tracer) == 0 and tracer.recorded == 0
+def _named(spans, name):
+    return [span for span in spans if span["name"] == name]
 
 
 class TestSystemTracing:
+    """Every lifecycle event is a span boundary (docs/OBSERVABILITY.md,
+    "Lifecycle events as spans")."""
+
     def test_lifecycle_events_recorded(self, tiny_params):
-        system = build_system(tiny_params, "COUCOPY", seed=3, trace=True)
+        system = build_system(tiny_params, "COUCOPY", seed=3, spans=True)
         system.run(1.0)
         system.crash()
-        system.recover()
-        kinds = system.tracer.kinds()
-        assert kinds.get("arrival", 0) > 0
-        assert kinds.get("commit", 0) > 0
-        assert kinds.get("checkpoint", 0) > 0
-        assert kinds.get("crash") == 1
-        assert kinds.get("recover") == 1
+        result = system.recover()
+        counts = system.spans.counts()
+        assert counts.get("txn", 0) > 0
+        assert counts.get("ckpt", 0) > 0
+        spans = system.spans_snapshot()
+        assert any(span["fields"].get("outcome") == "commit"
+                   for span in _named(spans, "txn"))
+        crash, = _named(spans, "sys.crash")
+        recover, = _named(spans, "sys.recover")
+        assert crash["start"] == crash["end"] == system.engine.now
+        assert recover["fields"] == {
+            "checkpoint_id": result.used_checkpoint_id,
+            "replayed": result.transactions_replayed}
 
     def test_tracing_off_by_default(self, tiny_params):
         system = build_system(tiny_params, "COUCOPY", seed=3)
         system.run(0.5)
-        assert len(system.tracer) == 0
+        system.crash()
+        system.recover()
+        assert system.spans is NULL_SPANS
+        assert system.spans_snapshot() is None
+        assert len(NULL_SPANS) == 0
 
     def test_checkpoint_events_match_history(self, tiny_params):
-        system = build_system(tiny_params, "FUZZYCOPY", seed=4, trace=True)
+        system = build_system(tiny_params, "FUZZYCOPY", seed=4, spans=True)
         system.run(1.0)
-        traced = system.tracer.of_kind("checkpoint")
-        assert len(traced) == len(system.checkpointer.history)
-        for event, stats in zip(traced, system.checkpointer.history):
-            assert event.checkpoint_id == stats.checkpoint_id
-            assert event.flushed == stats.segments_flushed
+        closed = [span for span in _named(system.spans_snapshot(), "ckpt")
+                  if not span.get("open")]
+        assert len(closed) == len(system.checkpointer.history)
+        for span, stats in zip(closed, system.checkpointer.history):
+            assert span["fields"]["checkpoint_id"] == stats.checkpoint_id
+            assert span["fields"]["image"] == stats.image
+            assert span["fields"]["segments_flushed"] == stats.segments_flushed
+            assert span["end"] - span["start"] == pytest.approx(stats.duration)
 
     def test_abort_events_for_two_color(self, small_params):
-        system = build_system(small_params, "2CCOPY", seed=5, trace=True)
+        system = build_system(small_params, "2CCOPY", seed=5, spans=True)
         system.run(2.0)
-        aborts = system.tracer.of_kind("abort")
-        assert aborts
-        assert all(e.reason == "two-color" for e in aborts)
+        backoffs = _named(system.spans_snapshot(), "txn.backoff")
+        assert backoffs
+        assert all(span["fields"]["reason"] == "two-color"
+                   for span in backoffs)
+
+    @pytest.mark.parametrize("algorithm", ["FUZZYCOPY", "COUCOPY", "2CCOPY"])
+    def test_every_tracer_event_is_a_span_boundary(self, small_params,
+                                                   algorithm):
+        """What the deleted ``Tracer`` counted, read off the spans."""
+        system = build_system(small_params, algorithm, seed=11, spans=True)
+        metrics = system.run(2.0)
+        plain = build_system(small_params, algorithm, seed=11)
+        assert asdict(plain.run(2.0)) == asdict(metrics)
+
+        spans = system.spans_snapshot()
+        txns = _named(spans, "txn")
+        # arrival: one ``txn`` root per generated transaction, opened at
+        # its arrival instant, ids in arrival order
+        assert len(txns) == system.workload.transactions_created
+        assert [span["fields"]["txn_id"] for span in txns] == \
+            list(range(1, len(txns) + 1))
+        # commit
+        commits = [span for span in txns
+                   if span["fields"].get("outcome") == "commit"]
+        assert len(commits) == metrics.transactions_committed
+        assert all(span["fields"]["attempts"] >= 1 for span in commits)
+        # abort: every aborted attempt either backs off or fails for good
+        failed = [span for span in txns
+                  if span["fields"].get("outcome") == "failed"]
+        stats = system.txn_manager.stats
+        assert len(_named(spans, "txn.backoff")) + len(failed) == \
+            stats.total_aborts
+        assert (stats.total_aborts > 0) == (algorithm == "2CCOPY")
+        # checkpoint
+        closed = [span for span in _named(spans, "ckpt")
+                  if not span.get("open")]
+        assert len(closed) == metrics.checkpoints_completed > 0
+        # crash / recover: none before, exactly one of each after
+        assert not _named(spans, "sys.crash")
+        system.crash()
+        system.recover()
+        after = system.spans_snapshot()
+        assert len(_named(after, "sys.crash")) == 1
+        assert len(_named(after, "sys.recover")) == 1
+        assert system.verify_recovery() == []
 
 
 class TestSummarize:

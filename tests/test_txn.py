@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.cpu.accounting import CostCategory, CostLedger, OperationCosts
@@ -195,6 +198,26 @@ class TestManagerCommit:
         assert stats.submitted == 2
         assert stats.committed == 2
         assert stats.total_aborts == 0
+
+    def test_committed_transactions_are_not_retained(self, tiny_params):
+        """A long run must not hold every shadow buffer it ever staged:
+        once ``on_commit`` returns, nothing in the system keeps a
+        committed transaction alive."""
+        from tests.helpers import build_system
+        system = build_system(tiny_params, "FUZZYCOPY", seed=2)
+        first = []
+
+        def watch(txn):
+            # Transaction is slotted (no weak references); its shadow
+            # buffer lives exactly as long as the transaction does.
+            if not first:
+                first.append(weakref.ref(txn.shadow))
+
+        system.txn_manager.on_commit = watch
+        system.run(0.5)
+        assert first and system.txn_manager.stats.committed > 1
+        gc.collect()
+        assert first[0]() is None
 
 
 class _AbortOnceCoordinator:

@@ -66,16 +66,18 @@ class TestUpdateCountMix:
         transaction (a single-record transaction cannot span colors)."""
         spec = WorkloadSpec(update_count_mix=((1, 1.0), (12, 1.0)))
         system = build_system(small_params, "2CCOPY", seed=62,
-                              workload=spec, trace=True)
-        system.run(4.0)
-        aborted_ids = {e.txn_id for e in system.tracer.of_kind("abort")}
-        assert aborted_ids
+                              workload=spec, spans=True)
         widths = {}
-        for event in system.tracer.of_kind("arrival"):
-            widths[event.txn_id] = None
-        # Reconstruct widths from committed/aborted transactions' records.
-        for txn in system.txn_manager.committed_transactions:
+
+        def note_width(txn):
             widths[txn.txn_id] = len(txn.record_ids)
+
+        system.txn_manager.on_commit = note_width
+        system.run(4.0)
+        aborted_ids = {span["fields"]["txn_id"]
+                       for span in system.spans_snapshot()
+                       if span["name"] == "txn.backoff"}
+        assert aborted_ids
         wide_aborts = sum(1 for txn_id in aborted_ids
                           if widths.get(txn_id) == 12)
         narrow_aborts = sum(1 for txn_id in aborted_ids

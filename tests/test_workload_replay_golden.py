@@ -49,10 +49,11 @@ def test_replay_matches_committed_golden_stream():
 def test_simulated_system_consumes_the_identical_stream():
     golden = _golden()
     system = SimulatedSystem(SimulationConfig(
-        params=_params(golden), seed=golden["seed"], trace=True))
+        params=_params(golden), seed=golden["seed"], spans=True))
     system.run(golden["horizon"])
-    traced = [{"time": event.time, "txn_id": event.fields["txn_id"]}
-              for event in system.tracer if event.kind == "arrival"]
+    # A ``txn`` root span opens at the arrival instant.
+    traced = [{"time": span["start"], "txn_id": span["fields"]["txn_id"]}
+              for span in system.spans_snapshot() if span["name"] == "txn"]
     assert len(traced) == len(golden["arrivals"])
     for got, want in zip(traced, golden["arrivals"]):
         assert repr(got["time"]) == want["time"]  # bit-exact
