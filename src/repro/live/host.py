@@ -32,8 +32,10 @@ from __future__ import annotations
 
 import threading
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -54,6 +56,9 @@ from .store import ImageStore
 from .wal import DurableLog, gc_paused
 
 __all__ = ["LiveConfig", "LiveCheckpointer", "LiveHost", "RecoveryInfo"]
+
+#: bisection key for the LSN-ordered recovered log
+_record_lsn = attrgetter("lsn")
 
 
 @dataclass(frozen=True)
@@ -353,10 +358,12 @@ class LiveHost:
         pauses the cyclic GC: see :func:`~repro.live.wal.gc_paused`).
         The WAL is not read here: opening the :class:`DurableLog`
         already decoded it once to repair a torn tail, and its
-        ``recovered_records`` are consumed as they are.  The oracle is
-        seeded from the same disk artifacts and replays the same records
-        through its *own* applier, which keeps the verification
-        independent of this method's bookkeeping.
+        ``recovered_records`` are consumed as they are, with no pass of
+        their own: the log is LSN-ordered, so the replay start is a
+        bisection.  The oracle is seeded from the same disk artifacts
+        and replays the same records through its *own* applier, which
+        keeps the verification independent of this method's
+        bookkeeping.
         """
         with gc_paused():
             began = time.perf_counter()
@@ -375,21 +382,22 @@ class LiveHost:
             # Records at or below the image's horizon are already reflected
             # in it; value REDO is idempotent, so replaying them anyway
             # would also be correct -- skipping is just less work.
-            replay = [r for r in records if r.lsn > base_lsn]
+            replay = records[bisect_right(records, base_lsn, key=_record_lsn):]
             redo_began = time.perf_counter()
             self.oracle.seed_values(base)
             self.oracle.feed(replay)
-            values = base.copy()
-            applier = RedoApplier(
-                lambda record_id, value: values.__setitem__(record_id, value))
+            applier = RedoApplier(base)
             applier.feed(replay)
             counts = applier.finish()
             redo_ended = time.perf_counter()
-            self.database.load_values(values)
-            for record in records:
-                txn_id = getattr(record, "txn_id", 0)
-                if txn_id >= self._next_txn_id:
+            self.database.load_values(base)
+            # Transaction ids are allocated in LSN order on the dispatcher,
+            # so the last record that carries one carries the largest.
+            for record in reversed(records):
+                txn_id = getattr(record, "txn_id", None)
+                if txn_id is not None:
                     self._next_txn_id = txn_id + 1
+                    break
             n_records = len(records)
             log.hydrate(records)
             total = log.scan_seconds + (time.perf_counter() - began)

@@ -19,10 +19,12 @@ the process, which is how the suite proves each boundary is recoverable.
 from __future__ import annotations
 
 import os
+import zipfile
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
+from numpy.lib import format as npy
 
 __all__ = ["ImageStore", "StoredImage"]
 
@@ -57,12 +59,25 @@ class ImageStore:
         """Durably replace the current image with ``values``.
 
         Safe to call from a writer thread: nothing here touches shared
-        kernel state, and the rename is the single commit point.
+        kernel state, and the rename is the single commit point.  The
+        file is the ``.npz`` :func:`numpy.savez` writes, but each array
+        goes into the archive straight from its own buffer: ``savez``
+        stages a zip member through 16 MiB ``bytes`` copies, which made
+        a checkpoint's transient memory the snapshot *plus* half of it
+        again at the live host's largest scale.
         """
         tmp = self.directory / (self.FILENAME + ".tmp")
+        arrays = {"values": np.ascontiguousarray(values),
+                  "meta": np.array([checkpoint_id, base_lsn], dtype=np.int64)}
         with open(tmp, "wb") as file:
-            np.savez(file, values=values,
-                     meta=np.array([checkpoint_id, base_lsn], dtype=np.int64))
+            with zipfile.ZipFile(file, "w", zipfile.ZIP_STORED,
+                                 allowZip64=True) as archive:
+                for name, array in arrays.items():
+                    with archive.open(name + ".npy", "w",
+                                      force_zip64=True) as member:
+                        npy.write_array_header_1_0(
+                            member, npy.header_data_from_array_1_0(array))
+                        member.write(memoryview(array).cast("B"))
             file.flush()
             if self.fsync_enabled:
                 os.fsync(file.fileno())

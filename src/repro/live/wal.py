@@ -428,9 +428,9 @@ class DurableLog(LogManager):
         self._stable = records if isinstance(records, list) else list(records)
         self.recovered_records = []
         if records:
-            last = max(record.lsn for record in records)
+            # the file is written in LSN order: the last record is newest
             self._stable_lsn = records[-1].lsn
-            self._allocator = LSNAllocator(start=last)
+            self._allocator = LSNAllocator(start=self._stable_lsn)
 
     def close(self) -> None:
         self._file.close()

@@ -8,8 +8,8 @@ seed, duration, preset name, ...), ``summary`` (the final
 ``checkpoints`` (the per-checkpoint phase history) -- plus, for a
 span-recorded run, ``spans`` (the
 :meth:`~repro.obs.spans.SpanRecorder.snapshot` list) and
-``spans_dropped`` (spans refused at the recorder's cap).  The two span
-keys are absent, not null, when spans were off.
+``spans_dropped`` (older spans the recorder's ring evicted).  The two
+span keys are absent, not null, when spans were off.
 ``schemas/metrics.schema.json`` describes the document.
 
 :func:`run_document` is the one writer (``repro metrics --json`` prints

@@ -29,25 +29,31 @@ components -- :class:`~repro.wal.log.LogManager`,
 :class:`~repro.faults.injector.FaultInjector` -- have no engine
 reference of their own.
 
-Span handles are plain ints (indices into the recorder's list); ``-1``
-is the universal "no span" handle, accepted everywhere as a no-op, so
-call sites can thread handles through closures without re-guarding.
-:func:`chrome_trace` renders a snapshot as Trace Event JSON that loads
-directly in Perfetto / ``chrome://tracing``.
+Span handles are plain ints: span ids, counted up from 0 in the order
+spans are recorded.  ``-1`` is the universal "no span" handle, accepted
+everywhere as a no-op, so call sites can thread handles through
+closures without re-guarding.  The recorder keeps the most recent
+``capacity`` spans: recording one more evicts the oldest, and a handle
+below the eviction horizon (``dropped``) ends as a counted-out no-op.
+Until anything is evicted a span's id is its index in the snapshot, so
+a run that stays under the cap records exactly what an unbounded list
+would.  :func:`chrome_trace` renders a snapshot as Trace Event JSON
+that loads directly in Perfetto / ``chrome://tracing``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from collections import deque
+from typing import Any, Deque, Dict, List
 
 __all__ = ["NULL_SPANS", "SpanRecorder", "chrome_trace"]
 
-#: default cap on retained spans per run; see ``SpanRecorder.dropped``
+#: default number of spans a recorder keeps; see ``SpanRecorder.dropped``
 DEFAULT_SPAN_CAPACITY = 250_000
 
 
 class SpanRecorder:
-    """An on/off switch in front of an append-only span list."""
+    """An on/off switch in front of a bounded window of recent spans."""
 
     __slots__ = ("enabled", "clock", "spans", "capacity", "dropped")
 
@@ -57,11 +63,13 @@ class SpanRecorder:
         #: anything with a ``now`` attribute (the event engine); None is
         #: fine for a disabled recorder or for pure ``emit`` use
         self.clock = clock
-        self.spans: List[Dict[str, Any]] = []
+        #: the retained spans, oldest first; ``spans[i]`` has id
+        #: ``dropped + i``
+        self.spans: Deque[Dict[str, Any]] = deque()
+        #: most spans kept at once (positive)
         self.capacity = capacity
-        #: spans not recorded because the capacity cap was hit.  The cap
-        #: exists because handles are list indices: spans cannot be
-        #: evicted ring-buffer style without invalidating open handles.
+        #: spans evicted, oldest first, to make room for newer ones --
+        #: which is also the id of the oldest span still held
         self.dropped = 0
 
     # -- recording ---------------------------------------------------------
@@ -71,29 +79,32 @@ class SpanRecorder:
         clock = self.clock
         return clock.now if clock is not None else 0.0
 
-    def begin(self, name: str, parent: int = -1, **fields: Any) -> int:
-        """Open a span starting now; returns its handle (-1 if dropped)."""
-        if not self.enabled:
-            return -1
+    def _record(self, span: Dict[str, Any]) -> int:
         spans = self.spans
         if len(spans) >= self.capacity:
+            spans.popleft()
             self.dropped += 1
+        spans.append(span)
+        return self.dropped + len(spans) - 1
+
+    def begin(self, name: str, parent: int = -1, **fields: Any) -> int:
+        """Open a span starting now; returns its handle (-1 if disabled)."""
+        if not self.enabled:
             return -1
-        handle = len(spans)
-        spans.append({"name": name, "start": self.now, "end": None,
-                      "parent": parent, "fields": fields})
-        return handle
+        return self._record({"name": name, "start": self.now, "end": None,
+                             "parent": parent, "fields": fields})
 
     def end(self, handle: int, **fields: Any) -> None:
         """Close the span ``handle`` at the current time.
 
-        A negative handle (disabled site, dropped span, or a closure
-        that never opened one) is a no-op, so callers may end
+        A negative handle (disabled site, or a closure that never opened
+        one) or an evicted span is a no-op, so callers may end
         unconditionally once they hold a handle.
         """
-        if handle < 0:
+        index = handle - self.dropped
+        if index < 0:       # the -1 handle, or an evicted span
             return
-        span = self.spans[handle]
+        span = self.spans[index]
         span["end"] = self.now
         if fields:
             span["fields"].update(fields)
@@ -108,14 +119,9 @@ class SpanRecorder:
         """
         if not self.enabled:
             return -1
-        spans = self.spans
-        if len(spans) >= self.capacity:
-            self.dropped += 1
-            return -1
-        handle = len(spans)
-        spans.append({"name": name, "start": start, "end": start + duration,
-                      "parent": parent, "fields": fields})
-        return handle
+        return self._record({"name": name, "start": start,
+                             "end": start + duration, "parent": parent,
+                             "fields": fields})
 
     # -- introspection -----------------------------------------------------
     def __len__(self) -> int:
@@ -145,10 +151,10 @@ class SpanRecorder:
             if extent > horizon:
                 horizon = extent
         out = []
-        for index, span in enumerate(self.spans):
+        for span_id, span in enumerate(self.spans, start=self.dropped):
             end = span["end"]
             record = {
-                "id": index,
+                "id": span_id,
                 "name": span["name"],
                 "start": span["start"],
                 "end": max(span["start"], horizon) if end is None else end,

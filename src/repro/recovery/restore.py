@@ -151,16 +151,8 @@ class RecoveryManager:
     def _replay_from(self, start_lsn: int) -> tuple[int, int, int, int]:
         records = [r for r in self.log.stable_records() if r.lsn >= start_lsn]
         words = sum(self.log.record_size_words(r) for r in records)
-
-        def apply_update(record_id: int, value: int) -> None:
-            segment = self.database.segment_of(record_id)
-            segment.data()[record_id - segment.first_record] = value
-
-        def apply_delta(record_id: int, delta: int) -> None:
-            segment = self.database.segment_of(record_id)
-            segment.data()[record_id - segment.first_record] += delta
-
-        counts = replay_records(records, apply_update, apply_delta)
+        # straight into the value array the segments are views of
+        counts = replay_records(records, self.database._values)
         return (counts.records_scanned, counts.transactions_committed,
                 counts.updates_applied, words)
 

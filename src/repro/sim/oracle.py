@@ -3,9 +3,13 @@
 An independent shadow of what the database *must* contain after crash
 recovery: the effects of exactly those transactions whose commit records
 reached stable storage, applied in log order.  It consumes stable log
-records incrementally (via :meth:`LogManager.drain_newly_stable`) using
-the same attempt-buffer replay semantics as recovery itself -- but it
-never looks at the primary database or the backup images, so agreement
+records as they become stable (via :meth:`LogManager.drain_newly_stable`,
+once per group flush on both hosts) and replays each batch at once,
+through a :class:`~repro.recovery.replay.RedoApplier` of its own, into
+the expected-state array -- so it holds that array and the updates of
+transactions whose outcome is not yet stable, never the log it has
+seen.  It never
+looks at the primary database or the backup images, so agreement
 between a recovered database and the oracle is genuine end-to-end
 evidence of recovery correctness.
 """
@@ -39,18 +43,7 @@ class CommittedStateOracle:
     def __init__(self, params: SystemParameters) -> None:
         self.params = params
         self._expected = np.zeros(params.n_records, dtype=np.int64)
-        self._applier = RedoApplier(self._apply, self._apply_delta)
-        self.records_consumed = 0
-        #: records accepted but not yet replayed (replay is deferred to
-        #: the first query so the simulation hot path only pays a list
-        #: extend per group flush, not a full replay pass)
-        self._undigested: List[LogRecord] = []
-
-    def _apply(self, record_id: int, value: int) -> None:
-        self._expected[record_id] = value
-
-    def _apply_delta(self, record_id: int, delta: int) -> None:
-        self._expected[record_id] += delta
+        self._applier = RedoApplier(self._expected)
 
     def seed_values(self, values: np.ndarray) -> None:
         """Adopt ``values`` as the base committed state.
@@ -60,50 +53,33 @@ class CommittedStateOracle:
         zeros, then consumes the surviving log via :meth:`feed` exactly
         as during normal processing.  Only valid before any records have
         been consumed -- a mid-run reseed would discard history the
-        digest already reflects.
+        expected state already reflects.
         """
-        if self.records_consumed:
+        if self._applier.counts.records_scanned:
             raise ValueError("seed_values() must precede any feed()")
         self._expected[:] = values
 
     def feed(self, records: Iterable[LogRecord]) -> None:
-        """Consume newly-stable log records (in LSN order across calls).
-
-        Records are buffered; replay happens lazily on the first query
-        (:attr:`expected`, :attr:`durable_commits`, the mismatch
-        methods).  The oracle is pure verification infrastructure, so
-        deferring its replay off the simulation hot path changes nothing
-        observable -- queries always digest the backlog first.
-        """
-        records = list(records)
-        self.records_consumed += len(records)
-        self._undigested.extend(records)
-
-    def _digest(self) -> None:
-        if self._undigested:
-            backlog, self._undigested = self._undigested, []
-            self._applier.feed(backlog)
+        """Replay newly-stable log records (in LSN order across calls)
+        into the expected state, before returning."""
+        self._applier.feed(records)
 
     @property
     def expected(self) -> np.ndarray:
         """The expected post-recovery record values (live view)."""
-        self._digest()
         return self._expected
 
     @property
     def durable_commits(self) -> int:
         """Transactions whose commit record has reached stable storage."""
-        self._digest()
         return self._applier.counts.transactions_committed
 
     def expected_values(self) -> np.ndarray:
         """A copy of the expected post-recovery record values."""
-        self._digest()
         return self._expected.copy()
 
     def mismatches(self, actual: np.ndarray, limit: int = 10) -> List[int]:
         """Record ids where ``actual`` disagrees with the oracle."""
-        self._digest()
         diff = np.nonzero(actual != self._expected)[0]
         return [int(r) for r in diff[:limit]]
 
@@ -115,7 +91,6 @@ class CommittedStateOracle:
         differ (off-by-a-delta points at replay, zero points at a lost
         segment), not just where.
         """
-        self._digest()
         expected = self._expected
         diff = np.nonzero(actual != expected)[0]
         return [

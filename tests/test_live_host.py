@@ -14,6 +14,7 @@ import os
 import random
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -558,6 +559,29 @@ def test_live_host_commits_after_a_torn_tail_survive_a_second_crash(tmp_path):
         third.stop()
 
 
+@pytest.mark.parametrize("txns, next_txn_id", [((3, 4), 5), ((), 1)])
+def test_live_host_restart_past_trailing_markers_keeps_txn_ids(
+        tmp_path, txns, next_txn_id):
+    """The next transaction id is one past the last one logged, however
+    many checkpoint markers follow it (and 1 with none logged)."""
+    log = DurableLog(SystemParameters.scaled_down(2048),
+                     tmp_path / "wal.jsonl", fsync=False)
+    for txn_id in txns:
+        log.append_update(txn_id, txn_id, 10 * txn_id)
+        log.append_commit(txn_id)
+    log.append_begin_checkpoint(1, 0.0, (), image=0)
+    log.append_end_checkpoint(1, image=0)
+    log.flush()
+    log.close()
+    reborn = _host(tmp_path)
+    reborn.start()
+    try:
+        assert reborn.submit([(0, 1)]).txn_id == next_txn_id
+        assert reborn.verify() == []
+    finally:
+        reborn.stop()
+
+
 def test_live_host_restart_reads_and_scans_the_wal_once(tmp_path,
                                                         monkeypatch):
     host = _host(tmp_path)
@@ -715,6 +739,62 @@ def test_live_host_emits_txn_and_ckpt_spans(tmp_path):
     quantiles = decompose_quantiles(attributions)
     assert set(quantiles) == {"p50", "p95", "p99"}
     assert quantiles["p99"]["latency"] > 0.0
+
+
+def test_live_host_memory_is_flat_across_checkpointed_rounds(tmp_path):
+    """Nothing the host keeps outlives the log window it describes: a
+    round of bulk commits closed by a checkpoint leaves no net
+    allocation behind (the oracle digests every flush; the truncated
+    log frees its records; the span ring, full after one round, evicts
+    as much as it records)."""
+    host = _host(tmp_path, scale=64, spans=True)
+    host.spans.capacity = 64
+    rng = np.random.default_rng(26)
+    n_records = host.params.n_records
+
+    def bulk_round() -> None:
+        for _ in range(30):
+            host.submit(list(zip(rng.integers(n_records, size=1024).tolist(),
+                                 range(1024))))
+        done = len(host.checkpointer.history)
+        host.scheduler.call(host.checkpointer.start_checkpoint)
+        assert _wait_until(lambda: len(host.checkpointer.history) > done)
+
+    host.start()
+    try:
+        bulk_round()        # warm-up: allocator pools, the first image
+        tracemalloc.start()
+        try:
+            bulk_round()
+            before = tracemalloc.get_traced_memory()[0]
+            bulk_round()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert host.verify() == []
+    finally:
+        host.stop()
+    # one round logs ~31 k records, ~4 MB were they kept
+    assert grown < 1 << 20, f"{grown} bytes kept by one round"
+
+
+def test_live_host_past_its_span_cap_returns_its_latest_commits(tmp_path):
+    host = _host(tmp_path, spans=True)
+    host.spans.capacity = 12
+    host.start()
+    try:
+        committed = [host.submit([(i, i)]).txn_id for i in range(1, 21)]
+        spans = host.spans_snapshot()
+        dropped = host.spans.dropped
+    finally:
+        host.stop()
+    assert len(spans) == 12 and dropped > 0
+    assert [span["id"] for span in spans] == \
+        list(range(dropped, dropped + 12))
+    # the window ends at the last commit, with its children beside it
+    attributions = attribute_stalls(spans)
+    assert attributions and \
+        [a.txn_id for a in attributions] == committed[-len(attributions):]
 
 
 # ---------------------------------------------------------------------------

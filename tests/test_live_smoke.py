@@ -8,7 +8,9 @@ but not renamed, or renamed but the log not yet truncated), a genuine
 ``SIGKILL``, and then the restart verdict -- ``repro serve --check``
 recovers from whatever bytes survived and the independent committed-state
 oracle must report **zero** mismatches, after which a restarted server
-must return every value the dead one acknowledged.
+must return every value the dead one acknowledged.  One more test keeps
+a server busy with bulk commits and reads its resident set: it must
+stop growing once the log is being truncated.
 
 Marked ``livesmoke``: subprocesses + real fsyncs make these seconds-slow,
 so tier-1 deselects them (run via ``pytest -m livesmoke``; CI has a
@@ -17,6 +19,8 @@ dedicated job).
 
 import json
 import os
+import random
+import socket
 import subprocess
 import sys
 import time
@@ -155,6 +159,49 @@ def test_sigkill_right_after_an_ack_no_timer_flushed(tmp_path):
         if reborn.poll() is None:
             reborn.kill()
             reborn.wait(timeout=10)
+
+
+def _vm_rss_mb(pid):
+    with open(f"/proc/{pid}/status") as status:
+        for line in status:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1]) / 1024.0
+    raise AssertionError("VmRSS not reported")
+
+
+def test_server_memory_stays_flat_under_bulk_commits(tmp_path):
+    """A server with spans on (its default) keeps what the log window
+    needs, not what it has ever logged: across ~2,000 1024-update
+    commits and the checkpoints between them, its resident set stops
+    growing once the first third is done."""
+    proc, ready = _spawn_server(tmp_path, "--scale", "64", "--no-fsync",
+                                "--checkpoint-interval", "0.5")
+    rng = random.Random(26)
+    n_records = ready["n_records"]
+    try:
+        with socket.create_connection(("127.0.0.1", ready["port"]),
+                                      timeout=30) as conn:
+            replies = conn.makefile("rb")
+            readings = []
+            for i in range(2001):
+                if i in (667, 2000):
+                    readings.append(_vm_rss_mb(ready["pid"]))
+                updates = [[rng.randrange(n_records), i] for _ in range(1024)]
+                conn.sendall(json.dumps({"op": "txn", "updates": updates})
+                             .encode() + b"\n")
+                assert json.loads(replies.readline())["ok"]
+        stats = request(ready["port"], {"op": "stats"})["stats"]
+        assert stats["checkpoints_completed"] >= 3
+        assert request(ready["port"], {"op": "verify"})["mismatches"] == []
+        request(ready["port"], {"op": "shutdown"})
+        assert proc.wait(timeout=30) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+    third, end = readings
+    # the records logged in between would be ~180 MB if kept
+    assert end - third < 20.0, readings
 
 
 def test_server_round_trip_and_graceful_shutdown(tmp_path):

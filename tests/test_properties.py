@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,7 @@ from repro.model.restarts import (
     sweep_average_conflict,
 )
 from repro.params import SystemParameters
-from repro.recovery.replay import replay_records
+from repro.recovery.replay import RedoApplier, replay_records
 from repro.sim.engine import EventEngine
 from repro.wal.log import LogManager
 
@@ -38,18 +39,28 @@ params_strategy = st.builds(
 
 
 @st.composite
-def log_scripts(draw):
-    """A random, well-formed sequence of log operations."""
+def log_scripts(draw, rich=False):
+    """A random, well-formed sequence of log operations.
+
+    Transactions run one after another, reruns of an aborted attempt
+    reuse its id, and the last transaction may stay open.  ``rich``
+    may also draw logical (delta) updates, interleave the transactions
+    with each other, and scatter data-less markers (``("m", kind)``)
+    through the log.
+    """
+    logical = rich and draw(st.booleans())
     n_txns = draw(st.integers(min_value=1, max_value=8))
-    script = []
+    scripts = []
     for txn_id in range(1, n_txns + 1):
+        script = []
         n_attempts = draw(st.integers(min_value=1, max_value=3))
         for attempt in range(n_attempts):
             n_updates = draw(st.integers(min_value=0, max_value=4))
             for _ in range(n_updates):
+                kind = draw(st.sampled_from("ul")) if logical else "u"
                 rid = draw(st.integers(min_value=0, max_value=63))
                 value = draw(st.integers(min_value=-1000, max_value=1000))
-                script.append(("u", txn_id, rid, value))
+                script.append((kind, txn_id, rid, value))
             last = attempt == n_attempts - 1
             outcome = draw(st.sampled_from(
                 ["commit", "abort", "open"] if last else ["abort"]))
@@ -57,7 +68,48 @@ def log_scripts(draw):
                 script.append(("c", txn_id))
             elif outcome == "abort":
                 script.append(("a", txn_id))
-    return script
+        if script:
+            scripts.append(script)
+    if rich and draw(st.booleans()):
+        # interleave: repeatedly take the next entry of a random txn
+        merged = []
+        while scripts:
+            index = draw(st.integers(min_value=0, max_value=len(scripts) - 1))
+            merged.append(scripts[index].pop(0))
+            if not scripts[index]:
+                scripts.pop(index)
+    else:
+        merged = [entry for script in scripts for entry in script]
+    if rich:
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            at = draw(st.integers(min_value=0, max_value=len(merged)))
+            merged.insert(at, ("m", draw(st.sampled_from("BEFR"))))
+    return merged
+
+
+def _log_of(script):
+    """A flushed :class:`LogManager` holding ``script``'s records."""
+    log = LogManager(SystemParameters(s_db=8192 * 8, lam=10.0))
+    markers = {
+        "B": lambda: log.append_begin_checkpoint(1, 0.0, (), image=0),
+        "E": lambda: log.append_end_checkpoint(1, image=0),
+        "F": lambda: log.append_media_failure(1),
+        "R": lambda: log.append_media_restore(1, checkpoint_id=1),
+    }
+    for entry in script:
+        kind = entry[0]
+        if kind == "u":
+            log.append_update(*entry[1:])
+        elif kind == "l":
+            log.append_logical_update(*entry[1:])
+        elif kind == "c":
+            log.append_commit(entry[1])
+        elif kind == "a":
+            log.append_abort(entry[1])
+        else:
+            markers[entry[1]]()
+    log.flush()
+    return log
 
 
 # -- restart model properties ------------------------------------------------
@@ -128,21 +180,10 @@ class TestReplayProperties:
     @given(script=log_scripts())
     def test_replay_matches_reference_interpreter(self, script):
         """Replay must agree with a direct interpretation of the script."""
-        params = SystemParameters(s_db=8192 * 8, lam=10.0)
-        log = LogManager(params)
-        for entry in script:
-            if entry[0] == "u":
-                log.append_update(entry[1], entry[2], entry[3])
-            elif entry[0] == "c":
-                log.append_commit(entry[1])
-            else:
-                log.append_abort(entry[1])
-        log.flush()
+        replayed = np.zeros(64, dtype=np.int64)
+        replay_records(_log_of(script).stable_records(), replayed)
 
-        replayed = {}
-        replay_records(log.stable_records(), replayed.__setitem__)
-
-        reference = {}
+        reference = [0] * 64
         pending = {}
         for entry in script:
             if entry[0] == "u":
@@ -152,26 +193,37 @@ class TestReplayProperties:
                     reference[rid] = value
             else:
                 pending.pop(entry[1], None)
-        assert replayed == reference
+        assert replayed.tolist() == reference
 
     @settings(max_examples=30, deadline=None)
     @given(script=log_scripts())
     def test_replay_is_idempotent(self, script):
-        params = SystemParameters(s_db=8192 * 8, lam=10.0)
-        log = LogManager(params)
-        for entry in script:
-            if entry[0] == "u":
-                log.append_update(entry[1], entry[2], entry[3])
-            elif entry[0] == "c":
-                log.append_commit(entry[1])
-            else:
-                log.append_abort(entry[1])
-        log.flush()
-        once, twice = {}, {}
-        replay_records(log.stable_records(), once.__setitem__)
+        records = _log_of(script).stable_records()
+        once = np.zeros(64, dtype=np.int64)
+        twice = np.zeros(64, dtype=np.int64)
+        replay_records(records, once)
         for _ in range(2):
-            replay_records(log.stable_records(), twice.__setitem__)
-        assert once == twice
+            replay_records(records, twice)
+        assert once.tolist() == twice.tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(script=log_scripts(rich=True),
+           cuts=st.lists(st.integers(min_value=0, max_value=80), max_size=4))
+    def test_batched_feed_matches_the_per_record_loop(self, script, cuts):
+        """``feed`` leaves the array and every count exactly where the
+        per-record loop does, however the log is cut into batches."""
+        records = list(_log_of(script).stable_records())
+        bounds = [0, *sorted(min(cut, len(records)) for cut in cuts),
+                  len(records)]
+        batches = [records[a:b] for a, b in zip(bounds, bounds[1:])]
+        initial = np.arange(64, dtype=np.int64) * 7   # deltas need a base
+        batched = RedoApplier(initial.copy())
+        reference = RedoApplier(initial.copy())
+        for batch in batches:
+            batched.feed(batch)
+            reference.feed_each(batch)
+        assert batched.target.tolist() == reference.target.tolist()
+        assert batched.finish() == reference.finish()
 
 
 # -- lock manager properties -----------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from tests.helpers import CheckpointHarness
@@ -14,6 +15,11 @@ from repro.sim.timestamps import TimestampAuthority
 from repro.storage.array import DiskArray
 from repro.storage.backup import BackupStore
 from repro.wal.log import LogManager
+
+
+def _state(n_records=4):
+    """A zeroed value array for replay to write into."""
+    return np.zeros(n_records, dtype=np.int64)
 
 
 def _log_with(params, script):
@@ -37,17 +43,17 @@ class TestReplaySemantics:
             ("u", 1, 0, 10), ("u", 1, 1, 11), ("c", 1),
             ("u", 2, 0, 20), ("c", 2),
         ])
-        state = {}
-        replay_records(log.stable_records(), state.__setitem__)
-        assert state == {0: 20, 1: 11}
+        state = _state()
+        replay_records(log.stable_records(), state)
+        assert state.tolist() == [20, 11, 0, 0]
 
     def test_uncommitted_updates_dropped(self, tiny_params):
         log = _log_with(tiny_params, [
             ("u", 1, 0, 10),  # no commit record
         ])
-        state = {}
-        counts = replay_records(log.stable_records(), state.__setitem__)
-        assert state == {}
+        state = _state()
+        counts = replay_records(log.stable_records(), state)
+        assert not state.any()
         assert counts.pending_at_end == 1
         assert counts.updates_dropped == 1
 
@@ -55,9 +61,9 @@ class TestReplaySemantics:
         log = _log_with(tiny_params, [
             ("u", 1, 0, 10), ("a", 1),
         ])
-        state = {}
-        counts = replay_records(log.stable_records(), state.__setitem__)
-        assert state == {}
+        state = _state()
+        counts = replay_records(log.stable_records(), state)
+        assert not state.any()
         assert counts.attempts_aborted == 1
 
     def test_abort_then_commit_same_txn_id(self, tiny_params):
@@ -70,9 +76,9 @@ class TestReplaySemantics:
             ("u", 1, 0, 10), ("a", 1),          # first attempt aborted
             ("u", 1, 0, 12), ("u", 1, 1, 13), ("c", 1),  # rerun commits
         ])
-        state = {}
-        counts = replay_records(log.stable_records(), state.__setitem__)
-        assert state == {0: 12, 1: 13}
+        state = _state()
+        counts = replay_records(log.stable_records(), state)
+        assert state.tolist() == [12, 13, 0, 0]
         assert counts.transactions_committed == 1
         assert counts.attempts_aborted == 1
 
@@ -81,29 +87,124 @@ class TestReplaySemantics:
             ("u", 1, 0, 10), ("u", 2, 1, 21),
             ("c", 2), ("u", 1, 2, 12), ("c", 1),
         ])
-        state = {}
-        replay_records(log.stable_records(), state.__setitem__)
-        assert state == {0: 10, 1: 21, 2: 12}
+        state = _state()
+        replay_records(log.stable_records(), state)
+        assert state.tolist() == [10, 21, 12, 0]
 
     def test_incremental_feed_matches_one_shot(self, tiny_params):
         log = _log_with(tiny_params, [
             ("u", 1, 0, 10), ("c", 1), ("u", 2, 1, 21), ("c", 2),
         ])
         records = list(log.stable_records())
-        one = {}
-        replay_records(records, one.__setitem__)
-        incremental = {}
-        applier = RedoApplier(incremental.__setitem__)
+        one = _state()
+        replay_records(records, one)
+        incremental = _state()
+        applier = RedoApplier(incremental)
         applier.feed(records[:2])
         applier.feed(records[2:])
         applier.finish()
-        assert one == incremental
+        assert one.tolist() == incremental.tolist()
 
     def test_counts_scanned(self, tiny_params):
         log = _log_with(tiny_params, [("u", 1, 0, 1), ("c", 1)])
-        counts = replay_records(log.stable_records(), lambda r, v: None)
+        counts = replay_records(log.stable_records(), _state())
         assert counts.records_scanned == 2
         assert counts.updates_applied == 1
+
+
+def _runs_script(n_txns, updates_per_txn, n_records=64):
+    """Commit-time logging: each transaction's updates, then its outcome
+    (every fifth aborted), repeated record ids across transactions."""
+    script = []
+    for txn_id in range(1, n_txns + 1):
+        for i in range(updates_per_txn):
+            script.append(("u", txn_id, (txn_id * 7 + i) % n_records,
+                           txn_id * 1000 + i))
+        script.append(("a" if txn_id % 5 == 0 else "c", txn_id))
+    return script
+
+
+class TestBatchedReplay:
+    def test_whole_runs_never_reach_the_per_record_loop(self, tiny_params,
+                                                        monkeypatch):
+        script = _runs_script(12, 9) + [("u", 13, 3, 1), ("u", 13, 4, 2)]
+        records = list(_log_with(tiny_params, script).stable_records())
+        expected = RedoApplier(_state(64))
+        expected.feed_each(records)
+        monkeypatch.setattr(RedoApplier, "feed_each", None)
+        applier = RedoApplier(_state(64))
+        applier.feed(records)
+        assert applier.target.tolist() == expected.target.tolist()
+        assert applier.finish() == expected.finish()
+        assert applier.counts.pending_at_end == 2   # txn 13 never ended
+
+    @staticmethod
+    def _handed_to_the_loop(monkeypatch):
+        """Record the length of every batch remainder ``feed`` hands to
+        ``feed_each``."""
+        handed = []
+        real_feed_each = RedoApplier.feed_each
+
+        def feed_each(applier, rest):
+            handed.append(len(rest))
+            real_feed_each(applier, rest)
+
+        monkeypatch.setattr(RedoApplier, "feed_each", feed_each)
+        return handed
+
+    def test_the_loop_takes_over_at_the_first_break_in_shape(
+            self, tiny_params, monkeypatch):
+        """Wherever the batch stops being whole runs (here: an
+        interleaved transaction, then a logical record), the runs before
+        it are written as they stand and the loop replays the rest."""
+        script = (_runs_script(8, 6) + [("u", 20, 1, 5), ("u", 21, 2, 6),
+                                        ("c", 21), ("c", 20)]
+                  + _runs_script(4, 3))
+        log = _log_with(tiny_params, script)
+        log.append_logical_update(30, 5, 9)
+        log.append_commit(30)
+        log.flush()
+        records = list(log.stable_records())
+        expected = RedoApplier(_state(64))
+        expected.feed_each(records)
+        handed = self._handed_to_the_loop(monkeypatch)
+        applier = RedoApplier(_state(64))
+        applier.feed(records)
+        assert applier.target.tolist() == expected.target.tolist()
+        assert applier.finish() == expected.finish()
+        # 78 records; the 8 whole runs before the interleaved pair are
+        # 56 of them
+        assert handed == [len(records) - 56]
+
+    def test_an_unclosed_end_of_two_transactions_is_buffered_apart(
+            self, tiny_params):
+        """A batch may end inside transactions whose outcome a later
+        batch brings; each keeps its own buffer across the feeds."""
+        records = list(_log_with(tiny_params, [
+            ("u", 1, 0, 10), ("c", 1), ("u", 2, 1, 21), ("u", 3, 2, 32),
+            ("u", 3, 3, 33), ("c", 2), ("a", 3)]).stable_records())
+        applier = RedoApplier(_state())
+        applier.feed(records[:5])
+        applier.feed(records[5:])
+        assert applier.target.tolist() == [10, 21, 0, 0]
+        counts = applier.finish()
+        assert (counts.updates_applied, counts.updates_dropped) == (2, 2)
+
+    def test_a_write_the_array_refuses_goes_to_the_loop(self, tiny_params,
+                                                       monkeypatch):
+        """numpy's own conversions decide: a negative id indexes from
+        the end in both ways, and a run holding a float value is
+        rewritten from its start by the loop, which truncates it."""
+        log = _log_with(tiny_params, [("u", 1, 2, 5), ("u", 1, 2, 6),
+                                      ("c", 1), ("u", 2, -1, 7), ("c", 2),
+                                      ("u", 3, 0, 8), ("u", 3, 1, 2.5),
+                                      ("c", 3)])
+        handed = self._handed_to_the_loop(monkeypatch)
+        state = _state()
+        counts = replay_records(log.stable_records(), state)
+        assert state.tolist() == [8, 2, 6, 7]
+        assert counts.transactions_committed == 3
+        assert handed == [3]
 
 
 class _RecoverySetup:
@@ -123,7 +224,6 @@ class _RecoverySetup:
                                authority=self.authority)
 
     def complete_checkpoint_of_zeros(self, checkpoint_id: int = 1):
-        import numpy as np
         image = self.backup.acquire_image_for_checkpoint(checkpoint_id)
         zeros = np.zeros(self.params.records_per_segment, dtype=np.int64)
         begin = self.log.append_begin_checkpoint(
@@ -210,7 +310,6 @@ class TestRecoveryManager:
 
     def test_replay_is_idempotent_over_fuzzy_image(self, tiny_params):
         """An image already containing post-marker values is harmless."""
-        import numpy as np
         setup = _RecoverySetup(tiny_params)
         begin, image = setup.complete_checkpoint_of_zeros()
         # Fuzzy: the image also caught txn 2's update before it committed.

@@ -101,13 +101,45 @@ def test_disabled_recorder_and_negative_handles_are_noops():
 
 
 def test_span_capacity_cap_counts_drops():
-    spans = SpanRecorder(enabled=True, capacity=2)
-    assert spans.begin("a") == 0
-    assert spans.emit("b", 0.0, 1.0) == 1
-    assert spans.begin("c") == -1
-    assert spans.emit("d", 0.0, 1.0) == -1
-    assert spans.dropped == 2
-    assert len(spans) == 2
+    """At the cap the oldest span makes room: the recorder keeps the
+    most recent spans, under their original ids, and counts the rest."""
+    clock = _FakeClock()
+    spans = SpanRecorder(enabled=True, clock=clock, capacity=4)
+    handles = []
+    for i in range(10):
+        clock.now = float(i)
+        handles.append(spans.begin(f"s{i}") if i % 2
+                       else spans.emit(f"s{i}", clock.now, 0.5))
+    assert handles == list(range(10))
+    assert spans.dropped == 6
+    assert len(spans) == 4
+    snapshot = spans.snapshot()
+    assert [span["id"] for span in snapshot] == [6, 7, 8, 9]
+    assert [span["name"] for span in snapshot] == ["s6", "s7", "s8", "s9"]
+    clock.now = 20.0
+    spans.end(handles[1], outcome="late")   # evicted: a no-op
+    spans.end(handles[7], outcome="done")
+    assert spans.snapshot()[1]["end"] == 20.0
+    assert spans.snapshot()[1]["fields"] == {"outcome": "done"}
+    assert spans.dropped == 6 and len(spans) == 4
+
+
+def test_children_of_evicted_parents_break_no_consumer():
+    clock = _FakeClock()
+    spans = SpanRecorder(enabled=True, clock=clock, capacity=3)
+    old_root = spans.emit("txn", 0.0, 2.0, outcome="commit", txn_id=1)
+    spans.emit("txn.cpu", 0.0, 1.0, parent=old_root)
+    root = spans.emit("txn", 1.0, 2.0, outcome="commit", txn_id=2)
+    spans.emit("txn.lock_wait", 1.0, 0.5, parent=root)
+    spans.emit("txn.cpu", 1.5, 1.0, parent=old_root)  # parent evicted
+    snapshot = spans.snapshot()
+    assert [span["id"] for span in snapshot] == [2, 3, 4]
+    [attribution] = attribute_stalls(snapshot)
+    assert attribution.txn_id == 2
+    assert attribution.causes["lock"] == pytest.approx(0.5)
+    events = chrome_trace(snapshot)["traceEvents"]
+    assert [e["args"].get("parent") for e in events if e["ph"] == "X"] == \
+        [None, 2, old_root]
 
 
 def test_snapshot_clamps_abandoned_open_spans():
