@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Enforce the architecture's layering rules (docs/ARCHITECTURE.md).
 
-Three checks, stdlib-only so CI needs nothing installed:
+Four checks, stdlib-only so CI needs nothing installed:
 
 1. **Engine isolation** -- the engine-layer modules of ``repro.sim``
    must not import any component or kernel package. They are the
@@ -17,7 +17,13 @@ Three checks, stdlib-only so CI needs nothing installed:
    it silently. Wall-clock code lives exclusively in ``repro/live/``,
    behind the ports declared in ``repro/sim/ports.py``.
 
-3. **No tracked bytecode** -- ``*.pyc`` files and ``__pycache__``
+3. **Checkpointers behind the write port** -- no module under
+   ``repro/checkpoint/`` may import ``repro.storage.array``. A
+   checkpointer reaches the backup disks only through the
+   ``ImageWriter`` it is handed (``repro/sim/ports.py``), so a host with
+   real image files swaps the writer, not the algorithms.
+
+4. **No tracked bytecode** -- ``*.pyc`` files and ``__pycache__``
    directories must never be committed.
 
 Exit status 0 = clean, 1 = violations (printed one per line).
@@ -32,6 +38,7 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SIM_DIR = REPO_ROOT / "src" / "repro" / "sim"
+CHECKPOINT_DIR = REPO_ROOT / "src" / "repro" / "checkpoint"
 
 #: repro.sim modules that form the engine layer
 ENGINE_MODULES = (
@@ -51,9 +58,12 @@ ENGINE_ALLOWED = {"errors"}
 ENGINE_SIBLINGS = {Path(name).stem for name in ENGINE_MODULES}
 
 
-def _imported_module_names(path: Path):
-    """Yield (lineno, dotted-target) for every import in a ``repro/sim/``
-    module, relative ones resolved to their absolute name."""
+def _imported_module_names(path: Path, package: str = "repro.sim", *,
+                           with_names: bool = False):
+    """Yield (lineno, dotted-target) for every import in a module of the
+    subpackage ``package``, relative ones resolved to their absolute
+    name.  With ``with_names``, ``from pkg import name`` also yields
+    ``pkg.name``, so a submodule imported by name is caught too."""
     tree = ast.parse(path.read_text(), filename=str(path))
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -61,12 +71,17 @@ def _imported_module_names(path: Path):
                 yield node.lineno, alias.name
         elif isinstance(node, ast.ImportFrom):
             if node.level:
-                # level 1 = repro.sim, level 2 = repro, level 3+ = outside
-                base = ("repro.sim", "repro")[min(node.level, 2) - 1]
+                # level 1 = the package, level 2 = repro, 3+ = outside
+                base = (package, "repro")[min(node.level, 2) - 1]
                 module = f"{base}.{node.module}" if node.module else base
-                yield node.lineno, module
             elif node.module:
-                yield node.lineno, node.module
+                module = node.module
+            else:
+                continue
+            yield node.lineno, module
+            if with_names:
+                for alias in node.names:
+                    yield node.lineno, f"{module}.{alias.name}"
 
 
 def check_engine_isolation() -> list[str]:
@@ -122,6 +137,28 @@ def check_host_purity() -> list[str]:
     return violations
 
 
+#: what a checkpointer must not import: the simulated disk array
+CHECKPOINT_FORBIDDEN_MODULE = "repro.storage.array"
+
+
+def check_checkpoint_write_port() -> list[str]:
+    violations = []
+    for path in sorted(CHECKPOINT_DIR.glob("*.py")):
+        reported = set()
+        for lineno, target in _imported_module_names(
+                path, "repro.checkpoint", with_names=True):
+            if lineno not in reported and (
+                    target == CHECKPOINT_FORBIDDEN_MODULE
+                    or target.startswith(CHECKPOINT_FORBIDDEN_MODULE + ".")):
+                reported.add(lineno)
+                rel = path.relative_to(REPO_ROOT)
+                violations.append(
+                    f"{rel}:{lineno}: checkpoint module imports {target} "
+                    "(checkpointers reach the disks only through the "
+                    "ImageWriter port in repro/sim/ports.py)")
+    return violations
+
+
 def check_no_tracked_bytecode() -> list[str]:
     proc = subprocess.run(
         ["git", "ls-files", "*.pyc", "*__pycache__*"],
@@ -132,6 +169,7 @@ def check_no_tracked_bytecode() -> list[str]:
 
 def main() -> int:
     violations = (check_engine_isolation() + check_host_purity()
+                  + check_checkpoint_write_port()
                   + check_no_tracked_bytecode())
     for violation in violations:
         print(violation)
@@ -139,7 +177,7 @@ def main() -> int:
         print(f"{len(violations)} layering violation(s)", file=sys.stderr)
         return 1
     print("layering clean: engine isolated, sim host pure, "
-          "no tracked bytecode")
+          "checkpointers behind the write port, no tracked bytecode")
     return 0
 
 

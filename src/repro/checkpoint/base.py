@@ -47,9 +47,8 @@ from ..mmdb.segment import Segment
 from ..obs.spans import NULL_SPANS, SpanRecorder
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from ..params import SystemParameters
-from ..sim.ports import SchedulerPort
+from ..sim.ports import ImageWriter, SchedulerPort
 from ..sim.timestamps import TimestampAuthority
-from ..storage.array import DiskArray
 from ..storage.backup import BackupImage, BackupStore
 from ..txn.manager import TransactionManager
 from ..txn.transaction import Transaction
@@ -150,7 +149,7 @@ class BaseCheckpointer:
         ledger: CostLedger,
         engine: SchedulerPort,
         backup: BackupStore,
-        array: DiskArray,
+        writer: ImageWriter,
         authority: TimestampAuthority,
         *,
         scope: CheckpointScope = CheckpointScope.PARTIAL,
@@ -173,11 +172,13 @@ class BaseCheckpointer:
         self.ledger = ledger
         self.engine = engine
         self.backup = backup
-        self.array = array
+        #: where segment writes go (the only path to the backup disks)
+        self.writer = writer
         self.authority = authority
         self.telemetry = telemetry
-        #: fault-injection handle (phase-crash triggers, torn-write
-        #: bookkeeping); :data:`NULL_INJECTOR` when no plan is armed
+        #: fault-injection handle (phase-crash triggers; the writer keeps
+        #: the torn-write bookkeeping); :data:`NULL_INJECTOR` when no
+        #: plan is armed
         self.faults = faults
         #: span recorder (phase windows); :data:`NULL_SPANS` = off
         self.spans = spans
@@ -402,17 +403,11 @@ class BaseCheckpointer:
             self.log.assert_wal(reflected_lsn,
                                 context=f"{self.name} segment {index}")
         self.ledger.charge_io_async()
-        if self.faults.armed:
-            # From here until _write_done the transfer is in flight: a
-            # crash may tear it (see FaultInjector.on_system_crash).
-            self.faults.note_write_issued(run.image, index, data,
-                                          data_timestamp)
         issued_at = self.engine.now
         io_span = (self.spans.begin("ckpt.io", parent=run.span, segment=index)
                    if self.spans.enabled else -1)
-        completion = self.array.submit(issued_at, self.params.s_seg)
-        self.engine.schedule_at(
-            completion,
+        self.writer.write(
+            run.image, index, data, data_timestamp,
             lambda: self._write_done(run, index, data, data_timestamp,
                                      on_written, issued_at, io_span),
         )
@@ -429,8 +424,6 @@ class BaseCheckpointer:
     ) -> None:
         if io_span >= 0:
             self.spans.end(io_span)
-        if self.faults.armed:
-            self.faults.note_write_completed(run.image.index, index)
         if run is not self.current:
             return  # a crash abandoned this run; the write never completed
         if self.telemetry.enabled:

@@ -50,7 +50,6 @@ from .faults.plan import CRASH_PHASES
 from .model.evaluate import evaluate
 from .obs.presets import PRESET_NAMES, get_preset
 from .params import SystemParameters
-from .storage.backends import storage_backend_names
 from .sweep import SweepRunner, default_cache_dir
 
 
@@ -123,12 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
                       lam=True, stable_tail=True)
     sim.add_argument("--crash", action="store_true",
                      help="inject a crash at the end and verify recovery")
-    sim.add_argument("--storage-backend", default="memory",
-                     choices=list(storage_backend_names()),
-                     help="backup-image storage backend (default: memory)")
-    sim.add_argument("--storage-dir", default=None, metavar="DIR",
-                     help="directory for the file backend's image files "
-                          "(default: a fresh temporary directory)")
     sim.add_argument("--partitions", type=int, default=1,
                      help="hash-partition the segment space into N "
                           "independent shards, each with its own "
@@ -549,7 +542,6 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
         args.algorithm, scale=args.scale, lam=args.lam, seed=args.seed,
         duration=args.duration, interval=args.interval, crash=args.crash,
         stable_tail=args.stable_tail, workload=workload,
-        storage_backend=args.storage_backend, storage_dir=args.storage_dir,
         partitions=args.partitions, partition_policy=args.partition_policy,
         recovery_workers=args.recovery_workers)
     metrics = outcome.metrics

@@ -428,7 +428,9 @@ class LiveHost:
         asks for the group flush itself (:meth:`_request_flush`), so it
         shares one write + fsync with whatever else was waiting, and
         waits for no timer.  A log that has failed a flush rejects the
-        transaction at once with :class:`~repro.errors.WALFailedError`.
+        transaction at once with :class:`~repro.errors.WALFailedError`,
+        and so does the flush that fails while the transaction waits on
+        it (chained to the flush's own error).
         """
         if not updates:
             raise InvalidStateError("a transaction must write something")
@@ -446,7 +448,12 @@ class LiveHost:
                 return
             executed_at = self.clock.now
 
-            def acknowledged() -> None:
+            def settled(failure: Optional[BaseException] = None) -> None:
+                if failure is not None:
+                    # the flush carrying the commit failed: never acked
+                    box[1] = failure
+                    done.set()
+                    return
                 acked_at = self.clock.now
                 spans = self.spans
                 if spans.enabled:
@@ -467,7 +474,7 @@ class LiveHost:
                                       latency=acked_at - submitted_at)
                 done.set()
 
-            self.log.when_stable(commit.lsn, acknowledged)
+            self.log.when_stable(commit.lsn, settled, settled)
             self._request_flush()
 
         self.scheduler.submit(execute)

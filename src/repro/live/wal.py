@@ -54,9 +54,11 @@ A flush that *fails* (``write``, ``flush`` or ``fsync`` raises) is never
 retried onto the same file: nobody knows what the file holds past its
 last completed flush, and encoding the tail again behind that would fuse
 or duplicate lines.  The log keeps the first exception as ``failure``,
-marks nothing stable, fires no waiter, and from then on every
-``flush()`` raises :class:`~repro.errors.WALFailedError` without
-touching the file.
+marks nothing stable and fires no stability waiter; a waiter registered
+with ``on_failure`` gets a :class:`~repro.errors.WALFailedError` chained
+to the failure at once instead, so a commit waiting on the failed flush
+fails rather than waiting out its timeout.  From then on every
+``flush()`` raises ``WALFailedError`` without touching the file.
 
 Truncation (checkpoint log reclamation) rewrites the file through the
 same temp-file + fsync + :func:`os.replace` discipline the image store
@@ -366,12 +368,18 @@ class DurableLog(LogManager):
         finally:
             os.close(fd)
 
+    def failed_error(self) -> WALFailedError:
+        """A fresh :class:`WALFailedError` chained to ``failure``."""
+        error = WALFailedError(
+            f"the WAL stopped at a failed flush ({self.failure!r}); "
+            "nothing after it can be made durable")
+        error.__cause__ = self.failure
+        return error
+
     def raise_if_failed(self) -> None:
         """Raise :class:`WALFailedError` if an earlier flush failed."""
         if self.failure is not None:
-            raise WALFailedError(
-                f"the WAL stopped at a failed flush ({self.failure!r}); "
-                "nothing after it can be made durable") from self.failure
+            raise self.failed_error()
 
     def flush(self) -> FlushResult:
         """Write and fsync the tail, then let the base class mark it stable.
@@ -382,10 +390,11 @@ class DurableLog(LogManager):
         fsync.
 
         A failure is final.  The tail stays volatile and its waiters
-        unfired, and no later call writes again: the file (or the
-        buffer in front of it) may hold any part of this batch, so a
-        retry would append the whole tail behind a partial or duplicate
-        copy of itself, or re-fsync pages the kernel already dropped.
+        unfired (each one's ``on_failure`` runs instead), and no later
+        call writes again: the file (or the buffer in front of it) may
+        hold any part of this batch, so a retry would append the whole
+        tail behind a partial or duplicate copy of itself, or re-fsync
+        pages the kernel already dropped.
         """
         self.raise_if_failed()
         if self._tail:
@@ -394,8 +403,18 @@ class DurableLog(LogManager):
                 self._sync_file(self._file)
             except BaseException as exc:
                 self.failure = exc
+                self._fail_waiters()
                 raise
         return super().flush()
+
+    def _fail_waiters(self) -> None:
+        """Nothing pending can become stable any more: hand each waiter
+        that asked for it a :class:`WALFailedError`, in LSN order, and
+        drop the rest unfired."""
+        waiters, self._waiters = self._waiters, []
+        for _, _, _, on_failure in sorted(waiters):
+            if on_failure is not None:
+                on_failure(self.failed_error())
 
     def truncate_stable_before(self, lsn: int) -> int:
         """Reclaim old records in memory *and* on disk, atomically."""

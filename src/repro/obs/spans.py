@@ -127,14 +127,6 @@ class SpanRecorder:
     def __len__(self) -> int:
         return len(self.spans)
 
-    def counts(self) -> Dict[str, int]:
-        """Recorded spans per name (for trace summaries)."""
-        out: Dict[str, int] = {}
-        for span in self.spans:
-            name = span["name"]
-            out[name] = out.get(name, 0) + 1
-        return out
-
     def snapshot(self) -> List[Dict[str, Any]]:
         """JSON-ready span dicts, ids attached, open spans clamped.
 

@@ -7,15 +7,14 @@ faults, telemetry -- is built by its own overridable ``build_*`` method,
 in a fixed order, into a :class:`SystemComponents` record that the
 system adopts verbatim.
 
-Substitution has three entry points, from lightest to heaviest:
+Substitution has two entry points, from lighter to heavier:
 
 * ``with_component(name, obj)`` -- drop in a ready-made instance for one
   slot (a fake ``TelemetrySink`` in a test, a hand-built workload);
-* ``with_storage_backend(factory)`` -- swap the medium behind the backup
-  images (``factory(image_index) -> StorageBackend``), e.g. the
-  file-backed backend from :mod:`repro.storage.backends`;
 * subclassing -- override a ``build_*`` method when construction itself
-  must change (alternative transaction manager, sharded backup target).
+  must change (alternative transaction manager, sharded backup target,
+  an image writer other than the simulated disk array via
+  ``build_image_writer``).
 
 The build order matters only for readability -- no component consumes
 randomness during construction -- but it is kept identical to the
@@ -26,8 +25,7 @@ the defaults are the concrete classes named in each method.
 Example::
 
     builder = (SystemBuilder(config)
-               .with_component("telemetry", MyRecordingSink())
-               .with_storage_backend(my_backend_factory))
+               .with_component("telemetry", MyRecordingSink()))
     system = builder.build()           # a SimulatedSystem
 """
 
@@ -46,8 +44,7 @@ from ..mmdb.locks import LockManager
 from ..model.duration import minimum_duration
 from ..obs.spans import NULL_SPANS, SpanRecorder
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
-from ..storage.array import DiskArray
-from ..storage.backends import create_backend_factory
+from ..storage.array import DiskArray, SimulatedImageWriter
 from ..storage.backup import BackupStore
 from ..txn.manager import TransactionManager
 from ..txn.workload import WorkloadGenerator
@@ -101,7 +98,6 @@ class SystemBuilder:
         self.config = config
         self.params = config.params
         self._overrides: Dict[str, Any] = {}
-        self._storage_backend_factory: Optional[Callable[[int], Any]] = None
 
     # ------------------------------------------------------------------
     # substitution surface
@@ -119,16 +115,6 @@ class SystemBuilder:
             raise ConfigurationError(
                 f"unknown component slot {name!r}; known slots: {known}")
         self._overrides[name] = component
-        return self
-
-    def with_storage_backend(
-            self, factory: Callable[[int], Any]) -> "SystemBuilder":
-        """Back the images with ``factory(image_index) -> StorageBackend``.
-
-        Overrides ``config.storage_backend``; ignored when the whole
-        ``backup`` slot is overridden.
-        """
-        self._storage_backend_factory = factory
         return self
 
     # ------------------------------------------------------------------
@@ -176,17 +162,8 @@ class SystemBuilder:
         return DiskArray(self.params, telemetry=self.telemetry,
                          faults=self.faults)
 
-    def build_storage_backend_factory(self) -> Callable[[int], Any]:
-        """The per-image backend factory the backup store will use."""
-        if self._storage_backend_factory is not None:
-            return self._storage_backend_factory
-        return create_backend_factory(self.config.storage_backend,
-                                      self.params,
-                                      directory=self.config.storage_dir)
-
     def build_backup(self) -> BackupStore:
-        return BackupStore(self.params,
-                           backend_factory=self.build_storage_backend_factory())
+        return BackupStore(self.params)
 
     def build_oracle(self) -> CommittedStateOracle:
         return CommittedStateOracle(self.params)
@@ -219,12 +196,18 @@ class SystemBuilder:
             response_reservoir=config.response_reservoir,
         )
 
+    def build_image_writer(self) -> SimulatedImageWriter:
+        """The checkpointer's write port: the backup disk array."""
+        return SimulatedImageWriter(self.array, self.engine,
+                                    faults=self.faults)
+
     def build_checkpointer(self) -> Any:
         config = self.config
         checkpointer = create_checkpointer(
             config.algorithm,
             self.params, self.database, self.log, self.locks, self.ledger,
-            self.engine, self.backup, self.array, self.authority,
+            self.engine, self.backup, self.build_image_writer(),
+            self.authority,
             scope=config.scope, io_depth=config.io_depth,
             quiesce_latency=config.cou_quiesce_latency,
             truncate_log=config.truncate_log,
@@ -239,13 +222,11 @@ class SystemBuilder:
                                    self.config.policy)
 
     def build_workload(self) -> WorkloadGenerator:
-        spec = self.config.workload
-        if getattr(spec, "schedule", None) is not None:
-            # Imported here: repro.workload sits above this module in the
-            # layering, and fixed-rate runs never need it.
-            from ..workload.source import ScheduledWorkloadSource
-            return ScheduledWorkloadSource(self.params, spec, self.streams)
-        return WorkloadGenerator(self.params, spec, self.streams)
+        # Imported here: repro.workload sits above this module in the
+        # layering.
+        from ..workload.source import build_workload_source
+        return build_workload_source(self.params, self.config.workload,
+                                     self.streams)
 
     # ------------------------------------------------------------------
     # assembly

@@ -77,7 +77,7 @@ def shard_config(config: SimulationConfig, partition: int) -> SimulationConfig:
 
     The shard holds ``1/N`` of the database and receives ``1/N`` of the
     offered load; everything else (algorithm, policy intervals, flush
-    cadence, storage backend) carries over unchanged.  With ``N == 1``
+    cadence, checkpoint scope) carries over unchanged.  With ``N == 1``
     the returned config equals the input, field for field.
     """
     n = config.partitions

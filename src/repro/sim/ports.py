@@ -10,11 +10,11 @@ of those packages, so it sits in the dependency-free engine layer (see
 
 The ports exist for substitution: :class:`repro.sim.builder.SystemBuilder`
 accepts any object satisfying the relevant protocol in place of the
-default component -- a fake ``TelemetrySink`` in a test, a file-backed
-``StorageBackend`` for durable images, an alternative ``WorkloadSource``
-for trace-driven replay.  They are intentionally the *minimum* surface
-the simulator itself exercises, not a transcript of every public method
-the default implementations happen to have.
+default component -- a fake ``TelemetrySink`` in a test, an alternative
+``WorkloadSource`` for trace-driven replay -- and a checkpointer takes
+any ``ImageWriter`` for its segment writes.  They are intentionally the
+*minimum* surface the simulator itself exercises, not a transcript of
+every public method the default implementations happen to have.
 """
 
 from __future__ import annotations
@@ -39,10 +39,10 @@ __all__ = [
     "ClockPort",
     "DISABLED_TELEMETRY",
     "FaultHook",
+    "ImageWriter",
     "LogDevice",
     "SchedulerHandle",
     "SchedulerPort",
-    "StorageBackend",
     "TelemetrySink",
     "WorkloadSource",
     "missing_methods",
@@ -121,47 +121,26 @@ class SchedulerPort(Protocol):
 
 
 @runtime_checkable
-class StorageBackend(Protocol):
-    """Durable record storage behind one backup image.
+class ImageWriter(Protocol):
+    """Where a checkpointer's segment writes go: the one medium seam.
 
-    A backend owns the bytes of a single database image at segment
-    granularity.  The :class:`~repro.storage.backup.BackupImage` keeps
-    all checkpointing *metadata* (flush timestamps, presence bits,
-    completion markers) and delegates the data plane here, so swapping
-    the medium -- in-memory array, file, future remote object store --
-    never touches checkpoint or recovery logic.
+    Satisfied by :class:`repro.storage.array.SimulatedImageWriter` (the
+    backup :class:`~repro.storage.array.DiskArray` plus a completion
+    event on the :class:`SchedulerPort`).  A checkpointer never touches
+    the disk array or schedules a completion itself: it hands each
+    segment write here and continues in ``done``, so a host with real
+    image files plugs in a writer that calls ``pwrite`` and syncs
+    instead.
+
+    The writer only moves the bytes' *time*; landing them in the image
+    (``image.write_segment``) stays with the checkpointer, which must
+    first check that a crash did not abandon the run.
     """
 
-    #: short registry name ("memory", "file", ...)
-    name: str
-
-    @property
-    def values(self) -> np.ndarray:
-        """A live array-like view of every record (compat surface)."""
-        ...
-
-    def write_segment(self, segment_index: int, data: np.ndarray) -> None:
-        """Durably store one complete segment."""
-        ...
-
-    def write_prefix(self, segment_index: int, prefix: np.ndarray) -> None:
-        """Physically land only a prefix of a segment (torn write)."""
-        ...
-
-    def read_segment(self, segment_index: int) -> np.ndarray:
-        """An independent copy of one stored segment."""
-        ...
-
-    def snapshot(self) -> np.ndarray:
-        """An independent copy of every record value."""
-        ...
-
-    def wipe(self) -> None:
-        """Destroy the stored contents (media failure)."""
-        ...
-
-    def close(self) -> None:
-        """Release any OS resources the backend holds."""
+    def write(self, image: Any, index: int, data: np.ndarray,
+              data_timestamp: float, done: Callable[[], None]) -> None:
+        """Issue one segment write into ``image``; call ``done()`` once
+        the write has completed."""
         ...
 
 

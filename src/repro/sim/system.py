@@ -112,14 +112,6 @@ class SimulationConfig:
     #: :class:`~repro.errors.CrashError` out of :meth:`run`; call
     #: :meth:`crash` to complete the failure, then recover as usual.
     fault_plan: Optional[FaultPlan] = None
-    #: medium behind the backup images: ``"memory"`` (numpy arrays, the
-    #: original representation) or ``"file"`` (a memory-mapped file per
-    #: image -- genuinely durable bytes; see
-    #: :mod:`repro.storage.backends`).  Simulated timing is identical
-    #: either way; the choice only moves where the bytes live.
-    storage_backend: str = "memory"
-    #: directory for file-backed images (None: a fresh temp directory)
-    storage_dir: Optional[str] = None
     #: hash-partition the segment space into this many independent
     #: shards, each with its own :class:`SegmentTable`, lock manager,
     #: WAL stream, backup image pair, and checkpointer instance (see

@@ -10,14 +10,7 @@ uncorrupted image to recover from.
 """
 
 from .archive import ArchivedCheckpoint, ArchiveManager, TapeDevice
-from .array import DiskArray
-from .backends import (
-    FileStorageBackend,
-    InMemoryStorageBackend,
-    create_backend_factory,
-    register_storage_backend,
-    storage_backend_names,
-)
+from .array import DiskArray, SimulatedImageWriter
 from .backup import BackupImage, BackupStore
 from .disk import Disk
 
@@ -28,10 +21,6 @@ __all__ = [
     "BackupStore",
     "Disk",
     "DiskArray",
-    "FileStorageBackend",
-    "InMemoryStorageBackend",
+    "SimulatedImageWriter",
     "TapeDevice",
-    "create_backend_factory",
-    "register_storage_backend",
-    "storage_backend_names",
 ]

@@ -1,7 +1,8 @@
 """The backup disk array.
 
 ``N_bdisks`` identical disks serve checkpoint writes, recovery reads, and
-log traffic.  Two views are provided:
+log traffic.  Two views are provided, plus the checkpointers' write port
+(:class:`SimulatedImageWriter`) over the first:
 
 * :meth:`DiskArray.submit` -- discrete-event view: a request is assigned
   to the disk that frees up first (ideal load balancing, matching the
@@ -15,12 +16,13 @@ log traffic.  Two views are provided:
 
 from __future__ import annotations
 
-from typing import List
+from typing import Any, Callable, List
 
 from ..errors import ConfigurationError
 from ..faults.injector import NULL_INJECTOR, FaultInjector
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from ..params import SystemParameters
+from ..sim.ports import SchedulerPort
 from .disk import Disk
 
 
@@ -110,3 +112,35 @@ class DiskArray:
         if remainder:
             time += self.request_time(remainder) / self.n_disks
         return time
+
+
+class SimulatedImageWriter:
+    """The simulated :class:`~repro.sim.ports.ImageWriter`.
+
+    A segment write occupies the earliest-free disk of ``array`` and
+    completes as an event on ``engine``.  From issue to completion the
+    write is in flight, so the fault injector may tear it at a crash.
+    """
+
+    def __init__(self, array: DiskArray, engine: SchedulerPort, *,
+                 faults: FaultInjector = NULL_INJECTOR) -> None:
+        self.array = array
+        self.engine = engine
+        self.faults = faults
+        self._words = array.params.s_seg
+
+    def write(self, image: Any, index: int, data: Any,
+              data_timestamp: float, done: Callable[[], None]) -> None:
+        faults = self.faults
+        if faults.armed:
+            faults.note_write_issued(image, index, data, data_timestamp)
+            image_index = image.index
+
+            def completed() -> None:
+                faults.note_write_completed(image_index, index)
+                done()
+        else:
+            completed = done
+        engine = self.engine
+        engine.schedule_at(self.array.submit(engine.now, self._words),
+                           completed)

@@ -18,37 +18,30 @@ requires.
 
 Images store values durably: they survive :meth:`BackupStore.crash` (only
 in-flight write completions are lost, handled by the simulator cancelling
-their events).
-
-The image's *data plane* -- where the record values physically live --
-is a pluggable :class:`~repro.sim.ports.StorageBackend`
-(:mod:`repro.storage.backends`): the default in-memory array, or a
-memory-mapped file per image for genuinely durable bytes.  The image
-keeps only checkpointing metadata; every value read/write below
-delegates to the backend.
+their events).  An image's record values are one int64 array beside its
+checkpointing metadata; *when* a segment write lands is the business of
+the checkpointer's :class:`~repro.sim.ports.ImageWriter`, *that* it
+landed is :meth:`BackupImage.write_segment`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..errors import InvalidStateError, RecoveryError
 from ..params import SystemParameters
-from .backends import InMemoryStorageBackend
 
 
 class BackupImage:
     """One of the two on-disk database images."""
 
-    def __init__(self, index: int, params: SystemParameters,
-                 backend: Optional[object] = None) -> None:
+    def __init__(self, index: int, params: SystemParameters) -> None:
         self.index = index
         self.params = params
-        #: the storage medium holding this image's record values
-        self.backend = (backend if backend is not None
-                        else InMemoryStorageBackend(params))
+        #: the image's record values
+        self.values = np.zeros(params.n_records, dtype=np.int64)
         #: per-segment time of the last completed write into this image
         self.segment_flush_time = np.full(params.n_segments, -np.inf)
         #: whether the segment has ever been written to this image
@@ -64,11 +57,6 @@ class BackupImage:
         self.completed_begin_lsn: int = 0
         #: id of a checkpoint currently writing this image, if any
         self.active_checkpoint_id: Optional[int] = None
-
-    @property
-    def values(self) -> np.ndarray:
-        """The backend's live record array (compat/inspection surface)."""
-        return self.backend.values
 
     # -- checkpoint lifecycle -------------------------------------------------
     def begin_checkpoint(self, checkpoint_id: int) -> None:
@@ -109,7 +97,8 @@ class BackupImage:
                 f"segment {segment_index}: expected "
                 f"{self.params.records_per_segment} records, got {data.shape}"
             )
-        self.backend.write_segment(segment_index, data)
+        first = segment_index * self.params.records_per_segment
+        self.values[first:first + len(data)] = data
         self.segment_flush_time[segment_index] = flush_time
         self.segment_present[segment_index] = True
 
@@ -130,7 +119,8 @@ class BackupImage:
             raise InvalidStateError(
                 f"torn prefix must be a strict, non-empty prefix of a "
                 f"segment ({words!r} of {self.params.records_per_segment})")
-        self.backend.write_prefix(segment_index, prefix)
+        first = segment_index * self.params.records_per_segment
+        self.values[first:first + words] = prefix
 
     def read_segment(self, segment_index: int) -> np.ndarray:
         """Read one segment back (recovery path)."""
@@ -138,7 +128,9 @@ class BackupImage:
             raise RecoveryError(
                 f"image {self.index} never received segment {segment_index}"
             )
-        return self.backend.read_segment(segment_index)
+        words = self.params.records_per_segment
+        first = segment_index * words
+        return self.values[first:first + words].copy()
 
     # -- staleness ---------------------------------------------------------------
     def needs_segment(self, segment_index: int,
@@ -154,20 +146,15 @@ class BackupImage:
         return segment_timestamp > self.segment_flush_time[segment_index]
 
     def values_snapshot(self) -> np.ndarray:
-        return self.backend.snapshot()
+        return self.values.copy()
 
 
 class BackupStore:
     """The pair of ping-pong images plus alternation bookkeeping."""
 
-    def __init__(self, params: SystemParameters,
-                 backend_factory: Optional[Callable[[int], object]] = None,
-                 ) -> None:
+    def __init__(self, params: SystemParameters) -> None:
         self.params = params
-        make = (backend_factory if backend_factory is not None
-                else (lambda index: InMemoryStorageBackend(params)))
-        self.images = (BackupImage(0, params, backend=make(0)),
-                       BackupImage(1, params, backend=make(1)))
+        self.images = (BackupImage(0, params), BackupImage(1, params))
         self._next_image = 0
 
     def image(self, index: int) -> BackupImage:
@@ -218,7 +205,7 @@ class BackupStore:
                 f"image {index} is being written by checkpoint "
                 f"{image.active_checkpoint_id}; cannot fail it mid-write"
             )
-        image.backend.wipe()
+        image.values[:] = 0
         image.segment_flush_time[:] = -np.inf
         image.segment_present[:] = False
         image.completed_checkpoint_id = None

@@ -45,6 +45,8 @@ from .records import (
 )
 
 StableCallback = Callable[[], None]
+#: what a stability waiter runs instead if the log fails first
+FailureCallback = Callable[[BaseException], None]
 
 #: bisection key for the LSN-ordered stable log
 _record_lsn = attrgetter("lsn")
@@ -77,7 +79,8 @@ class LogManager:
         self._tail: List[LogRecord] = []
         self._stable: List[LogRecord] = []
         self._stable_lsn = 0
-        self._waiters: List[Tuple[int, int, StableCallback]] = []
+        self._waiters: List[Tuple[int, int, StableCallback,
+                                  Optional[FailureCallback]]] = []
         self._waiter_seq = 0
         self.flush_count = 0
         self.words_appended = 0
@@ -317,23 +320,27 @@ class LogManager:
         """Whether the record with ``lsn`` has reached stable storage."""
         return lsn <= self._stable_lsn
 
-    def when_stable(self, lsn: int, callback: StableCallback) -> None:
+    def when_stable(self, lsn: int, callback: StableCallback,
+                    on_failure: Optional[FailureCallback] = None) -> None:
         """Invoke ``callback`` as soon as ``lsn`` is stable.
 
         If it already is, the callback runs immediately.  This is the WAL
         wait primitive the COPY-style checkpointers use before flushing a
-        buffered segment image.
+        buffered segment image.  If the log fails for good first,
+        ``on_failure`` runs instead, with the error; only a
+        :class:`~repro.live.wal.DurableLog` can fail.
         """
         if self.is_stable(lsn):
             callback()
             return
-        heapq.heappush(self._waiters, (lsn, self._waiter_seq, callback))
+        heapq.heappush(self._waiters,
+                       (lsn, self._waiter_seq, callback, on_failure))
         self._waiter_seq += 1
 
     def _fire_waiters(self) -> None:
-        while self._waiters and self._waiters[0][0] <= self._stable_lsn:
-            _, _, callback = heapq.heappop(self._waiters)
-            callback()
+        waiters = self._waiters
+        while waiters and waiters[0][0] <= self._stable_lsn:
+            heapq.heappop(waiters)[2]()
 
     def assert_wal(self, segment_lsn: int, context: str) -> None:
         """Raise :class:`WALViolation` if flushing data stamped with

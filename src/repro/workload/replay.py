@@ -18,6 +18,7 @@ from typing import Any, Dict, List
 from ..params import SystemParameters
 from ..sim.rng import RandomStreams
 from ..txn.workload import WorkloadGenerator, WorkloadSpec
+from .source import build_workload_source
 
 __all__ = ["replay_arrivals"]
 
@@ -25,11 +26,7 @@ __all__ = ["replay_arrivals"]
 def build_source(params: SystemParameters, spec: WorkloadSpec,
                  seed: int) -> WorkloadGenerator:
     """The workload source exactly as :class:`SystemBuilder` builds it."""
-    streams = RandomStreams(seed)
-    if getattr(spec, "schedule", None) is not None:
-        from .source import ScheduledWorkloadSource
-        return ScheduledWorkloadSource(params, spec, streams)
-    return WorkloadGenerator(params, spec, streams)
+    return build_workload_source(params, spec, RandomStreams(seed))
 
 
 def replay_arrivals(params: SystemParameters, spec: WorkloadSpec, seed: int,

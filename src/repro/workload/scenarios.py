@@ -4,8 +4,7 @@ A :class:`WorkloadScenario` is a named, described
 :class:`~repro.workload.spec.WorkloadSpec` -- the unit the CLI lists,
 sweeps fan out over, and ``repro.simulate(workload="kv")`` resolves.
 Scenarios announce themselves with ``@register_scenario`` at
-definition time, mirroring ``@register_checkpointer`` and
-``register_storage_backend``::
+definition time, mirroring ``@register_checkpointer``::
 
     from repro.workload import register_scenario, WorkloadScenario
 

@@ -34,6 +34,16 @@ from .schedule import ArrivalSchedule
 from .spec import WorkloadSpec
 
 
+def build_workload_source(params: SystemParameters, spec: WorkloadSpec,
+                          streams: RandomStreams) -> WorkloadGenerator:
+    """The one spec -> source choice: a spec with a schedule gets a
+    :class:`ScheduledWorkloadSource`, a fixed-rate spec the paper's
+    :class:`~repro.txn.workload.WorkloadGenerator`."""
+    if getattr(spec, "schedule", None) is not None:
+        return ScheduledWorkloadSource(params, spec, streams)
+    return WorkloadGenerator(params, spec, streams)
+
+
 class ScheduledWorkloadSource(WorkloadGenerator):
     """A :class:`WorkloadGenerator` whose arrival rate follows a schedule."""
 

@@ -18,7 +18,7 @@ from repro.params import SystemParameters
 from repro.sim.engine import EventEngine
 from repro.sim.timestamps import TimestampAuthority
 from repro.sim.system import SimulatedSystem, SimulationConfig
-from repro.storage.array import DiskArray
+from repro.storage.array import DiskArray, SimulatedImageWriter
 from repro.storage.backup import BackupStore
 from repro.txn.manager import TransactionManager
 from repro.txn.transaction import Transaction
@@ -83,13 +83,14 @@ class CheckpointHarness:
         self.log = LogManager(params)
         self.locks = LockManager()
         self.array = DiskArray(params)
+        self.writer = SimulatedImageWriter(self.array, self.engine)
         self.backup = BackupStore(params)
         self.manager = TransactionManager(
             self.database, self.log, self.locks, self.ledger, self.engine,
             self.authority, restart_backoff=0.001)
         self.checkpointer = create_checkpointer(
             algorithm, params, self.database, self.log, self.locks,
-            self.ledger, self.engine, self.backup, self.array,
+            self.ledger, self.engine, self.backup, self.writer,
             self.authority, scope=scope, io_depth=io_depth)
         self.checkpointer.attach_transaction_manager(self.manager)
         self._next_txn_id = 1

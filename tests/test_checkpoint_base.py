@@ -230,4 +230,4 @@ class TestCreateCheckpointer:
             create_checkpointer(
                 "2ccopy", tiny_params, harness.database, harness.log,
                 harness.locks, harness.ledger, harness.engine,
-                harness.backup, harness.array, harness.authority))
+                harness.backup, harness.writer, harness.authority))

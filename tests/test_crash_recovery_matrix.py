@@ -108,31 +108,6 @@ class TestColdStart:
         assert mismatches == []
 
 
-class TestFileBackendMatrix:
-    """The durable file-backed images recover exactly like in-memory
-    ones: the medium behind :class:`~repro.storage.backup.BackupImage`
-    is invisible to checkpointing and recovery."""
-
-    @pytest.mark.parametrize("algorithm", NON_STABLE)
-    def test_file_backend_recovers(self, small_params, algorithm, tmp_path):
-        from repro.sim.builder import SystemBuilder
-        from repro.sim.system import SimulationConfig
-        from repro.storage.backends import create_backend_factory
-
-        config = SimulationConfig(
-            params=small_params, algorithm=algorithm, seed=13,
-            preload_backup=True)
-        factory = create_backend_factory("file", small_params,
-                                         directory=str(tmp_path))
-        system = (SystemBuilder(config)
-                  .with_storage_backend(factory)
-                  .build())
-        assert system.backup.image(0).backend.name == "file"
-        metrics, _, mismatches = run_crash_recover(system, 3.0)
-        assert metrics.transactions_committed > 0
-        assert mismatches == []
-
-
 class TestFaultPlanCrashes:
     """Plan-driven mid-flight crashes (the end-of-run crashes above never
     catch a checkpoint in the act; these always do).  The exhaustive

@@ -9,6 +9,8 @@ state, bit for bit.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.checkpoint.base import CheckpointScope
@@ -53,7 +55,7 @@ class TestEverythingAtOnce:
             system.crash()
             system.recover()
             assert system.verify_recovery() == [], cycle
-        counts = system.spans.counts()
+        counts = Counter(span["name"] for span in system.spans_snapshot())
         assert counts["sys.crash"] == 3 and counts["sys.recover"] == 3
 
     def test_logical_cou_with_media_failure_and_tape(self):

@@ -1105,14 +1105,18 @@ def test_live_host_failed_flush_is_never_retried_onto_the_file(tmp_path,
             host.submit([(i, 4000 + i)], timeout=2.0)
             acked[i] = 4000 + i
         _fail_next_fsync(monkeypatch, OSError(5, "Input/output error"))
-        # the commit whose fsync fails is never acknowledged ...
-        with pytest.raises(TimeoutError):
-            host.submit([(7, 7007)], timeout=0.5)
+        # the commit whose fsync fails is never acknowledged: it fails
+        # at once, with the reason, instead of waiting out its timeout
+        began = time.monotonic()
+        with pytest.raises(WALFailedError) as failed:
+            host.submit([(7, 7007)], timeout=5.0)
+        assert time.monotonic() - began < 1.0
         assert host.commits == len(acked)
         assert host.log.stable_lsn == 2 * len(acked)
         [error] = host.scheduler.errors
         assert isinstance(error, OSError) and error.errno == 5
         assert host.log.failure is error
+        assert failed.value.__cause__ is error
         size = wal_path.stat().st_size
         # ... and the next one is refused at once, with the reason,
         # before a byte of it is logged: fsync works again, but nobody

@@ -145,7 +145,7 @@ class TestBaseCheckpointerGuards:
         harness = CheckpointHarness(tiny_params, "FUZZYCOPY")
         base = BaseCheckpointer(
             tiny_params, harness.database, harness.log, harness.locks,
-            harness.ledger, harness.engine, harness.backup, harness.array,
+            harness.ledger, harness.engine, harness.backup, harness.writer,
             harness.authority)
         with pytest.raises(NotImplementedError):
             base._process_segment(

@@ -1,19 +1,18 @@
-"""The componentized simulation core: ports, builder, storage backends.
+"""The componentized simulation core: ports and builder.
 
-Three seams introduced by the componentization, each locked by tests:
+Two seams introduced by the componentization, each locked by tests:
 
 * :mod:`repro.sim.ports` -- the default components structurally satisfy
   their protocols (and the protocols stay minimal);
 * :class:`repro.sim.builder.SystemBuilder` -- any slot can be replaced
   by a fake without touching the rest of the wiring, and the built
-  system behaves identically to ``SimulatedSystem(config)``;
-* :mod:`repro.storage.backends` -- the file-backed backend is a drop-in
-  replacement for the in-memory one, surviving crash + recovery.
+  system behaves identically to ``SimulatedSystem(config)``, and the
+  checkpointer's :class:`~repro.sim.ports.ImageWriter` is its only path
+  to the backup disks.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from tests.helpers import build_system, run_crash_recover
@@ -23,12 +22,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.sim import ports
 from repro.sim.builder import SystemBuilder, SystemComponents
 from repro.sim.system import SimulatedSystem, SimulationConfig
-from repro.storage.backends import (
-    FileStorageBackend,
-    InMemoryStorageBackend,
-    create_backend_factory,
-    storage_backend_names,
-)
+from repro.storage.array import SimulatedImageWriter
 
 
 def _config(params, algorithm="FUZZYCOPY", seed=1, **overrides):
@@ -44,7 +38,7 @@ class TestPorts:
     def test_default_components_satisfy_ports(self, small_params):
         system = build_system(small_params, seed=1)
         conformance = [
-            (system.backup.images[0].backend, ports.StorageBackend),
+            (system.checkpointer.writer, ports.ImageWriter),
             (system.log, ports.LogDevice),
             (system.backup, ports.BackupTarget),
             (system.checkpointer, ports.CheckpointerPort),
@@ -59,16 +53,16 @@ class TestPorts:
             assert isinstance(component, port)
 
     def test_missing_methods_reports_gaps(self):
-        class HalfABackend:
-            name = "half"
+        class HalfABackup:
+            images = ()
 
-            def write_segment(self, index, data):
+            def crash(self):
                 pass
 
-        gaps = ports.missing_methods(HalfABackend(), ports.StorageBackend)
-        assert "read_segment" in gaps
-        assert "wipe" in gaps
-        assert "write_segment" not in gaps
+        gaps = ports.missing_methods(HalfABackup(), ports.BackupTarget)
+        assert "latest_complete_image" in gaps
+        assert "media_failure" in gaps
+        assert "crash" not in gaps
 
 
 # ---------------------------------------------------------------------------
@@ -109,17 +103,29 @@ class RecordingTelemetry:
         return self.registry.snapshot()
 
 
-class RecordingBackend(InMemoryStorageBackend):
-    """A fake StorageBackend that counts the segment writes it lands."""
+class RecordingWriter(SimulatedImageWriter):
+    """A fake ImageWriter that records the segment writes it carries."""
 
-    def __init__(self, params, image_index):
-        super().__init__(params)
-        self.image_index = image_index
-        self.segment_writes = 0
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.issued = []
+        self.completed = 0
 
-    def write_segment(self, segment_index, data):
-        self.segment_writes += 1
-        super().write_segment(segment_index, data)
+    def write(self, image, index, data, data_timestamp, done):
+        self.issued.append((image.index, index))
+
+        def completed():
+            self.completed += 1
+            done()
+
+        super().write(image, index, data, data_timestamp, completed)
+
+
+class RecordingWriterBuilder(SystemBuilder):
+    def build_image_writer(self):
+        self.writer = RecordingWriter(self.array, self.engine,
+                                      faults=self.faults)
+        return self.writer
 
 
 class TestSystemBuilder:
@@ -157,31 +163,26 @@ class TestSystemBuilder:
         assert sink.events, "instrumented components never hit the sink"
         assert system.telemetry_snapshot() == sink.snapshot()
 
-    def test_fake_storage_backend_is_used(self, small_params):
-        backends = {}
-
-        def factory(image_index):
-            backend = RecordingBackend(small_params, image_index)
-            backends[image_index] = backend
-            return backend
-
-        system = (SystemBuilder(_config(small_params, seed=4))
-                  .with_storage_backend(factory)
-                  .build())
-        assert sorted(backends) == [0, 1]
-        for index, backend in backends.items():
-            assert system.backup.image(index).backend is backend
+    def test_fake_image_writer_is_used(self, small_params):
+        builder = RecordingWriterBuilder(_config(small_params, seed=4))
+        system = builder.build()
+        writer = builder.writer
+        assert system.checkpointer.writer is writer
         _, _, mismatches = run_crash_recover(system, 2.0)
         assert mismatches == []
-        assert sum(b.segment_writes for b in backends.values()) > 0
+        # Every segment write of the run went through the port, into
+        # both images, and every completion came back through ``done``.
+        assert {image for image, _ in writer.issued} == {0, 1}
+        flushed = sum(stats.segments_flushed
+                      for stats in system.checkpointer.history)
+        assert 0 < flushed <= writer.completed <= len(writer.issued)
+        assert system.array.requests == len(writer.issued)
 
     def test_substituted_run_matches_default_run(self, small_params):
-        """A recording backend must not perturb the simulation."""
+        """A recording writer must not perturb the simulation."""
         default = build_system(small_params, seed=5)
-        substituted = (SystemBuilder(_config(small_params, seed=5))
-                       .with_storage_backend(
-                           lambda i: RecordingBackend(small_params, i))
-                       .build())
+        substituted = RecordingWriterBuilder(
+            _config(small_params, seed=5)).build()
         m1, _, mis1 = run_crash_recover(default, 2.0)
         m2, _, mis2 = run_crash_recover(substituted, 2.0)
         assert m1 == m2
@@ -201,62 +202,3 @@ class TestDeterminism:
             outcomes.append((metrics, result.used_checkpoint_id,
                              result.transactions_replayed, mismatches))
         assert outcomes[0] == outcomes[1]
-
-
-# ---------------------------------------------------------------------------
-# storage backends
-# ---------------------------------------------------------------------------
-class TestStorageBackends:
-    def test_registry_names(self):
-        names = storage_backend_names()
-        assert "memory" in names and "file" in names
-
-    def test_unknown_backend_is_rejected(self, small_params):
-        with pytest.raises(ConfigurationError, match="unknown storage"):
-            create_backend_factory("punchcards", small_params)
-
-    def test_file_backend_round_trip(self, small_params, tmp_path):
-        backend = FileStorageBackend(small_params,
-                                     tmp_path / "image0.img")
-        data = np.arange(small_params.records_per_segment, dtype=np.int64)
-        backend.write_segment(1, data)
-        np.testing.assert_array_equal(backend.read_segment(1), data)
-        backend.close()
-        # A fresh backend over the same path sees the durable bytes --
-        # the property the in-memory backend only simulates.
-        reopened = FileStorageBackend(small_params,
-                                      tmp_path / "image0.img")
-        np.testing.assert_array_equal(reopened.read_segment(1), data)
-        reopened.close()
-
-    def test_file_backend_torn_prefix(self, small_params, tmp_path):
-        backend = FileStorageBackend(small_params, tmp_path / "torn.img")
-        data = np.full(small_params.records_per_segment, 9, dtype=np.int64)
-        backend.write_segment(0, data)
-        backend.write_prefix(0, data[:3] * 0)
-        stored = backend.read_segment(0)
-        assert list(stored[:3]) == [0, 0, 0]
-        assert all(stored[3:] == 9)
-        backend.close()
-
-    def test_config_selects_file_backend(self, small_params, tmp_path):
-        system = build_system(small_params, "COUCOPY", seed=11,
-                              storage_backend="file",
-                              storage_dir=str(tmp_path))
-        assert system.backup.image(0).backend.name == "file"
-        assert (tmp_path / "image0.img").exists()
-        assert (tmp_path / "image1.img").exists()
-        _, _, mismatches = run_crash_recover(system, 2.0)
-        assert mismatches == []
-
-    def test_file_backend_matches_memory_backend(self, small_params,
-                                                 tmp_path):
-        """Same seed, different medium: identical simulation results."""
-        memory = build_system(small_params, seed=12)
-        file_backed = build_system(small_params, seed=12,
-                                   storage_backend="file",
-                                   storage_dir=str(tmp_path))
-        m1, _, mis1 = run_crash_recover(memory, 2.0)
-        m2, _, mis2 = run_crash_recover(file_backed, 2.0)
-        assert m1 == m2
-        assert mis1 == mis2 == []
