@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the live wall-clock service (get/put socket server "
              "over the durable WAL + checkpoint host)")
     srv.add_argument("--data-dir", required=True, metavar="DIR",
-                     help="directory for wal.jsonl and checkpoint.npz")
+                     help="directory for wal.log (the framed WAL) and checkpoint.npz")
     srv.add_argument("--port", type=int, default=0,
                      help="TCP port on 127.0.0.1 (0 = ephemeral; the "
                           "bound port is announced on the ready line)")

@@ -74,14 +74,24 @@ class WALViolation(ReproError):
 
 
 class WALCorruptionError(ReproError):
-    """A durable WAL file contains an undecodable *interior* line.
+    """A durable WAL file holds a frame that fits but does not check.
 
-    A crash mid-flush can only tear the final, unterminated line of the
-    file -- every earlier line was newline-framed by a completed write.
-    An interior line that fails to decode therefore means the file was
-    damaged some other way (bit rot, manual editing, a foreign writer),
-    and silently dropping the suffix would discard acknowledged commits;
-    recovery must fail loudly instead.
+    A crash mid-flush can only tear the final frame of the file, and a
+    torn frame is one that runs past the end of the file.  A frame that
+    fits but fails its CRC (or breaks LSN continuity, or holds an
+    undecodable entry) therefore means the file was damaged some other
+    way (bit rot, manual editing, a foreign writer), and silently
+    dropping the suffix would discard acknowledged commits; recovery
+    must fail loudly instead.
+    """
+
+
+class WALFormatError(ReproError):
+    """A data directory holds a WAL this version does not read.
+
+    The JSON-line ``wal.jsonl`` of earlier versions, or a framed log of
+    another format version.  Starting without it would serve a database
+    missing every commit it holds, so it is refused by name instead.
     """
 
 
@@ -89,9 +99,9 @@ class WALFailedError(ReproError):
     """The durable WAL refused a flush because an earlier one failed.
 
     After a failed ``write``/``flush``/``fsync`` nobody knows what the
-    file holds past its last completed flush: part of a line, whole
-    unacknowledged lines, or pages the kernel has already dropped.
-    Encoding the tail again behind that would fuse or duplicate lines in
+    file holds past its last completed flush: part of a frame, whole
+    unacknowledged frames, or pages the kernel has already dropped.
+    Encoding the tail again behind that would fuse or duplicate frames in
     a log that holds acknowledged commits, so the log fails stop: the
     first failure propagates as it is, and every later flush raises this
     error, chained to the original, without touching the file.

@@ -35,6 +35,7 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
@@ -43,13 +44,13 @@ import numpy as np
 
 from ..checkpoint.base import CheckpointStats
 from ..checkpoint.scheduler import CheckpointPolicy, CheckpointScheduler
-from ..errors import ConfigurationError, InvalidStateError
+from ..errors import ConfigurationError, InvalidStateError, WALFormatError
 from ..mmdb.database import Database
 from ..obs.spans import NULL_SPANS, SpanRecorder
 from ..params import SystemParameters
 from ..recovery.replay import RedoApplier
 from ..sim.oracle import CommittedStateOracle, RecordMismatch
-from ..wal.records import CommitRecord
+from ..wal.records import CommitRecord, log_updates
 from .clock import WallClock
 from .scheduler import LiveScheduler
 from .store import ImageStore
@@ -65,7 +66,8 @@ _record_lsn = attrgetter("lsn")
 class LiveConfig:
     """Everything that defines one live service instance."""
 
-    #: directory holding ``wal.jsonl`` and ``checkpoint.npz``
+    #: directory holding ``wal.log`` (the framed WAL) and
+    #: ``checkpoint.npz``
     data_dir: str
     #: :meth:`SystemParameters.scaled_down` divisor (database sizing)
     scale: int = 2048
@@ -93,13 +95,14 @@ class RecoveryInfo(NamedTuple):
     checkpoint_id: Optional[int]
     #: LSN horizon of that image (0 on a cold start)
     base_lsn: int
-    #: durable log records read from the WAL file
+    #: durable log records read from the WAL file (one per update,
+    #: outcome and marker, however the updates were framed)
     records_scanned: int
     #: committed transactions whose effects REDO re-applied
     transactions_replayed: int
     #: update records dropped (commit never became durable)
     updates_dropped: int
-    #: whether a torn final WAL line (crash mid-flush) was discarded
+    #: whether a torn final WAL frame (crash mid-flush) was discarded
     torn_tail: bool
 
     def as_dict(self) -> dict:
@@ -120,6 +123,23 @@ class CommitResult(NamedTuple):
     commit_lsn: int
     #: seconds from submission to durable acknowledgement
     latency: float
+
+
+def _columns(updates: Sequence[Tuple[int, int]]
+             ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(record_id, value)`` pairs as two little-endian int64 columns,
+    from one conversion.
+
+    Only ``int`` is taken: a float, a string or a bool is refused
+    (``TypeError``) rather than coerced, and so is anything but pairs; a
+    value outside int64 raises ``OverflowError``.
+    """
+    pairs = None
+    if set(map(type, chain.from_iterable(updates))) == {int}:
+        pairs = np.array(updates, dtype="<i8")
+    if pairs is None or pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise TypeError("a transaction is [record, value] pairs of integers")
+    return pairs[:, 0], pairs[:, 1]
 
 
 class LiveCheckpointer:
@@ -286,6 +306,12 @@ class LiveHost:
 
     def __init__(self, config: LiveConfig,
                  params: Optional[SystemParameters] = None) -> None:
+        legacy = Path(config.data_dir) / "wal.jsonl"
+        if legacy.exists():
+            raise WALFormatError(
+                f"{legacy} is a JSON-line WAL of an earlier version; this "
+                "version reads only the framed wal.log, and starting "
+                "without that file would lose every commit it holds")
         self.config = config
         self.params = (params if params is not None
                        else SystemParameters.scaled_down(config.scale))
@@ -318,7 +344,7 @@ class LiveHost:
 
     @property
     def wal_path(self) -> Path:
-        return Path(self.config.data_dir) / "wal.jsonl"
+        return Path(self.config.data_dir) / "wal.log"
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> RecoveryInfo:
@@ -398,7 +424,7 @@ class LiveHost:
                 if txn_id is not None:
                     self._next_txn_id = txn_id + 1
                     break
-            n_records = len(records)
+            n_records = log_updates(records)
             log.hydrate(records)
             total = log.scan_seconds + (time.perf_counter() - began)
             self.recovery_timing = {
@@ -427,13 +453,18 @@ class LiveHost:
         is fsynced, then returns the acknowledgement.  The transaction
         asks for the group flush itself (:meth:`_request_flush`), so it
         shares one write + fsync with whatever else was waiting, and
-        waits for no timer.  A log that has failed a flush rejects the
+        waits for no timer.  The pairs become the transaction's two
+        int64 columns here, on the calling thread; anything but integer
+        pairs raises ``TypeError`` (and a value outside int64
+        ``OverflowError``) before the dispatcher sees it.  A log that
+        has failed a flush rejects the
         transaction at once with :class:`~repro.errors.WALFailedError`,
         and so does the flush that fails while the transaction waits on
         it (chained to the flush's own error).
         """
         if not updates:
             raise InvalidStateError("a transaction must write something")
+        record_ids, values = _columns(updates)
         submitted_at = self.clock.now
         done = threading.Event()
         box: List = [None, None]
@@ -441,7 +472,8 @@ class LiveHost:
         def execute() -> None:
             started_at = self.clock.now
             try:
-                txn_id, commit = self._log_and_install(updates, started_at)
+                txn_id, commit = self._log_and_install(record_ids, values,
+                                                       started_at)
             except BaseException as exc:  # noqa: BLE001 - relayed to caller
                 box[1] = exc
                 done.set()
@@ -485,29 +517,27 @@ class LiveHost:
             raise box[1]
         return box[0]
 
-    def _log_and_install(self, updates: Sequence[Tuple[int, int]],
+    def _log_and_install(self, record_ids: np.ndarray, values: np.ndarray,
                          timestamp: float) -> Tuple[int, CommitRecord]:
-        """Validate, log, install and commit-mark one transaction
-        (dispatcher thread only); a constant number of calls whatever
-        its size.
+        """Validate, log, install and commit-mark one transaction given
+        as its two int64 columns (dispatcher thread only): one log
+        record for its updates and one for its commit, whatever its
+        size.
 
-        The whole transaction is validated before its first record is
-        logged -- every id a record's, every value an int64 -- so a
-        rejected one raises with nothing logged, nothing installed and
-        no transaction id spent.  So does one that arrives after a
-        failed flush: it could never be acknowledged.
+        The whole transaction is validated before anything is logged --
+        every id a record's -- so a rejected one raises with nothing
+        logged, nothing installed and no transaction id spent.  So does
+        one that arrives after a failed flush: it could never be
+        acknowledged.
         """
         self.log.raise_if_failed()
-        record_ids = np.array([record_id for record_id, _ in updates],
-                              dtype=np.int64)
-        values = np.array([value for _, value in updates], dtype=np.int64)
         self.database.check_record_ids(record_ids)
         txn_id = self._next_txn_id
         self._next_txn_id = txn_id + 1
         log = self.log
         first_lsn = log.last_lsn + 1
         # logged from the arrays, so the log holds what is installed
-        log.append_updates(txn_id, zip(record_ids.tolist(), values.tolist()))
+        log.append_update_run(txn_id, record_ids.tobytes(), values.tobytes())
         self.database.install_records(record_ids, values,
                                       timestamp=timestamp,
                                       first_lsn=first_lsn)

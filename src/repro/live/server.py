@@ -21,6 +21,9 @@ Requests (``op`` selects):
 ``verify``                       oracle-vs-database mismatch report
 ``shutdown``                     graceful stop
 
+Record ids and values are JSON integers: a float, a string or a bool is
+refused with ``{"ok": false}`` before anything is logged, never coerced.
+
 On startup the server prints a single JSON "ready" line (port, pid,
 recovery summary, recovery timing) to stdout, which is how the bench
 client finds the ephemeral port and how tests learn the pid to kill.
@@ -43,21 +46,26 @@ from .host import LiveConfig, LiveHost
 __all__ = ["check", "serve"]
 
 
+def _record(request: dict) -> int:
+    record = request["record"]
+    if type(record) is not int:
+        raise TypeError(f"record must be an integer, got {record!r}")
+    return record
+
+
 def _handle(host: LiveHost, request: dict) -> dict:
     op = request.get("op")
     if op == "ping":
         return {"ok": True, "pong": True}
-    if op == "put":
-        result = host.submit([(int(request["record"]), int(request["value"]))])
-        return {"ok": True, "txn_id": result.txn_id,
-                "commit_lsn": result.commit_lsn, "latency": result.latency}
-    if op == "txn":
-        updates = [(int(r), int(v)) for r, v in request["updates"]]
-        result = host.submit(updates)
+    if op in ("put", "txn"):
+        # the host takes the pairs as they came, ints only: a float, a
+        # string or a bool is refused, never coerced
+        result = host.submit([(request["record"], request["value"])]
+                             if op == "put" else request["updates"])
         return {"ok": True, "txn_id": result.txn_id,
                 "commit_lsn": result.commit_lsn, "latency": result.latency}
     if op == "get":
-        return {"ok": True, "value": host.read(int(request["record"]))}
+        return {"ok": True, "value": host.read(_record(request))}
     if op == "stats":
         return {"ok": True, "stats": host.stats()}
     if op == "spans":

@@ -10,60 +10,55 @@ written, and fsynced.  Only then does ``flush()`` fire stability
 waiters, so an acknowledgement sent from a ``when_stable`` callback is
 backed by bytes the kernel has promised are on the platter.
 
-The on-disk format is one JSON array per line, first element a one-byte
-type tag, remaining elements the record's fields in declaration order.
-Newline-framed JSON keeps the file greppable and makes torn-write
-handling trivial.  Every flush writes whole newline-terminated lines
-before its fsync, so the durable prefix of a file is *everything through
-its last newline*: after a power loss or SIGKILL the final line may be
-unterminated, and :func:`scan_wal` drops exactly that suffix -- whether
-or not it happens to decode -- which is correct, because a flush that
-never finished was never fsynced, so no acknowledgement depended on it.
-Only that final, unterminated line may be discarded; a *terminated*
-line that fails to decode is real corruption and raises
-:class:`~repro.errors.WALCorruptionError` rather than silently
-discarding acknowledged records.
+The file (``wal.log`` in a live data directory) starts with a 12-byte
+header, :data:`FILE_HEADER` (magic and format version), and holds one
+*frame* per group flush: the body length, the body's CRC32 and a CRC32
+of those two fields (12 bytes, little-endian), then the body -- the
+flushed records' entries back to back.  An entry is a one-byte tag and
+little-endian int64 fields: a transaction's :class:`UpdateRun` is its
+LSN, transaction id and update count followed by its two int64 columns
+verbatim, so encoding it is a bytes join and decoding it two slices; a
+commit is its LSN and transaction id.  The rare records (abort reason,
+checkpoint markers, logical and media records) carry a JSON body.
 
-Restart decodes each durable byte once, in bulk.  :func:`scan_wal` cuts
-the durable prefix at line boundaries into slices of at most 64 KB and
-decodes a slice that is provably in canonical form (what
-:func:`encode_record` writes) with a single ``json.loads``; any other
-slice goes line by line through the per-line scanner, which remains the
-reference the bulk path is tested against and the only place corruption
-is diagnosed.  The cyclic GC is paused meanwhile: the scan allocates
-only acyclic tuples.
-
-A group flush encodes its tail the same way in the other direction.
-:func:`encode_records` serialises the whole batch with a single
-``json.dumps`` and frames the lines afterwards, when every ``],[`` in
-the result is provably a record boundary; any other batch goes record by
-record through :func:`encode_record`, which remains the reference the
-bulk path is tested against.  Both produce the same bytes.
+What counts as durable: every flush writes whole frames before its
+fsync, so a crash can only leave the *final* frame short, and a frame is
+torn exactly when it runs past the end of the file (a partial file
+header is a torn, empty log).  :func:`scan_wal` drops that frame --
+whether or not its entries would decode -- which is correct, because a
+flush that never finished was never fsynced, so no acknowledgement
+depended on it.  A frame that fits but fails either CRC, or whose
+entries do not continue the previous LSN by one, or do not decode, is
+real damage and raises :class:`~repro.errors.WALCorruptionError` rather
+than silently discarding acknowledged records.  A file that is not a
+framed log of this version raises too (:class:`~repro.errors.WALFormatError`
+for another version).
 
 Opening a :class:`DurableLog` over an existing file runs that scan and
 *repairs* a torn tail first: the file is truncated to the durable prefix
-before it is reopened for append, so new records can never be written
-onto the back of a partial line (which would fuse them into one
-undecodable line and lose every later record at the next restart).  The
-records the scan decoded are kept as ``recovered_records`` for
-:meth:`LiveHost.recover <repro.live.host.LiveHost.recover>` to consume,
-so a restart never reads the file twice; :func:`read_wal` is the
-standalone reader for tests and tools.
+before it is reopened for append, so a new frame can never be written
+onto the back of a partial one (which would fuse them and lose every
+later record at the next restart).  The records the scan decoded are
+kept as ``recovered_records`` for :meth:`LiveHost.recover
+<repro.live.host.LiveHost.recover>` to consume, so a restart never reads
+the file twice; :func:`read_wal` is the standalone reader for tests and
+tools.
 
 A flush that *fails* (``write``, ``flush`` or ``fsync`` raises) is never
 retried onto the same file: nobody knows what the file holds past its
 last completed flush, and encoding the tail again behind that would fuse
-or duplicate lines.  The log keeps the first exception as ``failure``,
+or duplicate frames.  The log keeps the first exception as ``failure``,
 marks nothing stable and fires no stability waiter; a waiter registered
 with ``on_failure`` gets a :class:`~repro.errors.WALFailedError` chained
 to the failure at once instead, so a commit waiting on the failed flush
 fails rather than waiting out its timeout.  From then on every
 ``flush()`` raises ``WALFailedError`` without touching the file.
 
-Truncation (checkpoint log reclamation) rewrites the file through the
-same temp-file + fsync + :func:`os.replace` discipline the image store
-uses, so a crash during truncation leaves either the old or the new
-file, never a hybrid.
+Truncation (checkpoint log reclamation) rewrites the file -- header and
+one frame of the surviving records -- through the same temp-file + fsync
++ :func:`os.replace` + directory-fsync discipline the image store uses,
+so a crash during truncation leaves either the old or the new file,
+never a hybrid.
 """
 
 from __future__ import annotations
@@ -71,12 +66,15 @@ from __future__ import annotations
 import gc
 import json
 import os
+import struct
 import time
+import zlib
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from ..errors import ConfigurationError, WALCorruptionError, WALFailedError
+from ..errors import (ConfigurationError, WALCorruptionError, WALFailedError,
+                      WALFormatError)
 from ..params import SystemParameters
 from ..wal.log import FlushResult, LogManager
 from ..wal.lsn import LSNAllocator
@@ -90,16 +88,32 @@ from ..wal.records import (
     MediaFailureRecord,
     MediaRestoreRecord,
     UpdateRecord,
+    UpdateRun,
 )
 
-__all__ = ["DurableLog", "encode_record", "encode_records", "decode_record",
-           "gc_paused", "read_wal", "scan_wal"]
+__all__ = ["DurableLog", "FILE_HEADER", "decode_record", "encode_frame",
+           "encode_record", "encode_records", "gc_paused", "read_wal",
+           "scan_wal"]
 
-#: type tag -> record class, and the reverse, for the line format
+_MAGIC = b"REPROWAL"
+_U32 = struct.Struct("<I")
+#: what every framed log file starts with: magic, then format version
+FILE_HEADER = _MAGIC + _U32.pack(1)
+
+#: frame header: body length, body CRC32, CRC32 of the first two fields
+_FRAME = struct.Struct("<III")
+_FRAME_FIELDS = struct.Struct("<II")
+
+#: entry layouts: one tag byte, then little-endian fields
+_RUN = struct.Struct("<BqqI")          # tag, last lsn, txn id, updates
+_COMMIT = struct.Struct("<Bqq")        # tag, lsn, txn id
+_UPDATE = struct.Struct("<Bqqqq")      # tag, lsn, txn id, record, value
+_JSON = struct.Struct("<BI")           # tag, body length; body follows
+_T_RUN, _T_COMMIT, _T_UPDATE, _T_JSON = b"RCUJ"
+
+#: the rare records, JSON-bodied: type tag -> record class, and back
 _TAG_TO_CLASS = {
-    "U": UpdateRecord,
     "L": LogicalUpdateRecord,
-    "C": CommitRecord,
     "A": AbortRecord,
     "B": BeginCheckpointRecord,
     "E": EndCheckpointRecord,
@@ -108,64 +122,127 @@ _TAG_TO_CLASS = {
 }
 _CLASS_TO_TAG = {cls: tag for tag, cls in _TAG_TO_CLASS.items()}
 
-
-def encode_record(record: LogRecord) -> bytes:
-    """One record as a newline-terminated JSON line."""
-    tag = _CLASS_TO_TAG[type(record)]
-    fields: List = list(record)
-    if tag == "B":
-        # the active-transaction tuple must round-trip as a list
-        fields[3] = list(fields[3])
-    payload = json.dumps([tag] + fields, separators=(",", ":"))
-    return payload.encode("ascii") + b"\n"
+_DECODE_ERRORS = (ValueError, KeyError, IndexError, TypeError,
+                  RecursionError)
 
 
 def encode_records(records: Sequence[LogRecord]) -> bytes:
-    """``records`` as WAL lines: what :func:`encode_record` writes for
-    each, joined, from a single ``json.dumps`` over the batch.
+    """The entries of ``records``, back to back (a frame's body)."""
+    parts: List[bytes] = []
+    append = parts.append
+    for record in records:
+        cls = type(record)
+        if cls is UpdateRun:
+            append(_RUN.pack(_T_RUN, record.lsn, record.txn_id,
+                             len(record.record_ids) >> 3))
+            append(record.record_ids)
+            append(record.values)
+        elif cls is CommitRecord:
+            append(_COMMIT.pack(_T_COMMIT, *record))
+        elif cls is UpdateRecord:
+            append(_UPDATE.pack(_T_UPDATE, *record))
+        else:
+            text = json.dumps([_CLASS_TO_TAG[cls], *record],
+                              separators=(",", ":")).encode("ascii")
+            append(_JSON.pack(_T_JSON, len(text)))
+            append(text)
+    return b"".join(parts)
 
-    The mirror of :func:`_decode_canonical`, under the mirrored guard.
-    Serialised compactly as one array of arrays, consecutive records
-    meet in ``],[``; putting a newline in place of that comma frames the
-    lines -- provided every ``],[`` *is* a record boundary.  N records
-    have N - 1 boundaries, so a further occurrence sits inside a string
-    field (an abort reason), and the batch goes record by record instead
-    (as does the empty batch, which has no line to frame).
+
+def encode_record(record: LogRecord) -> bytes:
+    """One record's entry (entries are self-delimiting, so a batch's is
+    the concatenation of its records')."""
+    return encode_records((record,))
+
+
+def encode_frame(records: Sequence[LogRecord]) -> bytes:
+    """``records`` as one frame: header, then :func:`encode_records`."""
+    body = encode_records(records)
+    fields = _FRAME_FIELDS.pack(len(body), zlib.crc32(body))
+    return fields + _U32.pack(zlib.crc32(fields)) + body
+
+
+def _decode_json(text: bytes, at: int) -> LogRecord:
+    try:
+        obj = json.loads(text)
+        cls = _TAG_TO_CLASS[obj[0]]
+        if cls is BeginCheckpointRecord:
+            obj[4] = tuple(obj[4])
+        record = cls._make(obj[1:])
+        if type(record.lsn) is not int:
+            raise TypeError(f"LSN {record.lsn!r}")
+    except _DECODE_ERRORS as exc:
+        raise WALCorruptionError(
+            f"undecodable WAL entry at byte {at}: {text[:80]!r}") from exc
+    return record
+
+
+def _decode_entries(data: bytes, at: int, end: int, records: List[LogRecord],
+                    expected: Optional[int]) -> Optional[int]:
+    """Append the records of the entries in ``data[at:end]`` to
+    ``records``; return the LSN the next entry must start at.
+
+    ``expected`` is that LSN for the first entry (None: anything goes).
+    Offsets in errors are absolute in ``data``.
     """
-    tags = _CLASS_TO_TAG
-    text = json.dumps([[tags[type(record)], *record] for record in records],
-                      separators=(",", ":"))
-    if text.count("],[") != len(records) - 1:
-        return b"".join(encode_record(record) for record in records)
-    return (text[1:-1].replace("],[", "]\n[") + "\n").encode("ascii")
+    append = records.append
+    while at < end:
+        tag = data[at]
+        if tag == _T_RUN and at + _RUN.size <= end:
+            _, lsn, txn_id, n = _RUN.unpack_from(data, at)
+            ids = at + _RUN.size
+            values = ids + (n << 3)
+            stop = values + (n << 3)
+            if not n or stop > end:
+                raise WALCorruptionError(
+                    f"WAL run at byte {at} of {n} updates does not fit "
+                    "its frame")
+            record = UpdateRun(lsn, txn_id, data[ids:values],
+                               data[values:stop])
+            first = lsn - n + 1
+        elif tag == _T_COMMIT and at + _COMMIT.size <= end:
+            record = CommitRecord._make(_COMMIT.unpack_from(data, at)[1:])
+            first, stop = record.lsn, at + _COMMIT.size
+        elif tag == _T_UPDATE and at + _UPDATE.size <= end:
+            record = UpdateRecord._make(_UPDATE.unpack_from(data, at)[1:])
+            first, stop = record.lsn, at + _UPDATE.size
+        elif tag == _T_JSON and at + _JSON.size <= end:
+            stop = at + _JSON.size + _JSON.unpack_from(data, at)[1]
+            if stop > end:
+                raise WALCorruptionError(
+                    f"WAL entry at byte {at} does not fit its frame")
+            record = _decode_json(data[at + _JSON.size:stop], at)
+            first = record.lsn
+        else:
+            raise WALCorruptionError(
+                f"undecodable WAL entry at byte {at}: tag {tag!r}")
+        if expected is not None and first != expected:
+            raise WALCorruptionError(
+                f"WAL entry at byte {at} starts at LSN {first}; the log "
+                f"before it ends at {expected - 1}")
+        expected = record.lsn + 1
+        append(record)
+        at = stop
+    return expected
 
 
-def decode_record(line: str) -> LogRecord:
-    """Inverse of :func:`encode_record` (raises on unknown tags)."""
-    obj = json.loads(line)
-    cls = _TAG_TO_CLASS[obj[0]]
-    fields = obj[1:]
-    if cls is BeginCheckpointRecord:
-        fields[3] = tuple(fields[3])
-    return cls(*fields)
-
-
-#: upper bound on the bytes one bulk ``json.loads`` sees.  Small enough
-#: that the transient list-of-lists it builds never shows in peak RSS
-#: (1 MB slices cost +8 MB, no slicing +28 MB on a 7 MB log), large
-#: enough that the per-slice overhead is noise.
-_SLICE_BYTES = 64 * 1024
-
-_DECODE_ERRORS = (ValueError, KeyError, IndexError, TypeError)
+def decode_record(entry: bytes) -> LogRecord:
+    """Inverse of :func:`encode_record` (raises on anything but exactly
+    one well-formed entry)."""
+    records: List[LogRecord] = []
+    _decode_entries(entry, 0, len(entry), records, None)
+    if len(records) != 1:
+        raise WALCorruptionError(
+            f"expected one WAL entry, found {len(records)}")
+    return records[0]
 
 
 @contextmanager
 def gc_paused() -> Iterator[None]:
     """Suspend the cyclic collector, restoring its prior state on exit.
 
-    Restart allocates hundreds of thousands of acyclic tuples while it
-    alone owns all state; generational passes over them find nothing to
-    free and roughly double the decode time.
+    Restart allocates many acyclic objects while it alone owns all
+    state; generational passes over them find nothing to free.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -176,115 +253,59 @@ def gc_paused() -> Iterator[None]:
             gc.enable()
 
 
-def _scan_lines(data: bytes, offset: int = 0,
-                stop: Optional[int] = None) -> Tuple[List[LogRecord], int]:
-    """The per-line reference scanner over ``data[offset:stop]``.
-
-    One :func:`decode_record` per line.  It defines what a WAL buffer
-    means -- :func:`scan_wal`'s bulk path is only ever a faster way to
-    the same answer -- and is the sole source of
-    :class:`WALCorruptionError` (offsets are absolute in ``data``).
-    """
-    records: List[LogRecord] = []
-    size = len(data) if stop is None else stop
-    while offset < size:
-        newline = data.find(b"\n", offset, size)
-        if newline < 0:
-            # The torn tail: every flush writes whole terminated lines
-            # before its fsync, so an unterminated final line was never
-            # acknowledged -- whether or not it happens to decode.
-            break
-        line = data[offset:newline]
-        if line:
-            try:
-                records.append(decode_record(line.decode("ascii")))
-            except _DECODE_ERRORS as exc:
-                raise WALCorruptionError(
-                    f"undecodable WAL line at byte {offset}: "
-                    f"{line[:80]!r}") from exc
-        offset = newline + 1
-    return records, offset
-
-
-def _decode_canonical(chunk: bytes) -> Optional[List[LogRecord]]:
-    """Decode whole lines with one ``json.loads``, or None to decline.
-
-    ``chunk`` is newline-terminated lines.  Turning each newline into a
-    comma and bracketing the lot parses every line at once, but is only
-    *the same parse* when each line boundary ends up a top-level
-    separator of the outer array.  The guards make that provable: with
-    no whitespace, a separator between two top-level lists reads
-    ``],[``; the chunk contains none of its own, so every such separator
-    is a line boundary; and N list elements from N lines leave no
-    boundary over to hide inside a string or a nested array.  Anything
-    else -- including every malformed input -- returns None and goes
-    through :func:`_scan_lines`.
-    """
-    lines = chunk.count(b"\n")
-    if (not chunk.startswith(b"[") or not chunk.endswith(b"]\n")
-            or chunk.count(b"]\n[") != lines - 1 or b"],[" in chunk
-            or b" " in chunk or b"\t" in chunk or b"\r" in chunk):
-        return None
-    try:
-        parsed = json.loads(
-            "[" + chunk[:-1].decode("ascii").replace("\n", ",") + "]")
-        if len(parsed) != lines or set(map(type, parsed)) != {list}:
-            return None
-        records = []
-        append = records.append
-        classes = _TAG_TO_CLASS
-        for obj in parsed:
-            cls = classes[obj[0]]
-            if cls is BeginCheckpointRecord:
-                obj[4] = tuple(obj[4])
-            del obj[0]
-            # _make demands every field (TypeError otherwise); a short
-            # hand-written line gets its defaults from the per-line path
-            append(cls._make(obj))
-    except (*_DECODE_ERRORS, RecursionError):
-        return None
-    return records
-
-
 def scan_wal(data: bytes) -> Tuple[List[LogRecord], int]:
-    """Parse ``data`` as WAL lines; return ``(records, durable_bytes)``.
+    """Parse ``data`` as a framed WAL; return ``(records,
+    durable_bytes)``.
 
-    ``durable_bytes`` is the length of the trusted prefix: everything
-    through the last newline.  Every flush writes newline-terminated
-    lines, so a crash can only leave a partial line at the very end with
-    no terminator, and that line is dropped whether or not it decodes; a
-    *terminated* line that fails to decode is corruption, not tearing,
-    and raises :class:`WALCorruptionError`.
-
-    The durable prefix is cut at line boundaries into slices of at most
-    ``_SLICE_BYTES`` (a longer line is a slice of its own); each slice
-    in canonical form is decoded in bulk, any other line by line.  The
-    cyclic GC is paused for the duration (see :func:`gc_paused`).
+    ``durable_bytes`` is the length of the trusted prefix: the file
+    header and every whole frame.  The final frame is torn -- and
+    dropped, whether or not its entries would decode -- when it runs
+    past the end of ``data``; so is a file header cut short (an empty,
+    torn log).  A frame that fits but fails its header or body CRC, or
+    holds entries that do not decode or do not continue the LSNs before
+    them, raises :class:`WALCorruptionError`; so does anything that is
+    not a framed log at all.
     """
-    durable = data.rfind(b"\n") + 1
+    if not data.startswith(FILE_HEADER):
+        if FILE_HEADER.startswith(data):
+            return [], 0
+        if data.startswith(_MAGIC):
+            raise WALFormatError(
+                f"WAL format version {data[len(_MAGIC):len(FILE_HEADER)]!r}"
+                f" is not {FILE_HEADER[len(_MAGIC):]!r}")
+        raise WALCorruptionError(
+            f"not a framed WAL: it starts {data[:16]!r}")
     records: List[LogRecord] = []
-    offset = 0
-    with gc_paused():
-        while offset < durable:
-            end = data.rfind(b"\n", offset, offset + _SLICE_BYTES) + 1
-            if not end:
-                end = data.find(b"\n", offset + _SLICE_BYTES) + 1
-            decoded = _decode_canonical(data[offset:end])
-            if decoded is None:
-                decoded, _ = _scan_lines(data, offset, end)
-            records += decoded
-            offset = end
-    return records, durable
+    expected: Optional[int] = None
+    size = len(data)
+    offset = len(FILE_HEADER)
+    crc32 = zlib.crc32
+    with gc_paused(), memoryview(data) as view:
+        while offset + _FRAME.size <= size:
+            length, crc, fields_crc = _FRAME.unpack_from(data, offset)
+            start = offset + _FRAME.size
+            if crc32(view[offset:offset + _FRAME_FIELDS.size]) != fields_crc:
+                raise WALCorruptionError(
+                    f"WAL frame at byte {offset}: header fails its CRC")
+            if start + length > size:
+                break                       # the torn final frame
+            if crc32(view[start:start + length]) != crc:
+                raise WALCorruptionError(
+                    f"WAL frame at byte {offset}: body fails its CRC")
+            expected = _decode_entries(data, start, start + length, records,
+                                       expected)
+            offset = start + length
+    return records, offset
 
 
 def read_wal(path: os.PathLike) -> Tuple[List[LogRecord], bool]:
     """Load every durable record from ``path``.
 
     Returns ``(records, torn)`` where ``torn`` reports whether a
-    trailing partial line was discarded (the signature of a crash midway
-    through a group flush; everything before it is intact and trusted).
-    A missing file is an empty log.  An undecodable *interior* line
-    raises :class:`WALCorruptionError` (see :func:`scan_wal`).
+    trailing partial frame was discarded (the signature of a crash
+    midway through a group flush; everything before it is intact and
+    trusted).  A missing file is an empty log.  A damaged frame raises
+    :class:`WALCorruptionError` (see :func:`scan_wal`).
     """
     path = Path(path)
     if not path.exists():
@@ -327,14 +348,20 @@ class DurableLog(LogManager):
         if self.path.exists():
             self._scan_and_repair()
         self._file = open(self.path, "ab")
+        if not os.fstat(self._file.fileno()).st_size:
+            # a new (or torn-empty) log: the header, made durable with
+            # the directory entry, before any frame can follow it
+            self._file.write(FILE_HEADER)
+            self._sync_file(self._file)
+            self._sync_directory()
 
     def _scan_and_repair(self) -> None:
-        """Decode an existing file once and truncate a torn final line.
+        """Decode an existing file once and truncate a torn final frame.
 
         The repair must happen before the file is reopened for append:
-        writing new records after a partial line would fuse them into
-        one undecodable line, and the *next* restart would then lose
-        every record from the tear onward -- acknowledged-data loss.
+        writing a new frame after a partial one would fuse them, and the
+        *next* restart would then lose every record from the tear
+        onward -- acknowledged-data loss.
         Truncation to the durable prefix is idempotent, so a crash
         racing this repair just means it runs again next start.
         """
@@ -399,7 +426,7 @@ class DurableLog(LogManager):
         self.raise_if_failed()
         if self._tail:
             try:
-                self._file.write(encode_records(self._tail))
+                self._file.write(encode_frame(self._tail))
                 self._sync_file(self._file)
             except BaseException as exc:
                 self.failure = exc
@@ -422,7 +449,9 @@ class DurableLog(LogManager):
         if reclaimed:
             tmp = self.path.with_name(self.path.name + ".tmp")
             with open(tmp, "wb") as file:
-                file.write(encode_records(self._stable))
+                file.write(FILE_HEADER)
+                if self._stable:
+                    file.write(encode_frame(self._stable))
                 self._sync_file(file)
             self._file.close()
             os.replace(tmp, self.path)

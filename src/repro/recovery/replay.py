@@ -3,7 +3,9 @@ oracle.
 
 Replay walks the log in LSN order with attempt-buffer semantics:
 
-* an :class:`UpdateRecord` is *buffered* under its transaction id;
+* an :class:`UpdateRecord` is *buffered* under its transaction id, and
+  so is each update of an :class:`UpdateRun` (one transaction's updates
+  logged as one record);
 * a :class:`CommitRecord` applies the transaction's buffered updates;
 * an :class:`AbortRecord` discards them (a two-color abort may be
   followed by a successful rerun of the same transaction id, whose later
@@ -19,13 +21,16 @@ and can be fed incrementally, so the oracle digests each group flush as
 it becomes stable.  :func:`replay_records` wraps it for one-shot use.
 
 There are two ways through a batch, to the same array and the same
-:class:`ReplayCounts`.  :meth:`RedoApplier.feed_each` is the per-record
-loop above: it defines replay and is the reference the other way is
-tested against.  :meth:`RedoApplier.feed` first takes the shape
-commit-time logging writes on both hosts: *runs* of one transaction's
-value updates, each closed by that transaction's commit or abort, with
-data-less markers (checkpoint begin/end, media failure/restore) between
-runs and at most one unclosed run at the end.  In such a stretch a
+:class:`ReplayCounts` (which count a run as its updates, so a log holds
+the same number of "records" whichever form its updates take).
+:meth:`RedoApplier.feed_each` is the per-record loop above: it defines
+replay and is the reference the other way is tested against.
+:meth:`RedoApplier.feed` first takes the shape commit-time logging
+writes on both hosts: *runs* of one transaction's value updates
+(per-record on the simulator, one :class:`UpdateRun` on the live host),
+each closed by that transaction's commit or abort, with data-less
+markers (checkpoint begin/end, media failure/restore) between runs and
+at most one unclosed run at the end.  In such a stretch a
 transaction's updates sit right before its outcome, so nothing needs
 buffering: a committed run is written straight into the array, in log
 order, each update's transaction checked as it goes, and an aborted run
@@ -60,6 +65,8 @@ from ..wal.records import (
     MediaFailureRecord,
     MediaRestoreRecord,
     UpdateRecord,
+    UpdateRun,
+    log_updates,
 )
 
 #: record kinds that carry no data to replay
@@ -68,6 +75,18 @@ _MARKERS = frozenset({BeginCheckpointRecord, EndCheckpointRecord,
 
 #: an update record's transaction id, by position (records are tuples)
 _txn_id = itemgetter(1)
+
+
+def _buffered(entries: Sequence[LogRecord]) -> List[Tuple[str, int, int]]:
+    """A stretch of update records and runs as attempt-buffer entries."""
+    buffered: List[Tuple[str, int, int]] = []
+    for entry in entries:
+        if type(entry) is UpdateRun:
+            buffered += [("value", record_id, value)
+                         for record_id, value in entry.pairs()]
+        else:
+            buffered.append(("value", entry.record_id, entry.value))
+    return buffered
 
 
 @dataclass
@@ -131,6 +150,12 @@ class RedoApplier:
                 bucket.append(("value", record.record_id, record.value))
             elif cls is CommitRecord:
                 self._apply_commit(record.txn_id)
+            elif cls is UpdateRun:
+                bucket = pending.get(record.txn_id)
+                if bucket is None:
+                    bucket = pending[record.txn_id] = []
+                bucket += _buffered((record,))
+                scanned += record.n_updates - 1
             elif cls is LogicalUpdateRecord:
                 bucket = pending.get(record.txn_id)
                 if bucket is None:
@@ -173,10 +198,12 @@ class RedoApplier:
         pending = self._pending
         counts = self.counts
         done = 0
+        scanned = 0
         # everything but the value updates: the outcomes closing the
         # runs, and markers -- a handful per batch on either host
         for position in [position for position, record in enumerate(records)
-                         if type(record) is not UpdateRecord]:
+                         if type(record) is not UpdateRecord
+                         and type(record) is not UpdateRun]:
             record = records[position]
             cls = type(record)
             if cls is CommitRecord or cls is AbortRecord:
@@ -185,17 +212,22 @@ class RedoApplier:
                 if txn_id in pending:
                     break
                 if cls is CommitRecord:
-                    if not self._write_run(run, txn_id):
+                    written = self._write_run(run, txn_id)
+                    if written < 0:
                         break
                     counts.transactions_committed += 1
-                    counts.updates_applied += len(run)
+                    counts.updates_applied += written
                 elif countOf(map(_txn_id, run), txn_id) == len(run):
+                    written = log_updates(run)
                     counts.attempts_aborted += 1
-                    counts.updates_dropped += len(run)
+                    counts.updates_dropped += written
                 else:
                     break
+                scanned += written + 1
             elif cls not in _MARKERS or done < position:
                 break
+            else:
+                scanned += 1
             done = position + 1
         else:
             tail = records[done:]
@@ -203,16 +235,20 @@ class RedoApplier:
                 txn_id = tail[-1].txn_id
                 if (txn_id not in pending
                         and countOf(map(_txn_id, tail), txn_id) == len(tail)):
-                    pending[txn_id] = [("value", record_id, value)
-                                       for _, _, record_id, value in tail]
+                    buffered = pending[txn_id] = _buffered(tail)
+                    scanned += len(buffered)
                     done = len(records)
-        counts.records_scanned += done
+        counts.records_scanned += scanned
         return done
 
-    def _write_run(self, run: Sequence[UpdateRecord], txn_id: int) -> bool:
+    def _write_run(self, run: Sequence[LogRecord], txn_id: int) -> int:
         """Write a committed run into the array in log order, checking
-        each update's transaction as it goes; False at the first update
-        of another transaction or the first value the array refuses.
+        each update's transaction as it goes; return the updates
+        written, or -1 at the first update of another transaction or the
+        first value the array refuses.
+
+        A run logged as one :class:`UpdateRun` has one owner to check,
+        and its columns are written pair by pair, still in log order.
 
         Stopping part-way leaves nothing the loop will not redo: the
         updates already written are the run's own transaction's, which
@@ -222,13 +258,22 @@ class RedoApplier:
         """
         cells = self._cells
         try:
+            if len(run) == 1 and type(run[0]) is UpdateRun:
+                entry = run[0]
+                if entry.txn_id != txn_id:
+                    return -1
+                for record_id, value in entry.pairs():
+                    cells[record_id] = value
+                return entry.n_updates
+            # a run among per-record updates has bytes for its id,
+            # which the array refuses: the loop takes over from here
             for _, owner, record_id, value in run:
                 if owner != txn_id:
-                    return False
+                    return -1
                 cells[record_id] = value
         except (TypeError, ValueError, IndexError):
-            return False
-        return True
+            return -1
+        return len(run)
 
     def finish(self) -> ReplayCounts:
         """Account for updates whose commit never became stable."""

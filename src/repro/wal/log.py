@@ -42,6 +42,7 @@ from .records import (
     MediaFailureRecord,
     MediaRestoreRecord,
     UpdateRecord,
+    UpdateRun,
 )
 
 StableCallback = Callable[[], None]
@@ -121,14 +122,14 @@ class LogManager:
         )
 
     # -- appends --------------------------------------------------------------
-    def _admit(self, record: LogRecord, words: int) -> None:
-        """Account for a freshly-built record of ``words`` words and place
-        it in the tail (or straight into the stable log under a
-        stable-RAM tail)."""
+    def _admit(self, record: LogRecord, words: int, updates: int = 1) -> None:
+        """Account for a freshly-built record of ``words`` words (``updates``
+        appends: a run counts each of its updates) and place it in the
+        tail (or straight into the stable log under a stable-RAM tail)."""
         self.words_appended += words
         if self.telemetry.enabled:
             registry = self.telemetry.registry
-            registry.count("wal.appends")
+            registry.count("wal.appends", updates)
             registry.count("wal.words_appended", words)
         if self.stable_tail:
             # Stable RAM: the record is durable the moment it is written.
@@ -175,6 +176,27 @@ class LogManager:
             registry.count("wal.appends", n)
             registry.count("wal.words_appended", words)
         return n
+
+    def append_update_run(self, txn_id: int, record_ids: bytes,
+                          values: bytes) -> UpdateRun:
+        """Append one transaction's value updates as a single
+        :class:`UpdateRun`; returns it.
+
+        ``record_ids`` and ``values`` are equal-length little-endian
+        int64 columns.  The run consumes one LSN per update, and its
+        ``lsn`` is the last of them, so LSNs, word counts and append
+        counts are exactly those of :meth:`append_updates` over the same
+        pairs -- with one record instead of one per update.
+        """
+        n = len(record_ids) >> 3
+        if not n or len(record_ids) != n << 3 or len(values) != n << 3:
+            raise InvalidStateError(
+                f"a run needs equal, non-empty int64 columns, got "
+                f"{len(record_ids)} and {len(values)} bytes")
+        record = UpdateRun(self._allocator.allocate_many(n), txn_id,
+                           record_ids, values)
+        self._admit(record, n * self._update_words, n)
+        return record
 
     def append_logical_updates(self, txn_id: int,
                                items: Iterable[Tuple[int, int]]) -> int:
@@ -394,7 +416,9 @@ class LogManager:
         The stable log is LSN-ordered, so the cut point is found by
         bisection and only the reclaimed prefix is ever touched -- the
         survivors are kept by one slice delete instead of a rebuild of
-        the whole list on every checkpoint completion.
+        the whole list on every checkpoint completion.  A record is
+        keyed by its (last) LSN, so an :class:`UpdateRun` reaching
+        ``lsn`` is kept whole.
         """
         stable = self._stable
         cut = bisect_left(stable, lsn, key=_record_lsn)

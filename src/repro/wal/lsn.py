@@ -30,6 +30,11 @@ class LSNAllocator:
         self._next += 1
         return lsn
 
+    def allocate_many(self, n: int) -> int:
+        """Allocate ``n`` consecutive LSNs at once; return the last."""
+        self._next += n
+        return self._next - 1
+
     @property
     def last_allocated(self) -> int:
         """The most recently allocated LSN (0 if none yet)."""

@@ -4,6 +4,8 @@ The REDO-only log (Section 2.6) contains:
 
 * :class:`UpdateRecord` -- the new value of one record written by a
   transaction (a REDO record; there are no UNDO records);
+* :class:`UpdateRun` -- every value update of one transaction as a
+  single record (the live host's form of the same REDO records);
 * :class:`CommitRecord` / :class:`AbortRecord` -- transaction outcomes.
   Recovery replays the updates of committed transactions only.  Abort
   records appear when the two-color algorithms kill a transaction whose
@@ -21,15 +23,18 @@ Each record knows its size in words so log volume -- and hence recovery
 time -- can be accounted exactly as the model does.
 
 Records are named tuples: construction is a single C call, which
-matters because the transaction hot path builds one record per update
-plus one per outcome.  They are immutable and compare/hash by value,
-exactly as the frozen dataclasses they replaced did.  :data:`LogRecord`
-remains as the union type annotation for "any log record".
+matters because the simulator's transaction hot path builds one record
+per update plus one per outcome.  They are immutable and compare/hash
+by value, exactly as the frozen dataclasses they replaced did.
+:data:`LogRecord` remains as the union type annotation for "any log
+record".
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Tuple, Union
+from typing import Iterator, NamedTuple, Tuple, Union
+
+import numpy as np
 
 
 class UpdateRecord(NamedTuple):
@@ -43,6 +48,45 @@ class UpdateRecord(NamedTuple):
     def size_words(self, record_words: int, header_words: int,
                    commit_words: int) -> int:
         return record_words + header_words
+
+
+class UpdateRun(NamedTuple):
+    """REDO records of one transaction's value updates, as one record.
+
+    ``record_ids`` and ``values`` are little-endian int64 columns, as
+    ``bytes`` -- exactly what the WAL frame stores -- so the record stays
+    immutable, hashable and comparable by value like the others.  The
+    run stands for ``n`` update records with consecutive LSNs and
+    consumes all ``n`` of them: ``lsn`` is the *last* one, so update
+    ``i`` is ``UpdateRecord(lsn - n + 1 + i, txn_id, record_ids[i],
+    values[i])``.  An LSN bisection over a log holding runs therefore
+    finds the run covering an LSN, and keeps it rather than cutting it.
+    """
+
+    lsn: int
+    txn_id: int = 0
+    record_ids: bytes = b""
+    values: bytes = b""
+
+    @property
+    def n_updates(self) -> int:
+        return len(self.record_ids) >> 3
+
+    def pairs(self) -> Iterator[Tuple[int, int]]:
+        """The run's ``(record_id, value)`` pairs, in log order."""
+        return zip(np.frombuffer(self.record_ids, "<i8").tolist(),
+                   np.frombuffer(self.values, "<i8").tolist())
+
+    def size_words(self, record_words: int, header_words: int,
+                   commit_words: int) -> int:
+        return self.n_updates * (record_words + header_words)
+
+
+def log_updates(records) -> int:
+    """Log records in ``records`` counted one per update: a run counts
+    its updates, every other record one."""
+    return sum(record.n_updates if type(record) is UpdateRun else 1
+               for record in records)
 
 
 class LogicalUpdateRecord(NamedTuple):
@@ -169,6 +213,7 @@ class MediaFailureRecord(NamedTuple):
 #: concrete record is a NamedTuple and tuples cannot share field bases)
 LogRecord = Union[
     UpdateRecord,
+    UpdateRun,
     LogicalUpdateRecord,
     CommitRecord,
     AbortRecord,

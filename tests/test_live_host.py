@@ -1,6 +1,6 @@
 """The wall-clock host's durability substrate, in-process.
 
-Everything here runs the real file formats -- the JSON-line WAL and the
+Everything here runs the real file formats -- the framed WAL and the
 atomically-renamed image -- against a tmp directory, with ``fsync=False``
 so the suite is not gated on disk latency (the framing and atomicity
 logic under test is identical either way; the subprocess SIGKILL tests
@@ -12,6 +12,8 @@ import io
 import json
 import os
 import random
+import re
+import struct
 import threading
 import time
 import tracemalloc
@@ -22,10 +24,10 @@ import numpy as np
 import pytest
 
 from repro.errors import (AddressError, ConfigurationError,
-                          WALCorruptionError, WALFailedError)
+                          WALCorruptionError, WALFailedError, WALFormatError)
 from repro.live import wal as live_wal
 from repro.live.host import LiveConfig, LiveHost
-from repro.live.server import _Handler, _handle
+from repro.live.server import _Handler, _handle, check, serve
 from repro.live.store import ImageStore
 from repro.live.wal import DurableLog, decode_record, encode_record, read_wal
 from repro.mmdb.database import Database
@@ -33,7 +35,7 @@ from repro.obs.attribution import (attribute_stalls, checkpoint_intervals,
                                    decompose_quantiles)
 from repro.params import SystemParameters
 from repro.wal.log import LogManager
-from repro.wal.records import CommitRecord, UpdateRecord
+from repro.wal.records import CommitRecord, UpdateRecord, UpdateRun
 
 
 @pytest.fixture()
@@ -43,7 +45,7 @@ def live_params():
 
 @pytest.fixture()
 def wal_path(tmp_path):
-    return tmp_path / "wal.jsonl"
+    return tmp_path / "wal.log"
 
 
 def _fresh_log(params, path):
@@ -54,9 +56,11 @@ def _fresh_log(params, path):
 # WAL file format
 # ---------------------------------------------------------------------------
 
-def test_wal_line_format_round_trips_every_record_kind(live_params, wal_path):
+def test_wal_frame_format_round_trips_every_record_kind(live_params, wal_path):
     log = _fresh_log(live_params, wal_path)
     log.append_update(1, 7, 100)
+    log.append_update_run(1, np.array([8, 9, 8], "<i8").tobytes(),
+                          np.array([-1, 2**63 - 1, 3], "<i8").tobytes())
     log.append_logical_update(1, 8, 5)
     log.append_commit(1)
     log.append_abort(2, reason="conflict")
@@ -68,10 +72,12 @@ def test_wal_line_format_round_trips_every_record_kind(live_params, wal_path):
     log.flush()
     log.close()
     for record in originals:
-        assert decode_record(encode_record(record).decode()) == record
+        assert decode_record(encode_record(record)) == record
     records, torn = read_wal(wal_path)
     assert not torn
     assert records == originals
+    assert wal_path.read_bytes() == (live_wal.FILE_HEADER
+                                     + live_wal.encode_frame(originals))
 
 
 def test_wal_flush_lands_records_before_waiters_fire(live_params, wal_path):
@@ -134,35 +140,39 @@ def test_wal_reopen_truncates_a_torn_tail_before_appending(
     clean.close()
 
 
-def test_wal_unterminated_final_line_is_torn_even_if_it_decodes(
+def test_wal_final_frame_short_of_one_byte_is_torn_even_if_it_decodes(
         live_params, wal_path):
     log = _fresh_log(live_params, wal_path)
     log.append_update(1, 3, 42)
     first = log.append_commit(1)
     log.flush()
+    durable = wal_path.stat().st_size
+    log.append_update(2, 4, 43)
+    log.append_commit(2)
+    log.flush()
     log.close()
-    # a tear that takes only the final newline leaves a whole, decodable
-    # line -- but its flush never finished, so it was never acknowledged
-    chopped = encode_record(first)[:-1]
+    # a tear that takes only the last frame's final byte leaves its
+    # header and most of its entries -- but its flush never finished,
+    # so it was never acknowledged
     whole = wal_path.read_bytes()
     wal_path.write_bytes(whole[:-1])
     records, torn = read_wal(wal_path)
     assert torn
-    assert [r.lsn for r in records] == [first.lsn - 1]
+    assert [r.lsn for r in records] == [first.lsn - 1, first.lsn]
     reborn = _fresh_log(live_params, wal_path)
-    assert reborn.repaired_bytes == len(chopped)
-    assert wal_path.read_bytes() == whole[:-len(chopped) - 1]
+    assert reborn.repaired_bytes == len(whole) - 1 - durable
+    assert wal_path.read_bytes() == whole[:durable]
     reborn.hydrate(reborn.recovered_records)
-    reborn.append_update(2, 4, 43)
-    second = reborn.append_commit(2)
+    reborn.append_update(3, 5, 44)
+    second = reborn.append_commit(3)
     reborn.flush()
     reborn.close()
-    # the next append did not fuse onto the chopped line, so the restart
-    # after it reads the new commit instead of raising over it
+    # the next frame did not fuse onto the cut one, so the restart after
+    # it reads the new commit instead of raising over it
     again = _fresh_log(live_params, wal_path)
     assert again.repaired_bytes == 0
     assert [r.lsn for r in again.recovered_records] == [
-        first.lsn - 1, second.lsn - 1, second.lsn]
+        first.lsn - 1, first.lsn, second.lsn - 1, second.lsn]
     again.close()
 
 
@@ -171,10 +181,15 @@ def test_wal_interior_corruption_fails_loudly(live_params, wal_path):
     log.append_update(1, 3, 42)
     log.append_commit(1)
     log.flush()
+    log.append_update(2, 4, 43)
+    log.append_commit(2)
+    log.flush()
     log.close()
-    # a *terminated* garbage line ahead of durable records cannot be a
-    # torn tail; dropping the suffix would lose acknowledged commits
-    wal_path.write_bytes(b'["C",99,bogus\n' + wal_path.read_bytes())
+    # a flipped byte inside the first of two frames cannot be a torn
+    # tail; dropping the suffix would lose acknowledged commits
+    damaged = bytearray(wal_path.read_bytes())
+    damaged[len(live_wal.FILE_HEADER) + 20] ^= 0x10
+    wal_path.write_bytes(bytes(damaged))
     with pytest.raises(WALCorruptionError):
         read_wal(wal_path)
     with pytest.raises(WALCorruptionError):
@@ -389,7 +404,7 @@ def test_live_host_checkpoint_truncates_and_recovery_uses_the_image(tmp_path):
 
     image = ImageStore(tmp_path, fsync=False).load()
     assert image is not None and image.checkpoint_id == 1
-    records, torn = read_wal(tmp_path / "wal.jsonl")
+    records, torn = read_wal(tmp_path / "wal.log")
     assert not torn
     # truncation reclaimed everything at or below the image's horizon
     assert all(r.lsn > image.base_lsn for r in records)
@@ -458,7 +473,7 @@ def test_live_host_survives_a_failed_checkpoint_image_write(tmp_path,
         [error] = host.scheduler.errors
         assert isinstance(error, OSError) and error.errno == 28
         assert ImageStore(tmp_path, fsync=False).load() is None
-        assert len(read_wal(tmp_path / "wal.jsonl")[0]) >= 20
+        assert len(read_wal(tmp_path / "wal.log")[0]) >= 20
 
         host.submit([(3, 8888)])
         acked[3] = 8888
@@ -510,7 +525,7 @@ def test_live_host_recovery_drops_a_torn_tail(tmp_path):
             host.submit([(i, 3000 + i)])
     finally:
         host.stop()
-    with open(tmp_path / "wal.jsonl", "ab") as file:
+    with open(tmp_path / "wal.log", "ab") as file:
         file.write(b'["U",999,99')  # crash mid-flush
 
     reborn = _host(tmp_path)
@@ -532,7 +547,7 @@ def test_live_host_commits_after_a_torn_tail_survive_a_second_crash(tmp_path):
             host.submit([(i, 3000 + i)])
     finally:
         host.stop()
-    with open(tmp_path / "wal.jsonl", "ab") as file:
+    with open(tmp_path / "wal.log", "ab") as file:
         file.write(b'["U",999,99')  # first crash: torn flush
 
     second = _host(tmp_path)
@@ -544,7 +559,7 @@ def test_live_host_commits_after_a_torn_tail_survive_a_second_crash(tmp_path):
         second.stop()
     # the repaired file parses end to end: the new commit was appended
     # after the truncated prefix, not fused into the garbage line
-    records, torn = read_wal(tmp_path / "wal.jsonl")
+    records, torn = read_wal(tmp_path / "wal.log")
     assert not torn
 
     third = _host(tmp_path)
@@ -565,7 +580,7 @@ def test_live_host_restart_past_trailing_markers_keeps_txn_ids(
     """The next transaction id is one past the last one logged, however
     many checkpoint markers follow it (and 1 with none logged)."""
     log = DurableLog(SystemParameters.scaled_down(2048),
-                     tmp_path / "wal.jsonl", fsync=False)
+                     tmp_path / "wal.log", fsync=False)
     for txn_id in txns:
         log.append_update(txn_id, txn_id, 10 * txn_id)
         log.append_commit(txn_id)
@@ -608,8 +623,8 @@ def test_live_host_restart_reads_and_scans_the_wal_once(tmp_path,
     recovery = reborn.recover()
     reborn.log.close()
     assert recovery.records_scanned == 10
-    assert scans == [(tmp_path / "wal.jsonl").stat().st_size]
-    assert reads.count("wal.jsonl") == 1
+    assert scans == [(tmp_path / "wal.log").stat().st_size]
+    assert reads.count("wal.log") == 1
 
 
 @pytest.mark.parametrize("collecting", [True, False])
@@ -643,7 +658,7 @@ def test_live_host_recover_restores_the_gc_state(tmp_path, monkeypatch,
         assert seen == [False]  # paused while it ran
         assert gc.isenabled() is collecting
         # ... and one inside the open-time scan
-        (tmp_path / "wal.jsonl").write_bytes(b'["C",99,bogus\n')
+        (tmp_path / "wal.log").write_bytes(b'["C",99,bogus\n')
         with pytest.raises(WALCorruptionError):
             _host(tmp_path)
         assert gc.isenabled() is collecting
@@ -660,7 +675,7 @@ def test_live_host_reports_recovery_timing_outside_recovery_info(tmp_path):
             host.submit([(i, 3000 + i)])
     finally:
         host.stop()
-    wal_path = tmp_path / "wal.jsonl"
+    wal_path = tmp_path / "wal.log"
     garbage = b'["U",999,99'
     with open(wal_path, "ab") as file:
         file.write(garbage)
@@ -694,8 +709,8 @@ def test_live_host_uncommitted_updates_are_dropped_at_recovery(tmp_path):
         host.stop()
     # an update whose commit never made it to the file: REDO must drop it
     log = DurableLog(SystemParameters.scaled_down(2048),
-                     tmp_path / "wal.jsonl", fsync=False)
-    records, _ = read_wal(tmp_path / "wal.jsonl")
+                     tmp_path / "wal.log", fsync=False)
+    records, _ = read_wal(tmp_path / "wal.log")
     log.hydrate(records)
     log.append_update(99, 1, 666666)
     log.flush()
@@ -876,6 +891,58 @@ def test_server_answers_a_rejected_transaction_and_keeps_the_connection(
         host.stop()
 
 
+@pytest.mark.parametrize("request_", [
+    {"op": "put", "record": 5.7, "value": 1},
+    {"op": "put", "record": "5", "value": 1},
+    {"op": "put", "record": True, "value": 1},
+    {"op": "put", "record": 5, "value": 1.0},
+    {"op": "put", "record": 5, "value": None},
+    {"op": "txn", "updates": [[0, 1], [5, 2.5]]},
+    {"op": "txn", "updates": [[0, 1], ["5", 2]]},
+    {"op": "txn", "updates": [[0, 1], [5, False]]},
+    {"op": "txn", "updates": [[0, 1], [5, 2, 3]]},
+    {"op": "txn", "updates": [[0, 1], [5]]},
+    {"op": "txn", "updates": [[0, 1], 5]},
+    {"op": "txn", "updates": "05"},
+    {"op": "txn", "updates": {"0": 1}},
+    {"op": "get", "record": 5.0},
+], ids=lambda request: json.dumps(request, separators=(",", ":")))
+def test_server_refuses_a_non_integer_id_or_value_and_logs_nothing(
+        tmp_path, request_):
+    host = _host(tmp_path)
+    host.start()
+    try:
+        first = host.submit([(5, 9)])
+        lsn = host.log.last_lsn
+        hostile, after = _server_replies(host, [
+            request_, {"op": "txn", "updates": [[0, 7]]}])
+        assert hostile["ok"] is False, hostile
+        assert hostile["error"].split(":")[0] in ("TypeError", "ValueError")
+        # nothing logged, installed or spent; the connection still serves
+        assert after["ok"] and after["txn_id"] == first.txn_id + 1
+        assert after["commit_lsn"] == lsn + 2
+        assert host.read(5) == 9
+        assert host.verify() == []
+    finally:
+        host.stop()
+
+
+@pytest.mark.parametrize("entry", ["LiveHost", "serve", "check"])
+def test_a_legacy_json_line_wal_is_refused_by_name(tmp_path, entry):
+    legacy = tmp_path / "wal.jsonl"
+    legacy.write_bytes(b'["U",1,1,0,5]\n["C",2,1]\n')
+    with pytest.raises(WALFormatError, match=re.escape(str(legacy))):
+        if entry == "LiveHost":
+            _host(tmp_path)
+        elif entry == "serve":
+            serve(str(tmp_path), fsync=False, ready_stream=io.StringIO())
+        else:
+            check(str(tmp_path))
+    # nothing was started over it: no framed log, the old one untouched
+    assert not (tmp_path / "wal.log").exists()
+    assert legacy.read_bytes() == b'["U",1,1,0,5]\n["C",2,1]\n'
+
+
 def test_server_checkpoint_op_tests_and_starts_in_one_dispatcher_step(
         tmp_path):
     host = _host(tmp_path)
@@ -921,7 +988,9 @@ def test_live_host_bulk_commit_makes_no_per_record_call(tmp_path,
         host.submit([(0, 1)])  # warm: nothing below is first-use work
         per_record = [_counted(monkeypatch, live_wal, "encode_record"),
                       _counted(monkeypatch, Database, "install_record"),
-                      _counted(monkeypatch, LogManager, "append_update")]
+                      _counted(monkeypatch, LogManager, "append_update"),
+                      _counted(monkeypatch, LogManager, "append_updates"),
+                      _counted(monkeypatch, UpdateRecord, "__new__")]
         flushes = host.log.flush_count
         rng = random.Random(14)
         updates = [(rng.randrange(host.params.n_records),
@@ -929,10 +998,21 @@ def test_live_host_bulk_commit_makes_no_per_record_call(tmp_path,
         result = host.submit(updates)  # returns once its flush is done
         assert host.log.flush_count > flushes
         assert result.commit_lsn == 2 + 1024 + 1
-        assert per_record == [[], [], []]
+        assert per_record == [[], [], [], [], []]
         assert host.verify() == []
     finally:
         host.stop()
+
+
+def _frame_bodies(data):
+    """The bodies of a framed log's frames, walked by their lengths."""
+    at, bodies = len(live_wal.FILE_HEADER), []
+    while at < len(data):
+        (length,) = struct.unpack_from("<I", data, at)
+        bodies.append(data[at + 12:at + 12 + length])
+        at += 12 + length
+    assert at == len(data)
+    return bodies
 
 
 def test_live_host_wal_bytes_are_the_per_record_encoding(tmp_path):
@@ -951,25 +1031,26 @@ def test_live_host_wal_bytes_are_the_per_record_encoding(tmp_path):
         assert host.verify() == []
     finally:
         host.stop()
-    wal_path = tmp_path / "wal.jsonl"
+    wal_path = tmp_path / "wal.log"
     records, torn = read_wal(wal_path)
     assert not torn
-    assert wal_path.read_bytes() == b"".join(map(encode_record, records))
-    # LSNs are dense, and each transaction is its updates, in the order
-    # submitted, then its commit record, with nothing in between
-    assert [r.lsn for r in records] == list(range(1, len(records) + 1))
-    at = 0
-    for txn_id in sorted(expected):
+    data = wal_path.read_bytes()
+    assert data.startswith(live_wal.FILE_HEADER)
+    assert b"".join(_frame_bodies(data)) == b"".join(map(encode_record,
+                                                         records))
+    # each transaction is one run of its updates, in the order
+    # submitted, then its commit record, with nothing in between; the
+    # run's LSNs are dense and end right before the commit's
+    assert len(records) == 2 * len(expected)
+    for at, txn_id in enumerate(sorted(expected)):
         updates, commit_lsn = expected[txn_id]
-        logged = records[at:at + len(updates)]
-        assert logged == [
-            UpdateRecord(at + 1 + i, txn_id, record_id, value)
-            for i, (record_id, value) in enumerate(updates)]
-        at += len(updates)
-        assert records[at] == CommitRecord(commit_lsn, txn_id)
-        assert commit_lsn == at + 1
-        at += 1
-    assert at == len(records)
+        run, commit = records[2 * at:2 * at + 2]
+        assert type(run) is UpdateRun and run.txn_id == txn_id
+        assert list(run.pairs()) == updates
+        assert run.lsn == commit_lsn - 1
+        assert commit == CommitRecord(commit_lsn, txn_id)
+        first = records[2 * at - 1].lsn + 1 if at else 1
+        assert run.lsn - run.n_updates + 1 == first
 
 
 # ---------------------------------------------------------------------------
@@ -1067,7 +1148,7 @@ def test_live_host_requested_flush_behind_another_flush_costs_no_fsync(
         # a barrier behind the requested flush: once it has run, so has
         # the request
         host.scheduler.call(lambda: None)
-        records, _ = read_wal(tmp_path / "wal.jsonl")
+        records, _ = read_wal(tmp_path / "wal.log")
         if flusher == "verify":
             verifier.join(10.0)
             assert not verifier.is_alive()
@@ -1098,7 +1179,7 @@ def test_live_host_failed_flush_is_never_retried_onto_the_file(tmp_path,
                                                                monkeypatch):
     host = _host(tmp_path, flush_interval=NO_TICK, fsync=True)
     host.start()
-    wal_path = tmp_path / "wal.jsonl"
+    wal_path = tmp_path / "wal.log"
     acked = {}
     try:
         for i in range(5):
@@ -1195,4 +1276,4 @@ def test_live_config_rejects_a_non_positive_flush_interval(tmp_path,
                                                            flush_interval):
     with pytest.raises(ConfigurationError, match="flush_interval"):
         LiveConfig(data_dir=str(tmp_path), flush_interval=flush_interval)
-    assert not (tmp_path / "wal.jsonl").exists()  # nothing was opened
+    assert not (tmp_path / "wal.log").exists()  # nothing was opened

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import InvalidStateError, WALViolation
@@ -106,6 +107,52 @@ class TestAppendAndFlush:
             log.flush()
         lsns = [r.lsn for r in log.stable_records()]
         assert lsns == sorted(lsns)
+
+
+class TestUpdateRuns:
+    """A transaction's updates as one record: the LSNs, words and
+    truncation behaviour of the same updates logged one by one."""
+
+    @staticmethod
+    def _columns(*values):
+        return np.array(values, "<i8").tobytes()
+
+    def test_a_run_consumes_one_lsn_per_update_and_ends_at_the_last(
+            self, log, tiny_params):
+        log.append_commit(9)
+        run = log.append_update_run(1, self._columns(4, 5, 4),
+                                    self._columns(7, 8, 9))
+        assert (run.lsn, run.n_updates) == (4, 3)
+        assert list(run.pairs()) == [(4, 7), (5, 8), (4, 9)]
+        assert log.append_commit(1).lsn == 5
+        per_update = LogManager(tiny_params)
+        per_update.append_commit(9)
+        per_update.append_updates(1, [(4, 7), (5, 8), (4, 9)])
+        per_update.append_commit(1)
+        assert (log.words_appended, log.tail_words) == (
+            per_update.words_appended, per_update.tail_words)
+        assert log.tail_records == 3
+        assert log.flush().stable_lsn == 5
+
+    def test_truncation_keeps_a_run_reaching_the_horizon_whole(
+            self, log, tiny_params):
+        run = log.append_update_run(1, self._columns(1, 2, 3),
+                                    self._columns(1, 2, 3))
+        log.append_commit(1)
+        log.flush()
+        assert log.stable_words_from(2) == log.stable_words_from(1)
+        assert log.truncate_stable_before(3) == 0
+        assert log.stable_records()[0] == run
+        assert log.truncate_stable_before(4) == 3 * (
+            tiny_params.s_rec + tiny_params.s_log_header)
+
+    @pytest.mark.parametrize("ids, values", [
+        (b"", b""), (b"\0" * 8, b""), (b"\0" * 12, b"\0" * 12)])
+    def test_a_run_needs_equal_non_empty_int64_columns(self, log, ids,
+                                                       values):
+        with pytest.raises(InvalidStateError):
+            log.append_update_run(1, ids, values)
+        assert log.last_lsn == 0 and log.tail_records == 0
 
 
 class TestStableTail:
