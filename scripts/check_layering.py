@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Enforce the architecture's layering rules (docs/ARCHITECTURE.md).
 
-Four checks, stdlib-only so CI needs nothing installed:
+Five checks, stdlib-only so CI needs nothing installed:
 
 1. **Engine isolation** -- the engine-layer modules of ``repro.sim``
    must not import any component or kernel package. They are the
@@ -23,7 +23,19 @@ Four checks, stdlib-only so CI needs nothing installed:
    ``ImageWriter`` it is handed (``repro/sim/ports.py``), so a host with
    real image files swaps the writer, not the algorithms.
 
-4. **No tracked bytecode** -- ``*.pyc`` files and ``__pycache__``
+4. **A serving kernel** -- the static import closure of
+   ``repro.live.server`` (module-level imports only, every parent
+   package's ``__init__`` included) must not reach the simulator's
+   assembly or experiment layers: ``api``, ``sweep``, ``model``,
+   ``workload``, ``experiments``, ``txn``, ``storage``, ``cpu``,
+   ``obs.presets``, or any ``checkpoint`` module but the scheduler.
+   Restart time is mostly interpreter boot, so what ``repro serve``
+   imports is on the recovery path. Imports inside functions are not
+   followed; a lazy package surface (``repro/_lazy.py``) hides nothing
+   here, because its names are strings -- the runtime side of this rule
+   is ``tests/test_check_layering.py``, which reads ``sys.modules``.
+
+5. **No tracked bytecode** -- ``*.pyc`` files and ``__pycache__``
    directories must never be committed.
 
 Exit status 0 = clean, 1 = violations (printed one per line).
@@ -37,6 +49,7 @@ import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+SRC_DIR = REPO_ROOT / "src"
 SIM_DIR = REPO_ROOT / "src" / "repro" / "sim"
 CHECKPOINT_DIR = REPO_ROOT / "src" / "repro" / "checkpoint"
 
@@ -159,6 +172,106 @@ def check_checkpoint_write_port() -> list[str]:
     return violations
 
 
+#: the serving process's entry module
+SERVING_ROOT = "repro.live.server"
+#: packages/modules the serving closure must not reach
+SERVING_FORBIDDEN = ("repro.api", "repro.sweep", "repro.model",
+                     "repro.workload", "repro.experiments", "repro.txn",
+                     "repro.storage", "repro.cpu", "repro.obs.presets")
+#: the only ``repro.checkpoint`` modules a server loads
+SERVING_CHECKPOINT = {"repro.checkpoint", "repro.checkpoint.scheduler"}
+
+
+def forbidden_in_serving(module: str) -> bool:
+    """True if the serving process must not load ``module``."""
+    if module.startswith("repro.checkpoint"):
+        return module not in SERVING_CHECKPOINT
+    return any(module == name or module.startswith(name + ".")
+               for name in SERVING_FORBIDDEN)
+
+
+def _source_of(module: str):
+    """The file defining ``module`` under SRC_DIR, or None."""
+    base = SRC_DIR.joinpath(*module.split("."))
+    for path in (base / "__init__.py", base.with_suffix(".py")):
+        if path.is_file():
+            return path
+    return None
+
+
+def _module_level_statements(body):
+    """Statements that run at import: not function or class bodies, not
+    ``if TYPE_CHECKING:`` blocks."""
+    for node in body:
+        if isinstance(node, ast.If):
+            test = node.test
+            name = getattr(test, "id", getattr(test, "attr", None))
+            if name != "TYPE_CHECKING":
+                yield from _module_level_statements(node.body)
+            yield from _module_level_statements(node.orelse)
+        elif isinstance(node, (ast.Try, ast.With)):
+            for block in ("body", "orelse", "finalbody"):
+                yield from _module_level_statements(getattr(node, block, []))
+            for handler in getattr(node, "handlers", []):
+                yield from _module_level_statements(handler.body)
+        else:
+            yield node
+
+
+def _import_time_imports(module: str, path: Path):
+    """Yield (lineno, module) for each module ``module`` imports when it
+    is imported, a ``from pkg import name`` naming a submodule included."""
+    package = (module if path.name == "__init__.py"
+               else module.rpartition(".")[0]).split(".")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in _module_level_statements(tree.body):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parent = ".".join(package[:len(package) - node.level + 1])
+                base = f"{parent}.{base}" if node.module else parent
+            yield node.lineno, base
+            for alias in node.names:
+                if _source_of(f"{base}.{alias.name}") is not None:
+                    yield node.lineno, f"{base}.{alias.name}"
+
+
+def check_serving_closure() -> list[str]:
+    if _source_of(SERVING_ROOT) is None:
+        return [f"{SERVING_ROOT}: serving entry module is missing"]
+    via = {SERVING_ROOT: None}
+    queue = [SERVING_ROOT]
+    violations = []
+    while queue:
+        module = queue.pop(0)
+        path = _source_of(module)
+        if path is None:
+            continue
+        for lineno, target in _import_time_imports(module, path):
+            parts = target.split(".")
+            if parts[0] != "repro":
+                continue
+            # importing a.b.c runs a/__init__ and a/b/__init__ first
+            for depth in range(1, len(parts) + 1):
+                name = ".".join(parts[:depth])
+                if name in via:
+                    continue
+                via[name] = module
+                queue.append(name)
+                if forbidden_in_serving(name):
+                    chain, step = [], module
+                    while step is not None:
+                        chain.append(step)
+                        step = via[step]
+                    violations.append(
+                        f"{path.relative_to(REPO_ROOT)}:{lineno}: serving "
+                        f"closure reaches {name} (via {' <- '.join(chain)})")
+    return violations
+
+
 def check_no_tracked_bytecode() -> list[str]:
     proc = subprocess.run(
         ["git", "ls-files", "*.pyc", "*__pycache__*"],
@@ -170,14 +283,15 @@ def check_no_tracked_bytecode() -> list[str]:
 def main() -> int:
     violations = (check_engine_isolation() + check_host_purity()
                   + check_checkpoint_write_port()
-                  + check_no_tracked_bytecode())
+                  + check_serving_closure() + check_no_tracked_bytecode())
     for violation in violations:
         print(violation)
     if violations:
         print(f"{len(violations)} layering violation(s)", file=sys.stderr)
         return 1
     print("layering clean: engine isolated, sim host pure, "
-          "checkpointers behind the write port, no tracked bytecode")
+          "checkpointers behind the write port, serving kernel only, "
+          "no tracked bytecode")
     return 0
 
 

@@ -31,48 +31,40 @@ for the figure-by-figure reproduction, ``benchmarks/ckptbench`` for the
 performance benchmark, and ``docs/SWEEPS.md`` for the sweep subsystem.
 """
 
-from types import ModuleType as _ModuleType
+from ._lazy import lazy_surface
 
-from .checkpoint import (
-    ALGORITHM_NAMES,
-    CheckpointPolicy,
-    CheckpointScope,
-)
-from .errors import ReproError, SweepError
-from .faults import CrashSpec, FaultPlan, IOFaultSpec
-from .model import ModelResult
-from .params import PAPER_DEFAULTS, SystemParameters
-from .sim import SimulatedSystem, SimulationConfig
-from .sweep import SweepResult, SweepRunner, SweepSpec
-from .workload import (
-    AccessDistribution,
-    ArrivalSchedule,
-    SchedulePhase,
-    WorkloadScenario,
-    WorkloadSpec,
-    get_scenario,
-    register_scenario,
-    scenario_names,
-)
-
-from . import api
-from . import sweep  # noqa: F811 - made a callable facade below
-from .api import SimulationOutcome, evaluate, simulate
-
-
-class _FacadeModule(_ModuleType):
-    """A submodule that is also callable as its same-named api function.
-
-    ``repro.sweep`` stays the real subpackage (so every ``repro.sweep.*``
-    import path keeps working) while ``repro.sweep(...)`` invokes
-    :func:`repro.api.sweep`.
-    """
-
-    def __call__(self, *args, **kwargs):
-        return api.sweep(*args, **kwargs)
-
-
-sweep.__class__ = _FacadeModule
+__getattr__, __dir__ = lazy_surface(__name__, {
+    "ALGORITHM_NAMES": ".checkpoint.registry",
+    "CheckpointPolicy": ".checkpoint.scheduler",
+    "CheckpointScope": ".checkpoint.base",
+    "ReproError": ".errors",
+    "SweepError": ".errors",
+    "CrashSpec": ".faults.plan",
+    "FaultPlan": ".faults.plan",
+    "IOFaultSpec": ".faults.plan",
+    "ModelResult": ".model.evaluate",
+    "PAPER_DEFAULTS": ".params",
+    "SystemParameters": ".params",
+    "SimulatedSystem": ".sim.system",
+    "SimulationConfig": ".sim.system",
+    "SweepResult": ".sweep.runner",
+    "SweepRunner": ".sweep.runner",
+    "SweepSpec": ".sweep.spec",
+    "AccessDistribution": ".workload.spec",
+    "WorkloadSpec": ".workload.spec",
+    "ArrivalSchedule": ".workload.schedule",
+    "SchedulePhase": ".workload.schedule",
+    "WorkloadScenario": ".workload.scenarios",
+    "get_scenario": ".workload.scenarios",
+    "register_scenario": ".workload.scenarios",
+    "scenario_names": ".workload.scenarios",
+    "api": ".api",
+    "SimulationOutcome": ".api",
+    "evaluate": ".api",
+    "simulate": ".api",
+    # the subpackage, callable as repro.api.sweep (see repro/sweep/__init__)
+    "sweep": ".sweep",
+})
 
 __version__ = "1.1.0"
 

@@ -18,26 +18,36 @@ partial checkpoints back up only segments updated since the backup image
 last saw them) and writes through the ping-pong image pair.
 """
 
-from .action_consistent import (
-    ActionConsistentCopyCheckpointer,
-    ActionConsistentFlushCheckpointer,
-)
-from .base import BaseCheckpointer, CheckpointRun, CheckpointScope, CheckpointStats
-from .copy_on_update import COUCopyCheckpointer, COUFlushCheckpointer
-from .fuzzy import FastFuzzyCheckpointer, FuzzyCopyCheckpointer
-from .naive import NaiveLockCheckpointer
-from .registry import (
-    ALGORITHM_NAMES,
-    ALL_ALGORITHM_NAMES,
-    EXTENSION_NAMES,
-    create_checkpointer,
-    register_checkpointer,
-    registered_algorithms,
-    resolve_algorithm,
-    unregister_checkpointer,
-)
-from .scheduler import CheckpointPolicy, CheckpointScheduler
-from .two_color import TwoColorCopyCheckpointer, TwoColorFlushCheckpointer
+from .._lazy import lazy_surface
+
+# Every registry name resolves through .registry, whose import registers
+# all eleven built-in families: a bare ``import repro.checkpoint`` (the
+# live host's, for the scheduler) loads none of them.
+__getattr__, __dir__ = lazy_surface(__name__, {
+    "ActionConsistentCopyCheckpointer": ".action_consistent",
+    "ActionConsistentFlushCheckpointer": ".action_consistent",
+    "BaseCheckpointer": ".base",
+    "CheckpointRun": ".base",
+    "CheckpointScope": ".base",
+    "COUCopyCheckpointer": ".copy_on_update",
+    "COUFlushCheckpointer": ".copy_on_update",
+    "FastFuzzyCheckpointer": ".fuzzy",
+    "FuzzyCopyCheckpointer": ".fuzzy",
+    "NaiveLockCheckpointer": ".naive",
+    "TwoColorCopyCheckpointer": ".two_color",
+    "TwoColorFlushCheckpointer": ".two_color",
+    "ALGORITHM_NAMES": ".registry",
+    "ALL_ALGORITHM_NAMES": ".registry",
+    "EXTENSION_NAMES": ".registry",
+    "create_checkpointer": ".registry",
+    "register_checkpointer": ".registry",
+    "registered_algorithms": ".registry",
+    "resolve_algorithm": ".registry",
+    "unregister_checkpointer": ".registry",
+    "CheckpointPolicy": ".scheduler",
+    "CheckpointScheduler": ".scheduler",
+    "CheckpointStats": ".scheduler",
+})
 
 __all__ = [
     "ALGORITHM_NAMES",

@@ -54,6 +54,7 @@ from ..txn.manager import TransactionManager
 from ..txn.transaction import Transaction
 from ..wal.log import LogManager
 from ..wal.records import BeginCheckpointRecord
+from .scheduler import CheckpointStats
 
 
 class CheckpointScope(enum.Enum):
@@ -61,31 +62,6 @@ class CheckpointScope(enum.Enum):
 
     FULL = "full"
     PARTIAL = "partial"
-
-
-@dataclass
-class CheckpointStats:
-    """Summary of one completed checkpoint."""
-
-    checkpoint_id: int
-    image: int
-    began_at: float
-    ended_at: float
-    segments_flushed: int
-    segments_skipped: int
-    buffer_copies: int
-    cou_copies: int
-    words_written: int
-    #: simulated seconds transactions stayed quiesced at begin (COU only)
-    quiesce_time: float = 0.0
-    #: summed per-segment waits for the WAL condition before flushing
-    wal_wait_time: float = 0.0
-    #: summed per-segment image-write latencies (issue to completion)
-    io_time: float = 0.0
-
-    @property
-    def duration(self) -> float:
-        return self.ended_at - self.began_at
 
 
 @dataclass

@@ -23,7 +23,36 @@ from typing import Optional
 
 from ..errors import ConfigurationError
 from ..sim.ports import SchedulerHandle, SchedulerPort
-from .base import CheckpointStats
+
+
+@dataclass
+class CheckpointStats:
+    """Summary of one completed checkpoint.
+
+    It lives here, beside the scheduler its ``on_complete`` callback
+    feeds, so a host that only paces checkpoints (the live one) imports
+    no checkpointer; :mod:`repro.checkpoint.base` re-exports it.
+    """
+
+    checkpoint_id: int
+    image: int
+    began_at: float
+    ended_at: float
+    segments_flushed: int
+    segments_skipped: int
+    buffer_copies: int
+    cou_copies: int
+    words_written: int
+    #: simulated seconds transactions stayed quiesced at begin (COU only)
+    quiesce_time: float = 0.0
+    #: summed per-segment waits for the WAL condition before flushing
+    wal_wait_time: float = 0.0
+    #: summed per-segment image-write latencies (issue to completion)
+    io_time: float = 0.0
+
+    @property
+    def duration(self) -> float:
+        return self.ended_at - self.began_at
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,12 @@ Commands that run simulations through the sweep runner (``validate``,
 ``extensions``, ``report``, ``faults --matrix``, ``workload sweep``) also
 accept ``--workers``, ``--replicates``, ``--no-cache`` and ``--verbose``
 (per-cell progress lines on stderr).
+
+Each command is one row of ``_COMMANDS``: its help line, the function
+that adds its arguments, and the one that runs it.  ``main`` builds the
+arguments of the invoked command only, and every command imports what
+it runs inside its own functions, so ``repro serve`` starts without the
+simulator, the model or the sweep runner.
 """
 
 from __future__ import annotations
@@ -42,15 +48,13 @@ import os
 import sys
 from collections import Counter
 from dataclasses import asdict
-from typing import Any, Dict, List, Optional, Union
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
+                    Optional, Tuple, Union)
 
-from .api import SimulationOutcome, build_system, simulate
-from .checkpoint.registry import ALGORITHM_NAMES, ALL_ALGORITHM_NAMES
-from .faults.plan import CRASH_PHASES
-from .model.evaluate import evaluate
-from .obs.presets import PRESET_NAMES, get_preset
-from .params import SystemParameters
-from .sweep import SweepRunner, default_cache_dir
+if TYPE_CHECKING:
+    from .api import SimulationOutcome
+    from .faults.plan import FaultPlan
+    from .sweep import SweepRunner
 
 
 def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
@@ -71,8 +75,9 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
                              "(done/total, cache hits, retries, failures)")
 
 
-def _sweep_runner(args: argparse.Namespace) -> SweepRunner:
+def _sweep_runner(args: argparse.Namespace) -> "SweepRunner":
     """The one SweepRunner of a CLI invocation, built from the sweep flags."""
+    from .sweep import SweepRunner, default_cache_dir
     workers = args.workers if args.workers is not None else os.cpu_count()
     return SweepRunner(
         workers=workers or 1,
@@ -87,16 +92,33 @@ def _print_progress(done: int, total: int, _cell) -> None:
           file=sys.stderr, flush=True)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(commands: Optional[Iterable[str]] = None
+                 ) -> argparse.ArgumentParser:
+    """The ``repro`` parser: every command with its help line, and the
+    arguments of ``commands`` only (default: of every command).
+
+    A command's arguments are what import the package -- algorithm and
+    preset names for ``choices`` -- so ``main`` builds just the invoked
+    one, and ``repro serve`` loads nothing the server does not.
+    """
     parser = argparse.ArgumentParser(
         prog="repro",
         description=("Reproduction of Salem & Garcia-Molina, 'Checkpointing "
                      "Memory-Resident Databases' (ICDE 1989)"))
     sub = parser.add_subparsers(dest="command", required=True)
+    chosen = set(_COMMANDS if commands is None else commands)
+    for name, (help_line, add_arguments, _run) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        if name in chosen:
+            add_arguments(command)
+    return parser
 
-    sub.add_parser("tables", help="print Tables 2a-2d")
 
-    figures = sub.add_parser("figures", help="regenerate paper figures")
+def _no_arguments(_parser: argparse.ArgumentParser) -> None:
+    """``tables`` and ``ablations`` take none."""
+
+
+def _figures_arguments(figures: argparse.ArgumentParser) -> None:
     figures.add_argument("which", nargs="?", default="all",
                          choices=["4a", "4b", "4c", "4d", "4e", "all",
                                   "recovery-scaling"])
@@ -104,7 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="render ASCII plots where the figure is a "
                               "curve family")
 
-    ev = sub.add_parser("evaluate", help="analytic model, one configuration")
+
+def _evaluate_arguments(ev: argparse.ArgumentParser) -> None:
     ev.add_argument("--algorithm", default="COUCOPY")
     ev.add_argument("--interval", type=float, default=None,
                     help="checkpoint interval in seconds (default: minimum)")
@@ -117,7 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--stable-tail", action="store_true",
                     help="stable RAM holds the log tail")
 
-    sim = sub.add_parser("simulate", help="run the discrete-event testbed")
+
+def _simulate_arguments(sim: argparse.ArgumentParser) -> None:
     _add_system_flags(sim, algorithm="COUCOPY", scale=256, duration=10.0,
                       lam=True, stable_tail=True)
     sim.add_argument("--crash", action="store_true",
@@ -136,31 +160,27 @@ def build_parser() -> argparse.ArgumentParser:
                           "the per-partition log streams after a crash")
     _add_workload_flags(sim)
 
-    val = sub.add_parser("validate", help="model-vs-testbed comparison")
+
+def _validate_arguments(val: argparse.ArgumentParser) -> None:
     val.add_argument("--duration", type=float, default=10.0)
     val.add_argument("--seed", type=int, default=42)
     _add_sweep_flags(val)
 
-    sub.add_parser("ablations", help="modelling-choice ablations")
 
-    ext = sub.add_parser("extensions",
-                         help="AC/NAIVELOCK extension experiments")
-    _add_sweep_flags(ext)
-
-    cap = sub.add_parser("capacity",
-                         help="throughput capacity per algorithm")
+def _capacity_arguments(cap: argparse.ArgumentParser) -> None:
     cap.add_argument("--mips", type=float, default=50.0,
                      help="processor budget in MIPS")
 
-    rep = sub.add_parser("report", help="regenerate the full report")
+
+def _report_arguments(rep: argparse.ArgumentParser) -> None:
     rep.add_argument("--out", default="reports",
                      help="output directory (default: ./reports)")
     rep.add_argument("--fast", action="store_true",
                      help="model-only report (skip simulation sections)")
     _add_sweep_flags(rep)
 
-    met = sub.add_parser(
-        "metrics", help="telemetry report for one instrumented testbed run")
+
+def _metrics_arguments(met: argparse.ArgumentParser) -> None:
     _add_run_flags(met)
     met.add_argument("--json", action="store_true",
                      help="machine-readable output: the run document "
@@ -170,9 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="render a saved run document ('metrics --json' "
                           "or 'trace --out' output) instead of simulating")
 
-    trc = sub.add_parser(
-        "trace", help="span-trace summary / run-document export for one "
-                      "run (txn lifecycle, checkpoint phases, WAL flushes)")
+
+def _trace_arguments(trc: argparse.ArgumentParser) -> None:
     _add_run_flags(trc)
     trc.add_argument("--out", default=None, metavar="PATH",
                      help="save the run document (the 'metrics --json' "
@@ -191,10 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write the span trace as Chrome-trace JSON "
                           "(loads in Perfetto / chrome://tracing)")
 
-    srv = sub.add_parser(
-        "serve",
-        help="run the live wall-clock service (get/put socket server "
-             "over the durable WAL + checkpoint host)")
+
+def _serve_arguments(srv: argparse.ArgumentParser) -> None:
     srv.add_argument("--data-dir", required=True, metavar="DIR",
                      help="directory for wal.log (the framed WAL) and checkpoint.npz")
     srv.add_argument("--port", type=int, default=0,
@@ -221,9 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "against the committed-state oracle, print the "
                           "JSON verdict, exit (nonzero on mismatches)")
 
-    flt = sub.add_parser(
-        "faults",
-        help="fault injection with verified crash recovery")
+
+def _faults_arguments(flt: argparse.ArgumentParser) -> None:
+    from .faults.plan import CRASH_PHASES
     _add_system_flags(flt, algorithm="FUZZYCOPY", scale=256, duration=10.0,
                       interval=1.0, lam=True)
     flt.add_argument("--plan", default=None, metavar="FILE",
@@ -269,9 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="machine-readable report(s)")
     _add_sweep_flags(flt)
 
-    wl = sub.add_parser(
-        "workload",
-        help="open-system workload engine: scenarios, schedules, sweeps")
+
+def _workload_arguments(wl: argparse.ArgumentParser) -> None:
     wl_sub = wl.add_subparsers(dest="workload_command", required=True)
 
     wl_list = wl_sub.add_parser("list", help="registered workload scenarios")
@@ -311,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     wl_sweep.add_argument("--json", action="store_true",
                           help="machine-readable cell table")
     _add_sweep_flags(wl_sweep)
-    return parser
 
 
 def _add_workload_flags(parser: argparse.ArgumentParser) -> None:
@@ -348,6 +363,7 @@ def _add_system_flags(parser: argparse.ArgumentParser, *,
     names, in the help line, what the command falls back to.
     """
     if algorithm is not None:
+        from .checkpoint.registry import ALL_ALGORITHM_NAMES
         parser.add_argument("--algorithm", default=algorithm,
                             choices=list(ALL_ALGORITHM_NAMES))
     parser.add_argument("--scale", type=int, default=scale,
@@ -370,6 +386,7 @@ def _add_system_flags(parser: argparse.ArgumentParser, *,
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     """One-run scenario flags shared by ``metrics`` and ``trace``."""
+    from .obs.presets import PRESET_NAMES
     parser.add_argument("--preset", default=None, choices=list(PRESET_NAMES),
                         help="named scenario (overrides the individual "
                              "run flags below, except --duration)")
@@ -431,6 +448,8 @@ def _figure_plots(chosen: List[str]) -> List[str]:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> str:
+    from .model.evaluate import evaluate
+    from .params import SystemParameters
     params = SystemParameters.paper_defaults()
     overrides = {}
     if args.lam is not None:
@@ -495,7 +514,7 @@ def _workload_from_flags(args: argparse.Namespace):
     return replace(spec if spec is not None else WorkloadSpec(), **overrides)
 
 
-def _render_outcome(header: str, outcome: SimulationOutcome,
+def _render_outcome(header: str, outcome: "SimulationOutcome",
                     load_lines: List[str]) -> str:
     """The run report ``simulate`` and ``workload run`` both print."""
     config, metrics = outcome.config, outcome.metrics
@@ -537,6 +556,7 @@ def _render_outcome(header: str, outcome: SimulationOutcome,
 
 
 def _cmd_simulate(args: argparse.Namespace) -> str:
+    from .api import simulate
     workload = _workload_from_flags(args)
     outcome = simulate(
         args.algorithm, scale=args.scale, lam=args.lam, seed=args.seed,
@@ -593,7 +613,9 @@ def _run_document(args: argparse.Namespace, *,
     """The run document ``metrics`` / ``trace`` render: reloaded from
     ``--load``, else one telemetry-instrumented run of a preset or of
     the run flags."""
+    from .api import build_system
     from .obs.export import load_run, run_document
+    from .obs.presets import get_preset
     if args.load:
         return load_run(args.load)
     observe = {"telemetry": True, "spans": spans}
@@ -698,6 +720,7 @@ def _faults_plan(args: argparse.Namespace) -> "FaultPlan":
 
 
 def _cmd_faults(args: argparse.Namespace) -> str:
+    from .checkpoint.registry import ALGORITHM_NAMES
     from .faults.checker import CrashConsistencyChecker, FaultRunReport
     from .faults.matrix import (crash_matrix_points, random_plans,
                                 run_fault_cell)
@@ -807,6 +830,7 @@ def _cmd_workload(args: argparse.Namespace) -> str:
 
 
 def _workload_run(args: argparse.Namespace) -> str:
+    from .api import simulate
     from .errors import ConfigurationError
     from .workload import get_scenario
     if bool(args.scenario) == bool(args.spec):
@@ -911,29 +935,49 @@ def _cmd_serve(args: argparse.Namespace) -> str:
     return "server stopped"
 
 
-_COMMANDS = {
-    "tables": _cmd_tables,
-    "figures": _cmd_figures,
-    "evaluate": _cmd_evaluate,
-    "simulate": _cmd_simulate,
-    "validate": _cmd_validate,
-    "ablations": _cmd_ablations,
-    "extensions": _cmd_extensions,
-    "capacity": _cmd_capacity,
-    "report": _cmd_report,
-    "metrics": _cmd_metrics,
-    "trace": _cmd_trace,
-    "serve": _cmd_serve,
-    "faults": _cmd_faults,
-    "workload": _cmd_workload,
+#: command -> (help line, add_arguments, run), in ``repro --help`` order
+_COMMANDS: Dict[str, Tuple[str, Callable[[argparse.ArgumentParser], None],
+                           Callable[[argparse.Namespace], str]]] = {
+    "tables": ("print Tables 2a-2d", _no_arguments, _cmd_tables),
+    "figures": ("regenerate paper figures", _figures_arguments,
+                _cmd_figures),
+    "evaluate": ("analytic model, one configuration", _evaluate_arguments,
+                 _cmd_evaluate),
+    "simulate": ("run the discrete-event testbed", _simulate_arguments,
+                 _cmd_simulate),
+    "validate": ("model-vs-testbed comparison", _validate_arguments,
+                 _cmd_validate),
+    "ablations": ("modelling-choice ablations", _no_arguments,
+                  _cmd_ablations),
+    "extensions": ("AC/NAIVELOCK extension experiments", _add_sweep_flags,
+                   _cmd_extensions),
+    "capacity": ("throughput capacity per algorithm", _capacity_arguments,
+                 _cmd_capacity),
+    "report": ("regenerate the full report", _report_arguments, _cmd_report),
+    "metrics": ("telemetry report for one instrumented testbed run",
+                _metrics_arguments, _cmd_metrics),
+    "trace": ("span-trace summary / run-document export for one run (txn "
+              "lifecycle, checkpoint phases, WAL flushes)",
+              _trace_arguments, _cmd_trace),
+    "serve": ("run the live wall-clock service (get/put socket server over "
+              "the durable WAL + checkpoint host)", _serve_arguments,
+              _cmd_serve),
+    "faults": ("fault injection with verified crash recovery",
+               _faults_arguments, _cmd_faults),
+    "workload": ("open-system workload engine: scenarios, schedules, sweeps",
+                 _workload_arguments, _cmd_workload),
 }
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # The top level takes no option values, so its first positional is
+    # the command: only that command's arguments (and imports) are built.
+    invoked = [arg for arg in argv if not arg.startswith("-")][:1]
+    args = build_parser(invoked).parse_args(argv)
     try:
-        print(_COMMANDS[args.command](args))
+        print(_COMMANDS[args.command][2](args))
     except BrokenPipeError:
         # Output piped into a pager/head that closed early: not an error.
         return 0

@@ -17,14 +17,27 @@ Layers:
   :class:`~repro.sweep.SweepRunner`.
 
 ``checker`` and ``matrix`` import the simulator, which itself imports
-``plan``/``injector``; they are therefore loaded lazily here (PEP 562)
-to keep the package import acyclic.
+``plan``/``injector``; every name is therefore exported lazily
+(:mod:`repro._lazy`) to keep the package import acyclic.
 """
 
 from __future__ import annotations
 
-from .injector import NULL_INJECTOR, FaultInjector
-from .plan import CRASH_PHASES, CrashSpec, FaultPlan, IOFaultSpec
+from .._lazy import lazy_surface
+
+__getattr__, __dir__ = lazy_surface(__name__, {
+    "CRASH_PHASES": ".plan",
+    "CrashSpec": ".plan",
+    "FaultPlan": ".plan",
+    "IOFaultSpec": ".plan",
+    "FaultInjector": ".injector",
+    "NULL_INJECTOR": ".injector",
+    "CrashConsistencyChecker": ".checker",
+    "FaultRunReport": ".checker",
+    "crash_matrix_points": ".matrix",
+    "random_plans": ".matrix",
+    "run_fault_cell": ".matrix",
+})
 
 __all__ = [
     "CRASH_PHASES",
@@ -39,21 +52,3 @@ __all__ = [
     "random_plans",
     "run_fault_cell",
 ]
-
-_LAZY = {
-    "CrashConsistencyChecker": "checker",
-    "FaultRunReport": "checker",
-    "crash_matrix_points": "matrix",
-    "random_plans": "matrix",
-    "run_fault_cell": "matrix",
-}
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    module = importlib.import_module(f".{module_name}", __name__)
-    return getattr(module, name)

@@ -42,8 +42,8 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..checkpoint.base import CheckpointStats
-from ..checkpoint.scheduler import CheckpointPolicy, CheckpointScheduler
+from ..checkpoint.scheduler import (CheckpointPolicy, CheckpointScheduler,
+                                    CheckpointStats)
 from ..errors import ConfigurationError, InvalidStateError, WALFormatError
 from ..mmdb.database import Database
 from ..obs.spans import NULL_SPANS, SpanRecorder

@@ -13,9 +13,14 @@ in a transaction-local buffer until commit, then are installed by
 overwriting the old record values.
 """
 
-from .database import Database
-from .locks import LockManager, LockMode
-from .segment import Segment
-from .shadow import ShadowBuffer
+from .._lazy import lazy_surface
+
+__getattr__, __dir__ = lazy_surface(__name__, {
+    "Database": ".database",
+    "LockManager": ".locks",
+    "LockMode": ".locks",
+    "Segment": ".segment",
+    "ShadowBuffer": ".shadow",
+})
 
 __all__ = ["Database", "LockManager", "LockMode", "Segment", "ShadowBuffer"]

@@ -26,35 +26,36 @@ and transaction processing; this subsystem is the measuring equipment.
 See ``docs/OBSERVABILITY.md`` for the metric catalog and span names.
 """
 
-from .attribution import (
-    attribute_stalls,
-    decompose_quantiles,
-    latency_timeline,
-    render_attribution,
-)
-from .export import load_run, run_document
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Timeline,
-)
-from .partition import (
-    PARTITION_FIELD,
-    merge_partition_spans,
-    merge_partition_telemetry,
-    record_replay_rates,
-    tag_spans_with_partition,
-)
-from .report import render_merged_sweep_telemetry, render_metrics_report
-from .spans import NULL_SPANS, SpanRecorder, chrome_trace
-from .telemetry import NULL_TELEMETRY, Telemetry
+from .._lazy import lazy_surface
 
-# NOTE: repro.obs.presets is deliberately NOT imported here -- it needs
-# repro.sim.system, which itself imports repro.obs.telemetry, and
-# eagerly importing it from this __init__ would close that cycle while
-# sim.system is still half-initialised.  Import it directly:
+__getattr__, __dir__ = lazy_surface(__name__, {
+    "attribute_stalls": ".attribution",
+    "decompose_quantiles": ".attribution",
+    "latency_timeline": ".attribution",
+    "render_attribution": ".attribution",
+    "load_run": ".export",
+    "run_document": ".export",
+    "Counter": ".metrics",
+    "Gauge": ".metrics",
+    "Histogram": ".metrics",
+    "MetricsRegistry": ".metrics",
+    "Timeline": ".metrics",
+    "PARTITION_FIELD": ".partition",
+    "merge_partition_spans": ".partition",
+    "merge_partition_telemetry": ".partition",
+    "record_replay_rates": ".partition",
+    "tag_spans_with_partition": ".partition",
+    "render_merged_sweep_telemetry": ".report",
+    "render_metrics_report": ".report",
+    "NULL_SPANS": ".spans",
+    "SpanRecorder": ".spans",
+    "chrome_trace": ".spans",
+    "NULL_TELEMETRY": ".telemetry",
+    "Telemetry": ".telemetry",
+})
+
+# repro.obs.presets is not on this surface: it builds runs through
+# repro.api, the whole simulator.  Import it directly:
 # ``from repro.obs.presets import get_preset``.
 
 __all__ = [

@@ -8,13 +8,18 @@ checkpointer's only influence on this path is how much log there is to
 read -- which is exactly the recovery-time model of Section 4.
 """
 
-from .parallel import (
-    ParallelRecoveryResult,
-    PartitionRecovery,
-    schedule_recovery,
-)
-from .replay import RedoApplier, ReplayCounts, replay_records
-from .restore import RecoveryManager, RecoveryResult
+from .._lazy import lazy_surface
+
+__getattr__, __dir__ = lazy_surface(__name__, {
+    "ParallelRecoveryResult": ".parallel",
+    "PartitionRecovery": ".parallel",
+    "schedule_recovery": ".parallel",
+    "RedoApplier": ".replay",
+    "ReplayCounts": ".replay",
+    "replay_records": ".replay",
+    "RecoveryManager": ".restore",
+    "RecoveryResult": ".restore",
+})
 
 __all__ = [
     "ParallelRecoveryResult",

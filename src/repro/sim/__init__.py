@@ -17,9 +17,11 @@ Three layers live here, bottom-up:
   constructs every subsystem through overridable factories so tests and
   extensions can substitute any one of them.
 
-The kernel names are exported lazily: engine modules are imported by the
-database/txn/checkpoint layers, so importing them here eagerly would
-cycle.  ``from repro.sim import SimulatedSystem`` works regardless.
+Every name is exported lazily (:mod:`repro._lazy`): engine modules are
+imported by the database/txn/checkpoint layers, so importing the kernel
+here eagerly would cycle, and the live host, which needs the engine and
+the oracle, loads no simulator.  ``from repro.sim import
+SimulatedSystem`` works regardless.
 
 (The paper closes by announcing exactly such a testbed -- "we are
 currently implementing a testbed with which we will be able to
@@ -28,23 +30,24 @@ to validate the analytic model and to prove each algorithm's recovery
 correctness.)
 """
 
-from . import ports
-from .clock import Clock
-from .cpu_server import CpuServer
-from .engine import EventEngine, EventHandle
-from .rng import RandomStreams
-from .timestamps import TimestampAuthority
+from .._lazy import lazy_surface
 
-#: kernel/component names resolved lazily from their modules
-_LAZY = {
-    "SimulatedSystem": "system",
-    "SimulationConfig": "system",
-    "SimulationMetrics": "system",
-    "SystemBuilder": "builder",
-    "SystemComponents": "builder",
-    "CommittedStateOracle": "oracle",
-    "RecordMismatch": "oracle",
-}
+__getattr__, __dir__ = lazy_surface(__name__, {
+    "ports": ".ports",
+    "Clock": ".clock",
+    "CpuServer": ".cpu_server",
+    "EventEngine": ".engine",
+    "EventHandle": ".engine",
+    "RandomStreams": ".rng",
+    "TimestampAuthority": ".timestamps",
+    "SimulatedSystem": ".system",
+    "SimulationConfig": ".system",
+    "SimulationMetrics": ".system",
+    "SystemBuilder": ".builder",
+    "SystemComponents": ".builder",
+    "CommittedStateOracle": ".oracle",
+    "RecordMismatch": ".oracle",
+})
 
 __all__ = [
     "Clock",
@@ -62,18 +65,3 @@ __all__ = [
     "TimestampAuthority",
     "ports",
 ]
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-    module = importlib.import_module(f".{module_name}", __name__)
-    value = getattr(module, name)
-    globals()[name] = value  # cache: resolve once
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY))

@@ -22,6 +22,9 @@ Guarantees (see ``docs/SWEEPS.md`` for details):
   :class:`SweepCell` -- one bad cell never kills a sweep.
 """
 
+import sys
+from types import ModuleType
+
 from .cache import (
     MISS,
     ResultCache,
@@ -33,6 +36,23 @@ from .cache import (
 )
 from .runner import SweepCell, SweepResult, SweepRunner, resolve_runner
 from .spec import SweepPoint, SweepSpec, derive_seed
+
+
+class _FacadeModule(ModuleType):
+    """This package, also callable as :func:`repro.api.sweep`.
+
+    ``repro.sweep`` stays the real subpackage (so every ``repro.sweep.*``
+    import path keeps working) while ``repro.sweep(...)`` runs a sweep --
+    whether ``repro.sweep`` was imported first or reached as an
+    attribute of ``repro``.
+    """
+
+    def __call__(self, *args, **kwargs):
+        from ..api import sweep
+        return sweep(*args, **kwargs)
+
+
+sys.modules[__name__].__class__ = _FacadeModule
 
 __all__ = [
     "MISS",

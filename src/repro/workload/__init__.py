@@ -16,35 +16,37 @@ Everything about *what load a simulation run sees* lives here:
   source behind the :class:`~repro.sim.ports.WorkloadSource` port;
 * :mod:`repro.workload.cells` -- scenarios as sweepable points.
 
-``source`` and ``cells`` are exported lazily (module ``__getattr__``):
-they import :mod:`repro.txn.workload`, which re-imports this package
-for the spec -- the lazy hop keeps that legacy shim cycle-free, the
-same pattern :mod:`repro.sim` uses.
+Every name is exported lazily (:mod:`repro._lazy`): ``source`` and
+``cells`` import :mod:`repro.txn.workload`, which re-imports this
+package for the spec -- the lazy hop keeps that legacy shim
+cycle-free.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from .._lazy import lazy_surface
 
-from .schedule import (
-    PHASE_KINDS,
-    ArrivalSchedule,
-    SchedulePhase,
-    constant,
-    diurnal,
-    pause,
-    ramp,
-    spike,
-)
-from .scenarios import (
-    WorkloadScenario,
-    get_scenario,
-    register_scenario,
-    resolve_workload,
-    scenario_names,
-    unregister_scenario,
-)
-from .spec import AccessDistribution, WorkloadSpec
+__getattr__, __dir__ = lazy_surface(__name__, {
+    "PHASE_KINDS": ".schedule",
+    "ArrivalSchedule": ".schedule",
+    "SchedulePhase": ".schedule",
+    "constant": ".schedule",
+    "diurnal": ".schedule",
+    "pause": ".schedule",
+    "ramp": ".schedule",
+    "spike": ".schedule",
+    "WorkloadScenario": ".scenarios",
+    "get_scenario": ".scenarios",
+    "register_scenario": ".scenarios",
+    "resolve_workload": ".scenarios",
+    "scenario_names": ".scenarios",
+    "unregister_scenario": ".scenarios",
+    "AccessDistribution": ".spec",
+    "WorkloadSpec": ".spec",
+    "ScheduledWorkloadSource": ".source",
+    "run_scenario_cell": ".cells",
+    "scenario_points": ".cells",
+})
 
 __all__ = [
     "AccessDistribution",
@@ -67,23 +69,3 @@ __all__ = [
     "spike",
     "unregister_scenario",
 ]
-
-_LAZY = {
-    "ScheduledWorkloadSource": ("repro.workload.source",
-                                "ScheduledWorkloadSource"),
-    "run_scenario_cell": ("repro.workload.cells", "run_scenario_cell"),
-    "scenario_points": ("repro.workload.cells", "scenario_points"),
-}
-
-
-def __getattr__(name: str) -> Any:
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}") from None
-    import importlib
-
-    value = getattr(importlib.import_module(module_name), attr)
-    globals()[name] = value
-    return value

@@ -1,9 +1,13 @@
 """``scripts/check_layering.py``: clean on this repository, and each of
-its four checks rejects a violation planted in a scratch tree."""
+its five checks rejects a violation planted in a scratch tree; the
+serving-kernel rule also holds on a real server process's
+``sys.modules``."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -21,22 +25,31 @@ def test_repository_is_clean():
     assert proc.stdout.startswith("layering clean")
 
 
-@pytest.fixture
-def layering(tmp_path, monkeypatch):
-    """The checker pointed at a minimal clean tree (a git repository
-    holding the engine modules, empty) under ``tmp_path``."""
+def _load_checker():
     spec = importlib.util.spec_from_file_location("check_layering", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def layering(tmp_path, monkeypatch):
+    """The checker pointed at a minimal clean tree (a git repository
+    holding the engine modules and the serving entry module, empty)
+    under ``tmp_path``."""
+    module = _load_checker()
     sim = tmp_path / "src" / "repro" / "sim"
     checkpoint = tmp_path / "src" / "repro" / "checkpoint"
     sim.mkdir(parents=True)
     checkpoint.mkdir()
+    (tmp_path / "src" / "repro" / "live").mkdir()
+    (tmp_path / "src" / "repro" / "live" / "server.py").write_text("")
     for name in module.ENGINE_MODULES:
         (sim / name).write_text("")
     subprocess.run(["git", "init", "-q"], cwd=tmp_path, check=True,
                    timeout=60)
     monkeypatch.setattr(module, "REPO_ROOT", tmp_path)
+    monkeypatch.setattr(module, "SRC_DIR", tmp_path / "src")
     monkeypatch.setattr(module, "SIM_DIR", sim)
     monkeypatch.setattr(module, "CHECKPOINT_DIR", checkpoint)
     assert module.main() == 0
@@ -84,6 +97,58 @@ def test_checkpointer_importing_the_disk_array_is_rejected(layering, capsys,
         "src/repro/checkpoint/fuzzy.py:2: checkpoint module imports "
         "repro.storage.array (checkpointers reach the disks only through "
         "the ImageWriter port in repro/sim/ports.py)"]
+
+
+def test_serving_closure_reaching_the_simulator_is_rejected(layering,
+                                                           capsys):
+    src = layering.SRC_DIR / "repro"
+    (src / "live" / "server.py").write_text(
+        "import json\nfrom .host import LiveHost\n")
+    (src / "live" / "host.py").write_text(
+        "from typing import TYPE_CHECKING\n"
+        "from ..checkpoint.scheduler import CheckpointScheduler\n"
+        "from ..checkpoint import base\n"
+        "if TYPE_CHECKING:\n"
+        "    from ..api import build_system\n"
+        "def recover():\n"
+        "    from ..sweep import SweepRunner\n")
+    (src / "checkpoint" / "scheduler.py").write_text("")
+    (src / "checkpoint" / "base.py").write_text("import repro.txn.manager\n")
+    (src / "txn").mkdir()
+    (src / "txn" / "manager.py").write_text("")
+    assert _violations(layering, capsys) == [
+        "src/repro/live/host.py:3: serving closure reaches "
+        "repro.checkpoint.base (via repro.live.host <- repro.live.server)",
+        "src/repro/checkpoint/base.py:1: serving closure reaches repro.txn "
+        "(via repro.checkpoint.base <- repro.live.host <- "
+        "repro.live.server)",
+        "src/repro/checkpoint/base.py:1: serving closure reaches "
+        "repro.txn.manager (via repro.checkpoint.base <- repro.live.host "
+        "<- repro.live.server)"]
+
+
+def test_server_process_loads_only_the_serving_kernel():
+    """The same rule on what a server really imports: ``repro serve``
+    through the CLI, lazy package surfaces and all (their imports are
+    strings the static check cannot follow)."""
+    script = (
+        "import json, sys\n"
+        "import repro.live.server as server\n"
+        "server.serve = lambda *args, **kwargs: 0\n"
+        "from repro.cli import main\n"
+        "main(['serve', '--data-dir', 'x'])\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m.split('.')[0] == 'repro')))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    ran, modules = proc.stdout.splitlines()
+    assert ran == "server stopped"
+    loaded = json.loads(modules)
+    assert "repro.checkpoint.scheduler" in loaded
+    assert [name for name in loaded
+            if _load_checker().forbidden_in_serving(name)] == []
 
 
 def test_tracked_bytecode_is_rejected(layering, capsys):

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -37,6 +43,131 @@ class TestPackageSurface:
 
     def test_algorithm_names_export(self):
         assert len(repro.ALGORITHM_NAMES) == 6
+
+
+def _fresh(code: str) -> str:
+    """Run ``code`` in a new interpreter (import order matters for a
+    lazy surface) and return its stdout."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+class TestLazySurface:
+    """Every package resolves its public names on first access."""
+
+    def test_import_repro_loads_no_numpy(self):
+        assert _fresh("""
+            import sys, repro
+            print("numpy" in sys.modules, sorted(
+                m for m in sys.modules if m.startswith("repro")))
+            """) == "False ['repro', 'repro._lazy']"
+
+    def test_every_export_resolves_and_is_listed(self):
+        assert _fresh("""
+            import repro
+            listed = set(dir(repro))
+            for name in repro.__all__:
+                getattr(repro, name)
+                assert name in listed, name
+            print(len(repro.__all__))
+            """) == "29"
+
+    # The only public names that are submodules; every other name is the
+    # function, class or constant its package has always exported.
+    SUBMODULE_EXPORTS = sorted(
+        ["repro.sweep", "repro.sim.ports"]
+        + [f"repro.experiments.{name}" for name in (
+            "ablations", "capacity", "export", "extensions", "fig4a",
+            "fig4b", "fig4c", "fig4d", "fig4e", "replication", "report",
+            "tables", "validation")])
+
+    @pytest.mark.parametrize("walk", [False, True],
+                             ids=["fresh", "every-module-imported"])
+    def test_every_package_export_keeps_its_binding(self, walk):
+        """Importing a submodule binds it on its package, shadowing a
+        same-named export a lazy surface has not cached yet; walking
+        every module first is the order that exposes that."""
+        out = _fresh(f"""
+            import importlib, pkgutil, types, repro
+            if {walk}:
+                for info in pkgutil.walk_packages(repro.__path__, "repro."):
+                    if not info.name.endswith("__main__"):
+                        importlib.import_module(info.name)
+            packages = [repro] + [
+                importlib.import_module("repro." + info.name)
+                for info in pkgutil.iter_modules(repro.__path__)
+                if info.ispkg]
+            modules = []
+            for package in packages:
+                for name in package.__all__:
+                    value = getattr(package, name)
+                    assert name in dir(package), (package.__name__, name)
+                    if isinstance(value, types.ModuleType):
+                        assert value.__name__ == f"{{package.__name__}}.{{name}}"
+                        modules.append(value.__name__)
+            print(sorted(modules))
+            """)
+        assert out == str(self.SUBMODULE_EXPORTS)
+
+    def test_model_evaluate_is_the_function_after_the_api_loads(self):
+        assert _fresh("""
+            import repro.api
+            from repro.model import evaluate
+            import repro.model
+            from repro.params import PAPER_DEFAULTS
+            print(callable(evaluate), evaluate is repro.model.evaluate,
+                  evaluate("COUCOPY", PAPER_DEFAULTS).algorithm)
+            """) == "True True COUCOPY"
+
+    @pytest.mark.parametrize("first", ["import repro.sweep", "import repro"])
+    def test_sweep_is_callable_however_reached(self, first):
+        assert _fresh(f"""
+            {first}
+            import repro
+            result = repro.sweep(dict, points=[{{"x": 2}}], workers=1)
+            from repro.sweep import SweepRunner
+            print(callable(repro.sweep), result.values(),
+                  repro.sweep.SweepRunner is SweepRunner)
+            """) == "True [{'x': 2}] True"
+
+    def test_unknown_name_is_an_attribute_error(self):
+        assert _fresh("""
+            import repro, repro.checkpoint
+            for module in (repro, repro.checkpoint):
+                try:
+                    module.nope
+                except AttributeError as exc:
+                    print(exc)
+            print(hasattr(repro, "nope"))
+            """) == ("module 'repro' has no attribute 'nope'\n"
+                     "module 'repro.checkpoint' has no attribute 'nope'\n"
+                     "False")
+
+    def test_registry_is_complete_after_a_serving_import(self):
+        """The live host imports only the checkpoint scheduler; asking
+        the package for the registry must still register every family."""
+        assert _fresh("""
+            import sys
+            import repro.live.server
+            assert "repro.checkpoint.registry" not in sys.modules
+            import repro.checkpoint as checkpoint
+            for name in checkpoint.ALL_ALGORITHM_NAMES:
+                assert checkpoint.resolve_algorithm(name).name == name
+                assert checkpoint.create_checkpointer is not None
+            print(len(checkpoint.ALL_ALGORITHM_NAMES),
+                  len(checkpoint.registered_algorithms()))
+            """) == "11 11"
+
+    def test_checkpoint_stats_has_one_class(self):
+        from repro.checkpoint import CheckpointStats
+        from repro.checkpoint.base import CheckpointStats as from_base
+        from repro.checkpoint.scheduler import CheckpointStats as home
+        assert CheckpointStats is from_base is home
 
 
 class TestFacade:
