@@ -353,10 +353,23 @@ class TestDeterminism:
     @pytest.mark.parametrize("algorithm", sorted(GOLDEN["simulate_seed7"]))
     def test_golden_simulation_metrics(self, algorithm):
         """PR 5 equivalence methodology: fixed-seed metrics + recovery
-        outcomes are bit-identical to the pre-redesign capture."""
+        outcomes are bit-identical to the pre-redesign capture.
+
+        The log-shape keys (the recovery scan's LSN, records, updates and
+        words; ``wal.appends`` and the ``wal.flush.records`` histogram)
+        count one per update, outcome and marker, however the updates
+        are grouped into log records.
+        """
         golden = GOLDEN["simulate_seed7"][algorithm]
         outcome = repro.simulate(algorithm, scale=1024, lam=200.0,
-                                 duration=5.0, seed=7, crash=True)
+                                 duration=5.0, seed=7, crash=True,
+                                 telemetry=True)
+        flush_records = outcome.telemetry["histograms"]["wal.flush.records"]
+        log_shape = {
+            "wal.appends": outcome.telemetry["counters"]["wal.appends"],
+            "wal.flush.records.count": flush_records["count"],
+            "wal.flush.records.total": flush_records["total"],
+        }
         for key, expected in golden.items():
             if key == "mismatches":
                 assert outcome.mismatches == expected
@@ -364,6 +377,11 @@ class TestDeterminism:
                 assert outcome.recovery.transactions_replayed == expected
             elif key == "used_checkpoint":
                 assert outcome.recovery.used_checkpoint_id == expected
+            elif key in ("start_lsn", "records_scanned", "updates_applied",
+                         "log_words_read"):
+                assert getattr(outcome.recovery, key) == expected, key
+            elif key in log_shape:
+                assert log_shape[key] == expected, key
             else:
                 assert repr(getattr(outcome.metrics, key)) == expected, key
 
