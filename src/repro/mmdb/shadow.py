@@ -9,7 +9,8 @@ suffices -- there is nothing to undo after a crash.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Tuple
+from struct import pack
+from typing import Dict, Iterator, Optional, Tuple
 
 from ..errors import InvalidStateError
 
@@ -45,6 +46,15 @@ class ShadowBuffer:
 
     def __iter__(self) -> Iterator[Tuple[int, int]]:
         return iter(self._updates.items())
+
+    def columns(self, n: Optional[int] = None) -> Tuple[bytes, bytes]:
+        """The first ``n`` buffered updates (all by default), in insertion
+        order, as two little-endian int64 columns: record ids, values --
+        what :meth:`~repro.wal.log.LogManager.append_update_run` logs."""
+        record_ids = list(self._updates)[:n]
+        values = list(self._updates.values())[:n]
+        layout = f"<{len(record_ids)}q"
+        return pack(layout, *record_ids), pack(layout, *values)
 
     def mark_installed(self) -> None:
         """Seal the buffer once its contents hit the database at commit."""

@@ -26,15 +26,13 @@ the same number of "records" whichever form its updates take).
 :meth:`RedoApplier.feed_each` is the per-record loop above: it defines
 replay and is the reference the other way is tested against.
 :meth:`RedoApplier.feed` first takes the shape commit-time logging
-writes on both hosts: *runs* of one transaction's value updates
-(per-record on the simulator, one :class:`UpdateRun` on the live host),
-each closed by that transaction's commit or abort, with data-less
-markers (checkpoint begin/end, media failure/restore) between runs and
-at most one unclosed run at the end.  In such a stretch a
-transaction's updates sit right before its outcome, so nothing needs
-buffering: a committed run is written straight into the array, in log
-order, each update's transaction checked as it goes, and an aborted run
-is only checked.  Writing in log order *is* last-writer-wins -- exact,
+writes on both hosts: one :class:`UpdateRun` per transaction, closed by
+that transaction's commit or abort, with data-less markers (checkpoint
+begin/end, media failure/restore) between runs and at most one unclosed
+run at the end.  In such a stretch a transaction's updates sit right
+before its outcome, so nothing needs buffering: a committed run is
+written straight into the array, in log order, and an aborted run is
+only counted.  Writing in log order *is* last-writer-wins -- exact,
 whatever ids repeat, with no reliance on how numpy resolves a repeated
 index.  The writes go through a ``memoryview`` of the array: an item
 store there costs about half a numpy scalar store, and unlike numpy
@@ -42,15 +40,16 @@ columns (measured: ~10 numpy calls per batch, several microseconds each
 inside a busy server) it has no fixed cost for a six-record group flush
 to pay.  The unclosed run is buffered exactly as the loop would buffer
 it.  From the first record that breaks the shape -- a logical record,
-interleaved transactions, a run of a transaction still buffered from an
-earlier feed, a marker inside a run, a value the array cannot hold --
-the rest of the batch goes through the loop, unchanged.
+an :class:`UpdateRecord` decoded from a WAL file, a run of another
+transaction than the outcome after it, a run of a transaction still
+buffered from an earlier feed, a marker inside a run, a record id the
+array does not have -- the rest of the batch goes through the loop,
+unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import countOf, itemgetter
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -66,27 +65,16 @@ from ..wal.records import (
     MediaRestoreRecord,
     UpdateRecord,
     UpdateRun,
-    log_updates,
 )
 
 #: record kinds that carry no data to replay
 _MARKERS = frozenset({BeginCheckpointRecord, EndCheckpointRecord,
                       MediaFailureRecord, MediaRestoreRecord})
 
-#: an update record's transaction id, by position (records are tuples)
-_txn_id = itemgetter(1)
 
-
-def _buffered(entries: Sequence[LogRecord]) -> List[Tuple[str, int, int]]:
-    """A stretch of update records and runs as attempt-buffer entries."""
-    buffered: List[Tuple[str, int, int]] = []
-    for entry in entries:
-        if type(entry) is UpdateRun:
-            buffered += [("value", record_id, value)
-                         for record_id, value in entry.pairs()]
-        else:
-            buffered.append(("value", entry.record_id, entry.value))
-    return buffered
+def _buffered(run: UpdateRun) -> List[Tuple[str, int, int]]:
+    """A run's updates as attempt-buffer entries."""
+    return [("value", record_id, value) for record_id, value in run.pairs()]
 
 
 @dataclass
@@ -154,7 +142,7 @@ class RedoApplier:
                 bucket = pending.get(record.txn_id)
                 if bucket is None:
                     bucket = pending[record.txn_id] = []
-                bucket += _buffered((record,))
+                bucket += _buffered(record)
                 scanned += record.n_updates - 1
             elif cls is LogicalUpdateRecord:
                 bucket = pending.get(record.txn_id)
@@ -199,30 +187,30 @@ class RedoApplier:
         counts = self.counts
         done = 0
         scanned = 0
-        # everything but the value updates: the outcomes closing the
-        # runs, and markers -- a handful per batch on either host
+        # everything but the runs: the outcomes closing them, and
+        # markers -- a handful per batch on either host
         for position in [position for position, record in enumerate(records)
-                         if type(record) is not UpdateRecord
-                         and type(record) is not UpdateRun]:
+                         if type(record) is not UpdateRun]:
             record = records[position]
             cls = type(record)
             if cls is CommitRecord or cls is AbortRecord:
                 txn_id = record.txn_id
-                run = records[done:position]
-                if txn_id in pending:
+                if txn_id in pending or position - done > 1:
                     break
-                if cls is CommitRecord:
-                    written = self._write_run(run, txn_id)
-                    if written < 0:
+                written = 0
+                if done < position:
+                    run = records[done]
+                    if run.txn_id != txn_id:
                         break
+                    if cls is CommitRecord and not self._write_run(run):
+                        break
+                    written = run.n_updates
+                if cls is CommitRecord:
                     counts.transactions_committed += 1
                     counts.updates_applied += written
-                elif countOf(map(_txn_id, run), txn_id) == len(run):
-                    written = log_updates(run)
+                else:
                     counts.attempts_aborted += 1
                     counts.updates_dropped += written
-                else:
-                    break
                 scanned += written + 1
             elif cls not in _MARKERS or done < position:
                 break
@@ -230,50 +218,32 @@ class RedoApplier:
                 scanned += 1
             done = position + 1
         else:
-            tail = records[done:]
-            if tail:
-                txn_id = tail[-1].txn_id
-                if (txn_id not in pending
-                        and countOf(map(_txn_id, tail), txn_id) == len(tail)):
-                    buffered = pending[txn_id] = _buffered(tail)
+            if len(records) - done == 1:
+                run = records[done]
+                if run.txn_id not in pending:
+                    buffered = pending[run.txn_id] = _buffered(run)
                     scanned += len(buffered)
                     done = len(records)
         counts.records_scanned += scanned
         return done
 
-    def _write_run(self, run: Sequence[LogRecord], txn_id: int) -> int:
-        """Write a committed run into the array in log order, checking
-        each update's transaction as it goes; return the updates
-        written, or -1 at the first update of another transaction or the
-        first value the array refuses.
-
-        A run logged as one :class:`UpdateRun` has one owner to check,
-        and its columns are written pair by pair, still in log order.
+    def _write_run(self, run: UpdateRun) -> bool:
+        """Write a committed run into the array pair by pair, in log
+        order; return False at the first record id the array refuses.
 
         Stopping part-way leaves nothing the loop will not redo: the
-        updates already written are the run's own transaction's, which
-        the loop, replaying from the run's start, applies again at the
-        commit that closes the run -- the same values in the same order,
-        and nothing in between.
+        updates already written are the run's own, which the loop,
+        replaying from the run on, applies again at the commit that
+        closes it -- the same values in the same order, and nothing in
+        between.
         """
         cells = self._cells
         try:
-            if len(run) == 1 and type(run[0]) is UpdateRun:
-                entry = run[0]
-                if entry.txn_id != txn_id:
-                    return -1
-                for record_id, value in entry.pairs():
-                    cells[record_id] = value
-                return entry.n_updates
-            # a run among per-record updates has bytes for its id,
-            # which the array refuses: the loop takes over from here
-            for _, owner, record_id, value in run:
-                if owner != txn_id:
-                    return -1
+            for record_id, value in run.pairs():
                 cells[record_id] = value
-        except (TypeError, ValueError, IndexError):
-            return -1
-        return len(run)
+        except IndexError:
+            return False
+        return True
 
     def finish(self) -> ReplayCounts:
         """Account for updates whose commit never became stable."""

@@ -42,6 +42,7 @@ from ..sim.timestamps import TimestampAuthority
 from ..storage.array import DiskArray
 from ..storage.backup import BackupStore
 from ..wal.log import LogManager
+from ..wal.records import UpdateRun
 from .replay import replay_records
 
 
@@ -133,7 +134,8 @@ class RecoveryManager:
         """Begin-marker LSN, extended back past any active transaction.
 
         FUZZYCOPY recovery must start at the oldest record of any
-        transaction active when the checkpoint began (Section 3.3).
+        transaction active when the checkpoint began (Section 3.3).  A
+        run starts at its first LSN, not at ``lsn`` (its last).
         """
         if not active_txns:
             return begin_lsn
@@ -144,7 +146,10 @@ class RecoveryManager:
                 break
             txn_id = getattr(record, "txn_id", None)
             if txn_id in active:
-                earliest = min(earliest, record.lsn)
+                first = record.lsn
+                if type(record) is UpdateRun:
+                    first -= record.n_updates - 1
+                earliest = min(earliest, first)
                 break
         return earliest
 

@@ -17,7 +17,8 @@ in through the small :class:`CheckpointCoordinator` protocol:
 
 Commit protocol (shadow copy + REDO-only, Section 2.6): updates stay in
 the transaction's shadow buffer while it runs; at commit the manager
-appends the REDO records and the commit record to the log *first*, then
+appends its updates as one REDO run (:class:`~repro.wal.records.UpdateRun`,
+one LSN per update) and the commit record to the log *first*, then
 installs the new values by overwriting, stamping each touched segment
 with the commit LSN and the transaction timestamp.  Stamping the *commit*
 LSN (not the individual update LSNs) guarantees that whenever a
@@ -25,9 +26,10 @@ checkpointer finds a segment's LSN stable, the commit records of every
 transaction reflected in the segment are stable too -- so a recovered
 backup never exposes uncommitted data.
 
-Aborted attempts append their REDO records plus an abort record
-(scaled by ``log_bulk_restart_fraction``), reproducing the paper's
-"added log bulk of transactions aborted by the two-color constraints".
+Aborted attempts append a REDO run of a prefix of their updates (its
+length scaled by ``log_bulk_restart_fraction``) plus an abort record,
+reproducing the paper's "added log bulk of transactions aborted by the
+two-color constraints".
 """
 
 from __future__ import annotations
@@ -435,8 +437,8 @@ class TransactionManager:
         log = self.log
         if logical:
             log.append_logical_updates(txn_id, txn.shadow)
-        else:
-            log.append_updates(txn_id, txn.shadow)
+        elif txn.shadow:
+            log.append_update_run(txn_id, *txn.shadow.columns())
         commit_record = log.append_commit(txn_id)
         commit_lsn = commit_record.lsn
         txn.commit_lsn = commit_lsn
@@ -546,11 +548,12 @@ class TransactionManager:
         if fraction <= 0:
             return
         n_logged = int(round(fraction * len(txn.shadow)))
-        for record_id, operand in list(txn.shadow)[:n_logged]:
-            if self.logical_updates:
-                self.log.append_logical_update(txn.txn_id, record_id, operand)
-            else:
-                self.log.append_update(txn.txn_id, record_id, operand)
+        if self.logical_updates:
+            self.log.append_logical_updates(txn.txn_id,
+                                            list(txn.shadow)[:n_logged])
+        elif n_logged:
+            self.log.append_update_run(txn.txn_id,
+                                       *txn.shadow.columns(n_logged))
         self.log.append_abort(txn.txn_id, reason="two-color")
 
     # -- crash ------------------------------------------------------------------

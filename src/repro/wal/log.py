@@ -2,7 +2,9 @@
 
 Responsibilities:
 
-* append REDO/commit/abort/checkpoint records, assigning LSNs;
+* append REDO/commit/abort/checkpoint records, assigning LSNs -- a
+  transaction's value updates as one :class:`UpdateRun` on both hosts
+  (one LSN per update), logical updates one record each;
 * move the tail to stable storage on :meth:`flush` (group commit -- the
   simulator schedules flushes periodically and charges one ``C_io`` per
   flush plus the disk transfer time);
@@ -13,6 +15,10 @@ Responsibilities:
   FUZZYCOPY/2C/COU-COPY checkpointers use to delay flushing a buffered
   segment until its updates' log records are on the log disks;
 * expose the stable record sequence and its volume in words for recovery.
+
+Whatever the records' shape, the counts a flush or a crash reports --
+:class:`FlushResult`, ``wal.flush.records``, the ``wal.flush`` span --
+are one per update, outcome and marker.
 
 A crash (:meth:`crash`) discards the volatile tail; with a stable tail it
 is retained.  Recovery then reads :meth:`stable_records`.
@@ -56,6 +62,7 @@ _record_lsn = attrgetter("lsn")
 class FlushResult(NamedTuple):
     """Outcome of one group flush."""
 
+    #: records made stable, a run counted as its updates
     records: int
     words: int
     stable_lsn: int
@@ -89,6 +96,9 @@ class LogManager:
         #: running word count of the volatile tail, so group flushes do
         #: not re-sum the whole tail (``tail_words`` is O(1))
         self._tail_words = 0
+        #: running update count of the volatile tail (a run counts each
+        #: of its updates, every other record one): what a flush reports
+        self._tail_updates = 0
         # Per-type record sizes are layout constants (only the begin
         # marker varies, with its active-transaction list); precomputing
         # them keeps the append hot path free of size_words dispatch.
@@ -140,42 +150,7 @@ class LogManager:
         else:
             self._tail.append(record)
             self._tail_words += words
-
-    def append_update(self, txn_id: int, record_id: int, value: int) -> UpdateRecord:
-        """Append one REDO record; returns it (with its LSN)."""
-        record = UpdateRecord(lsn=self._allocator.allocate(), txn_id=txn_id,
-                              record_id=record_id, value=value)
-        self._admit(record, self._update_words)
-        return record
-
-    def append_updates(self, txn_id: int,
-                       items: Iterable[Tuple[int, int]]) -> int:
-        """Append one REDO record per ``(record_id, value)``; returns the
-        count.  Equivalent to calling :meth:`append_update` in a loop,
-        with the per-record accounting batched (one commit's worth of
-        records shares one telemetry/word update)."""
-        allocate = self._allocator.allocate
-        words_each = self._update_words
-        if self.stable_tail:
-            n = 0
-            for record_id, value in items:
-                self._admit(UpdateRecord(allocate(), txn_id, record_id, value),
-                            words_each)
-                n += 1
-            return n
-        tail_append = self._tail.append
-        n = 0
-        for record_id, value in items:
-            tail_append(UpdateRecord(allocate(), txn_id, record_id, value))
-            n += 1
-        words = n * words_each
-        self.words_appended += words
-        self._tail_words += words
-        if self.telemetry.enabled:
-            registry = self.telemetry.registry
-            registry.count("wal.appends", n)
-            registry.count("wal.words_appended", words)
-        return n
+            self._tail_updates += updates
 
     def append_update_run(self, txn_id: int, record_ids: bytes,
                           values: bytes) -> UpdateRun:
@@ -184,9 +159,8 @@ class LogManager:
 
         ``record_ids`` and ``values`` are equal-length little-endian
         int64 columns.  The run consumes one LSN per update, and its
-        ``lsn`` is the last of them, so LSNs, word counts and append
-        counts are exactly those of :meth:`append_updates` over the same
-        pairs -- with one record instead of one per update.
+        ``lsn`` is the last of them; words, appends and flushed records
+        count each of its updates, as if each were its own record.
         """
         n = len(record_ids) >> 3
         if not n or len(record_ids) != n << 3 or len(values) != n << 3:
@@ -200,41 +174,17 @@ class LogManager:
 
     def append_logical_updates(self, txn_id: int,
                                items: Iterable[Tuple[int, int]]) -> int:
-        """Bulk form of :meth:`append_logical_update` over ``(record_id,
-        delta)`` pairs; returns the count."""
+        """Append one logical (transition) REDO record per ``(record_id,
+        delta)``; returns the count."""
         allocate = self._allocator.allocate
-        words_each = self._logical_words
-        if self.stable_tail:
-            n = 0
-            for record_id, delta in items:
-                self._admit(
-                    LogicalUpdateRecord(allocate(), txn_id, record_id, delta),
-                    words_each)
-                n += 1
-            return n
-        tail_append = self._tail.append
+        admit = self._admit
+        words = self._logical_words
         n = 0
         for record_id, delta in items:
-            tail_append(LogicalUpdateRecord(allocate(), txn_id, record_id,
-                                            delta))
+            admit(LogicalUpdateRecord(allocate(), txn_id, record_id, delta),
+                  words)
             n += 1
-        words = n * words_each
-        self.words_appended += words
-        self._tail_words += words
-        if self.telemetry.enabled:
-            registry = self.telemetry.registry
-            registry.count("wal.appends", n)
-            registry.count("wal.words_appended", words)
         return n
-
-    def append_logical_update(self, txn_id: int, record_id: int,
-                              delta: int) -> LogicalUpdateRecord:
-        """Append one logical (transition) REDO record."""
-        record = LogicalUpdateRecord(lsn=self._allocator.allocate(),
-                                     txn_id=txn_id, record_id=record_id,
-                                     delta=delta)
-        self._admit(record, self._logical_words)
-        return record
 
     def append_commit(self, txn_id: int) -> CommitRecord:
         record = CommitRecord(self._allocator.allocate(), txn_id)
@@ -291,6 +241,8 @@ class LogManager:
 
     @property
     def tail_records(self) -> int:
+        """Entries in the volatile tail: a run is one entry (a flush
+        reports updates, outcomes and markers instead)."""
         return len(self._tail)
 
     @property
@@ -300,8 +252,8 @@ class LogManager:
     def flush(self) -> FlushResult:
         """Force the whole tail to stable storage (group flush)."""
         words = self._tail_words
-        count = len(self._tail)
-        if count:
+        count = self._tail_updates
+        if self._tail:
             if self.faults.armed:
                 # A lost-tail crash fires BEFORE the tail reaches the
                 # log disks: these records never become durable.
@@ -332,6 +284,7 @@ class LogManager:
             self._stable_lsn = self._tail[-1].lsn
             self._tail.clear()
             self._tail_words = 0
+            self._tail_updates = 0
             self.words_flushed += words
             self.flush_count += 1
             self._fire_waiters()
@@ -375,15 +328,17 @@ class LogManager:
 
     # -- crash & recovery interface ------------------------------------------------
     def crash(self) -> int:
-        """Lose the volatile tail; returns the number of records lost.
+        """Lose the volatile tail; returns the number of records lost
+        (a run counts each of its updates).
 
         With a stable log tail nothing is lost (the tail *is* stable).
         Pending stability waiters are dropped -- the components holding
         them are volatile too.
         """
-        lost = len(self._tail)
+        lost = self._tail_updates
         self._tail.clear()
         self._tail_words = 0
+        self._tail_updates = 0
         self._waiters.clear()
         return lost
 

@@ -2,10 +2,12 @@
 
 The REDO-only log (Section 2.6) contains:
 
-* :class:`UpdateRecord` -- the new value of one record written by a
-  transaction (a REDO record; there are no UNDO records);
-* :class:`UpdateRun` -- every value update of one transaction as a
-  single record (the live host's form of the same REDO records);
+* :class:`UpdateRun` -- the new values of the records one transaction
+  wrote, as a single record (REDO only; there are no UNDO records).
+  Both hosts log a transaction's value updates this way, at commit;
+* :class:`UpdateRecord` -- one such update on its own.  Neither host
+  logs it: the WAL codec reads and writes it, and it is the per-record
+  reference a run is defined by;
 * :class:`CommitRecord` / :class:`AbortRecord` -- transaction outcomes.
   Recovery replays the updates of committed transactions only.  Abort
   records appear when the two-color algorithms kill a transaction whose
@@ -23,9 +25,10 @@ Each record knows its size in words so log volume -- and hence recovery
 time -- can be accounted exactly as the model does.
 
 Records are named tuples: construction is a single C call, which
-matters because the simulator's transaction hot path builds one record
-per update plus one per outcome.  They are immutable and compare/hash
-by value, exactly as the frozen dataclasses they replaced did.
+matters because every transaction builds at least two of them, its run
+and its outcome (and one per update under logical logging).  They are
+immutable and compare/hash by value, exactly as the frozen dataclasses
+they replaced did.
 :data:`LogRecord` remains as the union type annotation for "any log
 record".
 """

@@ -25,6 +25,14 @@ from repro.txn.transaction import Transaction
 from repro.wal.log import LogManager
 
 
+def columns(pairs) -> tuple[bytes, bytes]:
+    """``(record_id, value)`` pairs as the two little-endian int64
+    columns :meth:`LogManager.append_update_run` takes; use it as
+    ``log.append_update_run(txn_id, *columns(pairs))``."""
+    pairs = np.array(list(pairs), dtype="<i8").reshape(-1, 2)
+    return pairs[:, 0].tobytes(), pairs[:, 1].tobytes()
+
+
 def build_system(
     params: SystemParameters,
     algorithm: str = "FUZZYCOPY",

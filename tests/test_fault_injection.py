@@ -23,7 +23,7 @@ import json
 import numpy as np
 import pytest
 
-from tests.helpers import build_system
+from tests.helpers import build_system, columns
 from repro.checkpoint.registry import ALGORITHM_NAMES
 from repro.errors import (
     ConfigurationError,
@@ -262,7 +262,7 @@ class TestNegativePaths:
         """The matrix's FUZZYCOPY claim rests on assert_wal actually
         raising; prove it does for a volatile LSN."""
         system = build_system(tiny_params, "FUZZYCOPY")
-        record = system.log.append_update(txn_id=1, record_id=0, value=1)
+        record = system.log.append_update_run(1, *columns([(0, 1)]))
         with pytest.raises(WALViolation, match="stable LSN"):
             system.log.assert_wal(record.lsn, context="negative control")
         system.log.flush()

@@ -35,7 +35,9 @@ from repro.obs.attribution import (attribute_stalls, checkpoint_intervals,
                                    decompose_quantiles)
 from repro.params import SystemParameters
 from repro.wal.log import LogManager
-from repro.wal.records import CommitRecord, UpdateRecord, UpdateRun
+from repro.wal.records import (CommitRecord, LogicalUpdateRecord,
+                                UpdateRecord, UpdateRun)
+from tests.helpers import columns
 
 
 @pytest.fixture()
@@ -58,10 +60,10 @@ def _fresh_log(params, path):
 
 def test_wal_frame_format_round_trips_every_record_kind(live_params, wal_path):
     log = _fresh_log(live_params, wal_path)
-    log.append_update(1, 7, 100)
+    log.append_update_run(1, *columns([(7, 100)]))
     log.append_update_run(1, np.array([8, 9, 8], "<i8").tobytes(),
                           np.array([-1, 2**63 - 1, 3], "<i8").tobytes())
-    log.append_logical_update(1, 8, 5)
+    log.append_logical_updates(1, [(8, 5)])
     log.append_commit(1)
     log.append_abort(2, reason="conflict")
     log.append_begin_checkpoint(1, timestamp=0.5, active_txns=(3, 4), image=0)
@@ -78,11 +80,16 @@ def test_wal_frame_format_round_trips_every_record_kind(live_params, wal_path):
     assert records == originals
     assert wal_path.read_bytes() == (live_wal.FILE_HEADER
                                      + live_wal.encode_frame(originals))
+    # no log appends a lone update record, but the codec carries it
+    update = UpdateRecord(1, 1, 7, 100)
+    assert decode_record(encode_record(update)) == update
+    assert live_wal.scan_wal(live_wal.FILE_HEADER
+                             + live_wal.encode_frame([update]))[0] == [update]
 
 
 def test_wal_flush_lands_records_before_waiters_fire(live_params, wal_path):
     log = _fresh_log(live_params, wal_path)
-    log.append_update(1, 3, 42)
+    log.append_update_run(1, *columns([(3, 42)]))
     commit = log.append_commit(1)
     on_disk_at_ack = []
     log.when_stable(commit.lsn,
@@ -97,7 +104,7 @@ def test_wal_flush_lands_records_before_waiters_fire(live_params, wal_path):
 
 def test_wal_torn_tail_dropped_but_prefix_trusted(live_params, wal_path):
     log = _fresh_log(live_params, wal_path)
-    log.append_update(1, 3, 42)
+    log.append_update_run(1, *columns([(3, 42)]))
     commit = log.append_commit(1)
     log.flush()
     log.close()
@@ -111,7 +118,7 @@ def test_wal_torn_tail_dropped_but_prefix_trusted(live_params, wal_path):
 def test_wal_reopen_truncates_a_torn_tail_before_appending(
         live_params, wal_path):
     log = _fresh_log(live_params, wal_path)
-    log.append_update(1, 3, 42)
+    log.append_update_run(1, *columns([(3, 42)]))
     first = log.append_commit(1)
     log.flush()
     log.close()
@@ -125,7 +132,7 @@ def test_wal_reopen_truncates_a_torn_tail_before_appending(
     records, torn = read_wal(wal_path)
     assert not torn  # the tear is gone from disk
     reborn.hydrate(records)
-    reborn.append_update(2, 4, 43)
+    reborn.append_update_run(2, *columns([(4, 43)]))
     second = reborn.append_commit(2)
     reborn.flush()
     reborn.close()
@@ -143,11 +150,11 @@ def test_wal_reopen_truncates_a_torn_tail_before_appending(
 def test_wal_final_frame_short_of_one_byte_is_torn_even_if_it_decodes(
         live_params, wal_path):
     log = _fresh_log(live_params, wal_path)
-    log.append_update(1, 3, 42)
+    log.append_update_run(1, *columns([(3, 42)]))
     first = log.append_commit(1)
     log.flush()
     durable = wal_path.stat().st_size
-    log.append_update(2, 4, 43)
+    log.append_update_run(2, *columns([(4, 43)]))
     log.append_commit(2)
     log.flush()
     log.close()
@@ -163,7 +170,7 @@ def test_wal_final_frame_short_of_one_byte_is_torn_even_if_it_decodes(
     assert reborn.repaired_bytes == len(whole) - 1 - durable
     assert wal_path.read_bytes() == whole[:durable]
     reborn.hydrate(reborn.recovered_records)
-    reborn.append_update(3, 5, 44)
+    reborn.append_update_run(3, *columns([(5, 44)]))
     second = reborn.append_commit(3)
     reborn.flush()
     reborn.close()
@@ -178,10 +185,10 @@ def test_wal_final_frame_short_of_one_byte_is_torn_even_if_it_decodes(
 
 def test_wal_interior_corruption_fails_loudly(live_params, wal_path):
     log = _fresh_log(live_params, wal_path)
-    log.append_update(1, 3, 42)
+    log.append_update_run(1, *columns([(3, 42)]))
     log.append_commit(1)
     log.flush()
-    log.append_update(2, 4, 43)
+    log.append_update_run(2, *columns([(4, 43)]))
     log.append_commit(2)
     log.flush()
     log.close()
@@ -199,7 +206,7 @@ def test_wal_interior_corruption_fails_loudly(live_params, wal_path):
 def test_wal_truncation_rewrites_the_file_atomically(live_params, wal_path):
     log = _fresh_log(live_params, wal_path)
     for txn_id in (1, 2, 3):
-        log.append_update(txn_id, txn_id, txn_id * 10)
+        log.append_update_run(txn_id, *columns([(txn_id, txn_id * 10)]))
         log.append_commit(txn_id)
     log.flush()
     horizon = log.stable_lsn - 1
@@ -210,7 +217,7 @@ def test_wal_truncation_rewrites_the_file_atomically(live_params, wal_path):
     assert [r.lsn for r in records] == [horizon, horizon + 1]
     assert not wal_path.with_name(wal_path.name + ".tmp").exists()
     # the log is still appendable through the reopened file
-    log.append_update(4, 4, 40)
+    log.append_update_run(4, *columns([(4, 40)]))
     log.append_commit(4)
     log.flush()
     log.close()
@@ -221,7 +228,7 @@ def test_wal_truncation_rewrites_the_file_atomically(live_params, wal_path):
 def test_wal_hydrate_resumes_lsns_where_the_crash_left_them(
         live_params, wal_path):
     log = _fresh_log(live_params, wal_path)
-    log.append_update(1, 3, 42)
+    log.append_update_run(1, *columns([(3, 42)]))
     last = log.append_commit(1)
     log.flush()
     log.close()
@@ -229,7 +236,7 @@ def test_wal_hydrate_resumes_lsns_where_the_crash_left_them(
     reborn = _fresh_log(live_params, wal_path)
     reborn.hydrate(records)
     assert reborn.stable_lsn == last.lsn
-    fresh = reborn.append_update(2, 4, 43)
+    fresh = reborn.append_update_run(2, *columns([(4, 43)]))
     assert fresh.lsn == last.lsn + 1  # no LSN reuse across restart
     with pytest.raises(ConfigurationError):
         reborn.hydrate(records)  # only a fresh log may adopt a history
@@ -240,7 +247,7 @@ def test_wal_open_keeps_the_scanned_records_for_a_single_adoption(
         live_params, wal_path):
     log = _fresh_log(live_params, wal_path)
     assert log.recovered_records == []  # a new file has no history
-    log.append_update(1, 3, 42)
+    log.append_update_run(1, *columns([(3, 42)]))
     log.append_commit(1)
     originals = list(log._tail)
     log.flush()
@@ -582,7 +589,7 @@ def test_live_host_restart_past_trailing_markers_keeps_txn_ids(
     log = DurableLog(SystemParameters.scaled_down(2048),
                      tmp_path / "wal.log", fsync=False)
     for txn_id in txns:
-        log.append_update(txn_id, txn_id, 10 * txn_id)
+        log.append_update_run(txn_id, *columns([(txn_id, 10 * txn_id)]))
         log.append_commit(txn_id)
     log.append_begin_checkpoint(1, 0.0, (), image=0)
     log.append_end_checkpoint(1, image=0)
@@ -712,7 +719,7 @@ def test_live_host_uncommitted_updates_are_dropped_at_recovery(tmp_path):
                      tmp_path / "wal.log", fsync=False)
     records, _ = read_wal(tmp_path / "wal.log")
     log.hydrate(records)
-    log.append_update(99, 1, 666666)
+    log.append_update_run(99, *columns([(1, 666666)]))
     log.flush()
     log.close()
 
@@ -988,9 +995,10 @@ def test_live_host_bulk_commit_makes_no_per_record_call(tmp_path,
         host.submit([(0, 1)])  # warm: nothing below is first-use work
         per_record = [_counted(monkeypatch, live_wal, "encode_record"),
                       _counted(monkeypatch, Database, "install_record"),
-                      _counted(monkeypatch, LogManager, "append_update"),
-                      _counted(monkeypatch, LogManager, "append_updates"),
-                      _counted(monkeypatch, UpdateRecord, "__new__")]
+                      _counted(monkeypatch, LogManager,
+                               "append_logical_updates"),
+                      _counted(monkeypatch, UpdateRecord, "__new__"),
+                      _counted(monkeypatch, LogicalUpdateRecord, "__new__")]
         flushes = host.log.flush_count
         rng = random.Random(14)
         updates = [(rng.randrange(host.params.n_records),
@@ -1241,11 +1249,11 @@ def test_live_host_failed_flush_is_never_retried_onto_the_file(tmp_path,
 def test_wal_failed_flush_marks_nothing_stable_and_fires_no_waiter(
         live_params, wal_path, monkeypatch):
     log = DurableLog(live_params, wal_path, fsync=True)
-    log.append_update(1, 3, 42)
+    log.append_update_run(1, *columns([(3, 42)]))
     first = log.append_commit(1)
     log.flush()
     size = wal_path.stat().st_size
-    log.append_update(2, 4, 43)
+    log.append_update_run(2, *columns([(4, 43)]))
     second = log.append_commit(2)
     fired = []
     log.when_stable(second.lsn, lambda: fired.append(second.lsn))

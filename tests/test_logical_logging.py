@@ -33,6 +33,7 @@ from repro.params import SystemParameters
 from repro.recovery.replay import replay_records
 from repro.sim.system import SimulatedSystem, SimulationConfig
 from repro.wal.log import LogManager
+from tests.helpers import columns
 
 
 def logical_system(params: SystemParameters, algorithm: str,
@@ -47,9 +48,9 @@ def logical_system(params: SystemParameters, algorithm: str,
 class TestReplayDeltas:
     def test_deltas_accumulate(self, tiny_params):
         log = LogManager(tiny_params)
-        log.append_logical_update(1, 0, 5)
+        log.append_logical_updates(1, [(0, 5)])
         log.append_commit(1)
-        log.append_logical_update(2, 0, 3)
+        log.append_logical_updates(2, [(0, 3)])
         log.append_commit(2)
         log.flush()
         state = np.array([100, 0], dtype=np.int64)
@@ -58,7 +59,7 @@ class TestReplayDeltas:
 
     def test_aborted_deltas_dropped(self, tiny_params):
         log = LogManager(tiny_params)
-        log.append_logical_update(1, 0, 5)
+        log.append_logical_updates(1, [(0, 5)])
         log.append_abort(1)
         log.flush()
         state = np.zeros(2, dtype=np.int64)
@@ -67,8 +68,8 @@ class TestReplayDeltas:
 
     def test_mixed_value_and_delta(self, tiny_params):
         log = LogManager(tiny_params)
-        log.append_update(1, 0, 50)          # absolute
-        log.append_logical_update(1, 0, 7)   # then a delta on top
+        log.append_update_run(1, *columns([(0, 50)]))   # absolute
+        log.append_logical_updates(1, [(0, 7)])         # then a delta
         log.append_commit(1)
         log.flush()
         state = np.zeros(2, dtype=np.int64)
@@ -77,8 +78,10 @@ class TestReplayDeltas:
 
     def test_delta_record_is_compact(self, tiny_params):
         log = LogManager(tiny_params)
-        logical = log.append_logical_update(1, 0, 5)
-        value = log.append_update(1, 0, 5)
+        log.append_logical_updates(1, [(0, 5)])
+        log.append_update_run(1, *columns([(0, 5)]))
+        log.flush()
+        logical, value = log.stable_records()
         assert (log.record_size_words(logical)
                 < log.record_size_words(value))
 

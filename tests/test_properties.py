@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
+
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tests.helpers import build_system
+from tests.helpers import build_system, columns
 from repro.checkpoint.registry import ALGORITHM_NAMES
 from repro.mmdb.database import Database
 from repro.mmdb.locks import LockManager, LockMode
@@ -88,7 +91,11 @@ def log_scripts(draw, rich=False):
 
 
 def _log_of(script):
-    """A flushed :class:`LogManager` holding ``script``'s records."""
+    """A flushed :class:`LogManager` holding ``script``'s records.
+
+    Consecutive value updates of one transaction are logged as one run,
+    the shape both hosts log; interleaved ones become one-update runs.
+    """
     log = LogManager(SystemParameters(s_db=8192 * 8, lam=10.0))
     markers = {
         "B": lambda: log.append_begin_checkpoint(1, 0.0, (), image=0),
@@ -96,18 +103,19 @@ def _log_of(script):
         "F": lambda: log.append_media_failure(1),
         "R": lambda: log.append_media_restore(1, checkpoint_id=1),
     }
-    for entry in script:
-        kind = entry[0]
+    for (kind, key), group in groupby(script, key=itemgetter(0, 1)):
         if kind == "u":
-            log.append_update(*entry[1:])
-        elif kind == "l":
-            log.append_logical_update(*entry[1:])
-        elif kind == "c":
-            log.append_commit(entry[1])
-        elif kind == "a":
-            log.append_abort(entry[1])
-        else:
-            markers[entry[1]]()
+            log.append_update_run(key, *columns(entry[2:] for entry in group))
+            continue
+        for entry in group:
+            if kind == "l":
+                log.append_logical_updates(key, [entry[2:]])
+            elif kind == "c":
+                log.append_commit(key)
+            elif kind == "a":
+                log.append_abort(key)
+            else:
+                markers[key]()
     log.flush()
     return log
 

@@ -5,7 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tests.helpers import CheckpointHarness
+from itertools import groupby
+from operator import itemgetter
+
+from tests.helpers import CheckpointHarness, columns
 from repro.errors import RecoveryError
 from repro.mmdb.database import Database
 from repro.params import SystemParameters
@@ -15,6 +18,7 @@ from repro.sim.timestamps import TimestampAuthority
 from repro.storage.array import DiskArray
 from repro.storage.backup import BackupStore
 from repro.wal.log import LogManager
+from repro.wal.records import UpdateRecord, UpdateRun
 
 
 def _state(n_records=4):
@@ -23,18 +27,35 @@ def _state(n_records=4):
 
 
 def _log_with(params, script):
-    """Build a log from a compact script of (kind, txn, [rid, value])."""
+    """Build a log from a compact script of (kind, txn, [rid, value]);
+    consecutive updates of one transaction are logged as one run."""
     log = LogManager(params)
-    for entry in script:
-        kind = entry[0]
+    for (kind, txn_id), group in groupby(script, key=itemgetter(0, 1)):
         if kind == "u":
-            log.append_update(entry[1], entry[2], entry[3])
-        elif kind == "c":
-            log.append_commit(entry[1])
-        elif kind == "a":
-            log.append_abort(entry[1])
+            log.append_update_run(txn_id,
+                                  *columns(entry[2:] for entry in group))
+            continue
+        for _ in group:
+            if kind == "c":
+                log.append_commit(txn_id)
+            elif kind == "a":
+                log.append_abort(txn_id)
     log.flush()
     return log
+
+
+def _per_record(records):
+    """``records`` with every run spelled out as the update records it
+    stands for -- the shape a WAL file may hold."""
+    spelled = []
+    for record in records:
+        if type(record) is UpdateRun:
+            first = record.lsn - record.n_updates + 1
+            spelled += [UpdateRecord(first + i, record.txn_id, rid, value)
+                        for i, (rid, value) in enumerate(record.pairs())]
+        else:
+            spelled.append(record)
+    return spelled
 
 
 class TestReplaySemantics:
@@ -138,6 +159,24 @@ class TestBatchedReplay:
         assert applier.finish() == expected.finish()
         assert applier.counts.pending_at_end == 2   # txn 13 never ended
 
+    def test_per_record_updates_reach_the_loop_whole(self, tiny_params,
+                                                     monkeypatch):
+        """Update records (each run spelled out) are not the shape the
+        fast path takes: the whole batch goes to the loop, to the same
+        array and counts as the runs they stand for."""
+        script = _runs_script(12, 9) + [("u", 13, 3, 1), ("u", 13, 4, 2)]
+        runs = list(_log_with(tiny_params, script).stable_records())
+        records = _per_record(runs)
+        assert len(records) > len(runs)
+        expected = RedoApplier(_state(64))
+        expected.feed(runs)
+        handed = self._handed_to_the_loop(monkeypatch)
+        applier = RedoApplier(_state(64))
+        applier.feed(records)
+        assert handed == [len(records)]
+        assert applier.target.tolist() == expected.target.tolist()
+        assert applier.finish() == expected.finish()
+
     @staticmethod
     def _handed_to_the_loop(monkeypatch):
         """Record the length of every batch remainder ``feed`` hands to
@@ -161,7 +200,7 @@ class TestBatchedReplay:
                                         ("c", 21), ("c", 20)]
                   + _runs_script(4, 3))
         log = _log_with(tiny_params, script)
-        log.append_logical_update(30, 5, 9)
+        log.append_logical_updates(30, [(5, 9)])
         log.append_commit(30)
         log.flush()
         records = list(log.stable_records())
@@ -172,9 +211,10 @@ class TestBatchedReplay:
         applier.feed(records)
         assert applier.target.tolist() == expected.target.tolist()
         assert applier.finish() == expected.finish()
-        # 78 records; the 8 whole runs before the interleaved pair are
-        # 56 of them
-        assert handed == [len(records) - 56]
+        # 30 records; the 8 whole runs before the interleaved pair and
+        # their outcomes are 16 of them
+        assert len(records) == 30
+        assert handed == [len(records) - 16]
 
     def test_an_unclosed_end_of_two_transactions_is_buffered_apart(
             self, tiny_params):
@@ -184,27 +224,31 @@ class TestBatchedReplay:
             ("u", 1, 0, 10), ("c", 1), ("u", 2, 1, 21), ("u", 3, 2, 32),
             ("u", 3, 3, 33), ("c", 2), ("a", 3)]).stable_records())
         applier = RedoApplier(_state())
-        applier.feed(records[:5])
-        applier.feed(records[5:])
+        applier.feed(records[:4])
+        applier.feed(records[4:])
         assert applier.target.tolist() == [10, 21, 0, 0]
         counts = applier.finish()
         assert (counts.updates_applied, counts.updates_dropped) == (2, 2)
 
     def test_a_write_the_array_refuses_goes_to_the_loop(self, tiny_params,
                                                        monkeypatch):
-        """numpy's own conversions decide: a negative id indexes from
-        the end in both ways, and a run holding a float value is
-        rewritten from its start by the loop, which truncates it."""
-        log = _log_with(tiny_params, [("u", 1, 2, 5), ("u", 1, 2, 6),
-                                      ("c", 1), ("u", 2, -1, 7), ("c", 2),
-                                      ("u", 3, 0, 8), ("u", 3, 1, 2.5),
-                                      ("c", 3)])
+        """numpy's own indexing decides: a negative id indexes from the
+        end in both ways, and a run holding an id past the end is
+        replayed from its start by the loop, which raises just as it
+        does on its own."""
+        records = list(_log_with(tiny_params, [
+            ("u", 1, 2, 5), ("u", 1, 2, 6), ("c", 1), ("u", 2, -1, 7),
+            ("c", 2), ("u", 3, 0, 8), ("u", 3, 4, 2), ("c", 3)],
+        ).stable_records())
+        expected = RedoApplier(_state())
+        with pytest.raises(IndexError):
+            expected.feed_each(records)
         handed = self._handed_to_the_loop(monkeypatch)
         state = _state()
-        counts = replay_records(log.stable_records(), state)
-        assert state.tolist() == [8, 2, 6, 7]
-        assert counts.transactions_committed == 3
-        assert handed == [3]
+        with pytest.raises(IndexError):
+            replay_records(records, state)
+        assert state.tolist() == expected.target.tolist() == [8, 0, 6, 7]
+        assert handed == [2]
 
 
 class _RecoverySetup:
@@ -223,11 +267,12 @@ class _RecoverySetup:
                                self.backup, self.array,
                                authority=self.authority)
 
-    def complete_checkpoint_of_zeros(self, checkpoint_id: int = 1):
+    def complete_checkpoint_of_zeros(self, checkpoint_id: int = 1,
+                                     active_txns=()):
         image = self.backup.acquire_image_for_checkpoint(checkpoint_id)
         zeros = np.zeros(self.params.records_per_segment, dtype=np.int64)
         begin = self.log.append_begin_checkpoint(
-            checkpoint_id, 1, (), image.index)
+            checkpoint_id, 1, active_txns, image.index)
         for index in range(self.params.n_segments):
             image.write_segment(index, zeros, 0.0)
         image.complete_checkpoint(checkpoint_id, began_at=0.0)
@@ -239,7 +284,7 @@ class _RecoverySetup:
 class TestRecoveryManager:
     def test_no_checkpoint_replays_whole_log(self, tiny_params):
         setup = _RecoverySetup(tiny_params)
-        setup.log.append_update(1, 5, 55)
+        setup.log.append_update_run(1, *columns([(5, 55)]))
         setup.log.append_commit(1)
         setup.log.flush()
         result = setup.manager().recover()
@@ -250,7 +295,7 @@ class TestRecoveryManager:
     def test_recovers_from_image_plus_log(self, tiny_params):
         setup = _RecoverySetup(tiny_params)
         setup.complete_checkpoint_of_zeros()
-        setup.log.append_update(2, 7, 77)
+        setup.log.append_update_run(2, *columns([(7, 77)]))
         setup.log.append_commit(2)
         setup.log.flush()
         result = setup.manager().recover()
@@ -264,12 +309,28 @@ class TestRecoveryManager:
         # A committed transaction *before* the checkpoint: its effect is
         # assumed captured by the image (here: zeros, deliberately), so
         # replay must not resurrect it.
-        setup.log.append_update(1, 3, 33)
+        setup.log.append_update_run(1, *columns([(3, 33)]))
         setup.log.append_commit(1)
         setup.complete_checkpoint_of_zeros()
         result = setup.manager().recover()
         assert setup.database.read_record(3) == 0
         assert result.transactions_replayed == 0
+
+    def test_replay_starts_at_an_active_transactions_first_lsn(
+            self, tiny_params):
+        """A transaction active at the begin marker extends replay back
+        to its oldest record: a run's first LSN, not its ``lsn`` (the
+        last)."""
+        setup = _RecoverySetup(tiny_params)
+        setup.log.append_commit(9)
+        run = setup.log.append_update_run(
+            2, *columns([(1, 5), (2, 6), (3, 7)]))
+        setup.log.append_abort(2)
+        setup.complete_checkpoint_of_zeros(active_txns=(2,))
+        result = setup.manager().recover()
+        assert (run.lsn, result.start_lsn) == (4, 2)
+        assert result.records_scanned == 3 + 1 + 2   # run, abort, markers
+        assert setup.database.read_record(1) == 0
 
     def test_missing_image_checkpoint_is_error(self, tiny_params):
         setup = _RecoverySetup(tiny_params)
@@ -297,7 +358,7 @@ class TestRecoveryManager:
     def test_recovery_times_modelled(self, tiny_params):
         setup = _RecoverySetup(tiny_params)
         setup.complete_checkpoint_of_zeros()
-        setup.log.append_update(2, 7, 77)
+        setup.log.append_update_run(2, *columns([(7, 77)]))
         setup.log.append_commit(2)
         setup.log.flush()
         result = setup.manager().recover()
@@ -316,7 +377,7 @@ class TestRecoveryManager:
         data = np.zeros(tiny_params.records_per_segment, dtype=np.int64)
         data[7] = 77
         image.write_segment(0, data, flush_time=2.0)
-        setup.log.append_update(2, 7, 77)
+        setup.log.append_update_run(2, *columns([(7, 77)]))
         setup.log.append_commit(2)
         setup.log.flush()
         setup.manager().recover()

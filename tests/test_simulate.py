@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from tests.helpers import build_system, run_crash_recover
+from tests.helpers import build_system, columns, run_crash_recover
 from repro.errors import ConfigurationError, InvalidStateError
 from repro.params import SystemParameters
 from repro.sim.oracle import CommittedStateOracle
@@ -19,7 +19,7 @@ class TestOracle:
         params = self._params()
         oracle = CommittedStateOracle(params)
         log = LogManager(params)
-        log.append_update(1, 5, 55)
+        log.append_update_run(1, *columns([(5, 55)]))
         log.append_commit(1)
         log.flush()
         oracle.feed(log.drain_newly_stable())
@@ -30,7 +30,7 @@ class TestOracle:
         params = self._params()
         oracle = CommittedStateOracle(params)
         log = LogManager(params)
-        log.append_update(1, 5, 55)
+        log.append_update_run(1, *columns([(5, 55)]))
         log.append_commit(1)
         oracle.feed(log.drain_newly_stable())  # nothing stable yet
         assert oracle.expected[5] == 0

@@ -23,7 +23,9 @@ from repro.txn.workload import (
     WorkloadSpec,
 )
 from repro.wal.log import LogManager
-from repro.wal.records import CommitRecord, UpdateRecord
+from repro.wal.records import (AbortRecord, CommitRecord, UpdateRecord,
+                                UpdateRun)
+from tests.helpers import build_system, run_crash_recover
 
 
 class TestTransaction:
@@ -162,14 +164,17 @@ class TestManagerCommit:
         for rid in (0, 1, 2):
             assert harness.database.read_record(rid) == txn.value_for(rid)
 
-    def test_commit_logs_updates_then_commit(self, harness):
+    def test_commit_logs_one_run_then_commit(self, harness):
         txn = harness.make_txn(1, (0, 5))
         harness.manager.submit(txn)
         harness.log.flush()
         records = harness.log.stable_records()
-        kinds = [type(r) for r in records]
-        assert kinds == [UpdateRecord, UpdateRecord, CommitRecord]
-        assert records[-1].lsn == txn.commit_lsn
+        assert [type(r) for r in records] == [UpdateRun, CommitRecord]
+        run, commit = records
+        assert list(run.pairs()) == [(0, txn.value_for(0)),
+                                     (5, txn.value_for(5))]
+        # one LSN per update, the run's the last of them
+        assert (run.lsn, commit.lsn, txn.commit_lsn) == (2, 3, 3)
 
     def test_segments_stamped_with_commit_lsn(self, harness):
         txn = harness.make_txn(1, (0,))
@@ -203,7 +208,6 @@ class TestManagerCommit:
         """A long run must not hold every shadow buffer it ever staged:
         once ``on_commit`` returns, nothing in the system keeps a
         committed transaction alive."""
-        from tests.helpers import build_system
         system = build_system(tiny_params, "FUZZYCOPY", seed=2)
         first = []
 
@@ -231,6 +235,26 @@ class _AbortOnceCoordinator:
     def guard_access(self, txn, segment):
         if txn.txn_id not in self.seen:
             self.seen.add(txn.txn_id)
+            raise TwoColorViolation(f"txn {txn.txn_id} mixed colors")
+
+    def before_install(self, txn, segment):
+        return None
+
+
+class _AbortAfterCoordinator:
+    """Lets a transaction stage ``staged`` updates, then aborts it once
+    (two-color style); its rerun goes through."""
+
+    uses_lsns = False
+
+    def __init__(self, staged):
+        self.staged = staged
+        self.accesses = {}
+
+    def guard_access(self, txn, segment):
+        seen = self.accesses.get(txn.txn_id, 0)
+        self.accesses[txn.txn_id] = seen + 1
+        if seen == self.staged:
             raise TwoColorViolation(f"txn {txn.txn_id} mixed colors")
 
     def before_install(self, txn, segment):
@@ -269,6 +293,30 @@ class TestManagerAbortAndRerun:
         from repro.wal.records import AbortRecord
         assert any(isinstance(r, AbortRecord) for r in records)
         assert isinstance(records[-1], CommitRecord)
+
+    @pytest.mark.parametrize("fraction, logged",
+                             [(1.0, 3), (0.5, 2), (0.1, 0)])
+    def test_aborted_attempt_logs_one_run_of_its_prefix(
+            self, tiny_params, fraction, logged):
+        """An aborted attempt logs a prefix of its staged updates as one
+        run, then its abort; a prefix rounding to nothing logs no run."""
+        harness = _Harness(
+            tiny_params.replace(log_bulk_restart_fraction=fraction))
+        harness.manager.set_coordinator(_AbortAfterCoordinator(staged=3))
+        txn = harness.make_txn(1, (0, 1, 2, 3))
+        harness.manager.submit(txn)
+        harness.log.flush()
+        aborted = harness.log.stable_records()
+        kinds = [UpdateRun, AbortRecord] if logged else [AbortRecord]
+        assert [type(r) for r in aborted] == kinds
+        if logged:
+            assert list(aborted[0].pairs()) == [
+                (rid, txn.value_for(rid)) for rid in (0, 1, 2)[:logged]]
+        harness.engine.run()  # the rerun commits
+        harness.log.flush()
+        rerun = harness.log.stable_records()[len(aborted):]
+        assert [type(r) for r in rerun] == [UpdateRun, CommitRecord]
+        assert rerun[0].n_updates == 4
 
     def test_lsn_maintenance_charged_when_coordinator_uses_lsns(self, harness):
         harness.manager.set_coordinator(_AbortOnceCoordinator())
@@ -347,3 +395,26 @@ class TestQuiesce:
         harness.manager.submit(harness.make_txn(7, (0,)))
         assert harness.manager.active_transaction_ids() == [7]
         harness.manager.resume()
+
+
+class TestSimulatorLogShape:
+    @pytest.mark.parametrize("algorithm", ["FUZZYCOPY", "2CCOPY"])
+    def test_crash_recover_builds_no_update_record(self, tiny_params,
+                                                   algorithm, monkeypatch):
+        """The simulator logs every value update inside a run: a whole
+        run, crash and recovery construct no lone update record."""
+        built = []
+        original = UpdateRecord.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(UpdateRecord, "__new__", counting)
+        system = build_system(tiny_params, algorithm, seed=3)
+        metrics, result, mismatches = run_crash_recover(system, 1.0)
+        assert mismatches == []
+        assert result.updates_applied > 0
+        if algorithm == "2CCOPY":
+            assert metrics.aborts   # the aborted-attempt path ran too
+        assert built == []

@@ -15,7 +15,10 @@ from repro.wal.records import (
     CommitRecord,
     EndCheckpointRecord,
     UpdateRecord,
+    UpdateRun,
 )
+
+from tests.helpers import columns
 
 
 @pytest.fixture
@@ -46,7 +49,7 @@ class TestLSNAllocator:
 
 class TestRecordSizes:
     def test_update_record_size(self, log, tiny_params):
-        record = log.append_update(1, 0, 42)
+        record = log.append_update_run(1, *columns([(0, 42)]))
         expected = tiny_params.s_rec + tiny_params.s_log_header
         assert log.record_size_words(record) == expected
 
@@ -65,24 +68,33 @@ class TestRecordSizes:
 
 class TestAppendAndFlush:
     def test_appends_assign_increasing_lsns(self, log):
-        a = log.append_update(1, 0, 1)
+        a = log.append_update_run(1, *columns([(0, 1)]))
         b = log.append_commit(1)
         assert b.lsn == a.lsn + 1
 
     def test_tail_until_flush(self, log):
-        log.append_update(1, 0, 1)
+        log.append_update_run(1, *columns([(0, 1)]))
         assert log.stable_lsn == 0
         assert log.tail_records == 1
         assert not log.stable_records()
 
     def test_flush_moves_tail(self, log):
-        log.append_update(1, 0, 1)
+        log.append_update_run(1, *columns([(0, 1)]))
         commit = log.append_commit(1)
         result = log.flush()
         assert result.records == 2
         assert log.stable_lsn == commit.lsn
         assert log.tail_records == 0
         assert len(log.stable_records()) == 2
+
+    def test_flush_and_crash_count_a_run_as_its_updates(self, log):
+        log.append_update_run(1, *columns([(0, 1), (1, 2), (0, 3)]))
+        log.append_commit(1)
+        assert log.tail_records == 2
+        assert log.flush().records == 4
+        log.append_update_run(2, *columns([(0, 1), (1, 2)]))
+        assert log.tail_records == 1
+        assert log.crash() == 2
 
     def test_flush_counts_words(self, log, tiny_params):
         log.append_commit(1)
@@ -127,12 +139,15 @@ class TestUpdateRuns:
         assert log.append_commit(1).lsn == 5
         per_update = LogManager(tiny_params)
         per_update.append_commit(9)
-        per_update.append_updates(1, [(4, 7), (5, 8), (4, 9)])
+        for pair in [(4, 7), (5, 8), (4, 9)]:
+            per_update.append_update_run(1, *columns([pair]))
         per_update.append_commit(1)
         assert (log.words_appended, log.tail_words) == (
             per_update.words_appended, per_update.tail_words)
         assert log.tail_records == 3
-        assert log.flush().stable_lsn == 5
+        result = log.flush()
+        assert result.stable_lsn == 5
+        assert result.records == per_update.flush().records == 5
 
     def test_truncation_keeps_a_run_reaching_the_horizon_whole(
             self, log, tiny_params):
@@ -209,12 +224,12 @@ class TestWaiters:
 
 class TestWALAssertion:
     def test_violation_detected(self, log):
-        record = log.append_update(1, 0, 1)
+        record = log.append_update_run(1, *columns([(0, 1)]))
         with pytest.raises(WALViolation):
             log.assert_wal(record.lsn, context="test")
 
     def test_passes_after_flush(self, log):
-        record = log.append_update(1, 0, 1)
+        record = log.append_update_run(1, *columns([(0, 1)]))
         log.flush()
         log.assert_wal(record.lsn, context="test")
 
@@ -292,10 +307,10 @@ class TestDrainNewlyStable:
         assert log.drain_newly_stable() == []
 
     def test_drain_with_stable_tail(self, stable_log):
-        stable_log.append_update(1, 0, 5)
+        stable_log.append_update_run(1, *columns([(0, 5)]))
         stable_log.append_commit(1)
         drained = stable_log.drain_newly_stable()
-        assert [type(r) for r in drained] == [UpdateRecord, CommitRecord]
+        assert [type(r) for r in drained] == [UpdateRun, CommitRecord]
 
 
 class TestRecordTypes:
@@ -305,5 +320,5 @@ class TestRecordTypes:
         assert len(kinds) == 5
 
     def test_update_record_fields(self, log):
-        record = log.append_update(3, 17, 99)
-        assert (record.txn_id, record.record_id, record.value) == (3, 17, 99)
+        record = log.append_update_run(3, *columns([(17, 99)]))
+        assert (record.txn_id, list(record.pairs())) == (3, [(17, 99)])
