@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
 from itertools import groupby
 from operator import itemgetter
+
+import numpy as np
+import pytest
 
 from tests.helpers import CheckpointHarness, columns
 from repro.errors import RecoveryError
