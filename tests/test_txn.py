@@ -225,29 +225,12 @@ class TestManagerCommit:
 
 
 class _AbortOnceCoordinator:
-    """Aborts each transaction's first attempt (two-color style)."""
+    """Aborts each transaction's first attempt (two-color style) once it
+    has staged ``staged`` updates; the rerun goes through."""
 
     uses_lsns = True
 
-    def __init__(self):
-        self.seen = set()
-
-    def guard_access(self, txn, segment):
-        if txn.txn_id not in self.seen:
-            self.seen.add(txn.txn_id)
-            raise TwoColorViolation(f"txn {txn.txn_id} mixed colors")
-
-    def before_install(self, txn, segment):
-        return None
-
-
-class _AbortAfterCoordinator:
-    """Lets a transaction stage ``staged`` updates, then aborts it once
-    (two-color style); its rerun goes through."""
-
-    uses_lsns = False
-
-    def __init__(self, staged):
+    def __init__(self, staged=0):
         self.staged = staged
         self.accesses = {}
 
@@ -302,7 +285,7 @@ class TestManagerAbortAndRerun:
         run, then its abort; a prefix rounding to nothing logs no run."""
         harness = _Harness(
             tiny_params.replace(log_bulk_restart_fraction=fraction))
-        harness.manager.set_coordinator(_AbortAfterCoordinator(staged=3))
+        harness.manager.set_coordinator(_AbortOnceCoordinator(staged=3))
         txn = harness.make_txn(1, (0, 1, 2, 3))
         harness.manager.submit(txn)
         harness.log.flush()

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.errors import InvalidStateError, WALViolation
@@ -125,15 +124,10 @@ class TestUpdateRuns:
     """A transaction's updates as one record: the LSNs, words and
     truncation behaviour of the same updates logged one by one."""
 
-    @staticmethod
-    def _columns(*values):
-        return np.array(values, "<i8").tobytes()
-
     def test_a_run_consumes_one_lsn_per_update_and_ends_at_the_last(
             self, log, tiny_params):
         log.append_commit(9)
-        run = log.append_update_run(1, self._columns(4, 5, 4),
-                                    self._columns(7, 8, 9))
+        run = log.append_update_run(1, *columns([(4, 7), (5, 8), (4, 9)]))
         assert (run.lsn, run.n_updates) == (4, 3)
         assert list(run.pairs()) == [(4, 7), (5, 8), (4, 9)]
         assert log.append_commit(1).lsn == 5
@@ -151,8 +145,7 @@ class TestUpdateRuns:
 
     def test_truncation_keeps_a_run_reaching_the_horizon_whole(
             self, log, tiny_params):
-        run = log.append_update_run(1, self._columns(1, 2, 3),
-                                    self._columns(1, 2, 3))
+        run = log.append_update_run(1, *columns([(1, 1), (2, 2), (3, 3)]))
         log.append_commit(1)
         log.flush()
         assert log.stable_words_from(2) == log.stable_words_from(1)
