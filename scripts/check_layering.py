@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Enforce the architecture's layering rules (docs/ARCHITECTURE.md).
 
-Five checks, stdlib-only so CI needs nothing installed:
+Six checks, stdlib-only so CI needs nothing installed:
 
 1. **Engine isolation** -- the engine-layer modules of ``repro.sim``
    must not import any component or kernel package. They are the
@@ -38,6 +38,20 @@ Five checks, stdlib-only so CI needs nothing installed:
 5. **No tracked bytecode** -- ``*.pyc`` files and ``__pycache__``
    directories must never be committed.
 
+6. **Live file I/O behind the port** -- outside ``repro/live/files.py``,
+   no module under ``repro/live/`` may call ``open``, the ``os`` file
+   functions (``fsync``, ``replace``, ``open``, ``fstat``, ``unlink``,
+   ``truncate``) or the ``Path`` file methods (``read_bytes``,
+   ``write_bytes``, ``exists``, ``unlink``, ``mkdir``, ``open``). The
+   durability discipline (sync before acknowledging; temp file, sync,
+   rename, directory sync) is written once, in the ``Files`` port, and
+   the crash tests substitute that port. A method call counts as the
+   port's when its receiver is named ``files`` (``files.exists(p)``,
+   ``self.files.exists(p)``), and ``.open`` counts as ``Path.open`` when
+   it has no argument or a mode string first (``ZipFile.open`` names a
+   member of an archive the port opened); ``os.getpid`` and friends stay
+   allowed.
+
 Exit status 0 = clean, 1 = violations (printed one per line).
 """
 
@@ -52,6 +66,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC_DIR = REPO_ROOT / "src"
 SIM_DIR = REPO_ROOT / "src" / "repro" / "sim"
 CHECKPOINT_DIR = REPO_ROOT / "src" / "repro" / "checkpoint"
+LIVE_DIR = REPO_ROOT / "src" / "repro" / "live"
 
 #: repro.sim modules that form the engine layer
 ENGINE_MODULES = (
@@ -272,6 +287,59 @@ def check_serving_closure() -> list[str]:
     return violations
 
 
+#: the one live module that may touch the filesystem
+LIVE_FILE_PORT = "files.py"
+#: ``os`` functions that touch files
+OS_FILE_FUNCTIONS = {"fsync", "replace", "open", "fstat", "unlink",
+                     "truncate"}
+#: ``Path`` methods that touch files
+PATH_FILE_METHODS = {"read_bytes", "write_bytes", "exists", "unlink",
+                     "mkdir", "open"}
+
+
+def _file_operation(node: ast.AST):
+    """What file operation ``node`` performs outside the port, or None."""
+    if isinstance(node, ast.ImportFrom) and node.module == "os":
+        names = sorted(alias.name for alias in node.names
+                       if alias.name in OS_FILE_FUNCTIONS)
+        return f"os.{names[0]}" if names else None
+    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "os"):
+        return f"os.{node.attr}" if node.attr in OS_FILE_FUNCTIONS else None
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    if isinstance(func, ast.Name):
+        return "open" if func.id == "open" else None
+    if isinstance(func, ast.Attribute) and func.attr in PATH_FILE_METHODS:
+        if func.attr == "open" and node.args and not (
+                isinstance(node.args[0], ast.Constant)
+                and set(str(node.args[0].value)) <= set("rwaxbt+")):
+            return None
+        receiver = func.value
+        port = getattr(receiver, "id", getattr(receiver, "attr", None))
+        if port != "files" and not (isinstance(receiver, ast.Name)
+                                    and receiver.id == "os"):
+            return f".{func.attr}()"
+    return None
+
+
+def check_live_file_port() -> list[str]:
+    violations = []
+    for path in sorted(LIVE_DIR.glob("*.py")):
+        if path.name == LIVE_FILE_PORT:
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found = sorted((node.lineno, operation) for node in ast.walk(tree)
+                       for operation in [_file_operation(node)]
+                       if operation is not None)
+        violations.extend(
+            f"{path.relative_to(REPO_ROOT)}:{lineno}: live module calls "
+            f"{operation} (file I/O goes through the Files port in "
+            f"repro/live/{LIVE_FILE_PORT})" for lineno, operation in found)
+    return violations
+
+
 def check_no_tracked_bytecode() -> list[str]:
     proc = subprocess.run(
         ["git", "ls-files", "*.pyc", "*__pycache__*"],
@@ -283,7 +351,8 @@ def check_no_tracked_bytecode() -> list[str]:
 def main() -> int:
     violations = (check_engine_isolation() + check_host_purity()
                   + check_checkpoint_write_port()
-                  + check_serving_closure() + check_no_tracked_bytecode())
+                  + check_serving_closure() + check_no_tracked_bytecode()
+                  + check_live_file_port())
     for violation in violations:
         print(violation)
     if violations:
@@ -291,7 +360,7 @@ def main() -> int:
         return 1
     print("layering clean: engine isolated, sim host pure, "
           "checkpointers behind the write port, serving kernel only, "
-          "no tracked bytecode")
+          "no tracked bytecode, live file I/O behind the port")
     return 0
 
 

@@ -9,11 +9,14 @@ declared in :mod:`repro.sim.ports`:
 * :class:`~repro.live.scheduler.LiveScheduler` -- ``SchedulerPort`` as a
   single dispatcher thread, preserving the event engine's one-callback-
   at-a-time execution model so kernel components need no locks;
+* :class:`~repro.live.files.Files` -- the one door to the filesystem:
+  every file operation of the package, and so its sync-before-ack and
+  atomic-replace disciplines, is written there once;
 * :class:`~repro.live.wal.DurableLog` -- the simulator's
   :class:`~repro.wal.log.LogManager` with a real append-only file behind
   ``flush()`` (group-commit fsync) and atomic truncation;
 * :class:`~repro.live.store.ImageStore` -- checkpoint images installed
-  by write-to-temp + fsync + atomic rename;
+  by :meth:`Files.replace <repro.live.files.Files.replace>`;
 * :class:`~repro.live.host.LiveHost` -- the assembled service: database,
   durable WAL, checkpoint scheduler, committed-state oracle, spans;
 * :class:`~repro.live.server.serve` -- a get/put socket server over the
@@ -27,7 +30,8 @@ Load, latency and restart time are measured from outside the package by
 The layering rule runs the other way from the usual one: ``repro.live``
 may import the kernel, but no ``repro.sim`` engine module may import
 ``time``, ``threading``, or anything from this package
-(``scripts/check_layering.py`` enforces both directions).
+(``scripts/check_layering.py`` enforces both directions, and that no
+module here but ``files`` touches the filesystem).
 """
 
 from .clock import WallClock

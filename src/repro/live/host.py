@@ -52,6 +52,7 @@ from ..recovery.replay import RedoApplier
 from ..sim.oracle import CommittedStateOracle, RecordMismatch
 from ..wal.records import CommitRecord, log_updates
 from .clock import WallClock
+from .files import Files
 from .scheduler import LiveScheduler
 from .store import ImageStore
 from .wal import DurableLog, gc_paused
@@ -167,7 +168,11 @@ class LiveCheckpointer:
     EIO) is the same state reached without dying: steps 3 and 4 are
     skipped, the failure is counted in ``checkpoints_failed`` and kept
     in ``host.scheduler.errors``, and the checkpointer is idle again for
-    the next attempt.
+    the next attempt.  A failed step 3 or 4 counts the same way; the log
+    then keeps appending to its old file, or is fail-stop if its
+    rewrite failed at or after the rename (see
+    :meth:`DurableLog.truncate_stable_before
+    <repro.live.wal.DurableLog.truncate_stable_before>`).
     """
 
     name = "LIVECOPY"
@@ -262,9 +267,13 @@ class LiveCheckpointer:
                                write_ended - write_began, parent=root,
                                checkpoint_id=checkpoint_id)
                 host.log.append_end_checkpoint(checkpoint_id, image=0)
-                host.flush_log()
-                truncate_began = host.clock.now
-                reclaimed = host.log.truncate_stable_before(base_lsn + 1)
+                try:
+                    host.flush_log()
+                    truncate_began = host.clock.now
+                    reclaimed = host.log.truncate_stable_before(base_lsn + 1)
+                except Exception as exc:
+                    failed(exc)
+                    return
                 ended_at = host.clock.now
                 if spans.enabled:
                     spans.emit("ckpt.truncate", truncate_began,
@@ -305,9 +314,12 @@ class LiveHost:
     name = "live"
 
     def __init__(self, config: LiveConfig,
-                 params: Optional[SystemParameters] = None) -> None:
+                 params: Optional[SystemParameters] = None,
+                 files: Optional[Files] = None) -> None:
+        #: the filesystem port (tests hand in an in-memory one)
+        self.files = files if files is not None else Files(config.fsync)
         legacy = Path(config.data_dir) / "wal.jsonl"
-        if legacy.exists():
+        if self.files.exists(legacy):
             raise WALFormatError(
                 f"{legacy} is a JSON-line WAL of an earlier version; this "
                 "version reads only the framed wal.log, and starting "
@@ -320,9 +332,9 @@ class LiveHost:
         self.spans = (SpanRecorder(enabled=True, clock=self.clock)
                       if config.spans else NULL_SPANS)
         self.database = Database(self.params)
-        self.store = ImageStore(config.data_dir, fsync=config.fsync)
-        self.log = DurableLog(self.params, self.wal_path,
-                              fsync=config.fsync, spans=self.spans)
+        self.store = ImageStore(config.data_dir, files=self.files)
+        self.log = DurableLog(self.params, self.wal_path, files=self.files,
+                              spans=self.spans)
         self.oracle = CommittedStateOracle(self.params)
         self.checkpointer = LiveCheckpointer(self)
         self.checkpoint_scheduler: Optional[CheckpointScheduler] = None

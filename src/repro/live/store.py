@@ -3,11 +3,12 @@
 The simulator's ping-pong image pair exists because a crash *during* a
 checkpoint must not destroy the only complete image (paper Section 2.2).
 A POSIX filesystem offers a cheaper way to get the same guarantee for
-the live host: write the new image to a temporary file, fsync it, then
-``os.replace`` it over the current one.  At every instant the
-``checkpoint.npz`` path names a complete, internally-consistent image --
-either the old checkpoint or the new one, never a torn hybrid -- so a
-single image file plays the role of the pair.
+the live host: :meth:`Files.replace <repro.live.files.Files.replace>`
+(write a temporary file, sync it, rename it over the current one).  At
+every instant the ``checkpoint.npz`` path names a complete,
+internally-consistent image -- either the old checkpoint or the new
+one, never a torn hybrid -- so a single image file plays the role of
+the pair.
 
 The install path takes an optional ``hold`` callback invoked at the two
 phase boundaries (``"pre-install"``: image fully written but the rename
@@ -18,13 +19,17 @@ the process, which is how the suite proves each boundary is recoverable.
 
 from __future__ import annotations
 
+import io
 import os
 import zipfile
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from numpy.lib import format as npy
+
+from .files import Files, temp_path
 
 __all__ = ["ImageStore", "StoredImage"]
 
@@ -46,11 +51,12 @@ class ImageStore:
 
     FILENAME = "checkpoint.npz"
 
-    def __init__(self, directory: os.PathLike, *, fsync: bool = True) -> None:
+    def __init__(self, directory: os.PathLike, *,
+                 files: Optional[Files] = None) -> None:
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
         self.path = self.directory / self.FILENAME
-        self.fsync_enabled = fsync
+        #: the port every file operation goes through
+        self.files = files if files is not None else Files()
         #: completed installs this process performed
         self.installs = 0
 
@@ -66,10 +72,10 @@ class ImageStore:
         a checkpoint's transient memory the snapshot *plus* half of it
         again at the live host's largest scale.
         """
-        tmp = self.directory / (self.FILENAME + ".tmp")
         arrays = {"values": np.ascontiguousarray(values),
                   "meta": np.array([checkpoint_id, base_lsn], dtype=np.int64)}
-        with open(tmp, "wb") as file:
+
+        def write(file) -> None:
             with zipfile.ZipFile(file, "w", zipfile.ZIP_STORED,
                                  allowZip64=True) as archive:
                 for name, array in arrays.items():
@@ -78,18 +84,9 @@ class ImageStore:
                         npy.write_array_header_1_0(
                             member, npy.header_data_from_array_1_0(array))
                         member.write(memoryview(array).cast("B"))
-            file.flush()
-            if self.fsync_enabled:
-                os.fsync(file.fileno())
-        if hold is not None:
-            hold("pre-install")
-        os.replace(tmp, self.path)
-        if self.fsync_enabled:
-            fd = os.open(self.directory, os.O_RDONLY)
-            try:
-                os.fsync(fd)
-            finally:
-                os.close(fd)
+
+        self.files.replace(self.path, write, None if hold is None
+                           else partial(hold, "pre-install"))
         self.installs += 1
         if hold is not None:
             hold("post-install")
@@ -101,13 +98,10 @@ class ImageStore:
         removed): the rename never happened, so the previous image is
         still the truth.
         """
-        tmp = self.directory / (self.FILENAME + ".tmp")
-        if tmp.exists():
-            tmp.unlink()
-        if not self.path.exists():
+        self.files.remove(temp_path(self.path))
+        if not self.files.exists(self.path):
             return None
-        with np.load(self.path) as data:
+        with np.load(io.BytesIO(self.files.read(self.path))) as data:
             meta = data["meta"]
             return StoredImage(checkpoint_id=int(meta[0]),
-                               base_lsn=int(meta[1]),
-                               values=data["values"].copy())
+                               base_lsn=int(meta[1]), values=data["values"])

@@ -55,10 +55,14 @@ fails rather than waiting out its timeout.  From then on every
 ``flush()`` raises ``WALFailedError`` without touching the file.
 
 Truncation (checkpoint log reclamation) rewrites the file -- header and
-one frame of the surviving records -- through the same temp-file + fsync
-+ :func:`os.replace` + directory-fsync discipline the image store uses,
-so a crash during truncation leaves either the old or the new file,
-never a hybrid.
+one frame of the surviving records -- through
+:meth:`Files.replace <repro.live.files.Files.replace>`, so a crash
+during truncation leaves either the old or the new file, never a
+hybrid, and the log's ``.tmp`` left by such a crash is removed when the
+log is opened.  A rewrite that fails before its rename leaves the log
+appending to the old file; one that fails at or after it makes the log
+fail-stop, as a failed flush does.  Every file operation goes through
+the :class:`~repro.live.files.Files` port the log is given.
 """
 
 from __future__ import annotations
@@ -70,6 +74,7 @@ import struct
 import time
 import zlib
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -90,6 +95,7 @@ from ..wal.records import (
     UpdateRecord,
     UpdateRun,
 )
+from .files import Files, temp_path
 
 __all__ = ["DurableLog", "FILE_HEADER", "decode_record", "encode_frame",
            "encode_record", "encode_records", "gc_paused", "read_wal",
@@ -298,8 +304,10 @@ def scan_wal(data: bytes) -> Tuple[List[LogRecord], int]:
     return records, offset
 
 
-def read_wal(path: os.PathLike) -> Tuple[List[LogRecord], bool]:
-    """Load every durable record from ``path``.
+def read_wal(path: os.PathLike, files: Optional[Files] = None
+             ) -> Tuple[List[LogRecord], bool]:
+    """Load every durable record from ``path`` (through ``files``,
+    default the real filesystem).
 
     Returns ``(records, torn)`` where ``torn`` reports whether a
     trailing partial frame was discarded (the signature of a crash
@@ -308,9 +316,10 @@ def read_wal(path: os.PathLike) -> Tuple[List[LogRecord], bool]:
     :class:`WALCorruptionError` (see :func:`scan_wal`).
     """
     path = Path(path)
-    if not path.exists():
+    files = files if files is not None else Files()
+    if not files.exists(path):
         return [], False
-    data = path.read_bytes()
+    data = files.read(path)
     records, durable = scan_wal(data)
     return records, durable < len(data)
 
@@ -319,7 +328,7 @@ class DurableLog(LogManager):
     """A :class:`LogManager` whose stability promise is an fsynced file."""
 
     def __init__(self, params: SystemParameters, path: os.PathLike, *,
-                 fsync: bool = True, **kwargs) -> None:
+                 files: Optional[Files] = None, **kwargs) -> None:
         if params.stable_log_tail:
             raise ConfigurationError(
                 "DurableLog provides stability through flush+fsync; "
@@ -327,12 +336,10 @@ class DurableLog(LogManager):
                 "byte reaches the file")
         super().__init__(params, **kwargs)
         self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        #: fsync on every flush (off only for tests that measure the
-        #: framing independent of disk latency)
-        self.fsync_enabled = fsync
+        #: the port every file operation goes through
+        self.files = files if files is not None else Files()
         self.fsync_count = 0
-        #: bytes of torn tail cut off an existing file before reopening
+        #: bytes of torn tail cut off an existing file before appending
         self.repaired_bytes = 0
         #: the durable records that open-time scan decoded, kept so
         #: restart does not read and decode the file a second time;
@@ -345,55 +352,41 @@ class DurableLog(LogManager):
         #: the exception that failed a flush; once set the log is
         #: fail-stop (see :meth:`raise_if_failed`)
         self.failure: Optional[BaseException] = None
-        if self.path.exists():
-            self._scan_and_repair()
-        self._file = open(self.path, "ab")
-        if not os.fstat(self._file.fileno()).st_size:
+        files = self.files
+        # what a crash during a truncation rewrite left behind
+        files.remove(temp_path(self.path))
+        durable = self._scan() if files.exists(self.path) else 0
+        self._file = files.open_append(self.path)
+        if self.repaired_bytes:
+            # before anything is appended: a new frame written after a
+            # partial one would fuse with it, and the *next* restart
+            # would lose every record from the tear onward.  Cutting to
+            # the durable prefix is idempotent, so a crash racing this
+            # repair just means it runs again next start.
+            files.truncate(self._file, durable)
+            self._sync()
+        if not files.size(self._file):
             # a new (or torn-empty) log: the header, made durable with
             # the directory entry, before any frame can follow it
             self._file.write(FILE_HEADER)
-            self._sync_file(self._file)
-            self._sync_directory()
+            self._sync()
+            files.sync_directory(self.path.parent)
 
-    def _scan_and_repair(self) -> None:
-        """Decode an existing file once and truncate a torn final frame.
-
-        The repair must happen before the file is reopened for append:
-        writing a new frame after a partial one would fuse them, and the
-        *next* restart would then lose every record from the tear
-        onward -- acknowledged-data loss.
-        Truncation to the durable prefix is idempotent, so a crash
-        racing this repair just means it runs again next start.
-        """
+    def _scan(self) -> int:
+        """Decode the existing file once (raises
+        :class:`WALCorruptionError` if rotten); return its durable
+        length."""
         began = time.perf_counter()
-        data = self.path.read_bytes()
-        # raises WALCorruptionError if rotten
+        data = self.files.read(self.path)
         self.recovered_records, durable = scan_wal(data)
         self.scan_seconds = time.perf_counter() - began
         self.scanned_bytes = len(data)
         self.repaired_bytes = len(data) - durable
-        if self.repaired_bytes:
-            with open(self.path, "r+b") as file:
-                file.truncate(durable)
-                self._sync_file(file)
+        return durable
 
     # -- durability ----------------------------------------------------------
-    def _sync_file(self, file) -> None:
-        file.flush()
-        if self.fsync_enabled:
-            os.fsync(file.fileno())
-            self.fsync_count += 1
-
-    def _sync_directory(self) -> None:
-        """Make the rename of a rewritten log durable (POSIX: fsync the
-        directory, or the entry itself may not survive)."""
-        if not self.fsync_enabled:
-            return
-        fd = os.open(self.path.parent, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+    def _sync(self) -> None:
+        self.fsync_count += self.files.sync(self._file)
 
     def failed_error(self) -> WALFailedError:
         """A fresh :class:`WALFailedError` chained to ``failure``."""
@@ -427,36 +420,52 @@ class DurableLog(LogManager):
         if self._tail:
             try:
                 self._file.write(encode_frame(self._tail))
-                self._sync_file(self._file)
+                self._sync()
             except BaseException as exc:
-                self.failure = exc
-                self._fail_waiters()
+                self._fail(exc)
                 raise
         return super().flush()
 
-    def _fail_waiters(self) -> None:
-        """Nothing pending can become stable any more: hand each waiter
-        that asked for it a :class:`WALFailedError`, in LSN order, and
-        drop the rest unfired."""
+    def _fail(self, exc: BaseException) -> None:
+        """Make the log fail-stop on ``exc``.  Nothing pending can become
+        stable any more: hand each waiter that asked for it a
+        :class:`WALFailedError`, in LSN order, and drop the rest
+        unfired."""
+        self.failure = exc
         waiters, self._waiters = self._waiters, []
         for _, _, _, on_failure in sorted(waiters):
             if on_failure is not None:
                 on_failure(self.failed_error())
 
     def truncate_stable_before(self, lsn: int) -> int:
-        """Reclaim old records in memory *and* on disk, atomically."""
+        """Reclaim old records in memory *and* on disk, atomically.
+
+        The file is rewritten through :meth:`Files.replace
+        <repro.live.files.Files.replace>`.  A rewrite that fails before
+        its rename leaves the old file in place and the log appending to
+        it; one that fails at or after the rename leaves it unknown
+        which file the path names, so the log turns fail-stop on the
+        error.  Either way the error propagates.
+        """
         reclaimed = super().truncate_stable_before(lsn)
         if reclaimed:
-            tmp = self.path.with_name(self.path.name + ".tmp")
-            with open(tmp, "wb") as file:
+            renaming: List[bool] = []
+
+            def write(file) -> None:
                 file.write(FILE_HEADER)
                 if self._stable:
                     file.write(encode_frame(self._stable))
-                self._sync_file(file)
-            self._file.close()
-            os.replace(tmp, self.path)
-            self._sync_directory()
-            self._file = open(self.path, "ab")
+
+            try:
+                self.fsync_count += self.files.replace(
+                    self.path, write, partial(renaming.append, True))
+                old, self._file = self._file, self.files.open_append(
+                    self.path)
+                old.close()
+            except BaseException as exc:
+                if renaming:
+                    self._fail(exc)
+                raise
         return reclaimed
 
     # -- restart -------------------------------------------------------------

@@ -1,0 +1,235 @@
+"""An in-memory filesystem behind the live host's file port, that can
+lose power between any two operations.
+
+:class:`MemoryFiles` is a :class:`repro.live.files.Files` that keeps
+its files in memory and models what a crash keeps:
+
+* bytes written to a file stay volatile until the file is synced;
+* a creation, rename or removal stays volatile until its directory is
+  synced;
+* :meth:`MemoryFiles.crash` returns the durable state as a new
+  ``MemoryFiles``: for each directory a seeded prefix of its unsynced
+  entry changes (in order, each one atomic), and for each file its
+  synced bytes plus a seeded prefix of the appends made since.
+
+Every operation -- each port call, and each ``write`` to an open file --
+is a numbered step, and ``trace[k - 1]`` is step *k*'s label
+(``"sync wal.log"``).  ``faults`` maps a step number or a label to the
+``OSError`` that step raises instead of running (once; a label fires at
+its next match).  With ``crash_at=k``, step *k* and every later one
+raise :class:`PowerLoss` and change nothing: the host runs on, but what
+it does no longer reaches the disk, so :meth:`crash` afterwards is the
+disk as the power cut left it.
+"""
+
+from __future__ import annotations
+
+import errno
+import random
+import threading
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Dict, Iterator, List, Optional, Tuple, Union
+
+from repro.live.files import Files
+
+__all__ = ["MemoryFiles", "PowerLoss"]
+
+
+class PowerLoss(OSError):
+    """What every operation raises from the crash step on."""
+
+
+class _Inode:
+    __slots__ = ("data", "synced")
+
+    def __init__(self, data: bytes = b"") -> None:
+        #: the contents as the process sees them
+        self.data = bytearray(data)
+        #: the contents as of the last sync
+        self.synced = bytes(data)
+
+
+#: one entry change: ``path`` now names ``inode`` (None: nothing), and
+#: ``source`` (a rename's) names nothing
+_Change = Tuple[Path, Optional[_Inode], Optional[Path]]
+
+
+def _apply(names: Dict[Path, _Inode], change: _Change) -> None:
+    path, inode, source = change
+    if source is not None:
+        names.pop(source, None)
+    if inode is None:
+        names.pop(path, None)
+    else:
+        names[path] = inode
+
+
+class MemoryFile:
+    """An open file: a position into one inode."""
+
+    def __init__(self, files: "MemoryFiles", path: Path, inode: _Inode,
+                 append: bool) -> None:
+        self.files = files
+        self.path = path
+        self.inode = inode
+        self.append = append
+        self.position = 0
+        self.closed = False
+
+    def write(self, data) -> int:
+        data = bytes(data)
+        with self.files.step("write", self.path):
+            buffer = self.inode.data
+            if self.append:
+                self.position = len(buffer)
+            end = self.position + len(data)
+            buffer[self.position:end] = data
+            self.position = end
+        return len(data)
+
+    def tell(self) -> int:
+        return self.position
+
+    def seek(self, offset: int, whence: int = 0) -> int:
+        base = (0, self.position, len(self.inode.data))[whence]
+        self.position = base + offset
+        return self.position
+
+    def seekable(self) -> bool:
+        return True
+
+    def flush(self) -> None:
+        pass
+
+    def close(self) -> None:
+        self.closed = True
+
+    def __enter__(self) -> "MemoryFile":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class MemoryFiles(Files):
+    """The file port in memory, with numbered steps, faults and crashes.
+
+    It overrides every method of :class:`Files` but ``replace``, which
+    runs its temp file, sync, rename and directory sync through these.
+    """
+
+    def __init__(self, *, faults: Optional[Dict[Union[int, str],
+                                                OSError]] = None,
+                 crash_at: Optional[int] = None) -> None:
+        super().__init__(sync=True)
+        self.faults = dict(faults or {})
+        self.crash_at = crash_at
+        self.trace: List[str] = []
+        #: whether the host has run into the crash step
+        self.powered_off = False
+        #: the namespace as the process sees it, and as the disk has it
+        self._names: Dict[Path, _Inode] = {}
+        self._durable: Dict[Path, _Inode] = {}
+        #: per directory, its entry changes since it was last synced
+        self._unsynced: Dict[Path, List[_Change]] = {}
+        self._lock = threading.RLock()
+
+    # -- steps ---------------------------------------------------------------
+    @contextmanager
+    def step(self, operation: str, path: Path) -> Iterator[None]:
+        """Number one operation on ``path`` and run it (the block), or
+        raise its fault instead."""
+        label = f"{operation} {Path(path).name}"
+        with self._lock:
+            number = len(self.trace) + 1
+            if self.crash_at is not None and number >= self.crash_at:
+                self.powered_off = True
+                raise PowerLoss(errno.EIO,
+                                f"power lost at step {self.crash_at}")
+            self.trace.append(label)
+            for key in (number, label):
+                if key in self.faults:
+                    raise self.faults.pop(key)
+            yield
+
+    def _link(self, path: Path, inode: Optional[_Inode],
+              source: Optional[Path] = None) -> None:
+        change = (path, inode, source)
+        _apply(self._names, change)
+        self._unsynced.setdefault(path.parent, []).append(change)
+
+    def _inode(self, path: Path) -> _Inode:
+        inode = self._names.get(path)
+        if inode is None:
+            raise FileNotFoundError(errno.ENOENT, "no such file", str(path))
+        return inode
+
+    # -- the port ------------------------------------------------------------
+    def exists(self, path: Path) -> bool:
+        with self.step("exists", path):
+            return Path(path) in self._names
+
+    def read(self, path: Path) -> bytes:
+        with self.step("read", path):
+            return bytes(self._inode(Path(path)).data)
+
+    def size(self, file: MemoryFile) -> int:
+        with self.step("size", file.path):
+            return len(file.inode.data)
+
+    def sync(self, file: MemoryFile) -> int:
+        with self.step("sync", file.path):
+            file.inode.synced = bytes(file.inode.data)
+        return 1
+
+    def truncate(self, file: MemoryFile, size: int) -> None:
+        with self.step("truncate", file.path):
+            del file.inode.data[size:]
+
+    def remove(self, path: Path) -> None:
+        path = Path(path)
+        with self.step("remove", path):
+            if path in self._names:
+                self._link(path, None)
+
+    def sync_directory(self, directory: Path) -> None:
+        directory = Path(directory)
+        with self.step("syncdir", directory):
+            for change in self._unsynced.pop(directory, []):
+                _apply(self._durable, change)
+
+    def _open(self, path: Path, mode: str) -> MemoryFile:
+        path = Path(path)
+        with self.step("open" if mode == "ab" else "create", path):
+            inode = self._names.get(path)
+            if inode is None:
+                inode = _Inode()
+                self._link(path, inode)
+            elif mode == "wb":
+                inode.data.clear()
+            return MemoryFile(self, path, inode, append=mode == "ab")
+
+    def _rename(self, source: Path, target: Path) -> None:
+        with self.step("rename", target):
+            self._link(target, self._inode(source), source=source)
+
+    # -- the crash -----------------------------------------------------------
+    def crash(self, seed: int) -> "MemoryFiles":
+        """The disk after a power cut now, as a fresh ``MemoryFiles``."""
+        rng = random.Random(seed)
+        with self._lock:
+            names = dict(self._durable)
+            for directory in sorted(self._unsynced):
+                changes = self._unsynced[directory]
+                for change in changes[:rng.randint(0, len(changes))]:
+                    _apply(names, change)
+            image = MemoryFiles()
+            for path in sorted(names):
+                inode = names[path]
+                kept = inode.synced
+                if inode.data.startswith(kept):
+                    appended = len(inode.data) - len(kept)
+                    kept += inode.data[len(kept):][:rng.randint(0, appended)]
+                image._names[path] = image._durable[path] = _Inode(kept)
+        return image

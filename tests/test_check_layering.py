@@ -1,5 +1,5 @@
 """``scripts/check_layering.py``: clean on this repository, and each of
-its five checks rejects a violation planted in a scratch tree; the
+its six checks rejects a violation planted in a scratch tree; the
 serving-kernel rule also holds on a real server process's
 ``sys.modules``."""
 
@@ -52,6 +52,8 @@ def layering(tmp_path, monkeypatch):
     monkeypatch.setattr(module, "SRC_DIR", tmp_path / "src")
     monkeypatch.setattr(module, "SIM_DIR", sim)
     monkeypatch.setattr(module, "CHECKPOINT_DIR", checkpoint)
+    monkeypatch.setattr(module, "LIVE_DIR", tmp_path / "src" / "repro"
+                        / "live")
     assert module.main() == 0
     return module
 
@@ -149,6 +151,32 @@ def test_server_process_loads_only_the_serving_kernel():
     assert "repro.checkpoint.scheduler" in loaded
     assert [name for name in loaded
             if _load_checker().forbidden_in_serving(name)] == []
+
+
+def test_live_file_io_outside_the_port_is_rejected(layering, capsys):
+    live = layering.LIVE_DIR
+    # the port itself may do anything
+    (live / "files.py").write_text("import os\nos.fsync(3)\nopen('x')\n")
+    (live / "wal.py").write_text(
+        "import os\n"
+        "import zipfile\n"
+        "from os import replace\n"
+        "def f(files, self, path, archive):\n"
+        "    os.getpid()\n"
+        "    files.exists(path)\n"
+        "    self.files.read(path)\n"
+        "    archive.open(path.name, 'w')\n"
+        "    handle = open(path, 'ab')\n"
+        "    os.fsync(handle.fileno())\n"
+        "    path.parent.mkdir(parents=True)\n"
+        "    return path.open('rb'), path.exists(), os.path.exists(path)\n")
+    message = ("(file I/O goes through the Files port in "
+               "repro/live/files.py)")
+    assert _violations(layering, capsys) == [
+        f"src/repro/live/wal.py:{line}: live module calls {call} {message}"
+        for line, call in [(3, "os.replace"), (9, "open"), (10, "os.fsync"),
+                           (11, ".mkdir()"), (12, ".exists()"),
+                           (12, ".exists()"), (12, ".open()")]]
 
 
 def test_tracked_bytecode_is_rejected(layering, capsys):

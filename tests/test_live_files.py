@@ -1,0 +1,355 @@
+"""The live host's file port: the real filesystem and the in-memory
+double agree, and a power cut at every file operation of a fixed script
+loses no acknowledged commit.
+
+The crash test is the durability contract as a checkable predicate:
+after a crash at step *k* and a restart, every record holds its last
+acknowledged value or a value submitted after it (acked ⊆ recovered ⊆
+submitted), and the oracle agrees with the database.
+"""
+
+import dataclasses
+import errno
+import time
+from contextlib import contextmanager
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.errors import WALFailedError
+from repro.live.files import Files, temp_path
+from repro.live.host import LiveConfig, LiveHost
+from repro.live.store import ImageStore
+from repro.live.wal import DurableLog, encode_frame, read_wal
+from repro.params import SystemParameters
+from repro.wal.records import CommitRecord
+from tests.helpers import columns
+from tests.memfiles import MemoryFiles, PowerLoss
+
+#: one client, fsync on, and a flush tick that never comes due: every
+#: file operation is caused by the script, so their order is fixed
+CONFIG = LiveConfig(data_dir="db", scale=8192, checkpoint_interval=None,
+                    flush_interval=30.0, spans=False)
+WAL = Path("db/wal.log")
+IMAGE = Path("db") / ImageStore.FILENAME
+#: half of a frame whose header fits: the tail a crash mid-flush leaves
+TORN = encode_frame([CommitRecord(10**6, 10**6)])[:16]
+
+
+class History:
+    """What the client submitted and what it was told was durable."""
+
+    def __init__(self) -> None:
+        self.value = 0
+        #: record -> every value submitted for it, in order
+        self.submitted = {}
+        #: record -> how many of those were acknowledged (a prefix)
+        self.acked = {}
+
+    def commit(self, host: LiveHost, records) -> None:
+        updates = []
+        for record in records:
+            self.value += 1
+            updates.append((record, self.value))
+            self.submitted.setdefault(record, []).append(self.value)
+        host.submit(updates, timeout=10.0)
+        for record in records:
+            self.acked[record] = len(self.submitted[record])
+
+    def violations(self, values: np.ndarray) -> list:
+        """Records whose value is neither the last acknowledged one nor
+        submitted after it (an untouched record must read 0)."""
+        bad = [int(r) for r in np.flatnonzero(values)
+               if int(r) not in self.submitted]
+        for record, versions in self.submitted.items():
+            acked = self.acked.get(record, 0)
+            allowed = ([versions[acked - 1]] if acked else [0])
+            if values[record] not in allowed + versions[acked:]:
+                bad.append(record)
+        return bad
+
+
+@contextmanager
+def running(files):
+    host = LiveHost(CONFIG, files=files)
+    host.start()
+    try:
+        yield host
+    finally:
+        host.stop()
+
+
+def checkpoint(host: LiveHost) -> None:
+    """One checkpoint, waited for; raises if it failed."""
+    checkpointer = host.checkpointer
+    failed = checkpointer.checkpoints_failed
+    host.scheduler.call(checkpointer.start_checkpoint)
+    deadline = time.monotonic() + 10.0
+    while checkpointer.active:
+        assert time.monotonic() < deadline, "checkpoint never finished"
+        time.sleep(0.001)
+    if checkpointer.checkpoints_failed > failed:
+        raise host.scheduler.errors[-1]
+
+
+def script(files, history: History) -> None:
+    """Commits, a checkpoint, commits, a second checkpoint, a restart
+    over a torn tail, and commits."""
+    with running(files) as host:
+        for i in range(3):
+            history.commit(host, [i, 100 + i])
+        checkpoint(host)
+        history.commit(host, [1, 200])
+        history.commit(host, [2])
+        checkpoint(host)
+        history.commit(host, [0, 300])
+    # the last flush of a process that died mid-write
+    file = files.open_append(WAL)
+    file.write(TORN)
+    files.sync(file)
+    file.close()
+    with running(files) as host:
+        assert host.recovery_timing["repaired_bytes"] == len(TORN)
+        history.commit(host, [1, 400])
+        history.commit(host, [3])
+
+
+def restart_violations(image, history: History) -> list:
+    with running(image) as host:
+        values = host.database.values_snapshot()
+        assert host.verify() == []
+    # whichever temp file the crash left, the restart removed it
+    assert not image.exists(temp_path(WAL))
+    assert not image.exists(temp_path(IMAGE))
+    return history.violations(values)
+
+
+def _clean_trace():
+    files = MemoryFiles()
+    script(files, History())
+    return files.trace
+
+
+def test_the_script_runs_clean_and_restarts_to_its_last_values():
+    files = MemoryFiles()
+    history = History()
+    script(files, history)
+    assert history.acked == {r: len(v) for r, v in history.submitted.items()}
+    assert restart_violations(files.crash(0), history) == []
+    trace = _clean_trace()
+    assert trace == files.trace  # the step order is fixed
+    for label in ("rename checkpoint.npz", "rename wal.log",
+                  "truncate wal.log"):
+        assert label in trace
+
+
+def test_a_crash_at_every_step_loses_no_acknowledged_commit():
+    steps = len(_clean_trace())
+    for k in range(1, steps + 1):
+        files = MemoryFiles(crash_at=k)
+        history = History()
+        with pytest.raises((OSError, WALFailedError)):
+            script(files, history)
+        assert files.powered_off
+        for seed in (2 * k, 2 * k + 1):
+            assert restart_violations(files.crash(seed), history) == [], \
+                f"crash at step {k} ({files.trace[-1:]}), seed {seed}"
+
+
+@pytest.mark.parametrize("name", [WAL.name + ".tmp", IMAGE.name + ".tmp"])
+def test_a_crash_mid_replace_leaves_a_temp_file_the_restart_removes(name):
+    trace = _clean_trace()
+    # the crash lands after the temp file's creation, before its rename
+    k = trace.index(f"create {name}") + 2
+    files = MemoryFiles(crash_at=k)
+    history = History()
+    with pytest.raises((OSError, WALFailedError)):
+        script(files, history)
+    images = [files.crash(seed) for seed in range(32)]
+    left = [image for image in images if image.exists(Path("db") / name)]
+    assert left, "no crash image kept the temp file"
+    assert restart_violations(left[0], history) == []
+
+
+# ---------------------------------------------------------------------------
+# a failed log-truncation rewrite
+# ---------------------------------------------------------------------------
+
+def _rewrite_steps():
+    """Step numbers of the first checkpoint's log rewrite, from the
+    temp file's creation to the reopen of the new file."""
+    trace = _clean_trace()
+    first = trace.index("create wal.log.tmp") + 1
+    return list(range(first, trace.index("open wal.log", first) + 2)), trace
+
+
+#: create, write the header, write the frame, sync, rename, syncdir, open
+REWRITE_STEPS = 7
+
+
+@pytest.mark.parametrize("offset", range(REWRITE_STEPS))
+def test_a_failed_log_rewrite_fails_the_checkpoint_not_the_host(offset):
+    steps, trace = _rewrite_steps()
+    assert len(steps) == REWRITE_STEPS
+    k = steps[offset]
+    label = trace[k - 1]
+    renamed = trace.index("rename wal.log") + 1 <= k
+    error = OSError(errno.ENOSPC, "No space left on device")
+    files = MemoryFiles(faults={k: error})
+    history = History()
+    completed = []
+    host = LiveHost(CONFIG, files=files)
+    host.start()
+    try:
+        host.checkpointer.on_complete = completed.append
+        for i in range(3):
+            history.commit(host, [i, 100 + i])
+        with pytest.raises(OSError) as failed:
+            checkpoint(host)
+        assert failed.value is error, label
+        # counted like a failed image write: idle again, on_complete ran
+        assert not host.checkpointer.active
+        assert host.checkpointer.checkpoints_failed == 1
+        assert host.checkpointer.history == []
+        assert [stats.checkpoint_id for stats in completed] == [1]
+        if renamed:
+            # nobody knows which file the path names: fail-stop
+            assert host.log.failure is error, label
+            with pytest.raises(WALFailedError) as refused:
+                host.submit([(5, 5)], timeout=5.0)
+            assert refused.value.__cause__ is error
+        else:
+            # the old file is intact, and the log keeps appending to it
+            assert host.log.failure is None, label
+            history.commit(host, [5])
+            history.commit(host, [6])
+            checkpoint(host)
+            assert len(host.checkpointer.history) == 1
+    finally:
+        try:
+            host.stop()
+        except WALFailedError:
+            assert renamed
+    for seed in (0, 1):
+        assert restart_violations(files.crash(seed), history) == []
+
+
+def test_a_failed_checkpoint_span_carries_the_error():
+    error = OSError(errno.EIO, "Input/output error")
+    files = MemoryFiles(faults={"rename wal.log": error})
+    host = LiveHost(dataclasses.replace(CONFIG, spans=True), files=files)
+    host.start()
+    try:
+        host.submit([(1, 1)])
+        with pytest.raises(OSError):
+            checkpoint(host)
+        [span] = [s for s in host.spans_snapshot() if s["name"] == "ckpt"]
+        assert span["fields"]["error"] == repr(error)
+        assert host.stats()["checkpoints_failed"] == 1
+    finally:
+        with pytest.raises(WALFailedError):
+            host.stop()
+
+
+# ---------------------------------------------------------------------------
+# the real filesystem and the double agree
+# ---------------------------------------------------------------------------
+
+def _log_and_image_script(files, directory: Path):
+    """Drive a log and an image store directly (no wall-clock
+    timestamps, so the bytes are fixed); return the log's fsync counts
+    after each step."""
+    params = SystemParameters.scaled_down(8192)
+    wal = directory / "wal.log"
+    log = DurableLog(params, wal, files=files)
+    counts = [log.fsync_count]
+    for txn_id in (1, 2, 3):
+        log.append_update_run(txn_id, *columns([(txn_id, 10 * txn_id)]))
+        log.append_commit(txn_id)
+        log.flush()
+    counts.append(log.fsync_count)
+    log.append_begin_checkpoint(1, timestamp=0.5, active_txns=(),
+                                image=0)
+    log.flush()
+    log.truncate_stable_before(5)
+    counts.append(log.fsync_count)
+    log.close()
+    file = files.open_append(wal)
+    file.write(TORN)
+    file.close()
+    reborn = DurableLog(params, wal, files=files)
+    counts.append(reborn.fsync_count)
+    reborn.hydrate(reborn.recovered_records)
+    reborn.append_end_checkpoint(1, image=0)
+    reborn.flush()
+    counts.append(reborn.fsync_count)
+    reborn.close()
+    store = ImageStore(directory, files=files)
+    store.install(1, 5, np.arange(64, dtype=np.int64))
+    store.install(2, 9, np.arange(64, dtype=np.int64) * 3)
+    image = store.load()
+    assert (image.checkpoint_id, image.base_lsn) == (2, 9)
+    np.testing.assert_array_equal(image.values, np.arange(64) * 3)
+    return counts
+
+
+def test_files_and_memory_files_write_identical_bytes(tmp_path):
+    memory = MemoryFiles()
+    counts = {"disk": _log_and_image_script(Files(), tmp_path),
+              "memory": _log_and_image_script(memory, tmp_path)}
+    names = ("wal.log", ImageStore.FILENAME)
+    for name in names:
+        assert (tmp_path / name).read_bytes() == memory.read(tmp_path / name)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+    assert counts["disk"] == counts["memory"]
+    assert read_wal(tmp_path / "wal.log") == read_wal(tmp_path / "wal.log",
+                                                      memory)
+
+
+def test_fsync_count_pins_the_header_flushes_truncation_and_repair(
+        tmp_path):
+    # header 1; three flushes 4; the marker's flush and the rewrite's
+    # temp file 6; reopened over a torn tail, the repair 1; a flush 2
+    assert _log_and_image_script(Files(), tmp_path) == [1, 4, 6, 1, 2]
+    assert _log_and_image_script(Files(sync=False),
+                                 tmp_path / "nosync") == [0] * 5
+
+
+# ---------------------------------------------------------------------------
+# the double itself
+# ---------------------------------------------------------------------------
+
+def test_memory_files_keep_only_what_was_synced():
+    files = MemoryFiles()
+    path = Path("d/f")
+    file = files.open_append(path)
+    file.write(b"abc")
+    files.sync(file)
+    # the bytes are durable, but the new name may not be
+    crashed = [files.crash(seed) for seed in range(16)]
+    assert {image.exists(path) for image in crashed} == {True, False}
+    files.sync_directory(path.parent)
+    file.write(b"defgh")
+    kept = {files.crash(seed).read(path) for seed in range(64)}
+    assert kept == {b"abc" + b"defgh"[:n] for n in range(6)}
+    assert files.trace == ["open f", "write f", "sync f", "syncdir d",
+                           "write f"]
+
+
+def test_memory_files_faults_fire_once_by_step_or_label():
+    error = OSError(errno.EIO, "Input/output error")
+    files = MemoryFiles(faults={2: error, "sync f": error})
+    file = files.open_append(Path("f"))
+    with pytest.raises(OSError):
+        file.write(b"x")
+    file.write(b"x")
+    with pytest.raises(OSError):
+        files.sync(file)
+    files.sync(file)
+    off = MemoryFiles(crash_at=2)
+    file = off.open_append(Path("f"))
+    for _ in range(2):
+        with pytest.raises(PowerLoss):
+            file.write(b"x")
+    assert off.powered_off and off.trace == ["open f"]

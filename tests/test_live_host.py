@@ -1,16 +1,18 @@
 """The wall-clock host's durability substrate, in-process.
 
 Everything here runs the real file formats -- the framed WAL and the
-atomically-renamed image -- against a tmp directory, with ``fsync=False``
-so the suite is not gated on disk latency (the framing and atomicity
-logic under test is identical either way; the subprocess SIGKILL tests
-in ``test_live_smoke.py`` run with fsync on).
+atomically-renamed image -- against a tmp directory, with
+``Files(sync=False)`` so the suite is not gated on disk latency (the
+framing and atomicity logic under test is identical either way; the
+subprocess SIGKILL tests in ``test_live_smoke.py`` run with fsync on).
+The I/O-failure tests run on the in-memory port
+(``tests/memfiles.py``), which raises a scripted ``OSError`` at a
+chosen file operation.
 """
 
 import gc
 import io
 import json
-import os
 import random
 import re
 import struct
@@ -26,6 +28,7 @@ import pytest
 from repro.errors import (AddressError, ConfigurationError,
                           WALCorruptionError, WALFailedError, WALFormatError)
 from repro.live import wal as live_wal
+from repro.live.files import Files
 from repro.live.host import LiveConfig, LiveHost
 from repro.live.server import _Handler, _handle, check, serve
 from repro.live.store import ImageStore
@@ -38,6 +41,10 @@ from repro.wal.log import LogManager
 from repro.wal.records import (CommitRecord, LogicalUpdateRecord,
                                 UpdateRecord, UpdateRun)
 from tests.helpers import columns
+from tests.memfiles import MemoryFiles
+
+#: the real filesystem without fsync
+NO_SYNC = Files(sync=False)
 
 
 @pytest.fixture()
@@ -51,7 +58,7 @@ def wal_path(tmp_path):
 
 
 def _fresh_log(params, path):
-    return DurableLog(params, path, fsync=False)
+    return DurableLog(params, path, files=NO_SYNC)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +273,7 @@ def test_wal_open_keeps_the_scanned_records_for_a_single_adoption(
 def test_wal_rejects_stable_log_tail(live_params, wal_path):
     params = live_params.replace(stable_log_tail=True)
     with pytest.raises(ConfigurationError):
-        DurableLog(params, wal_path, fsync=False)
+        DurableLog(params, wal_path, files=NO_SYNC)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +281,7 @@ def test_wal_rejects_stable_log_tail(live_params, wal_path):
 # ---------------------------------------------------------------------------
 
 def test_image_store_round_trip_and_replacement(tmp_path):
-    store = ImageStore(tmp_path, fsync=False)
+    store = ImageStore(tmp_path, files=NO_SYNC)
     assert store.load() is None
     first = np.arange(16, dtype=np.int64)
     store.install(1, 10, first)
@@ -288,7 +295,7 @@ def test_image_store_round_trip_and_replacement(tmp_path):
 
 
 def test_image_store_ignores_a_crashed_install(tmp_path):
-    store = ImageStore(tmp_path, fsync=False)
+    store = ImageStore(tmp_path, files=NO_SYNC)
     store.install(1, 10, np.arange(8, dtype=np.int64))
     # a crash before the rename leaves only the temp file behind
     tmp = tmp_path / (ImageStore.FILENAME + ".tmp")
@@ -299,7 +306,7 @@ def test_image_store_ignores_a_crashed_install(tmp_path):
 
 
 def test_image_store_hold_runs_at_both_phase_boundaries(tmp_path):
-    store = ImageStore(tmp_path, fsync=False)
+    store = ImageStore(tmp_path, files=NO_SYNC)
     phases = []
 
     def hold(phase):
@@ -314,12 +321,12 @@ def test_image_store_hold_runs_at_both_phase_boundaries(tmp_path):
 # the assembled host
 # ---------------------------------------------------------------------------
 
-def _host(tmp_path, **overrides):
+def _host(tmp_path, files=None, **overrides):
     settings = dict(data_dir=str(tmp_path), scale=2048,
                     checkpoint_interval=None, flush_interval=0.002,
                     fsync=False)
     settings.update(overrides)
-    return LiveHost(LiveConfig(**settings))
+    return LiveHost(LiveConfig(**settings), files=files)
 
 
 def _wait_until(predicate, timeout=5.0):
@@ -409,7 +416,7 @@ def test_live_host_checkpoint_truncates_and_recovery_uses_the_image(tmp_path):
     finally:
         host.stop()
 
-    image = ImageStore(tmp_path, fsync=False).load()
+    image = ImageStore(tmp_path).load()
     assert image is not None and image.checkpoint_id == 1
     records, torn = read_wal(tmp_path / "wal.log")
     assert not torn
@@ -433,37 +440,16 @@ def test_live_host_checkpoint_truncates_and_recovery_uses_the_image(tmp_path):
         reborn.stop()
 
 
-def _fail_next_install(monkeypatch, error):
-    """Make the next ``ImageStore.install`` raise ``error``, once."""
-    real_install = ImageStore.install
-    pending = [error]
-
-    def install(store, *args, **kwargs):
-        if pending:
-            raise pending.pop()
-        return real_install(store, *args, **kwargs)
-
-    monkeypatch.setattr(ImageStore, "install", install)
+def _failing_image_write(error):
+    """An in-memory port whose next image install raises ``error`` at
+    its first file operation."""
+    return MemoryFiles(faults={f"create {ImageStore.FILENAME}.tmp": error})
 
 
-def _fail_next_fsync(monkeypatch, error):
-    """Make the next ``os.fsync`` raise ``error``, once."""
-    real_fsync = os.fsync
-    pending = [error]
-
-    def fsync(fd):
-        if pending:
-            raise pending.pop()
-        return real_fsync(fd)
-
-    monkeypatch.setattr(os, "fsync", fsync)
-
-
-def test_live_host_survives_a_failed_checkpoint_image_write(tmp_path,
-                                                            monkeypatch):
+def test_live_host_survives_a_failed_checkpoint_image_write(tmp_path):
     """ENOSPC on the writer thread must not wedge checkpointing forever."""
-    _fail_next_install(monkeypatch, OSError(28, "No space left on device"))
-    host = _host(tmp_path, spans=True)
+    files = _failing_image_write(OSError(28, "No space left on device"))
+    host = _host(tmp_path, files, spans=True)
     host.start()
     acked = {}
     try:
@@ -479,8 +465,8 @@ def test_live_host_survives_a_failed_checkpoint_image_write(tmp_path,
         assert host.stats()["checkpoints_failed"] == 1
         [error] = host.scheduler.errors
         assert isinstance(error, OSError) and error.errno == 28
-        assert ImageStore(tmp_path, fsync=False).load() is None
-        assert len(read_wal(tmp_path / "wal.log")[0]) >= 20
+        assert ImageStore(tmp_path, files=files).load() is None
+        assert len(read_wal(tmp_path / "wal.log", files)[0]) >= 20
 
         host.submit([(3, 8888)])
         acked[3] = 8888
@@ -498,7 +484,7 @@ def test_live_host_survives_a_failed_checkpoint_image_write(tmp_path,
     finally:
         host.stop()
 
-    reborn = _host(tmp_path)
+    reborn = _host(tmp_path, files)
     recovery = reborn.start()
     try:
         assert recovery.checkpoint_id == 2
@@ -508,12 +494,11 @@ def test_live_host_survives_a_failed_checkpoint_image_write(tmp_path,
         reborn.stop()
 
 
-def test_a_failed_checkpoint_does_not_stop_the_paced_ones(tmp_path,
-                                                          monkeypatch):
-    _fail_next_install(monkeypatch, OSError(5, "Input/output error"))
+def test_a_failed_checkpoint_does_not_stop_the_paced_ones(tmp_path):
     host = LiveHost(LiveConfig(data_dir=str(tmp_path), scale=2048,
                                checkpoint_interval=0.05,
-                               flush_interval=0.002, fsync=False))
+                               flush_interval=0.002, fsync=False),
+                    files=_failing_image_write(OSError(5, "I/O error")))
     host.start()
     try:
         host.submit([(1, 11)])
@@ -587,7 +572,7 @@ def test_live_host_restart_past_trailing_markers_keeps_txn_ids(
     """The next transaction id is one past the last one logged, however
     many checkpoint markers follow it (and 1 with none logged)."""
     log = DurableLog(SystemParameters.scaled_down(2048),
-                     tmp_path / "wal.log", fsync=False)
+                     tmp_path / "wal.log", files=NO_SYNC)
     for txn_id in txns:
         log.append_update_run(txn_id, *columns([(txn_id, 10 * txn_id)]))
         log.append_commit(txn_id)
@@ -716,7 +701,7 @@ def test_live_host_uncommitted_updates_are_dropped_at_recovery(tmp_path):
         host.stop()
     # an update whose commit never made it to the file: REDO must drop it
     log = DurableLog(SystemParameters.scaled_down(2048),
-                     tmp_path / "wal.log", fsync=False)
+                     tmp_path / "wal.log", files=NO_SYNC)
     records, _ = read_wal(tmp_path / "wal.log")
     log.hydrate(records)
     log.append_update_run(99, *columns([(1, 666666)]))
@@ -853,7 +838,7 @@ def test_live_host_rejected_transaction_leaves_nothing_behind(
     finally:
         host.stop()
     # the checkpoint did not carry the uncommitted 5 into the image ...
-    image = ImageStore(tmp_path, fsync=False).load()
+    image = ImageStore(tmp_path).load()
     assert image.values[0] == 1 and image.values[2] == 0
 
     reborn = _host(tmp_path)
@@ -1183,9 +1168,9 @@ def test_live_host_requested_flush_behind_another_flush_costs_no_fsync(
         host.stop()
 
 
-def test_live_host_failed_flush_is_never_retried_onto_the_file(tmp_path,
-                                                               monkeypatch):
-    host = _host(tmp_path, flush_interval=NO_TICK, fsync=True)
+def test_live_host_failed_flush_is_never_retried_onto_the_file(tmp_path):
+    files = MemoryFiles()
+    host = _host(tmp_path, files, flush_interval=NO_TICK, fsync=True)
     host.start()
     wal_path = tmp_path / "wal.log"
     acked = {}
@@ -1193,7 +1178,7 @@ def test_live_host_failed_flush_is_never_retried_onto_the_file(tmp_path,
         for i in range(5):
             host.submit([(i, 4000 + i)], timeout=2.0)
             acked[i] = 4000 + i
-        _fail_next_fsync(monkeypatch, OSError(5, "Input/output error"))
+        files.faults["sync wal.log"] = OSError(5, "Input/output error")
         # the commit whose fsync fails is never acknowledged: it fails
         # at once, with the reason, instead of waiting out its timeout
         began = time.monotonic()
@@ -1206,7 +1191,7 @@ def test_live_host_failed_flush_is_never_retried_onto_the_file(tmp_path,
         assert isinstance(error, OSError) and error.errno == 5
         assert host.log.failure is error
         assert failed.value.__cause__ is error
-        size = wal_path.stat().st_size
+        size = len(files.read(wal_path))
         # ... and the next one is refused at once, with the reason,
         # before a byte of it is logged: fsync works again, but nobody
         # knows what the failed one left behind
@@ -1228,7 +1213,7 @@ def test_live_host_failed_flush_is_never_retried_onto_the_file(tmp_path,
         assert host.read(8) == 0
         with pytest.raises(WALFailedError):
             host.scheduler.call(host.flush_log)
-        assert wal_path.stat().st_size == size
+        assert len(files.read(wal_path)) == size
         assert host.scheduler.errors == [error]
     finally:
         # stopping cannot flush either and says so, but still lets go
@@ -1237,7 +1222,7 @@ def test_live_host_failed_flush_is_never_retried_onto_the_file(tmp_path,
             host.stop()
     assert host.scheduler._thread is None and host.log._file.closed
 
-    reborn = _host(tmp_path)
+    reborn = _host(tmp_path, files)
     reborn.start()
     try:
         assert {i: reborn.read(i) for i in acked} == acked
@@ -1247,27 +1232,23 @@ def test_live_host_failed_flush_is_never_retried_onto_the_file(tmp_path,
 
 
 def test_wal_failed_flush_marks_nothing_stable_and_fires_no_waiter(
-        live_params, wal_path, monkeypatch):
-    log = DurableLog(live_params, wal_path, fsync=True)
+        live_params, wal_path):
+    files = MemoryFiles()
+    log = DurableLog(live_params, wal_path, files=files)
     log.append_update_run(1, *columns([(3, 42)]))
     first = log.append_commit(1)
     log.flush()
-    size = wal_path.stat().st_size
+    size = len(files.read(wal_path))
     log.append_update_run(2, *columns([(4, 43)]))
     second = log.append_commit(2)
     fired = []
     log.when_stable(second.lsn, lambda: fired.append(second.lsn))
     boom = OSError(5, "Input/output error")
-
-    def write(data):
-        raise boom
-
-    monkeypatch.setattr(log, "_file", SimpleNamespace(
-        write=write, close=log._file.close))
+    files.faults["write wal.log"] = boom
     with pytest.raises(OSError) as failed:
         log.flush()
     assert failed.value is boom and log.failure is boom
-    monkeypatch.undo()  # the file works again; the log must not use it
+    # the fault fired once: the file works again; the log must not use it
     for _ in range(2):
         with pytest.raises(WALFailedError) as refused:
             log.flush()
@@ -1276,7 +1257,7 @@ def test_wal_failed_flush_marks_nothing_stable_and_fires_no_waiter(
     assert log.stable_lsn == first.lsn and log.tail_records == 2
     assert log.drain_newly_stable() == list(log.stable_records())
     log.close()
-    assert wal_path.stat().st_size == size
+    assert len(files.read(wal_path)) == size
 
 
 @pytest.mark.parametrize("flush_interval", [0, 0.0, -1, -0.005])

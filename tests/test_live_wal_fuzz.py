@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 
 from repro.errors import WALCorruptionError, WALFormatError
+from repro.live.files import Files
 from repro.live.wal import (FILE_HEADER, DurableLog, decode_record,
                             encode_frame, encode_record, encode_records,
                             read_wal, scan_wal)
@@ -240,7 +241,7 @@ def test_truncation_at_every_byte_of_the_last_records(frame_bytes, tmp_path):
         durable, kept = _prefix_at(prefixes, cut)
         assert scan_wal(data[:cut]) == (kept, durable), f"cut at {cut}"
         path.write_bytes(data[:cut])
-        log = DurableLog(params, path, fsync=False)
+        log = DurableLog(params, path, files=Files(sync=False))
         assert log.repaired_bytes == cut - durable
         assert log.recovered_records == kept
         log.hydrate(log.recovered_records)
