@@ -54,17 +54,19 @@ class ActionConsistentFlushCheckpointer(_ActionConsistentBase):
     name = "ACFLUSH"
 
     def _process_segment(self, run: CheckpointRun, index: int) -> None:
-        segment = self.database.segment(index)
+        database = self.database
+        table = database.table
         self._charge_scope_check()
-        if not self._image_needs(run, index, segment.timestamp):
+        data_timestamp = float(table.timestamp[index])
+        if not self._image_needs(run, index, data_timestamp):
             run.segments_skipped += 1
             return
         self.ledger.charge_lock(synchronous=False, operations=2)
         self._lock_shared(index)
         run.hold_slot()
-        data = segment.copy_data()  # frozen by the lock until I/O completes
-        data_timestamp = segment.timestamp
-        reflected_lsn = segment.lsn
+        # frozen by the lock until I/O completes
+        data = database.segment_values(index).copy()
+        reflected_lsn = int(table.lsn[index])
         self.ledger.charge_lsn(synchronous=False)
         wal_span = (self.spans.begin("ckpt.wal_wait", parent=run.span,
                                      segment=index)
@@ -90,12 +92,12 @@ class ActionConsistentCopyCheckpointer(_ActionConsistentBase):
     name = "ACCOPY"
 
     def _process_segment(self, run: CheckpointRun, index: int) -> None:
-        segment = self.database.segment(index)
+        table = self.database.table
         self._charge_scope_check()
-        if not self._image_needs(run, index, segment.timestamp):
+        if not self._image_needs(run, index, float(table.timestamp[index])):
             run.segments_skipped += 1
             return
         self.ledger.charge_lock(synchronous=False, operations=2)
         self._lock_shared(index)
-        self._flush_via_buffer(run, index, reflected_lsn=segment.lsn)
+        self._flush_via_buffer(run, index, reflected_lsn=int(table.lsn[index]))
         self.locks.release(index, self._owner)

@@ -43,7 +43,6 @@ from ..errors import CheckpointError, ConfigurationError
 from ..faults.injector import NULL_INJECTOR, FaultInjector
 from ..mmdb.database import Database
 from ..mmdb.locks import LockManager
-from ..mmdb.segment import Segment
 from ..obs.spans import NULL_SPANS, SpanRecorder
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from ..params import SystemParameters
@@ -188,11 +187,11 @@ class BaseCheckpointer:
     # ------------------------------------------------------------------
     # coordinator protocol (overridden by 2C / COU)
     # ------------------------------------------------------------------
-    def guard_access(self, txn: Transaction, segment: Segment) -> None:
+    def guard_access(self, txn: Transaction, index: int) -> None:
         """Per-record access guard; default: no restrictions."""
     guard_access._noop = True  # type: ignore[attr-defined]
 
-    def before_install(self, txn: Transaction, segment: Segment) -> None:
+    def before_install(self, txn: Transaction, index: int) -> None:
         """Pre-overwrite hook; default: nothing to preserve."""
     before_install._noop = True  # type: ignore[attr-defined]
 
@@ -452,9 +451,9 @@ class BaseCheckpointer:
         which is what bounds checkpointer buffer memory to
         ``io_depth`` segments.
         """
-        segment = self.database.segments[index]
-        data = segment.copy_data()
-        data_timestamp = segment.timestamp
+        database = self.database
+        data = database.segment_values(index).copy()
+        data_timestamp = float(database.table.timestamp[index])
         run.hold_slot()
         run.buffer_copies += 1
         buffered_at = self.engine.now if self.telemetry.enabled else 0.0

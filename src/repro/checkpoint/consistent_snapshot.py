@@ -41,7 +41,6 @@ the AC family.  Recovery is the standard image-load + REDO replay.
 from __future__ import annotations
 
 from ..cpu.accounting import CostCategory
-from ..mmdb.segment import Segment
 from ..txn.transaction import Transaction
 from .base import CheckpointRun
 from .copy_on_update import _CopyOnUpdateBase
@@ -70,25 +69,26 @@ class _ConsistentSnapshotBase(_CopyOnUpdateBase):
     def _charge_snapshot_begin(self) -> None:
         """Algorithm-specific begin-instant cost (default: free)."""
 
-    def before_install(self, txn: Transaction, segment: Segment) -> None:
+    def before_install(self, txn: Transaction, index: int) -> None:
         run = self.current
         if run is None or run.finished:
             return
-        not_yet_dumped = segment.index > run.watermark
-        pure_snapshot = segment.timestamp <= run.tau_ch
-        if not_yet_dumped and pure_snapshot and segment.old_copy is None:
+        table = self.database.table
+        not_yet_dumped = index > run.watermark
+        pure_snapshot = table.timestamp[index] <= run.tau_ch
+        if not_yet_dumped and pure_snapshot and index not in table.old_copies:
             # Preserve the snapshot.  The data "copy" is bookkeeping --
             # in Zigzag/Ping-Pong the second physical copy already
             # exists -- so only the bit maintenance is charged.
-            segment.save_old_copy()
+            self.database.save_old_copy(index)
             run.cou_copies += 1
             self.ledger.charge_lsn(synchronous=True)
 
-    def _flush_live_segment(self, run: CheckpointRun, index: int,
-                            segment: Segment) -> None:
+    def _flush_live_segment(self, run: CheckpointRun, index: int) -> None:
         # COPY-style: buffer and unlock immediately (lock hold times are
         # these algorithms' selling point next to the paper's FLUSHes).
-        self._flush_via_buffer(run, index, reflected_lsn=segment.lsn)
+        self._flush_via_buffer(
+            run, index, reflected_lsn=int(self.database.table.lsn[index]))
         self.locks.release(index, self._owner)
 
 
@@ -113,9 +113,9 @@ class PingPongCheckpointer(_ConsistentSnapshotBase):
 
     name = "PINGPONG"
 
-    def before_install(self, txn: Transaction, segment: Segment) -> None:
+    def before_install(self, txn: Transaction, index: int) -> None:
         # The double write: one extra word-move per word updated, paid by
         # every transaction all the time -- Ping-Pong's standing cost in
         # exchange for the trivial begin phase.
         self.ledger.charge_copy(self.params.s_rec, synchronous=True)
-        super().before_install(txn, segment)
+        super().before_install(txn, index)

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from ..errors import CheckpointError
 from ..mmdb.locks import LockMode
-from ..mmdb.segment import Segment
 from ..txn.transaction import Transaction
 from .base import BaseCheckpointer, CheckpointRun
 from .registration import register_checkpointer
@@ -95,14 +94,15 @@ class _CopyOnUpdateBase(BaseCheckpointer):
             self.spans.end(quiesce_span)
 
     # -- the transaction-side copy (Figure 3.2) --------------------------------
-    def before_install(self, txn: Transaction, segment: Segment) -> None:
+    def before_install(self, txn: Transaction, index: int) -> None:
         run = self.current
         if run is None or run.finished:
             return
-        not_yet_dumped = segment.index > run.watermark
-        pure_snapshot = segment.timestamp <= run.tau_ch
-        if not_yet_dumped and pure_snapshot and segment.old_copy is None:
-            segment.save_old_copy()
+        table = self.database.table
+        not_yet_dumped = index > run.watermark
+        pure_snapshot = table.timestamp[index] <= run.tau_ch
+        if not_yet_dumped and pure_snapshot and index not in table.old_copies:
+            self.database.save_old_copy(index)
             run.cou_copies += 1
             # The copying transaction pays: buffer allocation plus one
             # instruction per word moved -- synchronous overhead.
@@ -111,7 +111,6 @@ class _CopyOnUpdateBase(BaseCheckpointer):
 
     # -- the sweep (Figure 3.3) ---------------------------------------------------
     def _process_segment(self, run: CheckpointRun, index: int) -> None:
-        segment = self.database.segment(index)
         self._charge_scope_check()
         # lock CUR_SEG (exclusive) -- freezes tau(S) for the tests below.
         # Transactions hold locks only within a single simulated instant,
@@ -122,43 +121,43 @@ class _CopyOnUpdateBase(BaseCheckpointer):
                 f"{self.name}: segment {index} unexpectedly locked during sweep"
             )
         run.watermark = index
-        if segment.timestamp > run.tau_ch:
-            self._process_old_copy(run, index, segment)
+        if self.database.table.timestamp[index] > run.tau_ch:
+            self._process_old_copy(run, index)
         else:
-            self._process_live_segment(run, index, segment)
+            self._process_live_segment(run, index)
 
-    def _process_old_copy(self, run: CheckpointRun, index: int,
-                          segment: Segment) -> None:
+    def _process_old_copy(self, run: CheckpointRun, index: int) -> None:
         """The segment was updated since tau(CH): flush its saved copy."""
-        if segment.old_copy is None:
+        table = self.database.table
+        data = table.old_copies.get(index)
+        if data is None:
             raise CheckpointError(
                 f"{self.name}: segment {index} updated after tau(CH) "
                 "but carries no old copy -- the snapshot is broken"
             )
-        data = segment.old_copy
-        data_timestamp = segment.old_copy_timestamp
-        reflected_lsn = segment.old_copy_lsn
+        data_timestamp = float(table.old_copy_timestamp[index])
+        reflected_lsn = int(table.old_copy_lsn[index])
         self.locks.release(index, self._owner)
         needs = self._image_needs(run, index, data_timestamp)
         if not needs:
             # Dirty, but not since the previous checkpoint of this image:
             # the image already holds this data.  Drop the (wasted) copy.
-            self._drop_old_copy(segment)
+            self._drop_old_copy(index)
             run.segments_skipped += 1
             return
         run.hold_slot()
         self._issue_write(
             run, index, data, data_timestamp, reflected_lsn=reflected_lsn,
-            on_written=lambda: self._drop_old_copy(segment))
+            on_written=lambda: self._drop_old_copy(index))
 
-    def _drop_old_copy(self, segment: Segment) -> None:
-        segment.drop_old_copy()
+    def _drop_old_copy(self, index: int) -> None:
+        self.database.drop_old_copy(index)
         self.ledger.charge_alloc(synchronous=False)  # buffer free
 
-    def _process_live_segment(self, run: CheckpointRun, index: int,
-                              segment: Segment) -> None:
+    def _process_live_segment(self, run: CheckpointRun, index: int) -> None:
         """No update since tau(CH): the live data *is* snapshot data."""
-        if not self._image_needs(run, index, segment.timestamp):
+        timestamp = float(self.database.table.timestamp[index])
+        if not self._image_needs(run, index, timestamp):
             self.locks.release(index, self._owner)
             run.segments_skipped += 1
             return
@@ -166,10 +165,9 @@ class _CopyOnUpdateBase(BaseCheckpointer):
         # downgrade plus the extra lock-pair cost.
         self.ledger.charge_lock(synchronous=False, operations=2)
         self.locks.downgrade(index, self._owner)
-        self._flush_live_segment(run, index, segment)
+        self._flush_live_segment(run, index)
 
-    def _flush_live_segment(self, run: CheckpointRun, index: int,
-                            segment: Segment) -> None:
+    def _flush_live_segment(self, run: CheckpointRun, index: int) -> None:
         raise NotImplementedError
 
 
@@ -179,12 +177,13 @@ class COUFlushCheckpointer(_CopyOnUpdateBase):
 
     name = "COUFLUSH"
 
-    def _flush_live_segment(self, run: CheckpointRun, index: int,
-                            segment: Segment) -> None:
+    def _flush_live_segment(self, run: CheckpointRun, index: int) -> None:
+        database = self.database
         run.hold_slot()
         self._issue_write(
-            run, index, segment.copy_data(), segment.timestamp,
-            reflected_lsn=segment.lsn,
+            run, index, database.segment_values(index).copy(),
+            float(database.table.timestamp[index]),
+            reflected_lsn=int(database.table.lsn[index]),
             on_written=lambda: self.locks.release(index, self._owner))
 
 
@@ -194,7 +193,7 @@ class COUCopyCheckpointer(_CopyOnUpdateBase):
 
     name = "COUCOPY"
 
-    def _flush_live_segment(self, run: CheckpointRun, index: int,
-                            segment: Segment) -> None:
-        self._flush_via_buffer(run, index, reflected_lsn=segment.lsn)
+    def _flush_live_segment(self, run: CheckpointRun, index: int) -> None:
+        self._flush_via_buffer(
+            run, index, reflected_lsn=int(self.database.table.lsn[index]))
         self.locks.release(index, self._owner)

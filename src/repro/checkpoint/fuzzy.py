@@ -50,14 +50,17 @@ class FastFuzzyCheckpointer(BaseCheckpointer):
     transaction_consistent = False
 
     def _process_segment(self, run: CheckpointRun, index: int) -> None:
-        segment = self.database.segment(index)
+        database = self.database
+        table = database.table
         self._charge_scope_check()
-        if not self._image_needs(run, index, segment.timestamp):
+        data_timestamp = float(table.timestamp[index])
+        if not self._image_needs(run, index, data_timestamp):
             run.segments_skipped += 1
             return
         # Direct flush: the disk DMAs straight out of database memory, so
         # the only CPU cost is the I/O initiation itself.  With a stable
-        # tail, segment.lsn is stable by construction (assert_wal agrees).
+        # tail, the segment's LSN is stable by construction (assert_wal
+        # agrees).
         run.hold_slot()
-        self._issue_write(run, index, segment.copy_data(), segment.timestamp,
-                          reflected_lsn=segment.lsn)
+        self._issue_write(run, index, database.segment_values(index).copy(),
+                          data_timestamp, reflected_lsn=int(table.lsn[index]))

@@ -48,30 +48,33 @@ class NaiveLockCheckpointer(BaseCheckpointer):
         # only within a single simulated instant, so this cannot block;
         # it is the *holding* that hurts.
         self._held = []
-        for segment in self.database.segments:
+        for index in range(self.database.n_segments):
             self.ledger.charge_lock(synchronous=False, operations=2)
-            if not self.locks.try_acquire(segment.index, self._owner,
+            if not self.locks.try_acquire(index, self._owner,
                                           LockMode.SHARED):
                 raise CheckpointError(
-                    f"{self.name}: segment {segment.index} unexpectedly "
+                    f"{self.name}: segment {index} unexpectedly "
                     "locked at checkpoint begin")
-            self._held.append(segment.index)
+            self._held.append(index)
 
     def _process_segment(self, run: CheckpointRun, index: int) -> None:
-        segment = self.database.segment(index)
+        database = self.database
+        table = database.table
         self._charge_scope_check()
-        if not self._image_needs(run, index, segment.timestamp):
+        if not self._image_needs(run, index, float(table.timestamp[index])):
             run.segments_skipped += 1
             return
         run.hold_slot()
-        data = segment.copy_data()  # the global lock freezes it anyway
-        reflected_lsn = segment.lsn
+        # the global lock freezes it anyway
+        data = database.segment_values(index).copy()
+        reflected_lsn = int(table.lsn[index])
         self.ledger.charge_lsn(synchronous=False)
 
         def stable() -> None:
             if run is not self.current:
                 return
-            self._issue_write(run, index, data, segment.timestamp,
+            self._issue_write(run, index, data,
+                              float(table.timestamp[index]),
                               reflected_lsn=reflected_lsn)
 
         self.log.when_stable(reflected_lsn, stable)

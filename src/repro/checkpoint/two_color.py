@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from ..errors import TwoColorViolation
 from ..mmdb.locks import LockMode
-from ..mmdb.segment import Segment
 from ..txn.transaction import Transaction
 from .base import BaseCheckpointer, CheckpointRun
 from .registration import register_checkpointer
@@ -41,30 +40,30 @@ class _TwoColorBase(BaseCheckpointer):
         self._write_begin_marker(run)
 
     # -- the two-color restriction -----------------------------------------
-    def guard_access(self, txn: Transaction, segment: Segment) -> None:
+    def guard_access(self, txn: Transaction, index: int) -> None:
         """Abort any transaction that mixes white and black data."""
         if not self.active:
             return
-        txn.colors_seen.add(segment.painted_black)
+        txn.colors_seen.add(bool(self.database.table.painted_black[index]))
         if len(txn.colors_seen) == 2:
             raise TwoColorViolation(
                 f"txn {txn.txn_id} touched both white and black data "
-                f"(segment {segment.index})"
+                f"(segment {index})"
             )
 
     # -- sweep helpers --------------------------------------------------------
-    def _paint_black(self, segment: Segment) -> None:
-        segment.painted_black = True
+    def _paint_black(self, index: int) -> None:
+        self.database.table.painted_black[index] = True
         if self.telemetry.enabled:
             self.telemetry.registry.count("ckpt.segments_painted")
         if self.spans.enabled and self.current is not None:
             self.spans.emit("ckpt.paint", self.engine.now, 0.0,
-                            parent=self.current.span, segment=segment.index)
+                            parent=self.current.span, segment=index)
         if self.faults.armed and self.current is not None:
             # Crash with the database part-white, part-black: recovery
             # must fall back to the previous complete image.
             self.faults.on_checkpoint_phase(
-                "paint", self.current.checkpoint_id, segment.index)
+                "paint", self.current.checkpoint_id, index)
 
     def _lock_shared(self, index: int) -> None:
         """Take the checkpointer's shared lock (always immediate here).
@@ -89,26 +88,28 @@ class TwoColorFlushCheckpointer(_TwoColorBase):
     name = "2CFLUSH"
 
     def _process_segment(self, run: CheckpointRun, index: int) -> None:
-        segment = self.database.segment(index)
+        database = self.database
+        table = database.table
         self._charge_scope_check()
         self.ledger.charge_lock(synchronous=False, operations=2)
-        if not self._image_needs(run, index, segment.timestamp):
+        data_timestamp = float(table.timestamp[index])
+        if not self._image_needs(run, index, data_timestamp):
             # Clean segment: "processing" is trivial, paint and move on.
-            self._paint_black(segment)
+            self._paint_black(index)
             run.segments_skipped += 1
             return
         self._lock_shared(index)
         run.hold_slot()
-        data = segment.copy_data()  # frozen by the lock until I/O completes
-        data_timestamp = segment.timestamp
-        reflected_lsn = segment.lsn
+        # frozen by the lock until I/O completes
+        data = database.segment_values(index).copy()
+        reflected_lsn = int(table.lsn[index])
         self.ledger.charge_lsn(synchronous=False)
         wal_span = (self.spans.begin("ckpt.wal_wait", parent=run.span,
                                      segment=index)
                     if self.spans.enabled else -1)
 
         def written() -> None:
-            self._paint_black(segment)
+            self._paint_black(index)
             self.locks.release(index, self._owner)
 
         def stable() -> None:
@@ -129,17 +130,17 @@ class TwoColorCopyCheckpointer(_TwoColorBase):
     name = "2CCOPY"
 
     def _process_segment(self, run: CheckpointRun, index: int) -> None:
-        segment = self.database.segment(index)
+        table = self.database.table
         self._charge_scope_check()
         self.ledger.charge_lock(synchronous=False, operations=2)
-        if not self._image_needs(run, index, segment.timestamp):
-            self._paint_black(segment)
+        if not self._image_needs(run, index, float(table.timestamp[index])):
+            self._paint_black(index)
             run.segments_skipped += 1
             return
         self._lock_shared(index)
         # _flush_via_buffer copies synchronously, so the segment can be
         # painted and unlocked as soon as the call returns -- the whole
         # point of the COPY variant.
-        self._flush_via_buffer(run, index, reflected_lsn=segment.lsn)
-        self._paint_black(segment)
+        self._flush_via_buffer(run, index, reflected_lsn=int(table.lsn[index]))
+        self._paint_black(index)
         self.locks.release(index, self._owner)

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import threading
 import time
+import traceback
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
@@ -166,9 +167,10 @@ class LiveCheckpointer:
     new image plus the (possibly still untruncated) log recover, because
     value REDO records are idempotent.  A *failed* image write (ENOSPC,
     EIO) is the same state reached without dying: steps 3 and 4 are
-    skipped, the failure is counted in ``checkpoints_failed`` and kept
-    in ``host.scheduler.errors``, and the checkpointer is idle again for
-    the next attempt.  A failed step 3 or 4 counts the same way; the log
+    skipped, the failure is counted in ``checkpoints_failed``, the
+    latest one is kept in ``last_failure`` with its traceback frames
+    cleared (so no failed checkpoint keeps its snapshot alive), and the
+    checkpointer is idle again for the next attempt.  A failed step 3 or 4 counts the same way; the log
     then keeps appending to its old file, or is fail-stop if its
     rewrite failed at or after the rename (see
     :meth:`DurableLog.truncate_stable_before
@@ -184,6 +186,8 @@ class LiveCheckpointer:
         self.on_complete: Optional[Callable[[CheckpointStats], None]] = None
         self.checkpoints_started = 0
         self.checkpoints_failed = 0
+        #: the latest failed checkpoint's exception, frames cleared
+        self.last_failure: Optional[BaseException] = None
         self._active = False
         #: (phase, seconds) the writer parks at, for crash tests
         self._hold: Optional[Tuple[str, float]] = None
@@ -229,10 +233,13 @@ class LiveCheckpointer:
         base_lsn = host.log.stable_lsn
         host.log.append_begin_checkpoint(
             checkpoint_id, timestamp=began_at, active_txns=(), image=0)
-        snapshot = host.database.values_snapshot()
+        # The writer takes the snapshot out of this list, so no frame of
+        # this checkpoint that outlives the install holds it.
+        snapshot = [host.database.values_snapshot()]
+        records = int(snapshot[0].size)
         if spans.enabled:
             spans.emit("ckpt.snapshot", began_at, host.clock.now - began_at,
-                       parent=root, records=int(snapshot.size))
+                       parent=root, records=records)
         hold = self._hold
         self._hold = None
 
@@ -242,7 +249,13 @@ class LiveCheckpointer:
             spans.end(root, error=repr(exc))
             self._active = False
             self.checkpoints_failed += 1
-            host.scheduler.errors.append(exc)
+            # Keep the error, not the store's copy of the snapshot that
+            # its frames (and those of any error it was raised over) hold.
+            error: Optional[BaseException] = exc
+            while error is not None:
+                traceback.clear_frames(error.__traceback__)
+                error = error.__context__
+            self.last_failure = exc
             if self.on_complete is not None:
                 # Not in ``history``; the pacing only needs ``began_at``.
                 self.on_complete(CheckpointStats(
@@ -254,7 +267,7 @@ class LiveCheckpointer:
         def writer() -> None:
             write_began = host.clock.now
             try:
-                host.store.install(checkpoint_id, base_lsn, snapshot,
+                host.store.install(checkpoint_id, base_lsn, snapshot.pop(),
                                    hold=self._maybe_hold_for(hold))
             except Exception as exc:  # thread boundary: report, don't die
                 host.scheduler.submit(partial(failed, exc))
@@ -285,7 +298,7 @@ class LiveCheckpointer:
                     began_at=began_at, ended_at=ended_at,
                     segments_flushed=host.database.n_segments,
                     segments_skipped=0, buffer_copies=0, cou_copies=0,
-                    words_written=int(snapshot.size) * self.params.s_rec,
+                    words_written=records * self.params.s_rec,
                     io_time=write_ended - write_began)
                 self._active = False
                 self.history.append(stats)

@@ -17,12 +17,15 @@ Requests (``op`` selects):
 ``checkpoint {hold_phase?, hold_seconds?}``
                                  start a checkpoint now, optionally
                                  parking the writer at a phase boundary
-                                 (the crash tests' SIGKILL window)
+                                 for 0-60 s (the crash tests' SIGKILL
+                                 window)
 ``verify``                       oracle-vs-database mismatch report
 ``shutdown``                     graceful stop
 
 Record ids and values are JSON integers: a float, a string or a bool is
 refused with ``{"ok": false}`` before anything is logged, never coerced.
+Likewise ``hold_seconds`` must be a number (not a bool) in [0, 60]: a
+longer hold would keep the log from ever being truncated.
 
 On startup the server prints a single JSON "ready" line (port, pid,
 recovery summary, recovery timing) to stdout, which is how the bench
@@ -53,6 +56,20 @@ def _record(request: dict) -> int:
     return record
 
 
+#: the longest a ``checkpoint`` op may park its writer, in seconds
+_MAX_HOLD_SECONDS = 60.0
+
+
+def _hold_seconds(request: dict) -> float:
+    seconds = request.get("hold_seconds", 1.0)
+    # the range test also refuses NaN and the infinities
+    if (type(seconds) not in (int, float)
+            or not 0 <= seconds <= _MAX_HOLD_SECONDS):
+        raise ValueError("hold_seconds must be a number in "
+                         f"[0, {_MAX_HOLD_SECONDS:g}], got {seconds!r}")
+    return float(seconds)
+
+
 def _handle(host: LiveHost, request: dict) -> dict:
     op = request.get("op")
     if op == "ping":
@@ -72,7 +89,7 @@ def _handle(host: LiveHost, request: dict) -> dict:
         return {"ok": True, "spans": host.spans_snapshot()}
     if op == "checkpoint":
         phase = request.get("hold_phase")
-        hold_seconds = float(request.get("hold_seconds", 1.0))
+        hold_seconds = _hold_seconds(request)
         checkpointer = host.checkpointer
 
         def start() -> bool:

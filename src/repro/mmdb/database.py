@@ -1,8 +1,9 @@
 """The primary (memory-resident) database.
 
 Records are 64-bit integers indexed ``0 .. n_records-1``; the value array
-is one numpy array and segments hold views into it (see
-:mod:`repro.mmdb.segment`).  Integer record values are sufficient for the
+is one numpy array, segment ``i`` is a slice of it, and every segment's
+checkpoint metadata lives in one :class:`~repro.mmdb.segment.SegmentTable`
+addressed by segment index (see :mod:`repro.mmdb.segment`).  Integer record values are sufficient for the
 reproduction: the paper's algorithms never interpret record contents, only
 move them, and integers make state digests and equality checks exact.
 
@@ -14,13 +15,11 @@ cheap while preserving the paper's record/segment ratios.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Iterator
-
 import numpy as np
 
-from ..errors import AddressError
+from ..errors import AddressError, InvalidStateError
 from ..params import SystemParameters
-from .segment import Segment, SegmentTable
+from .segment import SegmentTable
 
 
 class Database:
@@ -32,18 +31,8 @@ class Database:
         self.n_segments = params.n_segments
         self.records_per_segment = params.records_per_segment
         self._values = np.zeros(self.n_records, dtype=np.int64)
-        #: struct-of-arrays metadata store; the Segment objects are views
+        #: struct-of-arrays metadata store, indexed by segment
         self.table = SegmentTable(self.n_segments)
-        self.segments = [
-            Segment(
-                index=i,
-                first_record=i * self.records_per_segment,
-                n_records=self.records_per_segment,
-                values=self._values,
-                table=self.table,
-            )
-            for i in range(self.n_segments)
-        ]
 
     # -- addressing ---------------------------------------------------------
     def _check_record(self, record_id: int) -> None:
@@ -57,17 +46,23 @@ class Database:
         self._check_record(record_id)
         return record_id // self.records_per_segment
 
-    def segment_of(self, record_id: int) -> Segment:
-        """The segment containing ``record_id``."""
-        return self.segments[self.segment_index_of(record_id)]
-
-    def segment(self, index: int) -> Segment:
-        """The segment with index ``index``."""
+    def segment_values(self, index: int) -> np.ndarray:
+        """A *view* of segment ``index``'s record values."""
         if not 0 <= index < self.n_segments:
             raise AddressError(
                 f"segment {index} out of range [0, {self.n_segments})"
             )
-        return self.segments[index]
+        first = index * self.records_per_segment
+        return self._values[first:first + self.records_per_segment]
+
+    def load_segment(self, index: int, data: np.ndarray) -> None:
+        """Overwrite segment ``index``'s records (used by recovery)."""
+        if data.shape != (self.records_per_segment,):
+            raise InvalidStateError(
+                f"segment {index} expects {self.records_per_segment} "
+                f"records, got shape {data.shape}"
+            )
+        self.segment_values(index)[:] = data
 
     # -- record access --------------------------------------------------------
     def read_record(self, record_id: int) -> int:
@@ -76,12 +71,12 @@ class Database:
         return int(self._values[record_id])
 
     def install_record(self, record_id: int, value: int, *,
-                       timestamp: float, lsn: int) -> Segment:
+                       timestamp: float, lsn: int) -> None:
         """Install a committed update (shadow-copy install, Section 2.6).
 
-        Overwrites the old value, marks the containing segment dirty,
-        advances its timestamp tau(S) and its reflected LSN, and returns
-        the segment (callers charge the lock/LSN costs).
+        Overwrites the old value, marks the containing segment dirty and
+        advances its timestamp tau(S) and its reflected LSN (callers
+        charge the lock/LSN costs).
         """
         if not 0 <= record_id < self.n_records:
             raise AddressError(
@@ -95,7 +90,6 @@ class Database:
             table.timestamp[index] = timestamp
         if lsn > table.lsn[index]:
             table.lsn[index] = lsn
-        return self.segments[index]
 
     def check_record_ids(self, record_ids: np.ndarray) -> None:
         """Raise :class:`AddressError` unless every id is a record's."""
@@ -127,16 +121,38 @@ class Database:
         np.maximum.at(table.lsn, segments,
                       np.arange(first_lsn, first_lsn + record_ids.size))
 
-    # -- bulk access for checkpointing / recovery -----------------------------
-    def dirty_segments(self) -> Iterator[Segment]:
-        """Segments whose dirty bit is set, in segment order.
+    # -- copy-on-update support ---------------------------------------------
+    def save_old_copy(self, index: int) -> np.ndarray:
+        """Save segment ``index``'s pre-update snapshot (COU Figure 3.2).
 
-        One vectorised mask scan; only the dirty segments' view objects
-        are touched.
+        The copy is taken "including timestamp" (Figure 3.2): the saved
+        tau is the segment's *current* tau(S), i.e. the last update before
+        the checkpoint began -- the checkpointer's staleness test
+        ``tau(OLD_SEG) > tau(OLDCH)`` compares against it.
+
+        Raises:
+            InvalidStateError: if an old copy already exists; the COU
+                algorithm copies each segment at most once per checkpoint.
         """
-        segments = self.segments
-        return (segments[i] for i in self.table.dirty_indices())
+        table = self.table
+        if index in table.old_copies:
+            raise InvalidStateError(
+                f"segment {index} already has an old copy this checkpoint"
+            )
+        copy = self.segment_values(index).copy()
+        table.old_copies[index] = copy
+        table.old_copy_timestamp[index] = table.timestamp[index]
+        table.old_copy_lsn[index] = table.lsn[index]
+        return copy
 
+    def drop_old_copy(self, index: int) -> None:
+        """Release segment ``index``'s old copy (once it is flushed)."""
+        table = self.table
+        table.old_copies.pop(index, None)
+        table.old_copy_timestamp[index] = 0.0
+        table.old_copy_lsn[index] = 0
+
+    # -- bulk access for recovery -----------------------------------------------
     def wipe(self) -> None:
         """Simulate loss of volatile memory: zero values, reset metadata."""
         self._values[:] = 0
@@ -169,13 +185,5 @@ class Database:
         mismatch = np.nonzero(self._values != other)[0]
         return [int(r) for r in mismatch[:limit]]
 
-    # -- iteration ----------------------------------------------------------
-    def __iter__(self) -> Iterator[Segment]:
-        return iter(self.segments)
-
     def __len__(self) -> int:
         return self.n_segments
-
-    def record_values(self, record_ids: Iterable[int]) -> dict[int, int]:
-        """Values of a set of records (test convenience)."""
-        return {rid: self.read_record(rid) for rid in record_ids}

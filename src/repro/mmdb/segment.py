@@ -20,24 +20,23 @@ manipulate:
 * ``lsn`` -- the LSN of the latest update reflected in the segment, used
   by FUZZYCOPY/2C/COU-style algorithms to respect the write-ahead rule.
 
-The array layout makes the scans that previously walked a Python object
-per segment -- ``dirty_segments()``, the two-color paint reset, a
-post-crash wipe -- single vectorised numpy operations.  :class:`Segment`
-remains the public per-segment handle, now a thin view whose metadata
-properties read and write the table, so checkpointer code is unchanged.
+A segment is addressed by its index alone: checkpointers, the
+transaction manager's coordinator hooks and recovery read and write the
+table's arrays at that index, so there is one copy of every field and
+the scans -- the dirty set, the two-color paint reset, a post-crash
+wipe -- are single vectorised numpy operations.
 
-Record *values* are held in a numpy array owned by the database; the
-segment stores only its slice bounds, so taking a copy of a segment is a
-single vectorised operation.
+Record *values* are held in one numpy array owned by the
+:class:`~repro.mmdb.database.Database`; segment ``i`` is the slice
+``[i * records_per_segment, (i + 1) * records_per_segment)`` of it
+(:meth:`~repro.mmdb.database.Database.segment_values`), so taking a copy
+of a segment is a single vectorised operation.  The database also takes
+and releases the copy-on-update old copies, since it owns the values.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
-
-from ..errors import InvalidStateError
 
 
 class SegmentTable:
@@ -79,130 +78,3 @@ class SegmentTable:
         self.old_copy_timestamp[:] = 0.0
         self.old_copy_lsn[:] = 0
         self.old_copies.clear()
-
-
-class Segment:
-    """Per-segment handle: a value slice plus a metadata view into the
-    owning :class:`SegmentTable`."""
-
-    __slots__ = ("index", "first_record", "n_records", "_values", "_table")
-
-    def __init__(self, index: int, first_record: int, n_records: int,
-                 values: np.ndarray, table: SegmentTable) -> None:
-        self.index = index
-        self.first_record = first_record
-        self.n_records = n_records
-        self._values = values  # the database-wide value array (shared)
-        self._table = table
-
-    # -- metadata (delegated to the table) ----------------------------------
-    @property
-    def dirty(self) -> bool:
-        return bool(self._table.dirty[self.index])
-
-    @dirty.setter
-    def dirty(self, value: bool) -> None:
-        self._table.dirty[self.index] = value
-
-    @property
-    def painted_black(self) -> bool:
-        return bool(self._table.painted_black[self.index])
-
-    @painted_black.setter
-    def painted_black(self, value: bool) -> None:
-        self._table.painted_black[self.index] = value
-
-    @property
-    def timestamp(self) -> float:
-        return float(self._table.timestamp[self.index])
-
-    @timestamp.setter
-    def timestamp(self, value: float) -> None:
-        self._table.timestamp[self.index] = value
-
-    @property
-    def lsn(self) -> int:
-        return int(self._table.lsn[self.index])
-
-    @lsn.setter
-    def lsn(self, value: int) -> None:
-        self._table.lsn[self.index] = value
-
-    @property
-    def old_copy(self) -> Optional[np.ndarray]:
-        return self._table.old_copies.get(self.index)
-
-    @property
-    def old_copy_timestamp(self) -> float:
-        return float(self._table.old_copy_timestamp[self.index])
-
-    @property
-    def old_copy_lsn(self) -> int:
-        return int(self._table.old_copy_lsn[self.index])
-
-    # -- value access ------------------------------------------------------
-    @property
-    def record_range(self) -> range:
-        """Record ids covered by this segment."""
-        return range(self.first_record, self.first_record + self.n_records)
-
-    def data(self) -> np.ndarray:
-        """A *view* of the segment's current record values."""
-        return self._values[self.first_record:self.first_record + self.n_records]
-
-    def copy_data(self) -> np.ndarray:
-        """A snapshot copy of the segment's current record values."""
-        return self.data().copy()
-
-    def load_data(self, data: np.ndarray) -> None:
-        """Overwrite the segment's records (used by recovery)."""
-        if data.shape != (self.n_records,):
-            raise InvalidStateError(
-                f"segment {self.index} expects {self.n_records} records, "
-                f"got shape {data.shape}"
-            )
-        self.data()[:] = data
-
-    # -- copy-on-update support ---------------------------------------------
-    def save_old_copy(self) -> np.ndarray:
-        """Save a pre-update snapshot (COU Figure 3.2) and return it.
-
-        The copy is taken "including timestamp" (Figure 3.2): the saved
-        tau is the segment's *current* tau(S), i.e. the last update before
-        the checkpoint began -- the checkpointer's staleness test
-        ``tau(OLD_SEG) > tau(OLDCH)`` compares against it.
-
-        Raises:
-            InvalidStateError: if an old copy already exists; the COU
-                algorithm copies each segment at most once per checkpoint.
-        """
-        table = self._table
-        index = self.index
-        if index in table.old_copies:
-            raise InvalidStateError(
-                f"segment {index} already has an old copy this checkpoint"
-            )
-        copy = self.copy_data()
-        table.old_copies[index] = copy
-        table.old_copy_timestamp[index] = table.timestamp[index]
-        table.old_copy_lsn[index] = table.lsn[index]
-        return copy
-
-    def drop_old_copy(self) -> None:
-        """Release the old copy (after the checkpointer has flushed it)."""
-        table = self._table
-        table.old_copies.pop(self.index, None)
-        table.old_copy_timestamp[self.index] = 0.0
-        table.old_copy_lsn[self.index] = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        flags = "".join(
-            flag
-            for flag, on in (
-                ("D", self.dirty),
-                ("B", self.painted_black),
-                ("O", self.old_copy is not None),
-            )
-            if on
-        )
-        return f"Segment({self.index}, flags={flags or '-'}, lsn={self.lsn})"

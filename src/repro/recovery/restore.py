@@ -126,9 +126,9 @@ class RecoveryManager:
 
     # ------------------------------------------------------------------
     def _load_image(self, image) -> None:
-        for segment in self.database.segments:
-            data = image.read_segment(segment.index)
-            segment.load_data(data)
+        database = self.database
+        for index in range(database.n_segments):
+            database.load_segment(index, image.read_segment(index))
 
     def _replay_start_lsn(self, begin_lsn: int, active_txns) -> int:
         """Begin-marker LSN, extended back past any active transaction.

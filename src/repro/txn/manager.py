@@ -4,12 +4,12 @@ Coordinates transaction execution against the primary database, the log,
 the lock manager, and the *active checkpointer*.  The checkpointer plugs
 in through the small :class:`CheckpointCoordinator` protocol:
 
-* :meth:`~CheckpointCoordinator.guard_access` -- consulted for every
-  record access; the two-color algorithms raise
+* :meth:`~CheckpointCoordinator.guard_access` -- consulted with the
+  segment index of every record access; the two-color algorithms raise
   :class:`~repro.errors.TwoColorViolation` here when a transaction mixes
   white and black data, which the manager turns into an abort + rerun;
-* :meth:`~CheckpointCoordinator.before_install` -- consulted before a
-  committed update overwrites a segment; the copy-on-update algorithms
+* :meth:`~CheckpointCoordinator.before_install` -- consulted with a
+  segment index before a committed update overwrites that segment; the copy-on-update algorithms
   save the pre-update segment copy here (Figure 3.2);
 * :attr:`~CheckpointCoordinator.uses_lsns` -- when true, every install
   additionally maintains the segment's log sequence number at ``C_lsn``
@@ -46,7 +46,6 @@ from ..mmdb.database import Database
 from ..obs.spans import NULL_SPANS, SpanRecorder
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from ..mmdb.locks import LockManager, LockMode
-from ..mmdb.segment import Segment
 from ..sim.cpu_server import CpuServer
 from ..sim.ports import SchedulerPort
 from ..sim.timestamps import TimestampAuthority
@@ -60,11 +59,11 @@ class CheckpointCoordinator(Protocol):
 
     uses_lsns: bool
 
-    def guard_access(self, txn: Transaction, segment: Segment) -> None:
+    def guard_access(self, txn: Transaction, index: int) -> None:
         """Raise :class:`TransactionAborted` to kill the transaction."""
 
-    def before_install(self, txn: Transaction, segment: Segment) -> None:
-        """Called before a committed update overwrites ``segment``."""
+    def before_install(self, txn: Transaction, index: int) -> None:
+        """Called before a committed update overwrites segment ``index``."""
 
 
 class _NullCoordinator:
@@ -72,11 +71,11 @@ class _NullCoordinator:
 
     uses_lsns = False
 
-    def guard_access(self, txn: Transaction, segment: Segment) -> None:
+    def guard_access(self, txn: Transaction, index: int) -> None:
         return None
     guard_access._noop = True  # type: ignore[attr-defined]
 
-    def before_install(self, txn: Transaction, segment: Segment) -> None:
+    def before_install(self, txn: Transaction, index: int) -> None:
         return None
     before_install._noop = True  # type: ignore[attr-defined]
 
@@ -202,8 +201,8 @@ class TransactionManager:
         self.coordinator: CheckpointCoordinator = _NullCoordinator()
         #: bound hook methods, or None when the coordinator's hook is a
         #: known no-op (so the per-record loops skip the call entirely)
-        self._guard_access: Optional[Callable[[Transaction, Segment], None]] = None
-        self._before_install: Optional[Callable[[Transaction, Segment], None]] = None
+        self._guard_access: Optional[Callable[[Transaction, int], None]] = None
+        self._before_install: Optional[Callable[[Transaction, int], None]] = None
         self.stats = self.new_stats()
         #: the observation seam: called with each transaction right after
         #: it commits.  The manager retains no committed transaction
@@ -348,15 +347,14 @@ class TransactionManager:
         operand_for = txn.delta_for if self.logical_updates else txn.value_for
         guard_access = self._guard_access
         if guard_access is not None:
-            segments = database.segments
+            index_of = database.segment_index_of
             for record_id in txn.record_ids:
                 # one bounds check per record; the commit loop reuses it
-                segment = segments[database.segment_index_of(record_id)]
-                guard_access(txn, segment)
+                guard_access(txn, index_of(record_id))
                 stage(record_id, operand_for(record_id))
         elif self.logical_updates:
-            # No access guard (fuzzy/naive coordinators): the segment
-            # object is never consulted, only the bounds check remains.
+            # No access guard (fuzzy/naive coordinators): only the
+            # bounds check remains.
             bounds_check = database.segment_index_of
             for record_id in txn.record_ids:
                 bounds_check(record_id)
@@ -443,7 +441,6 @@ class TransactionManager:
         commit_lsn = commit_record.lsn
         txn.commit_lsn = commit_lsn
         database = self.database
-        segments = database.segments
         per_segment = database.records_per_segment
         before_install = self._before_install
         timestamp = txn.timestamp
@@ -453,7 +450,7 @@ class TransactionManager:
             read_record = database.read_record
             for record_id, operand in txn.shadow:
                 if before_install is not None:
-                    before_install(txn, segments[record_id // per_segment])
+                    before_install(txn, record_id // per_segment)
                 value = (read_record(record_id) + operand
                          if logical else operand)
                 install_record(record_id, value, timestamp=timestamp,

@@ -113,12 +113,13 @@ class TestCommonBehaviour:
         harness = CheckpointHarness(tiny_params, algorithm)
         harness.submit([7])
         harness.log.flush()
-        segment = harness.database.segment_of(7)
-        assert segment.dirty
+        dirty = harness.database.table.dirty
+        index = harness.database.segment_index_of(7)
+        assert dirty[index]
         harness.run_checkpoint()
-        assert segment.dirty  # one image still stale
+        assert dirty[index]  # one image still stale
         harness.run_checkpoint()
-        assert not segment.dirty
+        assert not dirty[index]
 
     def test_log_truncated_after_completion(self, tiny_params, algorithm):
         """Truncation keeps the log back to the *older* image's begin

@@ -45,12 +45,13 @@ class TestSnapshotSemantics:
         # Stall the sweep at segment 0 (its log records are in the tail).
         harness.submit([0])
         harness.checkpointer.start_checkpoint()
-        segment = harness.database.segment_of(record)
-        assert segment.old_copy is None
+        table = harness.database.table
+        index = harness.database.segment_index_of(record)
+        assert index not in table.old_copies
         post = harness.submit([record])  # updates ahead of the sweep
         assert post.state is TransactionState.COMMITTED
-        assert segment.old_copy is not None
-        assert segment.old_copy_timestamp == pre.timestamp
+        assert index in table.old_copies
+        assert table.old_copy_timestamp[index] == pre.timestamp
         stats = harness.drive_checkpoint()
         # The image holds the snapshot (pre-checkpoint) value.
         assert harness.image_value(stats.image, record) == pre.value_for(record)
@@ -78,7 +79,7 @@ class TestSnapshotSemantics:
         # updates are "behind" no active sweep and must never copy.
         txn = harness.submit([0])
         assert txn.state is TransactionState.COMMITTED
-        assert harness.database.segment(0).old_copy is None
+        assert 0 not in harness.database.table.old_copies
 
     def test_no_transactions_aborted(self, tiny_params, algorithm):
         harness = CheckpointHarness(tiny_params, algorithm, io_depth=1)
@@ -116,11 +117,12 @@ class TestSnapshotSemantics:
         harness.submit([0])  # unflushed: stalls sweep
         harness.checkpointer.start_checkpoint()
         harness.submit([record])  # segment was never updated before
-        segment = harness.database.segment_of(record)
-        assert segment.old_copy is not None
+        old_copies = harness.database.table.old_copies
+        index = harness.database.segment_index_of(record)
+        assert index in old_copies
         harness.log.flush()
         stats = harness.drive_checkpoint()
-        assert segment.old_copy is None           # dropped
+        assert index not in old_copies            # dropped
         assert stats.segments_flushed == 1        # only segment 0
         # The new value is not lost: the *next* checkpoint flushes it.
         next_stats = harness.run_checkpoint()
@@ -148,7 +150,7 @@ class TestFlushVsCopyVariants:
         assert txn.state is TransactionState.COMMITTED
         # The waiting transaction resumed *after* the flush: no copy was
         # needed because the segment was already dumped.
-        assert harness.database.segment(0).old_copy is None
+        assert 0 not in harness.database.table.old_copies
 
     def test_coucopy_releases_lock_immediately(self, tiny_params):
         harness = CheckpointHarness(tiny_params, "COUCOPY", io_depth=1)

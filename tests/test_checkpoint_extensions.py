@@ -86,7 +86,7 @@ class TestActionConsistent:
         harness.submit([0])
         harness.log.flush()
         harness.run_checkpoint()
-        assert not any(s.painted_black for s in harness.database.segments)
+        assert not harness.database.table.painted_black.any()
 
 
 class TestActionConsistentVariantDifferences:

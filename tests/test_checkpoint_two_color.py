@@ -28,11 +28,10 @@ class TestTwoColorRule:
         harness.checkpointer.start_checkpoint()
         # Drive until segment 0 is black but the last segment is not.
         for _ in range(100000):
-            if harness.database.segment(0).painted_black:
+            if harness.database.table.painted_black[0]:
                 break
             harness.engine.step()
-        assert not harness.database.segment(
-            tiny_params.n_segments - 1).painted_black
+        assert not harness.database.table.painted_black[-1]
         txn = harness.submit([low, high])
         assert txn.state is TransactionState.ABORTED
         assert harness.manager.stats.aborts == {"two-color": 1}
@@ -52,11 +51,10 @@ class TestTwoColorRule:
         # but the last dirty segment's write is still pending: it is white
         # and unlocked.
         for _ in range(100000):
-            if harness.database.segment(1).painted_black:
+            if harness.database.table.painted_black[1]:
                 break
             harness.engine.step()
-        assert not harness.database.segment(
-            tiny_params.n_segments - 1).painted_black
+        assert not harness.database.table.painted_black[-1]
         all_black = harness.submit([low])   # black only
         all_white = harness.submit([high])  # white only
         assert all_black.state is TransactionState.COMMITTED
@@ -82,7 +80,7 @@ class TestTwoColorRule:
         harness.log.flush()
         harness.checkpointer.start_checkpoint()
         for _ in range(100000):
-            if harness.database.segment(0).painted_black:
+            if harness.database.table.painted_black[0]:
                 break
             harness.engine.step()
         txn = harness.submit([low, high])
@@ -95,16 +93,16 @@ class TestTwoColorRule:
     def test_paint_reset_at_next_begin(self, tiny_params, algorithm):
         harness = CheckpointHarness(tiny_params, algorithm, io_depth=1)
         harness.run_checkpoint()
-        assert all(s.painted_black for s in harness.database.segments)
+        assert harness.database.table.painted_black.all()
         # A dirty segment whose log records are still in the tail stalls
         # the new sweep at segment 0 (the single pump slot is held through
         # the WAL wait), making the white reset observable on segment 1.
         harness.submit([0])
         harness.checkpointer.start_checkpoint()
-        assert not harness.database.segment(1).painted_black
+        assert not harness.database.table.painted_black[1]
         harness.log.flush()
         harness.drive_checkpoint()
-        assert all(s.painted_black for s in harness.database.segments)
+        assert harness.database.table.painted_black.all()
 
     def test_lsn_checked_before_flush(self, tiny_params, algorithm):
         harness = CheckpointHarness(tiny_params, algorithm)

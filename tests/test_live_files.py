@@ -90,7 +90,7 @@ def checkpoint(host: LiveHost) -> None:
         assert time.monotonic() < deadline, "checkpoint never finished"
         time.sleep(0.001)
     if checkpointer.checkpoints_failed > failed:
-        raise host.scheduler.errors[-1]
+        raise checkpointer.last_failure
 
 
 def script(files, history: History) -> None:

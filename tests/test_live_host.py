@@ -463,8 +463,9 @@ def test_live_host_survives_a_failed_checkpoint_image_write(tmp_path):
         assert not host.checkpointer.active
         assert host.checkpointer.history == []
         assert host.stats()["checkpoints_failed"] == 1
-        [error] = host.scheduler.errors
+        error = host.checkpointer.last_failure
         assert isinstance(error, OSError) and error.errno == 28
+        assert host.scheduler.errors == []
         assert ImageStore(tmp_path, files=files).load() is None
         assert len(read_wal(tmp_path / "wal.log", files)[0]) >= 20
 
@@ -506,6 +507,44 @@ def test_a_failed_checkpoint_does_not_stop_the_paced_ones(tmp_path):
         assert host.checkpointer.checkpoints_failed == 1
         assert host.checkpointer.history[0].checkpoint_id == 2
     finally:
+        host.stop()
+
+
+def test_failed_checkpoints_retain_no_snapshot(tmp_path):
+    """A full disk fails every checkpoint; memory must not grow with
+    them: only the latest failure is kept, and it holds no snapshot."""
+    files = MemoryFiles()
+    host = _host(tmp_path, files, scale=64)
+    host.start()
+    snapshot_bytes = host.database.n_records * 8
+    try:
+        host.submit([(0, 1)])
+        tracemalloc.start()
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for failures in range(1, 5):
+            files.faults[f"create {ImageStore.FILENAME}.tmp"] = OSError(
+                28, "No space left on device")
+            host.scheduler.call(host.checkpointer.start_checkpoint)
+            assert _wait_until(
+                lambda: host.checkpointer.checkpoints_failed == failures)
+            assert host.submit([(failures, failures)]).commit_lsn > 0
+        assert _wait_until(lambda: not any(
+            thread.name == "ckpt-writer" for thread in threading.enumerate()))
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.stop()
+        assert grown < snapshot_bytes
+        error = host.checkpointer.last_failure
+        assert isinstance(error, OSError) and error.errno == 28
+        assert host.scheduler.errors == []
+        # the disk has room again: the next checkpoint completes
+        host.scheduler.call(host.checkpointer.start_checkpoint)
+        assert _wait_until(lambda: host.checkpointer.history)
+        assert host.checkpointer.history[0].checkpoint_id == 5
+        assert host.verify() == []
+    finally:
+        tracemalloc.stop()
         host.stop()
 
 
@@ -955,6 +994,35 @@ def test_server_checkpoint_op_tests_and_starts_in_one_dispatcher_step(
         assert _handle(host, {"op": "checkpoint"}) == {"ok": True,
                                                        "started": True}
         assert _wait_until(lambda: len(host.checkpointer.history) == 2)
+        assert host.scheduler.errors == []
+    finally:
+        host.stop()
+
+
+def test_checkpoint_op_refuses_a_hold_that_is_not_0_to_60_seconds(
+        tmp_path):
+    """A huge hold would park the writer with the checkpointer active,
+    so pacing never starts another and the log is never truncated."""
+    host = _host(tmp_path)
+    host.start()
+    try:
+        bad = [1e9, 60.5, -1, True, "5", None, [1], float("nan"),
+               float("inf")]
+        replies = _server_replies(host, [
+            {"op": "checkpoint", "hold_phase": "pre-install",
+             "hold_seconds": seconds} for seconds in bad])
+        assert [reply["ok"] for reply in replies] == [False] * len(bad)
+        assert all("hold_seconds" in reply["error"] for reply in replies)
+        # refused before anything was armed or started
+        assert host.checkpointer._hold is None
+        assert host.checkpointer.checkpoints_started == 0
+        # the bounds themselves are accepted (no phase: nothing parks)
+        for seconds in (0, 60):
+            [reply] = _server_replies(host, [{"op": "checkpoint",
+                                              "hold_seconds": seconds}])
+            assert reply == {"ok": True, "started": True}
+            assert _wait_until(lambda: not host.checkpointer.active)
+        assert len(host.checkpointer.history) == 2
         assert host.scheduler.errors == []
     finally:
         host.stop()

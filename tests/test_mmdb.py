@@ -39,12 +39,13 @@ class TestAddressing:
 
     def test_segment_out_of_range(self, db):
         with pytest.raises(AddressError):
-            db.segment(db.n_segments)
+            db.segment_values(db.n_segments)
 
     def test_segment_record_range(self, db):
-        seg = db.segment(1)
-        assert seg.record_range == range(db.records_per_segment,
-                                         2 * db.records_per_segment)
+        rps = db.records_per_segment
+        db.load_values(np.arange(db.n_records, dtype=np.int64))
+        np.testing.assert_array_equal(db.segment_values(1),
+                                      np.arange(rps, 2 * rps))
 
 
 class TestInstall:
@@ -53,20 +54,20 @@ class TestInstall:
         assert db.read_record(7) == 1234
 
     def test_install_sets_dirty(self, db):
-        seg = db.segment_of(7)
-        assert not seg.dirty
-        db.install_record(7, 1, timestamp=1, lsn=1)
-        assert seg.dirty
+        index = db.segment_index_of(7)
+        assert not db.table.dirty[index]
+        assert db.install_record(7, 1, timestamp=1, lsn=1) is None
+        assert db.table.dirty[index]
 
     def test_install_advances_timestamp_monotonically(self, db):
         db.install_record(7, 1, timestamp=5, lsn=1)
         db.install_record(7, 2, timestamp=3, lsn=2)  # older stamp
-        assert db.segment_of(7).timestamp == 5
+        assert db.table.timestamp[db.segment_index_of(7)] == 5
 
     def test_install_advances_lsn_monotonically(self, db):
         db.install_record(7, 1, timestamp=1, lsn=10)
         db.install_record(8, 2, timestamp=2, lsn=4)
-        assert db.segment_of(7).lsn == 10
+        assert db.table.lsn[db.segment_index_of(7)] == 10
 
     def test_initial_values_zero(self, db):
         assert db.read_record(0) == 0
@@ -78,18 +79,17 @@ class TestBulkOperations:
         rps = db.records_per_segment
         db.install_record(0, 1, timestamp=1, lsn=1)
         db.install_record(3 * rps, 1, timestamp=1, lsn=2)
-        dirty = [s.index for s in db.dirty_segments()]
-        assert dirty == [0, 3]
+        assert db.table.dirty_indices() == [0, 3]
 
     def test_wipe_clears_everything(self, db):
         db.install_record(0, 99, timestamp=1, lsn=1)
-        db.segment(0).painted_black = True
-        db.segment(0).save_old_copy()
+        db.table.painted_black[0] = True
+        db.save_old_copy(0)
         db.wipe()
         assert db.read_record(0) == 0
-        seg = db.segment(0)
-        assert not seg.dirty and not seg.painted_black
-        assert seg.old_copy is None and seg.lsn == 0
+        table = db.table
+        assert not table.dirty[0] and not table.painted_black[0]
+        assert 0 not in table.old_copies and table.lsn[0] == 0
 
     def test_values_snapshot_is_independent(self, db):
         snap = db.values_snapshot()
@@ -121,162 +121,95 @@ class TestBulkOperations:
 class TestSegmentOldCopies:
     def test_save_captures_pre_update_data_and_stamps(self, db):
         db.install_record(0, 11, timestamp=3, lsn=9)
-        seg = db.segment(0)
-        copy = seg.save_old_copy()
+        copy = db.save_old_copy(0)
         assert copy[0] == 11
-        assert seg.old_copy_timestamp == 3
-        assert seg.old_copy_lsn == 9
+        table = db.table
+        assert table.old_copy_timestamp[0] == 3
+        assert table.old_copy_lsn[0] == 9
         db.install_record(0, 22, timestamp=4, lsn=10)
-        assert seg.old_copy[0] == 11  # snapshot unaffected by later update
+        # snapshot unaffected by later update
+        assert table.old_copies[0][0] == 11
 
     def test_double_save_rejected(self, db):
-        seg = db.segment(0)
-        seg.save_old_copy()
+        db.save_old_copy(0)
         with pytest.raises(InvalidStateError):
-            seg.save_old_copy()
+            db.save_old_copy(0)
 
     def test_drop_resets(self, db):
-        seg = db.segment(0)
-        seg.save_old_copy()
-        seg.drop_old_copy()
-        assert seg.old_copy is None
-        assert seg.old_copy_lsn == 0
+        db.save_old_copy(0)
+        db.drop_old_copy(0)
+        assert 0 not in db.table.old_copies
+        assert db.table.old_copy_lsn[0] == 0
 
     def test_load_data_shape_checked(self, db):
         with pytest.raises(InvalidStateError):
-            db.segment(0).load_data(np.zeros(1, dtype=np.int64))
+            db.load_segment(0, np.zeros(1, dtype=np.int64))
 
     def test_data_view_is_live(self, db):
-        seg = db.segment(0)
-        view = seg.data()
+        view = db.segment_values(0)
         db.install_record(0, 5, timestamp=1, lsn=1)
         assert view[0] == 5
 
     def test_copy_data_is_snapshot(self, db):
-        seg = db.segment(0)
-        copy = seg.copy_data()
+        copy = db.segment_values(0).copy()
         db.install_record(0, 5, timestamp=1, lsn=1)
         assert copy[0] == 0
 
 
 class TestSegmentTableEquivalence:
-    """The struct-of-arrays :class:`SegmentTable` and the per-segment
-    :class:`Segment` views must stay interchangeable: every metadata
-    write through either surface is visible, identically, through the
-    other.  Exercised over randomized update sequences (a property-style
-    sweep) because the divergence bugs this guards against -- a view
-    caching a value, an array write skipping a view invariant -- only
-    show up under interleaved mixed-surface traffic.
+    """The old-copy state is one sparse dict plus two scalar arrays in
+    the :class:`SegmentTable`; saving and dropping copies through the
+    database must keep all three in lockstep, and a reset must clear
+    every field.  Exercised over randomized save/drop sequences (a
+    property-style sweep).
     """
 
     SEEDS = [3, 17, 91]
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_random_mixed_surface_updates_agree(self, db, seed):
-        import random
-        rng = random.Random(seed)
-        n = db.n_segments
-        # shadow model: plain per-segment dicts, updated alongside
-        model = [{"dirty": False, "black": False, "ts": 0.0, "lsn": 0}
-                 for _ in range(n)]
-        for step in range(400):
-            index = rng.randrange(n)
-            seg = db.segment(index)
-            table = db.table
-            op = rng.randrange(6)
-            if op == 0:  # view setter, dirty
-                value = rng.random() < 0.5
-                seg.dirty = value
-                model[index]["dirty"] = value
-            elif op == 1:  # array write, dirty
-                value = rng.random() < 0.5
-                table.dirty[index] = value
-                model[index]["dirty"] = value
-            elif op == 2:  # view setter, paint
-                value = rng.random() < 0.5
-                seg.painted_black = value
-                model[index]["black"] = value
-            elif op == 3:  # monotone stamps through the view
-                ts = model[index]["ts"] + rng.random()
-                lsn = model[index]["lsn"] + rng.randrange(1, 5)
-                seg.timestamp = ts
-                seg.lsn = lsn
-                model[index]["ts"] = ts
-                model[index]["lsn"] = lsn
-            elif op == 4:  # install through the database hot path
-                record_id = seg.first_record + rng.randrange(seg.n_records)
-                ts = model[index]["ts"] + 1.0
-                lsn = model[index]["lsn"] + 1
-                db.install_record(record_id, rng.randrange(1 << 20),
-                                  timestamp=ts, lsn=lsn)
-                model[index]["dirty"] = True
-                model[index]["ts"] = ts
-                model[index]["lsn"] = lsn
-            else:  # bulk clear through the table
-                table.clear_paint()
-                for entry in model:
-                    entry["black"] = False
-            # Every surface agrees after every step.
-            assert seg.dirty is model[index]["dirty"]
-            assert bool(table.dirty[index]) is model[index]["dirty"]
-            assert seg.painted_black is model[index]["black"]
-            assert seg.timestamp == model[index]["ts"]
-            assert seg.lsn == model[index]["lsn"]
-        # Final full-table sweep: views and vectorised scans agree with
-        # the model everywhere, not just at touched indices.
-        expected_dirty = [i for i, entry in enumerate(model)
-                          if entry["dirty"]]
-        assert db.table.dirty_indices() == expected_dirty
-        for index in range(n):
-            seg = db.segment(index)
-            assert seg.dirty is model[index]["dirty"]
-            assert seg.painted_black is model[index]["black"]
-            assert seg.timestamp == model[index]["ts"]
-            assert seg.lsn == model[index]["lsn"]
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_old_copy_lifecycle_agrees(self, db, seed):
         import random
         rng = random.Random(seed)
         n = db.n_segments
-        saved: set[int] = set()
+        table = db.table
+        #: segment index -> (value, timestamp, lsn) of its saved copy
+        saved: dict[int, tuple[int, float, int]] = {}
         for step in range(200):
             index = rng.randrange(n)
-            seg = db.segment(index)
             if index not in saved and rng.random() < 0.5:
-                db.install_record(seg.first_record, step + 1,
+                db.install_record(index * db.records_per_segment, step + 1,
                                   timestamp=float(step), lsn=step + 1)
-                seg.save_old_copy()
-                saved.add(index)
+                db.save_old_copy(index)
+                saved[index] = (step + 1, float(step), step + 1)
             elif index in saved and rng.random() < 0.5:
-                seg.drop_old_copy()
-                saved.discard(index)
-            # sparse dict and scalar mirrors stay in lockstep
-            assert set(db.table.old_copies) == saved
+                db.drop_old_copy(index)
+                del saved[index]
+            # sparse dict and scalar arrays stay in lockstep
+            assert set(table.old_copies) == set(saved)
             if index in saved:
-                assert seg.old_copy is not None
-                assert seg.old_copy_timestamp == \
-                    float(db.table.old_copy_timestamp[index])
-                assert seg.old_copy_lsn == int(db.table.old_copy_lsn[index])
+                value, timestamp, lsn = saved[index]
+                assert table.old_copies[index][0] == value
+                assert table.old_copy_timestamp[index] == timestamp
+                assert table.old_copy_lsn[index] == lsn
             else:
-                assert seg.old_copy is None
-                assert seg.old_copy_timestamp == 0.0
-                assert seg.old_copy_lsn == 0
+                assert table.old_copy_timestamp[index] == 0.0
+                assert table.old_copy_lsn[index] == 0
 
     def test_reset_wipes_views_and_arrays(self, db):
-        seg = db.segment(2)
-        seg.dirty = True
-        seg.painted_black = True
-        seg.timestamp = 4.5
-        seg.lsn = 9
-        seg.save_old_copy()
-        db.table.reset()
-        assert seg.dirty is False
-        assert seg.painted_black is False
-        assert seg.timestamp == 0.0
-        assert seg.lsn == 0
-        assert seg.old_copy is None
-        assert db.table.dirty_indices() == []
+        table = db.table
+        table.dirty[2] = True
+        table.painted_black[2] = True
+        table.timestamp[2] = 4.5
+        table.lsn[2] = 9
+        db.save_old_copy(2)
+        table.reset()
+        assert not table.dirty[2]
+        assert not table.painted_black[2]
+        assert table.timestamp[2] == 0.0
+        assert table.lsn[2] == 0
+        assert 2 not in table.old_copies
+        assert table.old_copy_lsn[2] == 0
+        assert table.dirty_indices() == []
 
 
 class TestInstallRecordsEquivalence:
@@ -331,8 +264,8 @@ class TestInstallRecordsEquivalence:
         db.install_records(np.array([0, 1]), np.array([7, 8]),
                            timestamp=1.0, first_lsn=10)
         assert db.read_record(0) == 7
-        assert db.segment(0).lsn == 900
-        assert db.segment(0).timestamp == 5.0
+        assert db.table.lsn[0] == 900
+        assert db.table.timestamp[0] == 5.0
 
     @pytest.mark.parametrize("bad", [-1, 4096, 10**9])
     def test_out_of_range_id_raises_before_anything_is_written(

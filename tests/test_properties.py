@@ -295,7 +295,7 @@ class TestDatabaseProperties:
         database = Database(params)
         for rid in record_ids:
             database.install_record(rid, 1, timestamp=1, lsn=1)
-        dirty = {s.index for s in database.dirty_segments()}
+        dirty = set(database.table.dirty_indices())
         touched = {database.segment_index_of(r) for r in record_ids}
         assert dirty == touched
 

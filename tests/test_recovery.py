@@ -351,9 +351,10 @@ class TestRecoveryManager:
         setup = _RecoverySetup(tiny_params)
         _, image = setup.complete_checkpoint_of_zeros()
         setup.manager().recover()
-        for segment in setup.database.segments:
-            assert segment.dirty
-            assert image.needs_segment(segment.index, segment.timestamp)
+        table = setup.database.table
+        for index in range(setup.database.n_segments):
+            assert table.dirty[index]
+            assert image.needs_segment(index, table.timestamp[index])
 
     def test_recovery_times_modelled(self, tiny_params):
         setup = _RecoverySetup(tiny_params)

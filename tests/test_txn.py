@@ -179,9 +179,9 @@ class TestManagerCommit:
     def test_segments_stamped_with_commit_lsn(self, harness):
         txn = harness.make_txn(1, (0,))
         harness.manager.submit(txn)
-        segment = harness.database.segment_of(0)
-        assert segment.lsn == txn.commit_lsn
-        assert segment.timestamp == txn.timestamp
+        table = harness.database.table
+        assert table.lsn[0] == txn.commit_lsn
+        assert table.timestamp[0] == txn.timestamp
 
     def test_first_run_charged_as_transaction(self, harness):
         harness.manager.submit(harness.make_txn(1, (0,)))
@@ -234,13 +234,13 @@ class _AbortOnceCoordinator:
         self.staged = staged
         self.accesses = {}
 
-    def guard_access(self, txn, segment):
+    def guard_access(self, txn, index):
         seen = self.accesses.get(txn.txn_id, 0)
         self.accesses[txn.txn_id] = seen + 1
         if seen == self.staged:
             raise TwoColorViolation(f"txn {txn.txn_id} mixed colors")
 
-    def before_install(self, txn, segment):
+    def before_install(self, txn, index):
         return None
 
 
@@ -312,10 +312,10 @@ class TestManagerAbortAndRerun:
         class AlwaysAbort:
             uses_lsns = False
 
-            def guard_access(self, txn, segment):
+            def guard_access(self, txn, index):
                 raise TwoColorViolation("always")
 
-            def before_install(self, txn, segment):
+            def before_install(self, txn, index):
                 return None
 
         harness.manager.max_attempts = 3
