@@ -170,10 +170,10 @@ class LiveCheckpointer:
     skipped, the failure is counted in ``checkpoints_failed``, the
     latest one is kept in ``last_failure`` with its traceback frames
     cleared (so no failed checkpoint keeps its snapshot alive), and the
-    checkpointer is idle again for the next attempt.  A failed step 3 or 4 counts the same way; the log
-    then keeps appending to its old file, or is fail-stop if its
-    rewrite failed at or after the rename (see
-    :meth:`DurableLog.truncate_stable_before
+    checkpointer is idle again for the next attempt.  A failed step 3
+    or 4 counts the same way; the log then keeps appending to its old
+    file, or is fail-stop if its rewrite failed at or after the rename
+    (see :meth:`DurableLog.truncate_stable_before
     <repro.live.wal.DurableLog.truncate_stable_before>`).
     """
 

@@ -2,10 +2,12 @@
 
 Records are 64-bit integers indexed ``0 .. n_records-1``; the value array
 is one numpy array, segment ``i`` is a slice of it, and every segment's
-checkpoint metadata lives in one :class:`~repro.mmdb.segment.SegmentTable`
-addressed by segment index (see :mod:`repro.mmdb.segment`).  Integer record values are sufficient for the
-reproduction: the paper's algorithms never interpret record contents, only
-move them, and integers make state digests and equality checks exact.
+checkpoint metadata lives in one
+:class:`~repro.mmdb.segment.SegmentTable` addressed by segment index
+(see :mod:`repro.mmdb.segment`).  Integer record values are sufficient
+for the reproduction: the paper's algorithms never interpret record
+contents, only move them, and integers make state digests and equality
+checks exact.
 
 Sizes come from :class:`repro.params.SystemParameters`; a scaled-down
 parameter set (``SystemParameters.scaled_down``) keeps simulation runs
@@ -152,7 +154,7 @@ class Database:
         table.old_copy_timestamp[index] = 0.0
         table.old_copy_lsn[index] = 0
 
-    # -- bulk access for recovery -----------------------------------------------
+    # -- bulk access for recovery ---------------------------------------------
     def wipe(self) -> None:
         """Simulate loss of volatile memory: zero values, reset metadata."""
         self._values[:] = 0

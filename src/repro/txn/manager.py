@@ -9,8 +9,9 @@ in through the small :class:`CheckpointCoordinator` protocol:
   :class:`~repro.errors.TwoColorViolation` here when a transaction mixes
   white and black data, which the manager turns into an abort + rerun;
 * :meth:`~CheckpointCoordinator.before_install` -- consulted with a
-  segment index before a committed update overwrites that segment; the copy-on-update algorithms
-  save the pre-update segment copy here (Figure 3.2);
+  segment index before a committed update overwrites that segment; the
+  copy-on-update algorithms save the pre-update segment copy here
+  (Figure 3.2);
 * :attr:`~CheckpointCoordinator.uses_lsns` -- when true, every install
   additionally maintains the segment's log sequence number at ``C_lsn``
   instructions (synchronous checkpoint overhead, Section 2.1).
