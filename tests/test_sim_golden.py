@@ -12,6 +12,14 @@ the file (only for an intended change of the simulated behaviour) with::
         from tests.test_sim_golden import golden_runs; \\
         print(json.dumps(golden_runs(), indent=1, sort_keys=True))" \\
         > tests/data/sim_golden.json
+
+The default load commits three transactions in two seconds, so that run
+never aborts, never copies an old segment value and replays nothing.
+``tests/data/sim_golden_lam100.json`` pins the same run at
+``lam=100.0`` (:data:`LOADED_RUN`): two-color aborts under 2CFLUSH and
+2CCOPY, copy-on-update old copies, and 8-22 REDO-replayed transactions
+per algorithm.  It is regenerated the same way with
+``golden_runs(LOADED_RUN)``.
 """
 
 from __future__ import annotations
@@ -28,6 +36,8 @@ from repro.checkpoint import ALL_ALGORITHM_NAMES
 
 GOLDEN = Path(__file__).parent / "data" / "sim_golden.json"
 RUN = {"scale": 1024, "duration": 2.0, "seed": 3, "crash": True}
+LOADED_GOLDEN = Path(__file__).parent / "data" / "sim_golden_lam100.json"
+LOADED_RUN = dict(RUN, lam=100.0)
 
 
 def _exact(value):
@@ -41,7 +51,7 @@ def _exact(value):
     return value
 
 
-def golden_run(algorithm: str) -> dict:
+def golden_run(algorithm: str, run: dict = RUN) -> dict:
     """One crash run of ``algorithm`` as a JSON-ready, float-exact dict."""
     built = []
 
@@ -52,7 +62,7 @@ def golden_run(algorithm: str) -> dict:
     original = repro.api.build_system
     repro.api.build_system = build_system
     try:
-        outcome = repro.simulate(algorithm, **RUN)
+        outcome = repro.simulate(algorithm, **run)
     finally:
         repro.api.build_system = original
     recovery = outcome.recovery
@@ -65,14 +75,14 @@ def golden_run(algorithm: str) -> dict:
     })
 
 
-def golden_runs() -> dict:
-    return {"run": RUN,
-            "algorithms": {name: golden_run(name)
+def golden_runs(run: dict = RUN) -> dict:
+    return {"run": run,
+            "algorithms": {name: golden_run(name, run)
                            for name in ALL_ALGORITHM_NAMES}}
 
 
-def _golden() -> dict:
-    return json.loads(GOLDEN.read_text())
+def _golden(path: Path = GOLDEN) -> dict:
+    return json.loads(path.read_text())
 
 
 def test_golden_covers_every_registered_algorithm():
@@ -84,3 +94,21 @@ def test_golden_covers_every_registered_algorithm():
 @pytest.mark.parametrize("algorithm", ALL_ALGORITHM_NAMES)
 def test_crash_run_matches_the_golden(algorithm):
     assert golden_run(algorithm) == _golden()["algorithms"][algorithm]
+
+
+def test_loaded_golden_covers_every_algorithm_and_reaches_the_rare_paths():
+    golden = _golden(LOADED_GOLDEN)
+    assert golden["run"] == LOADED_RUN
+    runs = golden["algorithms"]
+    assert sorted(runs) == sorted(ALL_ALGORITHM_NAMES)
+    for name in ("2CFLUSH", "2CCOPY"):
+        assert runs[name]["metrics"]["aborts"]["two-color"] > 0
+    for run in runs.values():
+        assert run["recovery"]["transactions_replayed"] > 0
+        assert run["mismatches"] == 0
+
+
+@pytest.mark.parametrize("algorithm", ALL_ALGORITHM_NAMES)
+def test_loaded_crash_run_matches_its_golden(algorithm):
+    assert (golden_run(algorithm, LOADED_RUN)
+            == _golden(LOADED_GOLDEN)["algorithms"][algorithm])
