@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Enforce the architecture's layering rules (docs/ARCHITECTURE.md).
 
-Six checks, stdlib-only so CI needs nothing installed:
+Seven checks, stdlib-only so CI needs nothing installed:
 
 1. **Engine isolation** -- the engine-layer modules of ``repro.sim``
    must not import any component or kernel package. They are the
@@ -51,6 +51,14 @@ Six checks, stdlib-only so CI needs nothing installed:
    it has no argument or a mode string first (``ZipFile.open`` names a
    member of an archive the port opened); ``os.getpid`` and friends stay
    allowed.
+
+7. **Live threads in two modules** -- under ``repro/live/``, only
+   ``scheduler.py`` (the dispatcher thread, ``wait`` and ``offload``)
+   and ``server.py`` (the socket workers) may import ``threading``,
+   ``_thread`` or ``concurrent``. Everything else there is callback
+   code that any scheduler drives, the threadless event engine the
+   tests use included, so a thread or a lock elsewhere would be one
+   the engine cannot order.
 
 Exit status 0 = clean, 1 = violations (printed one per line).
 """
@@ -340,6 +348,26 @@ def check_live_file_port() -> list[str]:
     return violations
 
 
+#: the live modules that may hold threads
+LIVE_THREAD_MODULES = {"scheduler.py", "server.py"}
+#: what holding one takes
+THREAD_MODULES = {"threading", "_thread", "concurrent"}
+
+
+def check_live_threads() -> list[str]:
+    violations = []
+    for path in sorted(LIVE_DIR.glob("*.py")):
+        if path.name in LIVE_THREAD_MODULES:
+            continue
+        for lineno, target in _imported_module_names(path, "repro.live"):
+            if target.split(".")[0] in THREAD_MODULES:
+                violations.append(
+                    f"{path.relative_to(REPO_ROOT)}:{lineno}: live module "
+                    f"imports {target} (threads belong to the scheduler "
+                    "and the server; the host is callback code)")
+    return violations
+
+
 def check_no_tracked_bytecode() -> list[str]:
     proc = subprocess.run(
         ["git", "ls-files", "*.pyc", "*__pycache__*"],
@@ -352,7 +380,7 @@ def main() -> int:
     violations = (check_engine_isolation() + check_host_purity()
                   + check_checkpoint_write_port()
                   + check_serving_closure() + check_no_tracked_bytecode()
-                  + check_live_file_port())
+                  + check_live_file_port() + check_live_threads())
     for violation in violations:
         print(violation)
     if violations:
@@ -360,7 +388,8 @@ def main() -> int:
         return 1
     print("layering clean: engine isolated, sim host pure, "
           "checkpointers behind the write port, serving kernel only, "
-          "no tracked bytecode, live file I/O behind the port")
+          "no tracked bytecode, live file I/O behind the port, "
+          "live threads in the scheduler and the server only")
     return 0
 
 

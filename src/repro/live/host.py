@@ -7,30 +7,31 @@
 :class:`~repro.sim.oracle.CommittedStateOracle`,
 :class:`~repro.obs.spans.SpanRecorder` -- to the live port
 implementations (:class:`~repro.live.clock.WallClock`,
-:class:`~repro.live.scheduler.LiveScheduler`).  The one component with
-no simulated counterpart is :class:`LiveCheckpointer`: the simulated
-checkpointers model disk time event by event, while the live one spends
-real time writing a real image, so it reimplements the *protocol* (an
-action-consistent snapshot installed atomically, then log truncation)
-against :class:`~repro.live.store.ImageStore`.  It still satisfies
+:class:`~repro.live.scheduler.LiveScheduler`, or a scheduler handed
+in).  The one component with no simulated counterpart is
+:class:`LiveCheckpointer`: the simulated checkpointers model disk time
+event by event, while the live one spends real time writing a real
+image, so it reimplements the *protocol* (an action-consistent snapshot
+installed atomically, then log truncation) against
+:class:`~repro.live.store.ImageStore`.  It still satisfies
 :class:`~repro.sim.ports.CheckpointerPort`, so the kernel's checkpoint
 scheduler paces it unmodified.
 
-Concurrency model: every kernel mutation happens on the dispatcher
-thread (see :class:`LiveScheduler`).  Socket workers enqueue operations
-and wait; the checkpoint image writer runs on its own thread but touches
-only its private snapshot copy and the image store, re-entering the
-dispatcher to finish.  The durability contract is the simulator's WAL
-rule made physical: a transaction is acknowledged only after the group
-flush that fsynced its commit record, and a checkpoint truncates the log
-only after its image rename is durable.  A commit asks for that flush
-itself (:meth:`LiveHost._request_flush`); the periodic tick only bounds
-how long a record nobody waits on stays volatile.
+Concurrency model: every kernel mutation happens in a scheduler
+callback (see :class:`LiveScheduler`); the host holds no thread, and a
+blocking caller goes through the scheduler's ``wait``.  The checkpoint
+image writer is ``offload``-ed but touches only its private snapshot
+copy and the image store, re-entering the dispatcher to finish.  The
+durability contract is the simulator's WAL rule made physical: a
+transaction is acknowledged only after the group flush that fsynced its
+commit record, and a checkpoint truncates the log only after its image
+rename is durable.  A commit asks for that flush itself
+(:meth:`LiveHost._request_flush`); the periodic tick only bounds how
+long a record nobody waits on stays volatile.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 import traceback
 from bisect import bisect_right
@@ -52,7 +53,6 @@ from ..params import SystemParameters
 from ..recovery.replay import RedoApplier
 from ..sim.oracle import CommittedStateOracle, RecordMismatch
 from ..wal.records import CommitRecord, log_updates
-from .clock import WallClock
 from .files import Files
 from .scheduler import LiveScheduler
 from .store import ImageStore
@@ -108,14 +108,7 @@ class RecoveryInfo(NamedTuple):
     torn_tail: bool
 
     def as_dict(self) -> dict:
-        return {
-            "checkpoint_id": self.checkpoint_id,
-            "base_lsn": self.base_lsn,
-            "records_scanned": self.records_scanned,
-            "transactions_replayed": self.transactions_replayed,
-            "updates_dropped": self.updates_dropped,
-            "torn_tail": self.torn_tail,
-        }
+        return self._asdict()
 
 
 class CommitResult(NamedTuple):
@@ -156,7 +149,7 @@ class LiveCheckpointer:
        action-consistent: it reflects exactly the committed, durable
        state at ``base_lsn`` (transactions are installed atomically with
        their commit append).
-    2. *(writer thread)* write the copy to the image store -- temp file,
+    2. *(offloaded)* write the copy to the image store -- temp file,
        fsync, atomic rename.  Transaction processing continues
        unblocked; only step 1 sits in the dispatch stream.
     3. *(dispatcher)* append and flush the end marker.
@@ -269,7 +262,7 @@ class LiveCheckpointer:
             try:
                 host.store.install(checkpoint_id, base_lsn, snapshot.pop(),
                                    hold=self._maybe_hold_for(hold))
-            except Exception as exc:  # thread boundary: report, don't die
+            except Exception as exc:  # off the dispatcher: report it
                 host.scheduler.submit(partial(failed, exc))
                 return
             write_ended = host.clock.now
@@ -307,8 +300,7 @@ class LiveCheckpointer:
 
             host.scheduler.submit(finish)
 
-        threading.Thread(target=writer, name="ckpt-writer",
-                         daemon=True).start()
+        host.scheduler.offload(writer, label="ckpt-writer")
 
     def _maybe_hold_for(self, hold: Optional[Tuple[str, float]]):
         if hold is None:
@@ -328,7 +320,8 @@ class LiveHost:
 
     def __init__(self, config: LiveConfig,
                  params: Optional[SystemParameters] = None,
-                 files: Optional[Files] = None) -> None:
+                 files: Optional[Files] = None,
+                 scheduler: Optional[LiveScheduler] = None) -> None:
         #: the filesystem port (tests hand in an in-memory one)
         self.files = files if files is not None else Files(config.fsync)
         legacy = Path(config.data_dir) / "wal.jsonl"
@@ -340,8 +333,9 @@ class LiveHost:
         self.config = config
         self.params = (params if params is not None
                        else SystemParameters.scaled_down(config.scale))
-        self.clock = WallClock()
-        self.scheduler = LiveScheduler(self.clock)
+        #: runs every kernel callback (tests hand in an event engine)
+        self.scheduler = scheduler if scheduler is not None else LiveScheduler()
+        self.clock = self.scheduler.clock
         self.spans = (SpanRecorder(enabled=True, clock=self.clock)
                       if config.spans else NULL_SPANS)
         self.database = Database(self.params)
@@ -474,25 +468,28 @@ class LiveHost:
     def submit(self, updates: Sequence[Tuple[int, int]],
                timeout: float = 30.0) -> CommitResult:
         """Durably commit one transaction writing ``(record_id, value)``
-        pairs.  Callable from any thread; blocks until the commit record
-        is fsynced, then returns the acknowledgement.  The transaction
-        asks for the group flush itself (:meth:`_request_flush`), so it
-        shares one write + fsync with whatever else was waiting, and
-        waits for no timer.  The pairs become the transaction's two
-        int64 columns here, on the calling thread; anything but integer
-        pairs raises ``TypeError`` (and a value outside int64
-        ``OverflowError``) before the dispatcher sees it.  A log that
-        has failed a flush rejects the
-        transaction at once with :class:`~repro.errors.WALFailedError`,
-        and so does the flush that fails while the transaction waits on
-        it (chained to the flush's own error).
-        """
+        pairs: :meth:`commit`, blocking until it calls back.  The pairs
+        become its two int64 columns on the calling thread; anything but
+        integer pairs raises ``TypeError`` (a value outside int64
+        ``OverflowError``) before the dispatcher sees it."""
         if not updates:
             raise InvalidStateError("a transaction must write something")
         record_ids, values = _columns(updates)
+        return self.scheduler.wait(partial(self.commit, record_ids, values),
+                                   timeout)
+
+    def commit(self, record_ids: np.ndarray, values: np.ndarray,
+               on_done: Callable[[object], None]) -> None:
+        """Commit one transaction given as its two int64 columns, from
+        any thread; ``on_done`` later gets the :class:`CommitResult`
+        once the commit record is fsynced, or the refusing exception.
+        The transaction asks for the group flush itself
+        (:meth:`_request_flush`), so it shares one write + fsync with
+        whatever else was waiting.  A log that has failed a flush
+        refuses it with :class:`~repro.errors.WALFailedError`, and so
+        does the flush that fails while it waits (chained to the
+        flush's error)."""
         submitted_at = self.clock.now
-        done = threading.Event()
-        box: List = [None, None]
 
         def execute() -> None:
             started_at = self.clock.now
@@ -500,16 +497,14 @@ class LiveHost:
                 txn_id, commit = self._log_and_install(record_ids, values,
                                                        started_at)
             except BaseException as exc:  # noqa: BLE001 - relayed to caller
-                box[1] = exc
-                done.set()
+                on_done(exc)
                 return
             executed_at = self.clock.now
 
             def settled(failure: Optional[BaseException] = None) -> None:
                 if failure is not None:
                     # the flush carrying the commit failed: never acked
-                    box[1] = failure
-                    done.set()
+                    on_done(failure)
                     return
                 acked_at = self.clock.now
                 spans = self.spans
@@ -527,20 +522,13 @@ class LiveHost:
                     spans.emit("txn.cpu", started_at,
                                executed_at - started_at, parent=root)
                 self.commits += 1
-                box[0] = CommitResult(txn_id=txn_id, commit_lsn=commit.lsn,
-                                      latency=acked_at - submitted_at)
-                done.set()
+                on_done(CommitResult(txn_id=txn_id, commit_lsn=commit.lsn,
+                                     latency=acked_at - submitted_at))
 
             self.log.when_stable(commit.lsn, settled, settled)
             self._request_flush()
 
         self.scheduler.submit(execute)
-        if not done.wait(timeout):
-            raise TimeoutError(
-                f"commit not acknowledged within {timeout}s")
-        if box[1] is not None:
-            raise box[1]
-        return box[0]
 
     def _log_and_install(self, record_ids: np.ndarray, values: np.ndarray,
                          timestamp: float) -> Tuple[int, CommitRecord]:
@@ -620,18 +608,13 @@ class LiveHost:
             return self.oracle.mismatch_report(
                 self.database.values_snapshot(), limit=limit)
 
-        if self._started:
-            return self.scheduler.call(check)
-        return self.oracle.mismatch_report(self.database.values_snapshot(),
-                                           limit=limit)
+        return self.scheduler.call(check)
 
     def spans_snapshot(self) -> List[dict]:
         """The span list, snapshotted on the dispatcher (race-free)."""
         if not self.spans.enabled:
             return []
-        if self._started:
-            return self.scheduler.call(self.spans.snapshot)
-        return self.spans.snapshot()
+        return self.scheduler.call(self.spans.snapshot)
 
     def stats(self) -> dict:
         return {

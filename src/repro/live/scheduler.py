@@ -10,7 +10,7 @@ and sleeps on a condition variable until the earliest entry is
 due.  Everything the kernel does -- transaction execution, WAL appends,
 group flushes, checkpoint phase transitions -- happens on that thread;
 other threads (socket workers, the checkpoint image writer) interact
-only by submitting callbacks.
+only by submitting callbacks, and block only in :meth:`~LiveScheduler.wait`.
 
 ``schedule_at``/``schedule_after`` are thread-safe and may be called
 from any thread, including from inside a dispatched callback.
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import threading
 from heapq import heappop, heappush
+from queue import Empty, SimpleQueue
 from typing import Callable, List, Optional, Set, Tuple, TypeVar
 
 from ..errors import InvalidStateError
@@ -91,36 +92,46 @@ class LiveScheduler:
             cancelled.add(handle)
             compact_cancelled(self._heap, cancelled)
 
+    def offload(self, work: Callable[[], None], label: str = "") -> None:
+        """Run ``work`` off the dispatcher; it reports back by ``submit``."""
+        threading.Thread(target=work, name=label or "live-offload",
+                         daemon=True).start()
+
     # -- cross-thread helpers ------------------------------------------------
+    def wait(self, start: Callable[[Callable[[object], None]], None],
+             timeout: float = 30.0):
+        """Call ``start(settle)`` here and block until ``settle(outcome)``
+        runs (on any thread): the one blocking bridge to callback code.
+        Returns the outcome, or raises it if it is an exception."""
+        outcomes: SimpleQueue = SimpleQueue()
+        start(outcomes.put)
+        try:
+            outcome = outcomes.get(timeout=timeout)
+        except Empty:
+            raise TimeoutError(f"no outcome within {timeout}s") from None
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
+
     def call(self, fn: Callable[[], T], timeout: float = 30.0) -> T:
-        """Run ``fn`` on the dispatcher thread and return its result.
-
-        The synchronous bridge socket workers use for every operation:
-        the caller blocks until the dispatcher has executed ``fn``, so
-        the kernel's single-threaded invariant holds while the caller
-        still gets a plain return value (or the callback's exception).
-        Calling from the dispatcher thread itself runs ``fn`` directly
-        (re-entrancy would deadlock).
-        """
-        if threading.current_thread() is self._thread:
+        """Run ``fn`` on the dispatcher through :meth:`wait`; return its
+        result or raise its exception.  On the dispatcher itself, or with
+        none running (nothing else touches the kernel), run it here."""
+        thread = self._thread
+        if thread is None or threading.current_thread() is thread:
             return fn()
-        done = threading.Event()
-        box: List = [None, None]
 
-        def wrapper() -> None:
-            try:
-                box[0] = fn()
-            except BaseException as exc:  # noqa: BLE001 - relayed to caller
-                box[1] = exc
-            finally:
-                done.set()
+        def start(settle: Callable[[object], None]) -> None:
+            def wrapper() -> None:
+                try:
+                    outcome = fn()
+                except BaseException as exc:  # noqa: BLE001 - relayed
+                    outcome = exc
+                settle(outcome)
 
-        self.submit(wrapper)
-        if not done.wait(timeout):
-            raise TimeoutError(f"dispatcher did not run call() within {timeout}s")
-        if box[1] is not None:
-            raise box[1]
-        return box[0]
+            self.submit(wrapper)
+
+        return self.wait(start, timeout)
 
     # -- lifecycle -----------------------------------------------------------
     @property
@@ -141,7 +152,8 @@ class LiveScheduler:
         self._thread.start()
 
     def stop(self, timeout: float = 5.0) -> None:
-        """Stop dispatching; pending entries are abandoned."""
+        """Stop dispatching; pending entries are abandoned.  A dispatcher
+        still in a callback after ``timeout`` is kept (``TimeoutError``)."""
         thread = self._thread
         if thread is None:
             return
@@ -149,6 +161,9 @@ class LiveScheduler:
             self._stopping = True
             self._wakeup.notify()
         thread.join(timeout)
+        if thread.is_alive():
+            raise TimeoutError(
+                f"dispatcher still running a callback after {timeout}s")
         self._thread = None
 
     def _run(self) -> None:

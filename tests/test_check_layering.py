@@ -1,5 +1,5 @@
 """``scripts/check_layering.py``: clean on this repository, and each of
-its six checks rejects a violation planted in a scratch tree; the
+its seven checks rejects a violation planted in a scratch tree; the
 serving-kernel rule also holds on a real server process's
 ``sys.modules``."""
 
@@ -177,6 +177,24 @@ def test_live_file_io_outside_the_port_is_rejected(layering, capsys):
         for line, call in [(3, "os.replace"), (9, "open"), (10, "os.fsync"),
                            (11, ".mkdir()"), (12, ".exists()"),
                            (12, ".exists()"), (12, ".open()")]]
+
+
+def test_a_thread_in_a_live_module_but_the_scheduler_or_server_is_rejected(
+        layering, capsys):
+    live = layering.LIVE_DIR
+    (live / "scheduler.py").write_text("import threading\n")
+    (live / "server.py").write_text("from threading import Event\n")
+    (live / "host.py").write_text(
+        "import time\n"
+        "import threading\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "from .scheduler import LiveScheduler\n")
+    message = ("(threads belong to the scheduler and the server; the host "
+               "is callback code)")
+    assert _violations(layering, capsys) == [
+        f"src/repro/live/host.py:{line}: live module imports {target} "
+        f"{message}"
+        for line, target in [(2, "threading"), (3, "concurrent.futures")]]
 
 
 def test_tracked_bytecode_is_rejected(layering, capsys):

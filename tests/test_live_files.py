@@ -5,13 +5,15 @@ loses no acknowledged commit.
 The crash test is the durability contract as a checkable predicate:
 after a crash at step *k* and a restart, every record holds its last
 acknowledged value or a value submitted after it (acked ⊆ recovered ⊆
-submitted), and the oracle agrees with the database.
+submitted), and the oracle agrees with the database.  The script runs
+on the dispatcher thread and on the threadless event engine
+(``tests/engine.py``); both make the same file operations.
 """
 
 import dataclasses
 import errno
-import time
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +26,7 @@ from repro.live.store import ImageStore
 from repro.live.wal import DurableLog, encode_frame, read_wal
 from repro.params import SystemParameters
 from repro.wal.records import CommitRecord
+from tests.engine import EngineScheduler
 from tests.helpers import columns
 from tests.memfiles import MemoryFiles, PowerLoss
 
@@ -71,9 +74,14 @@ class History:
 
 
 @contextmanager
-def running(files):
-    host = LiveHost(CONFIG, files=files)
-    host.start()
+def running(files, engine: bool = False, recoveries=None):
+    """A started host over ``files``: on the dispatcher thread, or on
+    the event engine; its ``RecoveryInfo`` goes to ``recoveries``."""
+    host = LiveHost(CONFIG, files=files,
+                    scheduler=EngineScheduler() if engine else None)
+    recovery = host.start()
+    if recoveries is not None:
+        recoveries.append(recovery.as_dict())
     try:
         yield host
     finally:
@@ -81,22 +89,39 @@ def running(files):
 
 
 def checkpoint(host: LiveHost) -> None:
-    """One checkpoint, waited for; raises if it failed."""
+    """One checkpoint, waited for through the scheduler until the
+    checkpointer reports it done; raises if it failed."""
     checkpointer = host.checkpointer
     failed = checkpointer.checkpoints_failed
-    host.scheduler.call(checkpointer.start_checkpoint)
-    deadline = time.monotonic() + 10.0
-    while checkpointer.active:
-        assert time.monotonic() < deadline, "checkpoint never finished"
-        time.sleep(0.001)
+    chained = checkpointer.on_complete
+
+    def begin(settle) -> None:
+        def completed(stats) -> None:
+            checkpointer.on_complete = chained
+            if chained is not None:
+                chained(stats)
+            settle(stats)
+
+        checkpointer.on_complete = completed
+        try:
+            checkpointer.start_checkpoint()
+        except Exception as exc:
+            checkpointer.on_complete = chained
+            settle(exc)
+
+    host.scheduler.wait(
+        lambda settle: host.scheduler.submit(partial(begin, settle)),
+        timeout=10.0)
     if checkpointer.checkpoints_failed > failed:
         raise checkpointer.last_failure
 
 
-def script(files, history: History) -> None:
+def script(files, history: History, engine: bool = False) -> list:
     """Commits, a checkpoint, commits, a second checkpoint, a restart
-    over a torn tail, and commits."""
-    with running(files) as host:
+    over a torn tail, and commits; returns both starts'
+    ``RecoveryInfo.as_dict()``."""
+    recoveries = []
+    with running(files, engine, recoveries) as host:
         for i in range(3):
             history.commit(host, [i, 100 + i])
         checkpoint(host)
@@ -109,14 +134,16 @@ def script(files, history: History) -> None:
     file.write(TORN)
     files.sync(file)
     file.close()
-    with running(files) as host:
+    with running(files, engine, recoveries) as host:
         assert host.recovery_timing["repaired_bytes"] == len(TORN)
         history.commit(host, [1, 400])
         history.commit(host, [3])
+    return recoveries
 
 
-def restart_violations(image, history: History) -> list:
-    with running(image) as host:
+def restart_violations(image, history: History,
+                       engine: bool = False) -> list:
+    with running(image, engine) as host:
         values = host.database.values_snapshot()
         assert host.verify() == []
     # whichever temp file the crash left, the restart removed it
@@ -125,9 +152,9 @@ def restart_violations(image, history: History) -> list:
     return history.violations(values)
 
 
-def _clean_trace():
+def _clean_trace(engine: bool = False):
     files = MemoryFiles()
-    script(files, History())
+    script(files, History(), engine)
     return files.trace
 
 
@@ -144,17 +171,47 @@ def test_the_script_runs_clean_and_restarts_to_its_last_values():
         assert label in trace
 
 
-def test_a_crash_at_every_step_loses_no_acknowledged_commit():
-    steps = len(_clean_trace())
+def _crash_sweep(engine: bool) -> int:
+    """Cut the power at every step of the script, restart each crash
+    image on two seeds, and return the number of steps swept."""
+    steps = len(_clean_trace(engine))
     for k in range(1, steps + 1):
         files = MemoryFiles(crash_at=k)
         history = History()
-        with pytest.raises((OSError, WALFailedError)):
-            script(files, history)
+        with pytest.raises((OSError, WALFailedError)) as crashed:
+            script(files, history, engine)
+        # a wait that timed out is an OSError too, but no power loss
+        assert not isinstance(crashed.value, TimeoutError), k
         assert files.powered_off
         for seed in (2 * k, 2 * k + 1):
-            assert restart_violations(files.crash(seed), history) == [], \
+            assert restart_violations(files.crash(seed), history,
+                                      engine) == [], \
                 f"crash at step {k} ({files.trace[-1:]}), seed {seed}"
+    return steps
+
+
+def test_a_crash_at_every_step_loses_no_acknowledged_commit():
+    _crash_sweep(engine=False)
+
+
+def test_a_crash_at_every_step_under_the_engine_loses_nothing_acked():
+    assert _crash_sweep(engine=True) == len(_clean_trace())
+
+
+def test_the_script_runs_the_same_under_the_engine_as_on_threads():
+    threaded = MemoryFiles()
+    threaded_recoveries = script(threaded, History())
+    runs = []
+    for _ in range(2):
+        files, history = MemoryFiles(), History()
+        recoveries = script(files, history, engine=True)
+        assert files.trace == threaded.trace
+        assert recoveries == threaded_recoveries
+        assert restart_violations(files.crash(0), history, engine=True) == []
+        runs.append(files)
+    # with no wall clock in the begin marker, the bytes repeat exactly
+    for path in (WAL, IMAGE):
+        assert runs[0].read(path) == runs[1].read(path)
 
 
 @pytest.mark.parametrize("name", [WAL.name + ".tmp", IMAGE.name + ".tmp"])

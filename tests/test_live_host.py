@@ -29,7 +29,7 @@ from repro.errors import (AddressError, ConfigurationError,
                           WALCorruptionError, WALFailedError, WALFormatError)
 from repro.live import wal as live_wal
 from repro.live.files import Files
-from repro.live.host import LiveConfig, LiveHost
+from repro.live.host import CommitResult, LiveConfig, LiveHost
 from repro.live.server import _Handler, _handle, check, serve
 from repro.live.store import ImageStore
 from repro.live.wal import DurableLog, decode_record, encode_record, read_wal
@@ -40,6 +40,7 @@ from repro.params import SystemParameters
 from repro.wal.log import LogManager
 from repro.wal.records import (CommitRecord, LogicalUpdateRecord,
                                 UpdateRecord, UpdateRun)
+from tests.engine import EngineScheduler
 from tests.helpers import columns
 from tests.memfiles import MemoryFiles
 
@@ -1170,6 +1171,36 @@ def test_live_host_commits_queued_together_share_one_flush(tmp_path):
         assert host.log.stable_lsn == max(a.commit_lsn for a in acks.values())
         assert host.verify() == []
         assert host.scheduler.errors == []
+    finally:
+        host.stop()
+
+
+def test_commits_queued_before_one_engine_step_share_one_flush(tmp_path):
+    engine = EngineScheduler()
+    host = LiveHost(LiveConfig(data_dir=str(tmp_path), scale=2048,
+                               checkpoint_interval=None,
+                               flush_interval=NO_TICK),
+                    files=MemoryFiles(), scheduler=engine)
+    host.start()
+    workers = 8
+    try:
+        host.submit([(0, 1)])  # warm: file and trigger used
+        flushes, fsyncs = host.log.flush_count, host.log.fsync_count
+        acks = []
+        for i in range(1, workers + 1):
+            host.commit(np.array([i]), np.array([100 + i]), acks.append)
+        assert engine.pending == workers + 1  # the tick, 30 s out
+        assert acks == []
+        # eight executes, then the flush the first of them asked for
+        for _ in range(workers + 1):
+            assert engine.step()
+        assert [type(ack) for ack in acks] == [CommitResult] * workers
+        assert [ack.txn_id for ack in acks] == list(range(2, workers + 2))
+        assert host.log.flush_count == flushes + 1
+        assert host.log.fsync_count == fsyncs + 1
+        assert host.log.stable_lsn == acks[-1].commit_lsn
+        assert engine.now == 0.0 and engine.errors == []
+        assert host.verify() == []
     finally:
         host.stop()
 

@@ -5,10 +5,15 @@ The kernel consumes time only through ``ClockPort``/``SchedulerPort``
 structurally (each host's clock and scheduler expose the port surface)
 and behaviourally (the kernel's ``CheckpointScheduler`` paces
 checkpoints identically whether the port underneath is the
-discrete-event engine or the wall-clock dispatcher).
+discrete-event engine or the wall-clock dispatcher).  What the live
+host asks beyond the port -- ``submit``, ``wait``, ``call``, ``offload``
+-- is pinned over ``LiveScheduler`` and over the engine double
+(``tests/engine.py``) alike.
 """
 
+import threading
 import time
+from functools import partial
 
 import pytest
 
@@ -20,6 +25,7 @@ from repro.live.scheduler import LiveScheduler
 from repro.sim.clock import Clock
 from repro.sim.engine import EventEngine
 from repro.sim.ports import ClockPort, SchedulerPort, missing_methods
+from tests.engine import EngineScheduler
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +159,111 @@ def test_live_scheduler_callback_exception_is_recorded_not_fatal(
     assert len(live_scheduler.errors) == 1
     assert isinstance(live_scheduler.errors[0], RuntimeError)
     live_scheduler.errors.clear()
+
+
+def test_live_scheduler_stop_keeps_a_dispatcher_it_could_not_stop():
+    scheduler = LiveScheduler()
+    scheduler.start()
+    parked, release = threading.Event(), threading.Event()
+
+    def park() -> None:
+        parked.set()
+        release.wait(10.0)
+
+    scheduler.submit(park)
+    assert parked.wait(2.0)
+    thread = scheduler._thread
+    try:
+        with pytest.raises(TimeoutError):
+            scheduler.stop(timeout=0.1)
+        # still the running dispatcher: call() must not run beside it
+        assert scheduler._thread is thread and thread.is_alive()
+    finally:
+        release.set()
+    scheduler.stop()
+    assert scheduler._thread is None and not thread.is_alive()
+
+
+def test_live_scheduler_call_without_a_dispatcher_runs_on_the_caller():
+    scheduler = LiveScheduler()
+    began = time.monotonic()
+    assert scheduler.call(lambda: threading.current_thread(),
+                          timeout=0.5) is threading.current_thread()
+    scheduler.start()
+    scheduler.stop()
+    assert scheduler.call(lambda: 1, timeout=0.5) == 1
+    assert time.monotonic() - began < 0.4
+
+
+# ---------------------------------------------------------------------------
+# what the live host asks of either scheduler
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(params=["live", "engine"])
+def host_scheduler(request):
+    if request.param == "engine":
+        yield EngineScheduler()
+        return
+    scheduler = LiveScheduler()
+    scheduler.start()
+    yield scheduler
+    scheduler.stop()
+
+
+def test_wait_returns_the_settled_outcome_or_raises_it(host_scheduler):
+    wait, submit = host_scheduler.wait, host_scheduler.submit
+    assert wait(lambda settle: submit(partial(settle, 42))) == 42
+    assert wait(lambda settle: settle("at once")) == "at once"
+    error = ValueError("refused")
+    with pytest.raises(ValueError) as raised:
+        wait(lambda settle: submit(partial(settle, error)))
+    assert raised.value is error
+    with pytest.raises(TimeoutError):
+        wait(lambda settle: None, timeout=0.05)
+
+
+def test_call_runs_behind_queued_callbacks_and_relays_exceptions(
+        host_scheduler):
+    order = []
+    host_scheduler.submit(partial(order.append, "queued"))
+    assert host_scheduler.call(lambda: order.append("call") or order) == [
+        "queued", "call"]
+
+    def boom():
+        raise ValueError("kernel says no")
+
+    with pytest.raises(ValueError, match="kernel says no"):
+        host_scheduler.call(boom)
+    assert host_scheduler.errors == []
+
+
+def test_a_callback_exception_is_recorded_and_dispatching_goes_on(
+        host_scheduler):
+    def bad():
+        raise RuntimeError("escaped")
+
+    host_scheduler.submit(bad)
+    assert host_scheduler.call(lambda: "alive") == "alive"
+    [error] = host_scheduler.errors
+    assert isinstance(error, RuntimeError)
+    host_scheduler.errors.clear()
+
+
+def test_offloaded_work_reports_back_through_submit(host_scheduler):
+    ran = []
+
+    def start(settle) -> None:
+        def work() -> None:
+            ran.append(threading.current_thread().name)
+            host_scheduler.submit(partial(settle, "written"))
+
+        host_scheduler.offload(work, label="ckpt-writer")
+
+    assert host_scheduler.wait(start) == "written"
+    expected = ("ckpt-writer" if isinstance(host_scheduler, LiveScheduler)
+                else threading.current_thread().name)
+    assert ran == [expected]
+    assert host_scheduler.errors == []
 
 
 # ---------------------------------------------------------------------------
