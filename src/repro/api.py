@@ -23,13 +23,12 @@ through three calls, all re-exported at the package top level::
 **This module is the only assembler outside** :mod:`repro.sim`: the
 CLI, the experiment drivers, the fault checker and the observability
 presets all obtain their system from :func:`build_system` (when they
-need the live object: the run document, fault counters, per-shard
+need the live object: the run document, fault counters, checkpoint
 history) or from :func:`simulate` (when the outcome is enough).  The
 recipe -- scaled-down Tables 2a-2d parameters, the checkpoint interval,
-preloaded backups, single engine vs. partitioned -- therefore exists
-once, and an algorithm that is only safe with a stable log tail
-(FASTFUZZY) is granted one by the builder, so every entry point accepts
-every registered algorithm.
+preloaded backups -- therefore exists once, and an algorithm that is
+only safe with a stable log tail (FASTFUZZY) is granted one by the
+builder, so every entry point accepts every registered algorithm.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from .faults.plan import FaultPlan
 from .model.evaluate import ModelOptions, ModelResult
 from .model.evaluate import evaluate as _model_evaluate
 from .params import SystemParameters
-from .sim.partition import PartitionedSystem
 from .sim.system import (
     SimulatedSystem,
     SimulationConfig,
@@ -80,10 +78,8 @@ class SimulationOutcome:
 
     config: SimulationConfig
     metrics: SimulationMetrics
-    #: single-engine runs carry a :class:`RecoveryResult`; partitioned
-    #: runs (``config.partitions > 1``) a
-    #: :class:`~repro.recovery.parallel.ParallelRecoveryResult` (same
-    #: ``total_time`` / replay-count surface, plus the worker schedule)
+    #: the :class:`~repro.recovery.restore.RecoveryResult` of a crashed
+    #: run; ``None`` otherwise
     recovery: Optional[Any] = None
     #: :class:`~repro.sim.oracle.RecordMismatch` entries (record id
     #: plus expected/recovered values); empty list = recovery verified
@@ -120,9 +116,8 @@ def build_system(
     fault_plan: Optional[FaultPlan] = None,
     workload: Optional[Any] = None,
     preload_backup: bool = True,
-    fault_partitions: Optional[Sequence[int]] = None,
     **config_fields: Any,
-) -> Any:
+) -> SimulatedSystem:
     """Turn run arguments into a ready, not-yet-run system.
 
     Args:
@@ -148,16 +143,12 @@ def build_system(
             ``None`` keeps the paper's default fixed-rate uniform load.
         preload_backup: both backup images start out holding the initial
             database, so the first checkpoints are partial sweeps.
-        fault_partitions: the shards that arm ``fault_plan`` in a
-            partitioned run (default: all of them).
         **config_fields: extra :class:`SimulationConfig` fields
-            (``telemetry=True``, ``spans=True``, ``cpu_mips=50.0``,
-            ``partitions=4``, ...).
+            (``telemetry=True``, ``spans=True``, ``cpu_mips=50.0``, ...).
 
     Returns:
-        A :class:`SimulatedSystem`, or for ``partitions > 1`` a
-        :class:`PartitionedSystem` (the same run / crash / recover /
-        verify surface); ``system.config`` is the configuration built.
+        A :class:`SimulatedSystem`; ``system.config`` is the
+        configuration built.
     """
     if params is None:
         params = SystemParameters.scaled_down(scale, lam=lam)
@@ -177,11 +168,6 @@ def build_system(
         fault_plan=fault_plan,
         **config_fields,
     )
-    # N=1 takes the original single-engine path -- not a one-shard
-    # PartitionedSystem -- so fixed-seed runs stay bit-identical to the
-    # pre-partitioning engine.
-    if config.partitions > 1:
-        return PartitionedSystem(config, fault_partitions=fault_partitions)
     return SimulatedSystem(config)
 
 

@@ -120,8 +120,7 @@ def _no_arguments(_parser: argparse.ArgumentParser) -> None:
 
 def _figures_arguments(figures: argparse.ArgumentParser) -> None:
     figures.add_argument("which", nargs="?", default="all",
-                         choices=["4a", "4b", "4c", "4d", "4e", "all",
-                                  "recovery-scaling"])
+                         choices=["4a", "4b", "4c", "4d", "4e", "all"])
     figures.add_argument("--plot", action="store_true",
                          help="render ASCII plots where the figure is a "
                               "curve family")
@@ -146,18 +145,6 @@ def _simulate_arguments(sim: argparse.ArgumentParser) -> None:
                       lam=True, stable_tail=True)
     sim.add_argument("--crash", action="store_true",
                      help="inject a crash at the end and verify recovery")
-    sim.add_argument("--partitions", type=int, default=1,
-                     help="hash-partition the segment space into N "
-                          "independent shards, each with its own "
-                          "checkpointer and WAL stream (default: 1, the "
-                          "paper's single-engine configuration)")
-    sim.add_argument("--partition-policy", default="coordinated",
-                     choices=["coordinated", "staggered"],
-                     help="per-partition checkpoint phasing (staggered "
-                          "offsets shard i by i/N of the interval)")
-    sim.add_argument("--recovery-workers", type=int, default=1,
-                     help="simulated concurrent REDO workers replaying "
-                          "the per-partition log streams after a crash")
     _add_workload_flags(sim)
 
 
@@ -405,15 +392,12 @@ def _cmd_tables(_args: argparse.Namespace) -> str:
 
 
 def _cmd_figures(args: argparse.Namespace) -> str:
-    from .experiments import fig4a, fig4b, fig4c, fig4d, fig4e, recovery_scaling
-    # "all" means the paper's figures; the partitioned recovery-scaling
-    # extension runs only when asked for by name.
+    from .experiments import fig4a, fig4b, fig4c, fig4d, fig4e
     chosen = (["4a", "4b", "4c", "4d", "4e"] if args.which == "all"
               else [args.which])
     renderers = {
         "4a": fig4a.render, "4b": fig4b.render, "4c": fig4c.render,
         "4d": fig4d.render, "4e": fig4e.render,
-        "recovery-scaling": recovery_scaling.render,
     }
     blocks = [renderers[name]() for name in chosen]
     if args.plot:
@@ -517,13 +501,8 @@ def _workload_from_flags(args: argparse.Namespace):
 def _render_outcome(header: str, outcome: "SimulationOutcome",
                     load_lines: List[str]) -> str:
     """The run report ``simulate`` and ``workload run`` both print."""
-    config, metrics = outcome.config, outcome.metrics
-    lines = [header]
-    if config.partitions > 1:
-        lines.append(
-            f"  partitions           {config.partitions} "
-            f"({config.partition_policy} checkpoints)")
-    lines += load_lines
+    metrics = outcome.metrics
+    lines = [header, *load_lines]
     lines += [
         f"  committed            {metrics.transactions_committed}",
         f"  checkpoints          {metrics.checkpoints_completed}",
@@ -536,19 +515,11 @@ def _render_outcome(header: str, outcome: "SimulationOutcome",
     ]
     result = outcome.recovery
     if result is not None:
-        if config.partitions > 1:
-            lines.append(
-                f"  crash+recover        {result.partitions} partitions on "
-                f"{result.workers} workers, "
-                f"{result.transactions_replayed} txns replayed, "
-                f"{result.total_time:.2f}s makespan "
-                f"({result.speedup:.2f}x vs sequential)")
-        else:
-            lines.append(
-                f"  crash+recover        checkpoint "
-                f"{result.used_checkpoint_id}, "
-                f"{result.transactions_replayed} txns replayed, "
-                f"{result.total_time:.2f}s modelled")
+        lines.append(
+            f"  crash+recover        checkpoint "
+            f"{result.used_checkpoint_id}, "
+            f"{result.transactions_replayed} txns replayed, "
+            f"{result.total_time:.2f}s modelled")
         lines.append(
             "  oracle               "
             + ("PASS" if outcome.clean else f"FAIL {outcome.mismatches}"))
@@ -561,9 +532,7 @@ def _cmd_simulate(args: argparse.Namespace) -> str:
     outcome = simulate(
         args.algorithm, scale=args.scale, lam=args.lam, seed=args.seed,
         duration=args.duration, interval=args.interval, crash=args.crash,
-        stable_tail=args.stable_tail, workload=workload,
-        partitions=args.partitions, partition_policy=args.partition_policy,
-        recovery_workers=args.recovery_workers)
+        stable_tail=args.stable_tail, workload=workload)
     metrics = outcome.metrics
     load_lines = [] if workload is None else [
         f"  workload             {workload.describe()}",

@@ -28,14 +28,8 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..api import build_system
-from ..errors import CrashError
 from .checker import CrashConsistencyChecker
 from .plan import CrashSpec, FaultPlan, IOFaultSpec
-
-#: Which shards a partitioned fault cell arms: one partition (the
-#: "single failure domain" axis) or every partition at once.
-PARTITION_FAULT_MODES = ("one", "all")
 
 #: Crash-trigger kinds :func:`random_plans` draws from.  ``quiesce`` is
 #: excluded: it needs ``cou_quiesce_latency`` and a COU algorithm, so it
@@ -110,9 +104,8 @@ def phase_crash_plans(*, seed: int = 0,
                       checkpoint_ordinal: int = 2) -> List[FaultPlan]:
     """One plan per checkpoint phase: crash at begin, mid-sweep, and end.
 
-    The partitioned matrix axis wants a *named* phase per cell (rather
-    than :func:`random_plans`' drawn triggers) so each (phase x mode)
-    combination is a stable CI cell.
+    A *named* phase per cell (rather than :func:`random_plans`' drawn
+    triggers) makes each (algorithm x phase) combination a stable cell.
     """
     return [
         FaultPlan(seed=seed, crash=CrashSpec(
@@ -123,99 +116,6 @@ def phase_crash_plans(*, seed: int = 0,
         FaultPlan(seed=seed + 2, crash=CrashSpec(
             at_phase="end", checkpoint_ordinal=checkpoint_ordinal)),
     ]
-
-
-def partitioned_matrix_points(
-    algorithms: Sequence[str],
-    plans: Iterable[FaultPlan],
-    *,
-    modes: Sequence[str] = PARTITION_FAULT_MODES,
-) -> List[Dict[str, Any]]:
-    """The (algorithm x plan x fault-mode) product for partitioned cells."""
-    plans = list(plans)
-    for mode in modes:
-        if mode not in PARTITION_FAULT_MODES:
-            raise ValueError(
-                f"fault mode must be one of {PARTITION_FAULT_MODES}, "
-                f"got {mode!r}")
-    return [
-        {"algorithm": algorithm, "plan": plan.to_dict(), "fault_mode": mode}
-        for algorithm in algorithms
-        for plan in plans
-        for mode in modes
-    ]
-
-
-def run_partitioned_fault_cell(
-    *,
-    algorithm: str,
-    plan: Mapping[str, Any],
-    partitions: int = 4,
-    fault_mode: str = "one",
-    recovery_workers: int = 2,
-    scale: int = 4096,
-    duration: float = 10.0,
-    checkpoint_interval: float = 1.0,
-    seed: int = 0,
-    mismatch_limit: int = 10,
-    **config_overrides: Any,
-) -> Dict[str, Any]:
-    """One partitioned crash-matrix cell (module-level, pool-safe).
-
-    ``fault_mode="one"`` arms the plan in partition 0 only -- the other
-    shards die innocent when the machine goes down; ``"all"`` arms it
-    everywhere, so each shard races to its own trigger and the earliest
-    defines the crash instant.  Recovery is the parallel REDO path; the
-    report's headline ``ok`` still means the recovered state matches
-    every shard's oracle exactly.
-    """
-    if fault_mode not in PARTITION_FAULT_MODES:
-        raise ValueError(
-            f"fault mode must be one of {PARTITION_FAULT_MODES}, "
-            f"got {fault_mode!r}")
-    if partitions < 2:
-        raise ValueError(
-            f"a partitioned fault cell needs partitions >= 2, "
-            f"got {partitions!r} (single engine: run_fault_cell)")
-    system = build_system(
-        algorithm, scale=scale, seed=seed,
-        fault_plan=FaultPlan.from_dict(plan), interval=checkpoint_interval,
-        preload_backup=False,  # cold backups, as in the single-engine cells
-        partitions=partitions, recovery_workers=recovery_workers,
-        fault_partitions=[0] if fault_mode == "one" else None,
-        **config_overrides)
-    crashed_by_fault = False
-    crash_trigger: Optional[str] = None
-    try:
-        system.run(duration)
-    except CrashError as exc:
-        crashed_by_fault = True
-        crash_trigger = exc.trigger
-    # Injected or not, the machine dies now and recovery must win.
-    system.crash()
-    result = system.recover()
-    mismatches = [mm._asdict()
-                  for mm in system.verify_recovery(limit=mismatch_limit)]
-    return {
-        "algorithm": algorithm,
-        "plan": dict(plan),
-        "partitions": partitions,
-        "fault_mode": fault_mode,
-        "recovery_workers": recovery_workers,
-        "system_seed": seed,
-        "duration": duration,
-        "crashed_by_fault": crashed_by_fault,
-        "crash_trigger": crash_trigger,
-        "transactions_replayed": result.transactions_replayed,
-        "updates_applied": result.updates_applied,
-        "recovery_makespan": result.total_time,
-        "recovery_sequential": result.sequential_time,
-        "recovery_speedup": result.speedup,
-        "checkpoints_completed": sum(
-            len(shard.checkpointer.history) for shard in system.shards),
-        "mismatches": mismatches,
-        "ok": not mismatches,
-    }
 
 
 def run_fault_cell(

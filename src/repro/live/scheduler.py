@@ -46,7 +46,6 @@ class LiveScheduler:
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)
         self._stopping = False
-        self._dispatched = 0
         self._thread: Optional[threading.Thread] = None
         #: exceptions escaping dispatched callbacks (the dispatcher must
         #: survive a bad callback; tests and the server assert this list
@@ -135,10 +134,6 @@ class LiveScheduler:
 
     # -- lifecycle -----------------------------------------------------------
     @property
-    def dispatched(self) -> int:
-        return self._dispatched
-
-    @property
     def pending(self) -> int:
         with self._lock:
             return len(self._heap) - len(self._cancelled)
@@ -191,4 +186,3 @@ class LiveScheduler:
                 callback()
             except BaseException as exc:  # noqa: BLE001 - keep dispatching
                 self.errors.append(exc)
-            self._dispatched += 1

@@ -95,11 +95,12 @@ def _handle(host: LiveHost, request: dict) -> dict:
         def start() -> bool:
             # One dispatcher callback: the paced scheduler (or another
             # client) cannot start a checkpoint between the test and
-            # the start.
-            if phase:
-                checkpointer.arm_hold(phase, hold_seconds)
+            # the start.  A refused op arms nothing: its hold would
+            # park the next checkpoint, which nobody asked for.
             if checkpointer.active:
                 return False
+            if phase:
+                checkpointer.arm_hold(phase, hold_seconds)
             checkpointer.start_checkpoint()
             return True
 

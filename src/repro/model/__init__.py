@@ -20,30 +20,18 @@ description; each module documents its formulas:
 * :mod:`repro.model.evaluate`   -- the public entry point tying it all
   together;
 * :mod:`repro.model.utilization` -- CPU budgets: utilisation and
-  throughput capacity on a given MIPS machine (extension);
-* :mod:`repro.model.skew`       -- dirtying under hotspot workloads
-  (extension, testbed-validated).
+  throughput capacity on a given MIPS machine (extension).
 """
 
 from .evaluate import ModelOptions, ModelResult, evaluate, evaluate_all
-from .skew import (
-    SegmentRateMixture,
-    segment_rates,
-    skewed_flush_count,
-    skewed_minimum_duration,
-)
 from .utilization import UtilizationModel, cpu_utilization, throughput_capacity
 
 __all__ = [
     "ModelOptions",
     "ModelResult",
-    "SegmentRateMixture",
     "UtilizationModel",
     "cpu_utilization",
     "evaluate",
     "evaluate_all",
-    "segment_rates",
-    "skewed_flush_count",
-    "skewed_minimum_duration",
     "throughput_capacity",
 ]

@@ -19,8 +19,6 @@ and transaction processing; this subsystem is the measuring equipment.
 * :mod:`repro.obs.attribution` -- the stall-attribution pass joining
   transaction spans against overlapping checkpoint spans (the
   ``repro trace --attribution`` output);
-* :mod:`repro.obs.partition` -- partition-aware joins: span tagging by
-  ``ckpt.partition``, per-shard telemetry merging, replay-rate gauges;
 * :mod:`repro.obs.presets` -- named scenarios for the CLI and CI.
 
 See ``docs/OBSERVABILITY.md`` for the metric catalog and span names.
@@ -40,11 +38,6 @@ __getattr__, __dir__ = lazy_surface(__name__, {
     "Histogram": ".metrics",
     "MetricsRegistry": ".metrics",
     "Timeline": ".metrics",
-    "PARTITION_FIELD": ".partition",
-    "merge_partition_spans": ".partition",
-    "merge_partition_telemetry": ".partition",
-    "record_replay_rates": ".partition",
-    "tag_spans_with_partition": ".partition",
     "render_merged_sweep_telemetry": ".report",
     "render_metrics_report": ".report",
     "NULL_SPANS": ".spans",
@@ -65,7 +58,6 @@ __all__ = [
     "MetricsRegistry",
     "NULL_SPANS",
     "NULL_TELEMETRY",
-    "PARTITION_FIELD",
     "SpanRecorder",
     "Telemetry",
     "Timeline",
@@ -74,12 +66,8 @@ __all__ = [
     "decompose_quantiles",
     "latency_timeline",
     "load_run",
-    "merge_partition_spans",
-    "merge_partition_telemetry",
-    "record_replay_rates",
     "render_attribution",
     "render_merged_sweep_telemetry",
     "render_metrics_report",
     "run_document",
-    "tag_spans_with_partition",
 ]

@@ -11,9 +11,6 @@ read -- which is exactly the recovery-time model of Section 4.
 from .._lazy import lazy_surface
 
 __getattr__, __dir__ = lazy_surface(__name__, {
-    "ParallelRecoveryResult": ".parallel",
-    "PartitionRecovery": ".parallel",
-    "schedule_recovery": ".parallel",
     "RedoApplier": ".replay",
     "ReplayCounts": ".replay",
     "replay_records": ".replay",
@@ -22,12 +19,9 @@ __getattr__, __dir__ = lazy_surface(__name__, {
 })
 
 __all__ = [
-    "ParallelRecoveryResult",
-    "PartitionRecovery",
     "RecoveryManager",
     "RecoveryResult",
     "RedoApplier",
     "ReplayCounts",
     "replay_records",
-    "schedule_recovery",
 ]

@@ -112,44 +112,12 @@ class SimulationConfig:
     #: :class:`~repro.errors.CrashError` out of :meth:`run`; call
     #: :meth:`crash` to complete the failure, then recover as usual.
     fault_plan: Optional[FaultPlan] = None
-    #: hash-partition the segment space into this many independent
-    #: shards, each with its own :class:`SegmentTable`, lock manager,
-    #: WAL stream, backup image pair, and checkpointer instance (see
-    #: :class:`repro.sim.partition.PartitionedSystem`).  ``1`` is the
-    #: paper's single-engine configuration and runs the exact
-    #: unpartitioned code path (bit-identical on a fixed seed).
-    partitions: int = 1
-    #: per-partition checkpoint phasing: ``"coordinated"`` starts every
-    #: shard's checkpoints on the same schedule; ``"staggered"`` offsets
-    #: shard ``i`` by ``i/N`` of the checkpoint interval so the backup
-    #: I/O load spreads over the whole cycle
-    partition_policy: str = "coordinated"
-    #: simulated concurrent REDO workers replaying the per-partition log
-    #: streams at recovery (parallel recovery; only meaningful with
-    #: ``partitions > 1``)
-    recovery_workers: int = 1
 
     def __post_init__(self) -> None:
         if not isinstance(self.workload, WorkloadSpec):
             from ..workload.scenarios import resolve_workload
             object.__setattr__(self, "workload",
                                resolve_workload(self.workload))
-        if self.partitions < 1:
-            raise ConfigurationError(
-                f"partitions must be >= 1, got {self.partitions!r}")
-        if self.partition_policy not in ("coordinated", "staggered"):
-            raise ConfigurationError(
-                "partition_policy must be 'coordinated' or 'staggered', "
-                f"got {self.partition_policy!r}")
-        if self.recovery_workers < 1:
-            raise ConfigurationError(
-                f"recovery_workers must be >= 1, got {self.recovery_workers!r}")
-        if self.partitions > 1:
-            n_segments = self.params.n_segments
-            if n_segments % self.partitions != 0:
-                raise ConfigurationError(
-                    f"partitions ({self.partitions}) must divide the segment "
-                    f"count ({n_segments}) so shards tile the database")
 
 
 @dataclass

@@ -171,30 +171,6 @@ class SchedulePhase:
             return 0.0
         return self.rate
 
-    def scaled(self, factor: float) -> "SchedulePhase":
-        """The same shape with every rate multiplied by ``factor``.
-
-        Durations and the diurnal amplitude (a relative depth) are
-        untouched, so ``phase.scaled(f).rate_at(t) == f * phase.rate_at(t)``
-        for every instant ``t``.
-        """
-        if factor < 0:
-            raise ConfigurationError(
-                f"rate scale factor must be >= 0, got {factor!r}")
-        if self.kind == "pause":
-            return self
-        return SchedulePhase(
-            self.kind,
-            rate=self.rate * factor,
-            duration=self.duration,
-            rate_to=None if self.rate_to is None else self.rate_to * factor,
-            peak=None if self.peak is None else self.peak * factor,
-            amplitude=self.amplitude,
-        )
-
-    # ------------------------------------------------------------------
-    # serialisation
-    # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         """A plain-JSON rendering; :meth:`from_dict` round-trips it."""
         out: Dict[str, Any] = {"kind": self.kind, "duration": self.duration}
@@ -393,18 +369,6 @@ class ArrivalSchedule:
             else:
                 hi = mid
         return hi
-
-    def scaled(self, factor: float) -> "ArrivalSchedule":
-        """The same schedule with every phase's rates scaled by ``factor``.
-
-        The partitioned engine uses this to split an offered load over N
-        shards: each shard runs ``schedule.scaled(1/N)``, so the summed
-        offered load equals the original at every instant.
-        """
-        return ArrivalSchedule(
-            phases=tuple(phase.scaled(factor) for phase in self.phases),
-            repeat=self.repeat,
-        )
 
     # ------------------------------------------------------------------
     # serialisation

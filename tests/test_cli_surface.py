@@ -78,12 +78,12 @@ def test_invoked_command_alone_builds_its_snapshot(command):
 
 
 def test_flag_count():
-    """122 flags and positionals across the 14 commands (``-h`` and the
+    """119 flags and positionals across the 14 commands (``-h`` and the
     subcommand selectors not counted)."""
     count = sum(1 for path, actions in SNAPSHOT.items() if path
                 for action in actions
                 if action["kind"] not in ("_HelpAction", "_SubParsersAction"))
-    assert count == 122
+    assert count == 119
 
 
 def _run(*argv):

@@ -45,12 +45,17 @@ from repro.faults import (
     random_plans,
     run_fault_cell,
 )
+from repro.faults.matrix import phase_crash_plans
 from repro.params import SystemParameters
 from repro.sim.oracle import RecordMismatch
 from repro.storage.disk import Disk
 
 MATRIX_ALGORITHMS = ALGORITHM_NAMES  # all six families
 MATRIX_PLANS = random_plans(10, seed=20260806, duration=6.0)
+#: One fuzzy, one black/white, one COU, and both modern snapshot
+#: plugins: a family-spanning slice for the named-phase cells.
+PHASE_ALGORITHMS = ["FUZZYCOPY", "2CCOPY", "COUCOPY", "ZIGZAG", "PINGPONG"]
+PHASE_PLANS = phase_crash_plans(seed=0)
 
 
 def fault_system(params, algorithm, plan, *, seed=1, interval=0.8,
@@ -377,6 +382,27 @@ class TestInjectedCrashes:
         counters = system.telemetry_snapshot()["counters"]
         assert counters["faults.crashes"] == 1
         assert counters.get("faults.io.retries", 0) == system.faults.io_retries
+
+
+class TestPhaseCrashCells:
+    """(algorithm x named phase) crash cells: each must crash on the
+    phase its plan names, then recover exactly.  ``lam=100`` puts about
+    a hundred commits in the log before the crash (the scaled-down
+    default rate, ~1/s, would leave it empty), so REDO has work."""
+
+    @pytest.mark.parametrize("plan", PHASE_PLANS,
+                             ids=[p.describe() for p in PHASE_PLANS])
+    @pytest.mark.parametrize("algorithm", PHASE_ALGORITHMS)
+    def test_cell_crashes_on_its_phase_and_recovers(self, algorithm, plan):
+        report = run_fault_cell(algorithm=algorithm, plan=plan.to_dict(),
+                                scale=1024, duration=6.0, seed=13,
+                                lam=100.0)
+        assert report["crashed_by_fault"]
+        assert report["crash_trigger"] == f"phase:{plan.crash.at_phase}"
+        assert report["transactions_replayed"] > 0
+        assert report["ok"], (
+            f"{algorithm} lost data under [{plan.describe()}]: "
+            f"{report['mismatches']}")
 
 
 # ---------------------------------------------------------------------------

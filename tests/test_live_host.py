@@ -1029,6 +1029,29 @@ def test_checkpoint_op_refuses_a_hold_that_is_not_0_to_60_seconds(
         host.stop()
 
 
+def test_a_refused_checkpoint_op_arms_no_hold(tmp_path):
+    """An op answered ``already_active`` must not leave its hold armed
+    for the next checkpoint, whose writer would then park for it."""
+    host = _host(tmp_path)
+    host.start()
+    try:
+        assert _handle(host, {"op": "checkpoint", "hold_phase": "pre-install",
+                              "hold_seconds": 0.5}) == {"ok": True,
+                                                        "started": True}
+        assert _handle(host, {"op": "checkpoint",
+                              "hold_phase": "post-install",
+                              "hold_seconds": 30}) == {
+            "ok": True, "started": False, "already_active": True}
+        assert host.checkpointer._hold is None
+        assert _wait_until(lambda: host.checkpointer.history)
+        assert _handle(host, {"op": "checkpoint"}) == {"ok": True,
+                                                       "started": True}
+        assert _wait_until(lambda: len(host.checkpointer.history) == 2)
+        assert host.scheduler.errors == []
+    finally:
+        host.stop()
+
+
 def _counted(monkeypatch, owner, attr):
     calls = []
     original = getattr(owner, attr)

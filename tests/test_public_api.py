@@ -360,6 +360,3 @@ class TestOneAssembler:
                             scale=2048).config.params.stable_log_tail
         assert not build_system("FUZZYCOPY",
                                 scale=2048).config.params.stable_log_tail
-        sharded = build_system("FASTFUZZY", scale=2048, partitions=2)
-        assert sharded.config.params.stable_log_tail
-        assert len(sharded.shards) == 2
