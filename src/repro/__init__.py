@@ -52,12 +52,6 @@ __getattr__, __dir__ = lazy_surface(__name__, {
     "SweepSpec": ".sweep.spec",
     "AccessDistribution": ".workload.spec",
     "WorkloadSpec": ".workload.spec",
-    "ArrivalSchedule": ".workload.schedule",
-    "SchedulePhase": ".workload.schedule",
-    "WorkloadScenario": ".workload.scenarios",
-    "get_scenario": ".workload.scenarios",
-    "register_scenario": ".workload.scenarios",
-    "scenario_names": ".workload.scenarios",
     "api": ".api",
     "SimulationOutcome": ".api",
     "evaluate": ".api",
@@ -71,7 +65,6 @@ __version__ = "1.1.0"
 __all__ = [
     "ALGORITHM_NAMES",
     "AccessDistribution",
-    "ArrivalSchedule",
     "CheckpointPolicy",
     "CheckpointScope",
     "CrashSpec",
@@ -80,7 +73,6 @@ __all__ = [
     "ModelResult",
     "PAPER_DEFAULTS",
     "ReproError",
-    "SchedulePhase",
     "SimulatedSystem",
     "SimulationConfig",
     "SimulationOutcome",
@@ -89,12 +81,8 @@ __all__ = [
     "SweepRunner",
     "SweepSpec",
     "SystemParameters",
-    "WorkloadScenario",
     "WorkloadSpec",
     "evaluate",
-    "get_scenario",
-    "register_scenario",
-    "scenario_names",
     "simulate",
     "sweep",
     "__version__",

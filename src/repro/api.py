@@ -51,6 +51,7 @@ from .sim.system import (
 )
 from .sweep import SweepResult, SweepRunner, SweepSpec
 from .sweep.cache import PathLike
+from .workload.spec import WorkloadSpec
 
 
 def evaluate(
@@ -114,7 +115,7 @@ def build_system(
     interval: Optional[float] = None,
     stable_tail: bool = False,
     fault_plan: Optional[FaultPlan] = None,
-    workload: Optional[Any] = None,
+    workload: Optional[WorkloadSpec] = None,
     preload_backup: bool = True,
     **config_fields: Any,
 ) -> SimulatedSystem:
@@ -136,10 +137,7 @@ def build_system(
         fault_plan: a :class:`~repro.faults.plan.FaultPlan` arming the
             deterministic fault injector (mid-run crash triggers, torn
             writes, transient I/O errors).
-        workload: the run's workload -- a
-            :class:`~repro.workload.WorkloadSpec`, a registered scenario
-            name (``"write-storm"``; see
-            :func:`repro.workload.scenario_names`), or a spec dict.
+        workload: the run's :class:`~repro.workload.WorkloadSpec`;
             ``None`` keeps the paper's default fixed-rate uniform load.
         preload_backup: both backup images start out holding the initial
             database, so the first checkpoints are partial sweeps.

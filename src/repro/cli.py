@@ -22,15 +22,11 @@ Commands:
   Perfetto / ``chrome://tracing``;
 * ``faults``      -- deterministic fault injection: run one fault plan
   (crash / torn writes / transient I/O) with verified recovery, or a
-  seeded crash matrix over every algorithm (``--matrix N``);
-* ``workload``    -- the open-system workload engine: ``list`` /
-  ``describe`` the registered scenarios, ``run`` one scenario with
-  offered-vs-served load reporting, or ``sweep`` a scenario axis
-  against an algorithm list.
+  seeded crash matrix over every algorithm (``--matrix N``).
 
 Commands that run simulations through the sweep runner (``validate``,
-``extensions``, ``report``, ``faults --matrix``, ``workload sweep``) also
-accept ``--workers``, ``--replicates``, ``--no-cache`` and ``--verbose``
+``extensions``, ``report``, ``faults --matrix``) also accept
+``--workers``, ``--replicates``, ``--no-cache`` and ``--verbose``
 (per-cell progress lines on stderr).
 
 Each command is one row of ``_COMMANDS``: its help line, the function
@@ -38,6 +34,12 @@ that adds its arguments, and the one that runs it.  ``main`` builds the
 arguments of the invoked command only, and every command imports what
 it runs inside its own functions, so ``repro serve`` starts without the
 simulator, the model or the sweep runner.
+
+The exit status is 0 unless the command reports a failed check:
+``simulate --crash`` whose oracle finds lost updates, ``faults`` with a
+plan that is not survived (or a ``--matrix`` cell that is not, or that
+fails to run), and ``serve --check`` on an inconsistent restart exit 1,
+after printing their report as usual.
 """
 
 from __future__ import annotations
@@ -47,14 +49,17 @@ import json
 import os
 import sys
 from collections import Counter
-from dataclasses import asdict
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
                     Optional, Tuple, Union)
 
 if TYPE_CHECKING:
-    from .api import SimulationOutcome
     from .faults.plan import FaultPlan
     from .sweep import SweepRunner
+
+
+class _Failed(str):
+    """The report of a command whose check failed: ``main`` prints it
+    like any other and returns exit status 1."""
 
 
 def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
@@ -65,8 +70,8 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
                              "for any worker count)")
     parser.add_argument("--replicates", type=int, default=1, metavar="R",
                         help="seeded replicates per simulation point "
-                             "('faults --matrix' and 'workload sweep' seed "
-                             "their own cells and ignore this)")
+                             "('faults --matrix' seeds its own cells and "
+                             "ignores this)")
     parser.add_argument("--no-cache", action="store_true",
                         help="recompute every point instead of reusing "
                              "the on-disk sweep result cache")
@@ -274,54 +279,11 @@ def _faults_arguments(flt: argparse.ArgumentParser) -> None:
     _add_sweep_flags(flt)
 
 
-def _workload_arguments(wl: argparse.ArgumentParser) -> None:
-    wl_sub = wl.add_subparsers(dest="workload_command", required=True)
-
-    wl_list = wl_sub.add_parser("list", help="registered workload scenarios")
-    wl_list.add_argument("--json", action="store_true",
-                         help="machine-readable scenario catalog")
-
-    wl_desc = wl_sub.add_parser("describe",
-                                help="one scenario's spec in full")
-    wl_desc.add_argument("name", help="scenario name (see 'workload list')")
-    wl_desc.add_argument("--json", action="store_true",
-                         help="the scenario as WorkloadSpec.to_dict JSON")
-
-    wl_run = wl_sub.add_parser(
-        "run", help="run one scenario, reporting offered vs served load")
-    wl_run.add_argument("--scenario", default=None,
-                        help="registered scenario name")
-    wl_run.add_argument("--spec", default=None, metavar="FILE",
-                        help="JSON workload spec (WorkloadSpec.to_dict "
-                             "format; '-' reads stdin); alternative to "
-                             "--scenario")
-    _add_system_flags(wl_run, algorithm="COUCOPY", scale=1024,
-                      duration="the scenario's suggested duration, else 10")
-    wl_run.add_argument("--crash", action="store_true",
-                        help="inject a crash at the end and verify recovery")
-    wl_run.add_argument("--json", action="store_true",
-                        help="machine-readable run report")
-
-    wl_sweep = wl_sub.add_parser(
-        "sweep", help="sweep a scenario axis against an algorithm list")
-    wl_sweep.add_argument("--scenarios", default=None,
-                          help="comma-separated scenario names "
-                               "(default: every registered scenario)")
-    wl_sweep.add_argument("--algorithms", default="FUZZYCOPY,COUCOPY",
-                          help="comma-separated algorithm list")
-    _add_system_flags(wl_sweep, algorithm=None, scale=1024,
-                      duration="each scenario's suggested duration")
-    wl_sweep.add_argument("--json", action="store_true",
-                          help="machine-readable cell table")
-    _add_sweep_flags(wl_sweep)
-
-
 def _add_workload_flags(parser: argparse.ArgumentParser) -> None:
     """Workload knobs for ``simulate`` (spec source + skew shorthands)."""
-    parser.add_argument("--workload", default=None, metavar="NAME|FILE",
-                        help="workload: a registered scenario name or a "
-                             "JSON spec file (WorkloadSpec.to_dict format; "
-                             "'-' reads stdin)")
+    parser.add_argument("--workload", default=None, metavar="FILE",
+                        help="JSON workload spec file (WorkloadSpec.to_dict "
+                             "format; '-' reads stdin)")
     parser.add_argument("--zipf-theta", type=float, default=None,
                         metavar="THETA",
                         help="Zipf record selection with this exponent "
@@ -340,7 +302,7 @@ def _add_workload_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_system_flags(parser: argparse.ArgumentParser, *,
-                      algorithm: Optional[str], scale: int,
+                      algorithm: str, scale: int,
                       duration: Union[float, str], seed: int = 0,
                       interval: Optional[float] = None, lam: bool = False,
                       stable_tail: bool = False) -> None:
@@ -349,10 +311,9 @@ def _add_system_flags(parser: argparse.ArgumentParser, *,
     ``duration`` given as text leaves the flag unset by default and
     names, in the help line, what the command falls back to.
     """
-    if algorithm is not None:
-        from .checkpoint.registry import ALL_ALGORITHM_NAMES
-        parser.add_argument("--algorithm", default=algorithm,
-                            choices=list(ALL_ALGORITHM_NAMES))
+    from .checkpoint.registry import ALL_ALGORITHM_NAMES
+    parser.add_argument("--algorithm", default=algorithm,
+                        choices=list(ALL_ALGORITHM_NAMES))
     parser.add_argument("--scale", type=int, default=scale,
                         help="database scale-down factor vs the paper")
     if lam:
@@ -455,25 +416,18 @@ def _cmd_evaluate(args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
-def _spec_from_file_or_name(value: str):
-    """A --workload/--spec operand: a JSON file, '-', or a scenario name."""
-    from .workload import WorkloadSpec, resolve_workload
-    if value == "-":
-        return WorkloadSpec.from_dict(json.loads(sys.stdin.read()))
-    if os.path.isfile(value):
-        with open(value, encoding="utf-8") as handle:
-            return WorkloadSpec.from_dict(json.load(handle))
-    return resolve_workload(value)
-
-
 def _workload_from_flags(args: argparse.Namespace):
     """The simulate command's workload spec, or None for the default."""
     from dataclasses import replace
 
     from .errors import ConfigurationError
     from .workload import AccessDistribution, WorkloadSpec
-    spec = (_spec_from_file_or_name(args.workload) if args.workload
-            else None)
+    spec = None
+    if args.workload == "-":
+        spec = WorkloadSpec.from_dict(json.loads(sys.stdin.read()))
+    elif args.workload:
+        with open(args.workload, encoding="utf-8") as handle:
+            spec = WorkloadSpec.from_dict(json.load(handle))
     zipf = args.zipf_theta is not None
     hotspot = (args.hot_fraction is not None
                or args.hot_probability is not None)
@@ -498,11 +452,23 @@ def _workload_from_flags(args: argparse.Namespace):
     return replace(spec if spec is not None else WorkloadSpec(), **overrides)
 
 
-def _render_outcome(header: str, outcome: "SimulationOutcome",
-                    load_lines: List[str]) -> str:
-    """The run report ``simulate`` and ``workload run`` both print."""
+def _cmd_simulate(args: argparse.Namespace) -> str:
+    from .api import simulate
+    workload = _workload_from_flags(args)
+    outcome = simulate(
+        args.algorithm, scale=args.scale, lam=args.lam, seed=args.seed,
+        duration=args.duration, interval=args.interval, crash=args.crash,
+        stable_tail=args.stable_tail, workload=workload)
     metrics = outcome.metrics
-    lines = [header, *load_lines]
+    lines = [f"{args.algorithm} on a {outcome.config.params.n_segments}-"
+             f"segment database ({args.duration:.1f}s simulated, "
+             f"seed {args.seed})"]
+    if workload is not None:
+        lines += [
+            f"  workload             {workload.describe()}",
+            f"  offered/served       {metrics.offered_rate:.1f} / "
+            f"{metrics.served_rate:.1f} txns/s",
+        ]
     lines += [
         f"  committed            {metrics.transactions_committed}",
         f"  checkpoints          {metrics.checkpoints_completed}",
@@ -514,35 +480,17 @@ def _render_outcome(header: str, outcome: "SimulationOutcome",
         f"  disk utilisation     {metrics.disk_utilisation:.0%}",
     ]
     result = outcome.recovery
-    if result is not None:
-        lines.append(
-            f"  crash+recover        checkpoint "
-            f"{result.used_checkpoint_id}, "
-            f"{result.transactions_replayed} txns replayed, "
-            f"{result.total_time:.2f}s modelled")
-        lines.append(
-            "  oracle               "
-            + ("PASS" if outcome.clean else f"FAIL {outcome.mismatches}"))
-    return "\n".join(lines)
-
-
-def _cmd_simulate(args: argparse.Namespace) -> str:
-    from .api import simulate
-    workload = _workload_from_flags(args)
-    outcome = simulate(
-        args.algorithm, scale=args.scale, lam=args.lam, seed=args.seed,
-        duration=args.duration, interval=args.interval, crash=args.crash,
-        stable_tail=args.stable_tail, workload=workload)
-    metrics = outcome.metrics
-    load_lines = [] if workload is None else [
-        f"  workload             {workload.describe()}",
-        f"  offered/served       {metrics.offered_rate:.1f} / "
-        f"{metrics.served_rate:.1f} txns/s",
+    if result is None:
+        return "\n".join(lines)
+    lines += [
+        f"  crash+recover        checkpoint {result.used_checkpoint_id}, "
+        f"{result.transactions_replayed} txns replayed, "
+        f"{result.total_time:.2f}s modelled",
+        "  oracle               "
+        + ("PASS" if outcome.clean else f"FAIL {outcome.mismatches}"),
     ]
-    return _render_outcome(
-        f"{args.algorithm} on a {outcome.config.params.n_segments}-segment "
-        f"database ({args.duration:.1f}s simulated, seed {args.seed})",
-        outcome, load_lines)
+    text = "\n".join(lines)
+    return text if outcome.clean else _Failed(text)
 
 
 def _cmd_validate(args: argparse.Namespace) -> str:
@@ -706,14 +654,17 @@ def _cmd_faults(args: argparse.Namespace) -> str:
                    "checkpoint_interval": args.interval},
             base_seed=args.seed, seed_arg="seed")
         reports = [cell.value for cell in result if cell.ok]
+        failed = (len(reports) < len(result)
+                  or not all(report["ok"] for report in reports))
         if args.json:
-            return json.dumps(
+            text = json.dumps(
                 {"cells": reports,
                  "sweep_failures": [
                      {"kwargs": {k: v for k, v in cell.kwargs.items()
                                  if k != "plan"}, "error": cell.error}
                      for cell in result.failures()]},
                 sort_keys=True, indent=2)
+            return _Failed(text) if failed else text
         lines = [f"crash matrix: {len(algorithms)} algorithms x "
                  f"{len(plans)} plans = {len(result)} cells"]
         survived = 0
@@ -727,14 +678,16 @@ def _cmd_faults(args: argparse.Namespace) -> str:
             survived += rep.ok
             lines.append("  " + rep.summary())
         lines.append(f"survived: {survived}/{len(result)}")
-        return "\n".join(lines)
+        text = "\n".join(lines)
+        return _Failed(text) if failed else text
     plan = _faults_plan(args)
     checker = CrashConsistencyChecker(
         scale=args.scale, lam=args.lam, duration=args.duration,
         checkpoint_interval=args.interval)
     report = checker.run(args.algorithm, plan, seed=args.seed)
     if args.json:
-        return json.dumps(report.to_dict(), sort_keys=True, indent=2)
+        text = json.dumps(report.to_dict(), sort_keys=True, indent=2)
+        return text if report.ok else _Failed(text)
     counters = report.counters
     lines = [
         f"fault plan [{plan.describe()}] on {report.algorithm} "
@@ -760,142 +713,16 @@ def _cmd_faults(args: argparse.Namespace) -> str:
             f"record {mm['record_id']}: expected {mm['expected']}, "
             f"got {mm['actual']}" for mm in report.mismatches)),
     ]
-    return "\n".join(lines)
-
-
-def _cmd_workload(args: argparse.Namespace) -> str:
-    from .workload import get_scenario, scenario_names
-    if args.workload_command == "list":
-        scenarios = [get_scenario(name) for name in scenario_names()]
-        if args.json:
-            return json.dumps([s.to_dict() for s in scenarios],
-                              sort_keys=True, indent=2)
-        lines = [f"{len(scenarios)} registered workload scenarios:"]
-        for scenario in scenarios:
-            lines.append(f"  {scenario.describe()}")
-        return "\n".join(lines)
-    if args.workload_command == "describe":
-        scenario = get_scenario(args.name)
-        if args.json:
-            return json.dumps(scenario.to_dict(), sort_keys=True, indent=2)
-        spec = scenario.spec
-        lines = [
-            f"{scenario.name}: {scenario.description}",
-            f"  spec                 {spec.describe()}",
-        ]
-        if spec.schedule is not None:
-            sched = spec.schedule
-            lines.append(f"  schedule             {sched.describe()}")
-            lines.append(f"  offered/cycle        "
-                         f"{sched.offered(0.0, sched.total_duration):.0f} "
-                         f"expected arrivals over "
-                         f"{sched.total_duration:g}s")
-        if scenario.duration is not None:
-            lines.append(f"  suggested duration   {scenario.duration:g}s")
-        return "\n".join(lines)
-    if args.workload_command == "run":
-        return _workload_run(args)
-    return _workload_sweep(args)
-
-
-def _workload_run(args: argparse.Namespace) -> str:
-    from .api import simulate
-    from .errors import ConfigurationError
-    from .workload import get_scenario
-    if bool(args.scenario) == bool(args.spec):
-        raise ConfigurationError(
-            "pass exactly one of --scenario or --spec")
-    duration = args.duration
-    if args.scenario:
-        scenario = get_scenario(args.scenario)
-        spec = scenario.spec
-        if duration is None:
-            duration = scenario.duration
-    else:
-        spec = _spec_from_file_or_name(args.spec)
-    if duration is None:
-        duration = 10.0
-    outcome = simulate(
-        args.algorithm, scale=args.scale, duration=duration,
-        seed=args.seed, interval=args.interval, crash=args.crash,
-        workload=spec, telemetry=True)
-    metrics = outcome.metrics
-    telemetry = outcome.telemetry or {}
-    arrivals = telemetry.get("counters", {}).get("workload.arrivals", 0)
-    offered = metrics.offered_rate * metrics.elapsed
-    if args.json:
-        payload: Dict[str, Any] = {
-            "workload": spec.to_dict(),
-            "algorithm": args.algorithm,
-            "duration": duration,
-            "seed": args.seed,
-            "offered": offered,
-            "arrivals": arrivals,
-            "summary": asdict(metrics),
-            "clean": outcome.clean,
-        }
-        if outcome.recovery is not None:
-            payload["recovery"] = {
-                "used_checkpoint": outcome.recovery.used_checkpoint_id,
-                "replayed": outcome.recovery.transactions_replayed,
-            }
-        return json.dumps(payload, sort_keys=True, indent=2)
-    return _render_outcome(
-        f"{spec.name or 'workload'} under {args.algorithm} "
-        f"({duration:g}s simulated, seed {args.seed})",
-        outcome,
-        [f"  spec                 {spec.describe()}",
-         f"  offered              {offered:.0f} expected arrivals "
-         f"({metrics.offered_rate:.1f}/s)",
-         f"  submitted            {metrics.transactions_submitted} arrivals "
-         f"(telemetry: {arrivals})",
-         f"  served               {metrics.served_rate:.1f} commits/s"])
-
-
-def _workload_sweep(args: argparse.Namespace) -> str:
-    from .workload import scenario_names
-    from .workload.cells import run_scenario_cell, scenario_points
-    scenarios = (args.scenarios.split(",") if args.scenarios
-                 else list(scenario_names()))
-    algorithms = args.algorithms.split(",")
-    fixed: Dict[str, Any] = {"scale": args.scale, "seed": args.seed,
-                             "interval": args.interval}
-    if args.duration is not None:
-        fixed["duration"] = args.duration
-    result = _sweep_runner(args).map(run_scenario_cell,
-                                     scenario_points(scenarios, algorithms),
-                                     fixed=fixed)
-    if args.json:
-        return json.dumps(
-            {"cells": [cell.value for cell in result if cell.ok],
-             "sweep_failures": [{"kwargs": cell.kwargs, "error": cell.error}
-                                for cell in result.failures()]},
-            sort_keys=True, indent=2)
-    lines = [f"workload sweep: {len(scenarios)} scenarios x "
-             f"{len(algorithms)} algorithms = {len(result)} cells",
-             f"  {'scenario':<12} {'algorithm':<10} {'offered/s':>10} "
-             f"{'served/s':>10} {'committed':>10}"]
-    for cell in result:
-        if not cell.ok:
-            lines.append(f"  SWEEP ERROR {cell.kwargs.get('scenario')}/"
-                         f"{cell.kwargs.get('algorithm')}: {cell.error}")
-            continue
-        value = cell.value
-        lines.append(f"  {value['scenario']:<12} {value['algorithm']:<10} "
-                     f"{value['offered_rate']:>10.1f} "
-                     f"{value['served_rate']:>10.1f} "
-                     f"{value['served']:>10}")
-    return "\n".join(lines)
+    text = "\n".join(lines)
+    return text if report.ok else _Failed(text)
 
 
 def _cmd_serve(args: argparse.Namespace) -> str:
     from .live.server import check, serve
     if args.check:
         report = check(args.data_dir, scale=args.scale)
-        if not report["consistent"]:
-            print(json.dumps(report, sort_keys=True, indent=2))
-            raise SystemExit(1)
-        return json.dumps(report, sort_keys=True, indent=2)
+        text = json.dumps(report, sort_keys=True, indent=2)
+        return text if report["consistent"] else _Failed(text)
     interval = None if args.no_checkpoints else args.checkpoint_interval
     serve(args.data_dir, args.port, scale=args.scale,
           checkpoint_interval=interval,
@@ -933,8 +760,6 @@ _COMMANDS: Dict[str, Tuple[str, Callable[[argparse.ArgumentParser], None],
               _cmd_serve),
     "faults": ("fault injection with verified crash recovery",
                _faults_arguments, _cmd_faults),
-    "workload": ("open-system workload engine: scenarios, schedules, sweeps",
-                 _workload_arguments, _cmd_workload),
 }
 
 
@@ -946,8 +771,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     invoked = [arg for arg in argv if not arg.startswith("-")][:1]
     args = build_parser(invoked).parse_args(argv)
     try:
-        print(_COMMANDS[args.command][2](args))
+        report = _COMMANDS[args.command][2](args)
+        print(report)
     except BrokenPipeError:
         # Output piped into a pager/head that closed early: not an error.
         return 0
-    return 0
+    return 1 if isinstance(report, _Failed) else 0

@@ -28,7 +28,7 @@ updating the image's flush metadata -- a power loss mid-transfer.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 

@@ -25,7 +25,11 @@ Requests (``op`` selects):
 Record ids and values are JSON integers: a float, a string or a bool is
 refused with ``{"ok": false}`` before anything is logged, never coerced.
 Likewise ``hold_seconds`` must be a number (not a bool) in [0, 60]: a
-longer hold would keep the log from ever being truncated.
+longer hold would keep the log from ever being truncated.  A request
+line may hold at most 1 MiB, its newline included (about 40 times a
+1024-update ``txn``): the server reads no further, answers
+``{"ok": false}`` and closes the connection, so a client that never
+sends a newline cannot make it buffer without bound.
 
 On startup the server prints a single JSON "ready" line (port, pid,
 recovery summary, recovery timing) to stdout, which is how the bench
@@ -58,6 +62,9 @@ def _record(request: dict) -> int:
 
 #: the longest a ``checkpoint`` op may park its writer, in seconds
 _MAX_HOLD_SECONDS = 60.0
+
+#: the longest request line read, newline included, in bytes
+_MAX_LINE_BYTES = 1 << 20
 
 
 def _hold_seconds(request: dict) -> float:
@@ -118,7 +125,15 @@ def _handle(host: LiveHost, request: dict) -> dict:
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self) -> None:  # pragma: no cover - exercised via subprocess
         host: LiveHost = self.server.live_host  # type: ignore[attr-defined]
-        for raw in self.rfile:
+        while True:
+            raw = self.rfile.readline(_MAX_LINE_BYTES + 1)
+            if not raw:
+                return
+            if len(raw) > _MAX_LINE_BYTES:
+                self._reply({"ok": False, "error": (
+                    f"request line longer than {_MAX_LINE_BYTES} bytes; "
+                    "closing the connection")})
+                return
             line = raw.strip()
             if not line:
                 continue
@@ -127,11 +142,14 @@ class _Handler(socketserver.StreamRequestHandler):
                 response = _handle(host, request)
             except Exception as exc:  # noqa: BLE001 - reported to the client
                 response = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-            self.wfile.write(json.dumps(response).encode() + b"\n")
-            self.wfile.flush()
+            self._reply(response)
             if response.get("stopping"):
                 self.server.stop_event.set()  # type: ignore[attr-defined]
                 return
+
+    def _reply(self, response: dict) -> None:
+        self.wfile.write(json.dumps(response).encode() + b"\n")
+        self.wfile.flush()
 
 
 class _Server(socketserver.ThreadingTCPServer):

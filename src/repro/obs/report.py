@@ -152,10 +152,10 @@ def render_abort_taxonomy(summary: Optional[Dict[str, Any]],
 
 def render_offered_vs_served(summary: Dict[str, Any],
                              counters: Dict[str, Any]) -> str:
-    """Offered vs served load: the open-system workload's health check.
+    """Offered vs served load: the workload's health check.
 
-    ``offered_rate`` is the workload schedule's analytic expectation
-    over the run, ``workload.arrivals`` the sampled stream's actual
+    ``offered_rate`` is the arrival rate's analytic expectation over
+    the run, ``workload.arrivals`` the sampled stream's actual
     count, and the commit throughput what the system kept up with --
     a served rate well below the offered rate is the system saturating.
     """

@@ -222,11 +222,8 @@ class SystemBuilder:
                                    self.config.policy)
 
     def build_workload(self) -> WorkloadGenerator:
-        # Imported here: repro.workload sits above this module in the
-        # layering.
-        from ..workload.source import build_workload_source
-        return build_workload_source(self.params, self.config.workload,
-                                     self.streams)
+        return WorkloadGenerator(self.params, self.config.workload,
+                                 self.streams)
 
     # ------------------------------------------------------------------
     # assembly

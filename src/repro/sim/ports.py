@@ -222,20 +222,13 @@ class WorkloadSource(Protocol):
     """Where transactions come from.
 
     Satisfied by :class:`repro.txn.workload.WorkloadGenerator` (seeded
-    fixed-rate synthetic load) and
-    :class:`repro.workload.source.ScheduledWorkloadSource` (open-system
-    arrivals under a rate schedule); a trace-replay source satisfies it
-    just as well.
-
-    The schedule-aware surface: ``next_interarrival`` takes the current
-    simulated time (time-varying sources sample the gap *from now*) and
-    may return ``None`` to end the arrival stream; ``rate_at`` and
-    ``expected_arrivals`` expose the offered-load curve so telemetry can
-    compare offered against served without knowing the source's shape.
+    fixed-rate synthetic load); a trace-replay source satisfies it just
+    as well.  ``rate_at`` and ``expected_arrivals`` expose the offered
+    load so telemetry can compare offered against served.
     """
 
-    def next_interarrival(self, now: float) -> Optional[float]:
-        """Seconds from ``now`` to the next arrival; None = stream over."""
+    def next_interarrival(self, now: float) -> float:
+        """Seconds from ``now`` to the next arrival."""
         ...
 
     def make_transaction(self, now: float) -> Any:

@@ -30,7 +30,7 @@ from ..errors import ConfigurationError, InvalidStateError
 from ..faults.plan import FaultPlan
 from ..params import SystemParameters
 from ..recovery.restore import RecoveryManager, RecoveryResult
-from ..txn.workload import WorkloadSpec
+from ..workload.spec import WorkloadSpec
 from .builder import SystemBuilder, SystemComponents
 from .oracle import RecordMismatch
 
@@ -43,10 +43,8 @@ class SimulationConfig:
     algorithm: str = "FUZZYCOPY"
     scope: CheckpointScope = CheckpointScope.PARTIAL
     policy: CheckpointPolicy = field(default_factory=CheckpointPolicy)
-    #: the workload designator: a :class:`WorkloadSpec`, a registered
-    #: scenario name (``"write-storm"``), or a spec dict -- anything
-    #: :func:`repro.workload.resolve_workload` accepts.  Normalised to a
-    #: :class:`WorkloadSpec` at construction, so readers always see one.
+    #: record-selection skew, size mixture and arrival discipline of the
+    #: fixed-rate ``params.lam`` stream
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
     seed: int = 0
     #: group-commit period for the volatile log tail, seconds
@@ -115,9 +113,9 @@ class SimulationConfig:
 
     def __post_init__(self) -> None:
         if not isinstance(self.workload, WorkloadSpec):
-            from ..workload.scenarios import resolve_workload
-            object.__setattr__(self, "workload",
-                               resolve_workload(self.workload))
+            raise ConfigurationError(
+                f"workload must be a WorkloadSpec (WorkloadSpec.from_dict "
+                f"reads a dict), got {type(self.workload).__name__}")
 
 
 @dataclass
@@ -142,8 +140,8 @@ class SimulationMetrics:
     response_time_p95: float
     #: fraction of the finite CPU consumed (None with an infinite CPU)
     cpu_utilisation: Optional[float] = None
-    #: mean arrival rate the workload *offered* over the run (the
-    #: schedule's analytic expectation; ``params.lam`` without one)
+    #: mean arrival rate the workload *offered* over the run
+    #: (``params.lam``)
     offered_rate: float = 0.0
     #: commit throughput actually *served* over the run
     served_rate: float = 0.0
@@ -240,13 +238,9 @@ class SimulatedSystem:
         return self.metrics()
 
     def _schedule_next_arrival(self) -> None:
-        delay = self.workload.next_interarrival(self.engine.clock._now)
-        if delay is None:
-            # The arrival schedule has run out of load (it ended in a
-            # pause): the open system goes quiet, everything in flight
-            # still completes.
-            return
-        self.engine.schedule_after(delay, self._arrival, label="txn arrival")
+        self.engine.schedule_after(
+            self.workload.next_interarrival(self.engine.clock._now),
+            self._arrival, label="txn arrival")
 
     def _arrival(self) -> None:
         now = self.engine.clock._now  # hot path: one read per arrival

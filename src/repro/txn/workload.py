@@ -16,14 +16,10 @@ import numpy as np
 
 from ..params import SystemParameters
 from ..sim.rng import RandomStreams
-
-# The declarative spec now lives in the workload package; re-exported
-# here so every historical ``from repro.txn.workload import WorkloadSpec``
-# call site keeps working unchanged.
 from ..workload.spec import AccessDistribution, WorkloadSpec
 from .transaction import Transaction
 
-__all__ = ["AccessDistribution", "WorkloadGenerator", "WorkloadSpec"]
+__all__ = ["WorkloadGenerator"]
 
 
 class WorkloadGenerator:
@@ -55,11 +51,9 @@ class WorkloadGenerator:
     def next_interarrival(self, now: float = 0.0) -> float:
         """Seconds until the next transaction arrives.
 
-        The fixed-rate generator ignores ``now`` (its rate never
-        changes); the parameter is part of the
-        :class:`~repro.sim.ports.WorkloadSource` surface so
-        time-varying sources can sample the gap from the current
-        instant.
+        The rate never changes, so ``now`` is ignored; it is part of
+        the :class:`~repro.sim.ports.WorkloadSource` surface, for a
+        substituted source (a trace replay) that needs the clock.
         """
         if self.spec.poisson_arrivals:
             return float(self._arrival_rng.exponential(self._mean_interarrival))

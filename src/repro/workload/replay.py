@@ -17,8 +17,8 @@ from typing import Any, Dict, List
 
 from ..params import SystemParameters
 from ..sim.rng import RandomStreams
-from ..txn.workload import WorkloadGenerator, WorkloadSpec
-from .source import build_workload_source
+from ..txn.workload import WorkloadGenerator
+from .spec import WorkloadSpec
 
 __all__ = ["replay_arrivals"]
 
@@ -26,7 +26,7 @@ __all__ = ["replay_arrivals"]
 def build_source(params: SystemParameters, spec: WorkloadSpec,
                  seed: int) -> WorkloadGenerator:
     """The workload source exactly as :class:`SystemBuilder` builds it."""
-    return build_workload_source(params, spec, RandomStreams(seed))
+    return WorkloadGenerator(params, spec, RandomStreams(seed))
 
 
 def replay_arrivals(params: SystemParameters, spec: WorkloadSpec, seed: int,
@@ -35,19 +35,16 @@ def replay_arrivals(params: SystemParameters, spec: WorkloadSpec, seed: int,
 
     The loop mirrors :meth:`SimulatedSystem._schedule_next_arrival` /
     ``_arrival`` exactly: sample the gap from the current instant, stop
-    on a ``None`` gap (stream end) or when the arrival would land past
-    the horizon, and draw the transaction *at* its arrival time.  Each
-    entry carries ``time``, ``txn_id``, and the record selection, so the
-    fixture pins the record streams too, not just the clock.
+    when the arrival would land past the horizon, and draw the
+    transaction *at* its arrival time.  Each entry carries ``time``,
+    ``txn_id``, and the record selection, so the fixture pins the record
+    streams too, not just the clock.
     """
     source = build_source(params, spec, seed)
     out: List[Dict[str, Any]] = []
     now = 0.0
     while True:
-        delay = source.next_interarrival(now)
-        if delay is None:
-            break
-        now += delay
+        now += source.next_interarrival(now)
         if now > horizon:
             break
         txn = source.make_transaction(now)

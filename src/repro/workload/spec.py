@@ -2,18 +2,10 @@
 
 :class:`WorkloadSpec` is the single description of *what load a run
 sees*: record-selection skew (paper Section 2.5 plus Zipf/hotspot
-extensions), transaction-size mixture, arrival discipline, and -- new
-with the open-system redesign -- an optional
-:class:`~repro.workload.schedule.ArrivalSchedule` of time-varying rate
-phases.  Without a schedule the spec means exactly what it always has:
-a fixed-rate stream at ``params.lam``, bit-identical to the paper
-model (the regression goldens in ``tests/data/workload_golden.json``
-hold this to ``repr``-level float equality).
-
-The class used to live in :mod:`repro.txn.workload`; it now resides
-here so the workload package owns its own vocabulary, and the old
-module re-exports it -- every existing ``WorkloadSpec(...)`` call site
-keeps working unchanged.
+extensions), transaction-size mixture and arrival discipline.  The
+arrival rate is always the paper's fixed ``params.lam`` (the regression
+goldens in ``tests/data/workload_golden.json`` hold the stream to
+``repr``-level float equality).
 
 Like :class:`~repro.faults.plan.FaultPlan`, specs are strictly
 dict/JSON round-trippable (:meth:`to_dict` / :meth:`from_dict` reject
@@ -24,11 +16,10 @@ and the CLI.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..errors import ConfigurationError
-from .schedule import ArrivalSchedule
 
 
 class AccessDistribution(enum.Enum):
@@ -47,10 +38,7 @@ class WorkloadSpec:
         hot_fraction: fraction of records forming the hot set (HOTSPOT).
         hot_probability: probability an access lands in the hot set.
         poisson_arrivals: exponential inter-arrival times when True,
-            a regular ``1/lam`` spacing when False.  With a schedule,
-            True samples the non-homogeneous Poisson process exactly
-            and False paces arrivals deterministically along the same
-            offered-load curve.
+            a regular ``1/lam`` spacing when False.
         update_count_mix: optional ``((n_ru, weight), ...)`` mixture of
             transaction sizes.  The paper assumes all transactions
             identical "for simplicity"; a mixture exposes size-dependent
@@ -58,12 +46,6 @@ class WorkloadSpec:
             aborts (the heterogeneity behind
             ``repro.model.restarts.expected_reruns_heterogeneous``).
             None keeps every transaction at ``params.n_ru`` updates.
-        schedule: optional time-varying arrival-rate schedule.  None
-            keeps the paper's closed-form fixed rate ``params.lam``;
-            a schedule replaces ``params.lam`` entirely with its own
-            absolute rates (the open-system model).
-        name: optional scenario name this spec was resolved from, kept
-            for provenance in reports and sweep rows.
     """
 
     distribution: AccessDistribution = AccessDistribution.UNIFORM
@@ -72,8 +54,6 @@ class WorkloadSpec:
     hot_probability: float = 0.8
     poisson_arrivals: bool = True
     update_count_mix: Optional[Tuple[Tuple[int, float], ...]] = None
-    schedule: Optional[ArrivalSchedule] = None
-    name: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.distribution is AccessDistribution.ZIPF and self.zipf_theta <= 1:
@@ -98,11 +78,6 @@ class WorkloadSpec:
                 if weight <= 0:
                     raise ConfigurationError(
                         f"mixture weights must be positive, got {weight!r}")
-        if self.schedule is not None and not isinstance(self.schedule,
-                                                        ArrivalSchedule):
-            raise ConfigurationError(
-                f"schedule must be an ArrivalSchedule, "
-                f"got {type(self.schedule).__name__}")
 
     @property
     def mean_update_count(self) -> Optional[float]:
@@ -127,18 +102,18 @@ class WorkloadSpec:
         if self.update_count_mix is not None:
             out["update_count_mix"] = [[n, w]
                                        for n, w in self.update_count_mix]
-        if self.schedule is not None:
-            out["schedule"] = self.schedule.to_dict()
-        if self.name is not None:
-            out["name"] = self.name
         return out
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "WorkloadSpec":
-        """Rebuild a spec from :meth:`to_dict` output (strict keys)."""
+        """Rebuild a spec from :meth:`to_dict` output (strict keys).
+
+        An unknown key is refused, not ignored: a spec file asking for a
+        time-varying ``schedule`` would otherwise run silently at the
+        fixed rate.
+        """
         known = {"distribution", "zipf_theta", "hot_fraction",
-                 "hot_probability", "poisson_arrivals", "update_count_mix",
-                 "schedule", "name"}
+                 "hot_probability", "poisson_arrivals", "update_count_mix"}
         unknown = set(data) - known
         if unknown:
             raise ConfigurationError(
@@ -168,25 +143,11 @@ class WorkloadSpec:
                 raise ConfigurationError(
                     f"update_count_mix must be [[n, weight], ...], "
                     f"got {mix!r}")
-        schedule = data.get("schedule")
-        if schedule is not None:
-            kwargs["schedule"] = (
-                schedule if isinstance(schedule, ArrivalSchedule)
-                else ArrivalSchedule.from_dict(schedule))
-        if data.get("name") is not None:
-            kwargs["name"] = str(data["name"])
         return cls(**kwargs)
 
-    def with_schedule(self, schedule: Optional[ArrivalSchedule]
-                      ) -> "WorkloadSpec":
-        """A copy of this spec under a different arrival schedule."""
-        return replace(self, schedule=schedule)
-
     def describe(self) -> str:
-        """One human line, for ``repro workload describe`` and reports."""
+        """One human line, for ``repro simulate --workload`` reports."""
         parts = []
-        if self.name:
-            parts.append(self.name)
         if self.distribution is AccessDistribution.ZIPF:
             parts.append(f"zipf(theta={self.zipf_theta:g})")
         elif self.distribution is AccessDistribution.HOTSPOT:
@@ -199,8 +160,5 @@ class WorkloadSpec:
             parts.append(f"mix[{mix}]")
         if not self.poisson_arrivals:
             parts.append("paced")
-        if self.schedule is not None:
-            parts.append(self.schedule.describe())
-        else:
-            parts.append("rate=params.lam")
+        parts.append("rate=params.lam")
         return " ".join(parts)

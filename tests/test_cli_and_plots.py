@@ -93,7 +93,8 @@ class TestCliCommands:
 #: every command that builds and runs one testbed system
 RUN_COMMANDS = {
     "simulate": ("simulate", "--crash"),
-    "workload-run": ("workload", "run", "--scenario", "kv", "--crash"),
+    # a run under a skewed workload spec, built by a skew shorthand
+    "workload-run": ("simulate", "--zipf-theta", "1.3", "--crash"),
     "metrics": ("metrics", "--json"),
     "trace": ("trace", "--attribution"),
     "faults": ("faults", "--crash-at", "0.3", "--torn-writes"),
@@ -110,6 +111,53 @@ def test_every_run_command_accepts_every_algorithm(capsys, command,
                   "--scale", "2048", "--duration", "0.5")
     assert algorithm in out
     assert "FAIL" not in out
+
+
+class TestExitStatus:
+    """A command whose check fails prints its report and exits 1."""
+
+    SIMULATE = ("simulate", "--crash", "--scale", "2048", "--duration", "0.5")
+    FAULTS = ("faults", "--crash-at", "0.3", "--scale", "2048",
+              "--duration", "0.5")
+    # --workers 1 runs the cell in this process, where the patch is
+    MATRIX = ("faults", "--matrix", "1", "--algorithms", "FUZZYCOPY",
+              "--scale", "2048", "--duration", "1", "--workers", "1",
+              "--no-cache")
+
+    @pytest.fixture()
+    def lost_update(self, monkeypatch):
+        from repro.sim.oracle import RecordMismatch
+        from repro.sim.system import SimulatedSystem
+        monkeypatch.setattr(SimulatedSystem, "verify_recovery",
+                            lambda self, limit=10: [RecordMismatch(0, 1, 2)])
+
+    @pytest.mark.parametrize("argv,report", [
+        (SIMULATE, "oracle               FAIL"),
+        (FAULTS, "oracle               FAIL: record 0"),
+        (MATRIX, "survived: 0/1"),
+        (MATRIX + ("--json",), '"ok": false'),
+    ], ids=["simulate", "faults", "matrix", "matrix-json"])
+    def test_a_lost_update_exits_1(self, capsys, lost_update, argv, report):
+        assert main(list(argv)) == 1
+        assert report in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [SIMULATE, FAULTS, MATRIX,
+                                      MATRIX + ("--json",)],
+                             ids=["simulate", "faults", "matrix",
+                                  "matrix-json"])
+    def test_a_clean_run_exits_0(self, capsys, argv):
+        assert main(list(argv)) == 0
+
+    def test_a_matrix_cell_that_fails_to_run_exits_1(self, capsys,
+                                                     monkeypatch):
+        from repro.faults.checker import CrashConsistencyChecker
+
+        def broken(self, algorithm, plan, seed=0):
+            raise RuntimeError("cell exploded")
+
+        monkeypatch.setattr(CrashConsistencyChecker, "run", broken)
+        assert main([*self.MATRIX]) == 1
+        assert "SWEEP ERROR" in capsys.readouterr().out
 
 
 class TestAsciiPlot:

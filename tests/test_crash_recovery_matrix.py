@@ -16,7 +16,7 @@ from repro.checkpoint.base import CheckpointScope
 from repro.checkpoint.registry import ALGORITHM_NAMES
 from repro.errors import CrashError
 from repro.faults import CrashSpec, FaultPlan
-from repro.txn.workload import AccessDistribution, WorkloadSpec
+from repro.workload.spec import AccessDistribution, WorkloadSpec
 
 NON_STABLE = [n for n in ALGORITHM_NAMES if n != "FASTFUZZY"]
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from tests.helpers import CheckpointHarness, build_system, run_crash_recover
 from repro.checkpoint.base import CheckpointScope
 from repro.checkpoint.scheduler import CheckpointPolicy
@@ -11,7 +9,7 @@ from repro.model.evaluate import evaluate
 from repro.model.restarts import sweep_average_conflict
 from repro.params import SystemParameters
 from repro.sim.system import SimulatedSystem, SimulationConfig
-from repro.txn.workload import AccessDistribution, WorkloadSpec
+from repro.workload.spec import AccessDistribution, WorkloadSpec
 
 
 class TestDegenerateSizes:

@@ -12,12 +12,14 @@ Four layers of evidence:
 * **differential** -- the same seed and workload recover to the
   identical committed state across algorithm families;
 * **matrix** (``-m faultmatrix``, its own CI job) -- 60 seeded-random
-  (algorithm x plan) cells, every one required to recover exactly, plus
-  the byte-identical determinism contract.
+  (algorithm x plan) cells under real load (``lam=100``), every one
+  required to recover exactly and all but two to replay committed work,
+  plus the byte-identical determinism contract.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
@@ -46,7 +48,6 @@ from repro.faults import (
     run_fault_cell,
 )
 from repro.faults.matrix import phase_crash_plans
-from repro.params import SystemParameters
 from repro.sim.oracle import RecordMismatch
 from repro.storage.disk import Disk
 
@@ -480,6 +481,15 @@ class TestDifferentialRecovery:
 # the seeded crash matrix (separate CI job: -m faultmatrix)
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _matrix_cell(algorithm, plan_index):
+    """One matrix cell's report, run once per session.  ``lam=100``
+    gives REDO work, as in :class:`TestPhaseCrashCells`."""
+    return run_fault_cell(algorithm=algorithm,
+                          plan=MATRIX_PLANS[plan_index].to_dict(),
+                          scale=1024, duration=6.0, seed=13, lam=100.0)
+
+
 @pytest.mark.faultmatrix
 class TestCrashMatrix:
     """60 (algorithm x plan) cells; every one must recover exactly."""
@@ -488,11 +498,22 @@ class TestCrashMatrix:
                              ids=[p.describe() for p in MATRIX_PLANS])
     @pytest.mark.parametrize("algorithm", MATRIX_ALGORITHMS)
     def test_cell_recovers_exactly(self, algorithm, plan):
-        report = run_fault_cell(algorithm=algorithm, plan=plan.to_dict(),
-                                scale=1024, duration=6.0, seed=13)
+        report = _matrix_cell(algorithm, MATRIX_PLANS.index(plan))
         assert report["ok"], (
             f"{algorithm} lost data under [{plan.describe()}]: "
             f"{report['mismatches']}")
+
+    def test_the_matrix_replays_committed_work(self):
+        """Recovery is exercised, not only a cold image: all but two
+        cells replay at least one transaction.  The two that may not
+        are 2CFLUSH and COUFLUSH under a crash at the end of checkpoint
+        1, which fires before any commit is durable."""
+        replayed = [
+            (algorithm, plan.describe())
+            for algorithm in MATRIX_ALGORITHMS
+            for index, plan in enumerate(MATRIX_PLANS)
+            if _matrix_cell(algorithm, index)["transactions_replayed"] > 0]
+        assert len(replayed) >= 58
 
     def test_matrix_covers_required_cell_count(self):
         points = crash_matrix_points(MATRIX_ALGORITHMS, MATRIX_PLANS)
@@ -501,9 +522,9 @@ class TestCrashMatrix:
     def test_fixed_seed_reruns_are_byte_identical(self):
         plan = MATRIX_PLANS[0].to_dict()
         first = run_fault_cell(algorithm="2CCOPY", plan=plan,
-                               scale=1024, duration=6.0, seed=13)
+                               scale=1024, duration=6.0, seed=13, lam=100.0)
         second = run_fault_cell(algorithm="2CCOPY", plan=plan,
-                                scale=1024, duration=6.0, seed=13)
+                                scale=1024, duration=6.0, seed=13, lam=100.0)
         assert (json.dumps(first, sort_keys=True)
                 == json.dumps(second, sort_keys=True))
 

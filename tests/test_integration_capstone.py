@@ -18,7 +18,7 @@ from repro.checkpoint.scheduler import CheckpointPolicy
 from repro.params import SystemParameters
 from repro.sim.system import SimulatedSystem, SimulationConfig
 from repro.storage.archive import ArchiveManager
-from repro.txn.workload import AccessDistribution, WorkloadSpec
+from repro.workload.spec import AccessDistribution, WorkloadSpec
 
 
 def _wait_idle(system: SimulatedSystem) -> None:

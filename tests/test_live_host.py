@@ -356,11 +356,15 @@ def _park_dispatcher(host):
 def _server_replies(host, requests):
     """Feed ``requests`` down one connection, as the socket handler sees
     it; returns the decoded replies."""
+    return _raw_server_replies(
+        host, b"".join(json.dumps(r).encode() + b"\n" for r in requests))
+
+
+def _raw_server_replies(host, stream: bytes):
     handler = _Handler.__new__(_Handler)
     handler.server = SimpleNamespace(live_host=host,
                                      stop_event=threading.Event())
-    handler.rfile = io.BytesIO(
-        b"".join(json.dumps(r).encode() + b"\n" for r in requests))
+    handler.rfile = io.BytesIO(stream)
     handler.wfile = io.BytesIO()
     handler.handle()
     return [json.loads(line)
@@ -957,6 +961,29 @@ def test_server_refuses_a_non_integer_id_or_value_and_logs_nothing(
         assert host.verify() == []
     finally:
         host.stop()
+
+
+def _padded_ping(length: int) -> bytes:
+    """A valid ``ping`` line of exactly ``length`` bytes, newline
+    included (JSON allows the padding spaces)."""
+    ping = b'{"op": "ping"'
+    return ping + b" " * (length - len(ping) - 2) + b"}\n"
+
+
+def test_server_refuses_a_request_line_over_the_cap_and_closes():
+    cap = 1 << 20  # 1 MiB, newline included
+    # at the cap: answered, and the connection keeps serving
+    assert _raw_server_replies(None, _padded_ping(cap) + _padded_ping(20)) \
+        == [{"ok": True, "pong": True}] * 2
+    # one byte over: refused, and nothing after it is read
+    replies = _raw_server_replies(None, _padded_ping(cap + 1)
+                                  + _padded_ping(20))
+    assert len(replies) == 1
+    assert replies[0]["ok"] is False
+    assert str(cap) in replies[0]["error"]
+    # a line that never ends is refused too, without reading it all
+    replies = _raw_server_replies(None, b" " * (4 * cap))
+    assert [reply["ok"] for reply in replies] == [False]
 
 
 @pytest.mark.parametrize("entry", ["LiveHost", "serve", "check"])

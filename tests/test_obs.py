@@ -32,8 +32,6 @@ import repro
 from repro.errors import ConfigurationError
 from repro.obs.export import load_run, run_document
 from repro.obs.metrics import (
-    Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     Timeline,

@@ -75,7 +75,7 @@ class TestLazySurface:
                 getattr(repro, name)
                 assert name in listed, name
             print(len(repro.__all__))
-            """) == "29"
+            """) == "23"
 
     # The only public names that are submodules; every other name is the
     # function, class or constant its package has always exported.

@@ -432,7 +432,9 @@ def test_metrics_report_renders_latency_tails_section():
 
 def test_metrics_report_renders_offered_vs_served_section():
     from repro.obs.report import render_metrics_report, render_offered_vs_served
-    summary, telemetry = _instrumented_payload(workload="write-storm")
+    summary, telemetry = _instrumented_payload()
+    assert telemetry["counters"]["workload.arrivals"] == \
+        summary["transactions_submitted"]
     section = render_offered_vs_served(summary, telemetry["counters"])
     assert "offered vs served load" in section
     assert "served/offered" in section

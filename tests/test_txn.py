@@ -17,14 +17,11 @@ from repro.sim.rng import RandomStreams
 from repro.sim.timestamps import TimestampAuthority
 from repro.txn.manager import TransactionManager
 from repro.txn.transaction import Transaction, TransactionState
-from repro.txn.workload import (
-    AccessDistribution,
-    WorkloadGenerator,
-    WorkloadSpec,
-)
+from repro.txn.workload import WorkloadGenerator
 from repro.wal.log import LogManager
 from repro.wal.records import (AbortRecord, CommitRecord, UpdateRecord,
                                 UpdateRun)
+from repro.workload.spec import AccessDistribution, WorkloadSpec
 from tests.helpers import build_system, run_crash_recover
 
 

@@ -11,7 +11,8 @@ from repro.errors import ConfigurationError
 from repro.experiments.export import export_all
 from repro.params import SystemParameters
 from repro.sim.rng import RandomStreams
-from repro.txn.workload import WorkloadGenerator, WorkloadSpec
+from repro.txn.workload import WorkloadGenerator
+from repro.workload.spec import WorkloadSpec
 
 
 class TestUpdateCountMix:

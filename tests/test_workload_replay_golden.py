@@ -19,8 +19,8 @@ from pathlib import Path
 
 from repro.params import SystemParameters
 from repro.sim.system import SimulatedSystem, SimulationConfig
-from repro.txn.workload import WorkloadSpec
-from repro.workload.replay import build_source, replay_arrivals
+from repro.workload.replay import replay_arrivals
+from repro.workload.spec import WorkloadSpec
 
 GOLDEN = Path(__file__).parent / "data" / "arrivals_golden.json"
 
@@ -72,9 +72,3 @@ def test_replay_is_deterministic_and_horizon_monotone():
                            horizon=golden["horizon"] / 2)
     assert half == [a for a in full if a["time"] <= golden["horizon"] / 2]
 
-
-def test_build_source_honours_a_schedule():
-    from repro.workload.schedule import ArrivalSchedule, constant
-    spec = WorkloadSpec(schedule=ArrivalSchedule((constant(50.0, 10.0),)))
-    source = build_source(SystemParameters.scaled_down(2048), spec, seed=1)
-    assert source.rate_at(0.0) == 50.0
