@@ -20,9 +20,9 @@ last saw them) and writes through the ping-pong image pair.
 
 from .._lazy import lazy_surface
 
-# Every registry name resolves through .registry, whose import registers
-# all eleven built-in families: a bare ``import repro.checkpoint`` (the
-# live host's, for the scheduler) loads none of them.
+# Every table name resolves through .registry, whose import loads all
+# eleven algorithm families: a bare ``import repro.checkpoint`` (the live
+# host's, for the scheduler) loads none of them.
 __getattr__, __dir__ = lazy_surface(__name__, {
     "ActionConsistentCopyCheckpointer": ".action_consistent",
     "ActionConsistentFlushCheckpointer": ".action_consistent",
@@ -40,10 +40,7 @@ __getattr__, __dir__ = lazy_surface(__name__, {
     "ALL_ALGORITHM_NAMES": ".registry",
     "EXTENSION_NAMES": ".registry",
     "create_checkpointer": ".registry",
-    "register_checkpointer": ".registry",
-    "registered_algorithms": ".registry",
     "resolve_algorithm": ".registry",
-    "unregister_checkpointer": ".registry",
     "CheckpointPolicy": ".scheduler",
     "CheckpointScheduler": ".scheduler",
     "CheckpointStats": ".scheduler",
@@ -69,8 +66,5 @@ __all__ = [
     "TwoColorCopyCheckpointer",
     "TwoColorFlushCheckpointer",
     "create_checkpointer",
-    "register_checkpointer",
-    "registered_algorithms",
     "resolve_algorithm",
-    "unregister_checkpointer",
 ]

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from ..mmdb.locks import LockMode
 from .base import BaseCheckpointer, CheckpointRun
-from .registration import register_checkpointer
 
 
 class _ActionConsistentBase(BaseCheckpointer):
@@ -47,7 +46,6 @@ class _ActionConsistentBase(BaseCheckpointer):
             self.locks.acquire_or_wait(index, self._owner, LockMode.SHARED)
 
 
-@register_checkpointer(category="extension")
 class ActionConsistentFlushCheckpointer(_ActionConsistentBase):
     """ACFLUSH: flush under the segment lock, no in-memory copy."""
 
@@ -85,7 +83,6 @@ class ActionConsistentFlushCheckpointer(_ActionConsistentBase):
         self.log.when_stable(reflected_lsn, stable)
 
 
-@register_checkpointer(category="extension")
 class ActionConsistentCopyCheckpointer(_ActionConsistentBase):
     """ACCOPY: capture under a momentary lock, flush from the buffer."""
 

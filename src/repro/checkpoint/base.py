@@ -34,13 +34,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 import numpy as np
 
 from ..cpu.accounting import CostLedger
 from ..errors import CheckpointError, ConfigurationError
-from ..faults.injector import NULL_INJECTOR, FaultInjector
 from ..mmdb.database import Database
 from ..mmdb.locks import LockManager
 from ..obs.spans import NULL_SPANS, SpanRecorder
@@ -54,6 +53,9 @@ from ..txn.transaction import Transaction
 from ..wal.log import LogManager
 from ..wal.records import BeginCheckpointRecord
 from .scheduler import CheckpointStats
+
+if TYPE_CHECKING:  # pragma: no cover - a type only
+    from ..faults.injector import FaultInjector
 
 
 class CheckpointScope(enum.Enum):
@@ -132,7 +134,7 @@ class BaseCheckpointer:
         quiesce_latency: bool = False,
         truncate_log: bool = True,
         telemetry: Telemetry = NULL_TELEMETRY,
-        faults: FaultInjector = NULL_INJECTOR,
+        faults: Optional[FaultInjector] = None,
         spans: SpanRecorder = NULL_SPANS,
     ) -> None:
         if self.requires_stable_tail and not params.stable_log_tail:
@@ -152,8 +154,7 @@ class BaseCheckpointer:
         self.authority = authority
         self.telemetry = telemetry
         #: fault-injection handle (phase-crash triggers; the writer keeps
-        #: the torn-write bookkeeping); :data:`NULL_INJECTOR` when no
-        #: plan is armed
+        #: the torn-write bookkeeping); None when no plan is armed
         self.faults = faults
         #: span recorder (phase windows); :data:`NULL_SPANS` = off
         self.spans = spans
@@ -243,7 +244,7 @@ class BaseCheckpointer:
             self.spans.emit("ckpt.begin", self.engine.now, 0.0,
                             parent=run.span,
                             checkpoint_id=run.checkpoint_id)
-        if self.faults.armed:
+        if self.faults is not None:
             self.faults.on_checkpoint_phase("begin", run.checkpoint_id, 0)
 
     def _advance(self, run: CheckpointRun) -> None:
@@ -263,7 +264,7 @@ class BaseCheckpointer:
         raise NotImplementedError
 
     def _finish(self, run: CheckpointRun) -> None:
-        if self.faults.armed:
+        if self.faults is not None:
             # "end" fires with every segment secured but the end marker
             # not yet logged: the checkpoint must be unusable to recovery.
             self.faults.on_checkpoint_phase("end", run.checkpoint_id,
@@ -411,7 +412,7 @@ class BaseCheckpointer:
         run.image.write_segment(index, data, data_timestamp)
         run.segments_flushed += 1
         run.words_written += self.params.s_seg
-        if self.faults.armed:
+        if self.faults is not None:
             # "sweep" fires with the N-th segment write fully durable in
             # the image but later segments (and the end marker) lost.
             self.faults.on_checkpoint_phase("sweep", run.checkpoint_id,

@@ -44,7 +44,6 @@ from ..cpu.accounting import CostCategory
 from ..txn.transaction import Transaction
 from .base import CheckpointRun
 from .copy_on_update import _CopyOnUpdateBase
-from .registration import register_checkpointer
 
 
 class _ConsistentSnapshotBase(_CopyOnUpdateBase):
@@ -92,7 +91,6 @@ class _ConsistentSnapshotBase(_CopyOnUpdateBase):
         self.locks.release(index, self._owner)
 
 
-@register_checkpointer(category="extension")
 class ZigzagCheckpointer(_ConsistentSnapshotBase):
     """ZIGZAG: MW/MR bit pairs; O(n) bit flip at begin, single writes."""
 
@@ -107,7 +105,6 @@ class ZigzagCheckpointer(_ConsistentSnapshotBase):
             synchronous=False)
 
 
-@register_checkpointer(category="extension")
 class PingPongCheckpointer(_ConsistentSnapshotBase):
     """PINGPONG: every update writes both copies; snapshots are free."""
 

@@ -33,7 +33,6 @@ from ..errors import CheckpointError
 from ..mmdb.locks import LockMode
 from ..txn.transaction import Transaction
 from .base import BaseCheckpointer, CheckpointRun
-from .registration import register_checkpointer
 
 
 class _CopyOnUpdateBase(BaseCheckpointer):
@@ -68,7 +67,7 @@ class _CopyOnUpdateBase(BaseCheckpointer):
             def force_complete() -> None:
                 if run is not self.current:
                     return  # a crash abandoned the checkpoint mid-force
-                if self.faults.armed:
+                if self.faults is not None:
                     # Crash while transactions are quiesced and the log
                     # force is still in flight: the begin marker may be
                     # volatile, so recovery must use the previous
@@ -171,7 +170,6 @@ class _CopyOnUpdateBase(BaseCheckpointer):
         raise NotImplementedError
 
 
-@register_checkpointer(category="paper")
 class COUFlushCheckpointer(_CopyOnUpdateBase):
     """COUFLUSH: live segments flushed under the lock, no extra copy."""
 
@@ -187,7 +185,6 @@ class COUFlushCheckpointer(_CopyOnUpdateBase):
             on_written=lambda: self.locks.release(index, self._owner))
 
 
-@register_checkpointer(category="paper")
 class COUCopyCheckpointer(_CopyOnUpdateBase):
     """COUCOPY: live segments buffered so the lock releases immediately."""
 

@@ -19,10 +19,8 @@ marker.  The only correctness constraint is the write-ahead rule:
 from __future__ import annotations
 
 from .base import BaseCheckpointer, CheckpointRun
-from .registration import register_checkpointer
 
 
-@register_checkpointer(category="paper")
 class FuzzyCopyCheckpointer(BaseCheckpointer):
     """Buffered fuzzy checkpoints with LSN write-ahead synchronisation."""
 
@@ -40,7 +38,6 @@ class FuzzyCopyCheckpointer(BaseCheckpointer):
         self._flush_via_buffer(run, index, reflected_lsn=int(table.lsn[index]))
 
 
-@register_checkpointer(category="paper")
 class FastFuzzyCheckpointer(BaseCheckpointer):
     """Straightforward fuzzy flushes; requires a stable log tail."""
 

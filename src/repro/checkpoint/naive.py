@@ -27,10 +27,8 @@ from typing import List
 from ..errors import CheckpointError
 from ..mmdb.locks import LockMode
 from .base import BaseCheckpointer, CheckpointRun
-from .registration import register_checkpointer
 
 
-@register_checkpointer(category="extension")
 class NaiveLockCheckpointer(BaseCheckpointer):
     """NAIVELOCK: one long-lived read-lock-everything checkpoint."""
 

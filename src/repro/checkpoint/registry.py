@@ -1,6 +1,7 @@
-"""Registry of checkpoint algorithms by their paper names.
+"""The table of checkpoint algorithms, keyed by their paper names.
 
-The six algorithms of the paper come first; three extensions follow:
+The six algorithms of the paper come first, in its Section 3 order;
+five extensions follow:
 
 * ``ACFLUSH`` / ``ACCOPY`` -- the action-consistent middle ground the
   paper describes but does not evaluate (Section 3.2);
@@ -12,20 +13,16 @@ The six algorithms of the paper come first; three extensions follow:
   algorithms (Cao et al.'s comparative study), included so the paper's
   cost model extends past its own algorithm set (simulation only).
 
-Registration is decorator-based (:mod:`repro.checkpoint.registration`):
-every class above carries ``@register_checkpointer(category=...)`` at its
-definition site, and out-of-tree algorithms plug in with a bare
-``@register_checkpointer`` without touching this module.  Importing this
-module imports every built-in algorithm module, which is what triggers
-their registration; the name tuples below are the canonical presentation
-order (the paper's Section 3 order), validated against the registry at
-import time.
+The set is closed: a new algorithm is a class in this package and a row
+in :data:`ALGORITHMS`.  To run a variant without naming it here,
+override :meth:`repro.sim.builder.SystemBuilder.build_checkpointer`.
 """
 
 from __future__ import annotations
 
-# Importing the algorithm modules registers their classes (each carries
-# the @register_checkpointer decorator).
+from typing import Dict, Type
+
+from ..errors import ConfigurationError
 from .action_consistent import (
     ActionConsistentCopyCheckpointer,
     ActionConsistentFlushCheckpointer,
@@ -35,49 +32,59 @@ from .consistent_snapshot import PingPongCheckpointer, ZigzagCheckpointer
 from .copy_on_update import COUCopyCheckpointer, COUFlushCheckpointer
 from .fuzzy import FastFuzzyCheckpointer, FuzzyCopyCheckpointer
 from .naive import NaiveLockCheckpointer
-from .registration import (
-    create_checkpointer,
-    register_checkpointer,
-    registered_algorithms,
-    resolve_algorithm,
-    unregister_checkpointer,
-)
 from .two_color import TwoColorCopyCheckpointer, TwoColorFlushCheckpointer
 
-#: The paper's algorithms, in its presentation order.
-ALGORITHM_NAMES = (
-    FuzzyCopyCheckpointer.name,
-    FastFuzzyCheckpointer.name,
-    TwoColorFlushCheckpointer.name,
-    TwoColorCopyCheckpointer.name,
-    COUFlushCheckpointer.name,
-    COUCopyCheckpointer.name,
+_PAPER = (
+    FuzzyCopyCheckpointer,
+    FastFuzzyCheckpointer,
+    TwoColorFlushCheckpointer,
+    TwoColorCopyCheckpointer,
+    COUFlushCheckpointer,
+    COUCopyCheckpointer,
 )
+_EXTENSIONS = (
+    ActionConsistentFlushCheckpointer,
+    ActionConsistentCopyCheckpointer,
+    NaiveLockCheckpointer,
+    ZigzagCheckpointer,
+    PingPongCheckpointer,
+)
+
+#: Every algorithm class by name: the paper's first, then the extensions.
+ALGORITHMS: Dict[str, Type[BaseCheckpointer]] = {
+    cls.name: cls for cls in _PAPER + _EXTENSIONS}
+
+#: The paper's algorithms, in its presentation order.
+ALGORITHM_NAMES = tuple(cls.name for cls in _PAPER)
 
 #: Extensions implemented by this reproduction.
-EXTENSION_NAMES = (
-    ActionConsistentFlushCheckpointer.name,
-    ActionConsistentCopyCheckpointer.name,
-    NaiveLockCheckpointer.name,
-    ZigzagCheckpointer.name,
-    PingPongCheckpointer.name,
-)
+EXTENSION_NAMES = tuple(cls.name for cls in _EXTENSIONS)
 
-#: Every built-in algorithm (out-of-tree registrations are enumerable
-#: via :func:`registered_algorithms`, which includes them).
+#: Every algorithm, in table order.
 ALL_ALGORITHM_NAMES = ALGORITHM_NAMES + EXTENSION_NAMES
 
-assert set(ALGORITHM_NAMES) == set(registered_algorithms("paper"))
-assert set(EXTENSION_NAMES) == set(registered_algorithms("extension"))
+
+def resolve_algorithm(name: str) -> Type[BaseCheckpointer]:
+    """Look up a checkpointer class by name (case-insensitive)."""
+    cls = ALGORITHMS.get(name.upper())
+    if cls is None:
+        known = ", ".join(ALL_ALGORITHM_NAMES)
+        raise ConfigurationError(f"unknown algorithm {name!r}; known: {known}")
+    return cls
+
+
+def create_checkpointer(name: str, *args: object,
+                        **kwargs: object) -> BaseCheckpointer:
+    """Instantiate the named algorithm with the given substrate pieces."""
+    return resolve_algorithm(name)(*args, **kwargs)
+
 
 __all__ = [
+    "ALGORITHMS",
     "ALGORITHM_NAMES",
     "ALL_ALGORITHM_NAMES",
     "BaseCheckpointer",
     "EXTENSION_NAMES",
     "create_checkpointer",
-    "register_checkpointer",
-    "registered_algorithms",
     "resolve_algorithm",
-    "unregister_checkpointer",
 ]

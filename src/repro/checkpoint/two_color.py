@@ -26,7 +26,6 @@ from ..errors import TwoColorViolation
 from ..mmdb.locks import LockMode
 from ..txn.transaction import Transaction
 from .base import BaseCheckpointer, CheckpointRun
-from .registration import register_checkpointer
 
 
 class _TwoColorBase(BaseCheckpointer):
@@ -59,7 +58,7 @@ class _TwoColorBase(BaseCheckpointer):
         if self.spans.enabled and self.current is not None:
             self.spans.emit("ckpt.paint", self.engine.now, 0.0,
                             parent=self.current.span, segment=index)
-        if self.faults.armed and self.current is not None:
+        if self.faults is not None and self.current is not None:
             # Crash with the database part-white, part-black: recovery
             # must fall back to the previous complete image.
             self.faults.on_checkpoint_phase(
@@ -81,7 +80,6 @@ class _TwoColorBase(BaseCheckpointer):
         self.database.table.clear_paint()
 
 
-@register_checkpointer(category="paper")
 class TwoColorFlushCheckpointer(_TwoColorBase):
     """2CFLUSH: lock held across the disk write; no in-memory copying."""
 
@@ -123,7 +121,6 @@ class TwoColorFlushCheckpointer(_TwoColorBase):
         self.log.when_stable(reflected_lsn, stable)
 
 
-@register_checkpointer(category="paper")
 class TwoColorCopyCheckpointer(_TwoColorBase):
     """2CCOPY: copy to a buffer, unlock at once, flush when WAL allows."""
 

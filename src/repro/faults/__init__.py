@@ -5,9 +5,9 @@ Layers:
 * :mod:`repro.faults.plan` -- declarative :class:`FaultPlan` (crash
   triggers, torn writes, transient I/O faults), serialisable and
   therefore sweepable;
-* :mod:`repro.faults.injector` -- the armed/no-op
-  :class:`FaultInjector` handle the storage, log, and checkpoint layers
-  hook into (``NULL_INJECTOR`` when no plan is armed);
+* :mod:`repro.faults.injector` -- the :class:`FaultInjector` handle
+  the storage, log, and checkpoint layers hook into (they hold ``None``
+  when no plan is armed, and the live server never loads this package);
 * :mod:`repro.faults.checker` -- the
   :class:`~repro.faults.checker.CrashConsistencyChecker`: run a plan,
   crash, recover from backup + log, verify record-level equality
@@ -31,7 +31,6 @@ __getattr__, __dir__ = lazy_surface(__name__, {
     "FaultPlan": ".plan",
     "IOFaultSpec": ".plan",
     "FaultInjector": ".injector",
-    "NULL_INJECTOR": ".injector",
     "CrashConsistencyChecker": ".checker",
     "FaultRunReport": ".checker",
     "crash_matrix_points": ".matrix",
@@ -45,7 +44,6 @@ __all__ = [
     "FaultPlan",
     "IOFaultSpec",
     "FaultInjector",
-    "NULL_INJECTOR",
     "CrashConsistencyChecker",
     "FaultRunReport",
     "crash_matrix_points",

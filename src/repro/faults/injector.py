@@ -1,16 +1,17 @@
-"""The fault injector: the one armed/no-op handle every hook keys off.
+"""The fault injector: the one handle every fault hook calls.
 
-Exactly like the telemetry substrate (:mod:`repro.obs.telemetry`),
-instrumented components hold one shared :class:`FaultInjector` and guard
-each hook site with its ``armed`` flag::
+Instrumented components hold the run's one :class:`FaultInjector`, or
+``None`` when no fault plan is armed, and guard each hook site with one
+test::
 
-    if self.faults.armed:
+    if self.faults is not None:
         delay, extra = self.faults.on_disk_request(self.name, words, service)
 
 so a run without a fault plan pays exactly one attribute load plus a
 predicate per hook -- no argument evaluation, no dict lookups, no
-allocation.  :data:`NULL_INJECTOR` is the module-level default handle;
-it is never armed.
+allocation.  The hook modules import this class for type checking
+only, so the live server, which arms no plan, never loads
+:mod:`repro.faults`.
 
 The injector owns the plan's private RNG stream.  Draws happen in event
 order, which the engine makes deterministic, so an armed run is a pure
@@ -41,22 +42,20 @@ from .plan import FaultPlan
 class FaultInjector:
     """Seeded executor of one :class:`~repro.faults.plan.FaultPlan`."""
 
-    __slots__ = ("armed", "plan", "telemetry", "spans", "rng", "crash_fired",
+    __slots__ = ("plan", "telemetry", "spans", "rng", "crash_fired",
                  "crash_trigger", "disk_writes", "log_flushes",
                  "io_errors", "io_retries", "io_exhausted",
                  "latency_spikes", "torn_segments", "backoff_time",
                  "_outstanding")
 
-    def __init__(self, plan: Optional[FaultPlan] = None, *,
+    def __init__(self, plan: FaultPlan, *,
                  telemetry: Telemetry = NULL_TELEMETRY,
                  spans: SpanRecorder = NULL_SPANS) -> None:
         self.plan = plan
-        self.armed = plan is not None
         self.telemetry = telemetry
         #: span recorder (retry backoff windows); carries its own clock
         self.spans = spans
-        self.rng = (np.random.default_rng(plan.seed)
-                    if plan is not None else None)
+        self.rng = np.random.default_rng(plan.seed)
         #: whether a crash trigger already fired this run
         self.crash_fired = False
         #: the trigger that fired (``None`` until then)
@@ -235,11 +234,4 @@ class FaultInjector:
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if not self.armed:
-            return "FaultInjector(disarmed)"
         return f"FaultInjector({self.plan.describe()})"
-
-
-#: The shared no-op default: every hook site is observably inert.  Never
-#: arm this instance; build a fresh ``FaultInjector(plan)`` per run.
-NULL_INJECTOR = FaultInjector(None)

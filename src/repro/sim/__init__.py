@@ -14,8 +14,8 @@ Three layers live here, bottom-up:
   checkpointer, crash injection, recovery, and the independent
   committed-state oracle (:mod:`~repro.sim.oracle`).
 * **components** -- :class:`~repro.sim.builder.SystemBuilder`, which
-  constructs every subsystem through overridable factories so tests and
-  extensions can substitute any one of them.
+  constructs every subsystem through one overridable ``build_*`` method
+  each, so a subclass can substitute any one of them.
 
 Every name is exported lazily (:mod:`repro._lazy`): engine modules are
 imported by the database/txn/checkpoint layers, so importing the kernel
@@ -44,7 +44,6 @@ __getattr__, __dir__ = lazy_surface(__name__, {
     "SimulationConfig": ".system",
     "SimulationMetrics": ".system",
     "SystemBuilder": ".builder",
-    "SystemComponents": ".builder",
     "CommittedStateOracle": ".oracle",
     "RecordMismatch": ".oracle",
 })
@@ -61,7 +60,6 @@ __all__ = [
     "SimulationConfig",
     "SimulationMetrics",
     "SystemBuilder",
-    "SystemComponents",
     "TimestampAuthority",
     "ports",
 ]

@@ -1,44 +1,43 @@
 """Explicit component construction for the simulated MMDBMS.
 
-:class:`SystemBuilder` replaces the inline wiring that used to live in
-``SimulatedSystem.__init__``: every subsystem -- database, locks, WAL,
+:class:`SystemBuilder` builds every subsystem of a
+:class:`~repro.sim.system.SimulatedSystem` -- database, locks, WAL,
 disks, backups, transaction manager, checkpointer, scheduler, workload,
-faults, telemetry -- is built by its own overridable ``build_*`` method,
-in a fixed order, into a :class:`SystemComponents` record that the
-system adopts verbatim.
+faults, telemetry -- each by its own ``build_*`` method, in the fixed
+order of :data:`COMPONENTS`.  The system takes the built components
+straight from the builder as its attributes of the same names.
 
-Substitution has two entry points, from lighter to heavier:
-
-* ``with_component(name, obj)`` -- drop in a ready-made instance for one
-  slot (a fake ``TelemetrySink`` in a test, a hand-built workload);
-* subclassing -- override a ``build_*`` method when construction itself
-  must change (alternative transaction manager, sharded backup target,
-  an image writer other than the simulated disk array via
-  ``build_image_writer``).
+Substitution has one entry point: subclass the builder and override the
+``build_*`` method of the component to replace (a recording telemetry
+sink, an alternative transaction manager, an image writer other than
+the simulated disk array via ``build_image_writer``).  A factory finds
+the components built before it as attributes of the builder, so an
+overridden telemetry sink is what ``build_log`` finds in
+``self.telemetry``.
 
 The build order matters only for readability -- no component consumes
-randomness during construction -- but it is kept identical to the
-historical ``__init__`` wiring so a fixed-seed run builds bit-identical
-state.  The component *types* are the ports in :mod:`repro.sim.ports`;
-the defaults are the concrete classes named in each method.
+randomness during construction -- but it is kept fixed so a fixed-seed
+run builds bit-identical state.  The component *types* are the ports in
+:mod:`repro.sim.ports`; the defaults are the concrete classes named in
+each method.
 
 Example::
 
-    builder = (SystemBuilder(config)
-               .with_component("telemetry", MyRecordingSink()))
-    system = builder.build()           # a SimulatedSystem
+    class RecordingBuilder(SystemBuilder):
+        def build_telemetry(self):
+            return MyRecordingSink()
+
+    system = RecordingBuilder(config).build()   # a SimulatedSystem
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Any, Callable, Dict, Optional, TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from ..checkpoint.registry import create_checkpointer
 from ..checkpoint.scheduler import CheckpointScheduler
 from ..cpu.accounting import CostLedger, OperationCosts
-from ..errors import ConfigurationError
-from ..faults.injector import NULL_INJECTOR, FaultInjector
+from ..faults.injector import FaultInjector
 from ..mmdb.database import Database
 from ..mmdb.locks import LockManager
 from ..model.duration import minimum_duration
@@ -58,64 +57,20 @@ from .timestamps import TimestampAuthority
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .system import SimulatedSystem, SimulationConfig
 
-
-@dataclass
-class SystemComponents:
-    """Every subsystem of one simulated MMDBMS, fully wired.
-
-    ``SimulatedSystem`` adopts these as its attributes of the same
-    names.  Field order mirrors build order (dependencies first).
-    """
-
-    engine: Any
-    streams: Any
-    authority: Any
-    ledger: Any
-    database: Any
-    telemetry: Any
-    spans: Any
-    faults: Any
-    log: Any
-    locks: Any
-    array: Any
-    backup: Any
-    oracle: Any
-    cpu: Optional[Any]
-    txn_manager: Any
-    checkpointer: Any
-    scheduler: Any
-    workload: Any
-
-    @classmethod
-    def slot_names(cls) -> tuple:
-        return tuple(f.name for f in fields(cls))
+#: every component of a system, in build order (dependencies first);
+#: ``build_<name>`` makes each one
+COMPONENTS = ("engine", "streams", "authority", "ledger", "database",
+              "telemetry", "spans", "faults", "log", "locks", "array",
+              "backup", "oracle", "cpu", "txn_manager", "checkpointer",
+              "scheduler", "workload")
 
 
 class SystemBuilder:
-    """Builds the component set of one :class:`SimulatedSystem`."""
+    """Builds the components of one :class:`SimulatedSystem`."""
 
     def __init__(self, config: "SimulationConfig") -> None:
         self.config = config
         self.params = config.params
-        self._overrides: Dict[str, Any] = {}
-
-    # ------------------------------------------------------------------
-    # substitution surface
-    # ------------------------------------------------------------------
-    def with_component(self, name: str, component: Any) -> "SystemBuilder":
-        """Use ``component`` verbatim for the slot ``name``.
-
-        ``name`` is a :class:`SystemComponents` field.  The component
-        must satisfy the corresponding port in :mod:`repro.sim.ports`
-        structurally; nothing is type-checked here beyond the slot name,
-        so a wrong-shaped fake fails at its first use, loudly.
-        """
-        if name not in SystemComponents.slot_names():
-            known = ", ".join(SystemComponents.slot_names())
-            raise ConfigurationError(
-                f"unknown component slot {name!r}; known slots: {known}")
-        self._overrides[name] = component
-        return self
 
     # ------------------------------------------------------------------
     # per-component factories (override points for subclasses)
@@ -144,9 +99,10 @@ class SystemBuilder:
             return NULL_SPANS
         return SpanRecorder(enabled=True, clock=self.engine)
 
-    def build_faults(self) -> FaultInjector:
+    def build_faults(self) -> Optional[FaultInjector]:
+        """The run's fault injector; None when no plan is armed."""
         if self.config.fault_plan is None:
-            return NULL_INJECTOR
+            return None
         return FaultInjector(self.config.fault_plan,
                              telemetry=self.telemetry,
                              spans=self.spans)
@@ -174,26 +130,25 @@ class SystemBuilder:
         return CpuServer(self.engine, self.config.cpu_mips,
                          telemetry=self.telemetry)
 
-    def restart_backoff(self) -> float:
-        backoff = self.config.restart_backoff
-        if backoff is None:
-            backoff = minimum_duration(self.params, self.config.scope) / 2
-        return backoff
-
     def build_txn_manager(self) -> TransactionManager:
         config = self.config
         return TransactionManager(
             self.database, self.log, self.locks, self.ledger, self.engine,
             self.authority,
-            restart_backoff=self.restart_backoff(),
-            max_attempts=config.max_attempts,
+            # A checkpointer-aborted transaction reruns after half the
+            # minimum checkpoint duration: retrying on the checkpoint's
+            # own timescale gives it a genuine chance that the paint
+            # boundary has moved past its access set, the independence
+            # the paper's geometric restart model assumes.  A much
+            # smaller backoff makes retries strongly correlated and
+            # rerun counts blow up (see repro.experiments.validation).
+            restart_backoff=minimum_duration(self.params, config.scope) / 2,
             backoff_rng=self.streams.stream("txn.backoff"),
             logical_updates=config.logical_updates,
             flush_on_commit=config.log_flush_on_commit,
             cpu_server=self.cpu,
             telemetry=self.telemetry,
             spans=self.spans,
-            response_reservoir=config.response_reservoir,
         )
 
     def build_image_writer(self) -> SimulatedImageWriter:
@@ -203,7 +158,7 @@ class SystemBuilder:
 
     def build_checkpointer(self) -> Any:
         config = self.config
-        checkpointer = create_checkpointer(
+        return create_checkpointer(
             config.algorithm,
             self.params, self.database, self.log, self.locks, self.ledger,
             self.engine, self.backup, self.build_image_writer(),
@@ -215,7 +170,6 @@ class SystemBuilder:
             faults=self.faults,
             spans=self.spans,
         )
-        return checkpointer
 
     def build_scheduler(self) -> CheckpointScheduler:
         return CheckpointScheduler(self.checkpointer, self.engine,
@@ -228,58 +182,18 @@ class SystemBuilder:
     # ------------------------------------------------------------------
     # assembly
     # ------------------------------------------------------------------
-    def _slot(self, name: str, factory: Callable[[], Any]) -> Any:
-        if name in self._overrides:
-            component = self._overrides[name]
-        else:
-            component = factory()
-        setattr(self, name, component)
-        return component
+    def build_components(self) -> Dict[str, Any]:
+        """Construct every component in :data:`COMPONENTS` order.
 
-    def build_components(self) -> SystemComponents:
-        """Construct every component, honouring overrides, in build order.
-
-        Components built earlier are available to later factories as
-        attributes of the builder (``self.engine``, ``self.telemetry``,
-        ...), which is how dependency injection flows without a
-        container: an overridden telemetry sink is simply what
-        ``build_log`` finds in ``self.telemetry``.
+        Each one becomes an attribute of the builder as soon as it is
+        built, which is how later factories find their dependencies.
         """
-        for name, factory in (
-            ("engine", self.build_engine),
-            ("streams", self.build_streams),
-            ("authority", self.build_authority),
-            ("ledger", self.build_ledger),
-            ("database", self.build_database),
-            ("telemetry", self.build_telemetry),
-            ("spans", self.build_spans),
-            ("faults", self.build_faults),
-            ("log", self.build_log),
-            ("locks", self.build_locks),
-            ("array", self.build_array),
-            ("backup", self.build_backup),
-            ("oracle", self.build_oracle),
-            ("cpu", self.build_cpu),
-            ("txn_manager", self.build_txn_manager),
-            ("checkpointer", self.build_checkpointer),
-            ("scheduler", self.build_scheduler),
-            ("workload", self.build_workload),
-        ):
-            self._slot(name, factory)
+        for name in COMPONENTS:
+            setattr(self, name, getattr(self, "build_" + name)())
         self.checkpointer.attach_transaction_manager(self.txn_manager)
-        return SystemComponents(
-            engine=self.engine, streams=self.streams,
-            authority=self.authority, ledger=self.ledger,
-            database=self.database, telemetry=self.telemetry,
-            spans=self.spans, faults=self.faults,
-            log=self.log, locks=self.locks,
-            array=self.array, backup=self.backup, oracle=self.oracle,
-            cpu=self.cpu, txn_manager=self.txn_manager,
-            checkpointer=self.checkpointer, scheduler=self.scheduler,
-            workload=self.workload,
-        )
+        return {name: getattr(self, name) for name in COMPONENTS}
 
     def build(self) -> "SimulatedSystem":
         """Build the components and the system around them."""
         from .system import SimulatedSystem
-        return SimulatedSystem(self.config, components=self.build_components())
+        return SimulatedSystem(self.config, builder=self)

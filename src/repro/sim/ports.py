@@ -8,11 +8,11 @@ structurally -- nothing inherits from these, and this module imports none
 of those packages, so it sits in the dependency-free engine layer (see
 ``scripts/check_layering.py``).
 
-The ports exist for substitution: :class:`repro.sim.builder.SystemBuilder`
-accepts any object satisfying the relevant protocol in place of the
-default component -- a fake ``TelemetrySink`` in a test, an alternative
-``WorkloadSource`` for trace-driven replay -- and a checkpointer takes
-any ``ImageWriter`` for its segment writes.  They are intentionally the
+The ports exist for substitution: a ``build_*`` override in a
+:class:`repro.sim.builder.SystemBuilder` subclass may return any object
+satisfying the relevant protocol -- a fake ``TelemetrySink`` in a test,
+an alternative ``WorkloadSource`` for trace-driven replay -- and a
+checkpointer takes any ``ImageWriter`` for its segment writes.  They are intentionally the
 *minimum* surface the simulator itself exercises, not a transcript of
 every public method the default implementations happen to have.
 """
@@ -223,8 +223,7 @@ class WorkloadSource(Protocol):
 
     Satisfied by :class:`repro.txn.workload.WorkloadGenerator` (seeded
     fixed-rate synthetic load); a trace-replay source satisfies it just
-    as well.  ``rate_at`` and ``expected_arrivals`` expose the offered
-    load so telemetry can compare offered against served.
+    as well.
     """
 
     def next_interarrival(self, now: float) -> float:
@@ -234,27 +233,15 @@ class WorkloadSource(Protocol):
     def make_transaction(self, now: float) -> Any:
         ...
 
-    def rate_at(self, now: float) -> float:
-        """Offered arrival rate at ``now``, transactions/second."""
-        ...
-
-    def expected_arrivals(self, start: float, end: float) -> float:
-        """Expected arrivals offered in ``[start, end]``."""
-        ...
-
 
 @runtime_checkable
 class FaultHook(Protocol):
     """The fault-injection seam threaded through the substrates.
 
-    Satisfied by :class:`repro.faults.injector.FaultInjector` and its
-    shared disabled instance ``NULL_INJECTOR``.  ``armed`` is the
-    one-predicate guard every instrumented call site checks first.
+    Satisfied by :class:`repro.faults.injector.FaultInjector`.  A run
+    without a fault plan holds ``None`` instead, and every instrumented
+    call site checks ``faults is not None`` first.
     """
-
-    @property
-    def armed(self) -> bool:
-        ...
 
     def on_system_crash(self) -> None:
         ...

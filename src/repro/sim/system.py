@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..checkpoint.base import BaseCheckpointer, CheckpointScope
+from ..checkpoint.base import CheckpointScope
 from ..checkpoint.scheduler import CheckpointPolicy
 from ..cpu.accounting import CostCategory
 from ..errors import ConfigurationError, InvalidStateError
@@ -31,7 +31,7 @@ from ..faults.plan import FaultPlan
 from ..params import SystemParameters
 from ..recovery.restore import RecoveryManager, RecoveryResult
 from ..workload.spec import WorkloadSpec
-from .builder import SystemBuilder, SystemComponents
+from .builder import SystemBuilder
 from .oracle import RecordMismatch
 
 
@@ -49,16 +49,6 @@ class SimulationConfig:
     seed: int = 0
     #: group-commit period for the volatile log tail, seconds
     log_flush_interval: float = 0.01
-    #: delay before a checkpointer-aborted transaction reruns, seconds.
-    #: None picks half the minimum checkpoint duration: retrying on the
-    #: checkpoint's own timescale gives the aborted transaction a genuine
-    #: chance that the paint boundary has moved past its access set, the
-    #: independence the paper's geometric restart model assumes.  A much
-    #: smaller backoff makes retries strongly correlated and rerun counts
-    #: blow up (see repro.experiments.validation).
-    restart_backoff: Optional[float] = None
-    #: rerun budget before a transaction is declared failed
-    max_attempts: int = 1000
     #: concurrent segment writes (None: one per backup disk)
     io_depth: Optional[int] = None
     #: model the disk time of the COU begin-checkpoint log force, during
@@ -81,11 +71,6 @@ class SimulationConfig:
     #: ``telemetry``: off by default, one predicate per site when
     #: disabled, and never feeds back into the simulation.
     spans: bool = False
-    #: cap on retained per-commit response-time samples.  Percentiles
-    #: stay exact while a run commits fewer transactions than this;
-    #: beyond it the sample degrades gracefully to a uniform reservoir
-    #: (see :class:`repro.txn.manager.TransactionStats`).
-    response_reservoir: int = 65536
     #: logical (transition) logging: transactions increment records and
     #: log deltas.  Recovery is only sound over a snapshot-exact backup
     #: (copy-on-update checkpoints); see tests/test_logical_logging.
@@ -152,44 +137,28 @@ class SimulatedSystem:
 
     Construction is delegated to :class:`~repro.sim.builder.SystemBuilder`:
     ``SimulatedSystem(config)`` builds the default component set, while
-    ``SystemBuilder(config).with_component(...).build()`` substitutes
-    individual subsystems (see :mod:`repro.sim.ports` for the component
-    interfaces).  Either way the system adopts the components verbatim
-    and then performs only run-state wiring (backup preload, timed-crash
+    a builder subclass that overrides a ``build_*`` method substitutes
+    that subsystem (``MyBuilder(config).build()``; see
+    :mod:`repro.sim.ports` for the component interfaces).  Either way
+    the system takes the components straight from the builder and then
+    performs only run-state wiring (backup preload, timed-crash
     scheduling).
     """
 
     def __init__(self, config: SimulationConfig,
-                 components: Optional[SystemComponents] = None) -> None:
+                 builder: Optional[SystemBuilder] = None) -> None:
         self.config = config
         self.params = config.params
-        if components is None:
-            components = SystemBuilder(config).build_components()
-        self.components = components
-        self.engine = components.engine
-        self.streams = components.streams
-        self.authority = components.authority
-        self.ledger = components.ledger
-        self.database = components.database
-        self.telemetry = components.telemetry
-        self.spans = components.spans
-        self.faults = components.faults
-        self.log = components.log
-        self.locks = components.locks
-        self.array = components.array
-        self.backup = components.backup
-        self.oracle = components.oracle
-        self.cpu = components.cpu
-        self.txn_manager = components.txn_manager
-        self.checkpointer: BaseCheckpointer = components.checkpointer
-        self.scheduler = components.scheduler
-        self.workload = components.workload
+        # engine, database, log, checkpointer, ...: one attribute per
+        # name in repro.sim.builder.COMPONENTS
+        vars(self).update(
+            (builder or SystemBuilder(config)).build_components())
         self._started = False
         self._crashed = False
         self._run_started_at = 0.0
         if config.preload_backup:
             self._preload_backup()
-        if (self.faults.armed and self.faults.plan.crash is not None
+        if (self.faults is not None and self.faults.plan.crash is not None
                 and self.faults.plan.crash.at_time is not None):
             self.engine.schedule_at(self.faults.plan.crash.at_time,
                                     self.faults.trigger_timed_crash,
@@ -247,8 +216,6 @@ class SimulatedSystem:
         txn = self.workload.make_transaction(now)
         if self.telemetry.enabled:
             self.telemetry.registry.count("workload.arrivals")
-            self.telemetry.registry.observe(
-                "workload.offered_rate", self.workload.rate_at(now))
         self.txn_manager.submit(txn)
         self._schedule_next_arrival()
 
@@ -300,7 +267,7 @@ class SimulatedSystem:
         self.oracle.feed(self.log.drain_newly_stable())
         if self.spans.enabled:
             self.spans.emit("sys.crash", self.engine.now, 0.0)
-        if self.faults.armed:
+        if self.faults is not None:
             # Apply torn prefixes of in-flight segment writes to the
             # images before the write-completion events are discarded.
             self.faults.on_system_crash()
@@ -421,9 +388,9 @@ class SimulatedSystem:
             cpu_utilisation=(self.cpu.utilisation(elapsed)
                              if self.cpu is not None and elapsed > 0
                              else None),
-            offered_rate=(
-                self.workload.expected_arrivals(
-                    self._run_started_at, self.engine.now) / elapsed
-                if elapsed > 0 else 0.0),
+            # the expected arrivals over the run, per second: lam in
+            # exact arithmetic, rounded as the sim goldens pin it
+            offered_rate=(self.params.lam * elapsed / elapsed
+                          if elapsed > 0 else 0.0),
             served_rate=committed / elapsed if elapsed > 0 else 0.0,
         )

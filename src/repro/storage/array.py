@@ -16,14 +16,16 @@ log traffic.  Two views are provided, plus the checkpointers' write port
 
 from __future__ import annotations
 
-from typing import Any, Callable, List
+from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
 from ..errors import ConfigurationError
-from ..faults.injector import NULL_INJECTOR, FaultInjector
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from ..params import SystemParameters
 from ..sim.ports import SchedulerPort
 from .disk import Disk
+
+if TYPE_CHECKING:  # pragma: no cover - a type only
+    from ..faults.injector import FaultInjector
 
 
 class DiskArray:
@@ -31,7 +33,7 @@ class DiskArray:
 
     def __init__(self, params: SystemParameters, name: str = "backup",
                  *, telemetry: Telemetry = NULL_TELEMETRY,
-                 faults: FaultInjector = NULL_INJECTOR) -> None:
+                 faults: Optional[FaultInjector] = None) -> None:
         self.params = params
         self.name = name
         self.telemetry = telemetry
@@ -123,7 +125,7 @@ class SimulatedImageWriter:
     """
 
     def __init__(self, array: DiskArray, engine: SchedulerPort, *,
-                 faults: FaultInjector = NULL_INJECTOR) -> None:
+                 faults: Optional[FaultInjector] = None) -> None:
         self.array = array
         self.engine = engine
         self.faults = faults
@@ -132,7 +134,7 @@ class SimulatedImageWriter:
     def write(self, image: Any, index: int, data: Any,
               data_timestamp: float, done: Callable[[], None]) -> None:
         faults = self.faults
-        if faults.armed:
+        if faults is not None:
             faults.note_write_issued(image, index, data, data_timestamp)
             image_index = image.index
 

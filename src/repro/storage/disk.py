@@ -8,9 +8,13 @@ reports.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING, Optional
+
 from ..errors import ConfigurationError
-from ..faults.injector import NULL_INJECTOR, FaultInjector
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
+
+if TYPE_CHECKING:  # pragma: no cover - a type only
+    from ..faults.injector import FaultInjector
 
 
 class Disk:
@@ -19,7 +23,7 @@ class Disk:
     def __init__(self, t_seek: float, t_trans: float, name: str = "disk",
                  *, telemetry: Telemetry = NULL_TELEMETRY,
                  metric_prefix: str = "disk",
-                 faults: FaultInjector = NULL_INJECTOR) -> None:
+                 faults: Optional[FaultInjector] = None) -> None:
         if t_seek < 0 or t_trans <= 0:
             raise ConfigurationError(
                 f"invalid disk timing (t_seek={t_seek!r}, t_trans={t_trans!r})"
@@ -35,7 +39,7 @@ class Disk:
         #: array, not one per spindle) -- see docs/OBSERVABILITY.md
         self.telemetry = telemetry
         self.metric_prefix = metric_prefix
-        #: fault-injection handle; :data:`NULL_INJECTOR` = healthy disk
+        #: fault-injection handle; None = healthy disk
         self.faults = faults
 
     def service_time(self, words: int) -> float:
@@ -60,7 +64,7 @@ class Disk:
         if words < 0:
             raise ConfigurationError(f"words must be >= 0, got {words!r}")
         service = self.t_seek + self.t_trans * words
-        if self.faults.armed:
+        if self.faults is not None:
             # May raise CrashError (write-count trigger) or MediaError.
             delay, extra_busy = self.faults.on_disk_request(
                 self.name, words, service)

@@ -59,14 +59,6 @@ class WorkloadGenerator:
             return float(self._arrival_rng.exponential(self._mean_interarrival))
         return self._mean_interarrival
 
-    def rate_at(self, now: float = 0.0) -> float:
-        """Offered arrival rate at ``now``: the constant ``params.lam``."""
-        return self.params.lam
-
-    def expected_arrivals(self, start: float, end: float) -> float:
-        """Expected arrivals offered in ``[start, end]``."""
-        return self.params.lam * max(end - start, 0.0)
-
     # -- record selection ------------------------------------------------------
     def _draw_update_count(self) -> int:
         mix = self.spec.update_count_mix

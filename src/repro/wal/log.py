@@ -29,11 +29,10 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from operator import attrgetter
-from typing import (Callable, Iterable, List, NamedTuple, Optional, Sequence,
-                    Tuple)
+from typing import (TYPE_CHECKING, Callable, Iterable, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 from ..errors import InvalidStateError, WALViolation
-from ..faults.injector import NULL_INJECTOR, FaultInjector
 from ..obs.spans import NULL_SPANS, SpanRecorder
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from ..params import SystemParameters
@@ -50,6 +49,9 @@ from .records import (
     UpdateRecord,
     UpdateRun,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - a type only
+    from ..faults.injector import FaultInjector
 
 StableCallback = Callable[[], None]
 #: what a stability waiter runs instead if the log fails first
@@ -73,7 +75,7 @@ class LogManager:
 
     def __init__(self, params: SystemParameters, *,
                  telemetry: Telemetry = NULL_TELEMETRY,
-                 faults: FaultInjector = NULL_INJECTOR,
+                 faults: Optional[FaultInjector] = None,
                  spans: SpanRecorder = NULL_SPANS) -> None:
         self.params = params
         self.telemetry = telemetry
@@ -254,7 +256,7 @@ class LogManager:
         words = self._tail_words
         count = self._tail_updates
         if self._tail:
-            if self.faults.armed:
+            if self.faults is not None:
                 # A lost-tail crash fires BEFORE the tail reaches the
                 # log disks: these records never become durable.
                 self.faults.on_log_flush()

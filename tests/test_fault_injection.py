@@ -42,7 +42,6 @@ from repro.faults import (
     FaultInjector,
     FaultPlan,
     IOFaultSpec,
-    NULL_INJECTOR,
     crash_matrix_points,
     random_plans,
     run_fault_cell,
@@ -148,19 +147,18 @@ class TestFaultPlan:
 # ---------------------------------------------------------------------------
 
 class TestInjector:
-    def test_null_injector_is_disarmed_and_shared(self):
-        assert not NULL_INJECTOR.armed
-        disk = Disk(0.002, 1e-6)
-        assert disk.faults is NULL_INJECTOR
-
     def test_system_without_plan_uses_null_injector(self, tiny_params):
+        """No plan, no injector: every hook site holds None."""
+        assert Disk(0.002, 1e-6).faults is None
         system = build_system(tiny_params, "FUZZYCOPY")
-        assert system.faults is NULL_INJECTOR
+        hooks = [system, system.log, system.array, system.checkpointer,
+                 system.checkpointer.writer, *system.array.disks]
+        assert [holder.faults for holder in hooks] == [None] * len(hooks)
 
     def test_empty_plan_arms_but_injects_nothing(self, tiny_params):
         system = fault_system(tiny_params, "FUZZYCOPY", FaultPlan(seed=0))
         system.run(1.0)  # must not raise
-        assert system.faults.armed and not system.faults.crash_fired
+        assert system.faults is not None and not system.faults.crash_fired
         counters = system.faults.counters()
         assert counters["disk_writes"] > 0
         assert counters["crash_trigger"] is None

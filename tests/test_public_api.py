@@ -149,18 +149,21 @@ class TestLazySurface:
                      "False")
 
     def test_registry_is_complete_after_a_serving_import(self):
-        """The live host imports only the checkpoint scheduler; asking
-        the package for the registry must still register every family."""
+        """The live host imports only the checkpoint scheduler and no
+        fault machinery; asking the package for the algorithm table must
+        still load every family."""
         assert _fresh("""
             import sys
             import repro.live.server
             assert "repro.checkpoint.registry" not in sys.modules
+            assert [m for m in sys.modules
+                    if m.startswith("repro.faults")] == []
             import repro.checkpoint as checkpoint
+            from repro.checkpoint.registry import ALGORITHMS
             for name in checkpoint.ALL_ALGORITHM_NAMES:
                 assert checkpoint.resolve_algorithm(name).name == name
                 assert checkpoint.create_checkpointer is not None
-            print(len(checkpoint.ALL_ALGORITHM_NAMES),
-                  len(checkpoint.registered_algorithms()))
+            print(len(checkpoint.ALL_ALGORITHM_NAMES), len(ALGORITHMS))
             """) == "11 11"
 
     def test_checkpoint_stats_has_one_class(self):

@@ -1,123 +1,39 @@
-"""Decorator-based checkpointer registration (the plugin seam).
-
-An out-of-tree algorithm decorated with ``@register_checkpointer`` must
-be runnable through every entry point -- ``create_checkpointer``,
-``repro.api.simulate``, the sweep runner -- without touching
-``repro.checkpoint.registry``.
-"""
+"""The algorithm table: the paper's six algorithms and the five
+extensions, closed, keyed by name, in the paper's order."""
 
 from __future__ import annotations
 
 import pytest
 
-import repro
-from repro.api import simulate as api_simulate
-from repro.api import sweep as api_sweep
+from repro.checkpoint.base import BaseCheckpointer
 from repro.checkpoint.fuzzy import FuzzyCopyCheckpointer
 from repro.checkpoint.registry import (
     ALGORITHM_NAMES,
+    ALGORITHMS,
     ALL_ALGORITHM_NAMES,
     EXTENSION_NAMES,
-    register_checkpointer,
-    registered_algorithms,
     resolve_algorithm,
-    unregister_checkpointer,
 )
 from repro.errors import ConfigurationError
 
 
-@pytest.fixture
-def plugin_checkpointer():
-    """Register a dummy out-of-tree algorithm; unregister on teardown."""
-
-    @register_checkpointer
-    class PluginCheckpointer(FuzzyCopyCheckpointer):
-        name = "TESTPLUGIN"
-
-    yield PluginCheckpointer
-    unregister_checkpointer("TESTPLUGIN")
-
-
 class TestRegistration:
     def test_builtin_categories_are_complete(self):
-        assert set(registered_algorithms("paper")) == set(ALGORITHM_NAMES)
-        assert set(registered_algorithms("extension")) == set(EXTENSION_NAMES)
-        assert set(ALL_ALGORITHM_NAMES) <= set(registered_algorithms())
+        """The table is the paper's algorithms, then the extensions."""
+        assert tuple(ALGORITHMS) == ALL_ALGORITHM_NAMES
+        assert ALL_ALGORITHM_NAMES == ALGORITHM_NAMES + EXTENSION_NAMES
+        assert len(ALGORITHM_NAMES) == 6 and len(EXTENSION_NAMES) == 5
+        for name, cls in ALGORITHMS.items():
+            assert issubclass(cls, BaseCheckpointer)
+            assert cls.name == name
 
     def test_resolution_is_case_insensitive(self):
         assert resolve_algorithm("fuzzycopy") is FuzzyCopyCheckpointer
+        assert resolve_algorithm("FuzzyCopy") is FuzzyCopyCheckpointer
 
-    def test_plugin_appears_in_enumeration(self, plugin_checkpointer):
-        assert "TESTPLUGIN" in registered_algorithms()
-        assert "TESTPLUGIN" in registered_algorithms("external")
-        assert "TESTPLUGIN" not in ALL_ALGORITHM_NAMES
-        assert resolve_algorithm("testplugin") is plugin_checkpointer
-
-    def test_unregister_removes_the_plugin(self):
-        @register_checkpointer(name="EPHEMERAL")
-        class Ephemeral(FuzzyCopyCheckpointer):
-            name = "EPHEMERAL"
-
-        unregister_checkpointer("EPHEMERAL")
-        assert "EPHEMERAL" not in registered_algorithms()
-        with pytest.raises(ConfigurationError, match="unknown algorithm"):
-            resolve_algorithm("EPHEMERAL")
-
-    def test_duplicate_name_is_rejected(self, plugin_checkpointer):
-        with pytest.raises(ConfigurationError, match="already registered"):
-            @register_checkpointer
-            class Clash(FuzzyCopyCheckpointer):
-                name = "TESTPLUGIN"
-
-    def test_replace_overrides_a_prior_registration(self, plugin_checkpointer):
-        @register_checkpointer(replace=True)
-        class Replacement(FuzzyCopyCheckpointer):
-            name = "TESTPLUGIN"
-
-        assert resolve_algorithm("TESTPLUGIN") is Replacement
-
-    def test_unknown_category_is_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown category"):
-            register_checkpointer(category="bespoke")
-
-    def test_nameless_class_is_rejected(self):
-        with pytest.raises(ConfigurationError, match="no usable 'name'"):
-            @register_checkpointer
-            class Nameless:
-                pass
-
-
-class TestPluginRunsEverywhere:
-    def test_plugin_runs_through_api_simulate(self, plugin_checkpointer):
-        outcome = api_simulate("TESTPLUGIN", scale=2048, lam=100.0,
-                               duration=1.0, seed=3, crash=True)
-        assert outcome.metrics.transactions_committed > 0
-        assert outcome.metrics.checkpoints_completed > 0
-        assert outcome.mismatches == []
-
-    def test_plugin_matches_its_base_algorithm(self, plugin_checkpointer):
-        """The subclassed plugin is FUZZYCOPY by another name."""
-        plugin = api_simulate("TESTPLUGIN", scale=2048, lam=100.0,
-                              duration=1.0, seed=4)
-        base = api_simulate("FUZZYCOPY", scale=2048, lam=100.0,
-                            duration=1.0, seed=4)
-        assert plugin.metrics == base.metrics
-
-    def test_plugin_runs_through_sweep_runner(self, plugin_checkpointer):
-        def point(algorithm, seed):
-            outcome = api_simulate(algorithm, scale=2048, lam=100.0,
-                                   duration=0.5, seed=seed)
-            return outcome.metrics.transactions_committed
-
-        result = api_sweep(point,
-                           grid={"algorithm": ["TESTPLUGIN", "FUZZYCOPY"],
-                                 "seed": [1, 2]},
-                           workers=1)
-        values = result.values()
-        assert len(values) == 4
-        assert all(v > 0 for v in values)
-
-    def test_plugin_runs_through_facade_call(self, plugin_checkpointer):
-        outcome = repro.simulate("TESTPLUGIN", scale=2048, lam=100.0,
-                                 duration=0.5, seed=5)
-        assert outcome.metrics.transactions_committed > 0
+    def test_unknown_name_lists_the_known_names(self):
+        with pytest.raises(ConfigurationError,
+                           match="unknown algorithm 'TESTPLUGIN'") as info:
+            resolve_algorithm("TESTPLUGIN")
+        assert str(info.value).endswith(
+            "known: " + ", ".join(ALL_ALGORITHM_NAMES))

@@ -4,11 +4,12 @@ Two seams introduced by the componentization, each locked by tests:
 
 * :mod:`repro.sim.ports` -- the default components structurally satisfy
   their protocols (and the protocols stay minimal);
-* :class:`repro.sim.builder.SystemBuilder` -- any slot can be replaced
-  by a fake without touching the rest of the wiring, and the built
-  system behaves identically to ``SimulatedSystem(config)``, and the
-  checkpointer's :class:`~repro.sim.ports.ImageWriter` is its only path
-  to the backup disks.
+* :class:`repro.sim.builder.SystemBuilder` -- a subclass that overrides
+  one ``build_*`` method replaces that component with a fake without
+  touching the rest of the wiring, the built system behaves identically
+  to ``SimulatedSystem(config)``, and the checkpointer's
+  :class:`~repro.sim.ports.ImageWriter` is its only path to the backup
+  disks.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ import pytest
 
 from tests.helpers import build_system, run_crash_recover
 from repro.checkpoint.scheduler import CheckpointPolicy
-from repro.errors import ConfigurationError
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan
 from repro.obs.metrics import MetricsRegistry
 from repro.sim import ports
-from repro.sim.builder import SystemBuilder, SystemComponents
+from repro.sim.builder import COMPONENTS, SystemBuilder
 from repro.sim.system import SimulatedSystem, SimulationConfig
 from repro.storage.array import SimulatedImageWriter
 
@@ -43,7 +45,7 @@ class TestPorts:
             (system.backup, ports.BackupTarget),
             (system.checkpointer, ports.CheckpointerPort),
             (system.workload, ports.WorkloadSource),
-            (system.faults, ports.FaultHook),
+            (FaultInjector(FaultPlan()), ports.FaultHook),
             (system.telemetry, ports.TelemetrySink),
         ]
         for component, port in conformance:
@@ -128,12 +130,12 @@ class RecordingWriterBuilder(SystemBuilder):
         return self.writer
 
 
-class TestSystemBuilder:
-    def test_unknown_slot_is_rejected(self, small_params):
-        builder = SystemBuilder(_config(small_params))
-        with pytest.raises(ConfigurationError, match="unknown component slot"):
-            builder.with_component("databaze", object())
+class RecordingTelemetryBuilder(SystemBuilder):
+    def build_telemetry(self):
+        return RecordingTelemetry()
 
+
+class TestSystemBuilder:
     def test_builder_build_matches_direct_construction(self, small_params):
         direct = SimulatedSystem(_config(small_params, seed=3))
         built = SystemBuilder(_config(small_params, seed=3)).build()
@@ -149,16 +151,20 @@ class TestSystemBuilder:
         assert "SimulationConfig" in dir(sim)
 
     def test_component_record_covers_every_attribute(self, small_params):
-        system = build_system(small_params, seed=1)
-        for name in SystemComponents.slot_names():
-            assert getattr(system, name) is getattr(system.components, name)
+        """The system's components are the builder's, one per name."""
+        builder = SystemBuilder(_config(small_params, seed=1))
+        system = builder.build()
+        for name in COMPONENTS:
+            assert getattr(system, name) is getattr(builder, name)
 
     def test_fake_telemetry_sink_is_used(self, small_params):
-        sink = RecordingTelemetry()
-        system = (SystemBuilder(_config(small_params, seed=2))
-                  .with_component("telemetry", sink)
-                  .build())
+        builder = RecordingTelemetryBuilder(_config(small_params, seed=2))
+        system = builder.build()
+        sink = builder.telemetry
+        assert isinstance(sink, RecordingTelemetry)
         assert system.telemetry is sink
+        # later factories found the override on the builder
+        assert system.log.telemetry is system.array.telemetry is sink
         system.run(1.0)
         assert sink.events, "instrumented components never hit the sink"
         assert system.telemetry_snapshot() == sink.snapshot()

@@ -392,15 +392,6 @@ def test_response_times_bounded_beyond_the_cap():
     assert again.response_times == stats.response_times
 
 
-def test_response_reservoir_config_reaches_the_manager():
-    outcome = repro.simulate("FUZZYCOPY", scale=1024, lam=300.0, seed=2,
-                             duration=2.0, response_reservoir=32)
-    assert outcome.metrics.transactions_committed > 32
-    assert outcome.config.response_reservoir == 32
-    # Aggregates keep counting every commit past the cap.
-    assert outcome.metrics.mean_response_time >= 0.0
-
-
 # ----------------------------------------------------------------------
 # report sections (satellites)
 # ----------------------------------------------------------------------
