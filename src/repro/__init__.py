@@ -22,9 +22,9 @@ Both are driven through the :mod:`repro.api` facade::
                              crash=True)        # testbed + verified recovery
     assert outcome.clean
 
-    result = repro.sweep(point_fn,              # parallel, cached grids
-                         grid={"algorithm": ["COUCOPY", "2CCOPY"]},
-                         workers=4)
+    spec = repro.SweepSpec.from_grid(           # a grid of points
+        point_fn, {"algorithm": ["COUCOPY", "2CCOPY"]})
+    result = repro.SweepRunner(workers=4).run(spec)   # over 4 processes
 
 See ``examples/`` for complete walkthroughs, ``python -m repro figures``
 for the figure-by-figure reproduction, ``benchmarks/ckptbench`` for the
@@ -47,17 +47,15 @@ __getattr__, __dir__ = lazy_surface(__name__, {
     "SystemParameters": ".params",
     "SimulatedSystem": ".sim.system",
     "SimulationConfig": ".sim.system",
-    "SweepResult": ".sweep.runner",
-    "SweepRunner": ".sweep.runner",
-    "SweepSpec": ".sweep.spec",
+    "SweepResult": ".sweep",
+    "SweepRunner": ".sweep",
+    "SweepSpec": ".sweep",
     "AccessDistribution": ".workload.spec",
     "WorkloadSpec": ".workload.spec",
     "api": ".api",
     "SimulationOutcome": ".api",
     "evaluate": ".api",
     "simulate": ".api",
-    # the subpackage, callable as repro.api.sweep (see repro/sweep/__init__)
-    "sweep": ".sweep",
 })
 
 __version__ = "1.1.0"
@@ -84,6 +82,5 @@ __all__ = [
     "WorkloadSpec",
     "evaluate",
     "simulate",
-    "sweep",
     "__version__",
 ]

@@ -1,8 +1,9 @@
-"""The one-stop experiment facade: ``evaluate``, ``simulate``, ``sweep``.
+"""The one-stop experiment facade: ``evaluate`` and ``simulate``.
 
-Every way of running this reproduction -- the analytic model, the
-discrete-event testbed, and grid experiments over either -- is reachable
-through three calls, all re-exported at the package top level::
+The two ways of running this reproduction -- the analytic model and the
+discrete-event testbed -- are reachable through two calls, both
+re-exported at the package top level (grids of either run through
+:mod:`repro.sweep`)::
 
     import repro
 
@@ -13,12 +14,6 @@ through three calls, all re-exported at the package top level::
     # one testbed run, optionally crash-tested
     outcome = repro.simulate("COUCOPY", scale=1024, duration=5.0, crash=True)
     assert outcome.clean            # oracle found no lost updates
-
-    # a parallel, cached parameter sweep over any picklable function
-    result = repro.sweep(my_point_fn,
-                         grid={"algorithm": ["COUCOPY", "2CCOPY"],
-                               "lam": [100.0, 200.0]},
-                         workers=4)
 
 **This module is the only assembler outside** :mod:`repro.sim`: the
 CLI, the experiment drivers, the fault checker and the observability
@@ -34,12 +29,12 @@ builder, so every entry point accepts every registered algorithm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from .checkpoint.base import CheckpointScope
 from .checkpoint.registry import resolve_algorithm
 from .checkpoint.scheduler import CheckpointPolicy
-from .errors import ConfigurationError, CrashError
+from .errors import CrashError
 from .faults.plan import FaultPlan
 from .model.evaluate import ModelOptions, ModelResult
 from .model.evaluate import evaluate as _model_evaluate
@@ -49,8 +44,6 @@ from .sim.system import (
     SimulationConfig,
     SimulationMetrics,
 )
-from .sweep import SweepResult, SweepRunner, SweepSpec
-from .sweep.cache import PathLike
 from .workload.spec import WorkloadSpec
 
 
@@ -86,8 +79,8 @@ class SimulationOutcome:
     #: plus expected/recovered values); empty list = recovery verified
     mismatches: Optional[List[Any]] = None
     #: MetricsRegistry snapshot when the run had ``telemetry=True``;
-    #: ``None`` otherwise.  A plain dict, so outcomes stay picklable and
-    #: sweep caches can carry it (``SweepResult.merged_telemetry``).
+    #: ``None`` otherwise.  A plain dict, so an outcome stays picklable
+    #: and a sweep worker can hand it back to the parent process.
     telemetry: Optional[Dict[str, Any]] = None
     #: span snapshot (plain dicts, :meth:`SpanRecorder.snapshot` form)
     #: when the run had ``spans=True``; ``None`` otherwise.  Feed it to
@@ -217,58 +210,11 @@ def simulate(
                              spans=system.spans_snapshot())
 
 
-def sweep(
-    fn: Callable[..., Any],
-    grid: Optional[Mapping[str, Sequence[Any]]] = None,
-    *,
-    points: Optional[Sequence[Mapping[str, Any]]] = None,
-    fixed: Optional[Mapping[str, Any]] = None,
-    replicates: int = 1,
-    base_seed: int = 0,
-    seed_arg: Optional[str] = None,
-    workers: Optional[int] = None,
-    cache_dir: Optional[PathLike] = None,
-    progress: Optional[Callable[[int, int, Any], None]] = None,
-    runner: Optional[SweepRunner] = None,
-) -> SweepResult:
-    """Run ``fn`` over a parameter grid, in parallel, with caching.
-
-    Exactly one of ``grid`` (named axes whose cartesian product is
-    swept) or ``points`` (an explicit list of kwargs dicts) describes
-    the parameter space; ``fixed`` supplies arguments shared by every
-    point.  With ``replicates > 1``, every point runs under several
-    deterministically derived seeds passed via ``seed_arg``.
-
-    ``workers=None`` uses every core; pass ``workers=1`` to force the
-    serial path (the results are bit-identical either way).  A
-    ``cache_dir`` makes re-runs skip every already-computed point.
-    """
-    if (grid is None) == (points is None):
-        raise ConfigurationError("pass exactly one of grid= or points=")
-    if grid is not None:
-        spec = SweepSpec.from_grid(fn, grid, fixed=fixed,
-                                   replicates=replicates,
-                                   base_seed=base_seed, seed_arg=seed_arg)
-    else:
-        spec = SweepSpec.from_points(fn, points, fixed=fixed,
-                                     replicates=replicates,
-                                     base_seed=base_seed, seed_arg=seed_arg)
-    if runner is None:
-        runner = SweepRunner(workers=workers, cache_dir=cache_dir,
-                             progress=progress)
-    return runner.run(spec)
-
-
-#: Structured grid sweep results, re-exported for facade completeness.
 __all__ = [
     "ModelOptions",
     "ModelResult",
     "SimulationOutcome",
-    "SweepResult",
-    "SweepRunner",
-    "SweepSpec",
     "build_system",
     "evaluate",
     "simulate",
-    "sweep",
 ]

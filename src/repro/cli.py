@@ -26,8 +26,9 @@ Commands:
 
 Commands that run simulations through the sweep runner (``validate``,
 ``extensions``, ``report``, ``faults --matrix``) also accept
-``--workers``, ``--replicates``, ``--no-cache`` and ``--verbose``
-(per-cell progress lines on stderr).
+``--workers`` (default: every CPU; the output is identical for any
+count), and all but ``faults`` take ``--replicates``.  Every sweep runs
+its points afresh: nothing is cached between invocations.
 
 Each command is one row of ``_COMMANDS``: its help line, the function
 that adds its arguments, and the one that runs it.  ``main`` builds the
@@ -54,7 +55,6 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
 
 if TYPE_CHECKING:
     from .faults.plan import FaultPlan
-    from .sweep import SweepRunner
 
 
 class _Failed(str):
@@ -62,39 +62,33 @@ class _Failed(str):
     like any other and returns exit status 1."""
 
 
-def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
-    """The uniform sweep flags shared by every sweep-backed command."""
-    parser.add_argument("--workers", type=int, default=None, metavar="N",
+def _positive_int(text: str) -> int:
+    """The argparse type of a count that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _add_workers_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--workers", type=_positive_int, default=None,
+                        metavar="N",
                         help="worker processes for parameter sweeps "
                              "(default: all CPUs; results are identical "
                              "for any worker count)")
-    parser.add_argument("--replicates", type=int, default=1, metavar="R",
-                        help="seeded replicates per simulation point "
-                             "('faults --matrix' seeds its own cells and "
-                             "ignores this)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="recompute every point instead of reusing "
-                             "the on-disk sweep result cache")
-    parser.add_argument("--verbose", action="store_true",
-                        help="log one stderr line per completed sweep cell "
-                             "(done/total, cache hits, retries, failures)")
 
 
-def _sweep_runner(args: argparse.Namespace) -> "SweepRunner":
-    """The one SweepRunner of a CLI invocation, built from the sweep flags."""
-    from .sweep import SweepRunner, default_cache_dir
-    workers = args.workers if args.workers is not None else os.cpu_count()
-    return SweepRunner(
-        workers=workers or 1,
-        cache_dir=None if args.no_cache else default_cache_dir(),
-        progress=_print_progress if sys.stderr.isatty() else None,
-        verbose=args.verbose)
+def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags of every command that sweeps a simulation grid."""
+    _add_workers_flag(parser)
+    parser.add_argument("--replicates", type=_positive_int, default=1,
+                        metavar="R",
+                        help="seeded replicates per simulation point")
 
 
-def _print_progress(done: int, total: int, _cell) -> None:
-    end = "\n" if done == total else ""
-    print(f"\rsweep: {done}/{total} points", end=end,
-          file=sys.stderr, flush=True)
+def _workers(args: argparse.Namespace) -> int:
+    """The sweep process count: ``--workers``, else every CPU."""
+    return args.workers or os.cpu_count() or 1
 
 
 def build_parser(commands: Optional[Iterable[str]] = None
@@ -276,7 +270,7 @@ def _faults_arguments(flt: argparse.ArgumentParser) -> None:
                           "(default: the paper's six)")
     flt.add_argument("--json", action="store_true",
                      help="machine-readable report(s)")
-    _add_sweep_flags(flt)
+    _add_workers_flag(flt)
 
 
 def _add_workload_flags(parser: argparse.ArgumentParser) -> None:
@@ -497,7 +491,7 @@ def _cmd_validate(args: argparse.Namespace) -> str:
     from .experiments import validation
     rows = validation.run_validation_suite(
         duration=args.duration, seed=args.seed,
-        replicates=args.replicates, runner=_sweep_runner(args))
+        replicates=args.replicates, workers=_workers(args))
     return validation.render(rows)
 
 
@@ -509,7 +503,7 @@ def _cmd_ablations(_args: argparse.Namespace) -> str:
 def _cmd_extensions(args: argparse.Namespace) -> str:
     from .experiments import extensions
     return extensions.render(replicates=args.replicates,
-                             runner=_sweep_runner(args))
+                             workers=_workers(args))
 
 
 def _cmd_capacity(args: argparse.Namespace) -> str:
@@ -521,7 +515,7 @@ def _cmd_report(args: argparse.Namespace) -> str:
     from .experiments.report import generate_report
     path = generate_report(args.out, include_simulations=not args.fast,
                            replicates=args.replicates,
-                           runner=_sweep_runner(args))
+                           workers=_workers(args))
     return f"report written to {path}"
 
 
@@ -641,6 +635,7 @@ def _cmd_faults(args: argparse.Namespace) -> str:
     from .faults.checker import CrashConsistencyChecker, FaultRunReport
     from .faults.matrix import (crash_matrix_points, random_plans,
                                 run_fault_cell)
+    from .sweep import SweepRunner
     if args.matrix is not None:
         algorithms = (args.algorithms.split(",") if args.algorithms
                       else list(ALGORITHM_NAMES))
@@ -648,7 +643,7 @@ def _cmd_faults(args: argparse.Namespace) -> str:
                              duration=args.duration,
                              torn_writes=args.torn_writes or None,
                              io_faults=args.io_error_rate > 0)
-        result = _sweep_runner(args).map(
+        result = SweepRunner(_workers(args)).map(
             run_fault_cell, crash_matrix_points(algorithms, plans),
             fixed={"scale": args.scale, "duration": args.duration,
                    "checkpoint_interval": args.interval},

@@ -22,7 +22,7 @@ from typing import List, Optional
 from ..api import simulate
 from ..model.evaluate import evaluate
 from ..params import PAPER_DEFAULTS, SystemParameters
-from ..sweep import SweepRunner, SweepSpec, resolve_runner
+from ..sweep import SweepRunner, SweepSpec
 from ..units import fmt_instructions, text_table
 from .validation import validation_params
 
@@ -97,8 +97,7 @@ def latency_profile(
     duration: float = 8.0,
     seed: int = 5,
     replicates: int = 1,
-    runner: Optional[SweepRunner] = None,
-    workers: Optional[int] = None,
+    workers: int = 1,
 ) -> List[LatencyRow]:
     """Measure the latency cost the CPU metric cannot express.
 
@@ -117,7 +116,7 @@ def latency_profile(
         spec = SweepSpec.from_points(_latency_point, points, fixed=fixed,
                                      replicates=replicates, base_seed=seed,
                                      seed_arg="seed")
-    result = resolve_runner(runner, workers).run(spec)
+    result = SweepRunner(workers).run(spec)
     result.raise_failures()
     if replicates == 1:
         return result.values()
@@ -138,8 +137,7 @@ def latency_profile(
 def render(params: SystemParameters = PAPER_DEFAULTS,
            *,
            replicates: int = 1,
-           runner: Optional[SweepRunner] = None,
-           workers: Optional[int] = None) -> str:
+           workers: int = 1) -> str:
     spectrum_rows = [
         (p.algorithm, p.consistency, fmt_instructions(p.overhead_per_txn),
          f"{p.recovery_time:.1f}s")
@@ -152,8 +150,7 @@ def render(params: SystemParameters = PAPER_DEFAULTS,
     latency_rows = [
         (r.algorithm, r.lock_waits, f"{r.mean_response_ms:.2f}",
          r.aborts, r.committed)
-        for r in latency_profile(replicates=replicates, runner=runner,
-                                 workers=workers)
+        for r in latency_profile(replicates=replicates, workers=workers)
     ]
     latency = text_table(
         ["algorithm", "lock waits", "mean resp (ms)", "aborts", "committed"],

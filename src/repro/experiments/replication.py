@@ -15,7 +15,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from ..api import simulate
 from ..params import SystemParameters
-from ..sweep import SweepRunner, SweepSpec, resolve_runner
+from ..sweep import SweepRunner, SweepSpec
 from ..units import text_table
 from .stats import SampleSummary, summarize
 from .validation import validation_params
@@ -54,13 +54,12 @@ def replicate(
     duration: float = 8.0,
     warmup: float = 4.0,
     confidence: float = 0.95,
-    runner: Optional[SweepRunner] = None,
-    workers: Optional[int] = None,
+    workers: int = 1,
 ) -> ReplicatedResult:
     """Run ``algorithm`` across ``seeds`` and summarise the metrics."""
     return compare([algorithm], params=params, seeds=seeds,
                    duration=duration, warmup=warmup, confidence=confidence,
-                   runner=runner, workers=workers)[algorithm.upper()]
+                   workers=workers)[algorithm.upper()]
 
 
 def compare(
@@ -71,20 +70,19 @@ def compare(
     duration: float = 8.0,
     warmup: float = 4.0,
     confidence: float = 0.95,
-    runner: Optional[SweepRunner] = None,
-    workers: Optional[int] = None,
+    workers: int = 1,
 ) -> Dict[str, ReplicatedResult]:
     """Replicate several algorithms under identical configurations.
 
-    The whole (algorithm x seed) grid goes through the runner as one
-    sweep, so with ``workers > 1`` every seeded run of every algorithm
-    executes concurrently.
+    The whole (algorithm x seed) grid is one sweep, so with
+    ``workers > 1`` every seeded run of every algorithm executes
+    concurrently.
     """
     if params is None:
         params = validation_params(200.0)
     grid = [{"algorithm": name, "seed": seed}
             for name in algorithms for seed in seeds]
-    result = resolve_runner(runner, workers).run(SweepSpec.from_points(
+    result = SweepRunner(workers).run(SweepSpec.from_points(
         _replicate_point, grid,
         fixed={"params": params, "duration": duration, "warmup": warmup}))
     result.raise_failures()
@@ -108,11 +106,10 @@ def separated(a: ReplicatedResult, b: ReplicatedResult) -> bool:
 
 def render(results: Optional[Dict[str, ReplicatedResult]] = None,
            *,
-           runner: Optional[SweepRunner] = None,
-           workers: Optional[int] = None) -> str:
+           workers: int = 1) -> str:
     if results is None:
         results = compare(["FUZZYCOPY", "COUCOPY", "2CCOPY"],
-                          runner=runner, workers=workers)
+                          workers=workers)
     rows = [
         (r.algorithm, str(r.overhead), f"{r.abort_probability.mean:.3f}",
          f"{r.mean_response_time.mean * 1e3:.2f}ms", r.committed_total)

@@ -11,10 +11,9 @@ produces the model-only report in a second.)
 from __future__ import annotations
 
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import List, Union
 
 from ..params import PAPER_DEFAULTS, SystemParameters
-from ..sweep import SweepRunner
 from . import (
     ablations,
     capacity,
@@ -46,15 +45,12 @@ def generate_report(
     *,
     include_simulations: bool = True,
     replicates: int = 1,
-    runner: Optional[SweepRunner] = None,
-    workers: Optional[int] = None,
+    workers: int = 1,
 ) -> Path:
     """Write the full report; returns the REPORT.md path.
 
-    ``runner`` / ``workers`` thread a shared :class:`~repro.sweep.SweepRunner`
-    through every simulation-backed section, so one process pool (and one
-    result cache) serves the whole report; the analytic sections are plain
-    loops over the model.
+    ``workers`` is the process count of every simulation-backed section's
+    sweep; the analytic sections are plain loops over the model.
     """
     target = Path(directory)
     target.mkdir(parents=True, exist_ok=True)
@@ -74,15 +70,15 @@ def generate_report(
     if include_simulations:
         sections.append("## Model vs testbed\n\n```\n"
                         + validation.render(replicates=replicates,
-                                            runner=runner, workers=workers)
+                                            workers=workers)
                         + "\n```")
         sections.append("## Consistency spectrum & latency (extensions)"
                         "\n\n```\n"
                         + extensions.render(params, replicates=replicates,
-                                            runner=runner, workers=workers)
+                                            workers=workers)
                         + "\n```")
         sections.append("## Replicated measurements\n\n```\n"
-                        + replication.render(runner=runner, workers=workers)
+                        + replication.render(workers=workers)
                         + "\n```")
     report_path = target / "REPORT.md"
     report_path.write_text("\n\n".join(sections) + "\n")

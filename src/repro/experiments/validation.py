@@ -32,7 +32,7 @@ from typing import List, Optional, Sequence
 from ..api import simulate
 from ..model.evaluate import ModelResult, evaluate
 from ..params import SystemParameters
-from ..sweep import SweepRunner, SweepSpec, resolve_runner
+from ..sweep import SweepRunner, SweepSpec
 from ..units import fmt_instructions, text_table
 
 #: Scaled configuration: 512 segments keeps the per-segment update rate
@@ -107,15 +107,14 @@ def run_validation_suite(
     seed: int = 42,
     warmup: float = 8.0,
     replicates: int = 1,
-    runner: Optional[SweepRunner] = None,
-    workers: Optional[int] = None,
+    workers: int = 1,
 ) -> List[ValidationRow]:
     """Validate the default set of algorithms.
 
     Executes the (algorithm x stable-tail) grid through a
-    :class:`~repro.sweep.SweepRunner` -- pass ``workers`` (or a
-    configured ``runner``) to fan the simulations out over processes;
-    the rows are bit-identical to a serial run either way.  With
+    :class:`~repro.sweep.SweepRunner` -- pass ``workers`` to fan the
+    simulations out over processes; the rows are bit-identical to a
+    serial run either way.  With
     ``replicates > 1`` every algorithm runs under that many
     deterministically derived seeds and the rows average them.
     """
@@ -133,7 +132,7 @@ def run_validation_suite(
         spec = SweepSpec.from_points(
             run_validation, points, fixed=fixed, replicates=replicates,
             base_seed=seed, seed_arg="seed")
-    result = resolve_runner(runner, workers).run(spec)
+    result = SweepRunner(workers).run(spec)
     return [_combine_rows(kwargs, cells)
             for kwargs, cells in result.groups()]
 
@@ -174,11 +173,9 @@ def _combine_rows(kwargs: dict, cells: Sequence) -> ValidationRow:
 def render(rows: Optional[List[ValidationRow]] = None,
            *,
            replicates: int = 1,
-           runner: Optional[SweepRunner] = None,
-           workers: Optional[int] = None) -> str:
+           workers: int = 1) -> str:
     if rows is None:
-        rows = run_validation_suite(replicates=replicates, runner=runner,
-                                    workers=workers)
+        rows = run_validation_suite(replicates=replicates, workers=workers)
     table_rows = [
         (r.algorithm, fmt_instructions(r.model_overhead),
          fmt_instructions(r.measured_overhead), f"{r.overhead_ratio:.2f}",

@@ -8,17 +8,17 @@ Two pieces make fault campaigns first-class sweep workloads:
   matrix is reproducible end to end;
 * :func:`run_fault_cell` is the picklable point function: it accepts the
   plan as a plain dict (sweep kwargs must be canonicalisable for seed
-  derivation and cache keys), rebuilds it, runs the
+  derivation), rebuilds it, runs the
   :class:`~repro.faults.checker.CrashConsistencyChecker`, and returns the
   report dict.
 
-A whole campaign is then one :class:`~repro.sweep.runner.SweepRunner`
-call over :func:`crash_matrix_points` -- with process fan-out, caching,
-and failure isolation for free::
+A whole campaign is then one :class:`~repro.sweep.SweepRunner` call
+over :func:`crash_matrix_points` -- with process fan-out and failure
+isolation for free::
 
     points = crash_matrix_points(ALGORITHM_NAMES, random_plans(10, seed=42))
-    result = SweepRunner().map(run_fault_cell, points,
-                               fixed={"scale": 4096, "duration": 8.0})
+    result = SweepRunner(workers=4).map(
+        run_fault_cell, points, fixed={"scale": 4096, "duration": 8.0})
     assert all(cell.value["ok"] for cell in result)
 """
 
@@ -132,8 +132,8 @@ def run_fault_cell(
     """One crash-matrix cell (module-level, hence process-pool safe).
 
     Returns the :meth:`~repro.faults.checker.FaultRunReport.to_dict`
-    rendering -- a pure function of its arguments, so sweep caching and
-    the byte-identical determinism tests both apply to it directly.
+    rendering -- a pure function of its arguments, so the output of a
+    matrix is byte-identical for any worker count.
     """
     checker = CrashConsistencyChecker(
         scale=scale, duration=duration,

@@ -26,7 +26,7 @@ enforces this by comparing whole reports across reruns.
 Plans serialise to plain dicts (:meth:`FaultPlan.to_dict` /
 :meth:`FaultPlan.from_dict`), which makes them sweepable: a crash
 matrix is just a parameter grid with a ``plan`` axis fanned out over
-the :class:`~repro.sweep.runner.SweepRunner` (see
+the :class:`~repro.sweep.SweepRunner` (see
 :mod:`repro.faults.matrix`).
 """
 
@@ -160,7 +160,7 @@ class FaultPlan:
     io: IOFaultSpec = field(default_factory=IOFaultSpec)
 
     # ------------------------------------------------------------------
-    # serialisation (sweepable / CLI / cache-key friendly)
+    # serialisation (sweepable / CLI friendly)
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         """A plain-JSON rendering; ``from_dict`` round-trips it."""

@@ -3,7 +3,7 @@
 The paper's argument is *measured* interference between checkpointing
 and transaction processing; this subsystem is the measuring equipment.
 
-* :mod:`repro.obs.metrics` -- counters, gauges, mergeable log-bucket
+* :mod:`repro.obs.metrics` -- counters, gauges, log-bucket
   histograms, utilisation timelines, and the :class:`MetricsRegistry`
   namespace holding them;
 * :mod:`repro.obs.telemetry` -- the :class:`Telemetry` handle every
@@ -38,7 +38,6 @@ __getattr__, __dir__ = lazy_surface(__name__, {
     "Histogram": ".metrics",
     "MetricsRegistry": ".metrics",
     "Timeline": ".metrics",
-    "render_merged_sweep_telemetry": ".report",
     "render_metrics_report": ".report",
     "NULL_SPANS": ".spans",
     "SpanRecorder": ".spans",
@@ -67,7 +66,6 @@ __all__ = [
     "latency_timeline",
     "load_run",
     "render_attribution",
-    "render_merged_sweep_telemetry",
     "render_metrics_report",
     "run_document",
 ]

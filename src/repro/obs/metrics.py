@@ -5,11 +5,10 @@ telemetry:
 
 * **streaming** -- a metric is updated millions of times per run, so each
   update is O(1) and allocation-free;
-* **mergeable** -- sweep replicates run in separate processes; their
-  snapshots must combine into one distribution without access to the raw
-  samples.  Histograms therefore use *fixed* logarithmic buckets (the
-  bucket boundaries are a pure function of the growth constant, never of
-  the data), so merging is bucket-wise addition and is associative;
+* **bounded** -- a histogram keeps counts in *fixed* logarithmic
+  buckets (the bucket boundaries are a pure function of the growth
+  constant, never of the data), so its size does not grow with the
+  number of samples;
 * **serialisable** -- every metric round-trips through a plain-JSON dict
   (:meth:`to_dict` / :meth:`from_dict`) so a run's snapshot can be
   exported next to its event trace and reloaded bit-identically.
@@ -22,7 +21,7 @@ reported quantile is within ~4.5% of the exact sample quantile.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
 from ..errors import ConfigurationError
 
@@ -40,9 +39,6 @@ class Counter:
 
     def inc(self, n: float = 1) -> None:
         self.value += n
-
-    def merge(self, other: "Counter") -> None:
-        self.value += other.value
 
     def to_dict(self) -> Any:
         return self.value
@@ -71,15 +67,6 @@ class Gauge:
             self.max = value
         self.updates += 1
 
-    def merge(self, other: "Gauge") -> None:
-        """Combine envelopes; the merged point value is the other's last
-        (merge order is documented as last-writer-wins)."""
-        if other.updates:
-            self.value = other.value
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-        self.updates += other.updates
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "value": self.value,
@@ -105,9 +92,7 @@ class Histogram:
     whose bounds are ``[growth**i, growth**(i+1))``; values ``<= 0`` are
     counted in a dedicated zero bucket (the simulator's durations are
     non-negative, and an exact zero -- e.g. a wait that never blocked --
-    is common and meaningful).  Because the boundaries depend only on
-    ``growth``, two histograms with the same growth merge exactly, in any
-    order and grouping.
+    is common and meaningful).
     """
 
     __slots__ = ("growth", "_inv_log", "count", "total", "min", "max",
@@ -170,20 +155,6 @@ class Histogram:
     def quantiles(self, qs: Iterable[float]) -> List[float]:
         return [self.quantile(q) for q in qs]
 
-    # -- merging -------------------------------------------------------------
-    def merge(self, other: "Histogram") -> None:
-        if not math.isclose(other.growth, self.growth):
-            raise ConfigurationError(
-                f"cannot merge histograms with growths {self.growth!r} "
-                f"and {other.growth!r}")
-        self.count += other.count
-        self.total += other.total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-        self.zeros += other.zeros
-        for index, n in other.buckets.items():
-            self.buckets[index] = self.buckets.get(index, 0) + n
-
     # -- serialisation -------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -219,9 +190,7 @@ class Timeline:
     The utilisation-timeline metric: ``add(start, duration)`` spreads one
     service interval over the windows it overlaps, so
     :meth:`utilisation` recovers the busy *fraction* per window --
-    e.g. the CPU's load shape across a run, not just its mean.  Windows
-    are addressed by index, so timelines merge bucket-wise like
-    histograms.
+    e.g. the CPU's load shape across a run, not just its mean.
     """
 
     __slots__ = ("window", "buckets")
@@ -247,14 +216,6 @@ class Timeline:
         """Per-window ``(window_start, busy_fraction)``, in time order."""
         return [(index * self.window, min(1.0, busy / self.window))
                 for index, busy in sorted(self.buckets.items())]
-
-    def merge(self, other: "Timeline") -> None:
-        if not math.isclose(other.window, self.window):
-            raise ConfigurationError(
-                f"cannot merge timelines with windows {self.window!r} "
-                f"and {other.window!r}")
-        for index, busy in other.buckets.items():
-            self.buckets[index] = self.buckets.get(index, 0.0) + busy
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -324,21 +285,7 @@ class MetricsRegistry:
     def add_busy(self, name: str, start: float, duration: float) -> None:
         self.timeline(name).add(start, duration)
 
-    # -- merging & serialisation ---------------------------------------------
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold ``other`` into this registry (bucket-wise, associative)."""
-        for name, counter in other.counters.items():
-            self.counter(name).merge(counter)
-        for name, gauge in other.gauges.items():
-            self.gauge(name).merge(gauge)
-        for name, hist in other.histograms.items():
-            self.histogram(name, growth=hist.growth).merge(hist)
-        for name, timeline in other.timelines.items():
-            self.timeline(name, window=timeline.window).merge(timeline)
-
-    def merge_snapshot(self, snapshot: Dict[str, Any]) -> None:
-        self.merge(MetricsRegistry.from_snapshot(snapshot))
-
+    # -- serialisation -------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
         """The whole registry as a plain-JSON dict (sorted names)."""
         return {
@@ -364,13 +311,3 @@ class MetricsRegistry:
         for name, data in snapshot.get("timelines", {}).items():
             registry.timelines[name] = Timeline.from_dict(data)
         return registry
-
-    @staticmethod
-    def merge_snapshots(
-            snapshots: Iterable[Optional[Dict[str, Any]]]) -> "MetricsRegistry":
-        """Merge many snapshots (``None`` entries skipped) into one registry."""
-        merged = MetricsRegistry()
-        for snapshot in snapshots:
-            if snapshot is not None:
-                merged.merge_snapshot(snapshot)
-        return merged

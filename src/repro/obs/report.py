@@ -8,10 +8,10 @@ live run and a run reloaded from a JSONL export.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..units import fmt_compact, text_table
-from .metrics import Histogram, MetricsRegistry, Timeline
+from .metrics import Histogram, Timeline
 
 QUANTILES: Tuple[float, ...] = (50.0, 90.0, 99.0)
 
@@ -222,15 +222,3 @@ def render_metrics_report(
         blocks.append(render_timelines(registry["timelines"]))
     return "\n\n".join(blocks)
 
-
-def render_merged_sweep_telemetry(
-        snapshots: Iterable[Optional[Dict[str, Any]]]) -> str:
-    """Quantile tables over the histograms merged across sweep cells."""
-    merged: MetricsRegistry = MetricsRegistry.merge_snapshots(snapshots)
-    snapshot = merged.snapshot()
-    blocks = [render_quantile_table(snapshot["histograms"],
-                                    title="merged sweep distributions")]
-    if snapshot["counters"]:
-        blocks.append(render_counters(snapshot["counters"],
-                                      title="merged sweep counters"))
-    return "\n\n".join(blocks)

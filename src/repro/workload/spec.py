@@ -9,7 +9,7 @@ goldens in ``tests/data/workload_golden.json`` hold the stream to
 
 Like :class:`~repro.faults.plan.FaultPlan`, specs are strictly
 dict/JSON round-trippable (:meth:`to_dict` / :meth:`from_dict` reject
-unknown keys), so they travel through sweep cache keys, JSONL exports,
+unknown keys), so they travel through sweep seeds, JSONL exports,
 and the CLI.
 """
 
@@ -88,7 +88,7 @@ class WorkloadSpec:
         return sum(n * weight for n, weight in self.update_count_mix) / total
 
     # ------------------------------------------------------------------
-    # serialisation (sweepable / CLI / cache-key friendly)
+    # serialisation (sweepable / CLI friendly)
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         """A plain-JSON rendering; :meth:`from_dict` round-trips it."""

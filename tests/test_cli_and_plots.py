@@ -121,15 +121,18 @@ class TestExitStatus:
               "--duration", "0.5")
     # --workers 1 runs the cell in this process, where the patch is
     MATRIX = ("faults", "--matrix", "1", "--algorithms", "FUZZYCOPY",
-              "--scale", "2048", "--duration", "1", "--workers", "1",
-              "--no-cache")
+              "--scale", "2048", "--duration", "1", "--workers", "1")
 
-    @pytest.fixture()
-    def lost_update(self, monkeypatch):
+    @staticmethod
+    def lose_an_update(monkeypatch):
         from repro.sim.oracle import RecordMismatch
         from repro.sim.system import SimulatedSystem
         monkeypatch.setattr(SimulatedSystem, "verify_recovery",
                             lambda self, limit=10: [RecordMismatch(0, 1, 2)])
+
+    @pytest.fixture()
+    def lost_update(self, monkeypatch):
+        self.lose_an_update(monkeypatch)
 
     @pytest.mark.parametrize("argv,report", [
         (SIMULATE, "oracle               FAIL"),
@@ -158,6 +161,36 @@ class TestExitStatus:
         monkeypatch.setattr(CrashConsistencyChecker, "run", broken)
         assert main([*self.MATRIX]) == 1
         assert "SWEEP ERROR" in capsys.readouterr().out
+
+    def test_a_rerun_checks_afresh_and_leaves_no_file(self, capsys,
+                                                      monkeypatch, tmp_path):
+        """A matrix run keeps no result for the next one to reuse: after
+        a clean run, the same command still catches a lost update."""
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        assert main([*self.MATRIX]) == 0
+        self.lose_an_update(monkeypatch)
+        assert main([*self.MATRIX]) == 1
+        assert "survived: 0/1" in capsys.readouterr().out
+        assert list(tmp_path.rglob("*")) == []
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("validate", "--workers", "0"), "must be >= 1, got 0"),
+    (("validate", "--workers", "-2"), "must be >= 1, got -2"),
+    (("report", "--replicates", "0"), "must be >= 1, got 0"),
+    (("faults", "--matrix", "1", "--workers", "0"), "must be >= 1, got 0"),
+    (("faults", "--matrix", "1", "--replicates", "2"),
+     "unrecognized arguments: --replicates"),
+], ids=["workers-0", "workers-negative", "replicates-0", "faults-workers-0",
+        "faults-replicates"])
+def test_sweep_counts_are_checked_when_parsed(capsys, argv, message):
+    """A bad count is a usage error (exit 2) before anything runs."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(argv))
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: repro") and message in err
 
 
 class TestAsciiPlot:

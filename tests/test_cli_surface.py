@@ -81,12 +81,12 @@ def test_invoked_command_alone_builds_its_snapshot(command):
 
 
 def test_flag_count():
-    """96 flags and positionals across the 13 commands (``-h`` not
+    """87 flags and positionals across the 13 commands (``-h`` not
     counted)."""
     count = sum(1 for path, actions in SNAPSHOT.items() if path
                 for action in actions
                 if action["kind"] not in ("_HelpAction", "_SubParsersAction"))
-    assert count == 96
+    assert count == 87
 
 
 def _run(*argv):

@@ -2,8 +2,6 @@
 
 What these tests pin down:
 
-* histogram merging is associative and order-independent (the property
-  that makes per-cell sweep telemetry safely mergeable);
 * registry snapshots round-trip exactly (``from_snapshot . snapshot``
   is the identity on the serialised form);
 * telemetry is observational only: a fixed-seed run produces the same
@@ -16,8 +14,7 @@ What these tests pin down:
   document satisfies ``schemas/metrics.schema.json``;
 * ``--load`` of anything that is not a run document -- an old JSONL
   export, an empty file, a directory -- is a ``ConfigurationError``
-  naming the path;
-* sweep cells carry telemetry snapshots and merge across the result.
+  naming the path.
 """
 
 from __future__ import annotations
@@ -40,7 +37,6 @@ from repro.obs.presets import PRESETS, get_preset
 from repro.obs.report import render_metrics_report
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.params import SystemParameters
-from repro.sweep import SweepRunner, SweepSpec
 
 from tests.helpers import build_system
 
@@ -52,38 +48,6 @@ from tests.helpers import build_system
 def _samples(seed: int, n: int = 500):
     rng = random.Random(seed)
     return [rng.lognormvariate(0.0, 2.0) for _ in range(n)]
-
-
-def test_histogram_merge_is_associative_and_order_independent():
-    parts = [_samples(seed) for seed in (1, 2, 3)]
-    hists = []
-    for part in parts:
-        hist = Histogram()
-        for value in part:
-            hist.observe(value)
-        hists.append(hist)
-    a, b, c = hists
-
-    left = Histogram()
-    left.merge(a)
-    left.merge(b)
-    left.merge(c)
-
-    right = Histogram()
-    right.merge(b)
-    right.merge(c)
-    right.merge(a)
-
-    single = Histogram()
-    for value in parts[0] + parts[1] + parts[2]:
-        single.observe(value)
-
-    assert left.buckets == right.buckets == single.buckets
-    assert left.count == right.count == single.count == 1500
-    assert left.min == single.min and left.max == single.max
-    assert left.total == pytest.approx(single.total)
-    for q in (50.0, 90.0, 99.0):
-        assert left.quantile(q) == right.quantile(q) == single.quantile(q)
 
 
 def test_histogram_quantiles_are_bucket_accurate():
@@ -110,13 +74,6 @@ def test_histogram_zero_and_negative_samples_use_zeros_bucket():
     assert hist.quantile(10.0) <= 0.0
 
 
-def test_histogram_merge_rejects_mismatched_growth():
-    a = Histogram()
-    b = Histogram(growth=4.0)
-    with pytest.raises(ConfigurationError):
-        a.merge(b)
-
-
 # ----------------------------------------------------------------------
 # registry
 # ----------------------------------------------------------------------
@@ -140,15 +97,6 @@ def test_registry_snapshot_round_trips_exactly():
     assert rebuilt.snapshot() == snapshot
     # And the snapshot itself is plain JSON.
     assert json.loads(json.dumps(snapshot)) == snapshot
-
-
-def test_registry_merge_snapshots_adds_counters_and_histograms():
-    snapshots = [_populated_registry().snapshot() for _ in range(3)]
-    merged = MetricsRegistry.merge_snapshots(snapshots + [None])
-    snap = merged.snapshot()
-    assert snap["counters"]["events"] == 15
-    assert snap["histograms"]["latency"]["count"] == 300
-    assert snap["gauges"]["depth"]["value"] == 7.0
 
 
 def test_timeline_splits_busy_across_windows():
@@ -272,43 +220,6 @@ def test_render_metrics_report_covers_every_section():
     assert "checkpoint phase timings" in text
     assert "abort taxonomy" in text
     assert "txn.commit.latency" in text
-
-
-# ----------------------------------------------------------------------
-# sweep integration
-# ----------------------------------------------------------------------
-
-def _simulate_point(algorithm: str, seed: int):
-    return repro.simulate(algorithm, scale=2048, lam=100.0, seed=seed,
-                          duration=1.0, telemetry=True)
-
-
-def test_sweep_cells_carry_and_merge_telemetry():
-    spec = SweepSpec.from_grid(
-        _simulate_point, {"algorithm": ["FUZZYCOPY", "COUCOPY"]},
-        replicates=2, seed_arg="seed")
-    result = SweepRunner(workers=1).run(spec)
-    result.raise_failures()
-
-    snapshots = result.telemetry_snapshots()
-    assert len(snapshots) == 4
-    merged = result.merged_telemetry().snapshot()
-    expected_commits = sum(cell.value.metrics.transactions_committed
-                           for cell in result)
-    assert merged["counters"]["txn.commits"] == expected_commits
-    assert merged["histograms"]["txn.commit.latency"]["count"] == \
-        expected_commits
-
-
-def test_sweep_verbose_logs_each_cell(capsys):
-    spec = SweepSpec.from_grid(
-        lambda x: x * 2, {"x": [1, 2, 3]})
-    runner = SweepRunner(workers=1, verbose=True)
-    result = runner.run(spec)
-    assert result.values() == [2, 4, 6]
-    err = capsys.readouterr().err
-    assert "[sweep 1/3]" in err and "[sweep 3/3]" in err
-    assert "failed=0" in err
 
 
 # ----------------------------------------------------------------------

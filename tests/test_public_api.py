@@ -75,12 +75,12 @@ class TestLazySurface:
                 getattr(repro, name)
                 assert name in listed, name
             print(len(repro.__all__))
-            """) == "23"
+            """) == "22"
 
     # The only public names that are submodules; every other name is the
     # function, class or constant its package has always exported.
     SUBMODULE_EXPORTS = sorted(
-        ["repro.sweep", "repro.sim.ports"]
+        ["repro.sim.ports"]
         + [f"repro.experiments.{name}" for name in (
             "ablations", "capacity", "export", "extensions", "fig4a",
             "fig4b", "fig4c", "fig4d", "fig4e", "replication", "report",
@@ -124,17 +124,6 @@ class TestLazySurface:
                   evaluate("COUCOPY", PAPER_DEFAULTS).algorithm)
             """) == "True True COUCOPY"
 
-    @pytest.mark.parametrize("first", ["import repro.sweep", "import repro"])
-    def test_sweep_is_callable_however_reached(self, first):
-        assert _fresh(f"""
-            {first}
-            import repro
-            result = repro.sweep(dict, points=[{{"x": 2}}], workers=1)
-            from repro.sweep import SweepRunner
-            print(callable(repro.sweep), result.values(),
-                  repro.sweep.SweepRunner is SweepRunner)
-            """) == "True [{'x': 2}] True"
-
     def test_unknown_name_is_an_attribute_error(self):
         assert _fresh("""
             import repro, repro.checkpoint
@@ -174,7 +163,7 @@ class TestLazySurface:
 
 
 class TestFacade:
-    """The repro.api experiment facade: evaluate / simulate / sweep."""
+    """The repro.api experiment facade: evaluate / simulate."""
 
     def test_evaluate_defaults_to_paper_params(self):
         result = repro.evaluate("COUCOPY")
@@ -198,15 +187,6 @@ class TestFacade:
         assert outcome.clean
         assert outcome.recovery is not None
         assert outcome.mismatches == []
-
-    def test_sweep_callable(self):
-        from repro.experiments.validation import run_validation
-        result = repro.sweep(
-            run_validation,
-            points=[{"algorithm": "COUCOPY"}],
-            fixed={"duration": 0.5, "warmup": 0.2, "seed": 1})
-        assert result.values()[0].algorithm == "COUCOPY"
-        assert result.failures() == []
 
     def test_sweep_exports(self):
         for name in ("SweepSpec", "SweepRunner", "SweepResult",

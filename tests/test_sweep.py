@@ -1,12 +1,11 @@
-"""The sweep runner's three guarantees: determinism, caching, robustness.
+"""The sweep runner's two guarantees: determinism and failure isolation.
 
 The guarantees under test (docs/SWEEPS.md):
 
 * a parallel run produces cells equal to a serial run of the same spec
   -- seeds derive from point identity, never from execution order;
-* a cached run executes zero points and returns the same cells;
-* a point that raises is retried once and then reported as a failed
-  cell, without tearing down the rest of the sweep.
+* a point that raises is reported as a failed cell, without tearing
+  down the rest of the sweep.
 """
 
 from __future__ import annotations
@@ -15,15 +14,7 @@ import pytest
 
 from repro.errors import SweepError
 from repro.experiments import validation
-from repro.sweep import (
-    MISS,
-    ResultCache,
-    SweepRunner,
-    SweepSpec,
-    canonical,
-    derive_seed,
-    point_key,
-)
+from repro.sweep import SweepRunner, SweepSpec, canonical, derive_seed
 from repro.params import PAPER_DEFAULTS
 
 
@@ -121,39 +112,6 @@ class TestDeterminism:
         assert result.values() == [3, 1, 2]
 
 
-class TestCache:
-    def test_second_run_executes_zero_points(self, tmp_path):
-        spec = SweepSpec.from_grid(add, {"x": [1, 2, 3]}, fixed={"y": 5})
-        first = SweepRunner(workers=1, cache_dir=tmp_path).run(spec)
-        assert first.executed == 3 and first.cache_hits == 0
-        second = SweepRunner(workers=1, cache_dir=tmp_path).run(spec)
-        assert second.executed == 0 and second.cache_hits == 3
-        assert second.values() == first.values()
-        assert all(cell.cached for cell in second.cells)
-
-    def test_different_point_misses(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = point_key(add, next(iter(
-            SweepSpec.from_grid(add, {"x": [1]}, fixed={"y": 2}).points())))
-        assert cache.get(key) is MISS
-        cache.put(key, 3)
-        assert cache.get(key) == 3
-
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = "ab" + "c" * 62
-        cache.put(key, "value")
-        for path in tmp_path.rglob("*.pkl"):
-            path.write_bytes(b"not a pickle")
-        assert cache.get(key) is MISS
-
-    def test_no_cache_dir_always_executes(self):
-        spec = SweepSpec.from_grid(add, {"x": [1]}, fixed={"y": 1})
-        runner = SweepRunner(workers=1, cache_dir=None)
-        assert runner.run(spec).executed == 1
-        assert runner.run(spec).executed == 1
-
-
 class TestRobustness:
     def test_failed_point_reported_not_fatal(self):
         spec = SweepSpec.from_grid(fail_on, {"x": [1, 2, 3]},
@@ -163,37 +121,12 @@ class TestRobustness:
         bad = result.failures()
         assert [cell.value for cell in ok] == [10, 30]
         assert len(bad) == 1
-        assert bad[0].retried
         assert "poisoned point 2" in bad[0].error
         with pytest.raises(SweepError):
             result.raise_failures()
 
-    def test_failed_cell_not_cached(self, tmp_path):
-        spec = SweepSpec.from_grid(fail_on, {"x": [2]}, fixed={"bad": 2})
-        runner = SweepRunner(workers=1, cache_dir=tmp_path)
-        runner.run(spec)
-        result = runner.run(spec)
-        assert result.executed == 1 and result.cache_hits == 0
-
-    def test_progress_callback_sees_every_point(self):
-        seen = []
-        spec = SweepSpec.from_grid(add, {"x": [1, 2, 3]}, fixed={"y": 0})
-        SweepRunner(workers=2,
-                    progress=lambda d, t, c: seen.append((d, t))).run(spec)
-        assert seen == [(1, 3), (2, 3), (3, 3)]
-
 
 class TestAggregation:
-    def test_aggregate_mean_ci(self):
-        spec = SweepSpec.from_points(
-            seeded, [{"label": "a"}], replicates=5, seed_arg="seed")
-        result = SweepRunner(workers=1).run(spec)
-        summaries = result.aggregate(lambda v: float(v[1] % 1000))
-        assert len(summaries) == 1
-        (kwargs, summary), = summaries
-        assert kwargs == {"label": "a"}
-        assert summary.n == 5
-
     def test_select(self):
         spec = SweepSpec.from_grid(add, {"x": [1, 2], "y": [5]})
         result = SweepRunner(workers=1).run(spec)
