@@ -53,13 +53,14 @@ Seven checks, stdlib-only so CI needs nothing installed:
    member of an archive the port opened); ``os.getpid`` and friends stay
    allowed.
 
-7. **Live threads in two modules** -- under ``repro/live/``, only
-   ``scheduler.py`` (the dispatcher thread, ``wait`` and ``offload``)
-   and ``server.py`` (the socket workers) may import ``threading``,
-   ``_thread`` or ``concurrent``. Everything else there is callback
-   code that any scheduler drives, the threadless event engine the
-   tests use included, so a thread or a lock elsewhere would be one
-   the engine cannot order.
+7. **Live threads in one module** -- under ``repro/live/``, only
+   ``scheduler.py`` (the dispatcher thread, which also serves the
+   sockets, ``wait`` and ``offload``) may import ``threading``,
+   ``_thread`` or ``concurrent``. Everything else there, the server
+   included, is callback code that the dispatcher drives -- the host's
+   under any scheduler, the threadless event engine the tests use
+   included -- so a thread or a lock elsewhere would be one no
+   scheduler can order.
 
 Exit status 0 = clean, 1 = violations (printed one per line).
 """
@@ -351,7 +352,7 @@ def check_live_file_port() -> list[str]:
 
 
 #: the live modules that may hold threads
-LIVE_THREAD_MODULES = {"scheduler.py", "server.py"}
+LIVE_THREAD_MODULES = {"scheduler.py"}
 #: what holding one takes
 THREAD_MODULES = {"threading", "_thread", "concurrent"}
 
@@ -365,8 +366,9 @@ def check_live_threads() -> list[str]:
             if target.split(".")[0] in THREAD_MODULES:
                 violations.append(
                     f"{path.relative_to(REPO_ROOT)}:{lineno}: live module "
-                    f"imports {target} (threads belong to the scheduler "
-                    "and the server; the host is callback code)")
+                    f"imports {target} (threads belong to the "
+                    "scheduler; the host and the server are callback "
+                    "code)")
     return violations
 
 
@@ -391,7 +393,7 @@ def main() -> int:
     print("layering clean: engine isolated, sim host pure, "
           "checkpointers behind the write port, serving kernel only, "
           "no tracked bytecode, live file I/O behind the port, "
-          "live threads in the scheduler and the server only")
+          "live threads in the scheduler only")
     return 0
 
 

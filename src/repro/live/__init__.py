@@ -8,7 +8,8 @@ declared in :mod:`repro.sim.ports`:
   ``time.monotonic()``;
 * :class:`~repro.live.scheduler.LiveScheduler` -- ``SchedulerPort`` as a
   single dispatcher thread, preserving the event engine's one-callback-
-  at-a-time execution model so kernel components need no locks;
+  at-a-time execution model so kernel components need no locks; its
+  ``select`` loop also serves the server's sockets;
 * :class:`~repro.live.files.Files` -- the one door to the filesystem:
   every file operation of the package, and so its sync-before-ack and
   atomic-replace disciplines, is written there once;
@@ -20,7 +21,7 @@ declared in :mod:`repro.sim.ports`:
 * :class:`~repro.live.host.LiveHost` -- the assembled service: database,
   durable WAL, checkpoint scheduler, committed-state oracle, spans;
 * :class:`~repro.live.server.serve` -- a get/put socket server over the
-  host (``repro serve``), and :func:`~repro.live.server.check`, the
+  host, with no thread of its own (``repro serve``), and :func:`~repro.live.server.check`, the
   restart + crash-consistency oracle verdict (``repro serve --check``).
 
 Load, latency and restart time are measured from outside the package by

@@ -18,16 +18,21 @@ installed atomically, then log truncation) against
 scheduler paces it unmodified.
 
 Concurrency model: every kernel mutation happens in a scheduler
-callback (see :class:`LiveScheduler`); the host holds no thread, and a
-blocking caller goes through the scheduler's ``wait``.  The checkpoint
-image writer is ``offload``-ed but touches only its private snapshot
-copy and the image store, re-entering the dispatcher to finish.  The
-durability contract is the simulator's WAL rule made physical: a
-transaction is acknowledged only after the group flush that fsynced its
-commit record, and a checkpoint truncates the log only after its image
-rename is durable.  A commit asks for that flush itself
-(:meth:`LiveHost._request_flush`); the periodic tick only bounds how
-long a record nobody waits on stays volatile.
+callback (see :class:`LiveScheduler`, whose one dispatcher thread also
+reads and answers the server's sockets); the host holds no thread.  Its
+cores, :meth:`LiveHost.commit` and :meth:`LiveHost.fetch`, take a
+callback that gets the outcome, and the server calls them on the
+dispatcher itself; only a blocking caller (``submit``, ``read``, and
+the tests) goes through the scheduler's ``wait``.  The checkpoint image
+writer is ``offload``-ed but touches only its private snapshot copy and
+the image store, re-entering the dispatcher to finish.  The durability
+contract is the simulator's WAL rule made physical: a transaction is
+acknowledged only after the group flush that fsynced its commit record,
+a read answers only with a value whose segment's log records are
+stable, and a checkpoint truncates the log only after its image rename
+is durable.  A commit or read that has to wait asks for that flush
+itself (:meth:`LiveHost._request_flush`); the periodic tick only bounds
+how long a record nobody waits on stays volatile.
 """
 
 from __future__ import annotations
@@ -46,7 +51,8 @@ import numpy as np
 
 from ..checkpoint.scheduler import (CheckpointPolicy, CheckpointScheduler,
                                     CheckpointStats)
-from ..errors import ConfigurationError, InvalidStateError, WALFormatError
+from ..errors import (AddressError, ConfigurationError, InvalidStateError,
+                      WALFormatError)
 from ..mmdb.database import Database
 from ..obs.spans import NULL_SPANS, SpanRecorder
 from ..params import SystemParameters
@@ -58,7 +64,8 @@ from .scheduler import LiveScheduler
 from .store import ImageStore
 from .wal import DurableLog, gc_paused
 
-__all__ = ["LiveConfig", "LiveCheckpointer", "LiveHost", "RecoveryInfo"]
+__all__ = ["LiveConfig", "LiveCheckpointer", "LiveHost", "RecoveryInfo",
+           "transaction_columns"]
 
 #: bisection key for the LSN-ordered recovered log
 _record_lsn = attrgetter("lsn")
@@ -120,15 +127,18 @@ class CommitResult(NamedTuple):
     latency: float
 
 
-def _columns(updates: Sequence[Tuple[int, int]]
-             ) -> Tuple[np.ndarray, np.ndarray]:
-    """``(record_id, value)`` pairs as two little-endian int64 columns,
-    from one conversion.
+def transaction_columns(updates: Sequence[Tuple[int, int]]
+                        ) -> Tuple[np.ndarray, np.ndarray]:
+    """A transaction's ``(record_id, value)`` pairs as two little-endian
+    int64 columns, from one conversion.
 
     Only ``int`` is taken: a float, a string or a bool is refused
     (``TypeError``) rather than coerced, and so is anything but pairs; a
-    value outside int64 raises ``OverflowError``.
+    value outside int64 raises ``OverflowError``, and no pairs at all
+    ``InvalidStateError``.
     """
+    if not updates:
+        raise InvalidStateError("a transaction must write something")
     pairs = None
     if set(map(type, chain.from_iterable(updates))) == {int}:
         pairs = np.array(updates, dtype="<i8")
@@ -472,9 +482,7 @@ class LiveHost:
         become its two int64 columns on the calling thread; anything but
         integer pairs raises ``TypeError`` (a value outside int64
         ``OverflowError``) before the dispatcher sees it."""
-        if not updates:
-            raise InvalidStateError("a transaction must write something")
-        record_ids, values = _columns(updates)
+        record_ids, values = transaction_columns(updates)
         return self.scheduler.wait(partial(self.commit, record_ids, values),
                                    timeout)
 
@@ -556,10 +564,47 @@ class LiveHost:
                                       first_lsn=first_lsn)
         return txn_id, log.append_commit(txn_id)
 
-    def read(self, record_id: int) -> int:
-        """Read one record's current value (dispatcher-serialised)."""
-        return self.scheduler.call(
-            lambda: self.database.read_record(record_id))
+    def read(self, record_id: int, timeout: float = 30.0) -> int:
+        """Read one record's value: :meth:`fetch`, blocking until it
+        calls back."""
+        return self.scheduler.wait(partial(self.fetch, record_id), timeout)
+
+    def fetch(self, record_id: int,
+              on_done: Callable[[object], None]) -> None:
+        """Read one record from any thread; ``on_done`` later gets its
+        value, or the exception that refused the read.
+
+        A value is handed out only once no crash can take it back: when
+        the LSN its segment carries (``table.lsn``, the last update
+        installed there) is stable.  Otherwise the read waits for that
+        LSN (:meth:`~repro.wal.log.LogManager.when_stable`) and asks for
+        the group flush itself, as a commit does.  A transaction's
+        update run and commit record are appended in one callback and a
+        flush takes the whole tail, so a stable run means a stable
+        commit.  The read answers with the value it looked up; a later
+        commit to the record does not change it.  Segment granularity
+        only errs toward waiting.  A read that needs a flush from a
+        log that has failed one, or that waits on the flush that fails,
+        gets :class:`~repro.errors.WALFailedError`.
+        """
+        def lookup() -> None:
+            database, log = self.database, self.log
+            try:
+                lsn = int(database.table.lsn[
+                    database.segment_index_of(record_id)])
+            except AddressError as exc:
+                on_done(exc)
+                return
+            value = database.read_record(record_id)
+            if lsn <= log.stable_lsn:
+                on_done(value)
+            elif log.failure is not None:
+                on_done(log.failed_error())
+            else:
+                log.when_stable(lsn, partial(on_done, value), on_done)
+                self._request_flush()
+
+        self.scheduler.submit(lookup)
 
     # -- internals -----------------------------------------------------------
     def flush_log(self) -> None:
@@ -568,7 +613,7 @@ class LiveHost:
         self.oracle.feed(self.log.drain_newly_stable())
 
     def _request_flush(self) -> None:
-        """Ask for a group flush on behalf of a waiting commit
+        """Ask for a group flush on behalf of a waiting commit or read
         (dispatcher thread only).
 
         The first commit to ask queues one flush callback, which runs

@@ -15,22 +15,25 @@ import io
 import json
 import random
 import re
+import socket
 import struct
 import threading
 import time
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.errors import (AddressError, ConfigurationError,
                           WALCorruptionError, WALFailedError, WALFormatError)
+from repro.live import server as live_server
 from repro.live import wal as live_wal
 from repro.live.files import Files
-from repro.live.host import CommitResult, LiveConfig, LiveHost
-from repro.live.server import _Handler, _handle, check, serve
+from repro.live.host import (CommitResult, LiveConfig, LiveHost,
+                             transaction_columns)
+from repro.live.server import Endpoint, check, serve
 from repro.live.store import ImageStore
 from repro.live.wal import DurableLog, decode_record, encode_record, read_wal
 from repro.mmdb.database import Database
@@ -353,22 +356,59 @@ def _park_dispatcher(host):
     return release
 
 
+@contextmanager
+def _serving(host):
+    """An :class:`Endpoint` on the started ``host``, closed on exit."""
+    endpoint = Endpoint(host)
+    try:
+        yield endpoint
+    finally:
+        host.scheduler.call(endpoint.close)
+
+
 def _server_replies(host, requests):
-    """Feed ``requests`` down one connection, as the socket handler sees
-    it; returns the decoded replies."""
+    """Send ``requests`` down one connection to a server on ``host``;
+    returns the decoded replies."""
     return _raw_server_replies(
         host, b"".join(json.dumps(r).encode() + b"\n" for r in requests))
 
 
 def _raw_server_replies(host, stream: bytes):
-    handler = _Handler.__new__(_Handler)
-    handler.server = SimpleNamespace(live_host=host,
-                                     stop_event=threading.Event())
-    handler.rfile = io.BytesIO(stream)
-    handler.wfile = io.BytesIO()
-    handler.handle()
-    return [json.loads(line)
-            for line in handler.wfile.getvalue().splitlines()]
+    """Send ``stream`` down one loopback connection to a server on the
+    started ``host`` and end the connection's input; returns the decoded
+    replies, read until the server closes the connection."""
+    with _serving(host) as endpoint, socket.create_connection(
+            ("127.0.0.1", endpoint.port), timeout=10) as conn:
+        def send() -> None:
+            try:
+                conn.sendall(stream)
+                conn.shutdown(socket.SHUT_WR)
+            except OSError:  # closed before it read everything
+                pass
+
+        sender = threading.Thread(target=send)
+        sender.start()
+        received = bytearray()
+        try:
+            while True:
+                chunk = conn.recv(65536)
+                if not chunk:
+                    break
+                received += chunk
+        except ConnectionResetError:  # closed with input left unread
+            pass
+        sender.join(10)
+    return [json.loads(line) for line in received.splitlines()]
+
+
+def _lines(conn, count: int):
+    """Read ``count`` reply lines from ``conn``."""
+    received = bytearray()
+    while received.count(b"\n") < count:
+        chunk = conn.recv(65536)
+        assert chunk, "connection closed early"
+        received += chunk
+    return [json.loads(line) for line in received.splitlines()]
 
 
 def test_live_host_commit_read_verify_and_restart(tmp_path):
@@ -970,20 +1010,177 @@ def _padded_ping(length: int) -> bytes:
     return ping + b" " * (length - len(ping) - 2) + b"}\n"
 
 
-def test_server_refuses_a_request_line_over_the_cap_and_closes():
+def test_server_refuses_a_request_line_over_the_cap_and_closes(tmp_path):
     cap = 1 << 20  # 1 MiB, newline included
-    # at the cap: answered, and the connection keeps serving
-    assert _raw_server_replies(None, _padded_ping(cap) + _padded_ping(20)) \
-        == [{"ok": True, "pong": True}] * 2
-    # one byte over: refused, and nothing after it is read
-    replies = _raw_server_replies(None, _padded_ping(cap + 1)
-                                  + _padded_ping(20))
-    assert len(replies) == 1
-    assert replies[0]["ok"] is False
-    assert str(cap) in replies[0]["error"]
-    # a line that never ends is refused too, without reading it all
-    replies = _raw_server_replies(None, b" " * (4 * cap))
-    assert [reply["ok"] for reply in replies] == [False]
+    host = _host(tmp_path)
+    host.start()
+    try:
+        # at the cap: answered, and the connection keeps serving
+        assert _raw_server_replies(host, _padded_ping(cap)
+                                   + _padded_ping(20)) \
+            == [{"ok": True, "pong": True}] * 2
+        # one byte over: refused, and nothing after it is read
+        replies = _raw_server_replies(host, _padded_ping(cap + 1)
+                                      + _padded_ping(20))
+        assert len(replies) == 1
+        assert replies[0]["ok"] is False
+        assert str(cap) in replies[0]["error"]
+        # a line that never ends is refused too, without reading it all
+        replies = _raw_server_replies(host, b" " * (4 * cap))
+        assert [reply["ok"] for reply in replies] == [False]
+        assert host.scheduler.errors == []
+    finally:
+        host.stop()
+
+
+def test_server_answers_pipelined_lines_in_request_order(tmp_path):
+    """One request in flight per connection: a ``ping`` sent behind a
+    commit is answered after it, though a ping alone needs no flush."""
+    host = _host(tmp_path)
+    host.start()
+    try:
+        replies = _server_replies(host, [
+            {"op": "txn", "updates": [[0, 1]]}, {"op": "ping"},
+            {"op": "get", "record": 0},
+            {"op": "put", "record": 0, "value": 2}, {"op": "ping"},
+            {"op": "get", "record": 0}])
+        first, _, _, second, _, _ = replies
+        assert replies == [
+            first, {"ok": True, "pong": True}, {"ok": True, "value": 1},
+            second, {"ok": True, "pong": True}, {"ok": True, "value": 2}]
+        assert first["ok"] and second["txn_id"] == first["txn_id"] + 1
+        assert host.scheduler.errors == []
+    finally:
+        host.stop()
+
+
+def test_a_client_that_never_reads_stalls_only_its_own_connection(
+        tmp_path, monkeypatch):
+    """The dispatcher never blocks on a client's socket, and a
+    connection's next line is parsed only once the previous reply is
+    with the kernel: a client that sends but never reads leaves one
+    reply pending and the rest of its input unread, while a second
+    connection is served as usual."""
+    host = _host(tmp_path)
+    host.start()
+    parsed = []
+    handle = live_server._handle
+
+    def counted(host_, request, reply):
+        parsed.append(request["op"][:1])
+        return handle(host_, request, reply)
+
+    monkeypatch.setattr(live_server, "_handle", counted)
+    # refused as an unknown op, whose name the refusal repeats: ~100 KB
+    # in each direction per line
+    line = json.dumps({"op": "x" * 100_000}).encode() + b"\n"
+    try:
+        with _serving(host) as endpoint:
+            hog = socket.socket()
+            hog.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            hog.connect(("127.0.0.1", endpoint.port))
+            hog.setblocking(False)
+            sent = 0
+            while sent < 256 * len(line):  # the kernel refuses long before
+                try:
+                    sent += hog.send(line[sent % len(line):])
+                except BlockingIOError:
+                    break
+                time.sleep(0.001)
+            assert sent < 256 * len(line)
+            lines_sent = sent // len(line)
+            stalled = len(parsed)
+            assert 1 <= stalled < lines_sent
+
+            with socket.create_connection(("127.0.0.1", endpoint.port),
+                                          timeout=5) as other:
+                other.sendall(b'{"op": "put", "record": 1, "value": 5}\n'
+                              b'{"op": "get", "record": 1}\n')
+                ack, read = _lines(other, 2)
+            assert ack["ok"] and read == {"ok": True, "value": 5}
+
+            def hog_state():
+                [connection] = [c for c in endpoint.connections
+                                if c.sock.getpeername()
+                                == hog.getsockname()]
+                return (len(connection.unsent), connection.busy,
+                        len(connection.inbox))
+
+            unsent, busy, unread = host.scheduler.call(hog_state)
+            assert unsent > 0 and busy
+            assert unread <= (1 << 20) + (1 << 16)  # buffered: bounded
+            assert len(parsed) == stalled + 2  # the other's two lines
+
+            # once it reads, every whole line it sent is answered, in order
+            hog.setblocking(True)
+            hog.settimeout(10)
+            hog.shutdown(socket.SHUT_WR)
+            received = bytearray()
+            while True:
+                chunk = hog.recv(1 << 16)
+                if not chunk:
+                    break
+                received += chunk
+            hog.close()
+            replies = [json.loads(r) for r in received.splitlines()]
+            assert len(replies) == lines_sent
+            assert all(r["error"].startswith("unknown op 'xxx")
+                       for r in replies)
+            assert parsed.count("x") == lines_sent
+        assert host.scheduler.errors == []
+    finally:
+        host.stop()
+
+
+def test_half_a_line_then_a_disconnect_leaves_nothing_behind(tmp_path):
+    host = _host(tmp_path)
+    host.start()
+    try:
+        with _serving(host) as endpoint:
+            last_lsn = host.log.last_lsn
+            with socket.create_connection(("127.0.0.1", endpoint.port),
+                                          timeout=5) as conn:
+                conn.sendall(b'{"op": "put", "record": 4, "va')
+                assert _wait_until(lambda: host.scheduler.call(
+                    lambda: any(c.inbox for c in endpoint.connections)))
+            assert _wait_until(lambda: not host.scheduler.call(
+                lambda: len(endpoint.connections)))
+            assert host.log.last_lsn == last_lsn
+            assert host.read(4) == 0
+            # the endpoint still serves
+            with socket.create_connection(("127.0.0.1", endpoint.port),
+                                          timeout=5) as conn:
+                conn.sendall(b'{"op": "ping"}\n')
+                assert _lines(conn, 1) == [{"ok": True, "pong": True}]
+        assert host.scheduler.errors == []
+    finally:
+        host.stop()
+
+
+def test_an_exception_serving_one_connection_closes_only_that_one(
+        tmp_path, monkeypatch):
+    host = _host(tmp_path)
+    host.start()
+    try:
+        with _serving(host) as endpoint, socket.create_connection(
+                ("127.0.0.1", endpoint.port), timeout=5) as good:
+            good.sendall(b'{"op": "put", "record": 2, "value": 3}\n')
+            [ack] = _lines(good, 1)
+            assert ack["ok"]
+            # a reply that cannot be encoded is no answer to give
+            monkeypatch.setattr(host, "stats", lambda: {"bad": object()})
+            with socket.create_connection(("127.0.0.1", endpoint.port),
+                                          timeout=5) as bad:
+                bad.sendall(b'{"op": "stats"}\n')
+                assert bad.recv(1024) == b""  # closed, nothing sent
+            good.sendall(b'{"op": "get", "record": 2}\n')
+            assert _lines(good, 1) == [{"ok": True, "value": 3}]
+            assert host.scheduler.call(lambda: len(endpoint.connections)) == 1
+        [error] = host.scheduler.errors
+        assert isinstance(error, TypeError)
+        host.scheduler.errors.clear()
+    finally:
+        host.stop()
 
 
 @pytest.mark.parametrize("entry", ["LiveHost", "serve", "check"])
@@ -1008,19 +1205,19 @@ def test_server_checkpoint_op_tests_and_starts_in_one_dispatcher_step(
     host.start()
     try:
         def paced_checkpoint() -> None:
-            # what CheckpointScheduler does, landing while a socket
-            # thread is between reading `active` and queueing its start
+            # what CheckpointScheduler does, landing just before the op
+            # is served: the op's test and start see it as one step
             time.sleep(0.1)
             host.checkpointer.arm_hold("pre-install", 0.2)
             host.checkpointer.start_checkpoint()
 
         host.scheduler.submit(paced_checkpoint)
-        reply = _handle(host, {"op": "checkpoint"})
-        assert reply == {"ok": True, "started": False,
-                         "already_active": True}
+        reply = _server_replies(host, [{"op": "checkpoint"}])
+        assert reply == [{"ok": True, "started": False,
+                          "already_active": True}]
         assert _wait_until(lambda: host.checkpointer.history)
-        assert _handle(host, {"op": "checkpoint"}) == {"ok": True,
-                                                       "started": True}
+        assert _server_replies(host, [{"op": "checkpoint"}]) == [
+            {"ok": True, "started": True}]
         assert _wait_until(lambda: len(host.checkpointer.history) == 2)
         assert host.scheduler.errors == []
     finally:
@@ -1062,17 +1259,17 @@ def test_a_refused_checkpoint_op_arms_no_hold(tmp_path):
     host = _host(tmp_path)
     host.start()
     try:
-        assert _handle(host, {"op": "checkpoint", "hold_phase": "pre-install",
-                              "hold_seconds": 0.5}) == {"ok": True,
-                                                        "started": True}
-        assert _handle(host, {"op": "checkpoint",
-                              "hold_phase": "post-install",
-                              "hold_seconds": 30}) == {
-            "ok": True, "started": False, "already_active": True}
+        assert _server_replies(host, [
+            {"op": "checkpoint", "hold_phase": "pre-install",
+             "hold_seconds": 0.5}]) == [{"ok": True, "started": True}]
+        assert _server_replies(host, [
+            {"op": "checkpoint", "hold_phase": "post-install",
+             "hold_seconds": 30}]) == [
+            {"ok": True, "started": False, "already_active": True}]
         assert host.checkpointer._hold is None
         assert _wait_until(lambda: host.checkpointer.history)
-        assert _handle(host, {"op": "checkpoint"}) == {"ok": True,
-                                                       "started": True}
+        assert _server_replies(host, [{"op": "checkpoint"}]) == [
+            {"ok": True, "started": True}]
         assert _wait_until(lambda: len(host.checkpointer.history) == 2)
         assert host.scheduler.errors == []
     finally:
@@ -1359,7 +1556,12 @@ def test_live_host_failed_flush_is_never_retried_onto_the_file(tmp_path):
         assert reply["ok"] is False
         assert reply["error"].startswith("WALFailedError: ")
         assert host.log.last_lsn == last_lsn
-        assert host.read(8) == 0
+        assert host.database.read_record(8) == 0
+        # the failed commit's install is in memory but never durable:
+        # no read hands it out
+        assert host.database.read_record(7) == 7007
+        with pytest.raises(WALFailedError):
+            host.read(7)
         with pytest.raises(WALFailedError):
             host.scheduler.call(host.flush_log)
         assert len(files.read(wal_path)) == size
@@ -1407,6 +1609,92 @@ def test_wal_failed_flush_marks_nothing_stable_and_fires_no_waiter(
     assert log.drain_newly_stable() == list(log.stable_records())
     log.close()
     assert len(files.read(wal_path)) == size
+
+
+class _ParkingFiles(Files):
+    """``Files(sync=False)`` whose syncs park, once armed, until
+    released."""
+
+    def __init__(self) -> None:
+        super().__init__(sync=False)
+        self.armed = False
+        self.parked, self.release = threading.Event(), threading.Event()
+
+    def sync(self, file) -> int:
+        if self.armed:
+            self.parked.set()
+            assert self.release.wait(10.0)
+        return super().sync(file)
+
+
+def test_a_get_does_not_reply_while_the_fsync_carrying_its_record_is_parked(
+        tmp_path):
+    files = _ParkingFiles()
+    host = _host(tmp_path, files, flush_interval=NO_TICK)
+    host.start()
+    try:
+        host.submit([(3, 1)])
+        assert host.read(3) == 1  # durable: answered at once
+        release = _park_dispatcher(host)
+        acks, reads = [], []
+        # executed before the read looks the record up, flushed after
+        host.commit(*transaction_columns([(3, 2)]), acks.append)
+        host.fetch(3, reads.append)
+        files.armed = True
+        release.set()
+        assert files.parked.wait(2.0)
+        time.sleep(0.1)
+        assert reads == [] and acks == []
+        files.armed = False
+        files.release.set()
+        assert _wait_until(lambda: reads and acks)
+        assert reads == [2] and isinstance(acks[0], CommitResult)
+        assert host.scheduler.errors == []
+    finally:
+        files.release.set()
+        host.stop()
+
+
+def test_a_get_after_a_failed_flush_fails_and_restart_serves_the_old_value(
+        tmp_path):
+    files = MemoryFiles()
+    host = _host(tmp_path, files, flush_interval=NO_TICK, fsync=True)
+    host.start()
+    try:
+        host.submit([(3, 1)])
+        release = _park_dispatcher(host)
+        acks, reads = [], []
+        host.commit(*transaction_columns([(3, 2)]), acks.append)
+        host.fetch(3, reads.append)
+        # the flush's frame never reaches the file (a failed fsync could
+        # leave it there, and restart would replay the unacked commit)
+        files.faults["write wal.log"] = OSError(5, "Input/output error")
+        release.set()
+        assert _wait_until(lambda: reads and acks)
+        [read], [ack] = reads, acks
+        assert isinstance(read, WALFailedError)
+        assert isinstance(ack, WALFailedError)
+        # the value is installed, but no later read hands it out either
+        assert host.database.read_record(3) == 2
+        with pytest.raises(WALFailedError):
+            host.read(3)
+        [reply] = _server_replies(host, [{"op": "get", "record": 3}])
+        assert reply["ok"] is False
+        assert reply["error"].startswith("WALFailedError: ")
+        # a segment with nothing volatile in it is still served
+        assert host.read(host.params.n_records - 1) == 0
+        [error] = host.scheduler.errors
+        assert error.errno == 5
+    finally:
+        with pytest.raises(WALFailedError):
+            host.stop()
+
+    reborn = _host(tmp_path, files)
+    reborn.start()
+    try:
+        assert reborn.read(3) == 1
+    finally:
+        reborn.stop()
 
 
 @pytest.mark.parametrize("flush_interval", [0, 0.0, -1, -0.005])

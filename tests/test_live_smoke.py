@@ -1,5 +1,5 @@
-"""SIGKILL the live server mid-checkpoint (and right after an ack);
-prove no acked write is lost.
+"""SIGKILL the live server mid-checkpoint (and right after an ack or a
+read); prove no acked or read write is lost.
 
 The full crash-consistency loop, end to end and out of process: a real
 ``repro serve`` subprocess with fsync on, real acknowledged commits over
@@ -154,6 +154,58 @@ def test_sigkill_right_after_an_ack_no_timer_flushed(tmp_path):
         response = request(reborn_port, {"op": "verify"})
         assert response["ok"] and response["mismatches"] == []
         request(reborn_port, {"op": "shutdown"})
+        reborn.wait(timeout=10)
+    finally:
+        if reborn.poll() is None:
+            reborn.kill()
+            reborn.wait(timeout=10)
+
+
+def test_sigkill_right_after_a_get_reply_loses_nothing_read(tmp_path):
+    """A read hands out only what no crash can take back.  One client
+    keeps a commit of record 9 in flight (sent, its ack not yet read)
+    while another reads record 9; the server is killed right after the
+    last read's reply, and the restart must serve at least the value
+    that read saw -- values only grow, so a read of a commit that never
+    became durable would show as a smaller one."""
+    proc, ready = _spawn_server(tmp_path, "--no-checkpoints",
+                                "--flush-interval", "30")
+    port = ready["port"]
+    seen = 0
+    try:
+        with socket.create_connection(("127.0.0.1", port),
+                                      timeout=10) as writer, \
+                socket.create_connection(("127.0.0.1", port),
+                                         timeout=10) as reader:
+            acks = writer.makefile("rb")
+            replies = reader.makefile("rb")
+            for value in range(1, 201):
+                writer.sendall(json.dumps({"op": "put", "record": 9,
+                                           "value": value}).encode()
+                               + b"\n")
+                reader.sendall(b'{"op": "get", "record": 9}\n')
+                reply = json.loads(replies.readline())
+                assert reply["ok"] and seen <= reply["value"] <= value, reply
+                seen = reply["value"]
+                if value == 200:
+                    proc.kill()  # with the last read's reply just out
+                    break
+                assert json.loads(acks.readline())["ok"]
+        proc.wait(timeout=10)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+
+    code, report = _check_disk(tmp_path)
+    assert code == 0 and report["consistent"] is True, report
+
+    reborn, _ready = _spawn_server(tmp_path, "--no-checkpoints")
+    try:
+        response = request(_ready["port"], {"op": "get", "record": 9})
+        assert response["ok"] and response["value"] >= seen, (seen,
+                                                               response)
+        request(_ready["port"], {"op": "shutdown"})
         reborn.wait(timeout=10)
     finally:
         if reborn.poll() is None:
