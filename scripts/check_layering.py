@@ -28,8 +28,9 @@ Seven checks, stdlib-only so CI needs nothing installed:
    package's ``__init__`` included) must not reach the simulator's
    assembly or experiment layers: ``api``, ``sweep``, ``model``,
    ``workload``, ``experiments``, ``txn``, ``storage``, ``cpu``,
-   ``faults``, ``obs.presets``, or any ``checkpoint`` module but the
-   scheduler.
+   ``faults``, ``obs.presets``, the simulator's committed-state oracle
+   ``sim.oracle`` (the live host verifies against its files), or any
+   ``checkpoint`` module but the scheduler.
    Restart time is mostly interpreter boot, so what ``repro serve``
    imports is on the recovery path. Imports inside functions are not
    followed; a lazy package surface (``repro/_lazy.py``) hides nothing
@@ -203,7 +204,7 @@ SERVING_ROOT = "repro.live.server"
 SERVING_FORBIDDEN = ("repro.api", "repro.sweep", "repro.model",
                      "repro.workload", "repro.experiments", "repro.txn",
                      "repro.storage", "repro.cpu", "repro.faults",
-                     "repro.obs.presets")
+                     "repro.obs.presets", "repro.sim.oracle")
 #: the only ``repro.checkpoint`` modules a server loads
 SERVING_CHECKPOINT = {"repro.checkpoint", "repro.checkpoint.scheduler"}
 

@@ -220,8 +220,8 @@ def _serve_arguments(srv: argparse.ArgumentParser) -> None:
                      help="skip fsync on WAL flushes (testing only; "
                           "forfeits the durability guarantee)")
     srv.add_argument("--check", action="store_true",
-                     help="no server: recover from --data-dir, verify "
-                          "against the committed-state oracle, print the "
+                     help="no server: recover from --data-dir, check it "
+                          "against the image and WAL files, print the "
                           "JSON verdict, exit (nonzero on mismatches)")
 
 

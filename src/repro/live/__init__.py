@@ -19,10 +19,10 @@ declared in :mod:`repro.sim.ports`:
 * :class:`~repro.live.store.ImageStore` -- checkpoint images installed
   by :meth:`Files.replace <repro.live.files.Files.replace>`;
 * :class:`~repro.live.host.LiveHost` -- the assembled service: database,
-  durable WAL, checkpoint scheduler, committed-state oracle, spans;
+  durable WAL, checkpoint scheduler, spans, a check against its files;
 * :class:`~repro.live.server.serve` -- a get/put socket server over the
   host, with no thread of its own (``repro serve``), and :func:`~repro.live.server.check`, the
-  restart + crash-consistency oracle verdict (``repro serve --check``).
+  restart + crash-consistency verdict (``repro serve --check``).
 
 Load, latency and restart time are measured from outside the package by
 ``benchmarks/ckptbench``; the SIGKILL-mid-checkpoint loop is

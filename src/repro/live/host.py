@@ -4,7 +4,7 @@
 :class:`~repro.mmdb.database.Database`, the log manager (as
 :class:`~repro.live.wal.DurableLog`),
 :class:`~repro.checkpoint.scheduler.CheckpointScheduler`,
-:class:`~repro.sim.oracle.CommittedStateOracle`,
+:class:`~repro.recovery.replay.RedoApplier`,
 :class:`~repro.obs.spans.SpanRecorder` -- to the live port
 implementations (:class:`~repro.live.clock.WallClock`,
 :class:`~repro.live.scheduler.LiveScheduler`, or a scheduler handed
@@ -16,6 +16,9 @@ installed atomically, then log truncation) against
 :class:`~repro.live.store.ImageStore`.  It still satisfies
 :class:`~repro.sim.ports.CheckpointerPort`, so the kernel's checkpoint
 scheduler paces it unmodified.
+
+The host keeps no second copy of the database: :meth:`LiveHost.verify`
+checks it against the state rebuilt from the image and WAL files.
 
 Concurrency model: every kernel mutation happens in a scheduler
 callback (see :class:`LiveScheduler`, whose one dispatcher thread also
@@ -56,13 +59,12 @@ from ..errors import (AddressError, ConfigurationError, InvalidStateError,
 from ..mmdb.database import Database
 from ..obs.spans import NULL_SPANS, SpanRecorder
 from ..params import SystemParameters
-from ..recovery.replay import RedoApplier
-from ..sim.oracle import CommittedStateOracle, RecordMismatch
-from ..wal.records import CommitRecord, log_updates
+from ..recovery.replay import RecordMismatch, RedoApplier, ReplayCounts
+from ..wal.records import CommitRecord, LogRecord, log_updates
 from .files import Files
 from .scheduler import LiveScheduler
-from .store import ImageStore
-from .wal import DurableLog, gc_paused
+from .store import ImageStore, StoredImage
+from .wal import DurableLog, gc_paused, read_wal
 
 __all__ = ["LiveConfig", "LiveCheckpointer", "LiveHost", "RecoveryInfo",
            "transaction_columns"]
@@ -145,6 +147,29 @@ def transaction_columns(updates: Sequence[Tuple[int, int]]
     if pairs is None or pairs.ndim != 2 or pairs.shape[1] != 2:
         raise TypeError("a transaction is [record, value] pairs of integers")
     return pairs[:, 0], pairs[:, 1]
+
+
+def replay_durable(image: Optional[StoredImage],
+                   records: Sequence[LogRecord], n_records: int, *,
+                   reference: bool = False
+                   ) -> Tuple[np.ndarray, ReplayCounts]:
+    """What a restart from ``image`` and the durable ``records`` (in
+    LSN order) holds, with the replay's counts: the image's values
+    (zeros before the first checkpoint), uncopied, with every record
+    above its ``base_lsn`` replayed into them.  Restart replays through
+    the batched :meth:`RedoApplier.feed`; ``reference=True`` takes the
+    per-record :meth:`RedoApplier.feed_each`, so :meth:`LiveHost.verify`
+    does not share the path it checks.
+    """
+    if image is None:
+        values, base_lsn = np.zeros(n_records, dtype=np.int64), 0
+    else:
+        values = np.require(image.values, np.int64, ["C", "W"])
+        base_lsn = image.base_lsn
+    applier = RedoApplier(values)
+    replay = records[bisect_right(records, base_lsn, key=_record_lsn):]
+    (applier.feed_each if reference else applier.feed)(replay)
+    return values, applier.finish()
 
 
 class LiveCheckpointer:
@@ -232,7 +257,7 @@ class LiveCheckpointer:
         spans = host.spans
         root = spans.begin("ckpt", algorithm=self.name,
                            checkpoint_id=checkpoint_id)
-        host.flush_log()
+        host.log.flush()
         base_lsn = host.log.stable_lsn
         host.log.append_begin_checkpoint(
             checkpoint_id, timestamp=began_at, active_txns=(), image=0)
@@ -284,7 +309,7 @@ class LiveCheckpointer:
                                checkpoint_id=checkpoint_id)
                 host.log.append_end_checkpoint(checkpoint_id, image=0)
                 try:
-                    host.flush_log()
+                    host.log.flush()
                     truncate_began = host.clock.now
                     reclaimed = host.log.truncate_stable_before(base_lsn + 1)
                 except Exception as exc:
@@ -352,7 +377,6 @@ class LiveHost:
         self.store = ImageStore(config.data_dir, files=self.files)
         self.log = DurableLog(self.params, self.wal_path, files=self.files,
                               spans=self.spans)
-        self.oracle = CommittedStateOracle(self.params)
         self.checkpointer = LiveCheckpointer(self)
         self.checkpoint_scheduler: Optional[CheckpointScheduler] = None
         if config.checkpoint_interval is not None:
@@ -397,7 +421,7 @@ class LiveHost:
         if self.checkpoint_scheduler is not None:
             self.checkpoint_scheduler.stop()
         try:
-            self.scheduler.call(self.flush_log)
+            self.scheduler.call(self.log.flush)
         finally:
             # a log that can no longer flush says so (WALFailedError),
             # but the dispatcher and the file are released all the same
@@ -413,12 +437,8 @@ class LiveHost:
         pauses the cyclic GC: see :func:`~repro.live.wal.gc_paused`).
         The WAL is not read here: opening the :class:`DurableLog`
         already decoded it once to repair a torn tail, and its
-        ``recovered_records`` are consumed as they are, with no pass of
-        their own: the log is LSN-ordered, so the replay start is a
-        bisection.  The oracle is seeded from the same disk artifacts
-        and replays the same records through its *own* applier, which
-        keeps the verification independent of this method's
-        bookkeeping.
+        ``recovered_records`` are consumed as they are
+        (:func:`replay_durable`), then adopted as the stable log.
         """
         with gc_paused():
             began = time.perf_counter()
@@ -426,26 +446,16 @@ class LiveHost:
             records = log.recovered_records
             image = self.store.load()
             image_loaded = time.perf_counter()
+            values, counts = replay_durable(image, records,
+                                            self.params.n_records)
+            redo_ended = time.perf_counter()
+            self.database.load_values(values)
             checkpoint_id: Optional[int] = None
             base_lsn = 0
-            base = np.zeros(self.params.n_records, dtype=np.int64)
             if image is not None:
                 checkpoint_id = image.checkpoint_id
                 base_lsn = image.base_lsn
-                base = image.values.astype(np.int64, copy=True)
                 self.checkpointer.checkpoints_started = checkpoint_id
-            # Records at or below the image's horizon are already reflected
-            # in it; value REDO is idempotent, so replaying them anyway
-            # would also be correct -- skipping is just less work.
-            replay = records[bisect_right(records, base_lsn, key=_record_lsn):]
-            redo_began = time.perf_counter()
-            self.oracle.seed_values(base)
-            self.oracle.feed(replay)
-            applier = RedoApplier(base)
-            applier.feed(replay)
-            counts = applier.finish()
-            redo_ended = time.perf_counter()
-            self.database.load_values(base)
             # Transaction ids are allocated in LSN order on the dispatcher,
             # so the last record that carries one carries the largest.
             for record in reversed(records):
@@ -462,7 +472,7 @@ class LiveHost:
                 "repaired_bytes": log.repaired_bytes,
                 "scan_s": log.scan_seconds,
                 "image_load_s": image_loaded - began,
-                "redo_s": redo_ended - redo_began,
+                "redo_s": redo_ended - image_loaded,
                 "total_s": total,
                 "records_per_s": n_records / total,
             }
@@ -607,11 +617,6 @@ class LiveHost:
         self.scheduler.submit(lookup)
 
     # -- internals -----------------------------------------------------------
-    def flush_log(self) -> None:
-        """Group flush + oracle drain (dispatcher thread only)."""
-        self.log.flush()
-        self.oracle.feed(self.log.drain_newly_stable())
-
     def _request_flush(self) -> None:
         """Ask for a group flush on behalf of a waiting commit or read
         (dispatcher thread only).
@@ -629,12 +634,12 @@ class LiveHost:
     def _requested_flush(self) -> None:
         # cleared first: a flush that raises must not wedge the trigger
         self._flush_requested = False
-        self.flush_log()
+        self.log.flush()
 
     def _flush_tick(self) -> None:
         """The periodic flush: the upper bound on how long a record
         nobody is waiting on stays volatile."""
-        self.flush_log()
+        self.log.flush()
         if not self._stopping:
             self.scheduler.schedule_after(self.config.flush_interval,
                                           self._flush_tick,
@@ -642,16 +647,25 @@ class LiveHost:
 
     # -- verification --------------------------------------------------------
     def verify(self, limit: int = 10) -> List[RecordMismatch]:
-        """Oracle vs. database, quiesced through the dispatcher.
+        """The database against the durable state rebuilt from the files.
 
-        Flushes first so in-flight (installed but not yet durable)
-        updates reach the oracle before the comparison -- the live
-        analogue of the simulator's drain-before-verify.
+        On the dispatcher: flush, replay the current image
+        (:meth:`ImageStore.read <repro.live.store.ImageStore.read>`)
+        and the WAL file, read afresh, through the reference loop
+        (:func:`replay_durable`), and return up to ``limit`` records
+        where the database differs (``expected`` is the files' value).
+        A damaged log raises its typed error instead.  Safe while a
+        checkpoint is in flight: the image is renamed atomically, and
+        the log is truncated only on the dispatcher.
         """
         def check() -> List[RecordMismatch]:
-            self.flush_log()
-            return self.oracle.mismatch_report(
-                self.database.values_snapshot(), limit=limit)
+            self.log.flush()
+            records, _ = read_wal(self.wal_path, self.files)
+            durable, _ = replay_durable(self.store.read(), records,
+                                        self.params.n_records, reference=True)
+            database = self.database
+            return [RecordMismatch(r, int(durable[r]), database.read_record(r))
+                    for r in database.differing_records(durable, limit)]
 
         return self.scheduler.call(check)
 

@@ -20,7 +20,8 @@ Requests (``op`` selects):
                                  parking the writer at a phase boundary
                                  for 0-60 s (the crash tests' SIGKILL
                                  window)
-``verify``                       oracle-vs-database mismatch report
+``verify``                       database vs. the state rebuilt from
+                                 the image and WAL files
 ``shutdown``                     graceful stop
 
 Record ids and values are JSON integers: a float, a string or a bool is
@@ -54,7 +55,7 @@ On startup the server prints a single JSON "ready" line (port, pid,
 recovery summary, recovery timing) to stdout, which is how the bench
 client finds the ephemeral port and how tests learn the pid to kill.
 ``check(data_dir)`` is the restart-verdict entry point (``repro serve
---check``): recover, verify against the oracle, report, exit -- no
+--check``): recover, verify against the files, report, exit -- no
 socket.
 """
 
@@ -412,12 +413,12 @@ def serve(data_dir: str, port: int = 0, *,
 
 
 def check(data_dir: str, *, scale: int = 2048, limit: int = 10) -> dict:
-    """Restart + REDO + oracle verdict, without serving.
+    """Restart + REDO + verdict, without serving.
 
     The post-crash half of the crash-consistency loop: rebuild from
-    whatever is on disk, then ask the independent oracle whether the
-    recovered database matches the durably committed state.  Returns the
-    JSON-ready report (``repro serve --check`` prints it).
+    whatever is on disk, then check the result against the files
+    (:meth:`LiveHost.verify <repro.live.host.LiveHost.verify>`).
+    Returns the JSON-ready report (``repro serve --check`` prints it).
     """
     config = LiveConfig(data_dir=data_dir, scale=scale,
                         checkpoint_interval=None, spans=False)
@@ -430,7 +431,7 @@ def check(data_dir: str, *, scale: int = 2048, limit: int = 10) -> dict:
         "data_dir": data_dir,
         "recovery": recovery.as_dict(),
         "recovery_timing": host.recovery_timing,
-        "durable_commits": host.oracle.durable_commits,
+        "durable_commits": recovery.transactions_replayed,
         "mismatches": [m._asdict() for m in mismatches],
         "consistent": not mismatches,
     }

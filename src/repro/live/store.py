@@ -99,6 +99,11 @@ class ImageStore:
         still the truth.
         """
         self.files.remove(temp_path(self.path))
+        return self.read()
+
+    def read(self) -> Optional[StoredImage]:
+        """:meth:`load` leaving any ``.tmp`` alone: a running host's
+        checkpoint writer may be staging the next image there."""
         if not self.files.exists(self.path):
             return None
         with np.load(io.BytesIO(self.files.read(self.path))) as data:

@@ -3,8 +3,8 @@
 The simulated log *models* stability -- ``flush()`` moves the volatile
 tail into an in-memory "stable" list and charges modelled disk time.
 :class:`DurableLog` keeps every simulated behaviour (LSNs, group-flush
-accounting, ``when_stable`` waiters, truncation, the newly-stable drain
-feeding the oracle) and adds the real thing: before the base class marks
+accounting, ``when_stable`` waiters, truncation) but the newly-stable
+list, and adds the real thing: before the base class marks
 the tail stable, the records are serialized to an append-only file,
 written, and fsynced.  Only then does ``flush()`` fire stability
 waiters, so an acknowledgement sent from a ``when_stable`` callback is
@@ -335,6 +335,8 @@ class DurableLog(LogManager):
                 "stable_log_tail would mark records durable before any "
                 "byte reaches the file")
         super().__init__(params, **kwargs)
+        # nothing drains this log: the list would only grow
+        self._newly_stable = None
         self.path = Path(path)
         #: the port every file operation goes through
         self.files = files if files is not None else Files()
@@ -476,9 +478,7 @@ class DurableLog(LogManager):
         Called once at restart, before any new appends: the stable list,
         stable horizon, and the LSN allocator all resume exactly where
         the previous process durably left off.  A list is adopted as is,
-        not copied -- the log owns it from here on.  The records are
-        *not* offered to ``drain_newly_stable`` -- recovery feeds the
-        oracle directly, and re-draining would double-apply.
+        not copied -- the log owns it from here on.
         """
         if self._tail or self._stable:
             raise ConfigurationError("hydrate() requires a fresh log")

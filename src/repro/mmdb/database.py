@@ -166,12 +166,14 @@ class Database:
         return self._values.copy()
 
     def load_values(self, values: np.ndarray) -> None:
-        """Overwrite every record value (recovery bulk load)."""
+        """Take ``values`` as every record's value (recovery bulk load):
+        a contiguous, writable int64 array becomes the database's own,
+        uncopied (the caller hands it over); anything else is copied."""
         if values.shape != self._values.shape:
             raise AddressError(
                 f"expected {self._values.shape} values, got {values.shape}"
             )
-        self._values[:] = values
+        self._values = np.require(values, np.int64, ["C", "W"])
 
     def state_digest(self) -> str:
         """A SHA-256 digest of all record values (order-sensitive)."""

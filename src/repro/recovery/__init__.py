@@ -11,6 +11,7 @@ read -- which is exactly the recovery-time model of Section 4.
 from .._lazy import lazy_surface
 
 __getattr__, __dir__ = lazy_surface(__name__, {
+    "RecordMismatch": ".replay",
     "RedoApplier": ".replay",
     "ReplayCounts": ".replay",
     "replay_records": ".replay",
@@ -21,6 +22,7 @@ __getattr__, __dir__ = lazy_surface(__name__, {
 __all__ = [
     "RecoveryManager",
     "RecoveryResult",
+    "RecordMismatch",
     "RedoApplier",
     "ReplayCounts",
     "replay_records",

@@ -1,5 +1,5 @@
-"""REDO log replay semantics, shared by recovery and the committed-state
-oracle.
+"""REDO log replay semantics, shared by both hosts' recovery, the live
+host's ``verify`` and the simulator's committed-state oracle.
 
 Replay walks the log in LSN order with attempt-buffer semantics:
 
@@ -16,9 +16,11 @@ Replay walks the log in LSN order with attempt-buffer semantics:
   shadow-copy/REDO-only design intends.
 
 :class:`RedoApplier` replays into an int64 array -- the database's value
-array at recovery, the oracle's expected state while the system runs --
-and can be fed incrementally, so the oracle digests each group flush as
-it becomes stable.  :func:`replay_records` wraps it for one-shot use.
+array at recovery, the simulator oracle's expected state while the
+system runs -- and can be fed incrementally, so that oracle digests each
+group flush as it becomes stable.  :func:`replay_records` wraps it for
+one-shot use.  A disagreement with the state it rebuilds is a
+:class:`RecordMismatch`.
 
 There are two ways through a batch, to the same array and the same
 :class:`ReplayCounts` (which count a run as its updates, so a log holds
@@ -50,7 +52,7 @@ unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -70,6 +72,18 @@ from ..wal.records import (
 #: record kinds that carry no data to replay
 _MARKERS = frozenset({BeginCheckpointRecord, EndCheckpointRecord,
                       MediaFailureRecord, MediaRestoreRecord})
+
+
+class RecordMismatch(NamedTuple):
+    """One record where a state disagrees with what the log rebuilds."""
+
+    record_id: int
+    expected: int
+    actual: int
+
+    def __str__(self) -> str:
+        return (f"record {self.record_id}: expected {self.expected}, "
+                f"recovered {self.actual}")
 
 
 def _buffered(run: UpdateRun) -> List[Tuple[str, int, int]]:

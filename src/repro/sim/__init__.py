@@ -45,7 +45,6 @@ __getattr__, __dir__ = lazy_surface(__name__, {
     "SimulationMetrics": ".system",
     "SystemBuilder": ".builder",
     "CommittedStateOracle": ".oracle",
-    "RecordMismatch": ".oracle",
 })
 
 __all__ = [
@@ -55,7 +54,6 @@ __all__ = [
     "EventEngine",
     "EventHandle",
     "RandomStreams",
-    "RecordMismatch",
     "SimulatedSystem",
     "SimulationConfig",
     "SimulationMetrics",

@@ -1,40 +1,28 @@
-"""The committed-state oracle.
+"""The simulator's committed-state oracle.
 
 An independent shadow of what the database *must* contain after crash
 recovery: the effects of exactly those transactions whose commit records
 reached stable storage, applied in log order.  It consumes stable log
 records as they become stable (via :meth:`LogManager.drain_newly_stable`,
-once per group flush on both hosts) and replays each batch at once,
-through a :class:`~repro.recovery.replay.RedoApplier` of its own, into
-the expected-state array -- so it holds that array and the updates of
+once per group flush) and replays each batch at once, through a
+:class:`~repro.recovery.replay.RedoApplier` of its own, into the
+expected-state array -- so it holds that array and the updates of
 transactions whose outcome is not yet stable, never the log it has
-seen.  It never
-looks at the primary database or the backup images, so agreement
-between a recovered database and the oracle is genuine end-to-end
-evidence of recovery correctness.
+seen.  It never looks at the primary database or the backup images, so
+agreement between a recovered database and the oracle is genuine
+end-to-end evidence of recovery correctness.  (The live host has none:
+it checks against its files.)
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, NamedTuple
+from typing import Iterable, List
 
 import numpy as np
 
 from ..params import SystemParameters
-from ..recovery.replay import RedoApplier
+from ..recovery.replay import RecordMismatch, RedoApplier
 from ..wal.records import LogRecord
-
-
-class RecordMismatch(NamedTuple):
-    """One record where the recovered database disagrees with the oracle."""
-
-    record_id: int
-    expected: int
-    actual: int
-
-    def __str__(self) -> str:
-        return (f"record {self.record_id}: expected {self.expected}, "
-                f"recovered {self.actual}")
 
 
 class CommittedStateOracle:
@@ -44,20 +32,6 @@ class CommittedStateOracle:
         self.params = params
         self._expected = np.zeros(params.n_records, dtype=np.int64)
         self._applier = RedoApplier(self._expected)
-
-    def seed_values(self, values: np.ndarray) -> None:
-        """Adopt ``values`` as the base committed state.
-
-        Restart-time hook for the live host: the oracle of a restarted
-        process starts from the durable checkpoint image rather than
-        zeros, then consumes the surviving log via :meth:`feed` exactly
-        as during normal processing.  Only valid before any records have
-        been consumed -- a mid-run reseed would discard history the
-        expected state already reflects.
-        """
-        if self._applier.counts.records_scanned:
-            raise ValueError("seed_values() must precede any feed()")
-        self._expected[:] = values
 
     def feed(self, records: Iterable[LogRecord]) -> None:
         """Replay newly-stable log records (in LSN order across calls)

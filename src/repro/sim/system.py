@@ -29,10 +29,10 @@ from ..cpu.accounting import CostCategory
 from ..errors import ConfigurationError, InvalidStateError
 from ..faults.plan import FaultPlan
 from ..params import SystemParameters
+from ..recovery.replay import RecordMismatch
 from ..recovery.restore import RecoveryManager, RecoveryResult
 from ..workload.spec import WorkloadSpec
 from .builder import SystemBuilder
-from .oracle import RecordMismatch
 
 
 @dataclass(frozen=True)

@@ -116,8 +116,9 @@ class LogManager:
             MediaFailureRecord: self._outcome_words,
             MediaRestoreRecord: self._outcome_words,
         }
-        #: records newly made stable since the last drain (oracle hook)
-        self._newly_stable: List[LogRecord] = []
+        #: records newly made stable since the last drain (the simulator
+        #: oracle's hook); None on a log that keeps none
+        self._newly_stable: Optional[List[LogRecord]] = []
 
     # -- sizing -------------------------------------------------------------
     def record_size_words(self, record: LogRecord) -> int:
@@ -282,7 +283,8 @@ class LogManager:
                     records=count, words=words,
                     latency=self.params.t_seek + self.params.t_trans * words)
             self._stable.extend(self._tail)
-            self._newly_stable.extend(self._tail)
+            if self._newly_stable is not None:
+                self._newly_stable.extend(self._tail)
             self._stable_lsn = self._tail[-1].lsn
             self._tail.clear()
             self._tail_words = 0
@@ -351,6 +353,8 @@ class LogManager:
     def drain_newly_stable(self) -> List[LogRecord]:
         """Records made stable since the previous drain (oracle hook)."""
         drained = self._newly_stable
+        if drained is None:
+            raise InvalidStateError("this log keeps no newly-stable list")
         self._newly_stable = []
         return drained
 

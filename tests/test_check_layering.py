@@ -129,26 +129,35 @@ def test_serving_closure_reaching_the_simulator_is_rejected(layering,
         "<- repro.live.server)"]
 
 
-def test_server_process_loads_only_the_serving_kernel():
+def test_server_process_loads_only_the_serving_kernel(tmp_path):
     """The same rule on what a server really imports: ``repro serve``
     through the CLI, lazy package surfaces and all (their imports are
-    strings the static check cannot follow)."""
+    strings the static check cannot follow), and then ``repro serve
+    --check``, whose verify rebuilds the state from the files -- the
+    imports a function makes when it runs are counted too."""
     script = (
-        "import json, sys\n"
+        "import io, json, sys\n"
+        "from contextlib import redirect_stdout\n"
         "import repro.live.server as server\n"
         "server.serve = lambda *args, **kwargs: 0\n"
         "from repro.cli import main\n"
         "main(['serve', '--data-dir', 'x'])\n"
+        "with redirect_stdout(io.StringIO()) as out:\n"
+        f"    main(['serve', '--data-dir', {str(tmp_path)!r}, '--check'])\n"
+        "print(json.loads(out.getvalue())['consistent'])\n"
         "print(json.dumps(sorted(m for m in sys.modules\n"
         "                        if m.split('.')[0] == 'repro')))\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    ran, modules = proc.stdout.splitlines()
+    ran, consistent, modules = proc.stdout.splitlines()
     assert ran == "server stopped"
+    assert consistent == "True"
     loaded = json.loads(modules)
-    assert "repro.checkpoint.scheduler" in loaded
+    assert {"repro.checkpoint.scheduler", "repro.recovery.replay"} <= \
+        set(loaded)
+    assert "repro.sim.oracle" not in loaded
     assert [name for name in loaded
             if _load_checker().forbidden_in_serving(name)] == []
 

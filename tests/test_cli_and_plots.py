@@ -125,7 +125,7 @@ class TestExitStatus:
 
     @staticmethod
     def lose_an_update(monkeypatch):
-        from repro.sim.oracle import RecordMismatch
+        from repro.recovery.replay import RecordMismatch
         from repro.sim.system import SimulatedSystem
         monkeypatch.setattr(SimulatedSystem, "verify_recovery",
                             lambda self, limit=10: [RecordMismatch(0, 1, 2)])

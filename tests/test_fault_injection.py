@@ -47,7 +47,7 @@ from repro.faults import (
     run_fault_cell,
 )
 from repro.faults.matrix import phase_crash_plans
-from repro.sim.oracle import RecordMismatch
+from repro.recovery.replay import RecordMismatch
 from repro.storage.disk import Disk
 
 MATRIX_ALGORITHMS = ALGORITHM_NAMES  # all six families

@@ -5,9 +5,10 @@ loses no acknowledged commit.
 The crash test is the durability contract as a checkable predicate:
 after a crash at step *k* and a restart, every record holds its last
 acknowledged value or a value submitted after it (acked ⊆ recovered ⊆
-submitted), and the oracle agrees with the database.  The script runs
-on the dispatcher thread and on the threadless event engine
-(``tests/engine.py``); both make the same file operations.
+submitted), and ``verify`` finds the database equal to the state
+rebuilt from the files.  The script runs on the dispatcher thread and
+on the threadless event engine (``tests/engine.py``); both make the
+same file operations.
 """
 
 import dataclasses

@@ -27,7 +27,8 @@ import numpy as np
 import pytest
 
 from repro.errors import (AddressError, ConfigurationError,
-                          WALCorruptionError, WALFailedError, WALFormatError)
+                          InvalidStateError, WALCorruptionError,
+                          WALFailedError, WALFormatError)
 from repro.live import server as live_server
 from repro.live import wal as live_wal
 from repro.live.files import Files
@@ -40,6 +41,7 @@ from repro.mmdb.database import Database
 from repro.obs.attribution import (attribute_stalls, checkpoint_intervals,
                                    decompose_quantiles)
 from repro.params import SystemParameters
+from repro.recovery.replay import RecordMismatch
 from repro.wal.log import LogManager
 from repro.wal.records import (CommitRecord, LogicalUpdateRecord,
                                 UpdateRecord, UpdateRun)
@@ -835,9 +837,9 @@ def test_live_host_emits_txn_and_ckpt_spans(tmp_path):
 def test_live_host_memory_is_flat_across_checkpointed_rounds(tmp_path):
     """Nothing the host keeps outlives the log window it describes: a
     round of bulk commits closed by a checkpoint leaves no net
-    allocation behind (the oracle digests every flush; the truncated
-    log frees its records; the span ring, full after one round, evicts
-    as much as it records)."""
+    allocation behind (the log keeps no list of what each flush made
+    stable; the truncated log frees its records; the span ring, full
+    after one round, evicts as much as it records)."""
     host = _host(tmp_path, scale=64, spans=True)
     host.spans.capacity = 64
     rng = np.random.default_rng(26)
@@ -928,12 +930,12 @@ def test_live_host_rejected_transaction_leaves_nothing_behind(
     reborn = _host(tmp_path)
     reborn.start()
     try:
-        # ... so database and oracle agree on the committed value, not
-        # on one nobody committed
+        # ... so the recovered database holds the committed value, not
+        # one nobody committed, and the image agrees with it
         assert reborn.read(0) == 1
         assert reborn.read(3) == 4
         assert reborn.verify() == []
-        assert reborn.oracle.mismatch_report(image.values) == []
+        assert reborn.database.differing_records(image.values) == []
     finally:
         reborn.stop()
 
@@ -1563,7 +1565,7 @@ def test_live_host_failed_flush_is_never_retried_onto_the_file(tmp_path):
         with pytest.raises(WALFailedError):
             host.read(7)
         with pytest.raises(WALFailedError):
-            host.scheduler.call(host.flush_log)
+            host.scheduler.call(host.log.flush)
         assert len(files.read(wal_path)) == size
         assert host.scheduler.errors == [error]
     finally:
@@ -1606,7 +1608,7 @@ def test_wal_failed_flush_marks_nothing_stable_and_fires_no_waiter(
         assert refused.value.__cause__ is boom
     assert fired == []
     assert log.stable_lsn == first.lsn and log.tail_records == 2
-    assert log.drain_newly_stable() == list(log.stable_records())
+    assert log.stable_records()[-1] == first
     log.close()
     assert len(files.read(wal_path)) == size
 
@@ -1703,3 +1705,145 @@ def test_live_config_rejects_a_non_positive_flush_interval(tmp_path,
     with pytest.raises(ConfigurationError, match="flush_interval"):
         LiveConfig(data_dir=str(tmp_path), flush_interval=flush_interval)
     assert not (tmp_path / "wal.log").exists()  # nothing was opened
+
+
+# ---------------------------------------------------------------------------
+# verify: the database against the state rebuilt from the files
+# ---------------------------------------------------------------------------
+
+def _engine_host(files=None, **overrides):
+    """A threadless host on the event engine, in memory by default."""
+    settings = dict(data_dir="/nonexistent/live", scale=2048,
+                    checkpoint_interval=None, flush_interval=NO_TICK,
+                    spans=False)
+    settings.update(overrides)
+    return LiveHost(LiveConfig(**settings),
+                    files=files if files is not None else MemoryFiles(),
+                    scheduler=EngineScheduler())
+
+
+class _FrameDroppingLog(DurableLog):
+    """A mutant log: its ``drop``-th group flush with records marks them
+    stable -- so their commits are acknowledged -- without writing the
+    frame."""
+
+    drop = 2
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.flushes = 0
+
+    def flush(self):
+        if self._tail:
+            self.flushes += 1
+            if self.flushes == self.drop:
+                return LogManager.flush(self)
+        return super().flush()
+
+
+@pytest.mark.parametrize("drop", [2, 3], ids=["a-middle-frame",
+                                              "the-last-frame"])
+def test_verify_catches_a_log_that_acks_a_frame_it_never_wrote(
+        monkeypatch, drop):
+    monkeypatch.setattr(_FrameDroppingLog, "drop", drop)
+    monkeypatch.setattr("repro.live.host.DurableLog", _FrameDroppingLog)
+    host = _engine_host()
+    host.start()
+    try:
+        # one commit per group flush, every one of them acknowledged
+        acks = [host.submit([(record, 10 + record)]) for record in (1, 2, 3)]
+        assert [ack.txn_id for ack in acks] == [1, 2, 3]
+        assert host.log.flushes == 3
+        if drop == 2:
+            # the file skips the dropped frame's LSNs
+            with pytest.raises(WALCorruptionError, match="LSN"):
+                host.verify()
+        else:
+            # nothing follows the lost frame: its commit is simply missing
+            assert host.verify() == [RecordMismatch(3, 0, 13)]
+    finally:
+        host.stop()
+
+
+def test_verify_names_a_value_altered_in_the_stored_image(tmp_path):
+    host = _host(tmp_path)
+    host.start()
+    try:
+        for record in range(4):
+            host.submit([(record, 100 + record)])
+        host.scheduler.call(host.checkpointer.start_checkpoint)
+        assert _wait_until(lambda: host.checkpointer.history)
+        host.submit([(3, 7)])
+        assert host.verify() == []
+        store = ImageStore(tmp_path)
+        image = store.load()
+        image.values[2] = 999
+        store.install(image.checkpoint_id, image.base_lsn, image.values)
+        # record 2 is in the image only; record 3's newer value in the
+        # log still covers the image's
+        assert host.verify() == [RecordMismatch(2, 999, 102)]
+        assert host.read(2) == 102
+    finally:
+        host.stop()
+
+
+def test_verify_leaves_an_in_flight_checkpoint_image_alone(tmp_path):
+    host = _host(tmp_path)
+    host.start()
+    try:
+        for record in range(5):
+            host.submit([(record, 7 + record)])
+
+        def checkpoint_parked_before_its_rename() -> None:
+            host.checkpointer.arm_hold("pre-install", 0.5)
+            host.checkpointer.start_checkpoint()
+
+        host.scheduler.call(checkpoint_parked_before_its_rename)
+        staged = tmp_path / "checkpoint.npz.tmp"
+        assert _wait_until(staged.exists)
+        host.submit([(0, 1)])
+        assert host.verify() == []
+        assert staged.exists()
+        assert _wait_until(lambda: host.checkpointer.history)
+        assert host.checkpointer.checkpoints_failed == 0
+        assert host.verify() == []
+    finally:
+        host.stop()
+    assert ImageStore(tmp_path).load().values[4] == 11
+
+
+def test_thousands_of_commits_leave_no_per_flush_list_on_the_log(tmp_path):
+    """No record outlives the checkpoint that truncates it: the live log
+    keeps no list of what each flush made stable for a reader that never
+    comes.  (On the real files: the in-memory double keeps a trace of
+    every file operation.)"""
+    host = _engine_host(NO_SYNC, data_dir=str(tmp_path))
+    n_records = host.params.n_records
+
+    def round_of_commits() -> None:
+        for i in range(2000):
+            host.submit([(i % n_records, i)])
+        done = len(host.checkpointer.history)
+        host.scheduler.call(host.checkpointer.start_checkpoint)
+        host.submit([(0, 0)])  # dispatches the writer and its finish
+        assert len(host.checkpointer.history) == done + 1
+
+    host.start()
+    try:
+        round_of_commits()   # warm-up: allocator pools, the first image
+        tracemalloc.start()
+        try:
+            round_of_commits()
+            before = tracemalloc.get_traced_memory()[0]
+            round_of_commits()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert host.log.flush_count > 6000
+        # a round's 4,000 records would hold ~400 KB were they kept
+        assert grown < 64 << 10, f"{grown} bytes kept by one round"
+        with pytest.raises(InvalidStateError):
+            host.log.drain_newly_stable()
+        assert host.verify() == []
+    finally:
+        host.stop()

@@ -6,8 +6,9 @@ The full crash-consistency loop, end to end and out of process: a real
 a real socket, a checkpoint parked at a phase boundary (image written
 but not renamed, or renamed but the log not yet truncated), a genuine
 ``SIGKILL``, and then the restart verdict -- ``repro serve --check``
-recovers from whatever bytes survived and the independent committed-state
-oracle must report **zero** mismatches, after which a restarted server
+recovers from whatever bytes survived, rebuilds the state again from the
+files through the reference replay loop and must report **zero**
+mismatches, after which a restarted server
 must return every value the dead one acknowledged.  One more test keeps
 a server busy with bulk commits and reads its resident set: it must
 stop growing once the log is being truncated.
@@ -92,7 +93,8 @@ def test_sigkill_at_checkpoint_phase_boundary_loses_nothing(
             proc.kill()
             proc.wait(timeout=10)
 
-    # Restart + REDO + independent oracle: zero mismatches or bust.
+    # Restart + REDO + a second rebuild from the files: zero mismatches
+    # or bust.
     code, report = _check_disk(tmp_path)
     assert code == 0, report
     assert report["mismatches"] == []
