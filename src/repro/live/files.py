@@ -51,6 +51,13 @@ class Files:
     def read(self, path: Path) -> bytes:
         return path.read_bytes()
 
+    def read_range(self, path: Path, offset: int, size: int) -> bytes:
+        """``size`` bytes of ``path`` from byte ``offset`` on (fewer
+        where the file ends first)."""
+        with open(path, "rb") as file:
+            file.seek(offset)
+            return file.read(size)
+
     def open_append(self, path: Path) -> BinaryIO:
         """``path`` opened for appending, created (with its directory)
         if missing."""

@@ -436,9 +436,12 @@ class LiveHost:
         Runs before the dispatcher starts, so it owns all state (and
         pauses the cyclic GC: see :func:`~repro.live.wal.gc_paused`).
         The WAL is not read here: opening the :class:`DurableLog`
-        already decoded it once to repair a torn tail, and its
-        ``recovered_records`` are consumed as they are
-        (:func:`replay_durable`), then adopted as the stable log.
+        already decoded it once to repair a torn tail (and indexed its
+        frames), and its ``recovered_records`` are replayed as they are
+        (:func:`replay_durable`), then let go: :meth:`DurableLog.hydrate
+        <repro.live.wal.DurableLog.hydrate>` resumes the log's stable
+        horizon after them and keeps none of them, since the file is
+        the stable log.
         """
         with gc_paused():
             began = time.perf_counter()

@@ -3,12 +3,15 @@
 The simulated log *models* stability -- ``flush()`` moves the volatile
 tail into an in-memory "stable" list and charges modelled disk time.
 :class:`DurableLog` keeps every simulated behaviour (LSNs, group-flush
-accounting, ``when_stable`` waiters, truncation) but the newly-stable
-list, and adds the real thing: before the base class marks
-the tail stable, the records are serialized to an append-only file,
-written, and fsynced.  Only then does ``flush()`` fire stability
-waiters, so an acknowledgement sent from a ``when_stable`` callback is
-backed by bytes the kernel has promised are on the platter.
+accounting, ``when_stable`` waiters, truncation) but the two in-memory
+lists, and adds the real thing: before the base class marks the tail
+stable, the records are serialized to an append-only file, written,
+and fsynced.  Only then does ``flush()`` fire stability waiters, so an
+acknowledgement sent from a ``when_stable`` callback is backed by bytes
+the kernel has promised are on the platter.  The file *is* the stable
+log: a flushed record is not kept in memory, only its frame's entry in
+a small index, and the base class's readers of the stable list raise
+:class:`~repro.errors.InvalidStateError` here.
 
 The file (``wal.log`` in a live data directory) starts with a 12-byte
 header, :data:`FILE_HEADER` (magic and format version), and holds one
@@ -40,9 +43,9 @@ before it is reopened for append, so a new frame can never be written
 onto the back of a partial one (which would fuse them and lose every
 later record at the next restart).  The records the scan decoded are
 kept as ``recovered_records`` for :meth:`LiveHost.recover
-<repro.live.host.LiveHost.recover>` to consume, so a restart never reads
-the file twice; :func:`read_wal` is the standalone reader for tests and
-tools.
+<repro.live.host.LiveHost.recover>` to replay once and let go, so a
+restart never reads the file twice; the same scan builds the frame
+index.  :func:`read_wal` is the standalone reader for tests and tools.
 
 A flush that *fails* (``write``, ``flush`` or ``fsync`` raises) is never
 retried onto the same file: nobody knows what the file holds past its
@@ -54,9 +57,14 @@ to the failure at once instead, so a commit waiting on the failed flush
 fails rather than waiting out its timeout.  From then on every
 ``flush()`` raises ``WALFailedError`` without touching the file.
 
-Truncation (checkpoint log reclamation) rewrites the file -- header and
-one frame of the surviving records -- through
-:meth:`Files.replace <repro.live.files.Files.replace>`, so a crash
+Truncation (checkpoint log reclamation) rewrites the file -- the header,
+then the surviving frames copied byte for byte from the old file through
+a ranged read, with nothing decoded or encoded -- through
+:meth:`Files.replace <repro.live.files.Files.replace>`.  It cuts whole
+frames: a frame that reaches the cut LSN is kept whole, which is safe
+because REDO replays only above the image's ``base_lsn`` (and on the
+live path the cut falls on a frame boundary anyway, since a checkpoint
+flushes before it takes ``base_lsn``).  A crash
 during truncation leaves either the old or the new file, never a
 hybrid, and the log's ``.tmp`` left by such a crash is removed when the
 log is opened.  A rewrite that fails before its rename leaves the log
@@ -73,6 +81,8 @@ import os
 import struct
 import time
 import zlib
+from array import array
+from bisect import bisect_left
 from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
@@ -259,9 +269,14 @@ def gc_paused() -> Iterator[None]:
             gc.enable()
 
 
-def scan_wal(data: bytes) -> Tuple[List[LogRecord], int]:
+def scan_wal(data: bytes, frames: Optional[List[Tuple[int, int]]] = None
+             ) -> Tuple[List[LogRecord], int]:
     """Parse ``data`` as a framed WAL; return ``(records,
     durable_bytes)``.
+
+    ``frames``, if given, gets one ``(offset, records)`` pair per whole
+    frame: the byte it starts at, and how many records the scan had
+    decoded once it ended.
 
     ``durable_bytes`` is the length of the trusted prefix: the file
     header and every whole frame.  The final frame is torn -- and
@@ -300,6 +315,8 @@ def scan_wal(data: bytes) -> Tuple[List[LogRecord], int]:
                     f"WAL frame at byte {offset}: body fails its CRC")
             expected = _decode_entries(data, start, start + length, records,
                                        expected)
+            if frames is not None:
+                frames.append((offset, len(records)))
             offset = start + length
     return records, offset
 
@@ -325,7 +342,11 @@ def read_wal(path: os.PathLike, files: Optional[Files] = None
 
 
 class DurableLog(LogManager):
-    """A :class:`LogManager` whose stability promise is an fsynced file."""
+    """A :class:`LogManager` whose stable log is an fsynced file.
+
+    It holds no flushed record: per frame of the file, only the frame's
+    last LSN, its offset and its words, which is all truncation needs.
+    """
 
     def __init__(self, params: SystemParameters, path: os.PathLike, *,
                  files: Optional[Files] = None, **kwargs) -> None:
@@ -335,7 +356,8 @@ class DurableLog(LogManager):
                 "stable_log_tail would mark records durable before any "
                 "byte reaches the file")
         super().__init__(params, **kwargs)
-        # nothing drains this log: the list would only grow
+        # the file is the stable log, and nothing drains this one
+        self._stable = None
         self._newly_stable = None
         self.path = Path(path)
         #: the port every file operation goes through
@@ -345,8 +367,13 @@ class DurableLog(LogManager):
         self.repaired_bytes = 0
         #: the durable records that open-time scan decoded, kept so
         #: restart does not read and decode the file a second time;
-        #: handed over to (and emptied by) :meth:`hydrate`
+        #: let go by :meth:`hydrate`
         self.recovered_records: List[LogRecord] = []
+        #: the frame index, one entry per frame of the file, in file
+        #: order: its last LSN, the byte it starts at, its records' words
+        self._frame_lsns = array("q")
+        self._frame_offsets = array("q")
+        self._frame_words = array("q")
         #: size of the file as found, and seconds spent reading and
         #: decoding it (the recovery timing report's scan term)
         self.scanned_bytes = 0
@@ -358,6 +385,8 @@ class DurableLog(LogManager):
         # what a crash during a truncation rewrite left behind
         files.remove(temp_path(self.path))
         durable = self._scan() if files.exists(self.path) else 0
+        #: the file's length: where the next frame goes
+        self._end = durable
         self._file = files.open_append(self.path)
         if self.repaired_bytes:
             # before anything is appended: a new frame written after a
@@ -373,18 +402,34 @@ class DurableLog(LogManager):
             self._file.write(FILE_HEADER)
             self._sync()
             files.sync_directory(self.path.parent)
+            self._end = len(FILE_HEADER)
 
     def _scan(self) -> int:
         """Decode the existing file once (raises
-        :class:`WALCorruptionError` if rotten); return its durable
-        length."""
+        :class:`WALCorruptionError` if rotten) and index its frames;
+        return its durable length."""
         began = time.perf_counter()
         data = self.files.read(self.path)
-        self.recovered_records, durable = scan_wal(data)
+        frames: List[Tuple[int, int]] = []
+        records, durable = scan_wal(data, frames=frames)
+        size = self.record_size_words
+        last_lsn = done = 0
+        for offset, count in frames:
+            if count > done:
+                last_lsn = records[count - 1].lsn
+            self._index(last_lsn, offset,
+                        sum(map(size, records[done:count])))
+            done = count
+        self.recovered_records = records
         self.scan_seconds = time.perf_counter() - began
         self.scanned_bytes = len(data)
         self.repaired_bytes = len(data) - durable
         return durable
+
+    def _index(self, last_lsn: int, offset: int, words: int) -> None:
+        self._frame_lsns.append(last_lsn)
+        self._frame_offsets.append(offset)
+        self._frame_words.append(words)
 
     # -- durability ----------------------------------------------------------
     def _sync(self) -> None:
@@ -404,7 +449,8 @@ class DurableLog(LogManager):
             raise self.failed_error()
 
     def flush(self) -> FlushResult:
-        """Write and fsync the tail, then let the base class mark it stable.
+        """Write and fsync the tail as one frame, index the frame, then
+        let the base class mark the tail stable (and drop it).
 
         Ordering is the whole point: waiters registered via
         ``when_stable`` fire inside ``super().flush()``, and anything
@@ -419,13 +465,17 @@ class DurableLog(LogManager):
         pages the kernel already dropped.
         """
         self.raise_if_failed()
-        if self._tail:
+        tail = self._tail
+        if tail:
+            frame = encode_frame(tail)
             try:
-                self._file.write(encode_frame(self._tail))
+                self._file.write(frame)
                 self._sync()
             except BaseException as exc:
                 self._fail(exc)
                 raise
+            self._index(tail[-1].lsn, self._end, self._tail_words)
+            self._end += len(frame)
         return super().flush()
 
     def _fail(self, exc: BaseException) -> None:
@@ -440,49 +490,66 @@ class DurableLog(LogManager):
                 on_failure(self.failed_error())
 
     def truncate_stable_before(self, lsn: int) -> int:
-        """Reclaim old records in memory *and* on disk, atomically.
+        """Cut the frames wholly below ``lsn`` off the file, atomically;
+        return their words.
 
-        The file is rewritten through :meth:`Files.replace
-        <repro.live.files.Files.replace>`.  A rewrite that fails before
-        its rename leaves the old file in place and the log appending to
-        it; one that fails at or after the rename leaves it unknown
-        which file the path names, so the log turns fail-stop on the
-        error.  Either way the error propagates.
+        A frame that reaches ``lsn`` is kept whole (the cut has frame
+        granularity).  The file is rewritten through :meth:`Files.replace
+        <repro.live.files.Files.replace>` as the header plus the
+        surviving frames, read back from the old file and copied byte
+        for byte.  A rewrite that fails before its rename leaves the old
+        file in place and the log appending to it; one that fails at or
+        after the rename leaves it unknown which file the path names, so
+        the log turns fail-stop on the error.  Either way the error
+        propagates.
         """
-        reclaimed = super().truncate_stable_before(lsn)
-        if reclaimed:
-            renaming: List[bool] = []
+        cut = bisect_left(self._frame_lsns, lsn)
+        if not cut:
+            return 0
+        start = (self._frame_offsets[cut] if cut < len(self._frame_offsets)
+                 else self._end)
+        survivors = self.files.read_range(self.path, start, self._end - start)
+        if len(survivors) != self._end - start:
+            raise WALCorruptionError(
+                f"WAL {self.path} holds {start + len(survivors)} bytes; "
+                f"its flushes wrote {self._end}")
+        renaming: List[bool] = []
 
-            def write(file) -> None:
-                file.write(FILE_HEADER)
-                if self._stable:
-                    file.write(encode_frame(self._stable))
+        def write(file) -> None:
+            file.write(FILE_HEADER)
+            if survivors:
+                file.write(survivors)
 
-            try:
-                self.fsync_count += self.files.replace(
-                    self.path, write, partial(renaming.append, True))
-                old, self._file = self._file, self.files.open_append(
-                    self.path)
-                old.close()
-            except BaseException as exc:
-                if renaming:
-                    self._fail(exc)
-                raise
+        try:
+            self.fsync_count += self.files.replace(
+                self.path, write, partial(renaming.append, True))
+            old, self._file = self._file, self.files.open_append(self.path)
+            old.close()
+        except BaseException as exc:
+            if renaming:
+                self._fail(exc)
+            raise
+        reclaimed = sum(self._frame_words[:cut])
+        shift = start - len(FILE_HEADER)
+        del self._frame_lsns[:cut]
+        del self._frame_words[:cut]
+        self._frame_offsets = array(
+            "q", [offset - shift for offset in self._frame_offsets[cut:]])
+        self._end -= shift
         return reclaimed
 
     # -- restart -------------------------------------------------------------
     def hydrate(self, records: Sequence[LogRecord]) -> None:
-        """Adopt ``records`` (normally :attr:`recovered_records`) as the
-        stable log.
+        """Resume after ``records`` (normally :attr:`recovered_records`,
+        in LSN order), and let the scanned records go.
 
-        Called once at restart, before any new appends: the stable list,
-        stable horizon, and the LSN allocator all resume exactly where
-        the previous process durably left off.  A list is adopted as is,
-        not copied -- the log owns it from here on.
+        Called once at restart, before any new appends: the stable
+        horizon and the LSN allocator resume exactly where the previous
+        process durably left off.  No list is adopted: the file holds
+        the records, and the open-time scan already indexed its frames.
         """
-        if self._tail or self._stable:
+        if self._tail or self._stable_lsn:
             raise ConfigurationError("hydrate() requires a fresh log")
-        self._stable = records if isinstance(records, list) else list(records)
         self.recovered_records = []
         if records:
             # the file is written in LSN order: the last record is newest

@@ -14,7 +14,9 @@ Responsibilities:
 * notify waiters when a given LSN becomes stable -- the mechanism
   FUZZYCOPY/2C/COU-COPY checkpointers use to delay flushing a buffered
   segment until its updates' log records are on the log disks;
-* expose the stable record sequence and its volume in words for recovery.
+* expose the stable record sequence and its volume in words for recovery
+  (a log whose stable records live only in its file, the live
+  :class:`~repro.live.wal.DurableLog`, refuses to).
 
 Whatever the records' shape, the counts a flush or a crash reports --
 :class:`FlushResult`, ``wal.flush.records``, the ``wal.flush`` span --
@@ -87,7 +89,9 @@ class LogManager:
         self.stable_tail = params.stable_log_tail
         self._allocator = LSNAllocator()
         self._tail: List[LogRecord] = []
-        self._stable: List[LogRecord] = []
+        #: the stable log, in LSN order; None on a log whose stable
+        #: records live only in its file (see :meth:`_stable_log`)
+        self._stable: Optional[List[LogRecord]] = []
         self._stable_lsn = 0
         self._waiters: List[Tuple[int, int, StableCallback,
                                   Optional[FailureCallback]]] = []
@@ -282,7 +286,8 @@ class LogManager:
                     "wal.flush", self.spans.now, 0.0,
                     records=count, words=words,
                     latency=self.params.t_seek + self.params.t_trans * words)
-            self._stable.extend(self._tail)
+            if self._stable is not None:
+                self._stable.extend(self._tail)
             if self._newly_stable is not None:
                 self._newly_stable.extend(self._tail)
             self._stable_lsn = self._tail[-1].lsn
@@ -346,9 +351,20 @@ class LogManager:
         self._waiters.clear()
         return lost
 
+    def _stable_log(self) -> List[LogRecord]:
+        """The in-memory stable log; a log that keeps none (its file
+        is the stable log) raises :class:`InvalidStateError`, so no
+        caller reads an empty list in its place."""
+        stable = self._stable
+        if stable is None:
+            raise InvalidStateError(
+                "this log keeps no stable records in memory; its file "
+                "holds them")
+        return stable
+
     def stable_records(self) -> Sequence[LogRecord]:
         """The stable log, in LSN order (what recovery gets to read)."""
-        return tuple(self._stable)
+        return tuple(self._stable_log())
 
     def drain_newly_stable(self) -> List[LogRecord]:
         """Records made stable since the previous drain (oracle hook)."""
@@ -360,7 +376,7 @@ class LogManager:
 
     def stable_words_from(self, lsn: int) -> int:
         """Words of stable log at or after ``lsn`` (recovery read volume)."""
-        stable = self._stable
+        stable = self._stable_log()
         # The stable log is LSN-ordered, so the suffix starts at a
         # bisection point rather than a full scan.
         lo = bisect_left(stable, lsn, key=_record_lsn)
@@ -381,7 +397,7 @@ class LogManager:
         keyed by its (last) LSN, so an :class:`UpdateRun` reaching
         ``lsn`` is kept whole.
         """
-        stable = self._stable
+        stable = self._stable_log()
         cut = bisect_left(stable, lsn, key=_record_lsn)
         if cut == 0:
             return 0
@@ -403,12 +419,13 @@ class LogManager:
         (recovery must then replay from the log's beginning over an empty
         database).
         """
+        stable = self._stable_log()
         last_fail: dict[int, int] = {}       # image -> LSN of newest failure
         resurrected: set[tuple[int, int]] = set()   # (image, checkpoint_id)
-        for record in self._stable:
+        for record in stable:
             if isinstance(record, MediaFailureRecord):
                 last_fail[record.image] = record.lsn
-        for record in self._stable:
+        for record in stable:
             if isinstance(record, MediaRestoreRecord):
                 if record.lsn > last_fail.get(record.image, -1):
                     resurrected.add((record.image, record.checkpoint_id))
@@ -420,7 +437,7 @@ class LogManager:
             return (end.image, end.checkpoint_id) in resurrected
 
         end: Optional[EndCheckpointRecord] = None
-        for record in reversed(self._stable):
+        for record in reversed(stable):
             if end is None and isinstance(record, EndCheckpointRecord):
                 if usable(record):
                     end = record

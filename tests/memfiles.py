@@ -14,9 +14,10 @@ its files in memory and models what a crash keeps:
 
 Every operation -- each port call, and each ``write`` to an open file --
 is a numbered step, and ``trace[k - 1]`` is step *k*'s label
-(``"sync wal.log"``).  ``faults`` maps a step number or a label to the
-``OSError`` that step raises instead of running (once; a label fires at
-its next match).  With ``crash_at=k``, step *k* and every later one
+(``"sync wal.log"``); each distinct label is stored once and the trace
+refers to it, so a step costs the trace one list slot.  ``faults`` maps
+a step number or a label to the ``OSError`` that step raises instead of
+running (once; a label fires at its next match).  With ``crash_at=k``, step *k* and every later one
 raise :class:`PowerLoss` and change nothing: the host runs on, but what
 it does no longer reaches the disk, so :meth:`crash` afterwards is the
 disk as the power cut left it.
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import errno
 import random
+import sys
 import threading
 from contextlib import contextmanager
 from pathlib import Path
@@ -126,6 +128,8 @@ class MemoryFiles(Files):
         self.faults = dict(faults or {})
         self.crash_at = crash_at
         self.trace: List[str] = []
+        #: every distinct label, once: the trace's entries point here
+        self._labels: Dict[str, str] = {}
         #: whether the host has run into the crash step
         self.powered_off = False
         #: the namespace as the process sees it, and as the disk has it
@@ -141,6 +145,7 @@ class MemoryFiles(Files):
         """Number one operation on ``path`` and run it (the block), or
         raise its fault instead."""
         label = f"{operation} {Path(path).name}"
+        label = self._labels.setdefault(label, label)
         with self._lock:
             number = len(self.trace) + 1
             if self.crash_at is not None and number >= self.crash_at:
@@ -173,6 +178,10 @@ class MemoryFiles(Files):
     def read(self, path: Path) -> bytes:
         with self.step("read", path):
             return bytes(self._inode(Path(path)).data)
+
+    def read_range(self, path: Path, offset: int, size: int) -> bytes:
+        with self.step("read", path):
+            return bytes(self._inode(Path(path)).data[offset:offset + size])
 
     def size(self, file: MemoryFile) -> int:
         with self.step("size", file.path):
@@ -213,6 +222,17 @@ class MemoryFiles(Files):
     def _rename(self, source: Path, target: Path) -> None:
         with self.step("rename", target):
             self._link(target, self._inode(source), source=source)
+
+    def content_bytes(self) -> int:
+        """The memory the files' contents take: each inode's live and
+        synced bytes, as allocated (what a memory test of the host
+        subtracts, since a real disk holds these outside the process)."""
+        with self._lock:
+            inodes = {id(inode): inode for names in (self._names,
+                                                     self._durable)
+                      for inode in names.values()}
+            return sum(sys.getsizeof(inode.data) + sys.getsizeof(inode.synced)
+                       for inode in inodes.values())
 
     # -- the crash -----------------------------------------------------------
     def crash(self, seed: int) -> "MemoryFiles":

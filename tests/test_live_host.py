@@ -43,8 +43,8 @@ from repro.obs.attribution import (attribute_stalls, checkpoint_intervals,
 from repro.params import SystemParameters
 from repro.recovery.replay import RecordMismatch
 from repro.wal.log import LogManager
-from repro.wal.records import (CommitRecord, LogicalUpdateRecord,
-                                UpdateRecord, UpdateRun)
+from repro.wal.records import (BeginCheckpointRecord, CommitRecord,
+                                LogicalUpdateRecord, UpdateRecord, UpdateRun)
 from tests.engine import EngineScheduler
 from tests.helpers import columns
 from tests.memfiles import MemoryFiles
@@ -218,16 +218,20 @@ def test_wal_interior_corruption_fails_loudly(live_params, wal_path):
 
 def test_wal_truncation_rewrites_the_file_atomically(live_params, wal_path):
     log = _fresh_log(live_params, wal_path)
-    for txn_id in (1, 2, 3):
+    for txn_id in (1, 2, 3):  # one frame per transaction
         log.append_update_run(txn_id, *columns([(txn_id, txn_id * 10)]))
         log.append_commit(txn_id)
-    log.flush()
-    horizon = log.stable_lsn - 1
+        log.flush()
+    old = wal_path.read_bytes()
+    horizon = log.stable_lsn - 1  # the last frame's first LSN
     reclaimed = log.truncate_stable_before(horizon)
-    assert reclaimed > 0
-    records, torn = read_wal(wal_path)
-    assert not torn
-    assert [r.lsn for r in records] == [horizon, horizon + 1]
+    # two frames of one update and one commit each went
+    assert reclaimed == 2 * (live_params.s_rec + live_params.s_log_header
+                             + live_params.s_log_commit)
+    frame = live_wal.encode_frame([UpdateRun(horizon, 3, *columns([(3, 30)])),
+                                   CommitRecord(horizon + 1, 3)])
+    assert wal_path.read_bytes() == live_wal.FILE_HEADER + frame
+    assert old.endswith(frame)
     assert not wal_path.with_name(wal_path.name + ".tmp").exists()
     # the log is still appendable through the reopened file
     log.append_update_run(4, *columns([(4, 40)]))
@@ -235,6 +239,8 @@ def test_wal_truncation_rewrites_the_file_atomically(live_params, wal_path):
     log.flush()
     log.close()
     records, _ = read_wal(wal_path)
+    assert [r.lsn for r in records] == [horizon, horizon + 1,
+                                        horizon + 2, horizon + 3]
     assert records[-1].lsn == log.stable_lsn
 
 
@@ -261,7 +267,7 @@ def test_wal_open_keeps_the_scanned_records_for_a_single_adoption(
     log = _fresh_log(live_params, wal_path)
     assert log.recovered_records == []  # a new file has no history
     log.append_update_run(1, *columns([(3, 42)]))
-    log.append_commit(1)
+    last = log.append_commit(1)
     originals = list(log._tail)
     log.flush()
     log.close()
@@ -269,8 +275,9 @@ def test_wal_open_keeps_the_scanned_records_for_a_single_adoption(
     scanned = reborn.recovered_records
     assert scanned == originals
     reborn.hydrate(scanned)
-    assert reborn._stable is scanned  # adopted, not copied
-    assert reborn.recovered_records == []  # handed over, not kept twice
+    # the horizon resumes, and no record stays: the file is the log
+    assert reborn.stable_lsn == last.lsn
+    assert reborn.recovered_records == [] and reborn._stable is None
     with pytest.raises(ConfigurationError):
         reborn.hydrate(scanned)
     reborn.close()
@@ -280,6 +287,165 @@ def test_wal_rejects_stable_log_tail(live_params, wal_path):
     params = live_params.replace(stable_log_tail=True)
     with pytest.raises(ConfigurationError):
         DurableLog(params, wal_path, files=NO_SYNC)
+
+
+def test_durable_log_refuses_the_in_memory_stable_log_readers(live_params,
+                                                              wal_path):
+    log = _fresh_log(live_params, wal_path)
+    log.append_update_run(1, *columns([(3, 42)]))
+    log.append_commit(1)
+    log.flush()
+    # its file is the stable log: no reader gets an empty list instead
+    for read in (log.stable_records, lambda: log.stable_words_from(0),
+                 log.find_last_completed_checkpoint,
+                 log.drain_newly_stable):
+        with pytest.raises(InvalidStateError):
+            read()
+    log.close()
+
+
+@pytest.mark.parametrize("make_files", [lambda: NO_SYNC, MemoryFiles],
+                         ids=["files", "memory"])
+def test_wal_bulk_flushes_keep_no_stable_record_in_memory(
+        live_params, wal_path, make_files):
+    """Thousands of group flushes with no truncation: the log keeps a
+    few words per frame, not the frame's records.  (On the in-memory
+    port, the files' own contents are subtracted: a disk holds those.)"""
+    ids = np.arange(64, dtype=np.int64) * 3
+
+    def flushes(n: int) -> None:
+        for txn_id in range(n):
+            # fresh columns per transaction, as the server parses them
+            log.append_update_run(txn_id, ids.tobytes(),
+                                  np.full(64, txn_id, np.int64).tobytes())
+            log.flush()
+
+    tracemalloc.start()
+    try:
+        files = make_files()
+        held = getattr(files, "content_bytes", lambda: 0)
+        log = DurableLog(live_params, wal_path, files=files)
+        flushes(100)  # warm-up
+        before = tracemalloc.get_traced_memory()[0] - held()
+        flushes(2000)
+        grown = tracemalloc.get_traced_memory()[0] - held() - before
+    finally:
+        tracemalloc.stop()
+    log.close()
+    assert log.flush_count == 2100
+    # kept, the 2,000 runs would hold ~2.3 MB (1 KiB of columns each);
+    # the frame index costs 24 B a frame, the memory port's trace 16 B
+    assert grown < 64 * 2000, f"{grown} bytes kept by 2,000 flushes"
+
+
+def test_wal_truncation_copies_the_surviving_frames_byte_for_byte():
+    """A checkpoint's truncation leaves the header plus the old file's
+    frames from the begin marker on, unchanged, and a restart from the
+    rewritten file equals the database."""
+    files = MemoryFiles()
+    host = _engine_host(files)
+    cuts = []
+    truncate = host.log.truncate_stable_before
+
+    def recording(lsn: int) -> int:
+        old = files.read(host.wal_path)
+        reclaimed = truncate(lsn)
+        cuts.append((lsn, old, files.read(host.wal_path)))
+        return reclaimed
+
+    host.log.truncate_stable_before = recording
+    host.start()
+    try:
+        for i in range(20):
+            host.submit([(i, 100 + i), (i + 50, i)])
+        host.scheduler.call(host.checkpointer.start_checkpoint)
+        host.submit([(0, 7)])  # dispatches the writer and its finish
+        assert len(host.checkpointer.history) == 1
+        for i in range(5):
+            host.submit([(i, 200 + i)])
+        values = host.database.values_snapshot()
+    finally:
+        host.stop()
+    [(lsn, old, new)] = cuts
+    frames = []
+    live_wal.scan_wal(old, frames=frames)
+    survivors = new[len(live_wal.FILE_HEADER):]
+    assert new.startswith(live_wal.FILE_HEADER) and old.endswith(survivors)
+    # the cut is a frame boundary, and the first frame kept opens with
+    # the checkpoint's begin marker
+    assert len(old) - len(survivors) in [offset for offset, _ in frames]
+    [first, *_], _ = live_wal.scan_wal(new)
+    assert isinstance(first, BeginCheckpointRecord) and first.lsn == lsn
+    reborn = _engine_host(files)
+    reborn.start()
+    try:
+        np.testing.assert_array_equal(reborn.database.values_snapshot(),
+                                      values)
+        assert reborn.verify() == []
+    finally:
+        reborn.stop()
+
+
+def test_wal_truncation_refuses_a_file_cut_short_behind_its_back(
+        live_params, wal_path):
+    files = MemoryFiles()
+    log = DurableLog(live_params, wal_path, files=files)
+    for txn_id in (1, 2, 3):
+        log.append_update_run(txn_id, *columns([(txn_id, txn_id)]))
+        log.append_commit(txn_id)
+        log.flush()
+    file = files.open_append(wal_path)
+    files.truncate(file, len(files.read(wal_path)) - 5)
+    file.close()
+    damaged = files.read(wal_path)
+    # the survivors are copied from the file: a short read is not a log
+    with pytest.raises(WALCorruptionError):
+        log.truncate_stable_before(log.stable_lsn)
+    assert files.read(wal_path) == damaged and log.failure is None
+    log.close()
+
+
+def test_wal_mid_frame_cut_keeps_the_frame_whole_and_recovers_exactly():
+    files = MemoryFiles()
+    directory = Path("/nonexistent/live")
+    params = SystemParameters.scaled_down(2048)
+    log = DurableLog(params, directory / "wal.log", files=files)
+
+    def commit(txn_id: int, pairs) -> None:
+        log.append_update_run(txn_id, *columns(pairs))
+        log.append_commit(txn_id)
+
+    commit(1, [(1, 10)])                   # frame 0: LSNs 1-2
+    log.flush()
+    commit(2, [(2, 20), (3, 21)])          # frame 1: LSNs 3-5 ...
+    commit(3, [(2, 30)])                   # ... and 6-7
+    log.flush()
+    commit(4, [(4, 40)])                   # frame 2: LSNs 8-9
+    log.flush()
+    old = files.read(log.path)
+    frames = []
+    live_wal.scan_wal(old, frames=frames)
+    # an image taken after transaction 2, and a cut inside frame 1
+    image = np.zeros(params.n_records, dtype=np.int64)
+    image[[1, 2, 3]] = [10, 20, 21]
+    ImageStore(directory, files=files).install(1, 5, image)
+    reclaimed = log.truncate_stable_before(6)
+    log.close()
+    assert reclaimed == (params.s_rec + params.s_log_header
+                         + params.s_log_commit)
+    # frame 1 is kept whole, transaction 2 (below the cut) and all
+    assert files.read(log.path) == live_wal.FILE_HEADER + old[frames[1][0]:]
+    host = _engine_host(files)
+    recovery = host.start()
+    try:
+        assert recovery.base_lsn == 5
+        expected = np.zeros(params.n_records, dtype=np.int64)
+        expected[[1, 2, 3, 4]] = [10, 30, 21, 40]
+        np.testing.assert_array_equal(host.database.values_snapshot(),
+                                      expected)
+        assert host.verify() == []
+    finally:
+        host.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -687,9 +853,9 @@ def test_live_host_restart_reads_and_scans_the_wal_once(tmp_path,
     scans, reads = [], []
     real_scan, real_read = live_wal.scan_wal, Path.read_bytes
 
-    def counting_scan(data):
+    def counting_scan(data, **kwargs):
         scans.append(len(data))
-        return real_scan(data)
+        return real_scan(data, **kwargs)
 
     def counting_read(path):
         reads.append(path.name)
@@ -703,6 +869,9 @@ def test_live_host_restart_reads_and_scans_the_wal_once(tmp_path,
     assert recovery.records_scanned == 10
     assert scans == [(tmp_path / "wal.log").stat().st_size]
     assert reads.count("wal.log") == 1
+    # replayed, then let go: the log keeps none of the scanned records
+    assert reborn.log.recovered_records == [] and reborn.log._stable is None
+    assert reborn.log.stable_lsn == 10
 
 
 @pytest.mark.parametrize("collecting", [True, False])
@@ -1608,9 +1777,10 @@ def test_wal_failed_flush_marks_nothing_stable_and_fires_no_waiter(
         assert refused.value.__cause__ is boom
     assert fired == []
     assert log.stable_lsn == first.lsn and log.tail_records == 2
-    assert log.stable_records()[-1] == first
     log.close()
     assert len(files.read(wal_path)) == size
+    # the file, the log's only stable copy, still ends at the first commit
+    assert read_wal(wal_path, files)[0][-1] == first
 
 
 class _ParkingFiles(Files):
