@@ -30,7 +30,11 @@ Seven checks, stdlib-only so CI needs nothing installed:
    ``workload``, ``experiments``, ``txn``, ``storage``, ``cpu``,
    ``faults``, ``obs.presets``, the simulator's committed-state oracle
    ``sim.oracle`` (the live host verifies against its files), or any
-   ``checkpoint`` module but the scheduler.
+   ``checkpoint`` module but the scheduler.  No module in that closure
+   may import ``hashlib`` (or ``_hashlib``) at module level either:
+   it maps OpenSSL's libcrypto into every server, a few MB of resident
+   memory, for a digest only the simulator computes -- import it inside
+   the function that needs it.
    Restart time is mostly interpreter boot, so what ``repro serve``
    imports is on the recovery path. Imports inside functions are not
    followed; a lazy package surface (``repro/_lazy.py``) hides nothing
@@ -207,6 +211,9 @@ SERVING_FORBIDDEN = ("repro.api", "repro.sweep", "repro.model",
                      "repro.obs.presets", "repro.sim.oracle")
 #: the only ``repro.checkpoint`` modules a server loads
 SERVING_CHECKPOINT = {"repro.checkpoint", "repro.checkpoint.scheduler"}
+#: standard-library modules the serving closure must not import at
+#: module level (a function that needs one imports it when it runs)
+SERVING_FORBIDDEN_STDLIB = {"hashlib", "_hashlib"}
 
 
 def forbidden_in_serving(module: str) -> bool:
@@ -266,6 +273,15 @@ def _import_time_imports(module: str, path: Path):
                     yield node.lineno, f"{base}.{alias.name}"
 
 
+def _chain(via: dict, module: str) -> str:
+    """How the closure reached ``module``: it, its importer, ... root."""
+    chain = []
+    while module is not None:
+        chain.append(module)
+        module = via[module]
+    return " <- ".join(chain)
+
+
 def check_serving_closure() -> list[str]:
     if _source_of(SERVING_ROOT) is None:
         return [f"{SERVING_ROOT}: serving entry module is missing"]
@@ -279,6 +295,12 @@ def check_serving_closure() -> list[str]:
             continue
         for lineno, target in _import_time_imports(module, path):
             parts = target.split(".")
+            if parts[0] in SERVING_FORBIDDEN_STDLIB:
+                violations.append(
+                    f"{path.relative_to(REPO_ROOT)}:{lineno}: serving "
+                    f"closure imports {target} at module level (via "
+                    f"{_chain(via, module)}; it maps OpenSSL's libcrypto "
+                    "into every server: import it where it is used)")
             if parts[0] != "repro":
                 continue
             # importing a.b.c runs a/__init__ and a/b/__init__ first
@@ -289,13 +311,9 @@ def check_serving_closure() -> list[str]:
                 via[name] = module
                 queue.append(name)
                 if forbidden_in_serving(name):
-                    chain, step = [], module
-                    while step is not None:
-                        chain.append(step)
-                        step = via[step]
                     violations.append(
                         f"{path.relative_to(REPO_ROOT)}:{lineno}: serving "
-                        f"closure reaches {name} (via {' <- '.join(chain)})")
+                        f"closure reaches {name} (via {_chain(via, module)})")
     return violations
 
 

@@ -51,6 +51,11 @@ class Files:
     def read(self, path: Path) -> bytes:
         return path.read_bytes()
 
+    def open_read(self, path: Path) -> BinaryIO:
+        """``path`` opened for reading (a reader that must not hold a
+        whole file reads it through this, a piece at a time)."""
+        return open(path, "rb")
+
     def read_range(self, path: Path, offset: int, size: int) -> bytes:
         """``size`` bytes of ``path`` from byte ``offset`` on (fewer
         where the file ends first)."""

@@ -19,6 +19,10 @@ scheduler paces it unmodified.
 
 The host keeps no second copy of the database: :meth:`LiveHost.verify`
 checks it against the state rebuilt from the image and WAL files.
+Restart (:meth:`LiveHost.recover`, which opens the log) reads each file
+once and holds neither whole: the image is loaded into the array that
+becomes the database's, then the WAL is streamed a frame at a time into
+REDO, so its peak memory does not grow with the log.
 
 Concurrency model: every kernel mutation happens in a scheduler
 callback (see :class:`LiveScheduler`, whose one dispatcher thread also
@@ -69,7 +73,7 @@ from .wal import DurableLog, gc_paused, read_wal
 __all__ = ["LiveConfig", "LiveCheckpointer", "LiveHost", "RecoveryInfo",
            "transaction_columns"]
 
-#: bisection key for the LSN-ordered recovered log
+#: bisection key for an LSN-ordered batch of log records
 _record_lsn = attrgetter("lsn")
 
 
@@ -149,27 +153,47 @@ def transaction_columns(updates: Sequence[Tuple[int, int]]
     return pairs[:, 0], pairs[:, 1]
 
 
+class _Replay:
+    """REDO from a checkpoint image: the image's values (zeros before
+    the first checkpoint), uncopied, into which :meth:`feed` replays
+    durable records, a batch at a time in LSN order, skipping those at
+    or below the image's ``base_lsn``.  The batched
+    :meth:`RedoApplier.feed` replays them; ``reference=True`` takes the
+    per-record :meth:`RedoApplier.feed_each`."""
+
+    def __init__(self, image: Optional[StoredImage], n_records: int, *,
+                 reference: bool = False) -> None:
+        if image is None:
+            self.values, self.base_lsn = np.zeros(n_records, np.int64), 0
+        else:
+            self.values = np.require(image.values, np.int64, ["C", "W"])
+            self.base_lsn = image.base_lsn
+        self.applier = RedoApplier(self.values)
+        self._feed = (self.applier.feed_each if reference
+                      else self.applier.feed)
+
+    def feed(self, records: Sequence[LogRecord]) -> None:
+        replay = records[bisect_right(records, self.base_lsn,
+                                      key=_record_lsn):]
+        if replay:
+            self._feed(replay)
+
+
 def replay_durable(image: Optional[StoredImage],
                    records: Sequence[LogRecord], n_records: int, *,
                    reference: bool = False
                    ) -> Tuple[np.ndarray, ReplayCounts]:
     """What a restart from ``image`` and the durable ``records`` (in
-    LSN order) holds, with the replay's counts: the image's values
-    (zeros before the first checkpoint), uncopied, with every record
-    above its ``base_lsn`` replayed into them.  Restart replays through
-    the batched :meth:`RedoApplier.feed`; ``reference=True`` takes the
-    per-record :meth:`RedoApplier.feed_each`, so :meth:`LiveHost.verify`
-    does not share the path it checks.
+    LSN order) holds, with the replay's counts: the image's values with
+    every record above its ``base_lsn`` replayed into them, in one
+    batch.  :meth:`LiveHost.recover` replays the same way a frame at a
+    time; ``reference=True`` takes the per-record
+    :meth:`RedoApplier.feed_each`, so :meth:`LiveHost.verify` does not
+    share the path it checks.
     """
-    if image is None:
-        values, base_lsn = np.zeros(n_records, dtype=np.int64), 0
-    else:
-        values = np.require(image.values, np.int64, ["C", "W"])
-        base_lsn = image.base_lsn
-    applier = RedoApplier(values)
-    replay = records[bisect_right(records, base_lsn, key=_record_lsn):]
-    (applier.feed_each if reference else applier.feed)(replay)
-    return values, applier.finish()
+    replay = _Replay(image, n_records, reference=reference)
+    replay.feed(records)
+    return replay.values, replay.applier.finish()
 
 
 class LiveCheckpointer:
@@ -375,8 +399,8 @@ class LiveHost:
                       if config.spans else NULL_SPANS)
         self.database = Database(self.params)
         self.store = ImageStore(config.data_dir, files=self.files)
-        self.log = DurableLog(self.params, self.wal_path, files=self.files,
-                              spans=self.spans)
+        #: the WAL, opened by :meth:`recover` (which :meth:`start` runs)
+        self.log: Optional[DurableLog] = None
         self.checkpointer = LiveCheckpointer(self)
         self.checkpoint_scheduler: Optional[CheckpointScheduler] = None
         if config.checkpoint_interval is not None:
@@ -431,56 +455,73 @@ class LiveHost:
 
     # -- recovery ------------------------------------------------------------
     def recover(self) -> RecoveryInfo:
-        """Rebuild state from the image + durable WAL (restart + REDO).
+        """Rebuild state from the image + durable WAL (restart + REDO),
+        in one pass over each file, and open the log.
 
         Runs before the dispatcher starts, so it owns all state (and
         pauses the cyclic GC: see :func:`~repro.live.wal.gc_paused`).
-        The WAL is not read here: opening the :class:`DurableLog`
-        already decoded it once to repair a torn tail (and indexed its
-        frames), and its ``recovered_records`` are replayed as they are
-        (:func:`replay_durable`), then let go: :meth:`DurableLog.hydrate
-        <repro.live.wal.DurableLog.hydrate>` resumes the log's stable
-        horizon after them and keeps none of them, since the file is
-        the stable log.
+        The image is loaded first.  Then the :class:`DurableLog` is
+        opened, and its open-time scan -- the one read of the WAL file,
+        which repairs a torn tail before anything can be appended --
+        hands each whole frame's records straight to REDO (those above
+        the image's ``base_lsn``, see :func:`replay_durable`) and keeps
+        none of them.  So restart holds the image's values, one frame
+        and REDO's buffers, never the whole file or its decoded records.
+        :meth:`DurableLog.hydrate <repro.live.wal.DurableLog.hydrate>`
+        then resumes the log's stable horizon after the file's last
+        frame.
         """
+        if self.log is not None:
+            raise InvalidStateError("the host has already recovered")
         with gc_paused():
             began = time.perf_counter()
-            log = self.log
-            records = log.recovered_records
             image = self.store.load()
             image_loaded = time.perf_counter()
-            values, counts = replay_durable(image, records,
-                                            self.params.n_records)
-            redo_ended = time.perf_counter()
-            self.database.load_values(values)
+            replay = _Replay(image, self.params.n_records)
+            n_records = 0
+            last_txn_id: Optional[int] = None
+            redo_seconds = 0.0
+
+            def redo(records: List[LogRecord]) -> None:
+                nonlocal n_records, last_txn_id, redo_seconds
+                started = time.perf_counter()
+                n_records += log_updates(records)
+                # Transaction ids are allocated in LSN order on the
+                # dispatcher, so the last record that carries one
+                # carries the largest.
+                for record in reversed(records):
+                    txn_id = getattr(record, "txn_id", None)
+                    if txn_id is not None:
+                        last_txn_id = txn_id
+                        break
+                replay.feed(records)
+                redo_seconds += time.perf_counter() - started
+
+            self.log = log = DurableLog(self.params, self.wal_path,
+                                        files=self.files, spans=self.spans,
+                                        on_frame=redo)
+            counts = replay.applier.finish()
+            self.database.load_values(replay.values)
             checkpoint_id: Optional[int] = None
-            base_lsn = 0
             if image is not None:
                 checkpoint_id = image.checkpoint_id
-                base_lsn = image.base_lsn
                 self.checkpointer.checkpoints_started = checkpoint_id
-            # Transaction ids are allocated in LSN order on the dispatcher,
-            # so the last record that carries one carries the largest.
-            for record in reversed(records):
-                txn_id = getattr(record, "txn_id", None)
-                if txn_id is not None:
-                    self._next_txn_id = txn_id + 1
-                    break
-            n_records = log_updates(records)
-            log.hydrate(records)
-            total = log.scan_seconds + (time.perf_counter() - began)
+            if last_txn_id is not None:
+                self._next_txn_id = last_txn_id + 1
+            log.hydrate()
+            total = time.perf_counter() - began
             self.recovery_timing = {
                 "wal_bytes": log.scanned_bytes,
                 "records": n_records,
                 "repaired_bytes": log.repaired_bytes,
-                "scan_s": log.scan_seconds,
+                "scan_s": log.scan_seconds - redo_seconds,
                 "image_load_s": image_loaded - began,
-                "redo_s": redo_ended - image_loaded,
+                "redo_s": redo_seconds,
                 "total_s": total,
                 "records_per_s": n_records / total,
             }
             return RecoveryInfo(
-                checkpoint_id=checkpoint_id, base_lsn=base_lsn,
+                checkpoint_id=checkpoint_id, base_lsn=replay.base_lsn,
                 records_scanned=n_records,
                 transactions_replayed=counts.transactions_committed,
                 updates_dropped=counts.updates_dropped,

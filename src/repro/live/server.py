@@ -231,7 +231,9 @@ class _Connection:
         self.endpoint.connections.discard(self)
 
     def _failed(self, exc: Exception) -> None:
-        self.endpoint.scheduler.errors.append(exc)
+        endpoint = self.endpoint
+        endpoint.failures += 1
+        endpoint.last_failure = exc
         self.close()
 
     def _receive(self) -> None:
@@ -326,7 +328,12 @@ class Endpoint:
     there once a ``shutdown`` op's reply is with the kernel.  Build it
     from any thread once the host has started; :meth:`close` it on the
     dispatcher (``host.scheduler.call(endpoint.close)``) before the host
-    stops."""
+    stops.
+
+    An exception while serving one connection closes that connection
+    only.  It is counted in ``failures`` and the latest one is kept in
+    ``last_failure``: a client can cause any number of them, so none is
+    appended to the scheduler's ``errors``, which nothing drains."""
 
     def __init__(self, host: LiveHost, port: int = 0,
                  on_shutdown: Optional[Callable[[], None]] = None) -> None:
@@ -334,6 +341,10 @@ class Endpoint:
         self.scheduler = host.scheduler
         self.on_shutdown = on_shutdown
         self.connections: Set[_Connection] = set()
+        #: connections closed by an exception serving them, and the
+        #: latest such exception
+        self.failures = 0
+        self.last_failure: Optional[BaseException] = None
         self.listener = socket.create_server(("127.0.0.1", port))
         self.listener.setblocking(False)
         self.port: int = self.listener.getsockname()[1]

@@ -19,7 +19,6 @@ the process, which is how the suite proves each boundary is recoverable.
 
 from __future__ import annotations
 
-import io
 import os
 import zipfile
 from functools import partial
@@ -106,7 +105,10 @@ class ImageStore:
         checkpoint writer may be staging the next image there."""
         if not self.files.exists(self.path):
             return None
-        with np.load(io.BytesIO(self.files.read(self.path))) as data:
+        # From an open file, np.load reads a member into the array it
+        # returns a bounded piece at a time: the values are built once,
+        # never copied out of the whole file held as bytes.
+        with self.files.open_read(self.path) as file, np.load(file) as data:
             meta = data["meta"]
             return StoredImage(checkpoint_id=int(meta[0]),
                                base_lsn=int(meta[1]), values=data["values"])

@@ -37,15 +37,20 @@ than silently discarding acknowledged records.  A file that is not a
 framed log of this version raises too (:class:`~repro.errors.WALFormatError`
 for another version).
 
-Opening a :class:`DurableLog` over an existing file runs that scan and
-*repairs* a torn tail first: the file is truncated to the durable prefix
-before it is reopened for append, so a new frame can never be written
-onto the back of a partial one (which would fuse them and lose every
-later record at the next restart).  The records the scan decoded are
-kept as ``recovered_records`` for :meth:`LiveHost.recover
-<repro.live.host.LiveHost.recover>` to replay once and let go, so a
-restart never reads the file twice; the same scan builds the frame
-index.  :func:`read_wal` is the standalone reader for tests and tools.
+Opening a :class:`DurableLog` over an existing file runs that scan as
+a stream: one open file (:meth:`Files.open_read
+<repro.live.files.Files.open_read>`), read front to back a frame at a
+time, so the scan never holds more than one frame's bytes and records.
+Each whole frame is indexed and its records are handed to the log's
+``on_frame`` consumer -- :meth:`LiveHost.recover
+<repro.live.host.LiveHost.recover>` passes its REDO -- and let go; so a
+restart reads the file once and never holds it whole.  The open then
+*repairs* a torn tail, before anything is appended: the file is
+truncated to the durable prefix before it is reopened for append, so a
+new frame can never be written onto the back of a partial one (which
+would fuse them and lose every later record at the next restart).
+:func:`scan_wal` applies the same rules to bytes in memory, and
+:func:`read_wal` is the standalone reader for tests and tools.
 
 A flush that *fails* (``write``, ``flush`` or ``fsync`` raises) is never
 retried onto the same file: nobody knows what the file holds past its
@@ -76,6 +81,7 @@ the :class:`~repro.live.files.Files` port the log is given.
 from __future__ import annotations
 
 import gc
+import io
 import json
 import os
 import struct
@@ -86,7 +92,7 @@ from bisect import bisect_left
 from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import (ConfigurationError, WALCorruptionError, WALFailedError,
                       WALFormatError)
@@ -194,12 +200,14 @@ def _decode_json(text: bytes, at: int) -> LogRecord:
 
 
 def _decode_entries(data: bytes, at: int, end: int, records: List[LogRecord],
-                    expected: Optional[int]) -> Optional[int]:
+                    expected: Optional[int], origin: int = 0
+                    ) -> Optional[int]:
     """Append the records of the entries in ``data[at:end]`` to
     ``records``; return the LSN the next entry must start at.
 
     ``expected`` is that LSN for the first entry (None: anything goes).
-    Offsets in errors are absolute in ``data``.
+    Offsets in errors are ``origin`` plus the offset in ``data`` (the
+    byte of the file, when ``data`` is a frame body read from one).
     """
     append = records.append
     while at < end:
@@ -211,8 +219,8 @@ def _decode_entries(data: bytes, at: int, end: int, records: List[LogRecord],
             stop = values + (n << 3)
             if not n or stop > end:
                 raise WALCorruptionError(
-                    f"WAL run at byte {at} of {n} updates does not fit "
-                    "its frame")
+                    f"WAL run at byte {origin + at} of {n} updates does "
+                    "not fit its frame")
             record = UpdateRun(lsn, txn_id, data[ids:values],
                                data[values:stop])
             first = lsn - n + 1
@@ -226,16 +234,16 @@ def _decode_entries(data: bytes, at: int, end: int, records: List[LogRecord],
             stop = at + _JSON.size + _JSON.unpack_from(data, at)[1]
             if stop > end:
                 raise WALCorruptionError(
-                    f"WAL entry at byte {at} does not fit its frame")
-            record = _decode_json(data[at + _JSON.size:stop], at)
+                    f"WAL entry at byte {origin + at} does not fit its frame")
+            record = _decode_json(data[at + _JSON.size:stop], origin + at)
             first = record.lsn
         else:
             raise WALCorruptionError(
-                f"undecodable WAL entry at byte {at}: tag {tag!r}")
+                f"undecodable WAL entry at byte {origin + at}: tag {tag!r}")
         if expected is not None and first != expected:
             raise WALCorruptionError(
-                f"WAL entry at byte {at} starts at LSN {first}; the log "
-                f"before it ends at {expected - 1}")
+                f"WAL entry at byte {origin + at} starts at LSN {first}; the "
+                f"log before it ends at {expected - 1}")
         expected = record.lsn + 1
         append(record)
         at = stop
@@ -269,6 +277,56 @@ def gc_paused() -> Iterator[None]:
             gc.enable()
 
 
+def _read_frames(read: Callable[[int], bytes], size: int,
+                 on_frame: Callable[[int, List[LogRecord]], None]) -> int:
+    """Parse a framed WAL of ``size`` bytes, read front to back through
+    ``read(n)`` (the next ``n`` bytes, fewer at the end); return its
+    durable length.
+
+    Each whole frame is read and checked on its own, and its records go
+    to ``on_frame(offset, records)`` -- the byte the frame starts at,
+    and what its entries decode to -- before the next frame is read, so
+    no more than one frame's bytes and records are held at a time.  The
+    rules are :func:`scan_wal`'s.
+    """
+    head = read(len(FILE_HEADER))
+    if head != FILE_HEADER:
+        if len(head) < len(FILE_HEADER) and FILE_HEADER.startswith(head):
+            return 0
+        if head.startswith(_MAGIC):
+            raise WALFormatError(
+                f"WAL format version {head[len(_MAGIC):]!r}"
+                f" is not {FILE_HEADER[len(_MAGIC):]!r}")
+        raise WALCorruptionError(
+            f"not a framed WAL: it starts {head + read(4)!r}")
+    expected: Optional[int] = None
+    offset = len(FILE_HEADER)
+    crc32 = zlib.crc32
+    while True:
+        fields = read(_FRAME.size)
+        if len(fields) < _FRAME.size:
+            break                           # the end, or a torn header
+        length, crc, fields_crc = _FRAME.unpack(fields)
+        if crc32(fields[:_FRAME_FIELDS.size]) != fields_crc:
+            raise WALCorruptionError(
+                f"WAL frame at byte {offset}: header fails its CRC")
+        start = offset + _FRAME.size
+        if start + length > size:
+            break                           # the torn final frame
+        body = read(length)
+        if len(body) < length:
+            break                           # the file ended sooner
+        if crc32(body) != crc:
+            raise WALCorruptionError(
+                f"WAL frame at byte {offset}: body fails its CRC")
+        records: List[LogRecord] = []
+        expected = _decode_entries(body, 0, length, records, expected, start)
+        del body
+        on_frame(offset, records)
+        offset = start + length
+    return offset
+
+
 def scan_wal(data: bytes, frames: Optional[List[Tuple[int, int]]] = None
              ) -> Tuple[List[LogRecord], int]:
     """Parse ``data`` as a framed WAL; return ``(records,
@@ -287,38 +345,16 @@ def scan_wal(data: bytes, frames: Optional[List[Tuple[int, int]]] = None
     them, raises :class:`WALCorruptionError`; so does anything that is
     not a framed log at all.
     """
-    if not data.startswith(FILE_HEADER):
-        if FILE_HEADER.startswith(data):
-            return [], 0
-        if data.startswith(_MAGIC):
-            raise WALFormatError(
-                f"WAL format version {data[len(_MAGIC):len(FILE_HEADER)]!r}"
-                f" is not {FILE_HEADER[len(_MAGIC):]!r}")
-        raise WALCorruptionError(
-            f"not a framed WAL: it starts {data[:16]!r}")
     records: List[LogRecord] = []
-    expected: Optional[int] = None
-    size = len(data)
-    offset = len(FILE_HEADER)
-    crc32 = zlib.crc32
-    with gc_paused(), memoryview(data) as view:
-        while offset + _FRAME.size <= size:
-            length, crc, fields_crc = _FRAME.unpack_from(data, offset)
-            start = offset + _FRAME.size
-            if crc32(view[offset:offset + _FRAME_FIELDS.size]) != fields_crc:
-                raise WALCorruptionError(
-                    f"WAL frame at byte {offset}: header fails its CRC")
-            if start + length > size:
-                break                       # the torn final frame
-            if crc32(view[start:start + length]) != crc:
-                raise WALCorruptionError(
-                    f"WAL frame at byte {offset}: body fails its CRC")
-            expected = _decode_entries(data, start, start + length, records,
-                                       expected)
-            if frames is not None:
-                frames.append((offset, len(records)))
-            offset = start + length
-    return records, offset
+
+    def collect(offset: int, batch: List[LogRecord]) -> None:
+        records.extend(batch)
+        if frames is not None:
+            frames.append((offset, len(records)))
+
+    with gc_paused():
+        durable = _read_frames(io.BytesIO(data).read, len(data), collect)
+    return records, durable
 
 
 def read_wal(path: os.PathLike, files: Optional[Files] = None
@@ -346,10 +382,14 @@ class DurableLog(LogManager):
 
     It holds no flushed record: per frame of the file, only the frame's
     last LSN, its offset and its words, which is all truncation needs.
+    ``on_frame``, if given, gets the records of each whole frame the
+    open-time scan reads from an existing file, in file order.
     """
 
     def __init__(self, params: SystemParameters, path: os.PathLike, *,
-                 files: Optional[Files] = None, **kwargs) -> None:
+                 files: Optional[Files] = None,
+                 on_frame: Optional[Callable[[List[LogRecord]], None]] = None,
+                 **kwargs) -> None:
         if params.stable_log_tail:
             raise ConfigurationError(
                 "DurableLog provides stability through flush+fsync; "
@@ -365,17 +405,13 @@ class DurableLog(LogManager):
         self.fsync_count = 0
         #: bytes of torn tail cut off an existing file before appending
         self.repaired_bytes = 0
-        #: the durable records that open-time scan decoded, kept so
-        #: restart does not read and decode the file a second time;
-        #: let go by :meth:`hydrate`
-        self.recovered_records: List[LogRecord] = []
         #: the frame index, one entry per frame of the file, in file
         #: order: its last LSN, the byte it starts at, its records' words
         self._frame_lsns = array("q")
         self._frame_offsets = array("q")
         self._frame_words = array("q")
-        #: size of the file as found, and seconds spent reading and
-        #: decoding it (the recovery timing report's scan term)
+        #: size of the file as found, and seconds spent scanning it
+        #: (``on_frame``'s time included)
         self.scanned_bytes = 0
         self.scan_seconds = 0.0
         #: the exception that failed a flush; once set the log is
@@ -384,7 +420,7 @@ class DurableLog(LogManager):
         files = self.files
         # what a crash during a truncation rewrite left behind
         files.remove(temp_path(self.path))
-        durable = self._scan() if files.exists(self.path) else 0
+        durable = self._scan(on_frame) if files.exists(self.path) else 0
         #: the file's length: where the next frame goes
         self._end = durable
         self._file = files.open_append(self.path)
@@ -404,26 +440,31 @@ class DurableLog(LogManager):
             files.sync_directory(self.path.parent)
             self._end = len(FILE_HEADER)
 
-    def _scan(self) -> int:
-        """Decode the existing file once (raises
-        :class:`WALCorruptionError` if rotten) and index its frames;
-        return its durable length."""
+    def _scan(self, on_frame: Optional[Callable[[List[LogRecord]], None]]
+              ) -> int:
+        """Read the existing file once, a frame at a time through one
+        open file (raises :class:`WALCorruptionError` if rotten): index
+        each whole frame and hand its records to ``on_frame``, keeping
+        none; return the durable length."""
         began = time.perf_counter()
-        data = self.files.read(self.path)
-        frames: List[Tuple[int, int]] = []
-        records, durable = scan_wal(data, frames=frames)
         size = self.record_size_words
-        last_lsn = done = 0
-        for offset, count in frames:
-            if count > done:
-                last_lsn = records[count - 1].lsn
-            self._index(last_lsn, offset,
-                        sum(map(size, records[done:count])))
-            done = count
-        self.recovered_records = records
+        last_lsn = 0
+
+        def frame(offset: int, records: List[LogRecord]) -> None:
+            nonlocal last_lsn
+            if records:
+                last_lsn = records[-1].lsn
+            self._index(last_lsn, offset, sum(map(size, records)))
+            if on_frame is not None:
+                on_frame(records)
+
+        files = self.files
+        with files.open_read(self.path) as file, gc_paused():
+            length = files.size(file)
+            durable = _read_frames(file.read, length, frame)
         self.scan_seconds = time.perf_counter() - began
-        self.scanned_bytes = len(data)
-        self.repaired_bytes = len(data) - durable
+        self.scanned_bytes = length
+        self.repaired_bytes = length - durable
         return durable
 
     def _index(self, last_lsn: int, offset: int, words: int) -> None:
@@ -539,21 +580,20 @@ class DurableLog(LogManager):
         return reclaimed
 
     # -- restart -------------------------------------------------------------
-    def hydrate(self, records: Sequence[LogRecord]) -> None:
-        """Resume after ``records`` (normally :attr:`recovered_records`,
-        in LSN order), and let the scanned records go.
+    def hydrate(self) -> None:
+        """Resume after the frames the open-time scan found.
 
         Called once at restart, before any new appends: the stable
         horizon and the LSN allocator resume exactly where the previous
-        process durably left off.  No list is adopted: the file holds
-        the records, and the open-time scan already indexed its frames.
+        process durably left off -- the last LSN of the file's last
+        whole frame.  No record is adopted: the file holds them, and
+        the scan handed each frame's to its consumer and let them go.
         """
         if self._tail or self._stable_lsn:
             raise ConfigurationError("hydrate() requires a fresh log")
-        self.recovered_records = []
-        if records:
-            # the file is written in LSN order: the last record is newest
-            self._stable_lsn = records[-1].lsn
+        if self._frame_lsns and self._frame_lsns[-1]:
+            # the file is written in LSN order: the last frame is newest
+            self._stable_lsn = self._frame_lsns[-1]
             self._allocator = LSNAllocator(start=self._stable_lsn)
 
     def close(self) -> None:

@@ -16,7 +16,6 @@ cheap while preserving the paper's record/segment ratios.
 
 from __future__ import annotations
 
-import hashlib
 import numpy as np
 
 from ..errors import AddressError, InvalidStateError
@@ -177,6 +176,9 @@ class Database:
 
     def state_digest(self) -> str:
         """A SHA-256 digest of all record values (order-sensitive)."""
+        # imported here, by the simulator's only caller: hashlib maps
+        # OpenSSL's libcrypto, which no serving process needs
+        import hashlib
         return hashlib.sha256(self._values.tobytes()).hexdigest()
 
     def equals_values(self, other: np.ndarray) -> bool:

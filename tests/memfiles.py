@@ -13,7 +13,8 @@ its files in memory and models what a crash keeps:
   synced bytes plus a seeded prefix of the appends made since.
 
 Every operation -- each port call, and each ``write`` to an open file --
-is a numbered step, and ``trace[k - 1]`` is step *k*'s label
+is a numbered step (a file opened by ``open_read`` is read in one step,
+its open), and ``trace[k - 1]`` is step *k*'s label
 (``"sync wal.log"``); each distinct label is stored once and the trace
 refers to it, so a step costs the trace one list slot.  ``faults`` maps
 a step number or a label to the ``OSError`` that step raises instead of
@@ -43,13 +44,31 @@ class PowerLoss(OSError):
 
 
 class _Inode:
-    __slots__ = ("data", "synced")
+    """One file's contents, live and as of its last sync.
+
+    A sync of an append-only file copies nothing: the synced contents
+    are the first ``synced_length`` live bytes.  Only a change to those
+    bytes -- an overwrite, a truncation below them, a reopen for
+    writing -- first freezes them into ``frozen``, a copy that lasts
+    until the next sync.
+    """
+
+    __slots__ = ("data", "synced_length", "frozen")
 
     def __init__(self, data: bytes = b"") -> None:
         #: the contents as the process sees them
         self.data = bytearray(data)
-        #: the contents as of the last sync
-        self.synced = bytes(data)
+        #: the synced contents' length (they are a prefix of ``data``
+        #: while ``frozen`` is None)
+        self.synced_length = len(data)
+        #: the synced contents, once ``data`` no longer starts with them
+        self.frozen: Optional[bytes] = None
+
+    def synced(self) -> bytes:
+        """The contents as of the last sync."""
+        if self.frozen is not None:
+            return self.frozen
+        return bytes(self.data[:self.synced_length])
 
 
 #: one entry change: ``path`` now names ``inode`` (None: nothing), and
@@ -85,10 +104,19 @@ class MemoryFile:
             buffer = self.inode.data
             if self.append:
                 self.position = len(buffer)
+            self.files._changing(self.inode, self.position)
             end = self.position + len(data)
             buffer[self.position:end] = data
             self.position = end
         return len(data)
+
+    def read(self, size: int = -1) -> bytes:
+        buffer = self.inode.data
+        end = len(buffer) if size < 0 else min(len(buffer),
+                                               self.position + size)
+        data = bytes(buffer[self.position:end])
+        self.position = max(self.position, end)
+        return data
 
     def tell(self) -> int:
         return self.position
@@ -138,6 +166,8 @@ class MemoryFiles(Files):
         #: per directory, its entry changes since it was last synced
         self._unsynced: Dict[Path, List[_Change]] = {}
         self._lock = threading.RLock()
+        #: bytes copied to keep synced contents a write changed
+        self.copied_bytes = 0
 
     # -- steps ---------------------------------------------------------------
     @contextmanager
@@ -187,14 +217,29 @@ class MemoryFiles(Files):
         with self.step("size", file.path):
             return len(file.inode.data)
 
+    def open_read(self, path: Path) -> MemoryFile:
+        path = Path(path)
+        with self.step("read", path):
+            return MemoryFile(self, path, self._inode(path), append=False)
+
     def sync(self, file: MemoryFile) -> int:
         with self.step("sync", file.path):
-            file.inode.synced = bytes(file.inode.data)
+            inode = file.inode
+            inode.synced_length = len(inode.data)
+            inode.frozen = None
         return 1
 
     def truncate(self, file: MemoryFile, size: int) -> None:
         with self.step("truncate", file.path):
+            self._changing(file.inode, size)
             del file.inode.data[size:]
+
+    def _changing(self, inode: _Inode, at: int) -> None:
+        """``inode``'s live bytes from ``at`` on are about to change:
+        freeze its synced contents first if they reach that far."""
+        if inode.frozen is None and at < inode.synced_length:
+            inode.frozen = inode.synced()
+            self.copied_bytes += len(inode.frozen)
 
     def remove(self, path: Path) -> None:
         path = Path(path)
@@ -216,6 +261,7 @@ class MemoryFiles(Files):
                 inode = _Inode()
                 self._link(path, inode)
             elif mode == "wb":
+                self._changing(inode, 0)
                 inode.data.clear()
             return MemoryFile(self, path, inode, append=mode == "ab")
 
@@ -224,14 +270,17 @@ class MemoryFiles(Files):
             self._link(target, self._inode(source), source=source)
 
     def content_bytes(self) -> int:
-        """The memory the files' contents take: each inode's live and
-        synced bytes, as allocated (what a memory test of the host
-        subtracts, since a real disk holds these outside the process)."""
+        """The memory the files' contents take: each inode's live bytes
+        and frozen synced copy, as allocated (what a memory test of the
+        host subtracts, since a real disk holds these outside the
+        process)."""
         with self._lock:
             inodes = {id(inode): inode for names in (self._names,
                                                      self._durable)
                       for inode in names.values()}
-            return sum(sys.getsizeof(inode.data) + sys.getsizeof(inode.synced)
+            return sum(sys.getsizeof(inode.data)
+                       + (0 if inode.frozen is None
+                          else sys.getsizeof(inode.frozen))
                        for inode in inodes.values())
 
     # -- the crash -----------------------------------------------------------
@@ -247,7 +296,7 @@ class MemoryFiles(Files):
             image = MemoryFiles()
             for path in sorted(names):
                 inode = names[path]
-                kept = inode.synced
+                kept = inode.synced()
                 if inode.data.startswith(kept):
                     appended = len(inode.data) - len(kept)
                     kept += inode.data[len(kept):][:rng.randint(0, appended)]

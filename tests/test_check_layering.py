@@ -1,7 +1,7 @@
 """``scripts/check_layering.py``: clean on this repository, and each of
 its seven checks rejects a violation planted in a scratch tree; the
-serving-kernel rule also holds on a real server process's
-``sys.modules``."""
+serving-kernel rule (no simulator layer, no module-level ``hashlib``)
+also holds on a real server process's ``sys.modules``."""
 
 from __future__ import annotations
 
@@ -129,6 +129,22 @@ def test_serving_closure_reaching_the_simulator_is_rejected(layering,
         "<- repro.live.server)"]
 
 
+def test_serving_closure_importing_hashlib_at_module_level_is_rejected(
+        layering, capsys):
+    src = layering.SRC_DIR / "repro"
+    (src / "live" / "server.py").write_text("from .host import LiveHost\n")
+    (src / "live" / "host.py").write_text(
+        "from hashlib import sha256\n"
+        "def digest():\n"
+        "    import hashlib\n")
+    (src / "sweep.py").write_text("import hashlib\n")  # not served
+    assert _violations(layering, capsys) == [
+        "src/repro/live/host.py:1: serving closure imports hashlib at "
+        "module level (via repro.live.host <- repro.live.server; it maps "
+        "OpenSSL's libcrypto into every server: import it where it is "
+        "used)"]
+
+
 def test_server_process_loads_only_the_serving_kernel(tmp_path):
     """The same rule on what a server really imports: ``repro serve``
     through the CLI, lazy package surfaces and all (their imports are
@@ -141,19 +157,24 @@ def test_server_process_loads_only_the_serving_kernel(tmp_path):
         "import repro.live.server as server\n"
         "server.serve = lambda *args, **kwargs: 0\n"
         "from repro.cli import main\n"
+        "openssl = ('hashlib', '_hashlib')\n"
         "main(['serve', '--data-dir', 'x'])\n"
+        "print([name for name in openssl if name in sys.modules])\n"
         "with redirect_stdout(io.StringIO()) as out:\n"
         f"    main(['serve', '--data-dir', {str(tmp_path)!r}, '--check'])\n"
         "print(json.loads(out.getvalue())['consistent'])\n"
+        "print([name for name in openssl if name in sys.modules])\n"
         "print(json.dumps(sorted(m for m in sys.modules\n"
         "                        if m.split('.')[0] == 'repro')))\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    ran, consistent, modules = proc.stdout.splitlines()
+    ran, served, consistent, checked, modules = proc.stdout.splitlines()
     assert ran == "server stopped"
     assert consistent == "True"
+    # OpenSSL's libcrypto stays out of a server and of its restart check
+    assert served == checked == "[]"
     loaded = json.loads(modules)
     assert {"repro.checkpoint.scheduler", "repro.recovery.replay"} <= \
         set(loaded)

@@ -22,11 +22,11 @@ import pytest
 
 from repro.errors import WALFailedError
 from repro.live.files import Files, temp_path
-from repro.live.host import LiveConfig, LiveHost
+from repro.live.host import LiveConfig, LiveHost, replay_durable
 from repro.live.store import ImageStore
 from repro.live.wal import DurableLog, encode_frame, read_wal
 from repro.params import SystemParameters
-from repro.wal.records import CommitRecord
+from repro.wal.records import CommitRecord, log_updates
 from tests.engine import EngineScheduler
 from tests.helpers import columns
 from tests.memfiles import MemoryFiles, PowerLoss
@@ -36,6 +36,7 @@ from tests.memfiles import MemoryFiles, PowerLoss
 CONFIG = LiveConfig(data_dir="db", scale=8192, checkpoint_interval=None,
                     flush_interval=30.0, spans=False)
 WAL = Path("db/wal.log")
+N_RECORDS = SystemParameters.scaled_down(CONFIG.scale).n_records
 IMAGE = Path("db") / ImageStore.FILENAME
 #: half of a frame whose header fits: the tail a crash mid-flush leaves
 TORN = encode_frame([CommitRecord(10**6, 10**6)])[:16]
@@ -144,9 +145,25 @@ def script(files, history: History, engine: bool = False) -> list:
 
 def restart_violations(image, history: History,
                        engine: bool = False) -> list:
-    with running(image, engine) as host:
+    """Restart from the crash ``image``: the streamed restart must find
+    what the whole WAL file replayed in one batch holds, and the result
+    must keep every acknowledged commit."""
+    records, torn = read_wal(WAL, image)
+    stored = ImageStore(WAL.parent, files=image).read()
+    base = (None, 0) if stored is None else (stored.checkpoint_id,
+                                             stored.base_lsn)
+    expected, counts = replay_durable(stored, records, N_RECORDS)
+    recoveries = []
+    with running(image, engine, recoveries) as host:
         values = host.database.values_snapshot()
         assert host.verify() == []
+    [recovery] = recoveries
+    assert (recovery["checkpoint_id"], recovery["base_lsn"]) == base
+    assert recovery["records_scanned"] == log_updates(records)
+    assert recovery["transactions_replayed"] == counts.transactions_committed
+    assert recovery["updates_dropped"] == counts.updates_dropped
+    assert recovery["torn_tail"] == torn
+    assert values.tolist() == expected.tolist()
     # whichever temp file the crash left, the restart removed it
     assert not image.exists(temp_path(WAL))
     assert not image.exists(temp_path(IMAGE))
@@ -338,7 +355,7 @@ def _log_and_image_script(files, directory: Path):
     file.close()
     reborn = DurableLog(params, wal, files=files)
     counts.append(reborn.fsync_count)
-    reborn.hydrate(reborn.recovered_records)
+    reborn.hydrate()
     reborn.append_end_checkpoint(1, image=0)
     reborn.flush()
     counts.append(reborn.fsync_count)
@@ -411,3 +428,30 @@ def test_memory_files_faults_fire_once_by_step_or_label():
         with pytest.raises(PowerLoss):
             file.write(b"x")
     assert off.powered_off and off.trace == ["open f"]
+
+
+def test_memory_files_sync_copies_only_what_a_change_overwrites():
+    """A sync is O(1): an append-only file's synced contents are a
+    prefix of its bytes, so 4,000 one-KiB group flushes copy nothing.
+    Only a change to synced bytes (a truncation below them, an
+    overwrite) copies them, once, and a crash still keeps them."""
+    files = MemoryFiles()
+    log = DurableLog(SystemParameters.scaled_down(8192), WAL, files=files)
+    ids = np.arange(32, dtype=np.int64)
+    for txn_id in range(1, 4001):
+        log.append_update_run(txn_id, ids.tobytes(), ids.tobytes())
+        log.flush()
+    log.close()
+    assert log.fsync_count == 4001  # the header's, then one a flush
+    assert files.copied_bytes == 0
+    synced = files.read(WAL)
+    assert len(synced) > 4000 * 512
+    file = files.open_append(WAL)
+    files.truncate(file, 100)
+    file.write(b"new")
+    files.truncate(file, 50)
+    assert files.copied_bytes == len(synced)  # frozen once, not per change
+    assert files.crash(0).read(WAL) == synced
+    files.sync(file)
+    assert files.crash(0).read(WAL) == synced[:50]
+    assert files.copied_bytes == len(synced)

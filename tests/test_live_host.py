@@ -144,7 +144,7 @@ def test_wal_reopen_truncates_a_torn_tail_before_appending(
     assert reborn.repaired_bytes == len(garbage)
     records, torn = read_wal(wal_path)
     assert not torn  # the tear is gone from disk
-    reborn.hydrate(records)
+    reborn.hydrate()
     reborn.append_update_run(2, *columns([(4, 43)]))
     second = reborn.append_commit(2)
     reborn.flush()
@@ -182,16 +182,18 @@ def test_wal_final_frame_short_of_one_byte_is_torn_even_if_it_decodes(
     reborn = _fresh_log(live_params, wal_path)
     assert reborn.repaired_bytes == len(whole) - 1 - durable
     assert wal_path.read_bytes() == whole[:durable]
-    reborn.hydrate(reborn.recovered_records)
+    reborn.hydrate()
     reborn.append_update_run(3, *columns([(5, 44)]))
     second = reborn.append_commit(3)
     reborn.flush()
     reborn.close()
     # the next frame did not fuse onto the cut one, so the restart after
     # it reads the new commit instead of raising over it
-    again = _fresh_log(live_params, wal_path)
+    scanned = []
+    again = DurableLog(live_params, wal_path, files=NO_SYNC,
+                       on_frame=scanned.extend)
     assert again.repaired_bytes == 0
-    assert [r.lsn for r in again.recovered_records] == [
+    assert [r.lsn for r in scanned] == [
         first.lsn - 1, first.lsn, second.lsn - 1, second.lsn]
     again.close()
 
@@ -251,35 +253,41 @@ def test_wal_hydrate_resumes_lsns_where_the_crash_left_them(
     last = log.append_commit(1)
     log.flush()
     log.close()
-    records, _ = read_wal(wal_path)
     reborn = _fresh_log(live_params, wal_path)
-    reborn.hydrate(records)
+    reborn.hydrate()
     assert reborn.stable_lsn == last.lsn
     fresh = reborn.append_update_run(2, *columns([(4, 43)]))
     assert fresh.lsn == last.lsn + 1  # no LSN reuse across restart
     with pytest.raises(ConfigurationError):
-        reborn.hydrate(records)  # only a fresh log may adopt a history
+        reborn.hydrate()  # only a fresh log may resume a history
     reborn.close()
 
 
 def test_wal_open_keeps_the_scanned_records_for_a_single_adoption(
         live_params, wal_path):
-    log = _fresh_log(live_params, wal_path)
-    assert log.recovered_records == []  # a new file has no history
+    scanned = []
+    log = DurableLog(live_params, wal_path, files=NO_SYNC,
+                     on_frame=scanned.append)
+    assert scanned == []  # a new file has no history
     log.append_update_run(1, *columns([(3, 42)]))
     last = log.append_commit(1)
     originals = list(log._tail)
     log.flush()
+    log.append_begin_checkpoint(1, timestamp=0.5, active_txns=(), image=0)
+    marker = log._tail[0]
+    log.flush()
     log.close()
-    reborn = _fresh_log(live_params, wal_path)
-    scanned = reborn.recovered_records
-    assert scanned == originals
-    reborn.hydrate(scanned)
+    reborn = DurableLog(live_params, wal_path, files=NO_SYNC,
+                        on_frame=scanned.append)
+    # one hand-over per frame, in file order
+    assert scanned == [originals, [marker]]
+    reborn.hydrate()
     # the horizon resumes, and no record stays: the file is the log
-    assert reborn.stable_lsn == last.lsn
-    assert reborn.recovered_records == [] and reborn._stable is None
+    assert reborn.stable_lsn == marker.lsn == last.lsn + 1
+    assert reborn._stable is None and reborn._tail == []
+    assert not hasattr(reborn, "recovered_records")
     with pytest.raises(ConfigurationError):
-        reborn.hydrate(scanned)
+        reborn.hydrate()
     reborn.close()
 
 
@@ -344,6 +352,7 @@ def test_wal_truncation_copies_the_surviving_frames_byte_for_byte():
     rewritten file equals the database."""
     files = MemoryFiles()
     host = _engine_host(files)
+    host.start()
     cuts = []
     truncate = host.log.truncate_stable_before
 
@@ -354,7 +363,6 @@ def test_wal_truncation_copies_the_surviving_frames_byte_for_byte():
         return reclaimed
 
     host.log.truncate_stable_before = recording
-    host.start()
     try:
         for i in range(20):
             host.submit([(i, 100 + i), (i + 50, i)])
@@ -850,8 +858,9 @@ def test_live_host_restart_reads_and_scans_the_wal_once(tmp_path,
             host.submit([(i, 3000 + i)])
     finally:
         host.stop()
-    scans, reads = [], []
+    scans, reads, opens = [], [], []
     real_scan, real_read = live_wal.scan_wal, Path.read_bytes
+    real_open = Files.open_read
 
     def counting_scan(data, **kwargs):
         scans.append(len(data))
@@ -861,17 +870,25 @@ def test_live_host_restart_reads_and_scans_the_wal_once(tmp_path,
         reads.append(path.name)
         return real_read(path)
 
+    def counting_open(files, path):
+        opens.append(path.name)
+        return real_open(files, path)
+
     monkeypatch.setattr(live_wal, "scan_wal", counting_scan)
     monkeypatch.setattr(Path, "read_bytes", counting_read)
+    monkeypatch.setattr(Files, "open_read", counting_open)
     reborn = _host(tmp_path)
     recovery = reborn.recover()
     reborn.log.close()
     assert recovery.records_scanned == 10
-    assert scans == [(tmp_path / "wal.log").stat().st_size]
-    assert reads.count("wal.log") == 1
+    # one open file, streamed: the file is never read whole
+    assert opens.count("wal.log") == 1
+    assert scans == [] and reads == []
     # replayed, then let go: the log keeps none of the scanned records
-    assert reborn.log.recovered_records == [] and reborn.log._stable is None
+    assert reborn.log._stable is None
     assert reborn.log.stable_lsn == 10
+    with pytest.raises(InvalidStateError):
+        reborn.recover()  # the log is open: a second pass has no start
 
 
 @pytest.mark.parametrize("collecting", [True, False])
@@ -901,13 +918,14 @@ def test_live_host_recover_restores_the_gc_state(tmp_path, monkeypatch,
         monkeypatch.setattr(ImageStore, "load", load)
         with pytest.raises(OSError):
             failing.recover()
-        failing.log.close()
+        assert failing.log is None  # the image comes first
         assert seen == [False]  # paused while it ran
         assert gc.isenabled() is collecting
         # ... and one inside the open-time scan
+        monkeypatch.undo()
         (tmp_path / "wal.log").write_bytes(b'["C",99,bogus\n')
         with pytest.raises(WALCorruptionError):
-            _host(tmp_path)
+            _host(tmp_path).recover()
         assert gc.isenabled() is collecting
     finally:
         (gc.enable if was_enabled else gc.disable)()
@@ -957,8 +975,7 @@ def test_live_host_uncommitted_updates_are_dropped_at_recovery(tmp_path):
     # an update whose commit never made it to the file: REDO must drop it
     log = DurableLog(SystemParameters.scaled_down(2048),
                      tmp_path / "wal.log", files=NO_SYNC)
-    records, _ = read_wal(tmp_path / "wal.log")
-    log.hydrate(records)
+    log.hydrate()
     log.append_update_run(99, *columns([(1, 666666)]))
     log.flush()
     log.close()
@@ -1347,9 +1364,31 @@ def test_an_exception_serving_one_connection_closes_only_that_one(
             good.sendall(b'{"op": "get", "record": 2}\n')
             assert _lines(good, 1) == [{"ok": True, "value": 3}]
             assert host.scheduler.call(lambda: len(endpoint.connections)) == 1
-        [error] = host.scheduler.errors
-        assert isinstance(error, TypeError)
-        host.scheduler.errors.clear()
+        # recorded on the endpoint; the scheduler's list is for callbacks
+        assert endpoint.failures == 1
+        assert isinstance(endpoint.last_failure, TypeError)
+        assert host.scheduler.errors == []
+    finally:
+        host.stop()
+
+
+def test_failing_connections_are_counted_not_kept(tmp_path, monkeypatch):
+    """A client that keeps causing failures grows nothing: a thousand
+    failed connections are a count and the latest exception."""
+    host = _host(tmp_path)
+    host.start()
+    try:
+        monkeypatch.setattr(host, "stats", lambda: {"bad": object()})
+        with _serving(host) as endpoint:
+            for _ in range(1000):
+                with socket.create_connection(("127.0.0.1", endpoint.port),
+                                              timeout=5) as bad:
+                    bad.sendall(b'{"op": "stats"}\n')
+                    assert bad.recv(1024) == b""  # closed, nothing sent
+            assert host.scheduler.call(lambda: (
+                endpoint.failures, len(endpoint.connections))) == (1000, 0)
+        assert isinstance(endpoint.last_failure, TypeError)
+        assert host.scheduler.errors == []
     finally:
         host.stop()
 
@@ -2017,3 +2056,64 @@ def test_thousands_of_commits_leave_no_per_flush_list_on_the_log(tmp_path):
         assert host.verify() == []
     finally:
         host.stop()
+
+
+#: updates per transaction in the restart-memory test: one frame each
+_BULK_UPDATES = 1024
+
+
+def _bulk_wal(path, frames: int, n_records: int) -> int:
+    """Write a WAL of ``frames`` frames, each one committed 1024-update
+    transaction; return the bytes of the largest frame."""
+    rng = np.random.default_rng(frames)
+    largest = 0
+    with open(path, "wb") as file:
+        file.write(live_wal.FILE_HEADER)
+        lsn = 0
+        for txn_id in range(1, frames + 1):
+            lsn += _BULK_UPDATES
+            run = UpdateRun(lsn, txn_id,
+                            rng.integers(n_records, size=_BULK_UPDATES,
+                                         dtype="<i8").tobytes(),
+                            rng.integers(1 << 40, size=_BULK_UPDATES,
+                                         dtype="<i8").tobytes())
+            lsn += 1
+            frame = live_wal.encode_frame([run, CommitRecord(lsn, txn_id)])
+            largest = max(largest, len(frame))
+            file.write(frame)
+    return largest
+
+
+def _restart_peak(directory) -> int:
+    """Peak traced bytes of constructing a host over ``directory`` and
+    recovering it."""
+    tracemalloc.start()
+    try:
+        host = _host(directory)
+        recovery = host.recover()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    host.log.close()
+    assert recovery.transactions_replayed > 0
+    return peak
+
+
+def test_restart_memory_does_not_grow_with_the_wal(tmp_path):
+    """Restart streams the WAL into REDO a frame at a time: over a log
+    four times as long -- megabytes more -- its peak grows by less than
+    one frame.  (Holding the file, or its decoded runs, would grow it
+    by the file's size, or twice that.)"""
+    n_records = SystemParameters.scaled_down(2048).n_records
+    sizes, peaks, frame = [], [], 0
+    for frames in (64, 256):
+        directory = tmp_path / str(frames)
+        directory.mkdir()
+        frame = max(frame, _bulk_wal(directory / "wal.log", frames,
+                                     n_records))
+        sizes.append((directory / "wal.log").stat().st_size)
+        _restart_peak(directory)  # warm-up: imports, caches
+        peaks.append(_restart_peak(directory))
+    assert sizes[1] - sizes[0] > 3 * 2**20
+    slack = 64 * 1024
+    assert peaks[1] - peaks[0] < frame + slack, (peaks, frame)

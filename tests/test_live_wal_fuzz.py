@@ -22,12 +22,15 @@ the per-record reference, on any history.
 import random
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.errors import WALCorruptionError, WALFormatError
 from repro.live.files import Files
+from repro.live.host import LiveConfig, LiveHost, RecoveryInfo, replay_durable
+from repro.live.store import ImageStore
 from repro.live.wal import (FILE_HEADER, DurableLog, decode_record,
                             encode_frame, encode_record, encode_records,
                             read_wal, scan_wal)
@@ -43,7 +46,10 @@ from repro.wal.records import (
     MediaRestoreRecord,
     UpdateRecord,
     UpdateRun,
+    log_updates,
 )
+from tests.engine import EngineScheduler
+from tests.memfiles import MemoryFiles
 
 #: record ids drawn from a small space, so ids repeat within and across
 #: runs and last-writer-wins is exercised
@@ -241,10 +247,12 @@ def test_truncation_at_every_byte_of_the_last_records(frame_bytes, tmp_path):
         durable, kept = _prefix_at(prefixes, cut)
         assert scan_wal(data[:cut]) == (kept, durable), f"cut at {cut}"
         path.write_bytes(data[:cut])
-        log = DurableLog(params, path, files=Files(sync=False))
+        scanned = []
+        log = DurableLog(params, path, files=Files(sync=False),
+                         on_frame=scanned.extend)
         assert log.repaired_bytes == cut - durable
-        assert log.recovered_records == kept
-        log.hydrate(log.recovered_records)
+        assert scanned == kept
+        log.hydrate()
         log.append_update_run(99, np.array([1, 1], "<i8").tobytes(),
                               np.array([2, 3], "<i8").tobytes())
         log.append_commit(99)
@@ -437,3 +445,83 @@ def test_batched_feed_matches_feed_each_on_mixed_histories():
             applier.feed(records[start:stop])
         assert applier.target.tolist() == reference.target.tolist(), case
         assert applier.finish() == reference.finish(), case
+
+
+# ---------------------------------------------------------------------------
+# restart: the streamed replay vs the whole-file reference
+# ---------------------------------------------------------------------------
+
+_DATA_DIR = Path("db")
+_RESTART = LiveConfig(data_dir=str(_DATA_DIR), scale=2048,
+                      checkpoint_interval=None, spans=False)
+
+
+def _expected_restart(files, n_records):
+    """What a restart over ``files`` must find, from the whole file read
+    at once and replayed in one batch (or the error that refuses it)."""
+    try:
+        records, torn = read_wal(_DATA_DIR / "wal.log", files)
+    except _DAMAGE as exc:
+        return type(exc), None, None
+    image = ImageStore(_DATA_DIR, files=files).read()
+    values, counts = replay_durable(image, records, n_records)
+    return RecoveryInfo(
+        checkpoint_id=None if image is None else image.checkpoint_id,
+        base_lsn=0 if image is None else image.base_lsn,
+        records_scanned=log_updates(records),
+        transactions_replayed=counts.transactions_committed,
+        updates_dropped=counts.updates_dropped,
+        torn_tail=torn), values, records[-1].lsn if records else 0
+
+
+@pytest.mark.parametrize("damage", ["none", "torn", "crc", "gap"])
+def test_streamed_restart_matches_the_whole_file_replay(frame_bytes, damage):
+    """``LiveHost.recover`` hands each frame to REDO as it reads it;
+    over clean, torn, CRC-damaged and LSN-gapped logs, with and without
+    an image whose ``base_lsn`` falls anywhere in the log, it finds the
+    same ``RecoveryInfo`` and values as ``replay_durable`` over
+    ``read_wal`` -- or raises the same error."""
+    rng = random.Random(f"{damage}/{frame_bytes}")
+    outcomes = set()
+    for case in range(25):
+        records = _history(rng, rng.randint(1, 25), live=case % 2 == 0)
+        frames, _ = _frames(records, frame_bytes)
+        if damage == "gap" and len(frames) > 2:
+            del frames[rng.randrange(1, len(frames) - 1)]
+        data = FILE_HEADER + b"".join(frames)
+        if damage == "torn":
+            data = data[:rng.randrange(len(data) + 1)]
+        elif damage == "crc" and len(frames) > 1:
+            damaged = bytearray(data)
+            damaged[rng.randrange(len(FILE_HEADER),
+                                  len(data) - len(frames[-1]))] ^= 0x20
+            data = bytes(damaged)
+        files = MemoryFiles()
+        wal = files.open_append(_DATA_DIR / "wal.log")
+        wal.write(data)
+        wal.close()
+        host = LiveHost(_RESTART, files=files, scheduler=EngineScheduler())
+        n_records = host.params.n_records
+        if case % 3:
+            base = rng.choice(records).lsn
+            ImageStore(_DATA_DIR, files=files).install(
+                case, base, np.arange(n_records, dtype=np.int64) * case)
+        expected, values, last_lsn = _expected_restart(files, n_records)
+        if values is None:
+            with pytest.raises(expected):
+                host.recover()
+            outcomes.add("refused")
+            continue
+        assert host.recover() == expected, case
+        assert host.database.values_snapshot().tolist() == values.tolist()
+        assert host.log.stable_lsn == last_lsn  # resumes after the stream
+        host.log.close()
+        outcomes.add("torn" if expected.torn_tail else "recovered")
+    seen, possible = {
+        "none": ("recovered", {"recovered"}),
+        "torn": ("torn", {"recovered", "torn"}),
+        "crc": ("refused", {"recovered", "refused"}),
+        "gap": ("refused", {"recovered", "refused"})}[damage]
+    assert outcomes <= possible
+    # at the largest size one frame holds a whole history: nothing to gap
+    assert seen in outcomes or frame_bytes > 1024 and damage in ("crc", "gap")
